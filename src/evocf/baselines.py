@@ -49,6 +49,6 @@ def generate_baseline(
         candidates = [log[i] for i in indices]
     else:
         raise ConfigNameError(f"unknown baseline kind {kind!r}")
-    scored = [(candidate, scorer.score(candidate)) for candidate in candidates]
+    scored = list(zip(candidates, scorer.score_batch(candidates)))
     scored.sort(key=lambda pair: -pair[1].total)
     return scored

@@ -236,7 +236,8 @@ def cmd_grid(args) -> int:
         cycles=args.cycles,
         n_factuals=args.n_factuals,
     )
-    report = run_grid(spec)
+    prepared = prepare_experiment(spec, predictor_factory=_predictor_factory(args))
+    report = run_grid(spec, prepared)
     for name, value in report.ranking:
         print(f"{value:8.4f}  {name}")
     return 0

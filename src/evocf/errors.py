@@ -43,3 +43,7 @@ class SelectionError(EvocfError):
 
 class ConfigurationError(EvocfError):
     """Components wired together do not share the same encoder."""
+
+
+class PredictorError(EvocfError):
+    """An external outcome predictor failed or returned an unusable score."""

@@ -15,6 +15,7 @@ pure functions.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -165,7 +166,7 @@ class CategoricalCodec:
     name: str
     categories: tuple[str, ...]
 
-    @property
+    @functools.cached_property
     def width(self) -> int:
         return _binary_width(len(self.categories))
 
@@ -211,11 +212,14 @@ class EncoderSpec:
     def vocab_size(self) -> int:
         return len(self.activity_to_id)
 
-    @property
+    # derived values are cached on the instance: they are read on every
+    # emission, DP and decode, and the fields never change after construction
+
+    @functools.cached_property
     def id_to_activity(self) -> dict[int, str]:
         return {i: a for a, i in self.activity_to_id.items()}
 
-    @property
+    @functools.cached_property
     def feature_dim(self) -> int:
         return sum(c.width for c in self.codecs)
 
@@ -225,6 +229,10 @@ class EncoderSpec:
 
     def slices(self) -> tuple[tuple[NumericCodec | CategoricalCodec, slice], ...]:
         """Per-attribute (codec, column slice) pairs into the feature matrix."""
+        return self._slices
+
+    @functools.cached_property
+    def _slices(self) -> tuple[tuple[NumericCodec | CategoricalCodec, slice], ...]:
         out = []
         offset = 0
         for codec in self.codecs:

@@ -8,9 +8,10 @@ mutator, recombiner); the uniform crosser carries its rate as a digit, so
 
 Each cycle selects parents by fitness (total viability), crosses them over
 the padded gene frame, mutates the offspring with per-position insert/delete/
-change passes, scores the mutants, and recombines survivors back into the
-population. Termination is a fixed cycle count. All randomness flows through
-one seeded generator, so runs are reproducible bit for bit.
+change passes, scores the cycle's mutants as one batch, and recombines
+survivors back into the population. Termination is a fixed cycle count. All
+randomness flows through one seeded generator, so runs are reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def initialize(
         genomes = [log[i] for i in indices]
     else:
         raise ConfigNameError(f"unknown initiator {kind!r}")
-    individuals = tuple(Individual(g, scorer.score(g)) for g in genomes)
+    individuals = tuple(map(Individual, genomes, scorer.score_batch(genomes)))
     return Population(individuals, generation=0)
 
 
@@ -481,13 +482,15 @@ def evolve(
     stats: list[CycleStats] = []
     for cycle in range(1, config.cycles + 1):
         pairs = select(config.selector, population, config.offspring_per_cycle, rng)
-        mutants: list[Individual] = []
+        offspring: list[EncodedTrace] = []
         for parent_a, parent_b in pairs:
             for child in crossover(
                 config.crosser, parent_a.genome, parent_b.genome, rng, config.uc_rate
             ):
-                mutated = mutate(config.mutator, child, config.mutation_rates, feas_model, rng)
-                mutants.append(Individual(mutated, scorer.score(mutated)))
+                offspring.append(
+                    mutate(config.mutator, child, config.mutation_rates, feas_model, rng)
+                )
+        mutants = list(map(Individual, offspring, scorer.score_batch(offspring)))
         population = recombine(config.recombiner, population, mutants, config.population_size)
         stats.append(_cycle_stats(cycle, population))
     final = Population(

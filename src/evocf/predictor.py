@@ -20,7 +20,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .errors import TrainingError
+from .errors import PredictorError, TrainingError
 from .event_log import EncodedTrace, EncoderSpec, decode
 
 L2_COEFFICIENT = 1e-4
@@ -108,6 +108,11 @@ class LogisticOutcomePredictor:
         p = float(_sigmoid(np.array([phi @ self.weights + self.bias]))[0])
         return min(max(p, 1e-12), 1.0 - 1e-12)
 
+    def predict_proba_batch(self, traces: list[EncodedTrace]) -> list[float]:
+        # row by row on purpose: a stacked matmul sums in another order and
+        # can differ from predict_proba in the last bit
+        return [self.predict_proba(trace) for trace in traces]
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -116,6 +121,7 @@ class LogisticOutcomePredictor:
                 "vocab_size": self.vocab_size,
                 "max_len": self.max_len,
                 "feature_dim": self.feature_dim,
+                "encoder_fingerprint": self.encoder_fingerprint,
             },
             indent=2,
         )
@@ -123,13 +129,22 @@ class LogisticOutcomePredictor:
     @classmethod
     def from_json(cls, text: str) -> "LogisticOutcomePredictor":
         raw = json.loads(text)
+        fingerprint = raw.get("encoder_fingerprint")
         return cls(
             weights=np.array(raw["weights"], dtype=float),
             bias=float(raw["bias"]),
             vocab_size=int(raw["vocab_size"]),
             max_len=int(raw["max_len"]),
             feature_dim=int(raw["feature_dim"]),
+            encoder_fingerprint=None if fingerprint is None else _as_tuples(fingerprint),
         )
+
+
+def _as_tuples(value):
+    """Turn JSON lists back into the nested tuples of EncoderSpec.fingerprint."""
+    if isinstance(value, list):
+        return tuple(_as_tuples(item) for item in value)
+    return value
 
 
 def train(
@@ -244,10 +259,13 @@ class ExternalProcessPredictor:
     For each batch the engine writes `candidates.csv` (decoded events, columns
     case_id, step, activity, then one column per attribute) and invokes
     `command <candidates.csv> <scores.csv>`. The command must write back a CSV
-    with header `case_id,proba`.
+    with header `case_id,proba` holding one probability in [0, 1] per case.
+    Any failure of the command or of its output raises PredictorError naming
+    the command and the case at fault.
     """
 
     def __init__(self, command: str, encoder: EncoderSpec):
+        self.command = command
         self.argv = shlex.split(command)
         self.encoder = encoder
 
@@ -256,16 +274,17 @@ class ExternalProcessPredictor:
 
     def predict_proba_batch(self, traces: list[EncodedTrace]) -> list[float]:
         attr_names = [codec.name for codec in self.encoder.codecs]
+        case_ids = [f"cand_{i}" for i in range(len(traces))]
         with tempfile.TemporaryDirectory(prefix="evocf-ext-") as tmp:
             in_path = Path(tmp) / "candidates.csv"
             out_path = Path(tmp) / "scores.csv"
             with in_path.open("w", newline="") as handle:
                 writer = csv.writer(handle)
                 writer.writerow(["case_id", "step", "activity", *attr_names])
-                for i, enc in enumerate(traces):
+                for case_id, enc in zip(case_ids, traces):
                     trace = decode(
                         EncodedTrace(
-                            enc.activity_ids, enc.features, enc.valid_len, enc.outcome, f"cand_{i}"
+                            enc.activity_ids, enc.features, enc.valid_len, enc.outcome, case_id
                         ),
                         self.encoder,
                     )
@@ -278,9 +297,31 @@ class ExternalProcessPredictor:
                                 *[event.attributes.get(n, "") for n in attr_names],
                             ]
                         )
-            subprocess.run([*self.argv, str(in_path), str(out_path)], check=True)
-            scores: dict[str, float] = {}
-            with out_path.open(newline="") as handle:
-                for row in csv.DictReader(handle):
-                    scores[row["case_id"]] = float(row["proba"])
-        return [scores[f"cand_{i}"] for i in range(len(traces))]
+            try:
+                subprocess.run([*self.argv, str(in_path), str(out_path)], check=True)
+            except subprocess.CalledProcessError as exc:
+                raise self._error(f"exited with status {exc.returncode}") from None
+            except OSError as exc:
+                raise self._error(f"could not be started: {exc.strerror or exc}") from None
+            try:
+                with out_path.open(newline="") as handle:
+                    raw = {row.get("case_id"): row.get("proba") for row in csv.DictReader(handle)}
+            except OSError:
+                raise self._error("wrote no scores file") from None
+        return [self._probability(case_id, raw) for case_id in case_ids]
+
+    def _probability(self, case_id: str, raw: dict) -> float:
+        if case_id not in raw:
+            raise self._error(f"returned no score for case {case_id}")
+        try:
+            p = float(raw[case_id])
+        except (TypeError, ValueError):
+            raise self._error(
+                f"returned a non-numeric proba {raw[case_id]!r} for case {case_id}"
+            ) from None
+        if not 0.0 <= p <= 1.0:
+            raise self._error(f"returned proba {p!r} outside [0, 1] for case {case_id}")
+        return p
+
+    def _error(self, problem: str) -> PredictorError:
+        return PredictorError(f"external predictor {self.command!r} {problem}")

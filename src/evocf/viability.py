@@ -264,6 +264,11 @@ class ViabilityScorer:
     The factual's predicted outcome class and probability are computed once;
     the per-attribute feature slices come from the feasibility model's
     encoder so the count cost sees real attribute boundaries.
+
+    Scores are memoized for the life of the scorer, keyed on the candidate's
+    valid prefix: every component reads only that prefix (all candidates
+    share the encoder's frame width), so a repeated genome gets the score it
+    got the first time without being scored again.
     """
 
     def __init__(
@@ -284,22 +289,50 @@ class ViabilityScorer:
         self.predictor = predictor
         self.feas_model = feas_model
         self.slices = encoder.slices()
+        self._memo: dict[tuple, ViabilityScore] = {}
         p1 = predictor.predict_proba(factual)
         self.factual_class = 1 if p1 > 0.5 else 0
         self.p_factual = p1 if self.factual_class == 1 else 1.0 - p1
 
-    def class_probability(self, trace: EncodedTrace) -> float:
-        """P(factual's outcome class | trace) under the predictor."""
-        p1 = self.predictor.predict_proba(trace)
-        return p1 if self.factual_class == 1 else 1.0 - p1
+    def _class_probabilities(self, traces: list[EncodedTrace]) -> list[float]:
+        """P(factual's outcome class | trace) for each trace, one predictor call.
+
+        predict_proba alone satisfies the OutcomePredictor protocol; a
+        predictor without predict_proba_batch is asked trace by trace.
+        """
+        batch = getattr(self.predictor, "predict_proba_batch", None)
+        if batch is not None:
+            p1s = batch(traces)
+        else:
+            p1s = [self.predictor.predict_proba(trace) for trace in traces]
+        return [p1 if self.factual_class == 1 else 1.0 - p1 for p1 in p1s]
+
+    def score_batch(self, candidates: list[EncodedTrace]) -> list[ViabilityScore]:
+        """Score candidates in order; each distinct genome is scored once."""
+        memo = self._memo
+        keys = []
+        misses: dict[tuple, EncodedTrace] = {}
+        for candidate in candidates:
+            n = candidate.valid_len
+            key = (n, candidate.activity_ids[:n].tobytes(), candidate.features[:n].tobytes())
+            keys.append(key)
+            if key not in memo and key not in misses:
+                misses[key] = candidate
+        if misses:
+            probabilities = self._class_probabilities(list(misses.values()))
+            for (key, candidate), probability in zip(
+                misses.items(), probabilities, strict=True
+            ):
+                memo[key] = ViabilityScore.combine(
+                    similarity=similarity_score(self.factual, candidate, self.slices),
+                    sparsity=sparsity_score(self.factual, candidate, self.slices),
+                    feasibility=markov_mod.feasibility(self.feas_model, candidate),
+                    delta=delta_score(self.p_factual, probability),
+                )
+        return [memo[key] for key in keys]
 
     def score(self, candidate: EncodedTrace) -> ViabilityScore:
-        return ViabilityScore.combine(
-            similarity=similarity_score(self.factual, candidate, self.slices),
-            sparsity=sparsity_score(self.factual, candidate, self.slices),
-            feasibility=markov_mod.feasibility(self.feas_model, candidate),
-            delta=delta_score(self.p_factual, self.class_probability(candidate)),
-        )
+        return self.score_batch([candidate])[0]
 
 
 def viability(

@@ -19,6 +19,7 @@ from evocf.harness import (
     run_grid,
     run_seed,
 )
+from evocf.predictor import ExternalProcessPredictor
 from evocf.viability import ssdld
 
 
@@ -386,3 +387,51 @@ def test_cli_generate_with_external_predictor(tmp_path):
         rows = list(csv.DictReader(handle))
     # constant external probability 0.9 on both sides -> delta exactly 0
     assert all(float(row["delta"]) == 0.0 for row in rows)
+
+
+def test_cli_grid_with_external_predictor(tmp_path):
+    script = tmp_path / "scorer.py"
+    script.write_text(EXTERNAL_SCRIPT)
+    out = tmp_path / "grid"
+    result = run_cli(
+        "grid",
+        "--seed", "5",
+        "--cycles", "2",
+        "--n-factuals", "2",
+        "--configs", "CBI-RWS-OPC-SBM-FSR,CBI-ES-UC3-SBM-RR",
+        "--external-predictor", f"{sys.executable} {script}",
+        "--overrides",
+        '{"synthetic": {"n_cases": 60, "n_activities": 4}, '
+        '"population_size": 20, "offspring_per_cycle": 6, "predictor_epochs": 100}',
+        "--out", str(out),
+    )
+    assert result.returncode == 0, result.stderr
+    with (out / "trajectories.csv").open() as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 2 * 2 * 2
+    # the trained model would move delta; the constant external scorer cannot
+    assert all(float(row["mean_delta"]) == 0.0 for row in rows)
+
+
+def test_external_predictor_runs_once_per_scoring_batch(tmp_path):
+    calls = tmp_path / "calls.txt"
+    script = tmp_path / "scorer.py"
+    script.write_text(
+        f"with open({str(calls)!r}, 'a') as log:\n    log.write('call\\n')\n" + EXTERNAL_SCRIPT
+    )
+    cycles = 3
+    spec = small_spec(
+        config_names=("RI-TS-OPC-RM-FSR",), n_factuals=1, cycles=cycles, mutation_rate=0.3
+    )
+    prepared = prepare_experiment(
+        spec,
+        predictor_factory=lambda encoder: ExternalProcessPredictor(
+            f"{sys.executable} {script}", encoder
+        ),
+    )
+    run_benchmark(spec, prepared)
+    # per job: one call for the factual; the evolutionary job adds one batch
+    # for its initial population and one per cycle, each baseline one batch
+    evolutionary = 1 + 1 + cycles
+    baselines = 3 * (1 + 1)
+    assert calls.read_text().count("call") == evolutionary + baselines

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import make_encoded
-from evocf.errors import TrainingError
+from evocf.errors import ConfigurationError, PredictorError, TrainingError
+from evocf.event_log import encode_log, fit_encoder, preprocess, split_train_test, synthesize_log
+from evocf.markov import fit as fit_markov
 from evocf.predictor import (
     ConstantPredictor,
     ExternalProcessPredictor,
@@ -17,6 +19,7 @@ from evocf.predictor import (
     loss_and_gradient,
     train,
 )
+from evocf.viability import ViabilityScorer
 
 
 def test_extract_features_small_trace():
@@ -213,3 +216,88 @@ def test_external_process_predictor(tmp_path, synth_setup):
     probs = predictor.predict_proba_batch(traces)
     assert probs == [min(0.9, 0.1 * t.valid_len) for t in traces]
     assert predictor.predict_proba(traces[0]) == probs[0]
+
+
+def test_logistic_batch_equals_per_trace(synth_setup):
+    predictor = synth_setup["predictor"]
+    traces = synth_setup["test"][:20]
+    assert predictor.predict_proba_batch(traces) == [predictor.predict_proba(t) for t in traces]
+
+
+def test_reloaded_predictor_keeps_the_encoder_check(synth_setup):
+    encoder = synth_setup["encoder"]
+    restored = LogisticOutcomePredictor.from_json(synth_setup["predictor"].to_json())
+    assert restored.encoder_fingerprint == encoder.fingerprint()
+    ViabilityScorer(synth_setup["test"][0], restored, synth_setup["feas_model"])
+
+    other_log = split_train_test(preprocess(synthesize_log(60, 4, seed=9), 25), 0.2, seed=9)[0]
+    other_encoder = fit_encoder(other_log)
+    assert other_encoder.fingerprint() != encoder.fingerprint()
+    other_train = encode_log(other_log, other_encoder)
+    with pytest.raises(ConfigurationError):
+        ViabilityScorer(other_train[0], restored, fit_markov(other_train, other_encoder))
+
+
+def _bad_scorer(tmp_path, body):
+    script = tmp_path / "bad_scorer.py"
+    script.write_text(
+        textwrap.dedent(
+            """\
+            import csv, sys
+
+            in_path, out_path = sys.argv[1], sys.argv[2]
+            with open(in_path) as handle:
+                cases = list(dict.fromkeys(row["case_id"] for row in csv.DictReader(handle)))
+            """
+        )
+        + textwrap.dedent(body)
+    )
+    return f"{sys.executable} {script}"
+
+
+_WRITE_ROWS = """\
+with open(out_path, "w", newline="") as handle:
+    writer = csv.writer(handle)
+    writer.writerow(["case_id", "proba"])
+    for case_id in cases:
+        writer.writerow([case_id, proba(case_id)])
+"""
+
+
+@pytest.mark.parametrize(
+    ("body", "message"),
+    [
+        ("sys.exit(3)\n", "exited with status 3"),
+        ("pass\n", "wrote no scores file"),
+        (
+            "def proba(case_id):\n    return 0.5\ncases = cases[:-1]\n" + _WRITE_ROWS,
+            "returned no score for case cand_2",
+        ),
+        (
+            "def proba(case_id):\n    return 'high' if case_id == 'cand_1' else 0.5\n"
+            + _WRITE_ROWS,
+            "returned a non-numeric proba 'high' for case cand_1",
+        ),
+        (
+            "def proba(case_id):\n    return 1.5 if case_id == 'cand_0' else 0.5\n"
+            + _WRITE_ROWS,
+            "returned proba 1.5 outside [0, 1] for case cand_0",
+        ),
+    ],
+    ids=["exit-status", "no-output", "missing-case", "non-numeric", "out-of-range"],
+)
+def test_external_predictor_failures_are_predictor_errors(tmp_path, synth_setup, body, message):
+    command = _bad_scorer(tmp_path, body)
+    predictor = ExternalProcessPredictor(command, synth_setup["encoder"])
+    with pytest.raises(PredictorError) as info:
+        predictor.predict_proba_batch(synth_setup["test"][:3])
+    text = str(info.value)
+    assert message in text
+    assert command in text
+    assert "\n" not in text
+
+
+def test_external_predictor_missing_command_is_predictor_error(tmp_path, synth_setup):
+    predictor = ExternalProcessPredictor(str(tmp_path / "no-such-scorer"), synth_setup["encoder"])
+    with pytest.raises(PredictorError, match="could not be started"):
+        predictor.predict_proba(synth_setup["test"][0])

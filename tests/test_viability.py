@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import identity_encoder, make_encoded
 from evocf.errors import ConfigurationError
+from evocf.evolution import evolve, parse_config_name
 from evocf.markov import fit
 from evocf.viability import (
     ViabilityScorer,
@@ -370,3 +371,112 @@ def test_encoder_mismatch_is_configuration_error():
     wrong_frame = make_encoded([1], [[0.5, 0.5]], 6)  # two feature columns
     with pytest.raises(ConfigurationError):
         ViabilityScorer(wrong_frame, ScriptedPredictor({}), model)
+
+
+# ---------------------------------------------------------------------------
+# batch scoring and its memo
+
+
+class ContentPredictor:
+    """predict_proba from a trace's contents only; no batch method."""
+
+    def predict_proba(self, trace):
+        n = trace.valid_len
+        return 0.05 + 0.9 * float(trace.features[:n].mean()) * trace.activity_ids[0] / 3
+
+
+class CountingPredictor(ContentPredictor):
+    """Records the genome key of every trace it is asked to score."""
+
+    def __init__(self):
+        self.keys = []
+        self.batches = 0
+
+    def predict_proba_batch(self, traces):
+        self.batches += 1
+        for trace in traces:
+            n = trace.valid_len
+            self.keys.append(
+                (n, trace.activity_ids[:n].tobytes(), trace.features[:n].tobytes())
+            )
+        return [self.predict_proba(trace) for trace in traces]
+
+
+def _copy(trace):
+    # equal contents in fresh arrays, so the memo must key on bytes, not identity
+    return make_encoded(
+        trace.activity_ids[: trace.valid_len].tolist(),
+        trace.features[: trace.valid_len].copy(),
+        trace.max_len,
+        case_id="copy",
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pool_size=st.integers(1, 4),
+    picks=st.lists(st.integers(0, 3), min_size=1, max_size=24),
+    chunk=st.integers(1, 8),
+)
+def test_score_batch_with_duplicates_matches_reference(seed, pool_size, picks, chunk):
+    model, _ = small_model()
+    rng = np.random.default_rng(seed)
+    factual = random_trace(rng)
+    base = random_trace(rng)
+    acts = base.activity_ids[: base.valid_len].tolist()
+    values = base.features[: base.valid_len, 0].tolist()
+    # near-duplicates of base: same activities with new attributes, and the
+    # same attributes under other activities
+    pool = [
+        base,
+        t(acts, rng.random(len(acts)).tolist()),
+        t([a % 3 + 1 for a in acts], values),
+        random_trace(rng),
+    ][:pool_size]
+    batch = [pool[i % pool_size] for i in picks]
+    batch = [_copy(c) if k % 2 else c for k, c in enumerate(batch)]
+    for predictor in (ContentPredictor(), CountingPredictor()):
+        scorer = ViabilityScorer(factual, predictor, model)
+        scores = []
+        for start in range(0, len(batch), chunk):
+            scores.extend(scorer.score_batch(batch[start : start + chunk]))
+        assert len(scores) == len(batch)
+        for candidate, score in zip(batch, scores):
+            reference = viability(factual, candidate, predictor, model)
+            for name in ("similarity", "sparsity", "feasibility", "delta", "total"):
+                assert getattr(score, name) == getattr(reference, name)
+
+
+def test_score_batch_sends_each_distinct_genome_to_the_predictor_once():
+    model, _ = small_model()
+    rng = np.random.default_rng(8)
+    factual = random_trace(rng)
+    pool = [random_trace(rng) for _ in range(5)]
+    predictor = CountingPredictor()
+    scorer = ViabilityScorer(factual, predictor, model)
+    scorer.score_batch([pool[0], pool[1], _copy(pool[0]), pool[1]])
+    scorer.score_batch([pool[1], _copy(pool[2]), pool[2], pool[3]])
+    scorer.score_batch([pool[3], _copy(pool[0])])  # all hits: no predictor call
+    scorer.score(pool[4])
+    assert predictor.batches == 3
+    assert len(predictor.keys) == len(set(predictor.keys)) == 5
+
+
+def test_evolve_scores_each_distinct_genome_once(synth_setup):
+    class CountingLogistic(CountingPredictor):
+        def predict_proba(self, trace):
+            return synth_setup["predictor"].predict_proba(trace)
+
+    predictor = CountingLogistic()
+    config = parse_config_name(
+        "CBI-RWS-OPC-SBM-FSR", population_size=60, offspring_per_cycle=20, cycles=4, seed=3
+    )
+    evolve(
+        synth_setup["test"][0], config, predictor, synth_setup["feas_model"], synth_setup["train"]
+    )
+    # one batch for the initial population plus at most one per cycle, and
+    # no genome twice (the factual's own call does not go through the batch)
+    assert 1 <= predictor.batches <= 1 + config.cycles
+    assert len(predictor.keys) == len(set(predictor.keys))
+    assert len(predictor.keys) < config.population_size + config.cycles * 20
