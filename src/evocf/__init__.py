@@ -18,7 +18,9 @@ from .event_log import (
 from .evolution import EvoConfig, GenerationResult, evolve, parse_config_name
 from .markov import MarkovFeasibilityModel, feasibility, fit
 from .predictor import LogisticOutcomePredictor, OutcomePredictor, train
-from .viability import ViabilityScore, delta_score, similarity_score, sparsity_score, ssdld, viability
+# the viability() function stays in evocf.viability: re-exporting it here
+# would shadow the module of the same name
+from .viability import ViabilityScore, delta_score, similarity_score, sparsity_score, ssdld
 
 __all__ = [
     "AttributeSchema",
@@ -49,5 +51,4 @@ __all__ = [
     "ssdld",
     "synthesize_log",
     "train",
-    "viability",
 ]

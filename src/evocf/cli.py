@@ -16,9 +16,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import predictor as predictor_mod
+from .errors import ConfigurationError, EvocfError
 from .event_log import (
     CATEGORICAL,
     NUMERIC,
@@ -67,6 +66,28 @@ def _add_data_arguments(parser, require_log=False):
     )
 
 
+def _check_keys(given: dict, cls, what: str) -> None:
+    unknown = sorted(set(given) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"unknown {what} key(s): {', '.join(unknown)}")
+
+
+def _parse_overrides(text: str | None) -> dict:
+    if not text:
+        return {}
+    try:
+        overrides = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"--overrides is not valid JSON: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise ConfigurationError("--overrides must be a JSON object")
+    _check_keys(overrides, ExperimentSpec, "--overrides")
+    if isinstance(overrides.get("synthetic"), dict):
+        _check_keys(overrides["synthetic"], SyntheticSpec, "--overrides synthetic")
+        overrides["synthetic"] = SyntheticSpec(**overrides["synthetic"])
+    return overrides
+
+
 def _spec_from_args(args, **defaults) -> ExperimentSpec:
     kwargs = dict(defaults)
     if args.log:
@@ -77,11 +98,11 @@ def _spec_from_args(args, **defaults) -> ExperimentSpec:
         kwargs.setdefault("synthetic", SyntheticSpec())
     kwargs["seed"] = args.seed
     kwargs["output_dir"] = args.out
-    if args.overrides:
-        kwargs.update(json.loads(args.overrides))
-    if "synthetic" in kwargs and isinstance(kwargs["synthetic"], dict):
-        kwargs["synthetic"] = SyntheticSpec(**kwargs["synthetic"])
-    return ExperimentSpec(**kwargs)
+    kwargs.update(_parse_overrides(args.overrides))
+    try:
+        return ExperimentSpec(**kwargs)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
 
 
 def _predictor_factory(args):
@@ -113,14 +134,9 @@ def cmd_train_predictor(args) -> int:
     (out / "encoder.json").write_text(prepared.encoder.to_json())
     (out / "predictor.json").write_text(prepared.predictor.to_json())
 
-    # held-out validation slice of the training data, for the metrics report
-    rng = np.random.default_rng(spec.seed)
-    order = rng.permutation(len(prepared.train))
-    n_val = max(1, len(prepared.train) // 5)
-    val = [prepared.train[i] for i in order[:n_val]]
-    fit = [prepared.train[i] for i in order[n_val:]]
+    # the model is fitted on every training trace, so only test is held out
     metrics = {}
-    for split_name, split in (("train", fit), ("validation", val), ("test", prepared.test)):
+    for split_name, split in (("train", prepared.train), ("test", prepared.test)):
         m = predictor_mod.evaluate(prepared.predictor, split)
         metrics[split_name] = {
             "precision": m.precision,
@@ -224,8 +240,11 @@ def _parse_configs(args) -> tuple[str, ...]:
     if args.preset == "162":
         return GRID_PRESET_162
     if not args.configs:
-        raise SystemExit("need --configs or --preset")
-    return tuple(name.strip() for name in args.configs.split(",") if name.strip())
+        raise ConfigurationError("grid needs --configs or --preset")
+    configs = tuple(name.strip() for name in args.configs.split(",") if name.strip())
+    if len(configs) < 2:
+        raise ConfigurationError("grid search needs at least two configs")
+    return configs
 
 
 def cmd_grid(args) -> int:
@@ -347,8 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a package error ends it with one line and code 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except EvocfError as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"evocf: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ class SelectionError(EvocfError):
 
 
 class ConfigurationError(EvocfError):
-    """Components wired together do not share the same encoder."""
+    """Components do not share an encoder, or run parameters describe no experiment."""
 
 
 class PredictorError(EvocfError):

@@ -189,15 +189,24 @@ class CategoricalCodec:
 
     def decode_index(self, code: np.ndarray, tol: float = 1e-9) -> int | None:
         """Category index for a code vector, or None for absent/invalid codes."""
-        bits = np.rint(code)
-        if np.any(np.abs(code - bits) > tol):
-            return None
-        value = 0
-        for b in bits:
-            value = (value << 1) | int(b)
-        if value == 0 or value > len(self.categories):
-            return None
-        return value - 1
+        index = int(self.decode_indices(code[np.newaxis, :], tol)[0])
+        return None if index < 0 else index
+
+    def decode_indices(self, codes: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """Category index per row of codes (N, width); -1 for absent/invalid.
+
+        A row is a category code when every entry lies within tol of a bit
+        (0 or 1) and the bits spell a value in 1..len(categories).
+        """
+        bits = np.rint(codes)
+        exact = (np.abs(codes - bits) <= tol) & ((bits == 0.0) | (bits == 1.0))
+        values = bits @ self._bit_weights
+        valid = exact.all(axis=1) & (values >= 1.0) & (values <= len(self.categories))
+        return np.where(valid, values - 1.0, -1.0).astype(np.int64)
+
+    @functools.cached_property
+    def _bit_weights(self) -> np.ndarray:
+        return 2.0 ** np.arange(self.width - 1, -1, -1)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,16 @@ virtual END state in the transition matrix (padding never occurs inside an
 unpadded prefix, so the reuse is unambiguous). END is estimated from the data
 and used to terminate sampling, but the feasibility product stops at the last
 real event and never includes an END factor.
+
+Feasibility and sampling read dense tables that each model builds once from
+its fields (see _Tables), so neither walks the emission dicts per event.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +48,11 @@ class MarkovFeasibilityModel:
     @property
     def vocab_size(self) -> int:
         return len(self.initial_probs) - 1
+
+    @functools.cached_property
+    def _tables(self) -> "_Tables":
+        # derived from the fields, which never change after construction
+        return _build_tables(self)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -94,9 +104,77 @@ def _smooth(counts: np.ndarray, epsilon: float) -> np.ndarray:
     return (counts + epsilon) / denom
 
 
-def _bin_index(value: float, n_bins: int) -> int:
-    idx = int(value * n_bins)
-    return min(max(idx, 0), n_bins - 1)
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    # the same arithmetic as Generator.choice(k, p=probs), so a draw through
+    # searchsorted picks the same index and consumes the same single double
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _attribute_indices(
+    encoder: EncoderSpec, n_bins: int, features: np.ndarray
+) -> list[np.ndarray]:
+    """Per attribute, the emission column of every row of features (N, D).
+
+    Numeric values map to their equal-width bin, clamped to [0, n_bins - 1];
+    categorical codes map to their category index, or -1 when the code is
+    absent or not a category (the tables keep a zero column there).
+    """
+    out = []
+    for codec, cols in encoder.slices():
+        if isinstance(codec, NumericCodec):
+            scaled = np.clip(features[:, cols.start] * n_bins, 0, n_bins - 1)
+            out.append(scaled.astype(np.int64))
+        else:
+            out.append(codec.decode_indices(features[:, cols]))
+    return out
+
+
+@dataclass(frozen=True)
+class _Tables:
+    """Dense arrays behind sampling and feasibility, built once per model.
+
+    Emission tables are indexed [activity, column] with one table per
+    attribute; a categorical table carries a trailing zero column, which is
+    what _attribute_indices' -1 reads for a code outside the categories.
+    """
+
+    initial_cdf: np.ndarray                     # (K+1,)
+    transition_cdf: np.ndarray                  # (K+1, K+1), one CDF per row
+    emissions: tuple[np.ndarray, ...]           # per attribute (K+1, B) or (K+1, C+1)
+    emission_cdfs: tuple[np.ndarray, ...]       # per attribute (K+1, B) or (K+1, C)
+    code_rows: tuple[np.ndarray | None, ...]    # per attribute (C, width); None if numeric
+
+
+def _build_tables(model: MarkovFeasibilityModel) -> _Tables:
+    rows = model.vocab_size + 1
+    emissions, emission_cdfs, code_rows = [], [], []
+    for codec, _ in model.encoder.slices():
+        if isinstance(codec, NumericCodec):
+            source, width, codes = model.numeric_emissions, model.n_bins, None
+        else:
+            source, width = model.categorical_emissions, len(codec.categories)
+            codes = np.array([codec.encode(c) for c in codec.categories])
+        table = np.zeros((rows, width if codes is None else width + 1))
+        cdfs = np.zeros((rows, width))
+        for a, attrs in source.items():
+            table[a, :width] = attrs[codec.name]
+            cdfs[a] = _cdf(attrs[codec.name])
+        emissions.append(table)
+        emission_cdfs.append(cdfs)
+        code_rows.append(codes)
+    return _Tables(
+        initial_cdf=_cdf(model.initial_probs),
+        transition_cdf=np.array([_cdf(row) for row in model.transition]),
+        emissions=tuple(emissions),
+        emission_cdfs=tuple(emission_cdfs),
+        code_rows=tuple(code_rows),
+    )
 
 
 def fit(
@@ -117,37 +195,16 @@ def fit(
         raise ValueError("n_bins must be >= 2")
     k = encoder.vocab_size
 
-    initial_counts = np.zeros(k + 1)
-    transition_counts = np.zeros((k + 1, k + 1))
-    numeric_counts: dict[int, dict[str, np.ndarray]] = {
-        a: {} for a in range(1, k + 1)
-    }
-    categorical_counts: dict[int, dict[str, np.ndarray]] = {
-        a: {} for a in range(1, k + 1)
-    }
-    for a in range(1, k + 1):
-        for codec, _ in encoder.slices():
-            if isinstance(codec, NumericCodec):
-                numeric_counts[a][codec.name] = np.zeros(n_bins)
-            else:
-                categorical_counts[a][codec.name] = np.zeros(len(codec.categories))
+    ids = np.concatenate([t.activity_ids[: t.valid_len] for t in train])
+    successors = np.concatenate(
+        [np.append(t.activity_ids[1 : t.valid_len], END_ID) for t in train]
+    )
+    features = np.concatenate([t.features[: t.valid_len] for t in train])
 
-    for trace in train:
-        ids = trace.activity_ids[: trace.valid_len]
-        initial_counts[ids[0]] += 1
-        for t in range(len(ids) - 1):
-            transition_counts[ids[t], ids[t + 1]] += 1
-        transition_counts[ids[-1], END_ID] += 1
-        for t in range(len(ids)):
-            a = int(ids[t])
-            for codec, cols in encoder.slices():
-                code = trace.features[t, cols]
-                if isinstance(codec, NumericCodec):
-                    numeric_counts[a][codec.name][_bin_index(float(code[0]), n_bins)] += 1
-                else:
-                    idx = codec.decode_index(code)
-                    if idx is not None:
-                        categorical_counts[a][codec.name][idx] += 1
+    initial_counts = np.zeros(k + 1)
+    np.add.at(initial_counts, [int(t.activity_ids[0]) for t in train], 1.0)
+    transition_counts = np.zeros((k + 1, k + 1))
+    np.add.at(transition_counts, (ids, successors), 1.0)
 
     # initial distribution ranges over the K real activities only
     initial_probs = np.zeros(k + 1)
@@ -158,14 +215,19 @@ def fit(
     for a in range(1, k + 1):
         transition[a] = _smooth(transition_counts[a], smoothing_epsilon)
 
-    numeric_emissions = {
-        a: {name: _smooth(c, smoothing_epsilon) for name, c in attrs.items()}
-        for a, attrs in numeric_counts.items()
-    }
-    categorical_emissions = {
-        a: {name: _smooth(c, smoothing_epsilon) for name, c in attrs.items()}
-        for a, attrs in categorical_counts.items()
-    }
+    numeric_emissions: dict[int, dict[str, np.ndarray]] = {a: {} for a in range(1, k + 1)}
+    categorical_emissions: dict[int, dict[str, np.ndarray]] = {a: {} for a in range(1, k + 1)}
+    for (codec, _), idx in zip(encoder.slices(), _attribute_indices(encoder, n_bins, features)):
+        if isinstance(codec, NumericCodec):
+            width, target = n_bins, numeric_emissions
+        else:
+            width, target = len(codec.categories), categorical_emissions
+        # one spare column takes the -1 of codes outside the categories
+        counts = np.zeros((k + 1, width + 1))
+        np.add.at(counts, (ids, idx), 1.0)
+        for a in range(1, k + 1):
+            target[a][codec.name] = _smooth(counts[a, :width], smoothing_epsilon)
+
     return MarkovFeasibilityModel(
         initial_probs=initial_probs,
         transition=transition,
@@ -175,6 +237,17 @@ def fit(
         n_bins=n_bins,
         encoder=encoder,
     )
+
+
+def _emission_factors(
+    model: MarkovFeasibilityModel, ids: np.ndarray, features: np.ndarray
+) -> np.ndarray:
+    # attribute by attribute from 1.0, the order the product is defined in
+    factors = np.ones(len(ids))
+    indices = _attribute_indices(model.encoder, model.n_bins, features)
+    for table, idx in zip(model._tables.emissions, indices):
+        factors *= table[ids, idx]
+    return factors
 
 
 def emission_probability(
@@ -187,33 +260,24 @@ def emission_probability(
     categories only, so arbitrary real-valued vectors fall outside its
     support.
     """
-    p = 1.0
-    for codec, cols in model.encoder.slices():
-        code = feature_row[cols]
-        if isinstance(codec, NumericCodec):
-            probs = model.numeric_emissions[activity_id][codec.name]
-            p *= float(probs[_bin_index(float(code[0]), model.n_bins)])
-        else:
-            idx = codec.decode_index(code)
-            if idx is None:
-                return 0.0
-            p *= float(model.categorical_emissions[activity_id][codec.name][idx])
-    return p
+    ids = np.array([activity_id])
+    return float(_emission_factors(model, ids, feature_row[np.newaxis, :])[0])
 
 
 def feasibility(model: MarkovFeasibilityModel, trace: EncodedTrace) -> float:
     """Probability of the trace under the model; padding is ignored.
 
     The product is P(e0) * P(f0|e0) * prod_t P(et|et-1) * P(ft|et) over the
-    valid prefix; the END transition is not included.
+    valid prefix; the END transition is not included. The factors are
+    gathered at once and multiplied left to right in that order.
     """
-    ids = trace.activity_ids[: trace.valid_len]
-    p = float(model.initial_probs[ids[0]])
-    p *= emission_probability(model, int(ids[0]), trace.features[0])
-    for t in range(1, len(ids)):
-        p *= float(model.transition[ids[t - 1], ids[t]])
-        p *= emission_probability(model, int(ids[t]), trace.features[t])
-    return p
+    n = trace.valid_len
+    ids = trace.activity_ids[:n]
+    factors = np.empty(2 * n)
+    factors[0] = model.initial_probs[ids[0]]
+    factors[1::2] = _emission_factors(model, ids, trace.features[:n])
+    factors[2::2] = model.transition[ids[:-1], ids[1:]]
+    return math.prod(factors.tolist())
 
 
 def sample_sequence(
@@ -222,11 +286,11 @@ def sample_sequence(
     """Sample an activity-id sequence; stops at END or max_len, length >= 1."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    k = model.vocab_size
-    current = int(rng.choice(k + 1, p=model.initial_probs))
+    tables = model._tables
+    current = _draw(tables.initial_cdf, rng)
     sequence = [current]
     while len(sequence) < max_len:
-        nxt = int(rng.choice(k + 1, p=model.transition[current]))
+        nxt = _draw(tables.transition_cdf[current], rng)
         if nxt == END_ID:
             break
         sequence.append(nxt)
@@ -237,17 +301,21 @@ def sample_sequence(
 def sample_attributes(
     model: MarkovFeasibilityModel, activity_id: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Sample one feature row (length D) from the activity's emissions."""
+    """Sample one feature row (length D) from the activity's emissions.
+
+    A numeric attribute draws its bin, then a uniform position inside it; a
+    categorical attribute draws its category and writes that category's code.
+    """
     if activity_id == END_ID:
         raise ValueError("cannot sample attributes for the PAD/END id")
+    tables = model._tables
     row = np.zeros(model.encoder.feature_dim)
-    for codec, cols in model.encoder.slices():
-        if isinstance(codec, NumericCodec):
-            probs = model.numeric_emissions[activity_id][codec.name]
-            bin_idx = int(rng.choice(model.n_bins, p=probs))
-            row[cols] = (bin_idx + rng.random()) / model.n_bins
+    for (_, cols), cdfs, codes in zip(
+        model.encoder.slices(), tables.emission_cdfs, tables.code_rows
+    ):
+        idx = _draw(cdfs[activity_id], rng)
+        if codes is None:
+            row[cols] = (idx + rng.random()) / model.n_bins
         else:
-            probs = model.categorical_emissions[activity_id][codec.name]
-            cat_idx = int(rng.choice(len(probs), p=probs))
-            row[cols] = codec.encode(codec.categories[cat_idx])
+            row[cols] = codes[idx]
     return row

@@ -242,20 +242,14 @@ def sparsity_score(factual: EncodedTrace, candidate: EncodedTrace, slices=None) 
 def delta_score(p_factual: float, p_counterfactual: float) -> float:
     """Signed probability shift of the factual outcome class, in [-1, 1].
 
-    Implemented as the four explicit branches over the 0.5 threshold with
-    ties on the negative side; all four collapse to p_factual minus
-    p_counterfactual.
+    The paper's four branches over the 0.5 threshold all reduce to
+    p_factual minus p_counterfactual. It is written negated so that a tie
+    gives -0.0, the value the branches gave, and reports stay byte-identical.
     """
     for name, value in (("p_factual", p_factual), ("p_counterfactual", p_counterfactual)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} outside [0, 1]: {value}")
-    if p_factual > 0.5:
-        if p_factual > p_counterfactual:
-            return abs(p_counterfactual - p_factual)
-        return -abs(p_counterfactual - p_factual)
-    if p_factual > p_counterfactual:
-        return abs(p_counterfactual - p_factual)
-    return -abs(p_counterfactual - p_factual)
+    return -(p_counterfactual - p_factual)
 
 
 class ViabilityScorer:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_encoded
+from evocf.cli import main as cli_main
 from evocf.event_log import AttributeSchema, Event, Trace
 from evocf.harness import (
     ExperimentSpec,
@@ -261,7 +262,8 @@ def test_cli_synthesize_train_generate(tmp_path):
     assert (models / "predictor.json").exists()
     assert (models / "encoder.json").exists()
     metrics = json.loads((models / "metrics.json").read_text())
-    assert set(metrics) == {"train", "validation", "test"}
+    # the model sees every training trace, so no part of train is held out
+    assert set(metrics) == {"train", "test"}
 
     result = run_cli(
         "fit-markov",
@@ -435,3 +437,56 @@ def test_external_predictor_runs_once_per_scoring_batch(tmp_path):
     evolutionary = 1 + 1 + cycles
     baselines = 3 * (1 + 1)
     assert calls.read_text().count("call") == evolutionary + baselines
+
+
+# ---------------------------------------------------------------------------
+# CLI errors: one line on stderr, exit code 2, no traceback
+
+SMALL_OVERRIDES = (
+    '{"synthetic": {"n_cases": 60, "n_activities": 4}, '
+    '"population_size": 20, "offspring_per_cycle": 6, "predictor_epochs": 50}'
+)
+
+
+def assert_one_line_error(capsys, code, expected):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("evocf: error: ")
+    assert expected in err
+
+
+def test_cli_package_error_is_one_line(tmp_path, capsys):
+    script = tmp_path / "failing.py"
+    script.write_text("import sys\nsys.exit(1)\n")
+    code = cli_main(
+        [
+            "grid", "--seed", "5", "--cycles", "1", "--n-factuals", "1",
+            "--configs", "CBI-RWS-OPC-SBM-FSR,CBI-ES-UC3-SBM-RR",
+            "--external-predictor", f"{sys.executable} {script}",
+            "--overrides", SMALL_OVERRIDES,
+            "--out", str(tmp_path / "grid"),
+        ]
+    )
+    assert_one_line_error(capsys, code, "exited with status 1")
+
+
+def test_cli_malformed_overrides_json(tmp_path, capsys):
+    code = cli_main(["fit-markov", "--overrides", "{not json", "--out", str(tmp_path)])
+    assert_one_line_error(capsys, code, "--overrides is not valid JSON")
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [('{"populaton_size": 10}', "populaton_size"), ('{"synthetic": {"cases": 60}}', "cases")],
+)
+def test_cli_unknown_overrides_key(tmp_path, capsys, overrides, key):
+    code = cli_main(["fit-markov", "--overrides", overrides, "--out", str(tmp_path)])
+    assert_one_line_error(capsys, code, key)
+
+
+def test_cli_grid_with_one_config(tmp_path, capsys):
+    code = cli_main(
+        ["grid", "--configs", "CBI-RWS-OPC-SBM-FSR", "--overrides", SMALL_OVERRIDES,
+         "--out", str(tmp_path)]
+    )
+    assert_one_line_error(capsys, code, "at least two configs")

@@ -1,9 +1,14 @@
+import hashlib
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import identity_encoder, make_encoded
+from evocf.event_log import CategoricalCodec, EncoderSpec, NumericCodec
+from evocf.evolution import crossover
 from evocf.markov import (
     MarkovFeasibilityModel,
     emission_probability,
@@ -266,3 +271,201 @@ def test_model_json_round_trip():
     query = enc3([A, B, C], [0.1, 0.6, 0.9])
     assert feasibility(restored, query) == feasibility(model, query)
     assert np.array_equal(restored.transition, model.transition)
+
+
+# ---------------------------------------------------------------------------
+# tables against the per-event scalar path they replaced
+
+
+def scalar_decode_index(codec, code, tol=1e-9):
+    bits = np.rint(code)
+    if np.any(np.abs(code - bits) > tol):
+        return None
+    value = 0
+    for b in bits:
+        value = (value << 1) | int(b)
+    if value == 0 or value > len(codec.categories):
+        return None
+    return value - 1
+
+
+def scalar_emission(model, activity_id, row):
+    p = 1.0
+    for codec, cols in model.encoder.slices():
+        code = row[cols]
+        if isinstance(codec, NumericCodec):
+            idx = min(max(int(float(code[0]) * model.n_bins), 0), model.n_bins - 1)
+            p *= float(model.numeric_emissions[activity_id][codec.name][idx])
+        else:
+            idx = scalar_decode_index(codec, code)
+            if idx is None:
+                return 0.0
+            p *= float(model.categorical_emissions[activity_id][codec.name][idx])
+    return p
+
+
+def scalar_feasibility(model, trace):
+    """The per-event loop: initial, emission, then transition and emission per step."""
+    ids = trace.activity_ids[: trace.valid_len]
+    p = float(model.initial_probs[ids[0]])
+    p *= scalar_emission(model, int(ids[0]), trace.features[0])
+    for t in range(1, len(ids)):
+        p *= float(model.transition[ids[t - 1], ids[t]])
+        p *= scalar_emission(model, int(ids[t]), trace.features[t])
+    return p
+
+
+def choice_sample_sequence(model, max_len, rng):
+    k = model.vocab_size
+    current = int(rng.choice(k + 1, p=model.initial_probs))
+    sequence = [current]
+    while len(sequence) < max_len:
+        nxt = int(rng.choice(k + 1, p=model.transition[current]))
+        if nxt == 0:
+            break
+        sequence.append(nxt)
+        current = nxt
+    return sequence
+
+
+def choice_sample_attributes(model, activity_id, rng):
+    row = np.zeros(model.encoder.feature_dim)
+    for codec, cols in model.encoder.slices():
+        if isinstance(codec, NumericCodec):
+            probs = model.numeric_emissions[activity_id][codec.name]
+            bin_idx = int(rng.choice(model.n_bins, p=probs))
+            row[cols] = (bin_idx + rng.random()) / model.n_bins
+        else:
+            probs = model.categorical_emissions[activity_id][codec.name]
+            cat_idx = int(rng.choice(len(probs), p=probs))
+            row[cols] = codec.encode(codec.categories[cat_idx])
+    return row
+
+
+MIXED_ENCODER = EncoderSpec(
+    {"a": 1, "b": 2, "c": 3, "d": 4},
+    (
+        NumericCodec("x0", 0.0, 1.0),
+        CategoricalCodec("r", ("r0", "r1", "r2")),        # width 2, every nonzero code used
+        CategoricalCodec("s", ("s0", "s1", "s2", "s3", "s4")),  # width 3, codes 6 and 7 unused
+        NumericCodec("x1", 0.0, 1.0),
+    ),
+    8,
+)
+N_BINS = 5
+
+
+def mixed_row(rng, activity):
+    r = MIXED_ENCODER.codecs[1]
+    s = MIXED_ENCODER.codecs[2]
+    return np.concatenate(
+        [
+            [rng.random()],
+            r.encode(r.categories[int(rng.integers(0, 2 + activity % 2))]),
+            s.encode(s.categories[int(rng.integers(0, 5))]),
+            [rng.random() ** 2],
+        ]
+    )
+
+
+def mixed_train(n=40, seed=5):
+    rng = np.random.default_rng(seed)
+    traces = []
+    for i in range(n):
+        length = int(rng.integers(1, 7))
+        acts = rng.integers(1, 4, size=length).tolist()  # activity 4 never observed
+        rows = [mixed_row(rng, a) for a in acts]
+        traces.append(make_encoded(acts, rows, 8, case_id=f"m{i}"))
+    return traces
+
+
+MIXED_MODELS = {eps: fit(mixed_train(), MIXED_ENCODER, eps, N_BINS) for eps in (0.0, 1e-6)}
+
+
+def _numeric_cell(kind, rng):
+    return {0: 0.0, 1: 1.0, 2: float(rng.integers(0, N_BINS + 1)) / N_BINS}.get(kind, rng.random())
+
+
+def _categorical_cell(codec, kind, rng):
+    if kind == 0:  # a real category
+        return codec.encode(codec.categories[int(rng.integers(0, len(codec.categories)))])
+    if kind == 1:  # absent
+        return np.zeros(codec.width)
+    if kind == 2:  # bits spelling a value past the last category, or off-code noise
+        if len(codec.categories) < 2**codec.width - 1:
+            return np.ones(codec.width)
+        return rng.random(codec.width)
+    if kind in (3, 4):  # a code nudged within, or just past, the 1e-9 tolerance
+        code = codec.encode(codec.categories[0])
+        return np.abs(code - (1e-10 if kind == 3 else 1e-6))
+    return rng.random(codec.width)  # off-code
+
+
+@st.composite
+def mixed_genomes(draw):
+    length = draw(st.integers(1, 8))
+    acts = draw(st.lists(st.integers(1, 4), min_size=length, max_size=length))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(length):
+        parts = []
+        for codec in MIXED_ENCODER.codecs:
+            kind = draw(st.integers(0, 5))
+            if isinstance(codec, NumericCodec):
+                parts.append([_numeric_cell(kind, rng)])
+            else:
+                parts.append(_categorical_cell(codec, kind, rng))
+        rows.append(np.concatenate(parts))
+    return make_encoded(acts, rows, 8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    genome_a=mixed_genomes(),
+    genome_b=mixed_genomes(),
+    kind=st.sampled_from(["UC", "OPC", "TPC"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_table_feasibility_equals_scalar_path(genome_a, genome_b, kind, seed):
+    children = crossover(kind, genome_a, genome_b, np.random.default_rng(seed), uc_rate=0.5)
+    for model in MIXED_MODELS.values():
+        for genome in (genome_a, genome_b, *children):
+            assert feasibility(model, genome) == scalar_feasibility(model, genome)
+            for t in range(genome.valid_len):
+                a, row = int(genome.activity_ids[t]), genome.features[t]
+                assert emission_probability(model, a, row) == scalar_emission(model, a, row)
+                for codec, cols in MIXED_ENCODER.slices():
+                    if isinstance(codec, CategoricalCodec):
+                        assert codec.decode_index(row[cols]) == scalar_decode_index(
+                            codec, row[cols]
+                        )
+
+
+def test_table_feasibility_equals_scalar_path_on_the_synthetic_log(synth_setup):
+    model = synth_setup["feas_model"]
+    for trace in synth_setup["train"] + synth_setup["test"]:
+        assert feasibility(model, trace) == scalar_feasibility(model, trace)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-6])
+def test_cdf_sampling_replays_generator_choice(eps, synth_setup):
+    for model in (MIXED_MODELS[eps], fit(synth_setup["train"], synth_setup["encoder"], eps)):
+        ours, reference = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(300):
+            sequence = sample_sequence(model, 8, ours)
+            assert sequence == choice_sample_sequence(model, 8, reference)
+            for a in sequence:
+                row = sample_attributes(model, a, ours)
+                assert row.tobytes() == choice_sample_attributes(model, a, reference).tobytes()
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def test_fit_json_is_unchanged_on_the_synthetic_log(synth_setup):
+    # sha256 of to_json() as written by the per-trace counting loop
+    expected = {
+        (1e-6, 10): "5c88b9b03b5bc8e44f84236460bc1abc5f274d53bb62fb95d107e1653c6960f1",
+        (0.0, 5): "7b59a8daf7928178d4f06889a30114140ecde66ee54d3e5dfd9fa0381c0b15cc",
+    }
+    for (eps, n_bins), digest in expected.items():
+        model = fit(synth_setup["train"], synth_setup["encoder"], eps, n_bins)
+        assert hashlib.sha256(model.to_json().encode()).hexdigest() == digest

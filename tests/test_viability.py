@@ -269,6 +269,28 @@ def test_delta_collapse_property(p, q):
     assert delta_score(p, q) == p - q
 
 
+def branch_delta(p_factual, p_counterfactual):
+    """The four branches over the 0.5 threshold, ties on the negative side."""
+    if p_factual > 0.5:
+        if p_factual > p_counterfactual:
+            return abs(p_counterfactual - p_factual)
+        return -abs(p_counterfactual - p_factual)
+    if p_factual > p_counterfactual:
+        return abs(p_counterfactual - p_factual)
+    return -abs(p_counterfactual - p_factual)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_delta_is_bit_identical_to_the_branches(p, q):
+    # repr tells -0.0 from 0.0, and reports write repr
+    assert repr(delta_score(p, q)) == repr(branch_delta(p, q))
+    assert repr(delta_score(p, p)) == "-0.0"
+
+
 # ---------------------------------------------------------------------------
 # combined score
 
@@ -480,3 +502,15 @@ def test_evolve_scores_each_distinct_genome_once(synth_setup):
     assert 1 <= predictor.batches <= 1 + config.cycles
     assert len(predictor.keys) == len(set(predictor.keys))
     assert len(predictor.keys) < config.population_size + config.cycles * 20
+
+
+def test_evocf_viability_is_the_module():
+    import types
+
+    import evocf
+    import evocf.viability as viability_module
+
+    assert isinstance(viability_module, types.ModuleType)
+    assert evocf.viability is viability_module
+    assert callable(viability_module.viability)
+    assert "viability" not in evocf.__all__
