@@ -13,7 +13,8 @@ import csv
 import dataclasses
 import json
 import sys
-from dataclasses import replace
+import types
+import typing
 from pathlib import Path
 
 from . import predictor as predictor_mod
@@ -40,15 +41,13 @@ from .harness import (
     GRID_PRESET_162,
     SyntheticSpec,
     _candidate_values,
-    activities_string,
-    CandidateRow,
+    candidate_rows,
     prepare_experiment,
     render_counterfactual,
     run_benchmark,
     run_grid,
-    run_seed,
+    run_job,
 )
-from .evolution import evolve
 from .viability import ssdld
 
 
@@ -66,10 +65,38 @@ def _add_data_arguments(parser, require_log=False):
     )
 
 
-def _check_keys(given: dict, cls, what: str) -> None:
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _fields_from_json(given: dict, cls, what: str) -> dict:
+    """Keyword arguments for dataclass cls, each value checked against its field."""
     unknown = sorted(set(given) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ConfigurationError(f"unknown {what} key(s): {', '.join(unknown)}")
+    hints = typing.get_type_hints(cls)
+    return {key: _from_json(value, hints[key], f"{what} {key}") for key, value in given.items()}
+
+
+def _from_json(value, hint, what: str):
+    """A JSON value as the field type hint holds it; ConfigurationError if it does not fit."""
+    if isinstance(hint, types.UnionType):  # every union here is X | None
+        if value is None:
+            return None
+        (hint,) = [arm for arm in typing.get_args(hint) if arm is not type(None)]
+    if dataclasses.is_dataclass(hint):
+        if isinstance(value, dict):
+            return hint(**_fields_from_json(value, hint, what))
+        expected = "an object"
+    elif typing.get_origin(hint) is tuple:
+        if isinstance(value, list):
+            return tuple(_from_json(item, typing.get_args(hint)[0], what) for item in value)
+        expected = "a list"
+    else:
+        accepted = (int, float) if hint is float else hint
+        if isinstance(value, accepted) and not isinstance(value, bool):
+            return value
+        expected = _JSON_KINDS[hint]
+    raise ConfigurationError(f"{what} must be {expected}, got {json.dumps(value)}")
 
 
 def _parse_overrides(text: str | None) -> dict:
@@ -81,11 +108,7 @@ def _parse_overrides(text: str | None) -> dict:
         raise ConfigurationError(f"--overrides is not valid JSON: {exc}") from None
     if not isinstance(overrides, dict):
         raise ConfigurationError("--overrides must be a JSON object")
-    _check_keys(overrides, ExperimentSpec, "--overrides")
-    if isinstance(overrides.get("synthetic"), dict):
-        _check_keys(overrides["synthetic"], SyntheticSpec, "--overrides synthetic")
-        overrides["synthetic"] = SyntheticSpec(**overrides["synthetic"])
-    return overrides
+    return _fields_from_json(overrides, ExperimentSpec, "--overrides")
 
 
 def _spec_from_args(args, **defaults) -> ExperimentSpec:
@@ -161,7 +184,9 @@ def cmd_fit_markov(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    spec = _spec_from_args(args, cycles=args.cycles, n_factuals=1)
+    spec = _spec_from_args(
+        args, cycles=args.cycles, n_factuals=1, counterfactuals_per_factual=args.n
+    )
     prepared = prepare_experiment(spec, predictor_factory=_predictor_factory(args))
     if args.factual:
         pool = {t.case_id: t for t in prepared.test + prepared.train}
@@ -172,10 +197,7 @@ def cmd_generate(args) -> int:
     else:
         factual = prepared.factuals[0]
 
-    config = replace(
-        spec.build_config(args.config), seed=run_seed(spec.seed, args.config, 0)
-    )
-    result = evolve(factual, config, prepared.predictor, prepared.feas_model, prepared.train)
+    result = run_job(spec, prepared, args.config, 0, factual)
     top = result.population.individuals[: args.n]
 
     out = Path(args.out)
@@ -183,15 +205,7 @@ def cmd_generate(args) -> int:
     with (out / "counterfactuals.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CANDIDATE_COLUMNS)
-        for rank, ind in enumerate(top, start=1):
-            row = CandidateRow(
-                factual_id=factual.case_id,
-                generator=args.config,
-                rank=rank,
-                score=ind.score,
-                activities=activities_string(ind.genome, prepared.encoder),
-                valid_len=ind.genome.valid_len,
-            )
+        for row in candidate_rows(args.config, factual.case_id, top, prepared.encoder):
             writer.writerow(_candidate_values(row))
 
     # decoded events of the generated candidates, same layout as an event log
@@ -331,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate counterfactuals for one factual")
     _add_data_arguments(p)
-    p.add_argument("--config", default="CBI-RWS-OPC-SBM-FSR")
+    p.add_argument(
+        "--config", default="CBI-RWS-OPC-SBM-FSR", help="operator config or RGW / SBGW / CBGW"
+    )
     p.add_argument("--factual", help="case id of the factual (default: first sampled)")
     p.add_argument("--cycles", type=int, default=100)
     p.add_argument("--n", type=int, default=10, help="counterfactuals to emit")

@@ -375,11 +375,18 @@ def _parse_outcome(raw: str, row_number: int) -> int:
 
 def load_schema_config(path: str | Path) -> tuple[AttributeSchema, ...]:
     """Read the JSON attribute declaration: {"attributes": [{"name", "kind"}]}."""
-    raw = json.loads(Path(path).read_text())
-    if "attributes" not in raw:
-        raise SchemaError("schema config missing 'attributes' key")
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read schema config: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: schema config is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict) or "attributes" not in raw:
+        raise SchemaError(f"{path}: schema config missing 'attributes' key")
     schemas = []
     for item in raw["attributes"]:
+        if not isinstance(item, dict) or not {"name", "kind"} <= item.keys():
+            raise SchemaError(f"{path}: every attribute needs a 'name' and a 'kind'")
         schemas.append(AttributeSchema(name=item["name"], kind=item["kind"]))
     return tuple(schemas)
 
@@ -393,7 +400,11 @@ def load_csv(path: str | Path, schemas: Sequence[AttributeSchema]) -> EventLog:
     breaks ties or stands in when timestamps are absent).
     """
     path = Path(path)
-    with path.open(newline="") as handle:
+    try:
+        handle = path.open(newline="")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read event log: {exc.strerror}") from None
+    with handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise SchemaError(f"{path}: empty file")

@@ -12,6 +12,9 @@ change passes, scores the cycle's mutants as one batch, and recombines
 survivors back into the population. Termination is a fixed cycle count. All
 randomness flows through one seeded generator, so runs are reproducible bit
 for bit.
+
+The reference generators RGW, SBGW and CBGW are zero-cycle runs: the RI, SBI
+and CBI initiators, scored and sorted by total viability.
 """
 
 from __future__ import annotations
@@ -80,12 +83,16 @@ class EvoConfig:
         if self.crosser == "UC":
             if self.uc_rate is None or not 0.0 < self.uc_rate < 1.0:
                 raise ConfigNameError("UC crosser needs a rate in (0, 1)")
-        if not self.population_size >= self.offspring_per_cycle >= 2:
-            raise ValueError("need population_size >= offspring_per_cycle >= 2")
-        if self.offspring_per_cycle % 2 != 0:
-            raise ValueError("offspring_per_cycle must be even")
+        if self.population_size < 1:
+            raise ValueError("population_size must be >= 1")
         if self.cycles < 0:
             raise ValueError("cycles must be >= 0")
+        # offspring are only bred when the loop runs
+        if self.cycles > 0:
+            if not self.population_size >= self.offspring_per_cycle >= 2:
+                raise ValueError("need population_size >= offspring_per_cycle >= 2")
+            if self.offspring_per_cycle % 2 != 0:
+                raise ValueError("offspring_per_cycle must be even")
 
     @property
     def name(self) -> str:
@@ -498,3 +505,22 @@ def evolve(
         population.generation,
     )
     return GenerationResult(final, tuple(stats), config.cycles)
+
+
+BASELINES = {"RGW": "RI", "SBGW": "SBI", "CBGW": "CBI"}
+
+
+def generate_baseline(
+    kind: str,
+    factual: EncodedTrace,
+    n: int,
+    log: list[EncodedTrace],
+    feas_model: MarkovFeasibilityModel,
+    predictor,
+    seed: int,
+) -> GenerationResult:
+    """Draw and score n candidates with the baseline's initiator, best first."""
+    if kind not in BASELINES:
+        raise ConfigNameError(f"unknown baseline kind {kind!r}")
+    config = EvoConfig(initiator=BASELINES[kind], population_size=n, cycles=0, seed=seed)
+    return evolve(factual, config, predictor, feas_model, log)

@@ -14,14 +14,13 @@ import csv
 import json
 import statistics
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import markov as markov_mod
 from . import predictor as predictor_mod
-from .baselines import BASELINE_KINDS, generate_baseline
 from .event_log import (
     EncodedTrace,
     EncoderSpec,
@@ -35,7 +34,19 @@ from .event_log import (
     split_train_test,
     synthesize_log,
 )
-from .evolution import EvoConfig, GenerationResult, MutationRates, evolve, parse_config_name
+# evolve and generate_baseline are looked up at call time, so a caller can
+# wrap either name in this module to observe every job
+from .evolution import (
+    BASELINES,
+    CycleStats,
+    EvoConfig,
+    GenerationResult,
+    Individual,
+    MutationRates,
+    evolve,
+    generate_baseline,
+    parse_config_name,
+)
 from .viability import EditAlignment, ViabilityScore
 
 DEFAULT_BENCHMARK_CONFIGS = ("CBI-ES-UC3-SBM-RR", "CBI-RWS-OPC-SBM-FSR")
@@ -91,19 +102,22 @@ class ExperimentSpec:
             raise ValueError("n_factuals must be >= 1")
         if self.synthetic is None and (self.log_path is None or self.schema_path is None):
             raise ValueError("need either a synthetic spec or log_path plus schema_path")
+        if self.counterfactuals_per_factual < 1:
+            raise ValueError("counterfactuals_per_factual must be >= 1")
+        # every config shares these run parameters, so one config checks them
+        EvoConfig(**self._run_parameters())
 
-    def build_config(self, name: str) -> EvoConfig:
-        return parse_config_name(
-            name,
+    def _run_parameters(self) -> dict:
+        rate = self.mutation_rate
+        return dict(
             population_size=self.population_size,
             offspring_per_cycle=self.offspring_per_cycle,
-            mutation_rates=MutationRates(
-                insert=self.mutation_rate,
-                delete=self.mutation_rate,
-                change=self.mutation_rate,
-            ),
+            mutation_rates=MutationRates(insert=rate, delete=rate, change=rate),
             cycles=self.cycles,
         )
+
+    def build_config(self, name: str) -> EvoConfig:
+        return parse_config_name(name, **self._run_parameters())
 
 
 @dataclass
@@ -207,14 +221,7 @@ class CandidateRow:
 class TrajectoryRow:
     generator: str
     factual_id: str
-    cycle: int
-    best_total: float
-    mean_total: float
-    median_total: float
-    mean_similarity: float
-    mean_sparsity: float
-    mean_feasibility: float
-    mean_delta: float
+    stats: CycleStats
 
 
 @dataclass
@@ -255,31 +262,38 @@ def activities_string(trace: EncodedTrace, encoder: EncoderSpec) -> str:
     )
 
 
+def candidate_rows(
+    generator: str, factual_id: str, top: tuple[Individual, ...], encoder: EncoderSpec
+) -> list[CandidateRow]:
+    """One row per candidate, ranked from 1 in the given order."""
+    return [
+        CandidateRow(
+            factual_id=factual_id,
+            generator=generator,
+            rank=rank,
+            score=ind.score,
+            activities=activities_string(ind.genome, encoder),
+            valid_len=ind.genome.valid_len,
+        )
+        for rank, ind in enumerate(top, start=1)
+    ]
+
+
 CANDIDATE_COLUMNS = (
     "factual_id",
     "generator",
     "rank",
-    "similarity",
-    "sparsity",
-    "feasibility",
-    "delta",
-    "total",
+    *(f.name for f in fields(ViabilityScore)),
     "activities",
     "valid_len",
 )
 
-TRAJECTORY_COLUMNS = (
-    "generator",
-    "factual_id",
-    "cycle",
-    "best_total",
-    "mean_total",
-    "median_total",
-    "mean_similarity",
-    "mean_sparsity",
-    "mean_feasibility",
-    "mean_delta",
-)
+TRAJECTORY_COLUMNS = ("generator", "factual_id", *(f.name for f in fields(CycleStats)))
+
+
+def _field_reprs(record) -> list[str]:
+    # repr keeps every float bit; an int's repr is the text csv writes anyway
+    return [repr(getattr(record, f.name)) for f in fields(record)]
 
 
 def _candidate_values(row: CandidateRow) -> list:
@@ -287,29 +301,14 @@ def _candidate_values(row: CandidateRow) -> list:
         row.factual_id,
         row.generator,
         row.rank,
-        repr(row.score.similarity),
-        repr(row.score.sparsity),
-        repr(row.score.feasibility),
-        repr(row.score.delta),
-        repr(row.score.total),
+        *_field_reprs(row.score),
         row.activities,
         row.valid_len,
     ]
 
 
 def _trajectory_values(row: TrajectoryRow) -> list:
-    return [
-        row.generator,
-        row.factual_id,
-        row.cycle,
-        repr(row.best_total),
-        repr(row.mean_total),
-        repr(row.median_total),
-        repr(row.mean_similarity),
-        repr(row.mean_sparsity),
-        repr(row.mean_feasibility),
-        repr(row.mean_delta),
-    ]
+    return [row.generator, row.factual_id, *_field_reprs(row.stats)]
 
 
 class _IncrementalCsv:
@@ -336,64 +335,83 @@ class _IncrementalCsv:
             self._handle.close()
 
 
-def _trajectory_rows_from_result(
-    name: str, factual_id: str, result: GenerationResult
-) -> list[TrajectoryRow]:
-    return [
-        TrajectoryRow(
-            generator=name,
-            factual_id=factual_id,
-            cycle=s.cycle,
-            best_total=s.best_total,
-            mean_total=s.mean_total,
-            median_total=s.median_total,
-            mean_similarity=s.mean_similarity,
-            mean_sparsity=s.mean_sparsity,
-            mean_feasibility=s.mean_feasibility,
-            mean_delta=s.mean_delta,
+def run_job(
+    spec: ExperimentSpec,
+    prepared: PreparedExperiment,
+    name: str,
+    factual_index: int,
+    factual: EncodedTrace,
+) -> GenerationResult:
+    """Run one generator against one factual on the job's own run_seed.
+
+    A baseline name (RGW, SBGW, CBGW) draws spec.counterfactuals_per_factual
+    candidates; any other name is an operator config evolved for spec.cycles.
+    """
+    seed = run_seed(spec.seed, name, factual_index)
+    if name in BASELINES:
+        return generate_baseline(
+            name,
+            factual,
+            spec.counterfactuals_per_factual,
+            prepared.train,
+            prepared.feas_model,
+            prepared.predictor,
+            seed,
         )
-        for s in result.stats
-    ]
+    config = replace(spec.build_config(name), seed=seed)
+    return evolve(factual, config, prepared.predictor, prepared.feas_model, prepared.train)
+
+
+def _output_path(spec: ExperimentSpec, filename: str) -> Path | None:
+    return Path(spec.output_dir) / filename if spec.output_dir else None
+
+
+def _run_jobs(
+    spec: ExperimentSpec,
+    prepared: PreparedExperiment,
+    names,
+    report: BenchmarkReport,
+    on_result,
+) -> Path | None:
+    """Run every (generator, factual) job in order; return the output directory.
+
+    Each job's trajectory rows go to the report and are flushed to
+    trajectories.csv as the job completes, so partial results survive a
+    failure; on_result(name, factual, result) then sees the job's result.
+    """
+    out_dir = Path(spec.output_dir) if spec.output_dir else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    trajectories = _IncrementalCsv(_output_path(spec, "trajectories.csv"), TRAJECTORY_COLUMNS)
+    try:
+        for name in names:
+            for fi, factual in enumerate(prepared.factuals):
+                result = run_job(spec, prepared, name, fi, factual)
+                rows = [TrajectoryRow(name, factual.case_id, s) for s in result.stats]
+                report.trajectory_rows.extend(rows)
+                trajectories.write_rows([_trajectory_values(r) for r in rows])
+                on_result(name, factual, result)
+    finally:
+        trajectories.close()
+    return out_dir
 
 
 def run_grid(spec: ExperimentSpec, prepared: PreparedExperiment | None = None) -> BenchmarkReport:
-    """Run every config against every factual and rank configs by final mean.
-
-    Trajectory rows are flushed to disk as each run completes, so partial
-    results survive a failure.
-    """
+    """Run every config against every factual and rank configs by final mean."""
     if len(spec.config_names) < 2:
         raise ValueError("grid search needs at least two configs")
     if prepared is None:
         prepared = prepare_experiment(spec)
-    out_dir = Path(spec.output_dir) if spec.output_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    trajectories = _IncrementalCsv(
-        out_dir / "trajectories.csv" if out_dir else None, TRAJECTORY_COLUMNS
-    )
-
     report = BenchmarkReport()
     final_means: dict[str, list[float]] = {}
-    try:
-        for name in spec.config_names:
-            for fi, factual in enumerate(prepared.factuals):
-                config = replace(spec.build_config(name), seed=run_seed(spec.seed, name, fi))
-                result = evolve(
-                    factual, config, prepared.predictor, prepared.feas_model, prepared.train
-                )
-                rows = _trajectory_rows_from_result(name, factual.case_id, result)
-                report.trajectory_rows.extend(rows)
-                trajectories.write_rows([_trajectory_values(r) for r in rows])
-                final_mean = result.stats[-1].mean_total if result.stats else (
-                    statistics.fmean(
-                        ind.score.total for ind in result.population.individuals
-                    )
-                )
-                final_means.setdefault(name, []).append(final_mean)
-    finally:
-        trajectories.close()
 
+    def record(name, factual, result):
+        # fmean rounds an exact sum, so this equals the last cycle's mean_total
+        final_means.setdefault(name, []).append(
+            statistics.fmean(ind.score.total for ind in result.population.individuals)
+        )
+
+    out_dir = _run_jobs(spec, prepared, spec.config_names, report, record)
     report.ranking = sorted(
         ((name, statistics.fmean(values)) for name, values in final_means.items()),
         key=lambda pair: -pair[1],
@@ -424,77 +442,26 @@ def _write_ranking(out_dir: Path, ranking: list[tuple[str, float]]) -> None:
 
 
 def run_benchmark(
-    spec: ExperimentSpec,
-    prepared: PreparedExperiment | None = None,
-    include_baselines: bool = True,
+    spec: ExperimentSpec, prepared: PreparedExperiment | None = None
 ) -> BenchmarkReport:
     """Feed the same factuals to every generator and record the top candidates."""
     if not spec.config_names:
         raise ValueError("benchmark needs at least one evolutionary config")
     if prepared is None:
         prepared = prepare_experiment(spec)
-    encoder = prepared.encoder
     report = BenchmarkReport()
-    out_dir = Path(spec.output_dir) if spec.output_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    candidates_csv = _IncrementalCsv(
-        out_dir / "candidates.csv" if out_dir else None, CANDIDATE_COLUMNS
-    )
-    trajectories_csv = _IncrementalCsv(
-        out_dir / "trajectories.csv" if out_dir else None, TRAJECTORY_COLUMNS
-    )
+    candidates = _IncrementalCsv(_output_path(spec, "candidates.csv"), CANDIDATE_COLUMNS)
 
-    generator_names = list(spec.config_names) + (
-        list(BASELINE_KINDS) if include_baselines else []
-    )
+    def record(name, factual, result):
+        top = result.population.individuals[: spec.counterfactuals_per_factual]
+        rows = candidate_rows(name, factual.case_id, top, prepared.encoder)
+        report.candidate_rows.extend(rows)
+        candidates.write_rows([_candidate_values(r) for r in rows])
+
     try:
-        for name in generator_names:
-            is_evolutionary = name not in BASELINE_KINDS
-            for fi, factual in enumerate(prepared.factuals):
-                seed = run_seed(spec.seed, name, fi)
-                top: list[tuple[EncodedTrace, ViabilityScore]]
-                if is_evolutionary:
-                    config = replace(spec.build_config(name), seed=seed)
-                    result = evolve(
-                        factual, config, prepared.predictor, prepared.feas_model, prepared.train
-                    )
-                    rows = _trajectory_rows_from_result(name, factual.case_id, result)
-                    report.trajectory_rows.extend(rows)
-                    trajectories_csv.write_rows([_trajectory_values(r) for r in rows])
-                    top = [
-                        (ind.genome, ind.score)
-                        for ind in result.population.individuals[
-                            : spec.counterfactuals_per_factual
-                        ]
-                    ]
-                else:
-                    top = generate_baseline(
-                        name,
-                        factual,
-                        spec.counterfactuals_per_factual,
-                        prepared.train,
-                        prepared.feas_model,
-                        prepared.predictor,
-                        np.random.default_rng(seed),
-                    )
-                new_rows = [
-                    CandidateRow(
-                        factual_id=factual.case_id,
-                        generator=name,
-                        rank=rank,
-                        score=score,
-                        activities=activities_string(genome, encoder),
-                        valid_len=genome.valid_len,
-                    )
-                    for rank, (genome, score) in enumerate(top, start=1)
-                ]
-                report.candidate_rows.extend(new_rows)
-                candidates_csv.write_rows([_candidate_values(r) for r in new_rows])
+        out_dir = _run_jobs(spec, prepared, [*spec.config_names, *BASELINES], report, record)
     finally:
-        candidates_csv.close()
-        trajectories_csv.close()
-
+        candidates.close()
     report.aggregate()
     if out_dir:
         _write_benchmark_report(out_dir, report)

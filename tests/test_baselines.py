@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import identity_encoder, make_encoded
-from evocf.baselines import generate_baseline
+from evocf.errors import ConfigNameError
 from evocf.event_log import check_encoded_invariants
+from evocf.evolution import _random_genome, _sampled_genome, generate_baseline
 from evocf.markov import fit
+from evocf.viability import ViabilityScorer
 
 
 class HalfPredictor:
@@ -28,62 +30,87 @@ def setup_small():
     return train, model
 
 
+def reference_baseline(kind, factual, n, log, feas_model, predictor, rng):
+    """The one-shot generators as written before they became zero-cycle runs."""
+    encoder = feas_model.encoder
+    scorer = ViabilityScorer(factual, predictor, feas_model)
+    if kind == "RGW":
+        candidates = [
+            _random_genome(rng, encoder.vocab_size, encoder.max_len, encoder.feature_dim)
+            for _ in range(n)
+        ]
+    elif kind == "SBGW":
+        candidates = [_sampled_genome(rng, feas_model) for _ in range(n)]
+    else:
+        indices = rng.integers(0, len(log), size=n)
+        candidates = [log[i] for i in indices]
+    scored = list(zip(candidates, scorer.score_batch(candidates)))
+    scored.sort(key=lambda pair: -pair[1].total)
+    return scored
+
+
 def test_cbgw_single_source_log_returns_the_factual():
     train, model = setup_small()
     factual = train[0]
-    results = generate_baseline(
-        "CBGW", factual, 10, [factual], model, HalfPredictor(), np.random.default_rng(0)
-    )
-    assert len(results) == 10
-    for candidate, score in results:
-        assert candidate.equals(factual)
-        assert score.similarity == 1.0
-        assert score.sparsity == 1.0
-        assert score.delta == 0.0
+    result = generate_baseline("CBGW", factual, 10, [factual], model, HalfPredictor(), 0)
+    assert len(result.population) == 10
+    for ind in result.population.individuals:
+        assert ind.genome.equals(factual)
+        assert ind.score.similarity == 1.0
+        assert ind.score.sparsity == 1.0
+        assert ind.score.delta == 0.0
 
 
 def test_sbgw_candidates_are_feasible_under_smoothing():
     train, model = setup_small()
-    results = generate_baseline(
-        "SBGW", train[0], 30, train, model, HalfPredictor(), np.random.default_rng(1)
-    )
-    for candidate, score in results:
-        assert score.feasibility > 0.0
-        check_encoded_invariants(candidate)
+    result = generate_baseline("SBGW", train[0], 30, train, model, HalfPredictor(), 1)
+    for ind in result.population.individuals:
+        assert ind.score.feasibility > 0.0
+        check_encoded_invariants(ind.genome)
 
 
 def test_rgw_candidates_satisfy_invariants():
     train, model = setup_small()
-    results = generate_baseline(
-        "RGW", train[0], 30, train, model, HalfPredictor(), np.random.default_rng(2)
-    )
-    for candidate, score in results:
-        check_encoded_invariants(candidate)
-        assert 0.0 <= score.similarity <= 1.0
+    result = generate_baseline("RGW", train[0], 30, train, model, HalfPredictor(), 2)
+    for ind in result.population.individuals:
+        check_encoded_invariants(ind.genome)
+        assert 0.0 <= ind.score.similarity <= 1.0
 
 
 def test_output_sorted_by_total_and_sized():
     train, model = setup_small()
     for kind in ("RGW", "SBGW", "CBGW"):
-        results = generate_baseline(
-            kind, train[0], 25, train, model, HalfPredictor(), np.random.default_rng(3)
-        )
-        assert len(results) == 25
-        totals = [score.total for _, score in results]
+        result = generate_baseline(kind, train[0], 25, train, model, HalfPredictor(), 3)
+        assert len(result.population) == 25
+        assert result.stats == () and result.cycles_run == 0
+        totals = [ind.score.total for ind in result.population.individuals]
         assert totals == sorted(totals, reverse=True)
 
 
 def test_fixed_seed_reproduces_candidates():
     train, model = setup_small()
-    first = generate_baseline(
-        "SBGW", train[0], 10, train, model, HalfPredictor(), np.random.default_rng(9)
-    )
-    second = generate_baseline(
-        "SBGW", train[0], 10, train, model, HalfPredictor(), np.random.default_rng(9)
-    )
-    for (cand_a, score_a), (cand_b, score_b) in zip(first, second):
-        assert cand_a.equals(cand_b)
-        assert score_a == score_b
+    first = generate_baseline("SBGW", train[0], 10, train, model, HalfPredictor(), 9)
+    second = generate_baseline("SBGW", train[0], 10, train, model, HalfPredictor(), 9)
+    for a, b in zip(first.population.individuals, second.population.individuals):
+        assert a.genome.equals(b.genome)
+        assert a.score == b.score
+
+
+@pytest.mark.parametrize("kind", ["RGW", "SBGW", "CBGW"])
+@pytest.mark.parametrize("n", [1, 7, 25])
+def test_zero_cycle_run_equals_the_one_shot_generator(synth_setup, kind, n):
+    model = synth_setup["feas_model"]
+    predictor = synth_setup["predictor"]
+    train = synth_setup["train"]
+    for seed, factual in zip((0, 17, 2**40 + 5), synth_setup["test"]):
+        expected = reference_baseline(
+            kind, factual, n, train, model, predictor, np.random.default_rng(seed)
+        )
+        result = generate_baseline(kind, factual, n, train, model, predictor, seed)
+        assert len(result.population) == len(expected)
+        for ind, (genome, score) in zip(result.population.individuals, expected):
+            assert ind.genome.equals(genome)
+            assert ind.score == score
 
 
 def test_random_search_does_not_beat_real_cases(synth_setup):
@@ -94,22 +121,14 @@ def test_random_search_does_not_beat_real_cases(synth_setup):
     totals = {"RGW": [], "CBGW": []}
     for fi, factual in enumerate(synth_setup["test"][:6]):
         for kind in totals:
-            results = generate_baseline(
-                kind, factual, 50, train, model, predictor, np.random.default_rng(100 + fi)
-            )
-            totals[kind].extend(score.total for _, score in results)
+            result = generate_baseline(kind, factual, 50, train, model, predictor, 100 + fi)
+            totals[kind].extend(ind.score.total for ind in result.population.individuals)
     assert statistics.median(totals["RGW"]) <= statistics.median(totals["CBGW"])
 
 
 def test_unknown_kind_and_bad_arguments():
     train, model = setup_small()
-    from evocf.errors import ConfigNameError
-
     with pytest.raises(ConfigNameError):
-        generate_baseline(
-            "XXX", train[0], 5, train, model, HalfPredictor(), np.random.default_rng(0)
-        )
+        generate_baseline("XXX", train[0], 5, train, model, HalfPredictor(), 0)
     with pytest.raises(ValueError):
-        generate_baseline(
-            "RGW", train[0], 0, train, model, HalfPredictor(), np.random.default_rng(0)
-        )
+        generate_baseline("RGW", train[0], 0, train, model, HalfPredictor(), 0)

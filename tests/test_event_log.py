@@ -116,6 +116,31 @@ def test_load_schema_config(tmp_path):
     assert schemas[0].kind == "numeric"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read schema config"),
+        ("{not json", "not valid JSON"),
+        ('[{"name": "amount", "kind": "numeric"}]', "missing 'attributes'"),
+        ('{"attributes": [{"name": "amount"}]}', "needs a 'name' and a 'kind'"),
+    ],
+)
+def test_load_schema_config_rejects_bad_files(tmp_path, text, message):
+    path = tmp_path / "schema.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SchemaError, match=message) as info:
+        load_schema_config(path)
+    assert str(path) in str(info.value)
+
+
+def test_load_csv_missing_file_is_a_data_error(tmp_path):
+    path = tmp_path / "missing.csv"
+    with pytest.raises(DataError, match="cannot read event log") as info:
+        load_csv(path, ())
+    assert str(path) in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # preprocess / split
 

@@ -5,6 +5,7 @@ from conftest import identity_encoder, make_encoded
 from evocf.errors import ConfigNameError, SelectionError
 from evocf.event_log import check_encoded_invariants
 from evocf.evolution import (
+    EvoConfig,
     Individual,
     MutationRates,
     Population,
@@ -89,6 +90,19 @@ def test_config_validation():
         parse_config_name("CBI-RWS-OPC-SBM-FSR", population_size=10, offspring_per_cycle=20)
     with pytest.raises(ValueError):
         MutationRates(insert=1.5)
+
+
+def test_zero_cycles_skip_the_offspring_checks():
+    # a zero-cycle run breeds nothing, so a single-candidate population is fine
+    config = EvoConfig(population_size=1, cycles=0)
+    assert config.offspring_per_cycle == 100
+    with pytest.raises(ValueError):
+        EvoConfig(population_size=0, cycles=0)
+    for population_size, offspring in ((1, 100), (10, 20), (10, 1), (10, 3)):
+        with pytest.raises(ValueError):
+            EvoConfig(population_size=population_size, offspring_per_cycle=offspring, cycles=1)
+    with pytest.raises(ValueError):
+        EvoConfig(cycles=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_encoded
+from evocf import harness
 from evocf.cli import main as cli_main
 from evocf.event_log import AttributeSchema, Event, Trace
 from evocf.harness import (
@@ -439,6 +440,25 @@ def test_external_predictor_runs_once_per_scoring_batch(tmp_path):
     assert calls.read_text().count("call") == evolutionary + baselines
 
 
+def test_run_benchmark_routes_jobs_through_module_level_names(monkeypatch, small_prepared):
+    # evolutionary jobs go through harness.evolve and baselines through
+    # harness.generate_baseline, looked up at call time, so wrapping either
+    # name sees every job of its kind
+    evolve, generate_baseline = harness.evolve, harness.generate_baseline
+    configs, baselines = [], []
+    monkeypatch.setattr(harness, "evolve", lambda *a: configs.append(a[1].name) or evolve(*a))
+    monkeypatch.setattr(
+        harness,
+        "generate_baseline",
+        lambda *a: baselines.append(a[0]) or generate_baseline(*a),
+    )
+    spec = small_spec()
+    run_benchmark(spec, small_prepared)
+    n_factuals = len(small_prepared.factuals)
+    assert sorted(configs) == sorted(list(spec.config_names) * n_factuals)
+    assert sorted(baselines) == sorted(["RGW", "SBGW", "CBGW"] * n_factuals)
+
+
 # ---------------------------------------------------------------------------
 # CLI errors: one line on stderr, exit code 2, no traceback
 
@@ -490,3 +510,33 @@ def test_cli_grid_with_one_config(tmp_path, capsys):
          "--out", str(tmp_path)]
     )
     assert_one_line_error(capsys, code, "at least two configs")
+
+
+@pytest.mark.parametrize(
+    "command, overrides, expected",
+    [
+        ("fit-markov", '{"n_bins": "x"}', "--overrides n_bins must be an integer"),
+        ("fit-markov", '{"synthetic": {"n_cases": 1.5}}', "--overrides synthetic n_cases"),
+        ("fit-markov", '{"config_names": "CBI-RWS-OPC-SBM-FSR"}', "must be a list"),
+        ("generate", '{"population_size": 0}', "population_size must be >= 1"),
+        ("generate", '{"population_size": 10, "offspring_per_cycle": 20}', "offspring_per_cycle"),
+    ],
+)
+def test_cli_bad_override_value(tmp_path, capsys, command, overrides, expected):
+    code = cli_main([command, "--overrides", overrides, "--out", str(tmp_path)])
+    assert_one_line_error(capsys, code, expected)
+
+
+def test_cli_missing_input_files(tmp_path, capsys):
+    missing_log = str(tmp_path / "missing.csv")
+    missing_schema = str(tmp_path / "missing.json")
+    code = cli_main(
+        ["fit-markov", "--log", missing_log, "--schema", missing_schema, "--out", str(tmp_path)]
+    )
+    assert_one_line_error(capsys, code, missing_schema)
+    schema = tmp_path / "schema.json"
+    schema.write_text('{"attributes": []}')
+    code = cli_main(
+        ["fit-markov", "--log", missing_log, "--schema", str(schema), "--out", str(tmp_path)]
+    )
+    assert_one_line_error(capsys, code, missing_log)
