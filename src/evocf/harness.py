@@ -104,6 +104,17 @@ class ExperimentSpec:
             raise ValueError("need either a synthetic spec or log_path plus schema_path")
         if self.counterfactuals_per_factual < 1:
             raise ValueError("counterfactuals_per_factual must be >= 1")
+        # set-up parameters, checked here so a bad value fails before any work
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError("test_fraction must be in (0, 1)")
+        if self.max_trace_len < 1:
+            raise ValueError("max_trace_len must be >= 1")
+        if self.n_bins < 2:
+            raise ValueError("n_bins must be >= 2")
+        if not self.smoothing_epsilon >= 0.0:
+            raise ValueError("smoothing_epsilon must be >= 0")
+        if self.predictor_epochs < 0:
+            raise ValueError("predictor_epochs must be >= 0")
         # every config shares these run parameters, so one config checks them
         EvoConfig(**self._run_parameters())
 

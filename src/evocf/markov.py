@@ -280,6 +280,35 @@ def feasibility(model: MarkovFeasibilityModel, trace: EncodedTrace) -> float:
     return math.prod(factors.tolist())
 
 
+def feasibility_batch(model: MarkovFeasibilityModel, traces: list[EncodedTrace]) -> list[float]:
+    """feasibility of each trace, with the factors of all traces gathered at once.
+
+    The valid prefixes are concatenated; event g contributes the factor at
+    2g (its initial or transition probability) and its emission at 2g + 1,
+    so each trace's slice holds the factors feasibility multiplies, in the
+    same order, and every product is the same float.
+    """
+    if not traces:
+        return []
+    lengths = [trace.valid_len for trace in traces]
+    ids = np.concatenate([trace.activity_ids[:n] for trace, n in zip(traces, lengths)])
+    features = np.concatenate([trace.features[:n] for trace, n in zip(traces, lengths)])
+    starts = np.cumsum([0, *lengths[:-1]])
+    first = np.zeros(len(ids), dtype=bool)
+    first[starts] = True
+    factors = np.empty(2 * len(ids))
+    # np.roll pairs each first event with the previous trace's last; masked
+    factors[0::2] = np.where(
+        first, model.initial_probs[ids], model.transition[np.roll(ids, 1), ids]
+    )
+    factors[1::2] = _emission_factors(model, ids, features)
+    flat = factors.tolist()
+    return [
+        math.prod(flat[2 * start : 2 * (start + n)])
+        for start, n in zip(starts.tolist(), lengths)
+    ]
+
+
 def sample_sequence(
     model: MarkovFeasibilityModel, max_len: int, rng: np.random.Generator
 ) -> list[int]:

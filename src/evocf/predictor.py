@@ -14,6 +14,7 @@ import json
 import shlex
 import subprocess
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
@@ -24,6 +25,8 @@ from .errors import PredictorError, TrainingError
 from .event_log import EncodedTrace, EncoderSpec, decode
 
 L2_COEFFICIENT = 1e-4
+# seconds one external scoring batch may take before the run stops
+EXTERNAL_TIMEOUT_S = 600.0
 
 
 @runtime_checkable
@@ -260,8 +263,9 @@ class ExternalProcessPredictor:
     case_id, step, activity, then one column per attribute) and invokes
     `command <candidates.csv> <scores.csv>`. The command must write back a CSV
     with header `case_id,proba` holding one probability in [0, 1] per case.
-    Any failure of the command or of its output raises PredictorError naming
-    the command and the case at fault.
+    Any failure of the command or of its output, or a batch that runs longer
+    than EXTERNAL_TIMEOUT_S seconds (the command is then killed), raises
+    PredictorError naming the command and the case at fault.
     """
 
     def __init__(self, command: str, encoder: EncoderSpec):
@@ -297,18 +301,42 @@ class ExternalProcessPredictor:
                                 *[event.attributes.get(n, "") for n in attr_names],
                             ]
                         )
-            try:
-                subprocess.run([*self.argv, str(in_path), str(out_path)], check=True)
-            except subprocess.CalledProcessError as exc:
-                raise self._error(f"exited with status {exc.returncode}") from None
-            except OSError as exc:
-                raise self._error(f"could not be started: {exc.strerror or exc}") from None
+            self._run([*self.argv, str(in_path), str(out_path)])
             try:
                 with out_path.open(newline="") as handle:
                     raw = {row.get("case_id"): row.get("proba") for row in csv.DictReader(handle)}
             except OSError:
                 raise self._error("wrote no scores file") from None
         return [self._probability(case_id, raw) for case_id in case_ids]
+
+    def _run(self, argv: list[str]) -> None:
+        # a blocking wait sees the exit at once; subprocess.run(timeout=...)
+        # polls with sleeps of up to 50 ms, which every batch would pay
+        try:
+            process = subprocess.Popen(argv)
+        except OSError as exc:
+            raise self._error(f"could not be started: {exc.strerror or exc}") from None
+        timeout_s = EXTERNAL_TIMEOUT_S
+        expired = threading.Event()
+
+        def expire():
+            expired.set()
+            process.kill()
+
+        timer = threading.Timer(timeout_s, expire)
+        with process:
+            timer.start()
+            try:
+                returncode = process.wait()
+            except BaseException:
+                process.kill()
+                raise
+            finally:
+                timer.cancel()
+        if expired.is_set():
+            raise self._error(f"timed out after {timeout_s:g} s")
+        if returncode != 0:
+            raise self._error(f"exited with status {returncode}")
 
     def _probability(self, case_id: str, raw: dict) -> float:
         if case_id not in raw:

@@ -13,6 +13,11 @@ Both per-event costs are capped at 1 per consumed element, so the distance
 never exceeds |a| + |b|; similarity and sparsity scores normalize by that
 bound. Delta is the signed change of the predicted probability of the
 factual's outcome class. Total viability is the plain sum of the four parts.
+
+The scalar DP (ssdld, ssdld_distance) keeps the alignment backtrace and is
+the reference; scoring runs edit_distances, which sweeps both cost kinds for
+a block of candidates along anti-diagonals and adds every cell's terms in the
+scalar order, so its distances are the same floats.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import markov as markov_mod
 from .errors import ConfigurationError
@@ -32,6 +38,10 @@ CostKind = Literal["euclidean", "count"]
 
 FEATURE_DIFF_TOLERANCE = 1e-9
 _BACKTRACE_TOLERANCE = 1e-9
+
+# candidates per wavefront sweep; the sweep's cost tables grow with it, so a
+# fixed block bounds memory whatever the size of a scoring batch
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -227,16 +237,155 @@ def ssdld(
     return d[n][m], EditAlignment(tuple(ops), d[n][m])
 
 
+def _block_costs(factual: EncodedTrace, feats: np.ndarray, slices):
+    """Both cost kinds of the factual against a padded block feats (B, M, D).
+
+    Returns pair (n+1, M+1, 2B), delete (n, 2B) and insert (M+1, 2B), indexed
+    by 1-based event positions (pair row and column 0, insert row 0 unused)
+    and by column: euclidean in the first B, count in the last B. Every entry
+    comes from the expression _euclidean_costs or _count_costs evaluates for
+    one pair, with the feature reduction on the same contiguous last axis, so
+    the floats are equal. One factual event at a time bounds the temporaries.
+    """
+    n = factual.valid_len
+    av = factual.features[:n]
+    b, m, d = feats.shape
+    pair = np.zeros((n + 1, m + 1, 2 * b))
+    delete = np.ones((n, 2 * b))
+    insert = np.ones((m + 1, 2 * b))
+    differs = np.empty((n, b, m, d), dtype=bool)
+    if d:
+        scale = 1.0 / np.sqrt(d)
+        for i in range(n):
+            diff = av[i] - feats
+            np.greater(np.abs(diff), FEATURE_DIFF_TOLERANCE, out=differs[i])
+            diff *= diff
+            pair[i + 1, 1:, :b] = (np.sqrt(diff.sum(axis=-1)) * scale).T
+        delete[:, :b] = (np.sqrt((av * av).sum(axis=-1)) * scale)[:, None]
+        insert[1:, :b] = (np.sqrt((feats * feats).sum(axis=-1)) * scale).T
+    else:
+        # no features: every euclidean cost is 0, as in _euclidean_costs
+        delete[:, :b] = 0.0
+        insert[:, :b] = 0.0
+    if slices:
+        count = pair[1:, 1:, b:]
+        for _, cols in slices:
+            count += differs[..., cols].any(axis=-1).transpose(0, 2, 1)
+        count /= len(slices)
+    return pair, delete, insert
+
+
+def _by_diagonal(table: np.ndarray) -> np.ndarray:
+    """Read-only view of a (n+1, M+1, ...) table: out[k, i] = table[i, k - i].
+
+    Only entries with 0 <= k - i <= M are cells of the table (the others alias
+    neighbouring cells and are never read), so anti-diagonal k is a slice.
+    """
+    rows, cols, *trail = table.shape
+    row_stride, col_stride, *trail_strides = table.strides
+    return as_strided(
+        table,
+        shape=(rows + cols - 1, rows, *trail),
+        strides=(col_stride, row_stride - col_stride, *trail_strides),
+        writeable=False,
+    )
+
+
+def _wavefront(factual: EncodedTrace, block: list[EncodedTrace], slices):
+    """Euclidean and count distances of one block, one anti-diagonal at a time.
+
+    The 2B DPs (both kinds of every candidate) are the last, contiguous axis.
+    Candidates are padded to the block's longest prefix; a DP's distance is
+    read at (n, m_b), which no padded cell feeds. Each cell adds the terms of
+    _dp_table in the same order and keeps the smaller candidate, so every
+    distance equals ssdld_distance.
+    """
+    n = factual.valid_len
+    lengths = np.array([candidate.valid_len for candidate in block])
+    b, m, d = len(block), int(lengths.max()), factual.features.shape[1]
+    acts = np.zeros((b, m), dtype=np.int64)
+    feats = np.zeros((b, m, d))
+    for row, candidate in enumerate(block):
+        acts[row, : candidate.valid_len] = candidate.activity_ids[: candidate.valid_len]
+        feats[row, : candidate.valid_len] = candidate.features[: candidate.valid_len]
+    pair, delete, insert = _block_costs(factual, feats, slices)
+    match = np.zeros((n + 1, m + 1, 2 * b), dtype=bool)
+    match[1:, 1:] = np.tile(factual.activity_ids[:n, None, None] == acts.T[None], 2)
+    swap = np.zeros_like(match)
+    swap[2:, 2:] = match[2:, 1:-1] & match[1:-1, 2:]
+    has_swap = np.zeros(n + m + 1, dtype=bool)
+    swap_i, swap_j = np.nonzero(swap.any(axis=-1))
+    has_swap[swap_i + swap_j] = True
+    pair_k, match_k, swap_k = _by_diagonal(pair), _by_diagonal(match), _by_diagonal(swap)
+
+    # the DP table stored by anti-diagonal, dp_k[k, i] = D[i][k - i], so each
+    # diagonal is contiguous; D[i][0] and D[0][j] are running sums
+    dp_k = np.zeros((n + m + 1, n + 1, 2 * b))
+    dp_k[1 : m + 1, 0] = np.cumsum(insert[1:], axis=0)
+    border = np.arange(1, n + 1)
+    dp_k[border, border] = np.cumsum(delete, axis=0)
+    for k in range(2, n + m + 1):
+        lo, hi = max(1, k - m), min(n, k - 1) + 1
+        previous, diagonal = dp_k[k - 1], dp_k[k - 2]
+        del_i = delete[lo - 1 : hi - 1]
+        ins_j = insert[k - lo : k - hi : -1]
+        diag = diagonal[lo - 1 : hi - 1]
+        best = dp_k[k, lo:hi]
+        np.minimum(previous[lo - 1 : hi - 1] + del_i, previous[lo:hi] + ins_j, out=best)
+        # (diag + del_i) + ins_j on a mismatch, diag + pair on a match
+        through = diag + del_i
+        through += ins_j
+        np.add(diag, pair_k[k, lo:hi], out=through, where=match_k[k, lo:hi])
+        np.minimum(best, through, out=best)
+        if has_swap[k]:
+            s_lo, s_hi = max(2, lo), min(hi, k - 1)
+            # (D[i-2][j-2] + pair[i-1][j-2]) + pair[i-2][j-1], 0-based pair
+            cand = dp_k[k - 4, s_lo - 2 : s_hi - 2] + pair_k[k - 1, s_lo:s_hi]
+            cand += pair_k[k - 1, s_lo - 1 : s_hi - 1]
+            kept = best[s_lo - lo : s_hi - lo]
+            np.copyto(kept, cand, where=swap_k[k, s_lo:s_hi] & (cand < kept))
+    distances = dp_k[n + np.tile(lengths, 2), n, np.arange(2 * b)]
+    return distances[:b], distances[b:]
+
+
+def edit_distances(
+    factual: EncodedTrace, candidates: list[EncodedTrace], slices=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """ssdld_distance of the factual to each candidate, for both cost kinds.
+
+    Returns (euclidean, count) as float arrays in candidate order, equal to
+    ssdld_distance(factual, c, kind, slices). Candidates are swept in blocks
+    of _BLOCK, shortest first so a block pads little, which bounds memory
+    for any batch size.
+    """
+    if slices is None:
+        slices = _infer_slices(factual)
+    order = sorted(range(len(candidates)), key=lambda r: candidates[r].valid_len)
+    euclidean = np.empty(len(candidates))
+    count = np.empty(len(candidates))
+    for start in range(0, len(order), _BLOCK):
+        rows = order[start : start + _BLOCK]
+        euclidean[rows], count[rows] = _wavefront(
+            factual, [candidates[r] for r in rows], slices
+        )
+    return euclidean, count
+
+
+def _normalized(distance: float, factual: EncodedTrace, candidate: EncodedTrace) -> float:
+    """1 - distance normalized by the attained bound |a| + |b|."""
+    return 1.0 - distance / (factual.valid_len + candidate.valid_len)
+
+
 def similarity_score(factual: EncodedTrace, candidate: EncodedTrace, slices=None) -> float:
     """1 - euclidean edit distance normalized by the attained bound |a| + |b|."""
     distance = ssdld_distance(factual, candidate, "euclidean", slices)
-    return 1.0 - distance / (factual.valid_len + candidate.valid_len)
+    return _normalized(distance, factual, candidate)
 
 
 def sparsity_score(factual: EncodedTrace, candidate: EncodedTrace, slices=None) -> float:
     """Like similarity_score, but counting differing attributes as the cost."""
     distance = ssdld_distance(factual, candidate, "count", slices)
-    return 1.0 - distance / (factual.valid_len + candidate.valid_len)
+    return _normalized(distance, factual, candidate)
 
 
 def delta_score(p_factual: float, p_counterfactual: float) -> float:
@@ -313,14 +462,18 @@ class ViabilityScorer:
             if key not in memo and key not in misses:
                 misses[key] = candidate
         if misses:
-            probabilities = self._class_probabilities(list(misses.values()))
-            for (key, candidate), probability in zip(
-                misses.items(), probabilities, strict=True
+            traces = list(misses.values())
+            probabilities = self._class_probabilities(traces)
+            feasibilities = markov_mod.feasibility_batch(self.feas_model, traces)
+            euclidean, count = edit_distances(self.factual, traces, self.slices)
+            for key, candidate, e_dist, c_dist, feas, probability in zip(
+                misses, traces, euclidean.tolist(), count.tolist(), feasibilities,
+                probabilities, strict=True,
             ):
                 memo[key] = ViabilityScore.combine(
-                    similarity=similarity_score(self.factual, candidate, self.slices),
-                    sparsity=sparsity_score(self.factual, candidate, self.slices),
-                    feasibility=markov_mod.feasibility(self.feas_model, candidate),
+                    similarity=_normalized(e_dist, self.factual, candidate),
+                    sparsity=_normalized(c_dist, self.factual, candidate),
+                    feasibility=feas,
                     delta=delta_score(self.p_factual, probability),
                 )
         return [memo[key] for key in keys]

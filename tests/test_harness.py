@@ -1,12 +1,15 @@
 import csv
 import json
+import os
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evocf
 from conftest import make_encoded
 from evocf import harness
 from evocf.cli import main as cli_main
@@ -235,10 +238,15 @@ def test_render_highlights_changed_attribute():
 
 
 def run_cli(*args):
+    # the child imports the evocf these tests imported, installed or not
+    env = dict(os.environ)
+    package_root = str(Path(evocf.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "evocf.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -525,6 +533,22 @@ def test_cli_grid_with_one_config(tmp_path, capsys):
 def test_cli_bad_override_value(tmp_path, capsys, command, overrides, expected):
     code = cli_main([command, "--overrides", overrides, "--out", str(tmp_path)])
     assert_one_line_error(capsys, code, expected)
+
+
+@pytest.mark.parametrize(
+    "overrides, expected",
+    [
+        ('{"n_bins": 0}', "n_bins must be >= 2"),
+        ('{"test_fraction": 5}', "test_fraction must be in (0, 1)"),
+        ('{"max_trace_len": 0}', "max_trace_len must be >= 1"),
+        ('{"smoothing_epsilon": -1}', "smoothing_epsilon must be >= 0"),
+        ('{"predictor_epochs": -3}', "predictor_epochs must be >= 0"),
+    ],
+)
+def test_cli_bad_setup_parameter(tmp_path, capsys, overrides, expected):
+    code = cli_main(["fit-markov", "--overrides", overrides, "--out", str(tmp_path)])
+    assert_one_line_error(capsys, code, expected)
+    assert not (tmp_path / "markov.json").exists()
 
 
 def test_cli_missing_input_files(tmp_path, capsys):

@@ -13,6 +13,7 @@ from evocf.markov import (
     MarkovFeasibilityModel,
     emission_probability,
     feasibility,
+    feasibility_batch,
     fit,
     sample_attributes,
     sample_sequence,
@@ -445,6 +446,23 @@ def test_table_feasibility_equals_scalar_path_on_the_synthetic_log(synth_setup):
     model = synth_setup["feas_model"]
     for trace in synth_setup["train"] + synth_setup["test"]:
         assert feasibility(model, trace) == scalar_feasibility(model, trace)
+
+
+@settings(max_examples=150, deadline=None)
+@given(genomes=st.lists(mixed_genomes(), min_size=1, max_size=12))
+def test_feasibility_batch_equals_feasibility(genomes):
+    # mixed genomes carry off-codes, codes at and past the decode tolerance and
+    # the never-observed activity 4, so epsilon 0 gives many zero factors
+    for model in MIXED_MODELS.values():
+        assert feasibility_batch(model, genomes) == [feasibility(model, g) for g in genomes]
+
+
+def test_feasibility_batch_on_the_synthetic_log(synth_setup):
+    model = synth_setup["feas_model"]
+    traces = synth_setup["train"] + synth_setup["test"]
+    assert feasibility_batch(model, traces) == [feasibility(model, t) for t in traces]
+    assert feasibility_batch(model, traces[:1]) == [feasibility(model, traces[0])]
+    assert feasibility_batch(model, []) == []
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-6])

@@ -1,11 +1,13 @@
 import stat
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
 
 from conftest import make_encoded
+from evocf import predictor as predictor_mod
 from evocf.errors import ConfigurationError, PredictorError, TrainingError
 from evocf.event_log import encode_log, fit_encoder, preprocess, split_train_test, synthesize_log
 from evocf.markov import fit as fit_markov
@@ -301,3 +303,18 @@ def test_external_predictor_missing_command_is_predictor_error(tmp_path, synth_s
     predictor = ExternalProcessPredictor(str(tmp_path / "no-such-scorer"), synth_setup["encoder"])
     with pytest.raises(PredictorError, match="could not be started"):
         predictor.predict_proba(synth_setup["test"][0])
+
+
+def test_external_predictor_timeout_is_predictor_error(tmp_path, synth_setup, monkeypatch):
+    # one process: the scorer sleeps far past the timeout and is killed
+    monkeypatch.setattr(predictor_mod, "EXTERNAL_TIMEOUT_S", 0.5)
+    command = _bad_scorer(tmp_path, "import time\ntime.sleep(60)\n")
+    predictor = ExternalProcessPredictor(command, synth_setup["encoder"])
+    started = time.monotonic()
+    with pytest.raises(PredictorError) as info:
+        predictor.predict_proba_batch(synth_setup["test"][:2])
+    assert time.monotonic() - started < 30.0
+    text = str(info.value)
+    assert "timed out after 0.5 s" in text
+    assert command in text
+    assert "\n" not in text

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,8 +11,10 @@ from evocf.errors import ConfigurationError
 from evocf.evolution import evolve, parse_config_name
 from evocf.markov import fit
 from evocf.viability import (
+    FEATURE_DIFF_TOLERANCE,
     ViabilityScorer,
     delta_score,
+    edit_distances,
     similarity_score,
     sparsity_score,
     ssdld,
@@ -185,6 +188,104 @@ def test_alignment_replay_reconstructs_target():
                 consumed_a += 2
         assert rebuilt == acts_b
         assert consumed_a == len(acts_a)
+
+
+# ---------------------------------------------------------------------------
+# batched edit distances against the scalar DP
+
+# feature values whose differences land on both sides of the count tolerance
+NEAR_TOLERANCE = (
+    0.0,
+    FEATURE_DIFF_TOLERANCE,
+    2 * FEATURE_DIFF_TOLERANCE,
+    1.0,
+    1.0 - FEATURE_DIFF_TOLERANCE,
+    1.0 - 0.5 * FEATURE_DIFF_TOLERANCE,
+    1.0 - 2 * FEATURE_DIFF_TOLERANCE,
+)
+
+
+def kernel_trace(rng, length, max_len, alphabet, d):
+    acts = rng.integers(1, alphabet + 1, size=length).tolist()
+    near = rng.choice(NEAR_TOLERANCE, size=(length, d))
+    feats = np.where(rng.random((length, d)) < 0.6, near, rng.random((length, d)))
+    return make_encoded(acts, feats.reshape(length, d), max_len)
+
+
+def kernel_slices(mode, d):
+    if mode == "none":
+        return None  # inferred: one attribute per column
+    if mode == "empty":
+        return ()  # an encoder without attributes
+    if mode == "columns":
+        return tuple((None, slice(c, c + 1)) for c in range(d))
+    # "grouped": a one-column attribute followed by a multi-column code
+    return ((None, slice(0, 1)), (None, slice(1, d))) if d > 1 else ((None, slice(0, d)),)
+
+
+def assert_kernel_equals_scalar(factual, candidates, slices):
+    euclidean, count = edit_distances(factual, candidates, slices)
+    assert euclidean.shape == count.shape == (len(candidates),)
+    for candidate, e_dist, c_dist in zip(candidates, euclidean.tolist(), count.tolist()):
+        assert e_dist == ssdld_distance(factual, candidate, "euclidean", slices)
+        assert c_dist == ssdld_distance(factual, candidate, "count", slices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([0, 1, 3, 12]),  # 12: wider than numpy's 8-way unrolled sum
+    max_len=st.integers(1, 8),
+    alphabet=st.sampled_from([1, 2, 5]),  # 1: all match, 2: swap-heavy
+    slice_mode=st.sampled_from(["none", "empty", "columns", "grouped"]),
+    data=st.data(),
+)
+def test_edit_distances_equal_the_scalar_dp(seed, d, max_len, alphabet, slice_mode, data):
+    rng = np.random.default_rng(seed)
+    lengths = data.draw(st.lists(st.integers(1, max_len), min_size=1, max_size=70))
+    if data.draw(st.booleans()):
+        lengths += [1, max_len]
+    factual_len = data.draw(st.integers(1, max_len))
+    factual = kernel_trace(rng, factual_len, max_len, alphabet, d)
+    candidates = [kernel_trace(rng, n, max_len, alphabet, d) for n in lengths]
+    assert_kernel_equals_scalar(factual, candidates, kernel_slices(slice_mode, d))
+
+
+@pytest.mark.parametrize(
+    "d, slice_mode", [(0, "none"), (0, "empty"), (2, "empty"), (2, "grouped"), (12, "grouped")]
+)
+def test_edit_distances_degenerate_shapes(d, slice_mode):
+    rng = np.random.default_rng(d)
+    slices = kernel_slices(slice_mode, d)
+    for factual_len, lengths in [(1, [1]), (1, [6]), (6, [1]), (1, [1, 6, 3]), (6, [6] * 33)]:
+        factual = kernel_trace(rng, factual_len, 6, 2, d)
+        candidates = [kernel_trace(rng, n, 6, 2, d) for n in lengths]
+        assert_kernel_equals_scalar(factual, candidates, slices)
+
+
+def test_edit_distances_swap_and_repeat_sequences():
+    # alternating and repeated activities make many transposition and match
+    # cells at once, with attributes carried across the swap
+    rows = [[0.2, 0.9], [0.7, 0.1], [1.0, 0.0], [0.2, 0.9]]
+    patterns = [[1, 2] * 3, [2, 1] * 3, [1, 2, 2, 1, 1, 2], [1] * 6, [2, 1, 1], [1, 2]]
+    traces = [make_encoded(p, [rows[i % 4] for i in range(len(p))], 6) for p in patterns]
+    for factual in traces:
+        assert_kernel_equals_scalar(factual, traces, None)
+
+
+def test_edit_distances_on_the_criterion_1_fixture():
+    # the acceptance criterion-1 traces, all 360 as one batch per factual
+    fixture = [
+        make_encoded(list(combo), [[value]] * length, max_len=4)
+        for length in (1, 2, 3, 4)
+        for combo in itertools.product((1, 2, 3), repeat=length)
+        for value in (0.0, 0.5, 1.0)
+    ]
+    assert len(fixture) == 360
+    for factual in fixture:
+        euclidean, count = edit_distances(factual, fixture)
+        assert euclidean.tolist() == [ssdld_distance(factual, c, "euclidean") for c in fixture]
+        assert count.tolist() == [ssdld_distance(factual, c, "count") for c in fixture]
 
 
 # ---------------------------------------------------------------------------
