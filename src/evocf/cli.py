@@ -138,7 +138,8 @@ def _predictor_factory(args):
 
 def cmd_synthesize_log(args) -> int:
     rule = PlantedRule(args.critical) if args.critical else None
-    log = synthesize_log(args.cases, args.activities, rule=rule, seed=args.seed)
+    size = SyntheticSpec(args.cases, args.activities)
+    log = synthesize_log(size.n_cases, size.n_activities, rule=rule, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(log, out / "log.csv")

@@ -232,10 +232,6 @@ class EncoderSpec:
     def feature_dim(self) -> int:
         return sum(c.width for c in self.codecs)
 
-    @property
-    def n_attributes(self) -> int:
-        return len(self.codecs)
-
     def slices(self) -> tuple[tuple[NumericCodec | CategoricalCodec, slice], ...]:
         """Per-attribute (codec, column slice) pairs into the feature matrix."""
         return self._slices

@@ -40,6 +40,9 @@ RECOMBINERS = ("FSR", "BBR", "RR")
 # total viability can go negative through delta; proportional selection
 # needs a positive fitness
 FITNESS_FLOOR = 1e-6
+# below this chance of a mutation without events, drawing ahead costs more
+# than it saves (break-even measured with SBM on traces of 12-28 events)
+NO_EVENT_MIN_CHANCE = 0.2
 
 
 @dataclass(frozen=True)
@@ -144,16 +147,40 @@ class Individual:
     score: ViabilityScore
 
 
+# columns of Population.scores, in ViabilityScore field order
+SIMILARITY, SPARSITY, FEASIBILITY, DELTA, TOTAL = range(5)
+
+
+def _score_rows(scores) -> np.ndarray:
+    rows = [(s.similarity, s.sparsity, s.feasibility, s.delta, s.total) for s in scores]
+    return np.array(rows, dtype=float).reshape(-1, 5)
+
+
+def _by_total(scores: np.ndarray) -> np.ndarray:
+    """Row order by descending total; ties keep their order."""
+    return np.argsort(-scores[:, TOTAL], kind="stable")
+
+
 @dataclass(frozen=True)
 class Population:
+    """Individuals plus their (N, 5) score rows, built from them when not given."""
+
     individuals: tuple[Individual, ...]
     generation: int
+    scores: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.scores is None:
+            rows = _score_rows(ind.score for ind in self.individuals)
+            object.__setattr__(self, "scores", rows)
 
     def __len__(self) -> int:
         return len(self.individuals)
 
-    def best(self) -> Individual:
-        return max(self.individuals, key=lambda ind: ind.score.total)
+    def take(self, order: np.ndarray, generation: int) -> "Population":
+        """The individuals at order, in that order, with their score rows."""
+        individuals = tuple(map(self.individuals.__getitem__, order.tolist()))
+        return Population(individuals, generation, self.scores[order])
 
 
 @dataclass(frozen=True)
@@ -179,20 +206,17 @@ class GenerationResult:
 # genome construction helpers
 
 
-def _build_genome(
-    ids: list[int], rows: list[np.ndarray], max_len: int, feature_dim: int
-) -> EncodedTrace:
+def _build_genome(ids: list[int], rows, max_len: int, feature_dim: int) -> EncodedTrace:
     length = len(ids)
     activity_ids = np.zeros(max_len, dtype=np.int64)
     features = np.zeros((max_len, feature_dim), dtype=float)
     activity_ids[:length] = ids
-    for t, row in enumerate(rows):
-        features[t] = row
+    features[:length] = rows
     return EncodedTrace(activity_ids, features, length, 0, "cf")
 
 
-def _clipped_normal_row(rng: np.random.Generator, feature_dim: int) -> np.ndarray:
-    return np.clip(rng.standard_normal(feature_dim), 0.0, 1.0)
+def _clipped_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    return np.clip(rng.standard_normal(shape), 0.0, 1.0)
 
 
 def _random_genome(
@@ -200,7 +224,8 @@ def _random_genome(
 ) -> EncodedTrace:
     length = int(rng.integers(1, max_len + 1))
     ids = rng.integers(1, vocab_size + 1, size=length).tolist()
-    rows = [_clipped_normal_row(rng, feature_dim) for _ in range(length)]
+    # one fill draws the normals of length calls of size feature_dim, in order
+    rows = _clipped_normal(rng, (length, feature_dim))
     return _build_genome(ids, rows, max_len, feature_dim)
 
 
@@ -209,7 +234,7 @@ def _sampled_genome(
 ) -> EncodedTrace:
     encoder = feas_model.encoder
     ids = markov_mod.sample_sequence(feas_model, encoder.max_len, rng)
-    rows = [markov_mod.sample_attributes(feas_model, a, rng) for a in ids]
+    rows = markov_mod.sample_attribute_rows(feas_model, ids, rng)
     return _build_genome(ids, rows, encoder.max_len, encoder.feature_dim)
 
 
@@ -254,15 +279,6 @@ def initialize(
     return Population(individuals, generation=0)
 
 
-def tournament_winner(
-    first: Individual, second: Individual, rng: np.random.Generator
-) -> Individual:
-    """Pick the contest winner with probability proportional to fitness."""
-    f_first = max(first.score.total, FITNESS_FLOOR)
-    f_second = max(second.score.total, FITNESS_FLOOR)
-    return first if rng.random() < f_first / (f_first + f_second) else second
-
-
 def select(
     kind: str, population: Population, sample_size: int, rng: np.random.Generator
 ) -> list[tuple[Individual, Individual]]:
@@ -272,38 +288,34 @@ def select(
         raise SelectionError("cannot select from an empty population")
     if sample_size % 2 != 0:
         raise ValueError("sample_size must be even")
-    fitness = np.array(
-        [max(ind.score.total, FITNESS_FLOOR) for ind in individuals]
-    )
+    fitness = np.maximum(population.scores[:, TOTAL], FITNESS_FLOOR)
     if kind == "RWS":
-        probs = fitness / fitness.sum()
-        chosen = rng.choice(len(individuals), size=sample_size, p=probs)
-        parents = [individuals[i] for i in chosen]
+        chosen = rng.choice(len(individuals), size=sample_size, p=fitness / fitness.sum())
     elif kind == "TS":
-        parents = []
+        # a contest of two uniform draws: i wins with probability f_i / (f_i + f_j)
+        fit = fitness.tolist()
+        chosen = []
         for _ in range(sample_size):
-            i, j = rng.integers(0, len(individuals), size=2)
-            parents.append(tournament_winner(individuals[i], individuals[j], rng))
+            i, j = rng.integers(0, len(individuals), size=2).tolist()
+            chosen.append(i if rng.random() < fit[i] / (fit[i] + fit[j]) else j)
     elif kind == "ES":
         if sample_size > len(individuals):
             raise SelectionError(
                 f"elitism selection of {sample_size} from population of {len(individuals)}"
             )
-        order = sorted(
-            range(len(individuals)), key=lambda i: -individuals[i].score.total
-        )
-        parents = [individuals[i] for i in order[:sample_size]]
+        chosen = _by_total(population.scores)[:sample_size]
     else:
         raise ConfigNameError(f"unknown selector {kind!r}")
+    parents = list(map(individuals.__getitem__, np.asarray(chosen).tolist()))
     return list(zip(parents[0::2], parents[1::2]))
 
 
 def _normalize_after_crossover(ids: np.ndarray, features: np.ndarray) -> EncodedTrace:
-    # events after the first PAD are an encoding artifact of mixing frames
-    pad_positions = np.flatnonzero(ids == PAD_ID)
-    valid_len = int(pad_positions[0]) if len(pad_positions) else len(ids)
-    ids = ids.copy()
-    features = features.copy()
+    # events after the first PAD are an encoding artifact of mixing frames;
+    # ids and features are fresh arrays, cut here in place. PAD_ID is the
+    # smallest id, so argmin finds the first PAD if there is one
+    first = int(ids.argmin())
+    valid_len = first if ids[first] == PAD_ID else len(ids)
     ids[valid_len:] = PAD_ID
     features[valid_len:] = 0.0
     return EncodedTrace(ids, features, valid_len, 0, "cf")
@@ -372,14 +384,29 @@ def mutate(
     """
     if kind not in MUTATORS:
         raise ConfigNameError(f"unknown mutator {kind!r}")
-    encoder = feas_model.encoder
-    vocab_size = encoder.vocab_size
+    vocab_size = feas_model.encoder.vocab_size
     max_len = genome.max_len
     feature_dim = genome.features.shape[1]
 
+    # A mutation without events draws valid_len delete, max_len - valid_len
+    # insert and valid_len change doubles, one at a time. Where it is likely,
+    # draw them at once; if one hits its rate, rewind to the path below.
+    n = genome.valid_len
+    no_event = ((1 - rates.delete) * (1 - rates.change)) ** n * (1 - rates.insert) ** (max_len - n)
+    if no_event >= NO_EVENT_MIN_CHANCE:
+        state = rng.bit_generator.state
+        u = rng.random(n + max_len).tolist()
+        if (
+            min(u[:n]) >= rates.delete
+            and min(u[n:max_len], default=1.0) >= rates.insert
+            and min(u[max_len:]) >= rates.change
+        ):
+            return EncodedTrace(genome.activity_ids, genome.features, n, 0, "cf")
+        rng.bit_generator.state = state
+
     def draw_row(activity_id: int) -> np.ndarray:
         if kind == "RM":
-            return _clipped_normal_row(rng, feature_dim)
+            return _clipped_normal(rng, feature_dim)
         return markov_mod.sample_attributes(feas_model, activity_id, rng)
 
     ids = genome.activity_ids[: genome.valid_len].tolist()
@@ -424,31 +451,24 @@ def recombine(
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    union = list(population.individuals) + list(mutants)
+    scores = np.concatenate([population.scores, _score_rows(m.score for m in mutants)])
+    union = Population(population.individuals + tuple(mutants), population.generation + 1, scores)
     if kind == "FSR":
-        survivors = sorted(union, key=lambda ind: -ind.score.total)[:max_size]
+        order = _by_total(scores)
     elif kind == "BBR":
+        order = np.arange(len(population))
         if mutants:
-            mean_total = statistics.fmean(m.score.total for m in mutants)
-            admitted = [m for m in mutants if m.score.total > mean_total]
-        else:
-            admitted = []
-        survivors = list(population.individuals) + admitted
-        if len(survivors) > max_size:
-            survivors = sorted(survivors, key=lambda ind: -ind.score.total)[:max_size]
+            totals = scores[len(population) :, TOTAL]
+            admitted = np.flatnonzero(totals > statistics.fmean(totals.tolist()))
+            order = np.concatenate([order, len(population) + admitted])
+        if len(order) > max_size:
+            order = order[_by_total(scores[order])]
     elif kind == "RR":
-        survivors = sorted(
-            union,
-            key=lambda ind: (
-                -ind.score.feasibility,
-                -ind.score.delta,
-                -ind.score.sparsity,
-                -ind.score.similarity,
-            ),
-        )[:max_size]
+        # np.lexsort sorts by its last key first
+        order = np.lexsort(-scores[:, [SIMILARITY, SPARSITY, DELTA, FEASIBILITY]].T)
     else:
         raise ConfigNameError(f"unknown recombiner {kind!r}")
-    return Population(tuple(survivors), population.generation + 1)
+    return union.take(order[:max_size], union.generation)
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +476,17 @@ def recombine(
 
 
 def _cycle_stats(cycle: int, population: Population) -> CycleStats:
-    totals = [ind.score.total for ind in population.individuals]
+    # fmean of a list is fsum / len, the arithmetic it applies to any iterable
+    similarity, sparsity, feasibility, delta, totals = population.scores.T.tolist()
     return CycleStats(
         cycle=cycle,
         best_total=max(totals),
         mean_total=statistics.fmean(totals),
         median_total=statistics.median(totals),
-        mean_similarity=statistics.fmean(ind.score.similarity for ind in population.individuals),
-        mean_sparsity=statistics.fmean(ind.score.sparsity for ind in population.individuals),
-        mean_feasibility=statistics.fmean(ind.score.feasibility for ind in population.individuals),
-        mean_delta=statistics.fmean(ind.score.delta for ind in population.individuals),
+        mean_similarity=statistics.fmean(similarity),
+        mean_sparsity=statistics.fmean(sparsity),
+        mean_feasibility=statistics.fmean(feasibility),
+        mean_delta=statistics.fmean(delta),
     )
 
 
@@ -500,10 +521,7 @@ def evolve(
         mutants = list(map(Individual, offspring, scorer.score_batch(offspring)))
         population = recombine(config.recombiner, population, mutants, config.population_size)
         stats.append(_cycle_stats(cycle, population))
-    final = Population(
-        tuple(sorted(population.individuals, key=lambda ind: -ind.score.total)),
-        population.generation,
-    )
+    final = population.take(_by_total(population.scores), population.generation)
     return GenerationResult(final, tuple(stats), config.cycles)
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import markov as markov_mod
 from . import predictor as predictor_mod
+from .errors import ConfigurationError
 from .event_log import (
     EncodedTrace,
     EncoderSpec,
@@ -75,6 +76,12 @@ GRID_PRESET_135 = tuple(
 class SyntheticSpec:
     n_cases: int = 200
     n_activities: int = 5
+
+    def __post_init__(self):
+        if self.n_cases < 10:
+            raise ConfigurationError("synthetic n_cases must be >= 10")
+        if self.n_activities < 3:
+            raise ConfigurationError("synthetic n_activities must be >= 3")
 
 
 @dataclass

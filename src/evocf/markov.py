@@ -250,20 +250,6 @@ def _emission_factors(
     return factors
 
 
-def emission_probability(
-    model: MarkovFeasibilityModel, activity_id: int, feature_row: np.ndarray
-) -> float:
-    """P(features | activity), factorized over attributes.
-
-    A categorical sub-vector that is not exactly a known category code (within
-    1e-9 per bit) has probability 0: the distribution ranges over real
-    categories only, so arbitrary real-valued vectors fall outside its
-    support.
-    """
-    ids = np.array([activity_id])
-    return float(_emission_factors(model, ids, feature_row[np.newaxis, :])[0])
-
-
 def feasibility(model: MarkovFeasibilityModel, trace: EncodedTrace) -> float:
     """Probability of the trace under the model; padding is ignored.
 
@@ -348,3 +334,32 @@ def sample_attributes(
         else:
             row[cols] = codes[idx]
     return row
+
+
+def sample_attribute_rows(
+    model: MarkovFeasibilityModel, activity_ids: list[int], rng: np.random.Generator
+) -> np.ndarray:
+    """sample_attributes for each activity in turn, as rows of an (n, D) array.
+
+    Every event takes the same doubles in the same order: two per numeric
+    attribute (bin, then position) and one per categorical. So one
+    rng.random((n, k)) holds the draws of the n calls row by row, and
+    counting the CDF entries <= u is searchsorted(side="right"): the rows
+    and the generator state come out the same.
+    """
+    acts = np.asarray(activity_ids, dtype=np.int64)
+    tables = model._tables
+    draws = [1 if codes is not None else 2 for codes in tables.code_rows]
+    u = rng.random((len(acts), sum(draws)))
+    rows = np.zeros((len(acts), model.encoder.feature_dim))
+    col = 0
+    for (_, cols), cdfs, codes, k in zip(
+        model.encoder.slices(), tables.emission_cdfs, tables.code_rows, draws
+    ):
+        idx = (cdfs[acts] <= u[:, col, np.newaxis]).sum(axis=1)
+        if codes is None:
+            rows[:, cols.start] = (idx + u[:, col + 1]) / model.n_bins
+        else:
+            rows[:, cols] = codes[idx]
+        col += k
+    return rows

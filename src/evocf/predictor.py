@@ -68,6 +68,32 @@ def extract_features(trace: EncodedTrace, vocab_size: int) -> np.ndarray:
     return np.concatenate(([length / trace.max_len], histogram, bigrams, means))
 
 
+def extract_features_batch(traces: list[EncodedTrace], vocab_size: int) -> np.ndarray:
+    """extract_features of each trace (all in one frame) as rows of a (B, F) matrix.
+
+    Attribute means are summed per valid length: with D = 1 numpy sums a
+    column pairwise, so padding rows would change the floats.
+    """
+    k = vocab_size
+    ids = np.stack([trace.activity_ids for trace in traces])
+    features = np.stack([trace.features for trace in traces])
+    lengths = np.array([trace.valid_len for trace in traces])
+    b, max_len, d = features.shape
+    valid = np.arange(max_len) < lengths[:, None]
+    if not np.all((ids[valid] >= 1) & (ids[valid] <= k)):
+        raise ValueError(f"activity id outside the vocabulary 1..{k}")
+    phi = np.zeros((b, feature_width(k, d)))
+    phi[:, 0] = lengths / max_len
+    counts = np.bincount(np.nonzero(valid)[0] * k + ids[valid] - 1, minlength=b * k)
+    phi[:, 1 : 1 + k] = counts.reshape(b, k) / lengths[:, None]
+    rows, t = np.nonzero(np.arange(max_len - 1) < lengths[:, None] - 1)
+    phi[rows, 1 + k + (ids[rows, t] - 1) * k + ids[rows, t + 1] - 1] = 1.0
+    for n in set(lengths.tolist()):
+        same = lengths == n
+        phi[same, 1 + k + k * k :] = features[same, :n].sum(axis=1) / n
+    return phi
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=float)
     positive = z >= 0
@@ -112,9 +138,14 @@ class LogisticOutcomePredictor:
         return min(max(p, 1e-12), 1.0 - 1e-12)
 
     def predict_proba_batch(self, traces: list[EncodedTrace]) -> list[float]:
+        if not traces:
+            return []
+        phi = extract_features_batch(traces, self.vocab_size)
         # row by row on purpose: a stacked matmul sums in another order and
         # can differ from predict_proba in the last bit
-        return [self.predict_proba(trace) for trace in traces]
+        z = np.array([row @ self.weights + self.bias for row in phi])
+        # elementwise, so each p is the float predict_proba computes alone
+        return np.clip(_sigmoid(z), 1e-12, 1.0 - 1e-12).tolist()
 
     def to_json(self) -> str:
         return json.dumps(

@@ -1,14 +1,23 @@
+import statistics
+
 import numpy as np
 import pytest
 
 from conftest import identity_encoder, make_encoded
 from evocf.errors import ConfigNameError, SelectionError
 from evocf.event_log import check_encoded_invariants
+from evocf import markov as markov_mod
+from evocf.event_log import EncodedTrace
 from evocf.evolution import (
+    FITNESS_FLOOR,
+    CycleStats,
     EvoConfig,
     Individual,
     MutationRates,
     Population,
+    _cycle_stats,
+    _random_genome,
+    _sampled_genome,
     crossover,
     evolve,
     initialize,
@@ -16,7 +25,6 @@ from evocf.evolution import (
     parse_config_name,
     recombine,
     select,
-    tournament_winner,
 )
 from evocf.markov import fit
 from evocf.viability import ViabilityScore, ViabilityScorer
@@ -176,9 +184,13 @@ def test_rws_frequencies_proportional_to_fitness():
 
 def test_tournament_three_to_one_odds():
     strong, weak = individual(3.0), individual(1.0)
-    rng = np.random.default_rng(6)
-    wins = sum(1 for _ in range(10_000) if tournament_winner(strong, weak, rng) is strong)
-    assert abs(wins / 10_000 - 0.75) < 0.02
+    population = Population((strong, weak), 0)
+    pairs = select("TS", population, 10_000, np.random.default_rng(6))
+    flat = [p for pair in pairs for p in pair]
+    # half the contests draw both individuals, and the stronger wins those
+    # at 3:1; the other half draw one individual twice: 1/4 + 1/2 * 3/4
+    share = sum(1 for p in flat if p is strong) / len(flat)
+    assert abs(share - 0.625) < 0.02
 
 
 def test_es_takes_the_top_and_is_deterministic():
@@ -258,6 +270,17 @@ def test_crossover_children_are_pad_normalized():
         for _ in range(100):
             for child in crossover(kind, a, b, rng, uc_rate=rate):
                 check_encoded_invariants(child)
+
+
+def test_crossover_of_full_frames_keeps_every_event():
+    # no PAD in either parent, and the smallest id away from position 0
+    a = t([3, 1, 2, 3, 2, 1], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    b = t([2, 3, 1, 1, 3, 2], [0.9, 0.8, 0.7, 0.6, 0.5, 0.4])
+    rng = np.random.default_rng(4)
+    for kind, rate in (("UC", 0.5), ("OPC", None), ("TPC", None)):
+        for child in crossover(kind, a, b, rng, uc_rate=rate):
+            assert child.valid_len == 6
+            check_encoded_invariants(child)
 
 
 # ---------------------------------------------------------------------------
@@ -449,3 +472,212 @@ def test_operator_outputs_preserve_genome_invariants():
             check_encoded_invariants(mutated)
             genomes.append(mutated)
         genomes = genomes[-30:]
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the per-individual reference implementations
+
+
+def reference_genome(ids, rows, max_len, feature_dim):
+    """_build_genome writing one feature row at a time."""
+    activity_ids = np.zeros(max_len, dtype=np.int64)
+    features = np.zeros((max_len, feature_dim))
+    activity_ids[: len(ids)] = ids
+    for t, row in enumerate(rows):
+        features[t] = row
+    return EncodedTrace(activity_ids, features, len(ids), 0, "cf")
+
+
+def reference_mutate(kind, genome, rates, feas_model, rng):
+    """mutate as a per-position loop that draws one double at a time."""
+    vocab_size = feas_model.encoder.vocab_size
+    max_len = genome.max_len
+    feature_dim = genome.features.shape[1]
+
+    def draw_row(activity_id):
+        if kind == "RM":
+            return np.clip(rng.standard_normal(feature_dim), 0.0, 1.0)
+        return markov_mod.sample_attributes(feas_model, activity_id, rng)
+
+    ids = genome.activity_ids[: genome.valid_len].tolist()
+    rows = [genome.features[t] for t in range(genome.valid_len)]
+    remove = rng.random(len(ids)) < rates.delete
+    if remove.all():
+        remove[-1] = False
+    ids = [a for a, r in zip(ids, remove) if not r]
+    rows = [row for row, r in zip(rows, remove) if not r]
+    for _ in range(max_len - len(ids)):
+        if rng.random() < rates.insert:
+            position = int(rng.integers(0, len(ids) + 1))
+            activity = int(rng.integers(1, vocab_size + 1))
+            ids.insert(position, activity)
+            rows.insert(position, draw_row(activity))
+    flip = rng.random(len(ids)) < rates.change
+    for t in np.flatnonzero(flip):
+        activity = int(rng.integers(1, vocab_size + 1))
+        ids[t] = activity
+        rows[t] = draw_row(activity)
+    return reference_genome(ids, rows, max_len, feature_dim)
+
+
+MUTATION_RATES = [MutationRates(r, r, r) for r in (0.0, 0.01, 0.05, 0.5, 1.0)] + [
+    MutationRates(0.05, 0.0, 0.0),
+    MutationRates(0.0, 0.05, 0.0),
+    MutationRates(0.0, 0.0, 0.05),
+]
+
+
+@pytest.mark.parametrize("kind", ["RM", "SBM"])
+@pytest.mark.parametrize("rates", MUTATION_RATES)
+def test_mutate_equals_per_position_reference(kind, rates, synth_setup):
+    _, small_model, _ = training_setup()
+    for model in (small_model, synth_setup["feas_model"]):
+        encoder = model.encoder
+        source = np.random.default_rng(41)
+        ours, reference = np.random.default_rng(42), np.random.default_rng(42)
+        # every valid_len, the full frame (no free slot) included
+        for valid_len in range(1, encoder.max_len + 1):
+            for _ in range(4):
+                acts = source.integers(1, encoder.vocab_size + 1, size=valid_len).tolist()
+                rows = markov_mod.sample_attribute_rows(model, acts, source)
+                genome = make_encoded(acts, rows, encoder.max_len, outcome=1, case_id="x")
+                got = mutate(kind, genome, rates, model, ours)
+                want = reference_mutate(kind, genome, rates, model, reference)
+                assert got.equals(want)
+                assert got.activity_ids.dtype == want.activity_ids.dtype
+                assert (got.outcome, got.case_id) == (want.outcome, want.case_id)
+                assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def test_initial_genomes_equal_per_event_reference(synth_setup):
+    model = synth_setup["feas_model"]
+    encoder = model.encoder
+    ours, reference = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(100):
+        got = _random_genome(ours, encoder.vocab_size, encoder.max_len, encoder.feature_dim)
+        length = int(reference.integers(1, encoder.max_len + 1))
+        ids = reference.integers(1, encoder.vocab_size + 1, size=length).tolist()
+        rows = [
+            np.clip(reference.standard_normal(encoder.feature_dim), 0.0, 1.0) for _ in ids
+        ]
+        assert got.equals(reference_genome(ids, rows, encoder.max_len, encoder.feature_dim))
+        got = _sampled_genome(ours, model)
+        ids = markov_mod.sample_sequence(model, encoder.max_len, reference)
+        rows = [markov_mod.sample_attributes(model, a, reference) for a in ids]
+        assert got.equals(reference_genome(ids, rows, encoder.max_len, encoder.feature_dim))
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def reference_select(kind, population, sample_size, rng):
+    """select reading each individual's score attributes."""
+    individuals = population.individuals
+    if kind == "RWS":
+        fitness = np.array([max(ind.score.total, FITNESS_FLOOR) for ind in individuals])
+        chosen = rng.choice(len(individuals), size=sample_size, p=fitness / fitness.sum())
+        parents = [individuals[i] for i in chosen]
+    elif kind == "TS":
+        parents = []
+        for _ in range(sample_size):
+            i, j = rng.integers(0, len(individuals), size=2)
+            first, second = individuals[i], individuals[j]
+            f_first = max(first.score.total, FITNESS_FLOOR)
+            f_second = max(second.score.total, FITNESS_FLOOR)
+            parents.append(first if rng.random() < f_first / (f_first + f_second) else second)
+    else:
+        order = sorted(range(len(individuals)), key=lambda i: -individuals[i].score.total)
+        parents = [individuals[i] for i in order[:sample_size]]
+    return list(zip(parents[0::2], parents[1::2]))
+
+
+def reference_recombine(kind, population, mutants, max_size):
+    """recombine sorting individuals by their score attributes."""
+    union = list(population.individuals) + list(mutants)
+    if kind == "FSR":
+        survivors = sorted(union, key=lambda ind: -ind.score.total)[:max_size]
+    elif kind == "BBR":
+        admitted = []
+        if mutants:
+            mean_total = statistics.fmean(m.score.total for m in mutants)
+            admitted = [m for m in mutants if m.score.total > mean_total]
+        survivors = list(population.individuals) + admitted
+        if len(survivors) > max_size:
+            survivors = sorted(survivors, key=lambda ind: -ind.score.total)[:max_size]
+    else:
+        survivors = sorted(
+            union,
+            key=lambda ind: (
+                -ind.score.feasibility,
+                -ind.score.delta,
+                -ind.score.sparsity,
+                -ind.score.similarity,
+            ),
+        )[:max_size]
+    return survivors
+
+
+def reference_cycle_stats(cycle, population):
+    scores = [ind.score for ind in population.individuals]
+    totals = [s.total for s in scores]
+    return CycleStats(
+        cycle=cycle,
+        best_total=max(totals),
+        mean_total=statistics.fmean(totals),
+        median_total=statistics.median(totals),
+        mean_similarity=statistics.fmean(s.similarity for s in scores),
+        mean_sparsity=statistics.fmean(s.sparsity for s in scores),
+        mean_feasibility=statistics.fmean(s.feasibility for s in scores),
+        mean_delta=statistics.fmean(s.delta for s in scores),
+    )
+
+
+# ties, signed zeros, and totals at and below the fitness floor
+SCORE_VALUES = (0.0, -0.0, 0.5, 1.0, 2.0, -0.3, FITNESS_FLOOR, 1e-7, 0.1 + 0.2)
+
+
+def tied_individuals(rng, n):
+    return [
+        Individual(
+            t([1 + i % 3], [0.5]),
+            ViabilityScore(*(SCORE_VALUES[k] for k in rng.integers(0, len(SCORE_VALUES), 5))),
+        )
+        for i in range(n)
+    ]
+
+
+def same_individuals(got, want):
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+def test_array_select_recombine_and_stats_equal_attribute_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        population = Population(tuple(tied_individuals(rng, int(rng.integers(1, 12)))), 0)
+        mutants = tied_individuals(rng, int(rng.integers(0, 7)))
+        size = 2 * int(rng.integers(1, len(population) // 2 + 2))
+        seed = int(rng.integers(0, 2**32))
+        for kind in ("RWS", "TS", "ES"):
+            if kind == "ES" and size > len(population):
+                continue
+            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = select(kind, population, size, ours)
+            want = reference_select(kind, population, size, reference)
+            assert same_individuals(sum(got, ()), sum(want, ()))
+            assert ours.bit_generator.state == reference.bit_generator.state
+        max_size = int(rng.integers(1, len(population) + len(mutants) + 2))
+        for kind in ("FSR", "BBR", "RR"):
+            survivors = recombine(kind, population, mutants, max_size)
+            want = reference_recombine(kind, population, mutants, max_size)
+            assert same_individuals(survivors.individuals, want)
+            rebuilt = Population(survivors.individuals, survivors.generation)
+            assert survivors.scores.tobytes() == rebuilt.scores.tobytes()
+            assert repr(_cycle_stats(1, survivors)) == repr(reference_cycle_stats(1, survivors))
+
+
+def test_bbr_round_that_admits_nothing_keeps_the_population():
+    population = Population(tuple(individual(v) for v in (0.5, -0.0, 0.0)), 0)
+    survivors = recombine("BBR", population, [individual(1.0)] * 3, 10)
+    assert same_individuals(survivors.individuals, population.individuals)
+    assert survivors.scores.tobytes() == population.scores.tobytes()
+    assert same_individuals(
+        recombine("BBR", population, [], 2).individuals, population.individuals[:2]
+    )

@@ -564,3 +564,23 @@ def test_cli_missing_input_files(tmp_path, capsys):
         ["fit-markov", "--log", missing_log, "--schema", str(schema), "--out", str(tmp_path)]
     )
     assert_one_line_error(capsys, code, missing_log)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["synthesize-log", "--cases", "3"], "synthetic n_cases must be >= 10"),
+        (
+            ["fit-markov", "--overrides", '{"synthetic": {"n_cases": 3, "n_activities": 4}}'],
+            "synthetic n_cases must be >= 10",
+        ),
+        (
+            ["fit-markov", "--overrides", '{"synthetic": {"n_activities": 0}}'],
+            "synthetic n_activities must be >= 3",
+        ),
+    ],
+)
+def test_cli_bad_synthetic_size(tmp_path, capsys, argv, expected):
+    code = cli_main([*argv, "--out", str(tmp_path / "out")])
+    assert_one_line_error(capsys, code, expected)
+    assert not (tmp_path / "out").exists()

@@ -11,15 +11,28 @@ from evocf.event_log import CategoricalCodec, EncoderSpec, NumericCodec
 from evocf.evolution import crossover
 from evocf.markov import (
     MarkovFeasibilityModel,
-    emission_probability,
+    _emission_factors,
     feasibility,
     feasibility_batch,
     fit,
+    sample_attribute_rows,
     sample_attributes,
     sample_sequence,
 )
 
 A, B, C = 1, 2, 3
+
+
+def emission_probability(model, activity_id, feature_row):
+    """P(features | activity) through the tables feasibility multiplies.
+
+    A categorical sub-vector that is not exactly a known category code (within
+    1e-9 per bit) has probability 0: the distribution ranges over real
+    categories only, so arbitrary real-valued vectors fall outside its
+    support.
+    """
+    ids = np.array([activity_id])
+    return float(_emission_factors(model, ids, feature_row[np.newaxis, :])[0])
 
 
 def enc3(activities, values, max_len=8):
@@ -487,3 +500,56 @@ def test_fit_json_is_unchanged_on_the_synthetic_log(synth_setup):
     for (eps, n_bins), digest in expected.items():
         model = fit(synth_setup["train"], synth_setup["encoder"], eps, n_bins)
         assert hashlib.sha256(model.to_json().encode()).hexdigest() == digest
+
+
+def _single_kind_model(codecs, rows_of, eps):
+    """A model over activities 1..3 whose attributes are all of one kind."""
+    encoder = EncoderSpec({"a": 1, "b": 2, "c": 3}, codecs, 8)
+    rng = np.random.default_rng(3)
+    train = []
+    for _ in range(30):
+        acts = rng.integers(1, 4, size=int(rng.integers(1, 7))).tolist()
+        train.append(make_encoded(acts, [rows_of(rng) for _ in acts], 8))
+    return fit(train, encoder, eps, N_BINS)
+
+
+def _categorical_row(rng):
+    codecs = (CategoricalCodec("r", ("r0", "r1", "r2")), CategoricalCodec("s", ("s0", "s1")))
+    return np.concatenate([c.encode(c.categories[rng.integers(0, 2)]) for c in codecs])
+
+
+BULK_MODELS = {
+    "mixed": MIXED_MODELS,
+    "numeric": {
+        eps: _single_kind_model(
+            (NumericCodec("x0", 0.0, 1.0), NumericCodec("x1", 0.0, 1.0)),
+            lambda rng: rng.random(2),
+            eps,
+        )
+        for eps in (0.0, 1e-6)
+    },
+    "categorical": {
+        eps: _single_kind_model(
+            (CategoricalCodec("r", ("r0", "r1", "r2")), CategoricalCodec("s", ("s0", "s1"))),
+            _categorical_row,
+            eps,
+        )
+        for eps in (0.0, 1e-6)
+    },
+    "none": {eps: _single_kind_model((), lambda rng: np.zeros(0), eps) for eps in (0.0, 1e-6)},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BULK_MODELS))
+@pytest.mark.parametrize("eps", [0.0, 1e-6])
+def test_sample_attribute_rows_replays_sample_attributes(kind, eps):
+    model = BULK_MODELS[kind][eps]
+    ours, reference = np.random.default_rng(23), np.random.default_rng(23)
+    for _ in range(200):
+        sequence = sample_sequence(model, 8, ours)
+        assert sequence == sample_sequence(model, 8, reference)
+        rows = sample_attribute_rows(model, sequence, ours)
+        expected = np.stack([sample_attributes(model, a, reference) for a in sequence])
+        assert rows.shape == expected.shape
+        assert rows.tobytes() == expected.tobytes()
+        assert ours.bit_generator.state == reference.bit_generator.state

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_encoded
 from evocf import predictor as predictor_mod
@@ -17,6 +19,7 @@ from evocf.predictor import (
     LogisticOutcomePredictor,
     evaluate,
     extract_features,
+    extract_features_batch,
     feature_width,
     loss_and_gradient,
     train,
@@ -224,6 +227,42 @@ def test_logistic_batch_equals_per_trace(synth_setup):
     predictor = synth_setup["predictor"]
     traces = synth_setup["test"][:20]
     assert predictor.predict_proba_batch(traces) == [predictor.predict_proba(t) for t in traces]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, 5, 11]),
+    d=st.sampled_from([0, 1, 3, 9, 12]),
+    max_len=st.sampled_from([1, 2, 7, 25]),
+    b=st.integers(1, 24),
+    scale=st.sampled_from([0.01, 1.0, 40.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_features_and_probabilities_equal_per_trace(k, d, max_len, b, scale, seed):
+    # D > 8 and traces longer than 8 events reach numpy's pairwise sums;
+    # a large weight scale saturates the sigmoid into the clip
+    rng = np.random.default_rng(seed)
+    traces = []
+    for _ in range(b):
+        length = int(rng.choice([1, max_len, rng.integers(1, max_len + 1)]))
+        rows = rng.random((length, d)) * rng.choice([1e-3, 1.0, 1e3], size=d)
+        traces.append(make_encoded(rng.integers(1, k + 1, size=length).tolist(), rows, max_len))
+    phi = extract_features_batch(traces, k)
+    assert phi.tobytes() == np.stack([extract_features(t, k) for t in traces]).tobytes()
+    predictor = LogisticOutcomePredictor(
+        weights=rng.normal(0.0, scale, size=feature_width(k, d)),
+        bias=float(rng.normal(0.0, scale)),
+        vocab_size=k,
+        max_len=max_len,
+        feature_dim=d,
+    )
+    assert predictor.predict_proba_batch(traces) == [predictor.predict_proba(t) for t in traces]
+    assert predictor.predict_proba_batch([]) == []
+
+
+def test_batched_features_reject_ids_outside_the_vocabulary():
+    with pytest.raises(ValueError):
+        extract_features_batch([make_encoded([1, 3], [[0.1], [0.2]], 4)], 2)
 
 
 def test_reloaded_predictor_keeps_the_encoder_check(synth_setup):
