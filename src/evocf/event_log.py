@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -596,6 +596,38 @@ def decode(enc: EncodedTrace, spec: EncoderSpec) -> Trace:
                     attributes[codec.name] = value
         events.append(Event(id_to_activity[activity_id], attributes))
     return Trace(enc.case_id, tuple(events), enc.outcome)
+
+
+def decode_rows(
+    traces: Sequence[EncodedTrace], case_ids: Sequence[str], spec: EncoderSpec
+) -> Iterator[tuple]:
+    """decode of each trace as (case_id, step, activity, *values) CSV rows.
+
+    Each attribute is decoded once for the whole batch with the arithmetic of
+    its codec's decode, so the values are decode's; "" marks an absent value.
+    """
+    if any(enc.valid_len > spec.max_len for enc in traces):
+        raise VocabularyError("encoded trace longer than encoder max_len")
+    if not traces:
+        return iter(())
+    ids = np.concatenate([enc.activity_ids[: enc.valid_len] for enc in traces])
+    try:
+        activities = list(map(spec.id_to_activity.__getitem__, ids.tolist()))
+    except KeyError as exc:
+        raise VocabularyError(f"unknown activity id {exc.args[0]}") from None
+    features = np.concatenate([enc.features[: enc.valid_len] for enc in traces])
+    columns = []
+    for codec, cols in spec.slices():
+        codes = features[:, cols]
+        if isinstance(codec, NumericCodec):
+            span = codec.observed_max - codec.observed_min
+            columns.append((codec.observed_min + codes[:, 0] * span).tolist())
+        else:
+            names = (*codec.categories, "")  # index -1, absent, reads ""
+            columns.append([names[i] for i in codec.decode_indices(codes).tolist()])
+    steps = [step for enc in traces for step in range(enc.valid_len)]
+    cases = [case_id for case_id, enc in zip(case_ids, traces) for _ in range(enc.valid_len)]
+    return zip(cases, steps, activities, *columns)
 
 
 def encode_log(log: EventLog, spec: EncoderSpec) -> list[EncodedTrace]:

@@ -22,7 +22,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .errors import PredictorError, TrainingError
-from .event_log import EncodedTrace, EncoderSpec, decode
+from .event_log import EncodedTrace, EncoderSpec, decode_rows
 
 L2_COEFFICIENT = 1e-4
 # seconds one external scoring batch may take before the run stops
@@ -292,8 +292,9 @@ class ExternalProcessPredictor:
 
     For each batch the engine writes `candidates.csv` (decoded events, columns
     case_id, step, activity, then one column per attribute) and invokes
-    `command <candidates.csv> <scores.csv>`. The command must write back a CSV
-    with header `case_id,proba` holding one probability in [0, 1] per case.
+    `command <candidates.csv> <scores.csv>` with stdin on /dev/null; an empty
+    batch starts no command. The command must write back a CSV with
+    header `case_id,proba` holding one probability in [0, 1] per case.
     Any failure of the command or of its output, or a batch that runs longer
     than EXTERNAL_TIMEOUT_S seconds (the command is then killed), raises
     PredictorError naming the command and the case at fault.
@@ -308,6 +309,8 @@ class ExternalProcessPredictor:
         return self.predict_proba_batch([trace])[0]
 
     def predict_proba_batch(self, traces: list[EncodedTrace]) -> list[float]:
+        if not traces:
+            return []
         attr_names = [codec.name for codec in self.encoder.codecs]
         case_ids = [f"cand_{i}" for i in range(len(traces))]
         with tempfile.TemporaryDirectory(prefix="evocf-ext-") as tmp:
@@ -316,35 +319,22 @@ class ExternalProcessPredictor:
             with in_path.open("w", newline="") as handle:
                 writer = csv.writer(handle)
                 writer.writerow(["case_id", "step", "activity", *attr_names])
-                for case_id, enc in zip(case_ids, traces):
-                    trace = decode(
-                        EncodedTrace(
-                            enc.activity_ids, enc.features, enc.valid_len, enc.outcome, case_id
-                        ),
-                        self.encoder,
-                    )
-                    for step, event in enumerate(trace.events):
-                        writer.writerow(
-                            [
-                                trace.case_id,
-                                step,
-                                event.activity,
-                                *[event.attributes.get(n, "") for n in attr_names],
-                            ]
-                        )
+                writer.writerows(decode_rows(traces, case_ids, self.encoder))
             self._run([*self.argv, str(in_path), str(out_path)])
             try:
                 with out_path.open(newline="") as handle:
                     raw = {row.get("case_id"): row.get("proba") for row in csv.DictReader(handle)}
             except OSError:
                 raise self._error("wrote no scores file") from None
+            except (UnicodeDecodeError, csv.Error) as exc:
+                raise self._error(f"wrote an unreadable scores file: {exc}") from None
         return [self._probability(case_id, raw) for case_id in case_ids]
 
     def _run(self, argv: list[str]) -> None:
         # a blocking wait sees the exit at once; subprocess.run(timeout=...)
         # polls with sleeps of up to 50 ms, which every batch would pay
         try:
-            process = subprocess.Popen(argv)
+            process = subprocess.Popen(argv, stdin=subprocess.DEVNULL)
         except OSError as exc:
             raise self._error(f"could not be started: {exc.strerror or exc}") from None
         timeout_s = EXTERNAL_TIMEOUT_S

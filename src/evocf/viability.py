@@ -401,12 +401,18 @@ def delta_score(p_factual: float, p_counterfactual: float) -> float:
     return -(p_counterfactual - p_factual)
 
 
+def _genome_key(trace: EncodedTrace) -> tuple:
+    n = trace.valid_len
+    return n, trace.activity_ids[:n].tobytes(), trace.features[:n].tobytes()
+
+
 class ViabilityScorer:
     """Scores candidates against one factual with a fixed predictor and model.
 
-    The factual's predicted outcome class and probability are computed once;
-    the per-attribute feature slices come from the feasibility model's
-    encoder so the count cost sees real attribute boundaries.
+    The factual's predicted outcome class and probability are computed once,
+    in the scorer's first predictor call; the per-attribute feature slices
+    come from the feasibility model's encoder so the count cost sees real
+    attribute boundaries.
 
     Scores are memoized for the life of the scorer, keyed on the candidate's
     valid prefix: every component reads only that prefix (all candidates
@@ -433,22 +439,34 @@ class ViabilityScorer:
         self.feas_model = feas_model
         self.slices = encoder.slices()
         self._memo: dict[tuple, ViabilityScore] = {}
-        p1 = predictor.predict_proba(factual)
-        self.factual_class = 1 if p1 > 0.5 else 0
-        self.p_factual = p1 if self.factual_class == 1 else 1.0 - p1
+        self._factual_key = _genome_key(factual)
+        self.factual_class: int | None = None
+        self.p_factual: float | None = None
 
-    def _class_probabilities(self, traces: list[EncodedTrace]) -> list[float]:
-        """P(factual's outcome class | trace) for each trace, one predictor call.
+    def _class_probabilities(self, misses: dict[tuple, EncodedTrace]) -> list[float]:
+        """P(factual's outcome class | trace) for each miss, one predictor call.
 
-        predict_proba alone satisfies the OutcomePredictor protocol; a
-        predictor without predict_proba_batch is asked trace by trace.
+        The first call carries the factual once, first, and sets factual_class
+        and p_factual; no later call sends its content. A predictor without
+        predict_proba_batch (not in the protocol) is asked trace by trace.
         """
+        factual_key = self._factual_key
+        asked = {key: trace for key, trace in misses.items() if key != factual_key}
+        if self.factual_class is None:
+            asked = {factual_key: self.factual, **asked}
+        traces = list(asked.values())
         batch = getattr(self.predictor, "predict_proba_batch", None)
-        if batch is not None:
-            p1s = batch(traces)
-        else:
-            p1s = [self.predictor.predict_proba(trace) for trace in traces]
-        return [p1 if self.factual_class == 1 else 1.0 - p1 for p1 in p1s]
+        one = self.predictor.predict_proba
+        p1s = batch(traces) if batch and traces else list(map(one, traces))
+        p1_by_key = dict(zip(asked, p1s, strict=True))
+        if self.factual_class is None:
+            p1 = p1_by_key[factual_key]
+            self.factual_class = 1 if p1 > 0.5 else 0
+            self.p_factual = p1 if self.factual_class == 1 else 1.0 - p1
+        flip = self.factual_class == 0
+        probabilities = {key: 1.0 - p1 if flip else p1 for key, p1 in p1_by_key.items()}
+        probabilities[factual_key] = self.p_factual
+        return [probabilities[key] for key in misses]
 
     def score_batch(self, candidates: list[EncodedTrace]) -> list[ViabilityScore]:
         """Score candidates in order; each distinct genome is scored once."""
@@ -456,14 +474,13 @@ class ViabilityScorer:
         keys = []
         misses: dict[tuple, EncodedTrace] = {}
         for candidate in candidates:
-            n = candidate.valid_len
-            key = (n, candidate.activity_ids[:n].tobytes(), candidate.features[:n].tobytes())
+            key = _genome_key(candidate)
             keys.append(key)
             if key not in memo and key not in misses:
                 misses[key] = candidate
         if misses:
             traces = list(misses.values())
-            probabilities = self._class_probabilities(traces)
+            probabilities = self._class_probabilities(misses)
             feasibilities = markov_mod.feasibility_batch(self.feas_model, traces)
             euclidean, count = edit_distances(self.factual, traces, self.slices)
             for key, candidate, e_dist, c_dist, feas, probability in zip(

@@ -441,10 +441,10 @@ def test_external_predictor_runs_once_per_scoring_batch(tmp_path):
         ),
     )
     run_benchmark(spec, prepared)
-    # per job: one call for the factual; the evolutionary job adds one batch
-    # for its initial population and one per cycle, each baseline one batch
-    evolutionary = 1 + 1 + cycles
-    baselines = 3 * (1 + 1)
+    # per job one batch for the initial population, which also carries the
+    # factual, and the evolutionary job one more per cycle
+    evolutionary = 1 + cycles
+    baselines = 3
     assert calls.read_text().count("call") == evolutionary + baselines
 
 
@@ -496,6 +496,21 @@ def test_cli_package_error_is_one_line(tmp_path, capsys):
         ]
     )
     assert_one_line_error(capsys, code, "exited with status 1")
+
+
+def test_cli_unreadable_scores_file_is_one_line(tmp_path, capsys):
+    script = tmp_path / "garbled.py"
+    script.write_text("import sys\nopen(sys.argv[2], 'wb').write(b'\\xff\\xfe\\x00bad')\n")
+    code = cli_main(
+        [
+            "benchmark", "--seed", "5", "--cycles", "1", "--n-factuals", "1", "--cfs", "2",
+            "--configs", "CBI-RWS-OPC-SBM-FSR",
+            "--external-predictor", f"{sys.executable} {script}",
+            "--overrides", SMALL_OVERRIDES,
+            "--out", str(tmp_path / "bench"),
+        ]
+    )
+    assert_one_line_error(capsys, code, "wrote an unreadable scores file")
 
 
 def test_cli_malformed_overrides_json(tmp_path, capsys):

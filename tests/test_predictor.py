@@ -1,3 +1,6 @@
+import csv
+import io
+import os
 import stat
 import sys
 import textwrap
@@ -10,8 +13,20 @@ from hypothesis import strategies as st
 
 from conftest import make_encoded
 from evocf import predictor as predictor_mod
-from evocf.errors import ConfigurationError, PredictorError, TrainingError
-from evocf.event_log import encode_log, fit_encoder, preprocess, split_train_test, synthesize_log
+from evocf.errors import ConfigurationError, PredictorError, TrainingError, VocabularyError
+from evocf.event_log import (
+    CategoricalCodec,
+    EncodedTrace,
+    EncoderSpec,
+    NumericCodec,
+    decode,
+    decode_rows,
+    encode_log,
+    fit_encoder,
+    preprocess,
+    split_train_test,
+    synthesize_log,
+)
 from evocf.markov import fit as fit_markov
 from evocf.predictor import (
     ConstantPredictor,
@@ -310,6 +325,7 @@ with open(out_path, "w", newline="") as handle:
     [
         ("sys.exit(3)\n", "exited with status 3"),
         ("pass\n", "wrote no scores file"),
+        ("open(out_path, 'wb').write(b'\\xff\\xfe\\x00bad')\n", "wrote an unreadable scores file"),
         (
             "def proba(case_id):\n    return 0.5\ncases = cases[:-1]\n" + _WRITE_ROWS,
             "returned no score for case cand_2",
@@ -325,7 +341,7 @@ with open(out_path, "w", newline="") as handle:
             "returned proba 1.5 outside [0, 1] for case cand_0",
         ),
     ],
-    ids=["exit-status", "no-output", "missing-case", "non-numeric", "out-of-range"],
+    ids=["exit-status", "no-output", "unreadable", "missing-case", "non-numeric", "out-of-range"],
 )
 def test_external_predictor_failures_are_predictor_errors(tmp_path, synth_setup, body, message):
     command = _bad_scorer(tmp_path, body)
@@ -357,3 +373,180 @@ def test_external_predictor_timeout_is_predictor_error(tmp_path, synth_setup, mo
     assert "timed out after 0.5 s" in text
     assert command in text
     assert "\n" not in text
+
+
+def test_external_predictor_gets_no_stdin(tmp_path, synth_setup):
+    # the scorer fails unless its stdin is /dev/null; evocf's own stdin is an
+    # open pipe for the test, which a scorer reading stdin would block on
+    command = _bad_scorer(
+        tmp_path,
+        "import os\n"
+        "fd0, null = os.fstat(0), os.stat(os.devnull)\n"
+        "if (fd0.st_dev, fd0.st_ino) != (null.st_dev, null.st_ino):\n"
+        "    sys.exit(3)\n"
+        "def proba(case_id):\n    return 0.5\n" + _WRITE_ROWS,
+    )
+    predictor = ExternalProcessPredictor(command, synth_setup["encoder"])
+    saved = os.dup(0)
+    read_end, write_end = os.pipe()
+    try:
+        os.dup2(read_end, 0)
+        assert predictor.predict_proba_batch(synth_setup["test"][:2]) == [0.5, 0.5]
+    finally:
+        os.dup2(saved, 0)
+        for fd in (saved, read_end, write_end):
+            os.close(fd)
+
+
+def test_external_predictor_empty_batch_starts_no_command(tmp_path, synth_setup):
+    predictor = ExternalProcessPredictor(str(tmp_path / "no-such-scorer"), synth_setup["encoder"])
+    assert predictor.predict_proba_batch([]) == []
+
+
+# ---------------------------------------------------------------------------
+# the columnar candidates.csv writer against the per-trace decode writer
+
+
+def reference_candidates_csv(traces, spec):
+    """candidates.csv as the per-trace writer made it: decode, one writerow per event."""
+    attr_names = [codec.name for codec in spec.codecs]
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle)
+    writer.writerow(["case_id", "step", "activity", *attr_names])
+    for i, enc in enumerate(traces):
+        trace = decode(
+            EncodedTrace(enc.activity_ids, enc.features, enc.valid_len, enc.outcome, f"cand_{i}"),
+            spec,
+        )
+        for step, event in enumerate(trace.events):
+            writer.writerow(
+                [
+                    trace.case_id,
+                    step,
+                    event.activity,
+                    *[event.attributes.get(n, "") for n in attr_names],
+                ]
+            )
+    return handle.getvalue()
+
+
+def columnar_candidates_csv(traces, spec):
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle)
+    writer.writerow(["case_id", "step", "activity", *[codec.name for codec in spec.codecs]])
+    writer.writerows(decode_rows(traces, [f"cand_{i}" for i in range(len(traces))], spec))
+    return handle.getvalue()
+
+
+_TOL = 1e-9
+# entries of a categorical code around the decode tolerance: at it, and one
+# float past it, on both sides of each bit
+_NEAR_BITS = (
+    _TOL,
+    float(np.nextafter(_TOL, 1.0)),
+    1.0 + _TOL,
+    float(np.nextafter(1.0 + _TOL, 2.0)),
+    1.0 - _TOL,
+    float(np.nextafter(1.0 - _TOL, 0.0)),
+)
+
+
+def _code_row(codec, kind, rng):
+    """One attribute's code: valid, absent, off-code, near-tolerance or random."""
+    if isinstance(codec, NumericCodec):
+        if kind == "edge":
+            return [float(rng.choice([0.0, 1.0, -0.0]))]
+        return [rng.random() if kind != "off" else rng.normal(0.5, 2.0)]
+    width = codec.width
+    if kind == "valid":
+        return codec.encode(codec.categories[rng.integers(len(codec.categories))]).tolist()
+    if kind == "absent":
+        return [0.0] * width
+    if kind == "off":
+        # a bit pattern past the last category, else an entry that is no bit
+        if len(codec.categories) + 1 < 2**width:
+            value = int(rng.integers(len(codec.categories) + 1, 2**width))
+            return [float((value >> (width - 1 - b)) & 1) for b in range(width)]
+        row = codec.encode(codec.categories[-1]).tolist()
+        row[int(rng.integers(width))] = float(rng.choice([2.0, -1.0]))
+        return row
+    if kind == "edge":
+        bits = codec.encode(codec.categories[rng.integers(len(codec.categories))])
+        row = bits.tolist()
+        b = int(rng.integers(width))
+        row[b] = float(rng.choice([v for v in _NEAR_BITS if (v > 0.5) == bool(bits[b])]))
+        return row
+    return rng.random(width).tolist()  # RI-style random row
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    layout=st.sampled_from(["mixed", "numeric", "categorical", "none"]),
+    n_categories=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+    zero_span=st.booleans(),
+    max_len=st.integers(1, 9),
+    b=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_columnar_writer_equals_per_trace_writer(
+    layout, n_categories, zero_span, max_len, b, seed
+):
+    rng = np.random.default_rng(seed)
+    numeric = [
+        NumericCodec("amount", -3.25, -3.25 if zero_span else 1e3 / 7),
+        NumericCodec("t", 0.0, 1.0),
+    ]
+    categorical = [
+        CategoricalCodec(f"c{i}", tuple(f"v{i}_{j}" for j in range(n)))
+        for i, n in enumerate(n_categories)
+    ]
+    codecs = {
+        "mixed": [numeric[0], *categorical, numeric[1]],
+        "numeric": numeric,
+        "categorical": categorical,
+        "none": [],
+    }[layout]
+    spec = EncoderSpec({f"act{k}": k + 1 for k in range(4)}, tuple(codecs), max_len)
+    traces = []
+    for i in range(b):
+        # the batch holds length 1 and length max_len next to random ones
+        n = [1, max_len][i] if i < 2 else int(rng.integers(1, max_len + 1))
+        features = np.zeros((max_len, spec.feature_dim))
+        for t in range(n):
+            kind = rng.choice(["valid", "absent", "off", "edge", "random"])
+            features[t] = sum((_code_row(c, kind, rng) for c in codecs), [])
+        ids = np.zeros(max_len, dtype=np.int64)
+        ids[:n] = rng.integers(1, 5, size=n)
+        traces.append(EncodedTrace(ids, features, n, 0, "c"))
+    assert columnar_candidates_csv(traces, spec) == reference_candidates_csv(traces, spec)
+
+
+def test_columnar_writer_keeps_the_decode_checks(synth_setup):
+    spec = synth_setup["encoder"]
+    good = synth_setup["test"][0]
+    ids = good.activity_ids.copy()
+    ids[good.valid_len - 1] = spec.vocab_size + 7
+    unknown = EncodedTrace(ids, good.features, good.valid_len, 0, "u")
+    for bad in ([good, unknown], [unknown]):
+        with pytest.raises(VocabularyError, match=f"unknown activity id {spec.vocab_size + 7}"):
+            list(decode_rows(bad, ["a", "b"][: len(bad)], spec))
+    width = spec.max_len + 1
+    long_trace = EncodedTrace(
+        np.ones(width, dtype=np.int64), np.zeros((width, spec.feature_dim)), width, 0, "l"
+    )
+    with pytest.raises(VocabularyError, match="longer than encoder max_len"):
+        list(decode_rows([good, long_trace], ["a", "b"], spec))
+    assert list(decode_rows([], [], spec)) == []
+
+
+def test_external_predictor_writes_the_reference_candidates_csv(tmp_path, synth_setup):
+    copy = tmp_path / "candidates.csv"
+    command = _bad_scorer(
+        tmp_path,
+        f"import shutil\nshutil.copy(in_path, {str(copy)!r})\n"
+        "def proba(case_id):\n    return 0.5\n" + _WRITE_ROWS,
+    )
+    traces = synth_setup["test"][:6]
+    ExternalProcessPredictor(command, synth_setup["encoder"]).predict_proba_batch(traces)
+    expected = reference_candidates_csv(traces, synth_setup["encoder"])
+    assert copy.read_bytes() == expected.encode()

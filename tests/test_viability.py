@@ -508,20 +508,27 @@ class ContentPredictor:
         return 0.05 + 0.9 * float(trace.features[:n].mean()) * trace.activity_ids[0] / 3
 
 
+def _key(trace):
+    n = trace.valid_len
+    return n, trace.activity_ids[:n].tobytes(), trace.features[:n].tobytes()
+
+
 class CountingPredictor(ContentPredictor):
-    """Records the genome key of every trace it is asked to score."""
+    """Records the genome key of every trace it is asked to score, per call."""
 
     def __init__(self):
-        self.keys = []
-        self.batches = 0
+        self.calls = []
+
+    @property
+    def batches(self):
+        return len(self.calls)
+
+    @property
+    def keys(self):
+        return [key for call in self.calls for key in call]
 
     def predict_proba_batch(self, traces):
-        self.batches += 1
-        for trace in traces:
-            n = trace.valid_len
-            self.keys.append(
-                (n, trace.activity_ids[:n].tobytes(), trace.features[:n].tobytes())
-            )
+        self.calls.append([_key(trace) for trace in traces])
         return [self.predict_proba(trace) for trace in traces]
 
 
@@ -583,7 +590,42 @@ def test_score_batch_sends_each_distinct_genome_to_the_predictor_once():
     scorer.score_batch([pool[3], _copy(pool[0])])  # all hits: no predictor call
     scorer.score(pool[4])
     assert predictor.batches == 3
-    assert len(predictor.keys) == len(set(predictor.keys)) == 5
+    # the five distinct candidates and the factual, which rides in the first batch
+    assert len(predictor.keys) == len(set(predictor.keys)) == 6
+    assert _key(factual) in predictor.keys
+
+
+def test_factual_rides_in_the_first_predictor_call_only():
+    model, _ = small_model()
+    rng = np.random.default_rng(9)
+    factual = random_trace(rng)
+    pool = [random_trace(rng) for _ in range(3)]
+    predictor = CountingPredictor()
+    scorer = ViabilityScorer(factual, predictor, model)
+    assert scorer.factual_class is None and predictor.batches == 0
+    scorer.score_batch([pool[0]])
+    # a copy of the factual scored later reuses the first call's probability
+    late = scorer.score_batch([pool[1], _copy(factual), pool[2]])[1]
+    scorer.score(_copy(factual))
+    assert [call.count(_key(factual)) for call in predictor.calls] == [1, 0]
+    assert predictor.calls[0][0] == _key(factual)
+    p1 = ContentPredictor().predict_proba(factual)
+    assert scorer.factual_class == (1 if p1 > 0.5 else 0)
+    assert scorer.p_factual == (p1 if scorer.factual_class == 1 else 1.0 - p1)
+    assert late.delta == 0.0
+
+
+def test_first_batch_with_a_copy_of_the_factual_sends_it_once():
+    model, _ = small_model()
+    rng = np.random.default_rng(10)
+    factual = random_trace(rng)
+    other = random_trace(rng)
+    predictor = CountingPredictor()
+    scorer = ViabilityScorer(factual, predictor, model)
+    scores = scorer.score_batch([other, _copy(factual), other])
+    assert predictor.calls == [[_key(factual), _key(other)]]
+    reference = [viability(factual, c, ContentPredictor(), model) for c in (other, factual)]
+    assert scores == [reference[0], reference[1], reference[0]]
 
 
 def test_evolve_scores_each_distinct_genome_once(synth_setup):
@@ -599,7 +641,7 @@ def test_evolve_scores_each_distinct_genome_once(synth_setup):
         synth_setup["test"][0], config, predictor, synth_setup["feas_model"], synth_setup["train"]
     )
     # one batch for the initial population plus at most one per cycle, and
-    # no genome twice (the factual's own call does not go through the batch)
+    # no genome twice (the factual rides in the first batch)
     assert 1 <= predictor.batches <= 1 + config.cycles
     assert len(predictor.keys) == len(set(predictor.keys))
     assert len(predictor.keys) < config.population_size + config.cycles * 20
