@@ -18,8 +18,6 @@ from .event_log import (
 from .evolution import EvoConfig, GenerationResult, evolve, parse_config_name
 from .markov import MarkovFeasibilityModel, feasibility, fit
 from .predictor import LogisticOutcomePredictor, OutcomePredictor, train
-# the viability() function stays in evocf.viability: re-exporting it here
-# would shadow the module of the same name
 from .viability import ViabilityScore, delta_score, similarity_score, sparsity_score, ssdld
 
 __all__ = [

@@ -51,11 +51,11 @@ from .harness import (
 from .viability import ssdld
 
 
-def _add_data_arguments(parser, require_log=False):
-    parser.add_argument("--log", help="event log CSV", required=require_log)
-    parser.add_argument("--schema", help="attribute schema JSON", required=require_log)
+def _add_data_arguments(parser, require_out=False):
+    parser.add_argument("--log", help="event log CSV")
+    parser.add_argument("--schema", help="attribute schema JSON")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", help="output directory", required=require_out)
     parser.add_argument(
         "--overrides", help="JSON object overriding experiment parameters", default=None
     )
@@ -68,16 +68,16 @@ def _add_data_arguments(parser, require_log=False):
 _JSON_KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _fields_from_json(given: dict, cls, what: str) -> dict:
+def _parse_fields(given: dict, cls, what: str) -> dict:
     """Keyword arguments for dataclass cls, each value checked against its field."""
     unknown = sorted(set(given) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ConfigurationError(f"unknown {what} key(s): {', '.join(unknown)}")
     hints = typing.get_type_hints(cls)
-    return {key: _from_json(value, hints[key], f"{what} {key}") for key, value in given.items()}
+    return {key: _parse_value(value, hints[key], f"{what} {key}") for key, value in given.items()}
 
 
-def _from_json(value, hint, what: str):
+def _parse_value(value, hint, what: str):
     """A JSON value as the field type hint holds it; ConfigurationError if it does not fit."""
     if isinstance(hint, types.UnionType):  # every union here is X | None
         if value is None:
@@ -85,11 +85,11 @@ def _from_json(value, hint, what: str):
         (hint,) = [arm for arm in typing.get_args(hint) if arm is not type(None)]
     if dataclasses.is_dataclass(hint):
         if isinstance(value, dict):
-            return hint(**_fields_from_json(value, hint, what))
+            return hint(**_parse_fields(value, hint, what))
         expected = "an object"
     elif typing.get_origin(hint) is tuple:
         if isinstance(value, list):
-            return tuple(_from_json(item, typing.get_args(hint)[0], what) for item in value)
+            return tuple(_parse_value(item, typing.get_args(hint)[0], what) for item in value)
         expected = "a list"
     else:
         accepted = (int, float) if hint is float else hint
@@ -108,7 +108,7 @@ def _parse_overrides(text: str | None) -> dict:
         raise ConfigurationError(f"--overrides is not valid JSON: {exc}") from None
     if not isinstance(overrides, dict):
         raise ConfigurationError("--overrides must be a JSON object")
-    return _fields_from_json(overrides, ExperimentSpec, "--overrides")
+    return _parse_fields(overrides, ExperimentSpec, "--overrides")
 
 
 def _spec_from_args(args, **defaults) -> ExperimentSpec:
@@ -137,6 +137,8 @@ def _predictor_factory(args):
 
 
 def cmd_synthesize_log(args) -> int:
+    if args.seed < 0:
+        raise ConfigurationError("seed must be >= 0")
     rule = PlantedRule(args.critical) if args.critical else None
     size = SyntheticSpec(args.cases, args.activities)
     log = synthesize_log(size.n_cases, size.n_activities, rule=rule, seed=args.seed)
@@ -151,7 +153,8 @@ def cmd_synthesize_log(args) -> int:
 
 
 def cmd_train_predictor(args) -> int:
-    spec = _spec_from_args(args)
+    # the fitting commands use no factual, so one is all they ask the test split for
+    spec = _spec_from_args(args, n_factuals=1)
     prepared = prepare_experiment(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -175,7 +178,7 @@ def cmd_train_predictor(args) -> int:
 
 
 def cmd_fit_markov(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(args, n_factuals=1)
     prepared = prepare_experiment(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -192,8 +195,7 @@ def cmd_generate(args) -> int:
     if args.factual:
         pool = {t.case_id: t for t in prepared.test + prepared.train}
         if args.factual not in pool:
-            print(f"case {args.factual!r} not found", file=sys.stderr)
-            return 2
+            raise ConfigurationError(f"case {args.factual!r} not found")
         factual = pool[args.factual]
     else:
         factual = prepared.factuals[0]
@@ -249,6 +251,10 @@ def _schema_from_codec(codec):
     return AttributeSchema(codec.name, NUMERIC)
 
 
+def _split_configs(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
 def _parse_configs(args) -> tuple[str, ...]:
     if args.preset == "135":
         return GRID_PRESET_135
@@ -256,20 +262,18 @@ def _parse_configs(args) -> tuple[str, ...]:
         return GRID_PRESET_162
     if not args.configs:
         raise ConfigurationError("grid needs --configs or --preset")
-    configs = tuple(name.strip() for name in args.configs.split(",") if name.strip())
-    if len(configs) < 2:
-        raise ConfigurationError("grid search needs at least two configs")
-    return configs
+    return _split_configs(args.configs)
 
 
 def cmd_grid(args) -> int:
-    configs = _parse_configs(args)
     spec = _spec_from_args(
         args,
-        config_names=configs,
+        config_names=_parse_configs(args),
         cycles=args.cycles,
         n_factuals=args.n_factuals,
     )
+    if len(spec.config_names) < 2:
+        raise ConfigurationError("grid search needs at least two configs")
     prepared = prepare_experiment(spec, predictor_factory=_predictor_factory(args))
     report = run_grid(spec, prepared)
     for name, value in report.ranking:
@@ -278,20 +282,16 @@ def cmd_grid(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    configs = tuple(name.strip() for name in args.configs.split(",")) if args.configs else None
+    configs = {} if args.configs is None else {"config_names": _split_configs(args.configs)}
     spec = _spec_from_args(
         args,
-        **(
-            {
-                "config_names": configs,
-            }
-            if configs
-            else {}
-        ),
+        **configs,
         cycles=args.cycles,
         n_factuals=args.n_factuals,
         counterfactuals_per_factual=args.cfs,
     )
+    if not spec.config_names:
+        raise ConfigurationError("benchmark needs at least one evolutionary config")
     prepared = prepare_experiment(spec, predictor_factory=_predictor_factory(args))
     report = run_benchmark(spec, prepared)
     for name, median in report.medians.items():
@@ -306,8 +306,9 @@ def cmd_render(args) -> int:
     by_case = {t.case_id: t for t in log.traces}
     cf_by_case = {t.case_id: t for t in cf_log.traces}
     if args.factual not in by_case or args.counterfactual not in cf_by_case:
-        print("factual or counterfactual case not found", file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            f"factual {args.factual!r} or counterfactual {args.counterfactual!r} not found"
+        )
     encoder = fit_encoder(log)
     factual = by_case[args.factual]
     counterfactual = cf_by_case[args.counterfactual]
@@ -338,14 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synthesize_log)
 
     p = sub.add_parser("train-predictor", help="train and persist the reference predictor")
-    _add_data_arguments(p)
+    _add_data_arguments(p, require_out=True)
     p.set_defaults(func=cmd_train_predictor)
     p = sub.add_parser("fit-markov", help="fit and persist the feasibility model")
-    _add_data_arguments(p)
+    _add_data_arguments(p, require_out=True)
     p.set_defaults(func=cmd_fit_markov)
 
     p = sub.add_parser("generate", help="generate counterfactuals for one factual")
-    _add_data_arguments(p)
+    _add_data_arguments(p, require_out=True)
     p.add_argument(
         "--config", default="CBI-RWS-OPC-SBM-FSR", help="operator config or RGW / SBGW / CBGW"
     )

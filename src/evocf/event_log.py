@@ -41,6 +41,11 @@ CATEGORICAL = "categorical"
 
 _REQUIRED_COLUMNS = ("case_id", "activity", "outcome")
 
+# how far a categorical code entry may lie from 0 or 1 and still read as a bit
+CODE_TOLERANCE = 1e-9
+# longest trace synthesize_log samples before the hidden chain must end it
+SYNTHETIC_MAX_TRACE_LEN = 20
+
 
 @dataclass(frozen=True)
 class AttributeSchema:
@@ -181,25 +186,18 @@ class CategoricalCodec:
         return np.array(bits, dtype=float)
 
     def decode(self, code: np.ndarray) -> str | None:
-        """Return the category, or None for the absent (all-zeros) code."""
-        index = self.decode_index(code)
-        if index is None:
-            return None
-        return self.categories[index]
+        """Return the category, or None for absent (all-zeros) or invalid codes."""
+        index = int(self.decode_indices(code[np.newaxis, :])[0])
+        return None if index < 0 else self.categories[index]
 
-    def decode_index(self, code: np.ndarray, tol: float = 1e-9) -> int | None:
-        """Category index for a code vector, or None for absent/invalid codes."""
-        index = int(self.decode_indices(code[np.newaxis, :], tol)[0])
-        return None if index < 0 else index
-
-    def decode_indices(self, codes: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def decode_indices(self, codes: np.ndarray) -> np.ndarray:
         """Category index per row of codes (N, width); -1 for absent/invalid.
 
-        A row is a category code when every entry lies within tol of a bit
-        (0 or 1) and the bits spell a value in 1..len(categories).
+        A row is a category code when every entry lies within CODE_TOLERANCE
+        of a bit (0 or 1) and the bits spell a value in 1..len(categories).
         """
         bits = np.rint(codes)
-        exact = (np.abs(codes - bits) <= tol) & ((bits == 0.0) | (bits == 1.0))
+        exact = (np.abs(codes - bits) <= CODE_TOLERANCE) & ((bits == 0.0) | (bits == 1.0))
         values = bits @ self._bit_weights
         valid = exact.all(axis=1) & (values >= 1.0) & (values <= len(self.categories))
         return np.where(valid, values - 1.0, -1.0).astype(np.int64)
@@ -278,23 +276,6 @@ class EncoderSpec:
                 "max_len": self.max_len,
             },
             indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "EncoderSpec":
-        raw = json.loads(text)
-        codecs = []
-        for item in raw["codecs"]:
-            if item["kind"] == NUMERIC:
-                codecs.append(
-                    NumericCodec(item["name"], item["observed_min"], item["observed_max"])
-                )
-            else:
-                codecs.append(CategoricalCodec(item["name"], tuple(item["categories"])))
-        return cls(
-            activity_to_id=dict(raw["activity_to_id"]),
-            codecs=tuple(codecs),
-            max_len=int(raw["max_len"]),
         )
 
 
@@ -667,7 +648,6 @@ def synthesize_log(
     n_activities: int,
     rule: PlantedRule | None = None,
     seed: int = 0,
-    max_trace_len: int = 20,
 ) -> EventLog:
     """Sample a log from a hidden first-order Markov chain with a planted rule.
 
@@ -703,7 +683,7 @@ def synthesize_log(
 
     def sample_trace(case_id: str) -> Trace:
         activities = [int(rng.choice(n_activities, p=initial))]
-        while len(activities) < max_trace_len:
+        while len(activities) < SYNTHETIC_MAX_TRACE_LEN:
             current = activities[-1]
             if rng.random() < row_end[current]:
                 break

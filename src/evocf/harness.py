@@ -111,6 +111,8 @@ class ExperimentSpec:
             raise ValueError("need either a synthetic spec or log_path plus schema_path")
         if self.counterfactuals_per_factual < 1:
             raise ValueError("counterfactuals_per_factual must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         # set-up parameters, checked here so a bad value fails before any work
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
@@ -124,6 +126,8 @@ class ExperimentSpec:
             raise ValueError("predictor_epochs must be >= 0")
         # every config shares these run parameters, so one config checks them
         EvoConfig(**self._run_parameters())
+        for name in self.config_names:
+            self.build_config(name)
 
     def _run_parameters(self) -> dict:
         rate = self.mutation_rate
@@ -159,6 +163,10 @@ def pick_factuals(
     test: list[EncodedTrace], n: int, rng: np.random.Generator
 ) -> list[EncodedTrace]:
     """Sample factuals from the test split, alternating outcome classes."""
+    if n > len(test):
+        raise ConfigurationError(
+            f"n_factuals is {n} but the test split holds only {len(test)} encodable traces"
+        )
     by_class = {0: [t for t in test if t.outcome == 0], 1: [t for t in test if t.outcome == 1]}
     for traces in by_class.values():
         if traces:
@@ -170,8 +178,6 @@ def pick_factuals(
         if by_class[turn]:
             picked.append(by_class[turn].pop())
         turn = 1 - turn
-    if len(picked) < n:
-        raise ValueError(f"test split holds fewer than {n} traces")
     return picked
 
 
@@ -201,6 +207,8 @@ def prepare_experiment(
         test_log.activity_vocabulary,
     )
     test = encode_log(encodable, encoder)
+    # before any fitting, so too many factuals fail at once
+    factuals = pick_factuals(test, spec.n_factuals, np.random.default_rng(spec.seed))
     if predictor_factory is not None:
         trained = predictor_factory(encoder)
     else:
@@ -210,7 +218,6 @@ def prepare_experiment(
     feas_model = markov_mod.fit(
         train, encoder, smoothing_epsilon=spec.smoothing_epsilon, n_bins=spec.n_bins
     )
-    factuals = pick_factuals(test, spec.n_factuals, np.random.default_rng(spec.seed))
     return PreparedExperiment(
         encoder=encoder,
         train=train,

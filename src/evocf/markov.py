@@ -74,25 +74,6 @@ class MarkovFeasibilityModel:
             indent=2,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "MarkovFeasibilityModel":
-        raw = json.loads(text)
-        return cls(
-            initial_probs=np.array(raw["initial_probs"], dtype=float),
-            transition=np.array(raw["transition"], dtype=float),
-            numeric_emissions={
-                int(a): {k: np.array(v, dtype=float) for k, v in attrs.items()}
-                for a, attrs in raw["numeric_emissions"].items()
-            },
-            categorical_emissions={
-                int(a): {k: np.array(v, dtype=float) for k, v in attrs.items()}
-                for a, attrs in raw["categorical_emissions"].items()
-            },
-            smoothing_epsilon=float(raw["smoothing_epsilon"]),
-            n_bins=int(raw["n_bins"]),
-            encoder=EncoderSpec.from_json(json.dumps(raw["encoder"])),
-        )
-
 
 def _smooth(counts: np.ndarray, epsilon: float) -> np.ndarray:
     total = counts.sum()

@@ -25,6 +25,8 @@ from .errors import PredictorError, TrainingError
 from .event_log import EncodedTrace, EncoderSpec, decode_rows
 
 L2_COEFFICIENT = 1e-4
+# a trace is predicted class 1 when P(outcome=1) exceeds this
+DECISION_THRESHOLD = 0.5
 # seconds one external scoring batch may take before the run stops
 EXTERNAL_TIMEOUT_S = 600.0
 
@@ -108,16 +110,15 @@ def loss_and_gradient(
     bias: float,
     features: np.ndarray,
     labels: np.ndarray,
-    l2: float = L2_COEFFICIENT,
 ) -> tuple[float, np.ndarray, float]:
-    """Cross-entropy with L2 penalty on the weights; returns (loss, dw, db)."""
+    """Cross-entropy with L2_COEFFICIENT penalty on the weights; returns (loss, dw, db)."""
     z = features @ weights + bias
     # log(1 + exp(z)) - y*z is the stable form of the per-sample cross-entropy
-    loss = float(np.mean(np.logaddexp(0.0, z) - labels * z)) + 0.5 * l2 * float(
+    loss = float(np.mean(np.logaddexp(0.0, z) - labels * z)) + 0.5 * L2_COEFFICIENT * float(
         weights @ weights
     )
     residual = _sigmoid(z) - labels
-    grad_w = features.T @ residual / len(labels) + l2 * weights
+    grad_w = features.T @ residual / len(labels) + L2_COEFFICIENT * weights
     grad_b = float(np.mean(residual))
     return loss, grad_w, grad_b
 
@@ -160,33 +161,12 @@ class LogisticOutcomePredictor:
             indent=2,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "LogisticOutcomePredictor":
-        raw = json.loads(text)
-        fingerprint = raw.get("encoder_fingerprint")
-        return cls(
-            weights=np.array(raw["weights"], dtype=float),
-            bias=float(raw["bias"]),
-            vocab_size=int(raw["vocab_size"]),
-            max_len=int(raw["max_len"]),
-            feature_dim=int(raw["feature_dim"]),
-            encoder_fingerprint=None if fingerprint is None else _as_tuples(fingerprint),
-        )
-
-
-def _as_tuples(value):
-    """Turn JSON lists back into the nested tuples of EncoderSpec.fingerprint."""
-    if isinstance(value, list):
-        return tuple(_as_tuples(item) for item in value)
-    return value
-
 
 def train(
     train_traces: list[EncodedTrace],
     epochs: int = 500,
     learning_rate: float = 1.0,
     seed: int = 0,
-    l2: float = L2_COEFFICIENT,
     encoder: EncoderSpec | None = None,
 ) -> LogisticOutcomePredictor:
     """Fit the reference classifier by full-batch gradient descent.
@@ -210,14 +190,14 @@ def train(
     bias = 0.0
     step = learning_rate
 
-    loss, grad_w, grad_b = loss_and_gradient(weights, bias, features, labels, l2)
+    loss, grad_w, grad_b = loss_and_gradient(weights, bias, features, labels)
     history = [loss]
     for _ in range(epochs):
         while True:
             new_weights = weights - step * grad_w
             new_bias = bias - step * grad_b
             new_loss, new_grad_w, new_grad_b = loss_and_gradient(
-                new_weights, new_bias, features, labels, l2
+                new_weights, new_bias, features, labels
             )
             if new_loss <= loss + 1e-12 or step < 1e-18:
                 break
@@ -250,15 +230,13 @@ class PredictionMetrics:
     zero_division: bool = False
 
 
-def evaluate(
-    predictor: OutcomePredictor, test: list[EncodedTrace], threshold: float = 0.5
-) -> PredictionMetrics:
-    """Precision/recall/F1 for class 1 at the threshold; zero divisions flag as 0."""
+def evaluate(predictor: OutcomePredictor, test: list[EncodedTrace]) -> PredictionMetrics:
+    """Precision/recall/F1 for class 1 at DECISION_THRESHOLD; zero divisions flag as 0."""
     if not test:
         raise ValueError("test set must be non-empty")
     labels = np.array([t.outcome for t in test])
     predictions = np.array(
-        [1 if predictor.predict_proba(t) > threshold else 0 for t in test]
+        [1 if predictor.predict_proba(t) > DECISION_THRESHOLD else 0 for t in test]
     )
     tp = int(np.sum((predictions == 1) & (labels == 1)))
     fp = int(np.sum((predictions == 1) & (labels == 0)))

@@ -32,7 +32,7 @@ from . import markov as markov_mod
 from .errors import ConfigurationError
 from .event_log import EncodedTrace
 from .markov import MarkovFeasibilityModel
-from .predictor import OutcomePredictor
+from .predictor import DECISION_THRESHOLD, OutcomePredictor
 
 CostKind = Literal["euclidean", "count"]
 
@@ -461,7 +461,7 @@ class ViabilityScorer:
         p1_by_key = dict(zip(asked, p1s, strict=True))
         if self.factual_class is None:
             p1 = p1_by_key[factual_key]
-            self.factual_class = 1 if p1 > 0.5 else 0
+            self.factual_class = 1 if p1 > DECISION_THRESHOLD else 0
             self.p_factual = p1 if self.factual_class == 1 else 1.0 - p1
         flip = self.factual_class == 0
         probabilities = {key: 1.0 - p1 if flip else p1 for key, p1 in p1_by_key.items()}
@@ -497,13 +497,3 @@ class ViabilityScorer:
 
     def score(self, candidate: EncodedTrace) -> ViabilityScore:
         return self.score_batch([candidate])[0]
-
-
-def viability(
-    factual: EncodedTrace,
-    candidate: EncodedTrace,
-    predictor: OutcomePredictor,
-    feas_model: MarkovFeasibilityModel,
-) -> ViabilityScore:
-    """Score one candidate; see ViabilityScorer for repeated scoring."""
-    return ViabilityScorer(factual, predictor, feas_model).score(candidate)

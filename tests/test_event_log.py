@@ -263,12 +263,6 @@ def test_encode_unknown_activity_is_vocabulary_error():
         encode(stranger, spec)
 
 
-def test_encoder_json_round_trip():
-    spec = fit_encoder(_toy_log())
-    restored = type(spec).from_json(spec.to_json())
-    assert restored.fingerprint() == spec.fingerprint()
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     lengths=st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3),

@@ -599,3 +599,85 @@ def test_cli_bad_synthetic_size(tmp_path, capsys, argv, expected):
     code = cli_main([*argv, "--out", str(tmp_path / "out")])
     assert_one_line_error(capsys, code, expected)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "train-predictor", "fit-markov"])
+def test_cli_out_is_required(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main([command])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert "the following arguments are required: --out" in err
+    assert "Traceback" not in err
+
+
+def test_cli_too_many_factuals(tmp_path, capsys):
+    code = cli_main(
+        ["benchmark", "--n-factuals", "500", "--overrides", SMALL_OVERRIDES,
+         "--out", str(tmp_path)]
+    )
+    assert_one_line_error(capsys, code, "n_factuals is 500 but the test split holds only")
+
+
+@pytest.mark.parametrize(
+    "command, output", [("train-predictor", "predictor.json"), ("fit-markov", "markov.json")]
+)
+def test_cli_fitting_commands_need_one_factual(tmp_path, command, output):
+    # 30 cases leave 6 test traces, fewer than the default 10 factuals
+    overrides = '{"synthetic": {"n_cases": 30, "n_activities": 4}, "predictor_epochs": 50}'
+    code = cli_main([command, "--overrides", overrides, "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / output).exists()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["benchmark", "--overrides", '{"config_names": []}'],
+            "benchmark needs at least one evolutionary config",
+        ),
+        (
+            ["grid", "--configs", "CBI-RWS-OPC-SBM-FSR,CBI-ES-UC3-SBM-RR",
+             "--overrides", '{"config_names": ["CBI-RWS-OPC-SBM-FSR"]}'],
+            "grid search needs at least two configs",
+        ),
+        (["grid", "--configs", "CBI-RWS-OPC-SBM-FSR,XX"], "five dash-separated tokens"),
+        (["benchmark", "--configs", "CBI-RWS-OPC-SBM-XX"], "unknown operator token 'XX'"),
+    ],
+)
+def test_cli_config_list_is_checked_before_set_up(tmp_path, capsys, monkeypatch, argv, expected):
+    prepared = []
+    monkeypatch.setattr("evocf.cli.prepare_experiment", lambda *a, **k: prepared.append(a))
+    code = cli_main([*argv, "--out", str(tmp_path)])
+    assert_one_line_error(capsys, code, expected)
+    assert prepared == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--seed", "-1"],
+        ["generate", "--overrides", '{"seed": -1}'],
+        ["synthesize-log", "--seed", "-1"],
+    ],
+)
+def test_cli_negative_seed(tmp_path, capsys, argv):
+    code = cli_main([*argv, "--out", str(tmp_path / "out")])
+    assert_one_line_error(capsys, code, "seed must be >= 0")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_unknown_case_is_one_line(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli_main(["synthesize-log", "--cases", "30", "--activities", "3", "--out", str(data)]) == 0
+    capsys.readouterr()
+    log = ["--log", str(data / "log.csv"), "--schema", str(data / "schema.json")]
+    code = cli_main(["render", *log, "--factual", "nope", "--counterfactual", "case_0_0000"])
+    assert_one_line_error(capsys, code, "factual 'nope' or counterfactual 'case_0_0000' not found")
+    code = cli_main(
+        ["generate", *log, "--factual", "nope", "--cycles", "1",
+         "--overrides", '{"population_size": 10, "offspring_per_cycle": 4, "predictor_epochs": 20}',
+         "--out", str(tmp_path / "gen")]
+    )
+    assert_one_line_error(capsys, code, "case 'nope' not found")

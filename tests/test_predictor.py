@@ -199,13 +199,6 @@ def test_f1_on_synthetic_planted_rule_log(synth_setup):
     assert metrics.f1 >= 0.9
 
 
-def test_predictor_json_round_trip():
-    predictor = train(_labeled_pair(), epochs=100, seed=0)
-    restored = LogisticOutcomePredictor.from_json(predictor.to_json())
-    trace = make_encoded([1, 2], [[0.7], [0.2]], max_len=4)
-    assert restored.predict_proba(trace) == predictor.predict_proba(trace)
-
-
 EXTERNAL_SCRIPT = textwrap.dedent(
     """\
     #!/usr/bin/env python3
@@ -280,18 +273,18 @@ def test_batched_features_reject_ids_outside_the_vocabulary():
         extract_features_batch([make_encoded([1, 3], [[0.1], [0.2]], 4)], 2)
 
 
-def test_reloaded_predictor_keeps_the_encoder_check(synth_setup):
+def test_predictor_keeps_the_encoder_check(synth_setup):
     encoder = synth_setup["encoder"]
-    restored = LogisticOutcomePredictor.from_json(synth_setup["predictor"].to_json())
-    assert restored.encoder_fingerprint == encoder.fingerprint()
-    ViabilityScorer(synth_setup["test"][0], restored, synth_setup["feas_model"])
+    predictor = synth_setup["predictor"]
+    assert predictor.encoder_fingerprint == encoder.fingerprint()
+    ViabilityScorer(synth_setup["test"][0], predictor, synth_setup["feas_model"])
 
     other_log = split_train_test(preprocess(synthesize_log(60, 4, seed=9), 25), 0.2, seed=9)[0]
     other_encoder = fit_encoder(other_log)
     assert other_encoder.fingerprint() != encoder.fingerprint()
     other_train = encode_log(other_log, other_encoder)
     with pytest.raises(ConfigurationError):
-        ViabilityScorer(other_train[0], restored, fit_markov(other_train, other_encoder))
+        ViabilityScorer(other_train[0], predictor, fit_markov(other_train, other_encoder))
 
 
 def _bad_scorer(tmp_path, body):
