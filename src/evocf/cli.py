@@ -128,6 +128,16 @@ def _spec_from_args(args, **defaults) -> ExperimentSpec:
         raise ConfigurationError(str(exc)) from None
 
 
+def _out_dir(path: str) -> Path:
+    """The --out directory, created before any set-up so an unusable path fails first."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"--out {path}: cannot create directory: {exc.strerror}") from None
+    return out
+
+
 def _predictor_factory(args):
     if getattr(args, "external_predictor", None):
         return lambda encoder: predictor_mod.ExternalProcessPredictor(
@@ -141,9 +151,8 @@ def cmd_synthesize_log(args) -> int:
         raise ConfigurationError("seed must be >= 0")
     rule = PlantedRule(args.critical) if args.critical else None
     size = SyntheticSpec(args.cases, args.activities)
+    out = _out_dir(args.out)
     log = synthesize_log(size.n_cases, size.n_activities, rule=rule, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_csv(log, out / "log.csv")
     schema = {"attributes": [{"name": s.name, "kind": s.kind} for s in log.schemas]}
     (out / "schema.json").write_text(json.dumps(schema, indent=2))
@@ -155,9 +164,8 @@ def cmd_synthesize_log(args) -> int:
 def cmd_train_predictor(args) -> int:
     # the fitting commands use no factual, so one is all they ask the test split for
     spec = _spec_from_args(args, n_factuals=1)
+    out = _out_dir(args.out)
     prepared = prepare_experiment(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "encoder.json").write_text(prepared.encoder.to_json())
     (out / "predictor.json").write_text(prepared.predictor.to_json())
 
@@ -179,9 +187,8 @@ def cmd_train_predictor(args) -> int:
 
 def cmd_fit_markov(args) -> int:
     spec = _spec_from_args(args, n_factuals=1)
+    out = _out_dir(args.out)
     prepared = prepare_experiment(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "markov.json").write_text(prepared.feas_model.to_json())
     print(f"wrote {out / 'markov.json'}")
     return 0
@@ -191,6 +198,7 @@ def cmd_generate(args) -> int:
     spec = _spec_from_args(
         args, cycles=args.cycles, n_factuals=1, counterfactuals_per_factual=args.n
     )
+    out = _out_dir(args.out)
     prepared = prepare_experiment(spec, predictor_factory=_predictor_factory(args))
     if args.factual:
         pool = {t.case_id: t for t in prepared.test + prepared.train}
@@ -203,8 +211,6 @@ def cmd_generate(args) -> int:
     result = run_job(spec, prepared, args.config, 0, factual)
     top = result.population.individuals[: args.n]
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with (out / "counterfactuals.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CANDIDATE_COLUMNS)
@@ -274,6 +280,8 @@ def cmd_grid(args) -> int:
     )
     if len(spec.config_names) < 2:
         raise ConfigurationError("grid search needs at least two configs")
+    if args.out:
+        _out_dir(args.out)
     prepared = prepare_experiment(spec, predictor_factory=_predictor_factory(args))
     report = run_grid(spec, prepared)
     for name, value in report.ranking:
@@ -292,6 +300,8 @@ def cmd_benchmark(args) -> int:
     )
     if not spec.config_names:
         raise ConfigurationError("benchmark needs at least one evolutionary config")
+    if args.out:
+        _out_dir(args.out)
     prepared = prepare_experiment(spec, predictor_factory=_predictor_factory(args))
     report = run_benchmark(spec, prepared)
     for name, median in report.medians.items():
@@ -300,6 +310,8 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.out and not Path(args.out).parent.is_dir():
+        raise ConfigurationError(f"--out {args.out}: its directory does not exist")
     schemas = load_schema_config(args.schema)
     log = load_csv(args.log, schemas)
     cf_log = load_csv(args.counterfactual_log or args.log, schemas)
@@ -384,14 +396,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a package error ends it with one line and code 2."""
+    """Run one subcommand; a package error or a failed write ends it with one line and code 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except EvocfError as exc:
         message = " ".join(str(exc).splitlines())
-        print(f"evocf: error: {message}", file=sys.stderr)
-        return 2
+    except OSError as exc:
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+    print(f"evocf: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

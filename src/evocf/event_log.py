@@ -14,8 +14,10 @@ pure functions.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
+import io
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -130,6 +132,18 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.traces)
+
+    def _subset(self, traces: tuple[Trace, ...]) -> "EventLog":
+        """A log of some of this log's traces, built without checking them again.
+
+        Every trace and event was checked when this log was built, and the
+        subset keeps its schemas and vocabulary, so it passes the same checks.
+        """
+        subset = object.__new__(EventLog)
+        object.__setattr__(subset, "traces", traces)
+        object.__setattr__(subset, "schemas", self.schemas)
+        object.__setattr__(subset, "activity_vocabulary", self.activity_vocabulary)
+        return subset
 
 
 def _binary_width(n_categories: int) -> int:
@@ -378,60 +392,77 @@ def load_csv(path: str | Path, schemas: Sequence[AttributeSchema]) -> EventLog:
     """
     path = Path(path)
     try:
-        handle = path.open(newline="")
+        data = path.read_bytes()
     except OSError as exc:
         raise DataError(f"{path}: cannot read event log: {exc.strerror}") from None
-    with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file")
-        columns = set(reader.fieldnames)
-        for required in _REQUIRED_COLUMNS:
-            if required not in columns:
-                raise SchemaError(f"{path}: missing required column {required!r}")
-        for schema in schemas:
-            if schema.name not in columns:
-                raise SchemaError(f"{path}: missing attribute column {schema.name!r}")
-        has_timestamp = "timestamp" in columns
+    data = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(
+            f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 text"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError(f"{path}: empty file")
+    # a repeated column name reads its last cell, as a dict of the row would
+    index = {name: i for i, name in enumerate(header)}
+    for required in _REQUIRED_COLUMNS:
+        if required not in index:
+            raise SchemaError(f"{path}: missing required column {required!r}")
+    for schema in schemas:
+        if schema.name not in index:
+            raise SchemaError(f"{path}: missing attribute column {schema.name!r}")
+    case_col, activity_col, outcome_col = (index[c] for c in _REQUIRED_COLUMNS)
+    timestamp_col = index.get("timestamp")
+    used = [*_REQUIRED_COLUMNS, *(s.name for s in schemas), "timestamp"]
+    needed = 1 + max(index[c] for c in used if c in index)
 
-        rows_by_case: dict[str, list] = {}
-        outcomes: dict[str, int] = {}
-        vocabulary: list[str] = []
-        seen_activities: set[str] = set()
-        categories: dict[str, list[str]] = {s.name: [] for s in schemas if s.kind == CATEGORICAL}
+    rows_by_case: dict[str, list] = {}
+    outcomes: dict[str, int] = {}
+    # dicts as insertion-ordered sets: the first occurrence fixes the order
+    vocabulary: dict[str, None] = {}
+    categories: dict[str, dict[str, None]] = {s.name: {} for s in schemas if s.kind == CATEGORICAL}
+    # (name, cell index, seen categories or None for a numeric attribute)
+    columns = [(s.name, index[s.name], categories.get(s.name)) for s in schemas]
 
-        for row_number, row in enumerate(reader, start=2):
-            case_id = row["case_id"]
-            activity = row["activity"]
-            outcome = _parse_outcome(row["outcome"], row_number)
-            previous = outcomes.setdefault(case_id, outcome)
-            if previous != outcome:
-                raise DataError(
-                    f"row {row_number}: case {case_id!r} has inconsistent outcomes"
-                )
-            if activity not in seen_activities:
-                seen_activities.add(activity)
-                vocabulary.append(activity)
+    row_number = 1  # blank lines are skipped and not counted
+    for row in reader:
+        if not row:
+            continue
+        row_number += 1
+        if len(row) < needed:
+            raise DataError(
+                f"{path}: row {row_number} has {len(row)} cells but the header has {len(header)}"
+            )
+        case_id = row[case_col]
+        activity = row[activity_col]
+        outcome = _parse_outcome(row[outcome_col], row_number)
+        previous = outcomes.setdefault(case_id, outcome)
+        if previous != outcome:
+            raise DataError(f"row {row_number}: case {case_id!r} has inconsistent outcomes")
+        vocabulary.setdefault(activity)
 
-            attributes: dict[str, object] = {}
-            for schema in schemas:
-                raw = row[schema.name]
-                if schema.kind == NUMERIC:
-                    try:
-                        attributes[schema.name] = float(raw)
-                    except ValueError:
-                        raise DataError(
-                            f"row {row_number}: unparseable numeric cell {raw!r} "
-                            f"in column {schema.name!r}"
-                        ) from None
-                else:
-                    attributes[schema.name] = raw
-                    known = categories[schema.name]
-                    if raw not in known:
-                        known.append(raw)
+        attributes: dict[str, object] = {}
+        for name, col, seen in columns:
+            raw = row[col]
+            if seen is None:
+                try:
+                    attributes[name] = float(raw)
+                except ValueError:
+                    raise DataError(
+                        f"row {row_number}: unparseable numeric cell {raw!r} in column {name!r}"
+                    ) from None
+            else:
+                attributes[name] = raw
+                seen.setdefault(raw)
 
-            timestamp = _parse_timestamp(row["timestamp"], row_number) if has_timestamp else None
-            rows_by_case.setdefault(case_id, []).append((timestamp, Event(activity, attributes, timestamp)))
+        timestamp = (
+            _parse_timestamp(row[timestamp_col], row_number) if timestamp_col is not None else None
+        )
+        rows_by_case.setdefault(case_id, []).append((timestamp, Event(activity, attributes, timestamp)))
 
     if not rows_by_case:
         raise EmptyLogError(f"{path}: no data rows")
@@ -443,7 +474,13 @@ def load_csv(path: str | Path, schemas: Sequence[AttributeSchema]) -> EventLog:
     traces = []
     for case_id, entries in rows_by_case.items():
         if all(ts is not None for ts, _ in entries):
-            entries = sorted(entries, key=lambda pair: pair[0])
+            try:
+                entries = sorted(entries, key=lambda pair: pair[0])
+            except TypeError:
+                raise DataError(
+                    f"{path}: case {case_id!r} mixes timestamps that cannot be ordered "
+                    "(integer and ISO-8601, or ISO-8601 with and without a UTC offset)"
+                ) from None
         traces.append(
             Trace(case_id=case_id, events=tuple(e for _, e in entries), outcome=outcomes[case_id])
         )
@@ -481,7 +518,7 @@ def preprocess(log: EventLog, max_len: int = 25) -> EventLog:
     kept = tuple(t for t in log.traces if len(t) <= max_len)
     if not kept:
         raise EmptyLogError(f"no trace has length <= {max_len}")
-    return EventLog(kept, log.schemas, log.activity_vocabulary)
+    return log._subset(kept)
 
 
 def split_train_test(
@@ -498,10 +535,7 @@ def split_train_test(
     test_idx = set(order[:n_test].tolist())
     train = tuple(t for i, t in enumerate(log.traces) if i not in test_idx)
     test = tuple(t for i, t in enumerate(log.traces) if i in test_idx)
-    return (
-        EventLog(train, log.schemas, log.activity_vocabulary),
-        EventLog(test, log.schemas, log.activity_vocabulary),
-    )
+    return log._subset(train), log._subset(test)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +646,63 @@ def decode_rows(
 
 
 def encode_log(log: EventLog, spec: EncoderSpec) -> list[EncodedTrace]:
-    return [encode(t, spec) for t in log.traces]
+    """encode of every trace, computed column by column for the whole log.
+
+    Activity ids fill one (T, max_len) block and attribute codes one
+    (T, max_len, D) block with the arithmetic of each codec's encode, so the
+    arrays equal encode's; each trace holds its rows of the two blocks. If
+    encode would reject a trace, the log goes through encode trace by trace,
+    so the error raised is encode's.
+    """
+    traces = log.traces
+    if not traces:
+        return []
+    try:
+        ids, features = _encode_columns(traces, spec)
+    except (KeyError, ValueError, TypeError, OverflowError):
+        return [encode(t, spec) for t in traces]
+    return [
+        EncodedTrace(ids[i], features[i], len(t), t.outcome, t.case_id)
+        for i, t in enumerate(traces)
+    ]
+
+
+def _encode_columns(traces: Sequence[Trace], spec: EncoderSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, max_len) id and (T, max_len, D) feature blocks of encode_log.
+
+    Raises KeyError, ValueError, TypeError or OverflowError where a trace is
+    one encode would reject (or might: encode_log then asks encode).
+    """
+    lengths = np.array([len(t) for t in traces])
+    if lengths.max() > spec.max_len:
+        raise ValueError("trace longer than max_len")
+    events = [e for t in traces for e in t.events]
+    valid = np.arange(spec.max_len) < lengths[:, None]  # row-major: trace, then step
+    ids = np.zeros((len(traces), spec.max_len), dtype=np.int64)
+    ids[valid] = np.fromiter(
+        map(spec.activity_to_id.__getitem__, (e.activity for e in events)), np.int64, len(events)
+    )
+    codes = np.zeros((len(events), spec.feature_dim))
+    attributes = [e.attributes for e in events]
+    for codec, cols in spec.slices():
+        try:
+            rows, values = slice(None), [a[codec.name] for a in attributes]
+        except KeyError:  # absent values keep the all-zeros code
+            rows = [i for i, a in enumerate(attributes) if codec.name in a]
+            values = [attributes[i][codec.name] for i in rows]
+        if isinstance(codec, NumericCodec):
+            span = codec.observed_max - codec.observed_min
+            if not span <= 0.0:  # else every code is 0.0, as encode gives
+                scaled = (np.array(list(map(float, values))) - codec.observed_min) / span
+                codes[rows, cols.start] = np.clip(scaled, 0.0, 1.0)
+        else:
+            # the first index of a category, as tuple.index in encode gives
+            code_of = {c: i + 1 for i, c in reversed(list(enumerate(codec.categories)))}
+            table = np.array([np.zeros(codec.width), *map(codec.encode, codec.categories)])
+            codes[rows, cols] = table[list(map(code_of.__getitem__, values))]
+    features = np.zeros((len(traces), spec.max_len, spec.feature_dim))
+    features[valid] = codes
+    return ids, features
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +717,19 @@ class PlantedRule:
 
     def holds(self, activities: Iterable[str]) -> bool:
         return self.critical_activity in activities
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    # the same arithmetic as Generator.choice(k, p=probs), so a draw through
+    # searchsorted picks the same index and consumes the same single double
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Generator.choice(len(cdf), p=probs) for the cdf of probs: same index, same draw."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _activity_names(n: int) -> list[str]:
@@ -671,27 +774,29 @@ def synthesize_log(
     rng = np.random.default_rng(seed)
 
     # hidden chain: per-row activity distribution plus an end probability
-    initial = rng.dirichlet(np.ones(n_activities))
-    row_end = rng.uniform(0.08, 0.18, size=n_activities)
-    row_next = rng.dirichlet(np.ones(n_activities), size=n_activities)
+    initial = _cdf(rng.dirichlet(np.ones(n_activities)))
+    row_end = rng.uniform(0.08, 0.18, size=n_activities).tolist()
+    row_next = [_cdf(row) for row in rng.dirichlet(np.ones(n_activities), size=n_activities)]
 
     # per-activity emission parameters
-    amount_mean = rng.uniform(10.0, 90.0, size=n_activities)
+    amount_mean = rng.uniform(10.0, 90.0, size=n_activities).tolist()
     amount_sd = 8.0
     resources = ("r0", "r1", "r2")
-    resource_probs = rng.dirichlet(np.ones(len(resources)), size=n_activities)
+    resource_cdfs = [
+        _cdf(row) for row in rng.dirichlet(np.ones(len(resources)), size=n_activities)
+    ]
 
     def sample_trace(case_id: str) -> Trace:
-        activities = [int(rng.choice(n_activities, p=initial))]
+        activities = [_draw(initial, rng)]
         while len(activities) < SYNTHETIC_MAX_TRACE_LEN:
             current = activities[-1]
             if rng.random() < row_end[current]:
                 break
-            activities.append(int(rng.choice(n_activities, p=row_next[current])))
+            activities.append(_draw(row_next[current], rng))
         events = []
         for step, act in enumerate(activities):
-            amount = float(np.clip(rng.normal(amount_mean[act], amount_sd), 0.0, 100.0))
-            resource = resources[int(rng.choice(len(resources), p=resource_probs[act]))]
+            amount = min(max(rng.normal(amount_mean[act], amount_sd), 0.0), 100.0)
+            resource = resources[_draw(resource_cdfs[act], rng)]
             events.append(
                 Event(names[act], {"amount": amount, "resource": resource}, timestamp=step)
             )

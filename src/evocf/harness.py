@@ -25,7 +25,6 @@ from .errors import ConfigurationError
 from .event_log import (
     EncodedTrace,
     EncoderSpec,
-    EventLog,
     Trace,
     encode_log,
     fit_encoder,
@@ -201,11 +200,7 @@ def prepare_experiment(
     encoder = fit_encoder(train_log)
     train = encode_log(train_log, encoder)
     # test traces longer than the training maximum cannot be represented
-    encodable = EventLog(
-        tuple(t for t in test_log.traces if len(t) <= encoder.max_len),
-        test_log.schemas,
-        test_log.activity_vocabulary,
-    )
+    encodable = test_log._subset(tuple(t for t in test_log.traces if len(t) <= encoder.max_len))
     test = encode_log(encodable, encoder)
     # before any fitting, so too many factuals fail at once
     factuals = pick_factuals(test, spec.n_factuals, np.random.default_rng(spec.seed))

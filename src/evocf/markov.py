@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .event_log import EncodedTrace, EncoderSpec, NumericCodec
+from .event_log import EncodedTrace, EncoderSpec, NumericCodec, _cdf, _draw
 
 END_ID = 0
 
@@ -83,18 +83,6 @@ def _smooth(counts: np.ndarray, epsilon: float) -> np.ndarray:
         # because every product touching it already contains a zero factor
         return np.full(len(counts), 1.0 / len(counts))
     return (counts + epsilon) / denom
-
-
-def _cdf(probs: np.ndarray) -> np.ndarray:
-    # the same arithmetic as Generator.choice(k, p=probs), so a draw through
-    # searchsorted picks the same index and consumes the same single double
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
-def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _attribute_indices(

@@ -183,7 +183,7 @@ def train(
     vocab_size = encoder.vocab_size if encoder is not None else int(
         max(t.activity_ids.max() for t in train_traces)
     )
-    features = np.stack([extract_features(t, vocab_size) for t in train_traces])
+    features = extract_features_batch(train_traces, vocab_size)
 
     rng = np.random.default_rng(seed)
     weights = rng.normal(0.0, 0.01, size=features.shape[1])

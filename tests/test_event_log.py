@@ -1,3 +1,11 @@
+import csv
+import importlib.util
+import re
+from dataclasses import replace
+from datetime import datetime
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,13 +21,17 @@ from evocf.errors import (
 from evocf.event_log import (
     AttributeSchema,
     CategoricalCodec,
+    EncoderSpec,
     Event,
     EventLog,
+    NumericCodec,
     PlantedRule,
     Trace,
+    _activity_names,
     check_encoded_invariants,
     decode,
     encode,
+    encode_log,
     fit_encoder,
     load_csv,
     load_schema_config,
@@ -35,7 +47,10 @@ SCHEMAS = (
 )
 
 
-def write_log_csv(tmp_path, rows, header="case_id,activity,timestamp,outcome,amount,resource"):
+HEADER = "case_id,activity,timestamp,outcome,amount,resource"
+
+
+def write_log_csv(tmp_path, rows, header=HEADER):
     path = tmp_path / "log.csv"
     path.write_text("\n".join([header, *rows]) + "\n")
     return path
@@ -346,3 +361,299 @@ def test_event_log_rejects_undeclared_or_mistyped_attributes():
         EventLog(
             (Trace("c1", (Event("a", {"amount": "oops"}),), 0),), schemas, ("a",)
         )
+
+
+# ---------------------------------------------------------------------------
+# fast set-up paths against their references: load_csv against the DictReader
+# loader it replaced, encode_log against encode, synthesize_log against
+# Generator.choice draws, and log subsets against checked construction
+
+
+def _dictreader_load_csv(path, schemas):
+    """The row-dict loader load_csv replaced, kept as its reference."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.DictReader(handle)
+        has_timestamp = "timestamp" in reader.fieldnames
+        rows_by_case, outcomes, vocabulary = {}, {}, []
+        categories = {s.name: [] for s in schemas if s.kind == "categorical"}
+        for row in reader:
+            case_id = row["case_id"]
+            outcomes.setdefault(case_id, int(row["outcome"].strip()))
+            if row["activity"] not in vocabulary:
+                vocabulary.append(row["activity"])
+            attributes = {}
+            for schema in schemas:
+                raw = row[schema.name]
+                if schema.kind == "numeric":
+                    attributes[schema.name] = float(raw)
+                else:
+                    attributes[schema.name] = raw
+                    if raw not in categories[schema.name]:
+                        categories[schema.name].append(raw)
+            timestamp = None
+            if has_timestamp and row["timestamp"].strip():
+                text = row["timestamp"].strip()
+                try:
+                    timestamp = int(text)
+                except ValueError:
+                    timestamp = datetime.fromisoformat(text)
+            rows_by_case.setdefault(case_id, []).append(
+                (timestamp, Event(row["activity"], attributes, timestamp))
+            )
+    fitted = tuple(
+        replace(s, categories=tuple(categories[s.name])) if s.kind == "categorical" else s
+        for s in schemas
+    )
+    traces = []
+    for case_id, entries in rows_by_case.items():
+        if all(ts is not None for ts, _ in entries):
+            entries = sorted(entries, key=lambda pair: pair[0])
+        traces.append(Trace(case_id, tuple(e for _, e in entries), outcomes[case_id]))
+    return EventLog(tuple(traces), fitted, tuple(vocabulary))
+
+
+def _log_items(log):
+    # == on the log ignores the order of each event's attribute dict; this does not
+    events = [
+        [(t.case_id, t.outcome, e.activity, [*e.attributes.items()], e.timestamp) for e in t.events]
+        for t in log.traces
+    ]
+    return events, log.schemas, log.activity_vocabulary
+
+
+def _assert_loads_like_reference(path, schemas):
+    loaded = load_csv(path, schemas)
+    reference = _dictreader_load_csv(path, schemas)
+    assert loaded == reference
+    assert _log_items(loaded) == _log_items(reference)
+
+
+def _workloads_module():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_load_csv_equals_dictreader_loader_on_the_long_log(tmp_path):
+    log_path, schema_path = tmp_path / "long.csv", tmp_path / "schema.json"
+    _workloads_module().write_long_log(log_path, schema_path, 11)
+    _assert_loads_like_reference(log_path, load_schema_config(schema_path))
+
+
+def test_load_csv_equals_dictreader_loader_on_written_logs(tmp_path):
+    for n_cases, n_activities, seed in ((20, 3, 5), (120, 6, 2)):
+        log = synthesize_log(n_cases, n_activities, seed=seed)
+        write_csv(log, tmp_path / "log.csv")
+        _assert_loads_like_reference(tmp_path / "log.csv", SCHEMAS)
+
+
+def test_load_csv_equals_dictreader_loader_on_edge_layouts(tmp_path):
+    rows = [
+        "c1,a,5,0,1.0,x",
+        "c2,b,2024-01-02T10:00:00,1,2,y",
+        "",
+        "c1,b,2,0,3.5,z,extra,cells",
+        "c2,a,2024-01-01T09:00:00,1,-4e3,x",
+        "c3,c,,1,0.25,",
+        "c3,a,1,1,7,x",
+        "",
+    ]
+    _assert_loads_like_reference(write_log_csv(tmp_path, rows), SCHEMAS)
+    # no timestamp column: file order, columns in another order, a repeated name
+    rows = ["x,c1,a,0,1.5,q", "y,c2,b,1,2.5,q", "z,c1,c,0,3.5,q", "x,c1,a,0,4.5,q"]
+    header = "resource,case_id,activity,outcome,amount,resource"
+    _assert_loads_like_reference(write_log_csv(tmp_path, rows, header), SCHEMAS)
+
+
+def test_load_csv_short_row_is_one_data_error(tmp_path):
+    path = write_log_csv(tmp_path, ["c1,a,0,1,1.0,x", "c1,B,1"])
+    with pytest.raises(DataError, match="row 3 has 3 cells but the header has 6") as info:
+        load_csv(path, SCHEMAS)
+    assert str(path) in str(info.value)
+
+
+def test_load_csv_short_row_without_a_used_cell_still_loads(tmp_path):
+    # the unused trailing column may be missing, as with the row-dict loader
+    path = write_log_csv(
+        tmp_path, ["c1,a,0,1,1.0,x,n1", "c1,b,1,1,2.0,y"], header=f"{HEADER},note"
+    )
+    _assert_loads_like_reference(path, SCHEMAS)
+
+
+def test_load_csv_non_utf8_byte_is_one_data_error(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_bytes(f"{HEADER}\nc1,a,0,1,1.0,x\nc1,b,1,1,2.0,\xff\n".encode("latin-1"))
+    with pytest.raises(DataError, match="line 3: byte 0xff is not UTF-8 text") as info:
+        load_csv(path, SCHEMAS)
+    assert str(path) in str(info.value)
+
+
+def test_load_csv_mixed_timestamp_kinds_is_one_data_error(tmp_path):
+    path = write_log_csv(tmp_path, ["c1,a,0,1,1.0,x", "c1,b,2024-01-01T00:00:00,1,2.0,y"])
+    with pytest.raises(DataError, match="case 'c1' mixes timestamps") as info:
+        load_csv(path, SCHEMAS)
+    assert str(path) in str(info.value)
+
+
+def test_load_csv_accepts_a_byte_order_mark(tmp_path):
+    rows = ["c1,a,0,1,1.0,x", "c1,b,1,1,2.0,y"]
+    plain = load_csv(write_log_csv(tmp_path, rows), SCHEMAS)
+    path = tmp_path / "bom.csv"
+    path.write_text("﻿" + "\n".join([HEADER, *rows]) + "\n", encoding="utf-8")
+    assert load_csv(path, SCHEMAS) == plain
+
+
+@st.composite
+def encoding_cases(draw):
+    """A checked log and an encoder; when `faulty`, traces may break encode's rules."""
+    faulty = draw(st.booleans())
+    max_len = draw(st.integers(1, 5))
+    low = draw(st.floats(-50.0, 50.0))
+    span = draw(st.sampled_from([0.0, 1.0, 37.5, 100.0]))
+    spec = EncoderSpec(
+        {"A": 1, "B": 2},
+        (
+            NumericCodec("amount", low, low + span),
+            NumericCodec("flat", 3.0, 3.0),
+            CategoricalCodec("resource", ("x", "y", "z")),
+            CategoricalCodec("one", ("u",)),
+        ),
+        max_len,
+    )
+    numbers = st.one_of(
+        st.floats(-200.0, 200.0), st.integers(-200, 200), st.integers(-(2**60), 2**60),
+        st.sampled_from([-0.0, low, low + span]),
+    )
+    values = {
+        "amount": numbers,
+        "flat": numbers,
+        "resource": st.sampled_from(("x", "y", "z", "w") if faulty else ("x", "y", "z")),
+        "one": st.just("u"),
+    }
+    activities = st.sampled_from(("A", "B", "C") if faulty else ("A", "B"))
+    traces = []
+    for case in range(draw(st.integers(1, 6))):
+        events = []
+        for _ in range(draw(st.integers(1, max_len + 1 if faulty else max_len))):
+            present = draw(st.lists(st.sampled_from(list(values)), unique=True))
+            events.append(Event(draw(activities), {k: draw(values[k]) for k in present}))
+        traces.append(Trace(f"c{case}", tuple(events), draw(st.integers(0, 1))))
+    schemas = (
+        AttributeSchema("amount", "numeric"),
+        AttributeSchema("flat", "numeric"),
+        AttributeSchema("resource", "categorical"),
+        AttributeSchema("one", "categorical"),
+    )
+    return EventLog(tuple(traces), schemas, ("A", "B", "C")), spec
+
+
+def _assert_same_encoding(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        for a, b in ((g.activity_ids, e.activity_ids), (g.features, e.features)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert (g.valid_len, g.outcome, g.case_id) == (e.valid_len, e.outcome, e.case_id)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=encoding_cases())
+def test_encode_log_equals_encode(case):
+    log, spec = case
+    try:
+        expected = [encode(t, spec) for t in log.traces]
+    except VocabularyError as exc:
+        with pytest.raises(VocabularyError) as info:
+            encode_log(log, spec)
+        assert str(info.value) == str(exc)
+        return
+    # a log encode accepts never reaches encode: the columns alone give the result
+    with mock.patch("evocf.event_log.encode", side_effect=AssertionError("scalar path")):
+        got = encode_log(log, spec)
+    _assert_same_encoding(got, expected)
+
+
+def test_encode_log_errors_are_encodes():
+    spec = EncoderSpec({"A": 1}, (CategoricalCodec("resource", ("x",)),), 2)
+    schemas = (AttributeSchema("resource", "categorical"),)
+    cases = [
+        ((Event("A"), Event("A"), Event("A")), "longer (3) than encoder max_len 2"),
+        ((Event("A"), Event("B")), "unknown activity 'B'"),
+        ((Event("A", {"resource": "w"}),), "value 'w' not a known category"),
+    ]
+    for events, message in cases:
+        traces = (Trace("ok", (Event("A"),), 0), Trace("bad", events, 1))
+        log = EventLog(traces, schemas, ("A", "B"))
+        with pytest.raises(VocabularyError, match=re.escape(message)):
+            encode_log(log, spec)
+    assert encode_log(EventLog((), schemas, ("A",)), spec) == []
+
+
+def test_encode_log_equals_encode_on_the_long_log(tmp_path):
+    log_path, schema_path = tmp_path / "long.csv", tmp_path / "schema.json"
+    _workloads_module().write_long_log(log_path, schema_path, 12)
+    log = load_csv(log_path, load_schema_config(schema_path))
+    train, test = split_train_test(log, 0.2, seed=12)
+    spec = fit_encoder(train)
+    encodable = tuple(t for t in test.traces if len(t) <= spec.max_len)
+    for part in (train.traces, encodable):
+        sub = EventLog(part, log.schemas, log.activity_vocabulary)
+        _assert_same_encoding(encode_log(sub, spec), [encode(t, spec) for t in part])
+
+
+def _choice_synthesize_log(n_cases, n_activities, rule=None, seed=0):
+    """synthesize_log as it drew before: Generator.choice and np.clip per event."""
+    names = _activity_names(n_activities)
+    rule = rule or PlantedRule(names[-1])
+    rng = np.random.default_rng(seed)
+    initial = rng.dirichlet(np.ones(n_activities))
+    row_end = rng.uniform(0.08, 0.18, size=n_activities)
+    row_next = rng.dirichlet(np.ones(n_activities), size=n_activities)
+    amount_mean = rng.uniform(10.0, 90.0, size=n_activities)
+    resources = ("r0", "r1", "r2")
+    resource_probs = rng.dirichlet(np.ones(len(resources)), size=n_activities)
+
+    def sample_trace(case_id):
+        activities = [int(rng.choice(n_activities, p=initial))]
+        while len(activities) < 20:
+            if rng.random() < row_end[activities[-1]]:
+                break
+            activities.append(int(rng.choice(n_activities, p=row_next[activities[-1]])))
+        events = []
+        for step, act in enumerate(activities):
+            amount = float(np.clip(rng.normal(amount_mean[act], 8.0), 0.0, 100.0))
+            resource = resources[int(rng.choice(len(resources), p=resource_probs[act]))]
+            events.append(Event(names[act], {"amount": amount, "resource": resource}, step))
+        return Trace(case_id, tuple(events), 1 if rule.holds(names[a] for a in activities) else 0)
+
+    for attempt in range(10):
+        traces = tuple(sample_trace(f"case_{attempt}_{i:04d}") for i in range(n_cases))
+        if {t.outcome for t in traces} == {0, 1}:
+            break
+    schemas = (
+        AttributeSchema("amount", "numeric"),
+        AttributeSchema("resource", "categorical", categories=resources),
+    )
+    return EventLog(traces, schemas, tuple(names))
+
+
+@pytest.mark.parametrize(
+    "n_cases, n_activities, seed, rule",
+    [(10, 3, 0, None), (50, 4, 3, None), (200, 5, 0, None), (120, 7, 9, None), (60, 5, 2, "B")],
+)
+def test_synthesize_log_equals_choice_draws(tmp_path, n_cases, n_activities, seed, rule):
+    rule = PlantedRule(rule) if rule else None
+    write_csv(synthesize_log(n_cases, n_activities, rule=rule, seed=seed), tmp_path / "new.csv")
+    reference = _choice_synthesize_log(n_cases, n_activities, rule=rule, seed=seed)
+    write_csv(reference, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_log_subsets_equal_checked_construction(tmp_path):
+    log_path, schema_path = tmp_path / "long.csv", tmp_path / "schema.json"
+    _workloads_module().write_long_log(log_path, schema_path, 13)
+    log = load_csv(log_path, load_schema_config(schema_path))
+    for sub in (preprocess(log, 20), preprocess(log, 30), *split_train_test(log, 0.3, seed=4)):
+        assert EventLog(sub.traces, sub.schemas, sub.activity_vocabulary) == sub
+        assert (sub.schemas, sub.activity_vocabulary) == (log.schemas, log.activity_vocabulary)

@@ -681,3 +681,69 @@ def test_cli_unknown_case_is_one_line(tmp_path, capsys):
          "--out", str(tmp_path / "gen")]
     )
     assert_one_line_error(capsys, code, "case 'nope' not found")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synthesize-log"],
+        ["train-predictor"],
+        ["fit-markov"],
+        ["generate"],
+        ["grid", "--configs", "CBI-RWS-OPC-SBM-FSR,CBI-ES-UC3-SBM-RR"],
+        ["benchmark"],
+    ],
+)
+def test_cli_out_that_is_a_file_fails_before_set_up(tmp_path, capsys, monkeypatch, argv):
+    prepared = []
+    monkeypatch.setattr("evocf.cli.prepare_experiment", lambda *a, **k: prepared.append(a))
+    (tmp_path / "taken").write_text("")
+    code = cli_main([*argv, "--out", str(tmp_path / "taken")])
+    assert_one_line_error(capsys, code, "cannot create directory: File exists")
+    assert prepared == []
+
+
+def test_cli_render_out_in_a_missing_directory(tmp_path, capsys, monkeypatch):
+    loaded = []
+    monkeypatch.setattr("evocf.cli.load_csv", lambda *a, **k: loaded.append(a))
+    code = cli_main(
+        ["render", "--log", "log.csv", "--schema", "schema.json", "--factual", "a",
+         "--counterfactual", "b", "--out", str(tmp_path / "missing" / "x.md")]
+    )
+    assert_one_line_error(capsys, code, "its directory does not exist")
+    assert loaded == []
+
+
+def test_cli_write_error_is_one_line(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli_main(["synthesize-log", "--cases", "30", "--activities", "3", "--out", str(data)]) == 0
+    capsys.readouterr()
+    (tmp_path / "render.md").mkdir()
+    code = cli_main(
+        ["render", "--log", str(data / "log.csv"), "--schema", str(data / "schema.json"),
+         "--factual", "case_0_0000", "--counterfactual", "case_0_0001",
+         "--out", str(tmp_path / "render.md")]
+    )
+    assert_one_line_error(capsys, code, "render.md: Is a directory")
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        (b"c1,a,0,1,1.0,x\nc1,B,1\n", "row 3 has 3 cells but the header has 6"),
+        (b"c1,a,0,1,1.0,x\nc1,b,1,1,2.0,\xff\n", "line 3: byte 0xff is not UTF-8 text"),
+        (b"c1,a,0,1,1.0,x\nc1,b,2024-01-01T00:00:00,1,2.0,y\n", "case 'c1' mixes timestamps"),
+    ],
+)
+def test_cli_bad_log_file_is_one_line(tmp_path, capsys, body, expected):
+    log = tmp_path / "log.csv"
+    log.write_bytes(b"case_id,activity,timestamp,outcome,amount,resource\n" + body)
+    schema = tmp_path / "schema.json"
+    schema.write_text(
+        '{"attributes": [{"name": "amount", "kind": "numeric"},'
+        ' {"name": "resource", "kind": "categorical"}]}'
+    )
+    code = cli_main(
+        ["fit-markov", "--log", str(log), "--schema", str(schema), "--out", str(tmp_path / "o")]
+    )
+    assert_one_line_error(capsys, code, expected)
