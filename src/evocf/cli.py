@@ -209,18 +209,18 @@ def cmd_generate(args) -> int:
         factual = prepared.factuals[0]
 
     result = run_job(spec, prepared, args.config, 0, factual)
-    top = result.population.individuals[: args.n]
+    top = result.population.head(args.n)
+    rows = candidate_rows(args.config, factual.case_id, top, prepared.encoder)
 
     with (out / "counterfactuals.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CANDIDATE_COLUMNS)
-        for row in candidate_rows(args.config, factual.case_id, top, prepared.encoder):
-            writer.writerow(_candidate_values(row))
+        writer.writerows(map(_candidate_values, rows))
 
     # decoded events of the generated candidates, same layout as an event log
     decoded = tuple(
-        decode(_with_case_id(ind.genome, f"cf_{rank:03d}"), prepared.encoder)
-        for rank, ind in enumerate(top, start=1)
+        decode(_with_case_id(genome, f"cf_{rank:03d}"), prepared.encoder)
+        for rank, genome in enumerate(top.genomes, start=1)
     )
     cf_log = EventLog(
         decoded,
@@ -229,20 +229,20 @@ def cmd_generate(args) -> int:
     )
     write_csv(cf_log, out / "counterfactual_events.csv")
 
-    best = top[0]
-    _, alignment = ssdld(factual, best.genome, "euclidean", prepared.encoder.slices())
+    best, score = top.genomes[0], rows[0].score
+    _, alignment = ssdld(factual, best, "euclidean", prepared.encoder.slices())
     rendered = render_counterfactual(
         decode(factual, prepared.encoder),
-        decode(_with_case_id(best.genome, "counterfactual"), prepared.encoder),
+        decode(_with_case_id(best, "counterfactual"), prepared.encoder),
         alignment,
         p_factual=prepared.predictor.predict_proba(factual),
-        p_counterfactual=prepared.predictor.predict_proba(best.genome),
+        p_counterfactual=prepared.predictor.predict_proba(best),
     )
     (out / "best_render.md").write_text(rendered)
     print(
-        f"best candidate: total={best.score.total:.4f} "
-        f"(sim={best.score.similarity:.3f} spar={best.score.sparsity:.3f} "
-        f"feas={best.score.feasibility:.3g} delta={best.score.delta:+.3f})"
+        f"best candidate: total={score.total:.4f} "
+        f"(sim={score.similarity:.3f} spar={score.sparsity:.3f} "
+        f"feas={score.feasibility:.3g} delta={score.delta:+.3f})"
     )
     return 0
 

@@ -343,7 +343,7 @@ def check_encoded_invariants(enc: EncodedTrace) -> None:
 # loading
 
 
-def _parse_timestamp(raw: str, row_number: int):
+def _parse_timestamp(raw: str, path: Path, row_number: int):
     text = raw.strip()
     if text == "":
         return None
@@ -354,13 +354,13 @@ def _parse_timestamp(raw: str, row_number: int):
     try:
         return datetime.fromisoformat(text)
     except ValueError:
-        raise DataError(f"row {row_number}: unparseable timestamp {raw!r}") from None
+        raise DataError(f"{path}: row {row_number}: unparseable timestamp {raw!r}") from None
 
 
-def _parse_outcome(raw: str, row_number: int) -> int:
+def _parse_outcome(raw: str, path: Path, row_number: int) -> int:
     text = raw.strip()
     if text not in ("0", "1"):
-        raise DataError(f"row {row_number}: outcome must be 0 or 1, got {raw!r}")
+        raise DataError(f"{path}: row {row_number}: outcome must be 0 or 1, got {raw!r}")
     return int(text)
 
 
@@ -374,11 +374,20 @@ def load_schema_config(path: str | Path) -> tuple[AttributeSchema, ...]:
         raise SchemaError(f"{path}: schema config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict) or "attributes" not in raw:
         raise SchemaError(f"{path}: schema config missing 'attributes' key")
+    if not isinstance(raw["attributes"], list):
+        raise SchemaError(f"{path}: schema config 'attributes' must be a list")
     schemas = []
     for item in raw["attributes"]:
-        if not isinstance(item, dict) or not {"name", "kind"} <= item.keys():
-            raise SchemaError(f"{path}: every attribute needs a 'name' and a 'kind'")
-        schemas.append(AttributeSchema(name=item["name"], kind=item["kind"]))
+        if not isinstance(item, dict) or not all(
+            isinstance(item.get(key), str) for key in ("name", "kind")
+        ):
+            raise SchemaError(f"{path}: every attribute needs a 'name' and a 'kind', both strings")
+        if any(item["name"] == schema.name for schema in schemas):
+            raise SchemaError(f"{path}: attribute {item['name']!r} is declared twice")
+        try:
+            schemas.append(AttributeSchema(name=item["name"], kind=item["kind"]))
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
     return tuple(schemas)
 
 
@@ -407,7 +416,6 @@ def load_csv(path: str | Path, schemas: Sequence[AttributeSchema]) -> EventLog:
     header = next(reader, None)
     if header is None:
         raise SchemaError(f"{path}: empty file")
-    # a repeated column name reads its last cell, as a dict of the row would
     index = {name: i for i, name in enumerate(header)}
     for required in _REQUIRED_COLUMNS:
         if required not in index:
@@ -418,6 +426,9 @@ def load_csv(path: str | Path, schemas: Sequence[AttributeSchema]) -> EventLog:
     case_col, activity_col, outcome_col = (index[c] for c in _REQUIRED_COLUMNS)
     timestamp_col = index.get("timestamp")
     used = [*_REQUIRED_COLUMNS, *(s.name for s in schemas), "timestamp"]
+    for name in used:
+        if header.count(name) > 1:
+            raise SchemaError(f"{path}: the header repeats column {name!r}")
     needed = 1 + max(index[c] for c in used if c in index)
 
     rows_by_case: dict[str, list] = {}
@@ -439,10 +450,10 @@ def load_csv(path: str | Path, schemas: Sequence[AttributeSchema]) -> EventLog:
             )
         case_id = row[case_col]
         activity = row[activity_col]
-        outcome = _parse_outcome(row[outcome_col], row_number)
+        outcome = _parse_outcome(row[outcome_col], path, row_number)
         previous = outcomes.setdefault(case_id, outcome)
         if previous != outcome:
-            raise DataError(f"row {row_number}: case {case_id!r} has inconsistent outcomes")
+            raise DataError(f"{path}: row {row_number}: case {case_id!r} has inconsistent outcomes")
         vocabulary.setdefault(activity)
 
         attributes: dict[str, object] = {}
@@ -450,17 +461,23 @@ def load_csv(path: str | Path, schemas: Sequence[AttributeSchema]) -> EventLog:
             raw = row[col]
             if seen is None:
                 try:
-                    attributes[name] = float(raw)
+                    value = float(raw)
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
                     raise DataError(
-                        f"row {row_number}: unparseable numeric cell {raw!r} in column {name!r}"
-                    ) from None
+                        f"{path}: row {row_number}: numeric cell {raw!r} in column {name!r} "
+                        "is not a finite number"
+                    )
+                attributes[name] = value
             else:
                 attributes[name] = raw
                 seen.setdefault(raw)
 
         timestamp = (
-            _parse_timestamp(row[timestamp_col], row_number) if timestamp_col is not None else None
+            _parse_timestamp(row[timestamp_col], path, row_number)
+            if timestamp_col is not None
+            else None
         )
         rows_by_case.setdefault(case_id, []).append((timestamp, Event(activity, attributes, timestamp)))
 

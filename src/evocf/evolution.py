@@ -29,7 +29,7 @@ from . import markov as markov_mod
 from .errors import ConfigNameError, SelectionError
 from .event_log import PAD_ID, EncodedTrace
 from .markov import MarkovFeasibilityModel
-from .viability import ViabilityScore, ViabilityScorer
+from .viability import ViabilityScorer
 
 INITIATORS = ("RI", "SBI", "CBI")
 SELECTORS = ("RWS", "TS", "ES")
@@ -141,19 +141,8 @@ def parse_config_name(name: str, **overrides) -> EvoConfig:
     )
 
 
-@dataclass(frozen=True)
-class Individual:
-    genome: EncodedTrace
-    score: ViabilityScore
-
-
 # columns of Population.scores, in ViabilityScore field order
 SIMILARITY, SPARSITY, FEASIBILITY, DELTA, TOTAL = range(5)
-
-
-def _score_rows(scores) -> np.ndarray:
-    rows = [(s.similarity, s.sparsity, s.feasibility, s.delta, s.total) for s in scores]
-    return np.array(rows, dtype=float).reshape(-1, 5)
 
 
 def _by_total(scores: np.ndarray) -> np.ndarray:
@@ -161,26 +150,23 @@ def _by_total(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores[:, TOTAL], kind="stable")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Population:
-    """Individuals plus their (N, 5) score rows, built from them when not given."""
+    """Genomes and their (N, 5) score rows, row i scoring genome i."""
 
-    individuals: tuple[Individual, ...]
-    generation: int
-    scores: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.scores is None:
-            rows = _score_rows(ind.score for ind in self.individuals)
-            object.__setattr__(self, "scores", rows)
+    genomes: tuple[EncodedTrace, ...]
+    scores: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.individuals)
+        return len(self.genomes)
 
-    def take(self, order: np.ndarray, generation: int) -> "Population":
-        """The individuals at order, in that order, with their score rows."""
-        individuals = tuple(map(self.individuals.__getitem__, order.tolist()))
-        return Population(individuals, generation, self.scores[order])
+    def take(self, order: np.ndarray) -> "Population":
+        """The genomes at order, in that order, with their score rows."""
+        return Population(tuple(map(self.genomes.__getitem__, order.tolist())), self.scores[order])
+
+    def head(self, n: int) -> "Population":
+        """The first n genomes and their score rows."""
+        return Population(self.genomes[:n], self.scores[:n])
 
 
 @dataclass(frozen=True)
@@ -199,7 +185,6 @@ class CycleStats:
 class GenerationResult:
     population: Population
     stats: tuple[CycleStats, ...]
-    cycles_run: int
 
 
 # ---------------------------------------------------------------------------
@@ -275,38 +260,37 @@ def initialize(
         genomes = [log[i] for i in indices]
     else:
         raise ConfigNameError(f"unknown initiator {kind!r}")
-    individuals = tuple(map(Individual, genomes, scorer.score_batch(genomes)))
-    return Population(individuals, generation=0)
+    return Population(tuple(genomes), scorer.score_batch(genomes))
 
 
 def select(
     kind: str, population: Population, sample_size: int, rng: np.random.Generator
-) -> list[tuple[Individual, Individual]]:
-    """Pick sample_size parents and pair them consecutively."""
-    individuals = population.individuals
-    if not individuals:
+) -> list[tuple[EncodedTrace, EncodedTrace]]:
+    """Pick sample_size parent genomes and pair them consecutively."""
+    genomes = population.genomes
+    if not genomes:
         raise SelectionError("cannot select from an empty population")
     if sample_size % 2 != 0:
         raise ValueError("sample_size must be even")
     fitness = np.maximum(population.scores[:, TOTAL], FITNESS_FLOOR)
     if kind == "RWS":
-        chosen = rng.choice(len(individuals), size=sample_size, p=fitness / fitness.sum())
+        chosen = rng.choice(len(genomes), size=sample_size, p=fitness / fitness.sum())
     elif kind == "TS":
         # a contest of two uniform draws: i wins with probability f_i / (f_i + f_j)
         fit = fitness.tolist()
         chosen = []
         for _ in range(sample_size):
-            i, j = rng.integers(0, len(individuals), size=2).tolist()
+            i, j = rng.integers(0, len(genomes), size=2).tolist()
             chosen.append(i if rng.random() < fit[i] / (fit[i] + fit[j]) else j)
     elif kind == "ES":
-        if sample_size > len(individuals):
+        if sample_size > len(genomes):
             raise SelectionError(
-                f"elitism selection of {sample_size} from population of {len(individuals)}"
+                f"elitism selection of {sample_size} from population of {len(genomes)}"
             )
         chosen = _by_total(population.scores)[:sample_size]
     else:
         raise ConfigNameError(f"unknown selector {kind!r}")
-    parents = list(map(individuals.__getitem__, np.asarray(chosen).tolist()))
+    parents = list(map(genomes.__getitem__, np.asarray(chosen).tolist()))
     return list(zip(parents[0::2], parents[1::2]))
 
 
@@ -340,30 +324,21 @@ def crossover(
     a_feat, b_feat = parent_a.features, parent_b.features
     if max_len < 2:
         return parent_a, parent_b
+    # mask marks the positions child 1 takes from parent_a; child 2 is its mirror
+    frame = np.arange(max_len)
     if kind == "UC":
         mask = rng.random(max_len) < uc_rate
-        ids_1 = np.where(mask, a_ids, b_ids)
-        ids_2 = np.where(mask, b_ids, a_ids)
-        feat_1 = np.where(mask[:, None], a_feat, b_feat)
-        feat_2 = np.where(mask[:, None], b_feat, a_feat)
     elif kind == "OPC":
-        cut = int(rng.integers(1, max_len))
-        ids_1 = np.concatenate([a_ids[:cut], b_ids[cut:]])
-        ids_2 = np.concatenate([b_ids[:cut], a_ids[cut:]])
-        feat_1 = np.concatenate([a_feat[:cut], b_feat[cut:]])
-        feat_2 = np.concatenate([b_feat[:cut], a_feat[cut:]])
+        mask = frame < int(rng.integers(1, max_len))
     elif kind == "TPC":
-        points = np.sort(rng.choice(np.arange(1, max_len), size=2, replace=False))
-        lo, hi = int(points[0]), int(points[1])
-        ids_1 = np.concatenate([a_ids[:lo], b_ids[lo:hi], a_ids[hi:]])
-        ids_2 = np.concatenate([b_ids[:lo], a_ids[lo:hi], b_ids[hi:]])
-        feat_1 = np.concatenate([a_feat[:lo], b_feat[lo:hi], a_feat[hi:]])
-        feat_2 = np.concatenate([b_feat[:lo], a_feat[lo:hi], b_feat[hi:]])
+        lo, hi = np.sort(rng.choice(frame[1:], size=2, replace=False)).tolist()
+        mask = (frame < lo) | (frame >= hi)
     else:
         raise ConfigNameError(f"unknown crosser {kind!r}")
+    rows = mask[:, None]
     return (
-        _normalize_after_crossover(ids_1, feat_1),
-        _normalize_after_crossover(ids_2, feat_2),
+        _normalize_after_crossover(np.where(mask, a_ids, b_ids), np.where(rows, a_feat, b_feat)),
+        _normalize_after_crossover(np.where(mask, b_ids, a_ids), np.where(rows, b_feat, a_feat)),
     )
 
 
@@ -439,7 +414,7 @@ def mutate(
 
 
 def recombine(
-    kind: str, population: Population, mutants: list[Individual], max_size: int
+    kind: str, population: Population, mutants: Population, max_size: int
 ) -> Population:
     """Merge mutants into the population and cap its size.
 
@@ -451,8 +426,8 @@ def recombine(
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    scores = np.concatenate([population.scores, _score_rows(m.score for m in mutants)])
-    union = Population(population.individuals + tuple(mutants), population.generation + 1, scores)
+    scores = np.concatenate([population.scores, mutants.scores])
+    union = Population(population.genomes + mutants.genomes, scores)
     if kind == "FSR":
         order = _by_total(scores)
     elif kind == "BBR":
@@ -468,7 +443,7 @@ def recombine(
         order = np.lexsort(-scores[:, [SIMILARITY, SPARSITY, DELTA, FEASIBILITY]].T)
     else:
         raise ConfigNameError(f"unknown recombiner {kind!r}")
-    return union.take(order[:max_size], union.generation)
+    return union.take(order[:max_size])
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +487,14 @@ def evolve(
         pairs = select(config.selector, population, config.offspring_per_cycle, rng)
         offspring: list[EncodedTrace] = []
         for parent_a, parent_b in pairs:
-            for child in crossover(
-                config.crosser, parent_a.genome, parent_b.genome, rng, config.uc_rate
-            ):
+            for child in crossover(config.crosser, parent_a, parent_b, rng, config.uc_rate):
                 offspring.append(
                     mutate(config.mutator, child, config.mutation_rates, feas_model, rng)
                 )
-        mutants = list(map(Individual, offspring, scorer.score_batch(offspring)))
+        mutants = Population(tuple(offspring), scorer.score_batch(offspring))
         population = recombine(config.recombiner, population, mutants, config.population_size)
         stats.append(_cycle_stats(cycle, population))
-    final = population.take(_by_total(population.scores), population.generation)
-    return GenerationResult(final, tuple(stats), config.cycles)
+    return GenerationResult(population.take(_by_total(population.scores)), tuple(stats))
 
 
 BASELINES = {"RGW": "RI", "SBGW": "SBI", "CBGW": "CBI"}

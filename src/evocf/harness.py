@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import statistics
 import zlib
 from dataclasses import dataclass, field, fields, replace
@@ -38,11 +39,12 @@ from .event_log import (
 # wrap either name in this module to observe every job
 from .evolution import (
     BASELINES,
+    TOTAL,
     CycleStats,
     EvoConfig,
     GenerationResult,
-    Individual,
     MutationRates,
+    Population,
     evolve,
     generate_baseline,
     parse_config_name,
@@ -119,8 +121,8 @@ class ExperimentSpec:
             raise ValueError("max_trace_len must be >= 1")
         if self.n_bins < 2:
             raise ValueError("n_bins must be >= 2")
-        if not self.smoothing_epsilon >= 0.0:
-            raise ValueError("smoothing_epsilon must be >= 0")
+        if not 0.0 <= self.smoothing_epsilon < math.inf:
+            raise ValueError("smoothing_epsilon must be >= 0 and finite")
         if self.predictor_epochs < 0:
             raise ValueError("predictor_epochs must be >= 0")
         # every config shares these run parameters, so one config checks them
@@ -283,7 +285,7 @@ def activities_string(trace: EncodedTrace, encoder: EncoderSpec) -> str:
 
 
 def candidate_rows(
-    generator: str, factual_id: str, top: tuple[Individual, ...], encoder: EncoderSpec
+    generator: str, factual_id: str, top: Population, encoder: EncoderSpec
 ) -> list[CandidateRow]:
     """One row per candidate, ranked from 1 in the given order."""
     return [
@@ -291,11 +293,11 @@ def candidate_rows(
             factual_id=factual_id,
             generator=generator,
             rank=rank,
-            score=ind.score,
-            activities=activities_string(ind.genome, encoder),
-            valid_len=ind.genome.valid_len,
+            score=ViabilityScore(*row),
+            activities=activities_string(genome, encoder),
+            valid_len=genome.valid_len,
         )
-        for rank, ind in enumerate(top, start=1)
+        for rank, (genome, row) in enumerate(zip(top.genomes, top.scores.tolist()), start=1)
     ]
 
 
@@ -428,7 +430,7 @@ def run_grid(spec: ExperimentSpec, prepared: PreparedExperiment | None = None) -
     def record(name, factual, result):
         # fmean rounds an exact sum, so this equals the last cycle's mean_total
         final_means.setdefault(name, []).append(
-            statistics.fmean(ind.score.total for ind in result.population.individuals)
+            statistics.fmean(result.population.scores[:, TOTAL].tolist())
         )
 
     out_dir = _run_jobs(spec, prepared, spec.config_names, report, record)
@@ -473,7 +475,7 @@ def run_benchmark(
     candidates = _IncrementalCsv(_output_path(spec, "candidates.csv"), CANDIDATE_COLUMNS)
 
     def record(name, factual, result):
-        top = result.population.individuals[: spec.counterfactuals_per_factual]
+        top = result.population.head(spec.counterfactuals_per_factual)
         rows = candidate_rows(name, factual.case_id, top, prepared.encoder)
         report.candidate_rows.extend(rows)
         candidates.write_rows([_candidate_values(r) for r in rows])

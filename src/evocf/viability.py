@@ -52,18 +52,6 @@ class ViabilityScore:
     delta: float
     total: float
 
-    @classmethod
-    def combine(
-        cls, similarity: float, sparsity: float, feasibility: float, delta: float
-    ) -> "ViabilityScore":
-        return cls(
-            similarity=similarity,
-            sparsity=sparsity,
-            feasibility=feasibility,
-            delta=delta,
-            total=similarity + sparsity + feasibility + delta,
-        )
-
 
 @dataclass(frozen=True)
 class EditOp:
@@ -438,7 +426,7 @@ class ViabilityScorer:
         self.predictor = predictor
         self.feas_model = feas_model
         self.slices = encoder.slices()
-        self._memo: dict[tuple, ViabilityScore] = {}
+        self._memo: dict[tuple, tuple[float, ...]] = {}
         self._factual_key = _genome_key(factual)
         self.factual_class: int | None = None
         self.p_factual: float | None = None
@@ -468,8 +456,12 @@ class ViabilityScorer:
         probabilities[factual_key] = self.p_factual
         return [probabilities[key] for key in misses]
 
-    def score_batch(self, candidates: list[EncodedTrace]) -> list[ViabilityScore]:
-        """Score candidates in order; each distinct genome is scored once."""
+    def score_batch(self, candidates: list[EncodedTrace]) -> np.ndarray:
+        """Score candidates in order; each distinct genome is scored once.
+
+        Returns an (N, 5) float array, one row per candidate, its columns in
+        ViabilityScore field order.
+        """
         memo = self._memo
         keys = []
         misses: dict[tuple, EncodedTrace] = {}
@@ -487,13 +479,12 @@ class ViabilityScorer:
                 misses, traces, euclidean.tolist(), count.tolist(), feasibilities,
                 probabilities, strict=True,
             ):
-                memo[key] = ViabilityScore.combine(
-                    similarity=_normalized(e_dist, self.factual, candidate),
-                    sparsity=_normalized(c_dist, self.factual, candidate),
-                    feasibility=feas,
-                    delta=delta_score(self.p_factual, probability),
-                )
-        return [memo[key] for key in keys]
+                similarity = _normalized(e_dist, self.factual, candidate)
+                sparsity = _normalized(c_dist, self.factual, candidate)
+                delta = delta_score(self.p_factual, probability)
+                total = similarity + sparsity + feas + delta
+                memo[key] = (similarity, sparsity, feas, delta, total)
+        return np.array([memo[key] for key in keys], dtype=float).reshape(-1, 5)
 
     def score(self, candidate: EncodedTrace) -> ViabilityScore:
-        return self.score_batch([candidate])[0]
+        return ViabilityScore(*self.score_batch([candidate])[0].tolist())

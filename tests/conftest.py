@@ -1,5 +1,8 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from evocf import markov as markov_mod
 from evocf import predictor as predictor_mod
@@ -13,6 +16,12 @@ from evocf.event_log import (
     split_train_test,
     synthesize_log,
 )
+from evocf.viability import ViabilityScore
+
+# CI selects this profile (HYPOTHESIS_PROFILE=ci) so property tests draw the
+# same examples on every run and a slow runner cannot fail one on time
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_encoded(activities, feature_rows, max_len, outcome=0, case_id="t"):
@@ -27,6 +36,12 @@ def make_encoded(activities, feature_rows, max_len, outcome=0, case_id="t"):
     ids[:n] = activities
     feats[:n] = feature_rows
     return EncodedTrace(ids, feats, n, outcome, case_id)
+
+
+def scored(population):
+    """(genome, ViabilityScore) pairs of a population, in row order."""
+    scores = (ViabilityScore(*row) for row in population.scores.tolist())
+    return list(zip(population.genomes, scores))
 
 
 def identity_encoder(vocab=("a", "b", "c"), max_len=8, n_numeric=1):

@@ -294,10 +294,10 @@ def test_criterion_9_structural_invariants(synthetic_200x5):
     # 10,000 applications per operator family
     for kind in ("RI", "SBI", "CBI"):
         population = initialize(kind, 100, train, feas_model, scorer, rng)
-        genomes = [ind.genome for ind in population.individuals]
+        genomes = list(population.genomes)
         for _ in range(10_000 // 100 - 1):
             population = initialize(kind, 100, train, feas_model, scorer, rng)
-            genomes.extend(ind.genome for ind in population.individuals)
+            genomes.extend(population.genomes)
         for genome in genomes:
             checked(genome)
         pool.extend(genomes[:100])

@@ -3,12 +3,12 @@ import statistics
 import numpy as np
 import pytest
 
-from conftest import identity_encoder, make_encoded
+from conftest import identity_encoder, make_encoded, scored
 from evocf.errors import ConfigNameError
 from evocf.event_log import check_encoded_invariants
 from evocf.evolution import _random_genome, _sampled_genome, generate_baseline
 from evocf.markov import fit
-from evocf.viability import ViabilityScorer
+from evocf.viability import ViabilityScore, ViabilityScorer
 
 
 class HalfPredictor:
@@ -44,9 +44,10 @@ def reference_baseline(kind, factual, n, log, feas_model, predictor, rng):
     else:
         indices = rng.integers(0, len(log), size=n)
         candidates = [log[i] for i in indices]
-    scored = list(zip(candidates, scorer.score_batch(candidates)))
-    scored.sort(key=lambda pair: -pair[1].total)
-    return scored
+    scores = [ViabilityScore(*row) for row in scorer.score_batch(candidates).tolist()]
+    pairs = list(zip(candidates, scores))
+    pairs.sort(key=lambda pair: -pair[1].total)
+    return pairs
 
 
 def test_cbgw_single_source_log_returns_the_factual():
@@ -54,27 +55,27 @@ def test_cbgw_single_source_log_returns_the_factual():
     factual = train[0]
     result = generate_baseline("CBGW", factual, 10, [factual], model, HalfPredictor(), 0)
     assert len(result.population) == 10
-    for ind in result.population.individuals:
-        assert ind.genome.equals(factual)
-        assert ind.score.similarity == 1.0
-        assert ind.score.sparsity == 1.0
-        assert ind.score.delta == 0.0
+    for genome, score in scored(result.population):
+        assert genome.equals(factual)
+        assert score.similarity == 1.0
+        assert score.sparsity == 1.0
+        assert score.delta == 0.0
 
 
 def test_sbgw_candidates_are_feasible_under_smoothing():
     train, model = setup_small()
     result = generate_baseline("SBGW", train[0], 30, train, model, HalfPredictor(), 1)
-    for ind in result.population.individuals:
-        assert ind.score.feasibility > 0.0
-        check_encoded_invariants(ind.genome)
+    for genome, score in scored(result.population):
+        assert score.feasibility > 0.0
+        check_encoded_invariants(genome)
 
 
 def test_rgw_candidates_satisfy_invariants():
     train, model = setup_small()
     result = generate_baseline("RGW", train[0], 30, train, model, HalfPredictor(), 2)
-    for ind in result.population.individuals:
-        check_encoded_invariants(ind.genome)
-        assert 0.0 <= ind.score.similarity <= 1.0
+    for genome, score in scored(result.population):
+        check_encoded_invariants(genome)
+        assert 0.0 <= score.similarity <= 1.0
 
 
 def test_output_sorted_by_total_and_sized():
@@ -82,8 +83,8 @@ def test_output_sorted_by_total_and_sized():
     for kind in ("RGW", "SBGW", "CBGW"):
         result = generate_baseline(kind, train[0], 25, train, model, HalfPredictor(), 3)
         assert len(result.population) == 25
-        assert result.stats == () and result.cycles_run == 0
-        totals = [ind.score.total for ind in result.population.individuals]
+        assert result.stats == ()
+        totals = [score.total for _, score in scored(result.population)]
         assert totals == sorted(totals, reverse=True)
 
 
@@ -91,9 +92,11 @@ def test_fixed_seed_reproduces_candidates():
     train, model = setup_small()
     first = generate_baseline("SBGW", train[0], 10, train, model, HalfPredictor(), 9)
     second = generate_baseline("SBGW", train[0], 10, train, model, HalfPredictor(), 9)
-    for a, b in zip(first.population.individuals, second.population.individuals):
-        assert a.genome.equals(b.genome)
-        assert a.score == b.score
+    for (genome_a, score_a), (genome_b, score_b) in zip(
+        scored(first.population), scored(second.population)
+    ):
+        assert genome_a.equals(genome_b)
+        assert score_a == score_b
 
 
 @pytest.mark.parametrize("kind", ["RGW", "SBGW", "CBGW"])
@@ -108,9 +111,9 @@ def test_zero_cycle_run_equals_the_one_shot_generator(synth_setup, kind, n):
         )
         result = generate_baseline(kind, factual, n, train, model, predictor, seed)
         assert len(result.population) == len(expected)
-        for ind, (genome, score) in zip(result.population.individuals, expected):
-            assert ind.genome.equals(genome)
-            assert ind.score == score
+        for (got_genome, got_score), (genome, score) in zip(scored(result.population), expected):
+            assert got_genome.equals(genome)
+            assert got_score == score
 
 
 def test_random_search_does_not_beat_real_cases(synth_setup):
@@ -122,7 +125,7 @@ def test_random_search_does_not_beat_real_cases(synth_setup):
     for fi, factual in enumerate(synth_setup["test"][:6]):
         for kind in totals:
             result = generate_baseline(kind, factual, 50, train, model, predictor, 100 + fi)
-            totals[kind].extend(ind.score.total for ind in result.population.individuals)
+            totals[kind].extend(score.total for _, score in scored(result.population))
     assert statistics.median(totals["RGW"]) <= statistics.median(totals["CBGW"])
 
 

@@ -138,6 +138,14 @@ def test_load_schema_config(tmp_path):
         ("{not json", "not valid JSON"),
         ('[{"name": "amount", "kind": "numeric"}]', "missing 'attributes'"),
         ('{"attributes": [{"name": "amount"}]}', "needs a 'name' and a 'kind'"),
+        ('{"attributes": 5}', "'attributes' must be a list"),
+        ('{"attributes": [{"name": ["x"], "kind": "numeric"}]}', "both strings"),
+        (
+            '{"attributes": [{"name": "amount", "kind": "numeric"}, '
+            '{"name": "amount", "kind": "categorical"}]}',
+            "attribute 'amount' is declared twice",
+        ),
+        ('{"attributes": [{"name": "amount", "kind": "date"}]}', "unknown attribute kind 'date'"),
     ],
 )
 def test_load_schema_config_rejects_bad_files(tmp_path, text, message):
@@ -461,10 +469,45 @@ def test_load_csv_equals_dictreader_loader_on_edge_layouts(tmp_path):
         "",
     ]
     _assert_loads_like_reference(write_log_csv(tmp_path, rows), SCHEMAS)
-    # no timestamp column: file order, columns in another order, a repeated name
+    # no timestamp column: file order, columns in another order
     rows = ["x,c1,a,0,1.5,q", "y,c2,b,1,2.5,q", "z,c1,c,0,3.5,q", "x,c1,a,0,4.5,q"]
-    header = "resource,case_id,activity,outcome,amount,resource"
+    header = "resource,case_id,activity,outcome,amount,note"
     _assert_loads_like_reference(write_log_csv(tmp_path, rows, header), SCHEMAS)
+    # a repeated name that load_csv does not read still loads
+    header = "resource,case_id,activity,outcome,amount,note,note"
+    with_notes = [f"{row},n" for row in rows]
+    _assert_loads_like_reference(write_log_csv(tmp_path, with_notes, header), SCHEMAS)
+    # a repeated name that load_csv reads is an error; the row-dict loader
+    # silently read the last cell of that name
+    header = "resource,case_id,activity,outcome,amount,resource"
+    with pytest.raises(SchemaError, match="the header repeats column 'resource'"):
+        load_csv(write_log_csv(tmp_path, rows, header), SCHEMAS)
+
+
+@pytest.mark.parametrize("column", ["case_id", "outcome", "timestamp", "amount"])
+def test_load_csv_repeated_read_column_is_a_schema_error(tmp_path, column):
+    path = write_log_csv(tmp_path, ["c1,a,0,1,1.0,x,y"], header=f"{HEADER},{column}")
+    with pytest.raises(SchemaError, match=f"the header repeats column '{column}'") as info:
+        load_csv(path, SCHEMAS)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["c1,a,0,maybe,1.0,x"], "row 2: outcome must be 0 or 1, got 'maybe'"),
+        (["c1,a,0,1,oops,x"], "row 2: numeric cell 'oops' in column 'amount'"),
+        (["c1,a,noon,1,1.0,x"], "row 2: unparseable timestamp 'noon'"),
+        (["c1,a,0,0,1.0,x", "c1,b,1,1,1.0,x"], "row 3: case 'c1' has inconsistent outcomes"),
+        (["c1,a,0,1,inf,x"], "row 2: numeric cell 'inf' .* is not a finite number"),
+        (["c1,a,0,1,1.0,x", "c1,b,1,1,nan,y"], "row 3: numeric cell 'nan' .* not a finite"),
+    ],
+)
+def test_load_csv_row_errors_name_the_file(tmp_path, rows, message):
+    path = write_log_csv(tmp_path, rows)
+    with pytest.raises(DataError, match=message) as info:
+        load_csv(path, SCHEMAS)
+    assert str(info.value).startswith(f"{path}: row ")
 
 
 def test_load_csv_short_row_is_one_data_error(tmp_path):

@@ -1,18 +1,20 @@
 import statistics
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from conftest import identity_encoder, make_encoded
+from conftest import identity_encoder, make_encoded, scored
 from evocf.errors import ConfigNameError, SelectionError
 from evocf.event_log import check_encoded_invariants
 from evocf import markov as markov_mod
 from evocf.event_log import EncodedTrace
 from evocf.evolution import (
+    FEASIBILITY,
     FITNESS_FLOOR,
+    TOTAL,
     CycleStats,
     EvoConfig,
-    Individual,
     MutationRates,
     Population,
     _cycle_stats,
@@ -27,20 +29,18 @@ from evocf.evolution import (
     select,
 )
 from evocf.markov import fit
-from evocf.viability import ViabilityScore, ViabilityScorer
+from evocf.viability import ViabilityScorer
 
 
 def t(acts, values, max_len=6):
     return make_encoded(acts, [[v] for v in values], max_len)
 
 
-def score_with_total(total):
-    # component values are irrelevant for ranking-by-total tests
-    return ViabilityScore(0.0, 0.0, 0.0, 0.0, total)
-
-
-def individual(total, genome=None):
-    return Individual(genome if genome is not None else t([1], [0.5]), score_with_total(total))
+def population_of(*totals):
+    """One-event genomes scored by total alone; ranking-by-total tests read no component."""
+    scores = np.zeros((len(totals), 5))
+    scores[:, TOTAL] = totals
+    return Population(tuple(t([1], [0.5]) for _ in totals), scores)
 
 
 def training_setup():
@@ -123,35 +123,35 @@ def test_initialize_cbi_draws_from_log():
     population = initialize("CBI", 20, train, model, scorer, rng)
     assert len(population) == 20
     sources = [tuple(tr.activity_ids.tolist()) for tr in train]
-    for ind in population.individuals:
-        assert tuple(ind.genome.activity_ids.tolist()) in sources
+    for genome in population.genomes:
+        assert tuple(genome.activity_ids.tolist()) in sources
 
 
 def test_initialize_sbi_has_positive_feasibility():
     train, model, scorer = training_setup()
     rng = np.random.default_rng(1)
     population = initialize("SBI", 30, train, model, scorer, rng)
-    for ind in population.individuals:
-        assert ind.score.feasibility > 0.0
-        check_encoded_invariants(ind.genome)
+    assert (population.scores[:, FEASIBILITY] > 0.0).all()
+    for genome in population.genomes:
+        check_encoded_invariants(genome)
 
 
 def test_initialize_ri_respects_invariants():
     train, model, scorer = training_setup()
     rng = np.random.default_rng(2)
     population = initialize("RI", 30, train, model, scorer, rng)
-    for ind in population.individuals:
-        check_encoded_invariants(ind.genome)
-        assert 1 <= ind.genome.valid_len <= 6
+    for genome in population.genomes:
+        check_encoded_invariants(genome)
+        assert 1 <= genome.valid_len <= 6
 
 
 def test_initialize_deterministic():
     train, model, scorer = training_setup()
     first = initialize("SBI", 10, train, model, scorer, np.random.default_rng(7))
     second = initialize("SBI", 10, train, model, scorer, np.random.default_rng(7))
-    for a, b in zip(first.individuals, second.individuals):
-        assert a.genome.equals(b.genome)
-        assert a.score == b.score
+    for a, b in zip(first.genomes, second.genomes):
+        assert a.equals(b)
+    assert first.scores.tobytes() == second.scores.tobytes()
 
 
 def test_initialize_rejects_zero():
@@ -165,26 +165,26 @@ def test_initialize_rejects_zero():
 
 
 def test_select_single_individual_population():
-    population = Population((individual(2.0),), 0)
+    population = population_of(2.0)
     pairs = select("RWS", population, 4, np.random.default_rng(0))
     assert len(pairs) == 2
     for a, b in pairs:
-        assert a is population.individuals[0]
-        assert b is population.individuals[0]
+        assert a is population.genomes[0]
+        assert b is population.genomes[0]
 
 
 def test_rws_frequencies_proportional_to_fitness():
-    population = Population((individual(3.0), individual(1.0)), 0)
+    population = population_of(3.0, 1.0)
     rng = np.random.default_rng(5)
     pairs = select("RWS", population, 10_000, rng)
     flat = [p for pair in pairs for p in pair]
-    share = sum(1 for p in flat if p is population.individuals[0]) / len(flat)
+    share = sum(1 for p in flat if p is population.genomes[0]) / len(flat)
     assert abs(share - 0.75) < 0.02
 
 
 def test_tournament_three_to_one_odds():
-    strong, weak = individual(3.0), individual(1.0)
-    population = Population((strong, weak), 0)
+    population = population_of(3.0, 1.0)
+    strong = population.genomes[0]
     pairs = select("TS", population, 10_000, np.random.default_rng(6))
     flat = [p for pair in pairs for p in pair]
     # half the contests draw both individuals, and the stronger wins those
@@ -194,20 +194,18 @@ def test_tournament_three_to_one_odds():
 
 
 def test_es_takes_the_top_and_is_deterministic():
-    population = Population(
-        (individual(1.0), individual(3.0), individual(2.0), individual(3.0)), 0
-    )
+    population = population_of(1.0, 3.0, 2.0, 3.0)
     pairs = select("ES", population, 2, np.random.default_rng(0))
     first, second = pairs[0]
     # the two totals of 3.0 win; insertion order breaks the tie
-    assert first is population.individuals[1]
-    assert second is population.individuals[3]
-    pairs_again = select("ES", population, 2, np.random.default_rng(99))
-    assert pairs == pairs_again
+    assert first is population.genomes[1]
+    assert second is population.genomes[3]
+    (again,) = select("ES", population, 2, np.random.default_rng(99))
+    assert same_objects(again, pairs[0])
 
 
 def test_es_overdraw_is_selection_error():
-    population = Population((individual(1.0),), 0)
+    population = population_of(1.0)
     with pytest.raises(SelectionError):
         select("ES", population, 2, np.random.default_rng(0))
 
@@ -342,34 +340,29 @@ def test_mutate_rm_draws_clipped_normal_features():
 
 
 def test_fsr_sorts_and_truncates():
-    population = Population((individual(3.0), individual(1.0), individual(2.0)), 0)
-    survivors = recombine("FSR", population, [individual(2.5)], 3)
-    assert [ind.score.total for ind in survivors.individuals] == [3.0, 2.5, 2.0]
-    assert survivors.generation == 1
+    population = population_of(3.0, 1.0, 2.0)
+    survivors = recombine("FSR", population, population_of(2.5), 3)
+    assert survivors.scores[:, TOTAL].tolist() == [3.0, 2.5, 2.0]
 
 
 def test_bbr_admits_only_above_average_mutants():
-    population = Population((individual(0.5),), 0)
-    mutants = [individual(1.0), individual(2.0), individual(3.0)]  # mean 2.0
-    survivors = recombine("BBR", population, mutants, 10)
-    totals = [ind.score.total for ind in survivors.individuals]
-    assert totals == [0.5, 3.0]
+    mutants = population_of(1.0, 2.0, 3.0)  # mean 2.0
+    survivors = recombine("BBR", population_of(0.5), mutants, 10)
+    assert survivors.scores[:, TOTAL].tolist() == [0.5, 3.0]
 
 
 def test_bbr_drops_worst_when_over_capacity():
-    population = Population(tuple(individual(v) for v in (1.0, 2.0, 3.0)), 0)
-    mutants = [individual(0.5), individual(4.0)]  # mean 2.25, only 4.0 joins
-    survivors = recombine("BBR", population, mutants, 3)
-    assert sorted(ind.score.total for ind in survivors.individuals) == [2.0, 3.0, 4.0]
+    mutants = population_of(0.5, 4.0)  # mean 2.25, only 4.0 joins
+    survivors = recombine("BBR", population_of(1.0, 2.0, 3.0), mutants, 3)
+    assert sorted(survivors.scores[:, TOTAL].tolist()) == [2.0, 3.0, 4.0]
 
 
 def test_rr_orders_lexicographically_by_components():
-    better = Individual(t([1], [0.5]), ViabilityScore(0.1, 0.9, 0.5, 0.2, 1.7))
-    worse = Individual(t([1], [0.5]), ViabilityScore(0.9, 0.8, 0.5, 0.2, 2.4))
-    population = Population((worse,), 0)
-    survivors = recombine("RR", population, [better], 2)
+    better = Population((t([1], [0.5]),), np.array([[0.1, 0.9, 0.5, 0.2, 1.7]]))
+    worse = Population((t([1], [0.5]),), np.array([[0.9, 0.8, 0.5, 0.2, 2.4]]))
+    survivors = recombine("RR", worse, better, 2)
     # equal feasibility and delta; sparsity 0.9 beats 0.8 despite lower total
-    assert survivors.individuals[0] is better
+    assert survivors.genomes[0] is better.genomes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +385,6 @@ def test_evolve_zero_cycles_returns_scored_initial_population():
 
     result = evolve(train[0], config, HalfPredictor(), model, train)
     assert result.stats == ()
-    assert result.cycles_run == 0
     assert len(result.population) == config.population_size
 
 
@@ -433,9 +425,9 @@ def test_evolve_deterministic_under_seed():
     first = evolve(train[0], config, HalfPredictor(), model, train)
     second = evolve(train[0], config, HalfPredictor(), model, train)
     assert first.stats == second.stats
-    for a, b in zip(first.population.individuals, second.population.individuals):
-        assert a.genome.equals(b.genome)
-        assert a.score == b.score
+    for a, b in zip(first.population.genomes, second.population.genomes):
+        assert a.equals(b)
+    assert first.population.scores.tobytes() == second.population.scores.tobytes()
 
 
 def test_evolve_population_sorted_and_scores_fresh():
@@ -447,18 +439,18 @@ def test_evolve_population_sorted_and_scores_fresh():
 
     config = small_config(cycles=5, seed=17)
     result = evolve(train[0], config, HalfPredictor(), model, train)
-    totals = [ind.score.total for ind in result.population.individuals]
+    totals = result.population.scores[:, TOTAL].tolist()
     assert totals == sorted(totals, reverse=True)
     fresh = ViabilityScorer(train[0], HalfPredictor(), model)
-    for ind in result.population.individuals[:5]:
-        assert fresh.score(ind.genome) == ind.score
+    for genome, score in scored(result.population)[:5]:
+        assert fresh.score(genome) == score
 
 
 def test_operator_outputs_preserve_genome_invariants():
     train, model, scorer = training_setup()
     rng = np.random.default_rng(23)
     population = initialize("CBI", 10, train, model, scorer, rng)
-    genomes = [ind.genome for ind in population.individuals]
+    genomes = list(population.genomes)
     rates = MutationRates(0.2, 0.2, 0.2)
     for _ in range(300):
         kind = ("UC", "OPC", "TPC")[int(rng.integers(0, 3))]
@@ -569,10 +561,10 @@ def test_initial_genomes_equal_per_event_reference(synth_setup):
 
 
 def reference_select(kind, population, sample_size, rng):
-    """select reading each individual's score attributes."""
-    individuals = population.individuals
+    """select reading a ViabilityScore object per genome."""
+    individuals = scored(population)
     if kind == "RWS":
-        fitness = np.array([max(ind.score.total, FITNESS_FLOOR) for ind in individuals])
+        fitness = np.array([max(score.total, FITNESS_FLOOR) for _, score in individuals])
         chosen = rng.choice(len(individuals), size=sample_size, p=fitness / fitness.sum())
         parents = [individuals[i] for i in chosen]
     elif kind == "TS":
@@ -580,43 +572,44 @@ def reference_select(kind, population, sample_size, rng):
         for _ in range(sample_size):
             i, j = rng.integers(0, len(individuals), size=2)
             first, second = individuals[i], individuals[j]
-            f_first = max(first.score.total, FITNESS_FLOOR)
-            f_second = max(second.score.total, FITNESS_FLOOR)
+            f_first = max(first[1].total, FITNESS_FLOOR)
+            f_second = max(second[1].total, FITNESS_FLOOR)
             parents.append(first if rng.random() < f_first / (f_first + f_second) else second)
     else:
-        order = sorted(range(len(individuals)), key=lambda i: -individuals[i].score.total)
+        order = sorted(range(len(individuals)), key=lambda i: -individuals[i][1].total)
         parents = [individuals[i] for i in order[:sample_size]]
-    return list(zip(parents[0::2], parents[1::2]))
+    genomes = [genome for genome, _ in parents]
+    return list(zip(genomes[0::2], genomes[1::2]))
 
 
 def reference_recombine(kind, population, mutants, max_size):
-    """recombine sorting individuals by their score attributes."""
-    union = list(population.individuals) + list(mutants)
+    """recombine sorting (genome, ViabilityScore) pairs by score attributes."""
+    kept, offered = scored(population), scored(mutants)
     if kind == "FSR":
-        survivors = sorted(union, key=lambda ind: -ind.score.total)[:max_size]
+        survivors = sorted(kept + offered, key=lambda pair: -pair[1].total)[:max_size]
     elif kind == "BBR":
         admitted = []
-        if mutants:
-            mean_total = statistics.fmean(m.score.total for m in mutants)
-            admitted = [m for m in mutants if m.score.total > mean_total]
-        survivors = list(population.individuals) + admitted
+        if offered:
+            mean_total = statistics.fmean(score.total for _, score in offered)
+            admitted = [pair for pair in offered if pair[1].total > mean_total]
+        survivors = kept + admitted
         if len(survivors) > max_size:
-            survivors = sorted(survivors, key=lambda ind: -ind.score.total)[:max_size]
+            survivors = sorted(survivors, key=lambda pair: -pair[1].total)[:max_size]
     else:
         survivors = sorted(
-            union,
-            key=lambda ind: (
-                -ind.score.feasibility,
-                -ind.score.delta,
-                -ind.score.sparsity,
-                -ind.score.similarity,
+            kept + offered,
+            key=lambda pair: (
+                -pair[1].feasibility,
+                -pair[1].delta,
+                -pair[1].sparsity,
+                -pair[1].similarity,
             ),
         )[:max_size]
     return survivors
 
 
 def reference_cycle_stats(cycle, population):
-    scores = [ind.score for ind in population.individuals]
+    scores = [score for _, score in scored(population)]
     totals = [s.total for s in scores]
     return CycleStats(
         cycle=cycle,
@@ -634,25 +627,25 @@ def reference_cycle_stats(cycle, population):
 SCORE_VALUES = (0.0, -0.0, 0.5, 1.0, 2.0, -0.3, FITNESS_FLOOR, 1e-7, 0.1 + 0.2)
 
 
-def tied_individuals(rng, n):
-    return [
-        Individual(
-            t([1 + i % 3], [0.5]),
-            ViabilityScore(*(SCORE_VALUES[k] for k in rng.integers(0, len(SCORE_VALUES), 5))),
-        )
-        for i in range(n)
-    ]
+def tied_population(rng, n):
+    genomes = tuple(t([1 + i % 3], [0.5]) for i in range(n))
+    rows = [[SCORE_VALUES[k] for k in rng.integers(0, len(SCORE_VALUES), 5)] for _ in range(n)]
+    return Population(genomes, np.array(rows, dtype=float).reshape(-1, 5))
 
 
-def same_individuals(got, want):
+def same_objects(got, want):
     return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+def score_bytes(scores):
+    return np.array([astuple(score) for score in scores], dtype=float).reshape(-1, 5).tobytes()
 
 
 def test_array_select_recombine_and_stats_equal_attribute_reference():
     rng = np.random.default_rng(31)
     for _ in range(300):
-        population = Population(tuple(tied_individuals(rng, int(rng.integers(1, 12)))), 0)
-        mutants = tied_individuals(rng, int(rng.integers(0, 7)))
+        population = tied_population(rng, int(rng.integers(1, 12)))
+        mutants = tied_population(rng, int(rng.integers(0, 7)))
         size = 2 * int(rng.integers(1, len(population) // 2 + 2))
         seed = int(rng.integers(0, 2**32))
         for kind in ("RWS", "TS", "ES"):
@@ -661,23 +654,22 @@ def test_array_select_recombine_and_stats_equal_attribute_reference():
             ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
             got = select(kind, population, size, ours)
             want = reference_select(kind, population, size, reference)
-            assert same_individuals(sum(got, ()), sum(want, ()))
+            assert same_objects(sum(got, ()), sum(want, ()))
             assert ours.bit_generator.state == reference.bit_generator.state
         max_size = int(rng.integers(1, len(population) + len(mutants) + 2))
         for kind in ("FSR", "BBR", "RR"):
             survivors = recombine(kind, population, mutants, max_size)
             want = reference_recombine(kind, population, mutants, max_size)
-            assert same_individuals(survivors.individuals, want)
-            rebuilt = Population(survivors.individuals, survivors.generation)
-            assert survivors.scores.tobytes() == rebuilt.scores.tobytes()
+            assert same_objects(survivors.genomes, [genome for genome, _ in want])
+            # each row travels with its genome, signed zeros included
+            assert survivors.scores.tobytes() == score_bytes(score for _, score in want)
             assert repr(_cycle_stats(1, survivors)) == repr(reference_cycle_stats(1, survivors))
 
 
 def test_bbr_round_that_admits_nothing_keeps_the_population():
-    population = Population(tuple(individual(v) for v in (0.5, -0.0, 0.0)), 0)
-    survivors = recombine("BBR", population, [individual(1.0)] * 3, 10)
-    assert same_individuals(survivors.individuals, population.individuals)
+    population = population_of(0.5, -0.0, 0.0)
+    survivors = recombine("BBR", population, population_of(1.0, 1.0, 1.0), 10)
+    assert same_objects(survivors.genomes, population.genomes)
     assert survivors.scores.tobytes() == population.scores.tobytes()
-    assert same_individuals(
-        recombine("BBR", population, [], 2).individuals, population.individuals[:2]
-    )
+    nobody = Population((), np.empty((0, 5)))
+    assert same_objects(recombine("BBR", population, nobody, 2).genomes, population.genomes[:2])

@@ -557,6 +557,8 @@ def test_cli_bad_override_value(tmp_path, capsys, command, overrides, expected):
         ('{"test_fraction": 5}', "test_fraction must be in (0, 1)"),
         ('{"max_trace_len": 0}', "max_trace_len must be >= 1"),
         ('{"smoothing_epsilon": -1}', "smoothing_epsilon must be >= 0"),
+        # json reads Infinity as a float, and it passes a plain >= 0 check
+        ('{"smoothing_epsilon": Infinity}', "smoothing_epsilon must be >= 0 and finite"),
         ('{"predictor_epochs": -3}', "predictor_epochs must be >= 0"),
     ],
 )

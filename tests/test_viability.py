@@ -12,6 +12,7 @@ from evocf.evolution import evolve, parse_config_name
 from evocf.markov import fit
 from evocf.viability import (
     FEATURE_DIFF_TOLERANCE,
+    ViabilityScore,
     ViabilityScorer,
     delta_score,
     edit_distances,
@@ -574,7 +575,8 @@ def test_score_batch_with_duplicates_matches_reference(seed, pool_size, picks, c
         scorer = ViabilityScorer(factual, predictor, model)
         scores = []
         for start in range(0, len(batch), chunk):
-            scores.extend(scorer.score_batch(batch[start : start + chunk]))
+            rows = scorer.score_batch(batch[start : start + chunk]).tolist()
+            scores.extend(ViabilityScore(*row) for row in rows)
         assert len(scores) == len(batch)
         for candidate, score in zip(batch, scores):
             reference = viability(factual, candidate, predictor, model)
@@ -609,7 +611,7 @@ def test_factual_rides_in_the_first_predictor_call_only():
     assert scorer.factual_class is None and predictor.batches == 0
     scorer.score_batch([pool[0]])
     # a copy of the factual scored later reuses the first call's probability
-    late = scorer.score_batch([pool[1], _copy(factual), pool[2]])[1]
+    late = ViabilityScore(*scorer.score_batch([pool[1], _copy(factual), pool[2]]).tolist()[1])
     scorer.score(_copy(factual))
     assert [call.count(_key(factual)) for call in predictor.calls] == [1, 0]
     assert predictor.calls[0][0] == _key(factual)
@@ -626,7 +628,8 @@ def test_first_batch_with_a_copy_of_the_factual_sends_it_once():
     other = random_trace(rng)
     predictor = CountingPredictor()
     scorer = ViabilityScorer(factual, predictor, model)
-    scores = scorer.score_batch([other, _copy(factual), other])
+    rows = scorer.score_batch([other, _copy(factual), other]).tolist()
+    scores = [ViabilityScore(*row) for row in rows]
     assert predictor.calls == [[_key(factual), _key(other)]]
     reference = [viability(factual, c, ContentPredictor(), model) for c in (other, factual)]
     assert scores == [reference[0], reference[1], reference[0]]
