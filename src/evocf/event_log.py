@@ -56,8 +56,6 @@ class AttributeSchema:
     name: str
     kind: str
     categories: tuple[str, ...] = ()
-    observed_min: float | None = None
-    observed_max: float | None = None
 
     def __post_init__(self):
         if self.kind not in (NUMERIC, CATEGORICAL):
@@ -65,12 +63,6 @@ class AttributeSchema:
         if self.kind == CATEGORICAL:
             if len(set(self.categories)) != len(self.categories):
                 raise SchemaError(f"duplicate categories for attribute {self.name!r}")
-        if (
-            self.observed_min is not None
-            and self.observed_max is not None
-            and self.observed_min > self.observed_max
-        ):
-            raise SchemaError(f"observed_min > observed_max for {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -133,17 +125,23 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.traces)
 
-    def _subset(self, traces: tuple[Trace, ...]) -> "EventLog":
-        """A log of some of this log's traces, built without checking them again.
+    @classmethod
+    def _trusted(
+        cls,
+        traces: tuple[Trace, ...],
+        schemas: tuple[AttributeSchema, ...],
+        vocabulary: tuple[str, ...],
+    ) -> "EventLog":
+        """A log built without __post_init__'s checks, for values that pass them by construction."""
+        log = object.__new__(cls)
+        object.__setattr__(log, "traces", traces)
+        object.__setattr__(log, "schemas", schemas)
+        object.__setattr__(log, "activity_vocabulary", vocabulary)
+        return log
 
-        Every trace and event was checked when this log was built, and the
-        subset keeps its schemas and vocabulary, so it passes the same checks.
-        """
-        subset = object.__new__(EventLog)
-        object.__setattr__(subset, "traces", traces)
-        object.__setattr__(subset, "schemas", self.schemas)
-        object.__setattr__(subset, "activity_vocabulary", self.activity_vocabulary)
-        return subset
+    def _subset(self, traces: tuple[Trace, ...]) -> "EventLog":
+        # every trace was checked with these schemas and vocabulary
+        return EventLog._trusted(traces, self.schemas, self.activity_vocabulary)
 
 
 def _binary_width(n_categories: int) -> int:
@@ -382,6 +380,11 @@ def load_schema_config(path: str | Path) -> tuple[AttributeSchema, ...]:
             isinstance(item.get(key), str) for key in ("name", "kind")
         ):
             raise SchemaError(f"{path}: every attribute needs a 'name' and a 'kind', both strings")
+        if item["name"] in (*_REQUIRED_COLUMNS, "timestamp"):
+            raise SchemaError(
+                f"{path}: attribute {item['name']!r} takes the name of a role column "
+                "(case_id, activity, outcome or timestamp)"
+            )
         if any(item["name"] == schema.name for schema in schemas):
             raise SchemaError(f"{path}: attribute {item['name']!r} is declared twice")
         try:
@@ -501,7 +504,10 @@ def load_csv(path: str | Path, schemas: Sequence[AttributeSchema]) -> EventLog:
         traces.append(
             Trace(case_id=case_id, events=tuple(e for _, e in entries), outcome=outcomes[case_id])
         )
-    return EventLog(tuple(traces), fitted_schemas, tuple(vocabulary))
+    # the checks hold by construction: numerics are floats, categoricals are
+    # strs, every activity is in the vocabulary built from the same rows, and
+    # case ids are unique because events were grouped by them
+    return EventLog._trusted(tuple(traces), fitted_schemas, tuple(vocabulary))
 
 
 def write_csv(log: EventLog, path: str | Path) -> None:
@@ -834,4 +840,6 @@ def synthesize_log(
         AttributeSchema("amount", NUMERIC),
         AttributeSchema("resource", CATEGORICAL, categories=resources),
     )
-    return EventLog(traces, schemas, tuple(names))
+    # the checks hold by construction: amounts are floats, resources strs,
+    # activities come from names, and case ids are numbered
+    return EventLog._trusted(traces, schemas, tuple(names))

@@ -510,30 +510,19 @@ def _write_benchmark_report(out_dir: Path, report: BenchmarkReport) -> None:
 # side-by-side rendering
 
 
-def _format_event(event) -> str:
+def _format_event(event, other=None) -> str:
+    """Render event; given other, bold the attribute values that differ from its."""
     parts = [event.activity]
     for name, value in event.attributes.items():
-        if isinstance(value, float):
-            parts.append(f"{name}={value:.4g}")
-        else:
-            parts.append(f"{name}={value}")
-    return " ".join(parts)
-
-
-def _format_event_highlighted(event, other) -> str:
-    """Render event, bolding attribute values that differ from other's."""
-    parts = [event.activity]
-    for name, value in event.attributes.items():
-        if isinstance(value, float):
-            text = f"{name}={value:.4g}"
-        else:
-            text = f"{name}={value}"
-        other_value = other.attributes.get(name) if other is not None else None
-        if isinstance(value, float) and isinstance(other_value, float):
-            changed = abs(value - other_value) > 1e-9
-        else:
-            changed = value != other_value
-        parts.append(f"**{text}**" if changed else text)
+        text = f"{name}={value:.4g}" if isinstance(value, float) else f"{name}={value}"
+        if other is not None:
+            other_value = other.attributes.get(name)
+            if isinstance(value, float) and isinstance(other_value, float):
+                changed = abs(value - other_value) > 1e-9
+            else:
+                changed = value != other_value
+            text = f"**{text}**" if changed else text
+        parts.append(text)
     return " ".join(parts)
 
 
@@ -567,8 +556,8 @@ def render_counterfactual(
             f_event = factual.events[op.i - 1]
             c_event = counterfactual.events[op.j - 1]
             lines.append(
-                f"| match | {_format_event_highlighted(f_event, c_event)} "
-                f"| {_format_event_highlighted(c_event, f_event)} |"
+                f"| match | {_format_event(f_event, c_event)} "
+                f"| {_format_event(c_event, f_event)} |"
             )
         elif op.kind == "substitute":
             f_event = factual.events[op.i - 1]

@@ -12,8 +12,8 @@ unpadded prefix, so the reuse is unambiguous). END is estimated from the data
 and used to terminate sampling, but the feasibility product stops at the last
 real event and never includes an END factor.
 
-Feasibility and sampling read dense tables that each model builds once from
-its fields (see _Tables), so neither walks the emission dicts per event.
+The model's fields are the dense tables feasibility reads; sampling reads
+CDFs that each model derives from them once.
 """
 
 from __future__ import annotations
@@ -35,12 +35,18 @@ DEFAULT_BINS = 10
 
 @dataclass(frozen=True)
 class MarkovFeasibilityModel:
-    """Fitted initial/transition/emission distributions plus their encoder."""
+    """Fitted initial/transition/emission distributions plus their encoder.
+
+    emissions holds one table per attribute, in encoder.slices() order,
+    indexed [activity, column]: (K+1, n_bins + 1) for a numeric attribute,
+    (K+1, C + 1) for a categorical one. Row 0 (END/PAD) and the last column
+    are zero; the last column is what _attribute_indices' -1 reads for a
+    code outside the categories, and numeric bins never reach it.
+    """
 
     initial_probs: np.ndarray           # (K+1,), index 0 held at 0
     transition: np.ndarray              # (K+1, K+1), column 0 = END, row 0 absorbing
-    numeric_emissions: dict[int, dict[str, np.ndarray]]      # activity -> attr -> (B,)
-    categorical_emissions: dict[int, dict[str, np.ndarray]]  # activity -> attr -> (C,)
+    emissions: tuple[np.ndarray, ...]   # per attribute (K+1, width + 1)
     smoothing_epsilon: float
     n_bins: int
     encoder: EncoderSpec
@@ -49,24 +55,43 @@ class MarkovFeasibilityModel:
     def vocab_size(self) -> int:
         return len(self.initial_probs) - 1
 
+    # the sampling tables are derived from the fields, which never change
     @functools.cached_property
-    def _tables(self) -> "_Tables":
-        # derived from the fields, which never change after construction
-        return _build_tables(self)
+    def _sequence_cdfs(self) -> tuple[np.ndarray, np.ndarray]:
+        return _cdf(self.initial_probs), np.array([_cdf(row) for row in self.transition])
+
+    @functools.cached_property
+    def _attribute_cdfs(self) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        """Per attribute, an emission CDF per activity and, if categorical, the category codes."""
+        out = []
+        for (codec, _), table in zip(self.encoder.slices(), self.emissions):
+            cdfs = np.zeros((len(table), table.shape[1] - 1))
+            for a in range(1, len(table)):
+                cdfs[a] = _cdf(table[a, :-1])
+            codes = None
+            if not isinstance(codec, NumericCodec):
+                codes = np.array([codec.encode(c) for c in codec.categories])
+            out.append((cdfs, codes))
+        return out
 
     def to_json(self) -> str:
+        def emissions_json(numeric: bool) -> dict:
+            attrs = [
+                (codec.name, table)
+                for (codec, _), table in zip(self.encoder.slices(), self.emissions)
+                if isinstance(codec, NumericCodec) == numeric
+            ]
+            return {
+                str(a): {name: table[a, :-1].tolist() for name, table in attrs}
+                for a in range(1, self.vocab_size + 1)
+            }
+
         return json.dumps(
             {
                 "initial_probs": self.initial_probs.tolist(),
                 "transition": self.transition.tolist(),
-                "numeric_emissions": {
-                    str(a): {k: v.tolist() for k, v in attrs.items()}
-                    for a, attrs in self.numeric_emissions.items()
-                },
-                "categorical_emissions": {
-                    str(a): {k: v.tolist() for k, v in attrs.items()}
-                    for a, attrs in self.categorical_emissions.items()
-                },
+                "numeric_emissions": emissions_json(True),
+                "categorical_emissions": emissions_json(False),
                 "smoothing_epsilon": self.smoothing_epsilon,
                 "n_bins": self.n_bins,
                 "encoder": json.loads(self.encoder.to_json()),
@@ -102,48 +127,6 @@ def _attribute_indices(
         else:
             out.append(codec.decode_indices(features[:, cols]))
     return out
-
-
-@dataclass(frozen=True)
-class _Tables:
-    """Dense arrays behind sampling and feasibility, built once per model.
-
-    Emission tables are indexed [activity, column] with one table per
-    attribute; a categorical table carries a trailing zero column, which is
-    what _attribute_indices' -1 reads for a code outside the categories.
-    """
-
-    initial_cdf: np.ndarray                     # (K+1,)
-    transition_cdf: np.ndarray                  # (K+1, K+1), one CDF per row
-    emissions: tuple[np.ndarray, ...]           # per attribute (K+1, B) or (K+1, C+1)
-    emission_cdfs: tuple[np.ndarray, ...]       # per attribute (K+1, B) or (K+1, C)
-    code_rows: tuple[np.ndarray | None, ...]    # per attribute (C, width); None if numeric
-
-
-def _build_tables(model: MarkovFeasibilityModel) -> _Tables:
-    rows = model.vocab_size + 1
-    emissions, emission_cdfs, code_rows = [], [], []
-    for codec, _ in model.encoder.slices():
-        if isinstance(codec, NumericCodec):
-            source, width, codes = model.numeric_emissions, model.n_bins, None
-        else:
-            source, width = model.categorical_emissions, len(codec.categories)
-            codes = np.array([codec.encode(c) for c in codec.categories])
-        table = np.zeros((rows, width if codes is None else width + 1))
-        cdfs = np.zeros((rows, width))
-        for a, attrs in source.items():
-            table[a, :width] = attrs[codec.name]
-            cdfs[a] = _cdf(attrs[codec.name])
-        emissions.append(table)
-        emission_cdfs.append(cdfs)
-        code_rows.append(codes)
-    return _Tables(
-        initial_cdf=_cdf(model.initial_probs),
-        transition_cdf=np.array([_cdf(row) for row in model.transition]),
-        emissions=tuple(emissions),
-        emission_cdfs=tuple(emission_cdfs),
-        code_rows=tuple(code_rows),
-    )
 
 
 def fit(
@@ -184,24 +167,21 @@ def fit(
     for a in range(1, k + 1):
         transition[a] = _smooth(transition_counts[a], smoothing_epsilon)
 
-    numeric_emissions: dict[int, dict[str, np.ndarray]] = {a: {} for a in range(1, k + 1)}
-    categorical_emissions: dict[int, dict[str, np.ndarray]] = {a: {} for a in range(1, k + 1)}
+    emissions = []
     for (codec, _), idx in zip(encoder.slices(), _attribute_indices(encoder, n_bins, features)):
-        if isinstance(codec, NumericCodec):
-            width, target = n_bins, numeric_emissions
-        else:
-            width, target = len(codec.categories), categorical_emissions
+        width = n_bins if isinstance(codec, NumericCodec) else len(codec.categories)
         # one spare column takes the -1 of codes outside the categories
         counts = np.zeros((k + 1, width + 1))
         np.add.at(counts, (ids, idx), 1.0)
+        table = np.zeros((k + 1, width + 1))
         for a in range(1, k + 1):
-            target[a][codec.name] = _smooth(counts[a, :width], smoothing_epsilon)
+            table[a, :width] = _smooth(counts[a, :width], smoothing_epsilon)
+        emissions.append(table)
 
     return MarkovFeasibilityModel(
         initial_probs=initial_probs,
         transition=transition,
-        numeric_emissions=numeric_emissions,
-        categorical_emissions=categorical_emissions,
+        emissions=tuple(emissions),
         smoothing_epsilon=smoothing_epsilon,
         n_bins=n_bins,
         encoder=encoder,
@@ -214,7 +194,7 @@ def _emission_factors(
     # attribute by attribute from 1.0, the order the product is defined in
     factors = np.ones(len(ids))
     indices = _attribute_indices(model.encoder, model.n_bins, features)
-    for table, idx in zip(model._tables.emissions, indices):
+    for table, idx in zip(model.emissions, indices):
         factors *= table[ids, idx]
     return factors
 
@@ -270,11 +250,11 @@ def sample_sequence(
     """Sample an activity-id sequence; stops at END or max_len, length >= 1."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    tables = model._tables
-    current = _draw(tables.initial_cdf, rng)
+    initial_cdf, transition_cdf = model._sequence_cdfs
+    current = _draw(initial_cdf, rng)
     sequence = [current]
     while len(sequence) < max_len:
-        nxt = _draw(tables.transition_cdf[current], rng)
+        nxt = _draw(transition_cdf[current], rng)
         if nxt == END_ID:
             break
         sequence.append(nxt)
@@ -292,11 +272,8 @@ def sample_attributes(
     """
     if activity_id == END_ID:
         raise ValueError("cannot sample attributes for the PAD/END id")
-    tables = model._tables
     row = np.zeros(model.encoder.feature_dim)
-    for (_, cols), cdfs, codes in zip(
-        model.encoder.slices(), tables.emission_cdfs, tables.code_rows
-    ):
+    for (_, cols), (cdfs, codes) in zip(model.encoder.slices(), model._attribute_cdfs):
         idx = _draw(cdfs[activity_id], rng)
         if codes is None:
             row[cols] = (idx + rng.random()) / model.n_bins
@@ -317,14 +294,12 @@ def sample_attribute_rows(
     and the generator state come out the same.
     """
     acts = np.asarray(activity_ids, dtype=np.int64)
-    tables = model._tables
-    draws = [1 if codes is not None else 2 for codes in tables.code_rows]
+    samplers = model._attribute_cdfs
+    draws = [1 if codes is not None else 2 for _, codes in samplers]
     u = rng.random((len(acts), sum(draws)))
     rows = np.zeros((len(acts), model.encoder.feature_dim))
     col = 0
-    for (_, cols), cdfs, codes, k in zip(
-        model.encoder.slices(), tables.emission_cdfs, tables.code_rows, draws
-    ):
+    for (_, cols), (cdfs, codes), k in zip(model.encoder.slices(), samplers, draws):
         idx = (cdfs[acts] <= u[:, col, np.newaxis]).sum(axis=1)
         if codes is None:
             rows[:, cols.start] = (idx + u[:, col + 1]) / model.n_bins

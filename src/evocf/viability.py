@@ -70,7 +70,6 @@ class EditOp:
 @dataclass(frozen=True)
 class EditAlignment:
     ops: tuple[EditOp, ...]
-    total_cost: float
 
 
 def _euclidean_costs(a: EncodedTrace, b: EncodedTrace):
@@ -222,7 +221,7 @@ def ssdld(
             continue
         raise AssertionError("backtrace failed to reproduce the DP value")
     ops.reverse()
-    return d[n][m], EditAlignment(tuple(ops), d[n][m])
+    return d[n][m], EditAlignment(tuple(ops))
 
 
 def _block_costs(factual: EncodedTrace, feats: np.ndarray, slices):
@@ -431,31 +430,6 @@ class ViabilityScorer:
         self.factual_class: int | None = None
         self.p_factual: float | None = None
 
-    def _class_probabilities(self, misses: dict[tuple, EncodedTrace]) -> list[float]:
-        """P(factual's outcome class | trace) for each miss, one predictor call.
-
-        The first call carries the factual once, first, and sets factual_class
-        and p_factual; no later call sends its content. A predictor without
-        predict_proba_batch (not in the protocol) is asked trace by trace.
-        """
-        factual_key = self._factual_key
-        asked = {key: trace for key, trace in misses.items() if key != factual_key}
-        if self.factual_class is None:
-            asked = {factual_key: self.factual, **asked}
-        traces = list(asked.values())
-        batch = getattr(self.predictor, "predict_proba_batch", None)
-        one = self.predictor.predict_proba
-        p1s = batch(traces) if batch and traces else list(map(one, traces))
-        p1_by_key = dict(zip(asked, p1s, strict=True))
-        if self.factual_class is None:
-            p1 = p1_by_key[factual_key]
-            self.factual_class = 1 if p1 > DECISION_THRESHOLD else 0
-            self.p_factual = p1 if self.factual_class == 1 else 1.0 - p1
-        flip = self.factual_class == 0
-        probabilities = {key: 1.0 - p1 if flip else p1 for key, p1 in p1_by_key.items()}
-        probabilities[factual_key] = self.p_factual
-        return [probabilities[key] for key in misses]
-
     def score_batch(self, candidates: list[EncodedTrace]) -> np.ndarray:
         """Score candidates in order; each distinct genome is scored once.
 
@@ -465,6 +439,9 @@ class ViabilityScorer:
         memo = self._memo
         keys = []
         misses: dict[tuple, EncodedTrace] = {}
+        if self.factual_class is None and candidates:
+            # the first predictor call carries the factual once, first
+            misses[self._factual_key] = self.factual
         for candidate in candidates:
             key = _genome_key(candidate)
             keys.append(key)
@@ -472,7 +449,16 @@ class ViabilityScorer:
                 misses[key] = candidate
         if misses:
             traces = list(misses.values())
-            probabilities = self._class_probabilities(misses)
+            # a predictor without predict_proba_batch (not in the protocol)
+            # is asked trace by trace
+            batch = getattr(self.predictor, "predict_proba_batch", None)
+            p1s = batch(traces) if batch else list(map(self.predictor.predict_proba, traces))
+            if self.factual_class is None:
+                self.factual_class = 1 if p1s[0] > DECISION_THRESHOLD else 0
+                self.p_factual = p1s[0] if self.factual_class == 1 else 1.0 - p1s[0]
+            # P(factual's outcome class | trace); the factual's own is p_factual
+            flip = self.factual_class == 0
+            probabilities = [1.0 - p1 if flip else p1 for p1 in p1s]
             feasibilities = markov_mod.feasibility_batch(self.feas_model, traces)
             euclidean, count = edit_distances(self.factual, traces, self.slices)
             for key, candidate, e_dist, c_dist, feas, probability in zip(

@@ -434,6 +434,8 @@ def _assert_loads_like_reference(path, schemas):
     reference = _dictreader_load_csv(path, schemas)
     assert loaded == reference
     assert _log_items(loaded) == _log_items(reference)
+    # load_csv builds its log unchecked; the checked constructor accepts it
+    assert EventLog(loaded.traces, loaded.schemas, loaded.activity_vocabulary) == loaded
 
 
 def _workloads_module():

@@ -233,6 +233,28 @@ def test_render_highlights_changed_attribute():
     assert "**amount=9**" in text
 
 
+def test_render_pins_full_text_for_every_op():
+    factual = _trace("f", ["a", "b", "c", "d", "e", "g"], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    counterfactual = _trace("c", ["a", "x", "d", "c", "g", "h"], [1.5, 2.0, 4.0, 3.0, 6.0, 7.25])
+    enc_f, enc_c, spec = _encoded_pair(factual, counterfactual)
+    _, alignment = ssdld(enc_f, enc_c, "euclidean", spec.slices())
+    text = render_counterfactual(factual, counterfactual, alignment, 0.8125, 0.25)
+    assert text == (
+        "factual outcome probability: 0.8125\n"
+        "counterfactual outcome probability: 0.2500\n"
+        "\n"
+        "| op | factual | counterfactual |\n"
+        "| --- | --- | --- |\n"
+        "| match | a **amount=1** resource=x | a **amount=1.5** resource=x |\n"
+        "| substitute | b amount=2 resource=x | x amount=2 resource=x |\n"
+        "| transpose | c amount=3 resource=x | d amount=4 resource=x |\n"
+        "| transpose | d amount=4 resource=x | c amount=3 resource=x |\n"
+        "| delete | e amount=5 resource=x | — |\n"
+        "| match | g amount=6 resource=x | g amount=6 resource=x |\n"
+        "| insert | — | h amount=7.25 resource=x |\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -749,3 +771,23 @@ def test_cli_bad_log_file_is_one_line(tmp_path, capsys, body, expected):
         ["fit-markov", "--log", str(log), "--schema", str(schema), "--out", str(tmp_path / "o")]
     )
     assert_one_line_error(capsys, code, expected)
+
+
+@pytest.mark.parametrize("column", ["case_id", "activity", "outcome", "timestamp"])
+def test_cli_attribute_named_after_a_role_column_is_one_line(tmp_path, capsys, column):
+    log = tmp_path / "log.csv"
+    log.write_text(
+        "case_id,activity,timestamp,outcome,amount\n"
+        "c1,a,0,1,1.0\nc1,b,1,1,2.0\nc2,a,0,0,3.0\nc2,c,1,0,4.0\n"
+    )
+    schema = tmp_path / "schema.json"
+    schema.write_text(
+        '{"attributes": [{"name": "amount", "kind": "numeric"},'
+        f' {{"name": "{column}", "kind": "categorical"}}]}}'
+    )
+    code = cli_main(
+        ["fit-markov", "--log", str(log), "--schema", str(schema), "--out", str(tmp_path / "o")]
+    )
+    assert_one_line_error(
+        capsys, code, f"{schema}: attribute {column!r} takes the name of a role column"
+    )

@@ -71,8 +71,8 @@ def test_distributions_sum_to_one():
         assert abs(model.initial_probs.sum() - 1.0) < 1e-9
         for row in model.transition:
             assert abs(row.sum() - 1.0) < 1e-9
-        for attrs in model.numeric_emissions.values():
-            for probs in attrs.values():
+        for table in model.emissions:
+            for probs in table[1:, :-1]:
                 assert abs(probs.sum() - 1.0) < 1e-9
         assert np.all(model.transition >= 0.0) and np.all(model.transition <= 1.0)
 
@@ -158,7 +158,7 @@ def test_feasibility_matches_counting_oracle(epsilon):
 def test_single_event_trace_is_initial_times_emission():
     model, _ = two_trace_model(n_bins=2)
     query = enc3([A], [0.1])
-    expected = float(model.initial_probs[A]) * float(model.numeric_emissions[A]["x0"][0])
+    expected = float(model.initial_probs[A]) * float(model.emissions[0][A, 0])
     assert feasibility(model, query) == expected
 
 
@@ -274,7 +274,7 @@ def test_sample_attributes_matches_histogram():
     for _ in range(n):
         row = sample_attributes(model, A, rng)
         counts[min(int(row[0] * 5), 4)] += 1
-    fitted = model.numeric_emissions[A]["x0"]
+    fitted = model.emissions[0][A, :5]
     assert np.all(np.abs(counts / n - fitted) < 0.02)
 
 
@@ -296,16 +296,16 @@ def scalar_decode_index(codec, code, tol=1e-9):
 
 def scalar_emission(model, activity_id, row):
     p = 1.0
-    for codec, cols in model.encoder.slices():
+    for i, (codec, cols) in enumerate(model.encoder.slices()):
         code = row[cols]
         if isinstance(codec, NumericCodec):
             idx = min(max(int(float(code[0]) * model.n_bins), 0), model.n_bins - 1)
-            p *= float(model.numeric_emissions[activity_id][codec.name][idx])
+            p *= float(model.emissions[i][activity_id, : model.n_bins][idx])
         else:
             idx = scalar_decode_index(codec, code)
             if idx is None:
                 return 0.0
-            p *= float(model.categorical_emissions[activity_id][codec.name][idx])
+            p *= float(model.emissions[i][activity_id, : len(codec.categories)][idx])
     return p
 
 
@@ -335,13 +335,13 @@ def choice_sample_sequence(model, max_len, rng):
 
 def choice_sample_attributes(model, activity_id, rng):
     row = np.zeros(model.encoder.feature_dim)
-    for codec, cols in model.encoder.slices():
+    for i, (codec, cols) in enumerate(model.encoder.slices()):
         if isinstance(codec, NumericCodec):
-            probs = model.numeric_emissions[activity_id][codec.name]
+            probs = model.emissions[i][activity_id, : model.n_bins]
             bin_idx = int(rng.choice(model.n_bins, p=probs))
             row[cols] = (bin_idx + rng.random()) / model.n_bins
         else:
-            probs = model.categorical_emissions[activity_id][codec.name]
+            probs = model.emissions[i][activity_id, : len(codec.categories)]
             cat_idx = int(rng.choice(len(probs), p=probs))
             row[cols] = codec.encode(codec.categories[cat_idx])
     return row
