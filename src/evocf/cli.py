@@ -231,12 +231,13 @@ def cmd_generate(args) -> int:
 
     best, score = top.genomes[0], rows[0].score
     _, alignment = ssdld(factual, best, "euclidean", prepared.encoder.slices())
+    p_factual, p_best = prepared.predictor.predict_proba_batch([factual, best])
     rendered = render_counterfactual(
         decode(factual, prepared.encoder),
         decode(_with_case_id(best, "counterfactual"), prepared.encoder),
         alignment,
-        p_factual=prepared.predictor.predict_proba(factual),
-        p_counterfactual=prepared.predictor.predict_proba(best),
+        p_factual=p_factual,
+        p_counterfactual=p_best,
     )
     (out / "best_render.md").write_text(rendered)
     print(
@@ -262,6 +263,8 @@ def _split_configs(text: str) -> tuple[str, ...]:
 
 
 def _parse_configs(args) -> tuple[str, ...]:
+    if args.preset and args.configs is not None:
+        raise ConfigurationError("grid takes --configs or --preset, not both")
     if args.preset == "135":
         return GRID_PRESET_135
     if args.preset == "162":
@@ -321,7 +324,14 @@ def cmd_render(args) -> int:
         raise ConfigurationError(
             f"factual {args.factual!r} or counterfactual {args.counterfactual!r} not found"
         )
-    encoder = fit_encoder(log)
+    # a category only the counterfactual log holds (such as the empty cell
+    # generate writes for an RM code that decodes to no category) follows the
+    # log's own, so the encoder knows it and the log's codes stay as they are
+    joined = tuple(
+        dataclasses.replace(s, categories=tuple(dict.fromkeys(s.categories + cf.categories)))
+        for s, cf in zip(log.schemas, cf_log.schemas, strict=True)
+    )
+    encoder = fit_encoder(dataclasses.replace(log, schemas=joined))
     factual = by_case[args.factual]
     counterfactual = cf_by_case[args.counterfactual]
     enc_f = encode(factual, encoder)

@@ -792,7 +792,10 @@ def synthesize_log(
     if rule is None:
         rule = PlantedRule(names[-1])
     if rule.critical_activity not in names:
-        raise ValueError(f"rule activity {rule.critical_activity!r} not in vocabulary")
+        raise SynthesisError(
+            f"critical activity {rule.critical_activity!r} is not one of the log's "
+            f"activities: {', '.join(names)}"
+        )
 
     rng = np.random.default_rng(seed)
 

@@ -1,10 +1,12 @@
 """Outcome predictors: the pluggable scoring interface plus a reference model.
 
-The generation engine only needs `predict_proba(trace) -> P(outcome=1)`; any
-object satisfying that contract can drive it. The reference implementation is
-a logistic regression over hand-built sequence features, trained from scratch
-with full-batch gradient descent. An external process can be plugged in via a
-CSV file protocol for models that live outside this package.
+The generation engine only needs `predict_proba_batch(traces)`, one
+P(outcome=1) per trace in order; any object with that method can drive it,
+and it is the only way the package asks a predictor anything. The reference
+implementation is a logistic regression over hand-built sequence features,
+trained from scratch with full-batch gradient descent. An external process
+can be plugged in via a CSV file protocol for models that live outside this
+package.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -31,50 +33,24 @@ DECISION_THRESHOLD = 0.5
 EXTERNAL_TIMEOUT_S = 600.0
 
 
-@runtime_checkable
 class OutcomePredictor(Protocol):
-    def predict_proba(self, trace: EncodedTrace) -> float:
-        """Probability that the trace's outcome is class 1, in (0, 1)."""
+    def predict_proba_batch(self, traces: list[EncodedTrace]) -> list[float]:
+        """P(outcome=1) of each trace, in order, each in [0, 1]; [] for no traces."""
         ...
-
-
-@dataclass(frozen=True)
-class ConstantPredictor:
-    """Stub predictor returning a fixed probability; used to isolate the engine."""
-
-    probability: float = 0.5
-
-    def predict_proba(self, trace: EncodedTrace) -> float:
-        return self.probability
 
 
 def feature_width(vocab_size: int, feature_dim: int) -> int:
     return 1 + vocab_size + vocab_size * vocab_size + feature_dim
 
 
-def extract_features(trace: EncodedTrace, vocab_size: int) -> np.ndarray:
-    """Fixed-width summary of a trace for the reference classifier.
-
-    Concatenates the normalized length, the activity occurrence histogram,
-    binary activity-bigram indicators, and per-column attribute means over the
-    valid prefix. Total width 1 + K + K^2 + D.
-    """
-    k = vocab_size
-    length = trace.valid_len
-    ids = trace.activity_ids[:length]
-    histogram = np.bincount(ids - 1, minlength=k).astype(float) / length
-    bigrams = np.zeros(k * k)
-    if length > 1:
-        bigrams[(ids[:-1] - 1) * k + (ids[1:] - 1)] = 1.0
-    means = trace.features[:length].mean(axis=0)
-    return np.concatenate(([length / trace.max_len], histogram, bigrams, means))
-
-
 def extract_features_batch(traces: list[EncodedTrace], vocab_size: int) -> np.ndarray:
-    """extract_features of each trace (all in one frame) as rows of a (B, F) matrix.
+    """Fixed-width summaries of traces (all in one frame), one row per trace.
 
-    Attribute means are summed per valid length: with D = 1 numpy sums a
-    column pairwise, so padding rows would change the floats.
+    A row concatenates the normalized length, the activity occurrence
+    histogram, binary activity-bigram indicators and per-column attribute
+    means over the valid prefix: width 1 + K + K^2 + D. Attribute means are
+    summed per valid length: with D = 1 numpy sums a column pairwise, so
+    padding rows would change the floats.
     """
     k = vocab_size
     ids = np.stack([trace.activity_ids for trace in traces])
@@ -133,19 +109,13 @@ class LogisticOutcomePredictor:
     encoder_fingerprint: tuple | None = None
     training_loss: tuple[float, ...] = ()
 
-    def predict_proba(self, trace: EncodedTrace) -> float:
-        phi = extract_features(trace, self.vocab_size)
-        p = float(_sigmoid(np.array([phi @ self.weights + self.bias]))[0])
-        return min(max(p, 1e-12), 1.0 - 1e-12)
-
     def predict_proba_batch(self, traces: list[EncodedTrace]) -> list[float]:
         if not traces:
             return []
         phi = extract_features_batch(traces, self.vocab_size)
-        # row by row on purpose: a stacked matmul sums in another order and
-        # can differ from predict_proba in the last bit
+        # row by row on purpose: a stacked matmul sums in another order, so a
+        # trace's probability would depend on the batch it rides in
         z = np.array([row @ self.weights + self.bias for row in phi])
-        # elementwise, so each p is the float predict_proba computes alone
         return np.clip(_sigmoid(z), 1e-12, 1.0 - 1e-12).tolist()
 
     def to_json(self) -> str:
@@ -235,9 +205,7 @@ def evaluate(predictor: OutcomePredictor, test: list[EncodedTrace]) -> Predictio
     if not test:
         raise ValueError("test set must be non-empty")
     labels = np.array([t.outcome for t in test])
-    predictions = np.array(
-        [1 if predictor.predict_proba(t) > DECISION_THRESHOLD else 0 for t in test]
-    )
+    predictions = (np.array(predictor.predict_proba_batch(test)) > DECISION_THRESHOLD).astype(int)
     tp = int(np.sum((predictions == 1) & (labels == 1)))
     fp = int(np.sum((predictions == 1) & (labels == 0)))
     fn = int(np.sum((predictions == 0) & (labels == 1)))
@@ -282,9 +250,6 @@ class ExternalProcessPredictor:
         self.command = command
         self.argv = shlex.split(command)
         self.encoder = encoder
-
-    def predict_proba(self, trace: EncodedTrace) -> float:
-        return self.predict_proba_batch([trace])[0]
 
     def predict_proba_batch(self, traces: list[EncodedTrace]) -> list[float]:
         if not traces:

@@ -396,10 +396,12 @@ def _genome_key(trace: EncodedTrace) -> tuple:
 class ViabilityScorer:
     """Scores candidates against one factual with a fixed predictor and model.
 
-    The factual's predicted outcome class and probability are computed once,
-    in the scorer's first predictor call; the per-attribute feature slices
-    come from the feasibility model's encoder so the count cost sees real
-    attribute boundaries.
+    The predictor is asked through predict_proba_batch only, once per
+    score_batch that holds a genome not yet scored. The factual's predicted
+    outcome class and probability are computed once, in the scorer's first
+    predictor call; the per-attribute feature slices come from the
+    feasibility model's encoder so the count cost sees real attribute
+    boundaries.
 
     Scores are memoized for the life of the scorer, keyed on the candidate's
     valid prefix: every component reads only that prefix (all candidates
@@ -449,10 +451,7 @@ class ViabilityScorer:
                 misses[key] = candidate
         if misses:
             traces = list(misses.values())
-            # a predictor without predict_proba_batch (not in the protocol)
-            # is asked trace by trace
-            batch = getattr(self.predictor, "predict_proba_batch", None)
-            p1s = batch(traces) if batch else list(map(self.predictor.predict_proba, traces))
+            p1s = self.predictor.predict_proba_batch(traces)
             if self.factual_class is None:
                 self.factual_class = 1 if p1s[0] > DECISION_THRESHOLD else 0
                 self.p_factual = p1s[0] if self.factual_class == 1 else 1.0 - p1s[0]

@@ -12,8 +12,8 @@ from evocf.viability import ViabilityScore, ViabilityScorer
 
 
 class HalfPredictor:
-    def predict_proba(self, trace):
-        return 0.5
+    def predict_proba_batch(self, traces):
+        return [0.5] * len(traces)
 
 
 def t(acts, values, max_len=6):

@@ -43,6 +43,11 @@ def population_of(*totals):
     return Population(tuple(t([1], [0.5]) for _ in totals), scores)
 
 
+class HalfPredictor:
+    def predict_proba_batch(self, traces):
+        return [0.5] * len(traces)
+
+
 def training_setup():
     train = [
         t([1, 2], [0.1, 0.6]),
@@ -52,10 +57,6 @@ def training_setup():
     ]
     encoder = identity_encoder(max_len=6)
     model = fit(train, encoder, 1e-6, 5)
-
-    class HalfPredictor:
-        def predict_proba(self, trace):
-            return 0.5
 
     scorer = ViabilityScorer(train[0], HalfPredictor(), model)
     return train, model, scorer
@@ -379,10 +380,6 @@ def test_evolve_zero_cycles_returns_scored_initial_population():
     train, model, scorer = training_setup()
     config = small_config(cycles=0)
 
-    class HalfPredictor:
-        def predict_proba(self, trace):
-            return 0.5
-
     result = evolve(train[0], config, HalfPredictor(), model, train)
     assert result.stats == ()
     assert len(result.population) == config.population_size
@@ -390,10 +387,6 @@ def test_evolve_zero_cycles_returns_scored_initial_population():
 
 def test_evolve_runs_with_constant_stub_predictor():
     train, model, _ = training_setup()
-
-    class HalfPredictor:
-        def predict_proba(self, trace):
-            return 0.5
 
     config = small_config(cycles=3)
     result = evolve(train[0], config, HalfPredictor(), model, train)
@@ -404,10 +397,6 @@ def test_evolve_runs_with_constant_stub_predictor():
 def test_evolve_fsr_best_total_never_decreases():
     train, model, _ = training_setup()
 
-    class HalfPredictor:
-        def predict_proba(self, trace):
-            return 0.5
-
     config = small_config(cycles=20, seed=11)
     result = evolve(train[0], config, HalfPredictor(), model, train)
     best = [s.best_total for s in result.stats]
@@ -416,10 +405,6 @@ def test_evolve_fsr_best_total_never_decreases():
 
 def test_evolve_deterministic_under_seed():
     train, model, _ = training_setup()
-
-    class HalfPredictor:
-        def predict_proba(self, trace):
-            return 0.5
 
     config = small_config(cycles=4, seed=13)
     first = evolve(train[0], config, HalfPredictor(), model, train)
@@ -432,10 +417,6 @@ def test_evolve_deterministic_under_seed():
 
 def test_evolve_population_sorted_and_scores_fresh():
     train, model, scorer = training_setup()
-
-    class HalfPredictor:
-        def predict_proba(self, trace):
-            return 0.5
 
     config = small_config(cycles=5, seed=17)
     result = evolve(train[0], config, HalfPredictor(), model, train)

@@ -138,10 +138,13 @@ def test_benchmark_reruns_are_byte_identical(tmp_path, small_prepared):
 
 
 def test_constant_stub_predictor_yields_constant_delta(small_prepared):
-    from evocf.predictor import ConstantPredictor
     import dataclasses
 
-    prepared = dataclasses.replace(small_prepared, predictor=ConstantPredictor(0.4))
+    class Constant:
+        def predict_proba_batch(self, traces):
+            return [0.4] * len(traces)
+
+    prepared = dataclasses.replace(small_prepared, predictor=Constant())
     spec = small_spec(config_names=("CBI-RWS-OPC-SBM-FSR",), cycles=1)
     report = run_benchmark(spec, prepared)
     for row in report.candidate_rows:
@@ -470,6 +473,30 @@ def test_external_predictor_runs_once_per_scoring_batch(tmp_path):
     assert calls.read_text().count("call") == evolutionary + baselines
 
 
+def test_generate_starts_the_external_command_once_per_batch(tmp_path, capsys):
+    calls = tmp_path / "calls.txt"
+    script = tmp_path / "scorer.py"
+    script.write_text(
+        f"with open({str(calls)!r}, 'a') as log:\n    log.write('call\\n')\n" + EXTERNAL_SCRIPT
+    )
+    data = tmp_path / "data"
+    assert cli_main(["synthesize-log", "--cases", "40", "--activities", "3", "--out", str(data)]) == 0
+    cycles = 5
+    code = cli_main(
+        ["generate", "--log", str(data / "log.csv"), "--schema", str(data / "schema.json"),
+         "--config", "RI-TS-OPC-RM-FSR", "--cycles", str(cycles), "--n", "2",
+         "--external-predictor", f"{sys.executable} {script}",
+         "--overrides",
+         '{"population_size": 10, "offspring_per_cycle": 4, "predictor_epochs": 20,'
+         ' "mutation_rate": 0.3}',
+         "--out", str(tmp_path / "gen")]
+    )
+    assert code == 0, capsys.readouterr().err
+    # one batch for the initial population, which also carries the factual,
+    # one per cycle, and one asking for the rendered factual and best together
+    assert calls.read_text().count("call") == 1 + cycles + 1
+
+
 def test_run_benchmark_routes_jobs_through_module_level_names(monkeypatch, small_prepared):
     # evolutionary jobs go through harness.evolve and baselines through
     # harness.generate_baseline, looked up at call time, so wrapping either
@@ -668,6 +695,10 @@ def test_cli_fitting_commands_need_one_factual(tmp_path, command, output):
         ),
         (["grid", "--configs", "CBI-RWS-OPC-SBM-FSR,XX"], "five dash-separated tokens"),
         (["benchmark", "--configs", "CBI-RWS-OPC-SBM-XX"], "unknown operator token 'XX'"),
+        (
+            ["grid", "--configs", "CBI-RWS-OPC-SBM-FSR,CBI-ES-UC3-SBM-RR", "--preset", "135"],
+            "grid takes --configs or --preset, not both",
+        ),
     ],
 )
 def test_cli_config_list_is_checked_before_set_up(tmp_path, capsys, monkeypatch, argv, expected):
@@ -791,3 +822,39 @@ def test_cli_attribute_named_after_a_role_column_is_one_line(tmp_path, capsys, c
     assert_one_line_error(
         capsys, code, f"{schema}: attribute {column!r} takes the name of a role column"
     )
+
+
+def test_cli_synthesize_log_unknown_critical_activity_is_one_line(tmp_path, capsys):
+    code = cli_main(["synthesize-log", "--critical", "ZZ", "--out", str(tmp_path)])
+    assert_one_line_error(
+        capsys, code, "critical activity 'ZZ' is not one of the log's activities: A, B, C, D, E"
+    )
+    assert not (tmp_path / "log.csv").exists()
+
+
+def test_cli_renders_every_rm_counterfactual(tmp_path, capsys):
+    # RM mutation can leave a categorical code that decodes to no category;
+    # generate writes it as an empty cell, which render must still read
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert cli_main(["synthesize-log", "--cases", "30", "--activities", "3", "--out", str(data)]) == 0
+    log = ["--log", str(data / "log.csv"), "--schema", str(data / "schema.json")]
+    code = cli_main(
+        ["generate", *log, "--config", "CBI-RWS-OPC-RM-FSR", "--cycles", "10", "--n", "10",
+         "--overrides",
+         '{"population_size": 20, "offspring_per_cycle": 6, "predictor_epochs": 50,'
+         ' "mutation_rate": 0.5}',
+         "--out", str(out)]
+    )
+    assert code == 0, capsys.readouterr().err
+    with (out / "counterfactual_events.csv").open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert any(row["resource"] == "" for row in rows)
+    cases = list(dict.fromkeys(row["case_id"] for row in rows))
+    assert len(cases) == 10
+    for case_id in cases:
+        code = cli_main(
+            ["render", *log, "--counterfactual-log", str(out / "counterfactual_events.csv"),
+             "--factual", "case_0_0000", "--counterfactual", case_id]
+        )
+        assert code == 0, capsys.readouterr().err
+    assert "resource= |" in capsys.readouterr().out

@@ -1,8 +1,10 @@
-"""Property test of the command line's input boundary.
+"""Property tests of the command line's input boundary.
 
 `evocf generate` runs in process on a small valid log, its schema and a
 small run, with one of three kinds of damage: byte edits of the log CSV,
-damaged schema JSON, or random `--overrides` objects. Whatever the input, the
+damaged schema JSON, or random `--overrides` objects. `evocf synthesize-log`
+runs on bounded sizes and seeds and a `--critical` name that may be junk, and
+`evocf render` on a byte-edited counterfactual log. Whatever the input, the
 command must end with exit code 0, or with exit code 2 and exactly one
 `evocf: error:` line; any other exception fails the test.
 """
@@ -41,20 +43,33 @@ def valid_log() -> bytes:
         return path.read_bytes()
 
 
+def run_main(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 def run_generate(log: bytes, schema: str, overrides: dict) -> tuple[int, str]:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "log.csv").write_bytes(log)
         (tmp / "schema.json").write_text(schema)
-        argv = [
-            "generate", "--log", str(tmp / "log.csv"), "--schema", str(tmp / "schema.json"),
-            "--out", str(tmp / "out"), "--cycles", "1", "--n", "2",
-            "--overrides", json.dumps(overrides),
-        ]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)
-    return code, err.getvalue()
+        return run_main(
+            [
+                "generate", "--log", str(tmp / "log.csv"), "--schema", str(tmp / "schema.json"),
+                "--out", str(tmp / "out"), "--cycles", "1", "--n", "2",
+                "--overrides", json.dumps(overrides),
+            ]
+        )
+
+
+def assert_exit_0_or_one_error_line(code: int, err: str) -> None:
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("evocf: error: "), err
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +183,64 @@ def test_valid_inputs_run():
 @settings(max_examples=300, deadline=None)
 @given(inputs)
 def test_damaged_input_ends_in_exit_0_or_one_error_line(case):
-    code, err = run_generate(*case)
-    if code == 0:
-        assert err == ""
-    else:
-        assert code == 2
-        assert err.count("\n") == 1 and err.startswith("evocf: error: "), err
+    assert_exit_0_or_one_error_line(*run_generate(*case))
+
+
+# activity names of the synthetic log (A, B, ...) and names it never holds;
+# the `--option=value` form lets a value start with a dash
+CRITICAL = st.sampled_from(["A", "B", "C", "E", "H"]) | st.sampled_from(
+    ["", "ZZ", "a", " A", "A,B", "-A", "case_id", "\u00e9"]
+) | st.text(max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cases=st.integers(-1, 40),
+    activities=st.integers(-1, 8),
+    seed=st.integers(-2, 2**32),
+    critical=st.none() | CRITICAL,
+)
+def test_synthesize_log_ends_in_exit_0_or_one_error_line(cases, activities, seed, critical):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [
+            "synthesize-log", f"--cases={cases}", f"--activities={activities}",
+            f"--seed={seed}", "--out", str(Path(tmp) / "out"),
+        ]
+        if critical is not None:
+            argv.append(f"--critical={critical}")
+        assert_exit_0_or_one_error_line(*run_main(argv))
+
+
+@st.composite
+def recategorized_logs(draw) -> bytes:
+    """The valid log with some `resource` cells replaced: categories it does not hold."""
+    rows = [line.split(b",") for line in valid_log().splitlines()]
+    column = rows[0].index(b"resource")
+    for _ in range(draw(st.integers(1, 4))):
+        draw(st.sampled_from(rows[1:]))[column] = draw(st.sampled_from(CELLS))
+    return b"\n".join(b",".join(row) for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    damaged_logs().map(lambda log: (log, False)) | recategorized_logs().map(lambda log: (log, True)),
+    st.sampled_from(["case_0_0000", "case_0_0003", "missing"]),
+)
+def test_render_damaged_counterfactual_log_ends_in_exit_0_or_one_error_line(case, case_id):
+    cf_log, recategorized = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "log.csv").write_bytes(valid_log())
+        (tmp / "cf.csv").write_bytes(cf_log)
+        (tmp / "schema.json").write_text(json.dumps(SCHEMA))
+        code, err = run_main(
+            [
+                "render", "--log", str(tmp / "log.csv"), "--schema", str(tmp / "schema.json"),
+                "--counterfactual-log", str(tmp / "cf.csv"), "--factual", "case_0_0001",
+                "--counterfactual", case_id,
+            ]
+        )
+    assert_exit_0_or_one_error_line(code, err)
+    if recategorized and case_id != "missing":
+        # any text is a category, so a counterfactual of known cases renders
+        assert code == 0, err

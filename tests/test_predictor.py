@@ -29,17 +29,50 @@ from evocf.event_log import (
 )
 from evocf.markov import fit as fit_markov
 from evocf.predictor import (
-    ConstantPredictor,
     ExternalProcessPredictor,
     LogisticOutcomePredictor,
     evaluate,
-    extract_features,
     extract_features_batch,
     feature_width,
     loss_and_gradient,
     train,
 )
 from evocf.viability import ViabilityScorer
+
+
+def extract_features(trace, vocab_size):
+    """One trace's feature row, built on its own: the oracle of extract_features_batch.
+
+    Concatenates the normalized length, the activity occurrence histogram,
+    binary activity-bigram indicators, and per-column attribute means over the
+    valid prefix. Total width 1 + K + K^2 + D.
+    """
+    k = vocab_size
+    length = trace.valid_len
+    ids = trace.activity_ids[:length]
+    histogram = np.bincount(ids - 1, minlength=k).astype(float) / length
+    bigrams = np.zeros(k * k)
+    if length > 1:
+        bigrams[(ids[:-1] - 1) * k + (ids[1:] - 1)] = 1.0
+    means = trace.features[:length].mean(axis=0)
+    return np.concatenate(([length / trace.max_len], histogram, bigrams, means))
+
+
+def reference_proba(predictor, trace):
+    """One trace's P(outcome=1) from its own feature row: the oracle of predict_proba_batch."""
+    phi = extract_features(trace, predictor.vocab_size)
+    p = float(predictor_mod._sigmoid(np.array([phi @ predictor.weights + predictor.bias]))[0])
+    return min(max(p, 1e-12), 1.0 - 1e-12)
+
+
+class Constant:
+    """Stub predictor giving every trace the same probability."""
+
+    def __init__(self, probability):
+        self.probability = probability
+
+    def predict_proba_batch(self, traces):
+        return [self.probability] * len(traces)
 
 
 def test_extract_features_small_trace():
@@ -68,8 +101,8 @@ def _labeled_pair():
 def test_train_separable_set_reaches_full_accuracy():
     data = _labeled_pair()
     predictor = train(data, epochs=300, seed=0)
-    for trace in data:
-        predicted = 1 if predictor.predict_proba(trace) > 0.5 else 0
+    for trace, p in zip(data, predictor.predict_proba_batch(data), strict=True):
+        predicted = 1 if p > 0.5 else 0
         assert predicted == trace.outcome
 
 
@@ -137,21 +170,20 @@ def test_predict_proba_zero_weights_is_half():
         weights=np.zeros(feature_width(2, 1)), bias=0.0, vocab_size=2, max_len=4, feature_dim=1
     )
     trace = make_encoded([1, 2], [[0.4], [0.6]], max_len=4)
-    assert predictor.predict_proba(trace) == 0.5
+    assert predictor.predict_proba_batch([trace]) == [0.5]
 
 
 def test_predict_proba_bounded_on_random_traces():
     data = _labeled_pair()
     predictor = train(data, epochs=200, seed=1)
     rng = np.random.default_rng(3)
+    traces = []
     for _ in range(1000):
         length = int(rng.integers(1, 5))
-        trace = make_encoded(
-            rng.integers(1, 3, size=length).tolist(),
-            rng.random((length, 1)),
-            max_len=4,
+        traces.append(
+            make_encoded(rng.integers(1, 3, size=length).tolist(), rng.random((length, 1)), 4)
         )
-        assert 0.0 < predictor.predict_proba(trace) < 1.0
+    assert all(0.0 < p < 1.0 for p in predictor.predict_proba_batch(traces))
 
 
 def test_evaluate_all_correct():
@@ -164,7 +196,7 @@ def test_evaluate_all_correct():
 
 def test_evaluate_degenerate_constant_predictor():
     data = _labeled_pair()
-    metrics = evaluate(ConstantPredictor(0.4), data)
+    metrics = evaluate(Constant(0.4), data)
     assert metrics.recall == 0.0
     assert metrics.f1 == 0.0
     assert metrics.zero_division
@@ -177,10 +209,9 @@ def test_evaluate_confusion_matrix_arithmetic():
             self.outputs = list(outputs)
             self.calls = 0
 
-        def predict_proba(self, trace):
-            value = self.outputs[self.calls]
+        def predict_proba_batch(self, traces):
             self.calls += 1
-            return value
+            return self.outputs[: len(traces)]
 
     traces = [
         make_encoded([1], [[0.1]], max_len=2, outcome=1),  # predicted 1 -> TP
@@ -188,7 +219,9 @@ def test_evaluate_confusion_matrix_arithmetic():
         make_encoded([1], [[0.3]], max_len=2, outcome=0),  # predicted 1 -> FP
         make_encoded([1], [[0.4]], max_len=2, outcome=1),  # predicted 0 -> FN
     ]
-    metrics = evaluate(Scripted([0.9, 0.9, 0.9, 0.1]), traces)
+    predictor = Scripted([0.9, 0.9, 0.9, 0.1])
+    metrics = evaluate(predictor, traces)
+    assert predictor.calls == 1  # the whole split in one batch
     assert metrics.precision == pytest.approx(2 / 3)
     assert metrics.recall == pytest.approx(2 / 3)
     assert metrics.f1 == pytest.approx(2 / 3)
@@ -228,13 +261,13 @@ def test_external_process_predictor(tmp_path, synth_setup):
     traces = synth_setup["test"][:3]
     probs = predictor.predict_proba_batch(traces)
     assert probs == [min(0.9, 0.1 * t.valid_len) for t in traces]
-    assert predictor.predict_proba(traces[0]) == probs[0]
+    assert predictor.predict_proba_batch(traces[:1]) == probs[:1]
 
 
 def test_logistic_batch_equals_per_trace(synth_setup):
     predictor = synth_setup["predictor"]
     traces = synth_setup["test"][:20]
-    assert predictor.predict_proba_batch(traces) == [predictor.predict_proba(t) for t in traces]
+    assert predictor.predict_proba_batch(traces) == [reference_proba(predictor, t) for t in traces]
 
 
 @settings(max_examples=200, deadline=None)
@@ -264,7 +297,7 @@ def test_batched_features_and_probabilities_equal_per_trace(k, d, max_len, b, sc
         max_len=max_len,
         feature_dim=d,
     )
-    assert predictor.predict_proba_batch(traces) == [predictor.predict_proba(t) for t in traces]
+    assert predictor.predict_proba_batch(traces) == [reference_proba(predictor, t) for t in traces]
     assert predictor.predict_proba_batch([]) == []
 
 
@@ -350,7 +383,7 @@ def test_external_predictor_failures_are_predictor_errors(tmp_path, synth_setup,
 def test_external_predictor_missing_command_is_predictor_error(tmp_path, synth_setup):
     predictor = ExternalProcessPredictor(str(tmp_path / "no-such-scorer"), synth_setup["encoder"])
     with pytest.raises(PredictorError, match="could not be started"):
-        predictor.predict_proba(synth_setup["test"][0])
+        predictor.predict_proba_batch(synth_setup["test"][:1])
 
 
 def test_external_predictor_timeout_is_predictor_error(tmp_path, synth_setup, monkeypatch):

@@ -402,13 +402,13 @@ def test_delta_is_bit_identical_to_the_branches(p, q):
 
 
 class ScriptedPredictor:
-    """predict_proba keyed by case_id, defaulting to 0.5."""
+    """Probabilities keyed by case_id, defaulting to 0.5."""
 
     def __init__(self, table):
         self.table = table
 
-    def predict_proba(self, trace):
-        return self.table.get(trace.case_id, 0.5)
+    def predict_proba_batch(self, traces):
+        return [self.table.get(trace.case_id, 0.5) for trace in traces]
 
 
 def small_model():
@@ -505,12 +505,15 @@ def test_encoder_mismatch_is_configuration_error():
 # batch scoring and its memo
 
 
-class ContentPredictor:
-    """predict_proba from a trace's contents only; no batch method."""
+def content_proba(trace):
+    """A probability from a trace's contents only."""
+    n = trace.valid_len
+    return 0.05 + 0.9 * float(trace.features[:n].mean()) * trace.activity_ids[0] / 3
 
-    def predict_proba(self, trace):
-        n = trace.valid_len
-        return 0.05 + 0.9 * float(trace.features[:n].mean()) * trace.activity_ids[0] / 3
+
+class ContentPredictor:
+    def predict_proba_batch(self, traces):
+        return [content_proba(trace) for trace in traces]
 
 
 def _key(trace):
@@ -518,10 +521,11 @@ def _key(trace):
     return n, trace.activity_ids[:n].tobytes(), trace.features[:n].tobytes()
 
 
-class CountingPredictor(ContentPredictor):
+class CountingPredictor:
     """Records the genome key of every trace it is asked to score, per call."""
 
-    def __init__(self):
+    def __init__(self, inner=None):
+        self.inner = inner or ContentPredictor()
         self.calls = []
 
     @property
@@ -534,7 +538,7 @@ class CountingPredictor(ContentPredictor):
 
     def predict_proba_batch(self, traces):
         self.calls.append([_key(trace) for trace in traces])
-        return [self.predict_proba(trace) for trace in traces]
+        return self.inner.predict_proba_batch(traces)
 
 
 def _copy(trace):
@@ -571,17 +575,17 @@ def test_score_batch_with_duplicates_matches_reference(seed, pool_size, picks, c
     ][:pool_size]
     batch = [pool[i % pool_size] for i in picks]
     batch = [_copy(c) if k % 2 else c for k, c in enumerate(batch)]
-    for predictor in (ContentPredictor(), CountingPredictor()):
-        scorer = ViabilityScorer(factual, predictor, model)
-        scores = []
-        for start in range(0, len(batch), chunk):
-            rows = scorer.score_batch(batch[start : start + chunk]).tolist()
-            scores.extend(ViabilityScore(*row) for row in rows)
-        assert len(scores) == len(batch)
-        for candidate, score in zip(batch, scores):
-            reference = viability(factual, candidate, predictor, model)
-            for name in ("similarity", "sparsity", "feasibility", "delta", "total"):
-                assert getattr(score, name) == getattr(reference, name)
+    predictor = ContentPredictor()
+    scorer = ViabilityScorer(factual, predictor, model)
+    scores = []
+    for start in range(0, len(batch), chunk):
+        rows = scorer.score_batch(batch[start : start + chunk]).tolist()
+        scores.extend(ViabilityScore(*row) for row in rows)
+    assert len(scores) == len(batch)
+    for candidate, score in zip(batch, scores):
+        reference = viability(factual, candidate, predictor, model)
+        for name in ("similarity", "sparsity", "feasibility", "delta", "total"):
+            assert getattr(score, name) == getattr(reference, name)
 
 
 def test_score_batch_sends_each_distinct_genome_to_the_predictor_once():
@@ -615,7 +619,7 @@ def test_factual_rides_in_the_first_predictor_call_only():
     scorer.score(_copy(factual))
     assert [call.count(_key(factual)) for call in predictor.calls] == [1, 0]
     assert predictor.calls[0][0] == _key(factual)
-    p1 = ContentPredictor().predict_proba(factual)
+    p1 = content_proba(factual)
     assert scorer.factual_class == (1 if p1 > 0.5 else 0)
     assert scorer.p_factual == (p1 if scorer.factual_class == 1 else 1.0 - p1)
     assert late.delta == 0.0
@@ -636,11 +640,7 @@ def test_first_batch_with_a_copy_of_the_factual_sends_it_once():
 
 
 def test_evolve_scores_each_distinct_genome_once(synth_setup):
-    class CountingLogistic(CountingPredictor):
-        def predict_proba(self, trace):
-            return synth_setup["predictor"].predict_proba(trace)
-
-    predictor = CountingLogistic()
+    predictor = CountingPredictor(synth_setup["predictor"])
     config = parse_config_name(
         "CBI-RWS-OPC-SBM-FSR", population_size=60, offspring_per_cycle=20, cycles=4, seed=3
     )
