@@ -151,8 +151,9 @@ def cmd_synthesize_log(args) -> int:
         raise ConfigurationError("seed must be >= 0")
     rule = PlantedRule(args.critical) if args.critical else None
     size = SyntheticSpec(args.cases, args.activities)
-    out = _out_dir(args.out)
     log = synthesize_log(size.n_cases, size.n_activities, rule=rule, seed=args.seed)
+    # only once the input is accepted, so a rejected one leaves no directory
+    out = _out_dir(args.out)
     write_csv(log, out / "log.csv")
     schema = {"attributes": [{"name": s.name, "kind": s.kind} for s in log.schemas]}
     (out / "schema.json").write_text(json.dumps(schema, indent=2))

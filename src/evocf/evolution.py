@@ -214,13 +214,20 @@ def _random_genome(
     return _build_genome(ids, rows, max_len, feature_dim)
 
 
-def _sampled_genome(
-    rng: np.random.Generator, feas_model: MarkovFeasibilityModel
-) -> EncodedTrace:
+def _sampled_genomes(
+    rng: np.random.Generator, feas_model: MarkovFeasibilityModel, n: int
+) -> list[EncodedTrace]:
     encoder = feas_model.encoder
-    ids = markov_mod.sample_sequence(feas_model, encoder.max_len, rng)
-    rows = markov_mod.sample_attribute_rows(feas_model, ids, rng)
-    return _build_genome(ids, rows, encoder.max_len, encoder.feature_dim)
+    lengths, acts, rows = markov_mod.sample_traces(feas_model, encoder.max_len, n, rng)
+    # the valid cells of the stacked frames, row-major: the events in order
+    valid = np.arange(encoder.max_len) < np.array(lengths)[:, None]
+    ids = np.zeros((n, encoder.max_len), dtype=np.int64)
+    features = np.zeros((n, encoder.max_len, encoder.feature_dim))
+    ids[valid] = acts
+    features[valid] = rows
+    return [
+        EncodedTrace(ids[g], features[g], length, 0, "cf") for g, length in enumerate(lengths)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +258,7 @@ def initialize(
                 _random_genome(rng, encoder.vocab_size, encoder.max_len, encoder.feature_dim)
             )
     elif kind == "SBI":
-        for _ in range(n):
-            genomes.append(_sampled_genome(rng, feas_model))
+        genomes = _sampled_genomes(rng, feas_model, n)
     elif kind == "CBI":
         if not log:
             raise ValueError("CBI initiation needs a non-empty log")

@@ -18,7 +18,9 @@ CDFs that each model derives from them once.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -31,6 +33,10 @@ END_ID = 0
 
 DEFAULT_SMOOTHING = 1e-6
 DEFAULT_BINS = 10
+
+# traces per block of doubles in sample_traces; the block is sized for the
+# longest traces, so a fixed chunk bounds its memory
+_TRACE_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,11 @@ class MarkovFeasibilityModel:
                 codes = np.array([codec.encode(c) for c in codec.categories])
             out.append((cdfs, codes))
         return out
+
+    @functools.cached_property
+    def _draws_per_event(self) -> int:
+        """Doubles sample_attributes draws: two per numeric attribute, one per categorical."""
+        return sum(1 if codes is not None else 2 for _, codes in self._attribute_cdfs)
 
     def to_json(self) -> str:
         def emissions_json(numeric: bool) -> dict:
@@ -287,23 +298,82 @@ def sample_attribute_rows(
 ) -> np.ndarray:
     """sample_attributes for each activity in turn, as rows of an (n, D) array.
 
-    Every event takes the same doubles in the same order: two per numeric
-    attribute (bin, then position) and one per categorical. So one
-    rng.random((n, k)) holds the draws of the n calls row by row, and
-    counting the CDF entries <= u is searchsorted(side="right"): the rows
+    Every event takes the same doubles in the same order, so one
+    rng.random((n, k)) holds the draws of the n calls row by row: the rows
     and the generator state come out the same.
     """
     acts = np.asarray(activity_ids, dtype=np.int64)
-    samplers = model._attribute_cdfs
-    draws = [1 if codes is not None else 2 for _, codes in samplers]
-    u = rng.random((len(acts), sum(draws)))
+    return _attribute_rows(model, acts, rng.random((len(acts), model._draws_per_event)))
+
+
+def _attribute_rows(
+    model: MarkovFeasibilityModel, acts: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """The rows sample_attributes makes for the events acts (n,) from their doubles u (n, k).
+
+    Each event's row of u is what its call draws: two doubles per numeric
+    attribute (bin, then position) and one per categorical. Counting the CDF
+    entries <= u is searchsorted(side="right"), the index _draw picks.
+    """
     rows = np.zeros((len(acts), model.encoder.feature_dim))
     col = 0
-    for (_, cols), (cdfs, codes), k in zip(model.encoder.slices(), samplers, draws):
+    for (_, cols), (cdfs, codes) in zip(model.encoder.slices(), model._attribute_cdfs):
         idx = (cdfs[acts] <= u[:, col, np.newaxis]).sum(axis=1)
         if codes is None:
             rows[:, cols.start] = (idx + u[:, col + 1]) / model.n_bins
+            col += 2
         else:
             rows[:, cols] = codes[idx]
-        col += k
+            col += 1
     return rows
+
+
+def sample_traces(
+    model: MarkovFeasibilityModel, max_len: int, n: int, rng: np.random.Generator
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """n times sample_sequence, then sample_attribute_rows of its activities.
+
+    Returns the n trace lengths, then the activity ids (E,) and attribute
+    rows (E, D) of all the events, the traces concatenated in order. Every
+    draw of those calls is one double: one per activity draw (END
+    included), then k per event. So a chunk of traces walks one block of
+    doubles, sized for traces that all reach max_len. The chains step with
+    bisect_right on the CDF rows as lists, which picks searchsorted's index,
+    and the attribute rows of all the events come from one _attribute_rows.
+    The generator is restored after each chunk and advanced by the doubles
+    used, so the sequences, the rows and the generator state equal those of
+    the per-trace calls.
+    """
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    initial_cdf, transition_cdf = model._sequence_cdfs
+    initial, transition = initial_cdf.tolist(), transition_cdf.tolist()
+    k = model._draws_per_event
+    sequences: list[list[int]] = []
+    attribute_draws = []
+    for start in range(0, n, _TRACE_CHUNK):
+        size = min(_TRACE_CHUNK, n - start)
+        state = rng.bit_generator.state
+        block = rng.random(size * max_len * (1 + k))
+        u = block.tolist()
+        used = 0
+        for _ in range(size):
+            current = bisect.bisect_right(initial, u[used])
+            used += 1
+            sequence = [current]
+            while len(sequence) < max_len:
+                nxt = bisect.bisect_right(transition[current], u[used])
+                used += 1
+                if nxt == END_ID:
+                    break
+                sequence.append(nxt)
+                current = nxt
+            sequences.append(sequence)
+            attribute_draws.append(block[used : used + len(sequence) * k])
+            used += len(sequence) * k
+        rng.bit_generator.state = state
+        rng.random(used)
+    acts = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64)
+    draws = np.concatenate(attribute_draws) if attribute_draws else np.empty(0)
+    rows = _attribute_rows(model, acts, draws.reshape(len(acts), k))
+    return [len(sequence) for sequence in sequences], acts, rows

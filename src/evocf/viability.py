@@ -224,15 +224,18 @@ def ssdld(
     return d[n][m], EditAlignment(tuple(ops))
 
 
-def _block_costs(factual: EncodedTrace, feats: np.ndarray, slices):
+def _match_costs(factual: EncodedTrace, feats: np.ndarray, same: np.ndarray, slices):
     """Both cost kinds of the factual against a padded block feats (B, M, D).
 
-    Returns pair (n+1, M+1, 2B), delete (n, 2B) and insert (M+1, 2B), indexed
-    by 1-based event positions (pair row and column 0, insert row 0 unused)
-    and by column: euclidean in the first B, count in the last B. Every entry
-    comes from the expression _euclidean_costs or _count_costs evaluates for
-    one pair, with the feature reduction on the same contiguous last axis, so
-    the floats are equal. One factual event at a time bounds the temporaries.
+    same (n, M, B) marks the cells where the factual event and the candidate
+    event share their activity: the DP reads a pair cost there and nowhere
+    else, so only those cells are computed, as one (P, D) gather; the others
+    stay 0. Returns pair (n+1, M+1, 2B), delete (n, 2B) and insert (M+1, 2B),
+    indexed by 1-based event positions (pair row and column 0, insert row 0
+    unused) and by column: euclidean in the first B, count in the last B.
+    Every entry comes from the expression _euclidean_costs or _count_costs
+    evaluates for one pair, with the feature reduction on the same
+    contiguous last axis, so the floats are equal.
     """
     n = factual.valid_len
     av = factual.features[:n]
@@ -240,14 +243,13 @@ def _block_costs(factual: EncodedTrace, feats: np.ndarray, slices):
     pair = np.zeros((n + 1, m + 1, 2 * b))
     delete = np.ones((n, 2 * b))
     insert = np.ones((m + 1, 2 * b))
-    differs = np.empty((n, b, m, d), dtype=bool)
+    i, j, lane = np.nonzero(same)
+    diff = av[i] - feats[lane, j]
+    differs = np.abs(diff) > FEATURE_DIFF_TOLERANCE
     if d:
         scale = 1.0 / np.sqrt(d)
-        for i in range(n):
-            diff = av[i] - feats
-            np.greater(np.abs(diff), FEATURE_DIFF_TOLERANCE, out=differs[i])
-            diff *= diff
-            pair[i + 1, 1:, :b] = (np.sqrt(diff.sum(axis=-1)) * scale).T
+        diff *= diff
+        pair[i + 1, j + 1, lane] = np.sqrt(diff.sum(axis=-1)) * scale
         delete[:, :b] = (np.sqrt((av * av).sum(axis=-1)) * scale)[:, None]
         insert[1:, :b] = (np.sqrt((feats * feats).sum(axis=-1)) * scale).T
     else:
@@ -255,10 +257,11 @@ def _block_costs(factual: EncodedTrace, feats: np.ndarray, slices):
         delete[:, :b] = 0.0
         insert[:, :b] = 0.0
     if slices:
-        count = pair[1:, 1:, b:]
+        count = np.zeros(len(lane))
         for _, cols in slices:
-            count += differs[..., cols].any(axis=-1).transpose(0, 2, 1)
+            count += differs[:, cols].any(axis=-1)
         count /= len(slices)
+        pair[i + 1, j + 1, lane + b] = count
     return pair, delete, insert
 
 
@@ -295,9 +298,10 @@ def _wavefront(factual: EncodedTrace, block: list[EncodedTrace], slices):
     for row, candidate in enumerate(block):
         acts[row, : candidate.valid_len] = candidate.activity_ids[: candidate.valid_len]
         feats[row, : candidate.valid_len] = candidate.features[: candidate.valid_len]
-    pair, delete, insert = _block_costs(factual, feats, slices)
+    same = factual.activity_ids[:n, None, None] == acts.T[None]
+    pair, delete, insert = _match_costs(factual, feats, same, slices)
     match = np.zeros((n + 1, m + 1, 2 * b), dtype=bool)
-    match[1:, 1:] = np.tile(factual.activity_ids[:n, None, None] == acts.T[None], 2)
+    match[1:, 1:] = np.tile(same, 2)
     swap = np.zeros_like(match)
     swap[2:, 2:] = match[2:, 1:-1] & match[1:-1, 2:]
     has_swap = np.zeros(n + m + 1, dtype=bool)

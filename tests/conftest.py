@@ -38,6 +38,14 @@ def make_encoded(activities, feature_rows, max_len, outcome=0, case_id="t"):
     return EncodedTrace(ids, feats, n, outcome, case_id)
 
 
+def sampled_genome(rng, feas_model):
+    """One SBI genome as the per-genome calls draw it: its activity chain, then its attributes."""
+    encoder = feas_model.encoder
+    ids = markov_mod.sample_sequence(feas_model, encoder.max_len, rng)
+    rows = markov_mod.sample_attribute_rows(feas_model, ids, rng)
+    return make_encoded(ids, rows, encoder.max_len, outcome=0, case_id="cf")
+
+
 def scored(population):
     """(genome, ViabilityScore) pairs of a population, in row order."""
     scores = (ViabilityScore(*row) for row in population.scores.tolist())

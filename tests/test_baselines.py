@@ -3,10 +3,10 @@ import statistics
 import numpy as np
 import pytest
 
-from conftest import identity_encoder, make_encoded, scored
+from conftest import identity_encoder, make_encoded, sampled_genome, scored
 from evocf.errors import ConfigNameError
 from evocf.event_log import check_encoded_invariants
-from evocf.evolution import _random_genome, _sampled_genome, generate_baseline
+from evocf.evolution import _random_genome, generate_baseline
 from evocf.markov import fit
 from evocf.viability import ViabilityScore, ViabilityScorer
 
@@ -40,7 +40,7 @@ def reference_baseline(kind, factual, n, log, feas_model, predictor, rng):
             for _ in range(n)
         ]
     elif kind == "SBGW":
-        candidates = [_sampled_genome(rng, feas_model) for _ in range(n)]
+        candidates = [sampled_genome(rng, feas_model) for _ in range(n)]
     else:
         indices = rng.integers(0, len(log), size=n)
         candidates = [log[i] for i in indices]

@@ -1,10 +1,10 @@
 import statistics
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from conftest import identity_encoder, make_encoded, scored
+from conftest import identity_encoder, make_encoded, sampled_genome, scored
 from evocf.errors import ConfigNameError, SelectionError
 from evocf.event_log import check_encoded_invariants
 from evocf import markov as markov_mod
@@ -19,7 +19,7 @@ from evocf.evolution import (
     Population,
     _cycle_stats,
     _random_genome,
-    _sampled_genome,
+    _sampled_genomes,
     crossover,
     evolve,
     initialize,
@@ -28,7 +28,7 @@ from evocf.evolution import (
     recombine,
     select,
 )
-from evocf.markov import fit
+from evocf.markov import _TRACE_CHUNK, fit
 from evocf.viability import ViabilityScorer
 
 
@@ -534,11 +534,43 @@ def test_initial_genomes_equal_per_event_reference(synth_setup):
             np.clip(reference.standard_normal(encoder.feature_dim), 0.0, 1.0) for _ in ids
         ]
         assert got.equals(reference_genome(ids, rows, encoder.max_len, encoder.feature_dim))
-        got = _sampled_genome(ours, model)
+        (got,) = _sampled_genomes(ours, model, 1)
         ids = markov_mod.sample_sequence(model, encoder.max_len, reference)
         rows = [markov_mod.sample_attributes(model, a, reference) for a in ids]
         assert got.equals(reference_genome(ids, rows, encoder.max_len, encoder.feature_dim))
         assert ours.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("max_len", [1, 2, None])
+def test_sbi_genomes_equal_the_per_genome_oracle(max_len, synth_setup):
+    # max_len 1 and 2 make most chains stop at max_len without an END draw;
+    # None keeps the model's frame; n is not a multiple of the chunk
+    _, small_model, _ = training_setup()
+    n = 2 * _TRACE_CHUNK + 5
+    for model in (small_model, synth_setup["feas_model"]):
+        if max_len is not None:
+            model = replace(model, encoder=replace(model.encoder, max_len=max_len))
+        ours, reference = np.random.default_rng(8), np.random.default_rng(8)
+        got = _sampled_genomes(ours, model, n)
+        want = [sampled_genome(reference, model) for _ in range(n)]
+        assert len(got) == n
+        for genome, expected in zip(got, want):
+            assert genome.equals(expected)
+            assert genome.activity_ids.dtype == expected.activity_ids.dtype
+        assert ours.bit_generator.state == reference.bit_generator.state
+        if max_len is not None:
+            assert max(genome.valid_len for genome in got) == max_len
+
+
+def test_initialize_sbi_equals_the_per_genome_oracle(synth_setup):
+    model = synth_setup["feas_model"]
+    factual = synth_setup["test"][0]
+    scorer = ViabilityScorer(factual, synth_setup["predictor"], model)
+    ours, reference = np.random.default_rng(9), np.random.default_rng(9)
+    population = initialize("SBI", _TRACE_CHUNK + 1, synth_setup["train"], model, scorer, ours)
+    for genome in population.genomes:
+        assert genome.equals(sampled_genome(reference, model))
+    assert ours.bit_generator.state == reference.bit_generator.state
 
 
 def reference_select(kind, population, sample_size, rng):

@@ -825,11 +825,12 @@ def test_cli_attribute_named_after_a_role_column_is_one_line(tmp_path, capsys, c
 
 
 def test_cli_synthesize_log_unknown_critical_activity_is_one_line(tmp_path, capsys):
-    code = cli_main(["synthesize-log", "--critical", "ZZ", "--out", str(tmp_path)])
+    code = cli_main(["synthesize-log", "--critical", "ZZ", "--out", str(tmp_path / "out")])
     assert_one_line_error(
         capsys, code, "critical activity 'ZZ' is not one of the log's activities: A, B, C, D, E"
     )
-    assert not (tmp_path / "log.csv").exists()
+    # the rejected input leaves no --out directory behind
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_renders_every_rm_counterfactual(tmp_path, capsys):

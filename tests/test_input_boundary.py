@@ -202,13 +202,17 @@ CRITICAL = st.sampled_from(["A", "B", "C", "E", "H"]) | st.sampled_from(
 )
 def test_synthesize_log_ends_in_exit_0_or_one_error_line(cases, activities, seed, critical):
     with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
         argv = [
             "synthesize-log", f"--cases={cases}", f"--activities={activities}",
-            f"--seed={seed}", "--out", str(Path(tmp) / "out"),
+            f"--seed={seed}", "--out", str(out),
         ]
         if critical is not None:
             argv.append(f"--critical={critical}")
-        assert_exit_0_or_one_error_line(*run_main(argv))
+        code, err = run_main(argv)
+        assert_exit_0_or_one_error_line(code, err)
+        # a rejected input leaves no --out directory behind
+        assert out.exists() == (code == 0)
 
 
 @st.composite

@@ -10,6 +10,7 @@ from conftest import identity_encoder, make_encoded
 from evocf.event_log import CategoricalCodec, EncoderSpec, NumericCodec
 from evocf.evolution import crossover
 from evocf.markov import (
+    _TRACE_CHUNK,
     _emission_factors,
     feasibility,
     feasibility_batch,
@@ -17,6 +18,7 @@ from evocf.markov import (
     sample_attribute_rows,
     sample_attributes,
     sample_sequence,
+    sample_traces,
 )
 
 A, B, C = 1, 2, 3
@@ -544,3 +546,33 @@ def test_sample_attribute_rows_replays_sample_attributes(kind, eps):
         assert rows.shape == expected.shape
         assert rows.tobytes() == expected.tobytes()
         assert ours.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", sorted(BULK_MODELS))
+@pytest.mark.parametrize("eps", [0.0, 1e-6])
+@pytest.mark.parametrize("max_len", [1, 2, 8])
+def test_sample_traces_replay_the_per_trace_calls(kind, eps, max_len):
+    model = BULK_MODELS[kind][eps]
+    ours, reference = np.random.default_rng(29), np.random.default_rng(29)
+    reached = False
+    for n in (0, 1, _TRACE_CHUNK, 2 * _TRACE_CHUNK + 3):
+        lengths, acts, rows = sample_traces(model, max_len, n, ours)
+        sequences, expected = [], []
+        for _ in range(n):
+            sequences.append(sample_sequence(model, max_len, reference))
+            expected.append(sample_attribute_rows(model, sequences[-1], reference))
+        assert lengths == [len(sequence) for sequence in sequences]
+        assert acts.dtype == np.int64
+        assert acts.tolist() == [a for sequence in sequences for a in sequence]
+        assert rows.shape == (sum(lengths), model.encoder.feature_dim)
+        if n:
+            assert rows.tobytes() == np.concatenate(expected).tobytes()
+        assert ours.bit_generator.state == reference.bit_generator.state
+        # chains that stop at max_len, with no END draw, are covered
+        reached = reached or max_len in lengths
+    assert reached
+
+
+def test_sample_traces_rejects_an_empty_frame():
+    with pytest.raises(ValueError):
+        sample_traces(BULK_MODELS["mixed"][0.0], 0, 3, np.random.default_rng(0))

@@ -241,7 +241,7 @@ def assert_kernel_equals_scalar(factual, candidates, slices):
     seed=st.integers(0, 2**32 - 1),
     d=st.sampled_from([0, 1, 3, 12]),  # 12: wider than numpy's 8-way unrolled sum
     max_len=st.integers(1, 8),
-    alphabet=st.sampled_from([1, 2, 5]),  # 1: all match, 2: swap-heavy
+    alphabet=st.sampled_from([1, 2, 5, 10]),  # 1: all match, 2: swap-heavy, 10: sparse
     slice_mode=st.sampled_from(["none", "empty", "columns", "grouped"]),
     data=st.data(),
 )
@@ -266,6 +266,21 @@ def test_edit_distances_degenerate_shapes(d, slice_mode):
         factual = kernel_trace(rng, factual_len, 6, 2, d)
         candidates = [kernel_trace(rng, n, 6, 2, d) for n in lengths]
         assert_kernel_equals_scalar(factual, candidates, slices)
+
+
+@pytest.mark.parametrize(
+    "d, slice_mode", [(0, "none"), (0, "grouped"), (3, "columns"), (5, "grouped")]
+)
+def test_edit_distances_of_a_block_without_matching_cells(d, slice_mode):
+    # factual activities 1-3, candidate activities 4-6: no pair cost is read
+    rng = np.random.default_rng(11)
+    slices = kernel_slices(slice_mode, d)
+    factual = kernel_trace(rng, 5, 7, 3, d)
+    candidates = []
+    for n in (1, 7, 4, 7):
+        trace = kernel_trace(rng, n, 7, 3, d)
+        candidates.append(make_encoded(trace.activity_ids[:n] + 3, trace.features[:n], 7))
+    assert_kernel_equals_scalar(factual, candidates, slices)
 
 
 def test_edit_distances_swap_and_repeat_sequences():
