@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import shlex
 import sys
 import types
 import typing
@@ -20,13 +21,11 @@ from pathlib import Path
 from . import predictor as predictor_mod
 from .errors import ConfigurationError, EvocfError
 from .event_log import (
-    CATEGORICAL,
-    NUMERIC,
-    AttributeSchema,
-    CategoricalCodec,
-    EventLog,
+    Event,
     PlantedRule,
+    Trace,
     decode,
+    decode_rows,
     encode,
     fit_encoder,
     load_csv,
@@ -48,6 +47,7 @@ from .harness import (
     run_grid,
     run_job,
 )
+from .predictor import DECISION_THRESHOLD
 from .viability import ssdld
 
 
@@ -139,11 +139,17 @@ def _out_dir(path: str) -> Path:
 
 
 def _predictor_factory(args):
-    if getattr(args, "external_predictor", None):
-        return lambda encoder: predictor_mod.ExternalProcessPredictor(
-            args.external_predictor, encoder
-        )
-    return None
+    """The --external-predictor factory, or None for the trained model; checked before set-up."""
+    command = args.external_predictor
+    if command is None:
+        return None
+    try:
+        argv = shlex.split(command)
+    except ValueError as exc:
+        raise ConfigurationError(f"--external-predictor {command!r}: {exc}") from None
+    if not argv or not argv[0]:
+        raise ConfigurationError("--external-predictor is empty")
+    return lambda encoder: predictor_mod.ExternalProcessPredictor(command, encoder)
 
 
 def cmd_synthesize_log(args) -> int:
@@ -199,8 +205,9 @@ def cmd_generate(args) -> int:
     spec = _spec_from_args(
         args, cycles=args.cycles, n_factuals=1, counterfactuals_per_factual=args.n
     )
+    predictor_factory = _predictor_factory(args)
     out = _out_dir(args.out)
-    prepared = prepare_experiment(spec, predictor_factory=_predictor_factory(args))
+    prepared = prepare_experiment(spec, predictor_factory=predictor_factory)
     if args.factual:
         pool = {t.case_id: t for t in prepared.test + prepared.train}
         if args.factual not in pool:
@@ -218,27 +225,37 @@ def cmd_generate(args) -> int:
         writer.writerow(CANDIDATE_COLUMNS)
         writer.writerows(map(_candidate_values, rows))
 
-    # decoded events of the generated candidates, same layout as an event log
-    decoded = tuple(
-        decode(_with_case_id(genome, f"cf_{rank:03d}"), prepared.encoder)
-        for rank, genome in enumerate(top.genomes, start=1)
-    )
-    cf_log = EventLog(
-        decoded,
-        tuple(_schema_from_codec(codec) for codec in prepared.encoder.codecs),
-        tuple(prepared.encoder.activity_to_id),
-    )
-    write_csv(cf_log, out / "counterfactual_events.csv")
-
+    encoder = prepared.encoder
     best, score = top.genomes[0], rows[0].score
-    _, alignment = ssdld(factual, best, "euclidean", prepared.encoder.slices())
-    p_factual, p_best = prepared.predictor.predict_proba_batch([factual, best])
+    p_factual, *p_top = prepared.predictor.predict_proba_batch([factual, *top.genomes])
+    case_ids = [f"cf_{rank:03d}" for rank in range(1, len(top) + 1)]
+    predicted = {case_id: int(p > DECISION_THRESHOLD) for case_id, p in zip(case_ids, p_top)}
+
+    # decoded events of the generated candidates, same layout as an event log;
+    # outcome is the predicted class and an absent category the empty value
+    names = [codec.name for codec in encoder.codecs]
+    events = [
+        (case_id, activity, step, predicted[case_id], *("" if v is None else v for v in values))
+        for case_id, step, activity, *values in decode_rows(top.genomes, case_ids, encoder)
+    ]
+    with (out / "counterfactual_events.csv").open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["case_id", "activity", "timestamp", "outcome", *names])
+        writer.writerows(events)
+
+    # the best counterfactual as that file holds it, which is what
+    # render --counterfactual-log shows
+    best_events = tuple(
+        Event(activity, dict(zip(names, values)))
+        for _, activity, _, _, *values in events[: best.valid_len]
+    )
+    _, alignment = ssdld(factual, best, "euclidean", encoder.slices())
     rendered = render_counterfactual(
-        decode(factual, prepared.encoder),
-        decode(_with_case_id(best, "counterfactual"), prepared.encoder),
+        decode(factual, encoder),
+        Trace("counterfactual", best_events, predicted[case_ids[0]]),
         alignment,
         p_factual=p_factual,
-        p_counterfactual=p_best,
+        p_counterfactual=p_top[0],
     )
     (out / "best_render.md").write_text(rendered)
     print(
@@ -247,16 +264,6 @@ def cmd_generate(args) -> int:
         f"feas={score.feasibility:.3g} delta={score.delta:+.3f})"
     )
     return 0
-
-
-def _with_case_id(genome, case_id: str):
-    return dataclasses.replace(genome, case_id=case_id)
-
-
-def _schema_from_codec(codec):
-    if isinstance(codec, CategoricalCodec):
-        return AttributeSchema(codec.name, CATEGORICAL, categories=codec.categories)
-    return AttributeSchema(codec.name, NUMERIC)
 
 
 def _split_configs(text: str) -> tuple[str, ...]:
@@ -284,9 +291,10 @@ def cmd_grid(args) -> int:
     )
     if len(spec.config_names) < 2:
         raise ConfigurationError("grid search needs at least two configs")
+    predictor_factory = _predictor_factory(args)
     if args.out:
         _out_dir(args.out)
-    prepared = prepare_experiment(spec, predictor_factory=_predictor_factory(args))
+    prepared = prepare_experiment(spec, predictor_factory=predictor_factory)
     report = run_grid(spec, prepared)
     for name, value in report.ranking:
         print(f"{value:8.4f}  {name}")
@@ -304,9 +312,10 @@ def cmd_benchmark(args) -> int:
     )
     if not spec.config_names:
         raise ConfigurationError("benchmark needs at least one evolutionary config")
+    predictor_factory = _predictor_factory(args)
     if args.out:
         _out_dir(args.out)
-    prepared = prepare_experiment(spec, predictor_factory=_predictor_factory(args))
+    prepared = prepare_experiment(spec, predictor_factory=predictor_factory)
     report = run_benchmark(spec, prepared)
     for name, median in report.medians.items():
         print(f"{name}: median total viability {median:.4f}")

@@ -144,11 +144,6 @@ class EventLog:
         return EventLog._trusted(traces, self.schemas, self.activity_vocabulary)
 
 
-def _binary_width(n_categories: int) -> int:
-    # all-zeros code is reserved for "absent", so n_categories + 1 codes are needed
-    return max(1, math.ceil(math.log2(n_categories + 1)))
-
-
 @dataclass(frozen=True)
 class NumericCodec:
     """Min-max scaler for one numeric attribute, fitted on training data."""
@@ -159,25 +154,36 @@ class NumericCodec:
 
     width = 1
 
-    def encode(self, value: float) -> np.ndarray:
+    def encode(self, values: Sequence[float]) -> np.ndarray:
+        """(E, 1) codes: each value min-max scaled and clipped to [0, 1]; 0.0 for an empty range."""
+        codes = np.zeros((len(values), 1))
         span = self.observed_max - self.observed_min
-        if span <= 0.0:
-            scaled = 0.0
-        else:
-            scaled = (float(value) - self.observed_min) / span
-        return np.array([min(max(scaled, 0.0), 1.0)])
+        if not span <= 0.0:
+            scaled = (np.array(list(map(float, values))) - self.observed_min) / span
+            codes[:, 0] = np.clip(scaled, 0.0, 1.0)
+        return codes
 
-    def decode(self, code: np.ndarray) -> float:
+    def decode(self, codes: np.ndarray) -> list[float]:
+        """The value of each row of codes (E, 1), mapped back onto the fitted range."""
         span = self.observed_max - self.observed_min
-        return self.observed_min + float(code[0]) * span
+        return (self.observed_min + codes[:, 0] * span).tolist()
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "kind": NUMERIC,
+            "observed_min": self.observed_min,
+            "observed_max": self.observed_max,
+        }
 
 
 @dataclass(frozen=True)
 class CategoricalCodec:
     """Minimal-width binary code for one categorical attribute.
 
-    Category i maps to the bit pattern of i + 1; the all-zeros pattern means
-    "absent" and never collides with a real category.
+    Category i maps to the bit pattern of i + 1, most significant bit first;
+    the all-zeros pattern means "absent" and never collides with a real
+    category.
     """
 
     name: str
@@ -185,22 +191,23 @@ class CategoricalCodec:
 
     @functools.cached_property
     def width(self) -> int:
-        return _binary_width(len(self.categories))
+        # the all-zeros code is reserved for "absent", so C + 1 codes are needed
+        return max(1, math.ceil(math.log2(len(self.categories) + 1)))
 
-    def encode(self, value: str) -> np.ndarray:
+    def encode(self, values: Sequence[str]) -> np.ndarray:
+        """(E, width) codes, one row per value; VocabularyError names the first unknown value."""
         try:
-            code = self.categories.index(value) + 1
-        except ValueError:
+            return self._codes[[self._code_of[value] for value in values]]
+        except (KeyError, TypeError):
+            unknown = next(value for value in values if value not in self.categories)
             raise VocabularyError(
-                f"value {value!r} not a known category of attribute {self.name!r}"
+                f"value {unknown!r} not a known category of attribute {self.name!r}"
             ) from None
-        bits = [(code >> (self.width - 1 - b)) & 1 for b in range(self.width)]
-        return np.array(bits, dtype=float)
 
-    def decode(self, code: np.ndarray) -> str | None:
-        """Return the category, or None for absent (all-zeros) or invalid codes."""
-        index = int(self.decode_indices(code[np.newaxis, :])[0])
-        return None if index < 0 else self.categories[index]
+    def decode(self, codes: np.ndarray) -> list[str | None]:
+        """The category of each row of codes (E, width); None for absent or invalid codes."""
+        names = (*self.categories, None)  # index -1 reads None
+        return [names[i] for i in self.decode_indices(codes).tolist()]
 
     def decode_indices(self, codes: np.ndarray) -> np.ndarray:
         """Category index per row of codes (N, width); -1 for absent/invalid.
@@ -214,9 +221,23 @@ class CategoricalCodec:
         valid = exact.all(axis=1) & (values >= 1.0) & (values <= len(self.categories))
         return np.where(valid, values - 1.0, -1.0).astype(np.int64)
 
+    def to_dict(self) -> dict:
+        return {"name": self.name, "kind": CATEGORICAL, "categories": self.categories}
+
     @functools.cached_property
     def _bit_weights(self) -> np.ndarray:
         return 2.0 ** np.arange(self.width - 1, -1, -1)
+
+    @functools.cached_property
+    def _code_of(self) -> dict[str, int]:
+        # the first index of a category, should one repeat
+        return {c: i + 1 for i, c in reversed(list(enumerate(self.categories)))}
+
+    @functools.cached_property
+    def _codes(self) -> np.ndarray:
+        """Row c is the code of c: the absent all-zeros row, then each category's bits."""
+        values = np.arange(len(self.categories) + 1)[:, np.newaxis]
+        return ((values >> np.arange(self.width - 1, -1, -1)) & 1).astype(float)
 
 
 @dataclass(frozen=True)
@@ -257,34 +278,14 @@ class EncoderSpec:
 
     def fingerprint(self) -> tuple:
         """Hashable identity used to detect mismatched components."""
-        parts = [tuple(sorted(self.activity_to_id.items())), self.max_len]
-        for codec in self.codecs:
-            if isinstance(codec, NumericCodec):
-                parts.append((codec.name, NUMERIC, codec.observed_min, codec.observed_max))
-            else:
-                parts.append((codec.name, CATEGORICAL, codec.categories))
-        return tuple(parts)
+        codecs = (tuple(codec.to_dict().values()) for codec in self.codecs)
+        return (tuple(sorted(self.activity_to_id.items())), self.max_len, *codecs)
 
     def to_json(self) -> str:
-        codecs = []
-        for codec in self.codecs:
-            if isinstance(codec, NumericCodec):
-                codecs.append(
-                    {
-                        "name": codec.name,
-                        "kind": NUMERIC,
-                        "observed_min": codec.observed_min,
-                        "observed_max": codec.observed_max,
-                    }
-                )
-            else:
-                codecs.append(
-                    {"name": codec.name, "kind": CATEGORICAL, "categories": list(codec.categories)}
-                )
         return json.dumps(
             {
                 "activity_to_id": self.activity_to_id,
-                "codecs": codecs,
+                "codecs": [codec.to_dict() for codec in self.codecs],
                 "max_len": self.max_len,
             },
             indent=2,
@@ -314,27 +315,6 @@ class EncodedTrace:
     @property
     def max_len(self) -> int:
         return len(self.activity_ids)
-
-    def equals(self, other: "EncodedTrace") -> bool:
-        return (
-            self.valid_len == other.valid_len
-            and np.array_equal(self.activity_ids, other.activity_ids)
-            and np.array_equal(self.features, other.features)
-        )
-
-
-def check_encoded_invariants(enc: EncodedTrace) -> None:
-    """Raise DataError unless padding discipline and feature range hold."""
-    if not 1 <= enc.valid_len <= enc.max_len:
-        raise DataError("valid_len out of range")
-    if np.any(enc.activity_ids[: enc.valid_len] == PAD_ID):
-        raise DataError("PAD id inside the valid prefix")
-    if np.any(enc.activity_ids[enc.valid_len :] != PAD_ID):
-        raise DataError("non-PAD id in the padding region")
-    if np.any(enc.features[enc.valid_len :] != 0.0):
-        raise DataError("nonzero feature row in the padding region")
-    if np.any(enc.features < 0.0) or np.any(enc.features > 1.0):
-        raise DataError("feature value outside [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -609,40 +589,28 @@ def encode(trace: Trace, spec: EncoderSpec) -> EncodedTrace:
         ids[t] = spec.activity_to_id[event.activity]
         for codec, cols in spec.slices():
             if codec.name in event.attributes:
-                features[t, cols] = codec.encode(event.attributes[codec.name])
+                features[t, cols] = codec.encode([event.attributes[codec.name]])[0]
     return EncodedTrace(ids, features, len(trace), trace.outcome, trace.case_id)
 
 
 def decode(enc: EncodedTrace, spec: EncoderSpec) -> Trace:
     """Invert encode; padding rows are dropped, absent categoricals omitted."""
-    if enc.valid_len > spec.max_len:
-        raise VocabularyError("encoded trace longer than encoder max_len")
-    id_to_activity = spec.id_to_activity
-    events = []
-    for t in range(enc.valid_len):
-        activity_id = int(enc.activity_ids[t])
-        if activity_id not in id_to_activity:
-            raise VocabularyError(f"unknown activity id {activity_id}")
-        attributes: dict[str, object] = {}
-        for codec, cols in spec.slices():
-            code = enc.features[t, cols]
-            if isinstance(codec, NumericCodec):
-                attributes[codec.name] = codec.decode(code)
-            else:
-                value = codec.decode(code)
-                if value is not None:
-                    attributes[codec.name] = value
-        events.append(Event(id_to_activity[activity_id], attributes))
-    return Trace(enc.case_id, tuple(events), enc.outcome)
+    names = [codec.name for codec in spec.codecs]
+    events = tuple(
+        Event(activity, {name: v for name, v in zip(names, values) if v is not None})
+        for _, _, activity, *values in decode_rows([enc], [enc.case_id], spec)
+    )
+    return Trace(enc.case_id, events, enc.outcome)
 
 
 def decode_rows(
     traces: Sequence[EncodedTrace], case_ids: Sequence[str], spec: EncoderSpec
 ) -> Iterator[tuple]:
-    """decode of each trace as (case_id, step, activity, *values) CSV rows.
+    """The events of the traces as (case_id, step, activity, *values) rows.
 
-    Each attribute is decoded once for the whole batch with the arithmetic of
-    its codec's decode, so the values are decode's; "" marks an absent value.
+    Padding rows are dropped. Each attribute is decoded once for the whole
+    batch by its codec; an absent or invalid category reads None, which a
+    csv writer writes as "".
     """
     if any(enc.valid_len > spec.max_len for enc in traces):
         raise VocabularyError("encoded trace longer than encoder max_len")
@@ -654,15 +622,7 @@ def decode_rows(
     except KeyError as exc:
         raise VocabularyError(f"unknown activity id {exc.args[0]}") from None
     features = np.concatenate([enc.features[: enc.valid_len] for enc in traces])
-    columns = []
-    for codec, cols in spec.slices():
-        codes = features[:, cols]
-        if isinstance(codec, NumericCodec):
-            span = codec.observed_max - codec.observed_min
-            columns.append((codec.observed_min + codes[:, 0] * span).tolist())
-        else:
-            names = (*codec.categories, "")  # index -1, absent, reads ""
-            columns.append([names[i] for i in codec.decode_indices(codes).tolist()])
+    columns = [codec.decode(features[:, cols]) for codec, cols in spec.slices()]
     steps = [step for enc in traces for step in range(enc.valid_len)]
     cases = [case_id for case_id, enc in zip(case_ids, traces) for _ in range(enc.valid_len)]
     return zip(cases, steps, activities, *columns)
@@ -672,17 +632,17 @@ def encode_log(log: EventLog, spec: EncoderSpec) -> list[EncodedTrace]:
     """encode of every trace, computed column by column for the whole log.
 
     Activity ids fill one (T, max_len) block and attribute codes one
-    (T, max_len, D) block with the arithmetic of each codec's encode, so the
+    (T, max_len, D) block, each codec encoding its whole column, so the
     arrays equal encode's; each trace holds its rows of the two blocks. If
     encode would reject a trace, the log goes through encode trace by trace,
-    so the error raised is encode's.
+    so the error raised is encode's, for the first fault in trace order.
     """
     traces = log.traces
     if not traces:
         return []
     try:
         ids, features = _encode_columns(traces, spec)
-    except (KeyError, ValueError, TypeError, OverflowError):
+    except (KeyError, ValueError, TypeError, OverflowError, VocabularyError):
         return [encode(t, spec) for t in traces]
     return [
         EncodedTrace(ids[i], features[i], len(t), t.outcome, t.case_id)
@@ -693,8 +653,9 @@ def encode_log(log: EventLog, spec: EncoderSpec) -> list[EncodedTrace]:
 def _encode_columns(traces: Sequence[Trace], spec: EncoderSpec) -> tuple[np.ndarray, np.ndarray]:
     """The (T, max_len) id and (T, max_len, D) feature blocks of encode_log.
 
-    Raises KeyError, ValueError, TypeError or OverflowError where a trace is
-    one encode would reject (or might: encode_log then asks encode).
+    Raises KeyError, ValueError, TypeError, OverflowError or VocabularyError
+    where a trace is one encode would reject (or might: encode_log then asks
+    encode).
     """
     lengths = np.array([len(t) for t in traces])
     if lengths.max() > spec.max_len:
@@ -713,16 +674,7 @@ def _encode_columns(traces: Sequence[Trace], spec: EncoderSpec) -> tuple[np.ndar
         except KeyError:  # absent values keep the all-zeros code
             rows = [i for i, a in enumerate(attributes) if codec.name in a]
             values = [attributes[i][codec.name] for i in rows]
-        if isinstance(codec, NumericCodec):
-            span = codec.observed_max - codec.observed_min
-            if not span <= 0.0:  # else every code is 0.0, as encode gives
-                scaled = (np.array(list(map(float, values))) - codec.observed_min) / span
-                codes[rows, cols.start] = np.clip(scaled, 0.0, 1.0)
-        else:
-            # the first index of a category, as tuple.index in encode gives
-            code_of = {c: i + 1 for i, c in reversed(list(enumerate(codec.categories)))}
-            table = np.array([np.zeros(codec.width), *map(codec.encode, codec.categories)])
-            codes[rows, cols] = table[list(map(code_of.__getitem__, values))]
+        codes[rows, cols] = codec.encode(values)
     features = np.zeros((len(traces), spec.max_len, spec.feature_dim))
     features[valid] = codes
     return ids, features

@@ -74,9 +74,7 @@ class MarkovFeasibilityModel:
             cdfs = np.zeros((len(table), table.shape[1] - 1))
             for a in range(1, len(table)):
                 cdfs[a] = _cdf(table[a, :-1])
-            codes = None
-            if not isinstance(codec, NumericCodec):
-                codes = np.array([codec.encode(c) for c in codec.categories])
+            codes = None if isinstance(codec, NumericCodec) else codec.encode(codec.categories)
             out.append((cdfs, codes))
         return out
 
@@ -293,19 +291,6 @@ def sample_attributes(
     return row
 
 
-def sample_attribute_rows(
-    model: MarkovFeasibilityModel, activity_ids: list[int], rng: np.random.Generator
-) -> np.ndarray:
-    """sample_attributes for each activity in turn, as rows of an (n, D) array.
-
-    Every event takes the same doubles in the same order, so one
-    rng.random((n, k)) holds the draws of the n calls row by row: the rows
-    and the generator state come out the same.
-    """
-    acts = np.asarray(activity_ids, dtype=np.int64)
-    return _attribute_rows(model, acts, rng.random((len(acts), model._draws_per_event)))
-
-
 def _attribute_rows(
     model: MarkovFeasibilityModel, acts: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
@@ -331,7 +316,7 @@ def _attribute_rows(
 def sample_traces(
     model: MarkovFeasibilityModel, max_len: int, n: int, rng: np.random.Generator
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """n times sample_sequence, then sample_attribute_rows of its activities.
+    """n times sample_sequence, then sample_attributes of each of its activities.
 
     Returns the n trace lengths, then the activity ids (E,) and attribute
     rows (E, D) of all the events, the traces concatenated in order. Every

@@ -11,10 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import identity_encoder, make_encoded
+from conftest import check_encoded_invariants, identity_encoder, make_encoded
 from evocf import markov as markov_mod
 from evocf import predictor as predictor_mod
-from evocf.event_log import check_encoded_invariants, encode_log, fit_encoder, preprocess, split_train_test, synthesize_log
+from evocf.event_log import encode_log, fit_encoder, preprocess, split_train_test, synthesize_log
 from evocf.evolution import (
     MutationRates,
     crossover,

@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import json
 import re
 from dataclasses import replace
 from datetime import datetime
@@ -11,6 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    check_encoded_invariants,
+    reference_code,
+    reference_decode,
+    reference_encode,
+    reference_value,
+)
 from evocf.errors import (
     DataError,
     EmptyLogError,
@@ -28,7 +36,6 @@ from evocf.event_log import (
     PlantedRule,
     Trace,
     _activity_names,
-    check_encoded_invariants,
     decode,
     encode,
     encode_log,
@@ -242,21 +249,71 @@ def test_fit_encoder_assigns_ids_and_ranges():
     assert spec.activity_to_id == {"A": 1, "B": 2}
     numeric = spec.codecs[0]
     assert (numeric.observed_min, numeric.observed_max) == (10.0, 30.0)
-    assert numeric.encode(10.0)[0] == 0.0
-    assert numeric.encode(30.0)[0] == 1.0
-    assert numeric.encode(20.0)[0] == 0.5
-    assert numeric.encode(99.0)[0] == 1.0  # clipped
+    codes = numeric.encode([10.0, 30.0, 20.0, 99.0])
+    assert codes.shape == (4, 1)
+    assert codes[:, 0].tolist() == [0.0, 1.0, 0.5, 1.0]  # 99.0 clipped
+    assert numeric.decode(codes) == [10.0, 30.0, 20.0, 30.0]
 
 
 def test_categorical_binary_width_and_codes():
     codec = CategoricalCodec("r", ("x", "y", "z"))
     assert codec.width == 2  # ceil(log2(4))
-    assert codec.encode("x").tolist() == [0.0, 1.0]
-    assert codec.encode("y").tolist() == [1.0, 0.0]
-    assert codec.encode("z").tolist() == [1.0, 1.0]
-    assert codec.decode(np.array([0.0, 0.0])) is None  # absent
-    for value in ("x", "y", "z"):
-        assert codec.decode(codec.encode(value)) == value
+    codes = codec.encode(["x", "y", "z", "x"])
+    assert codes.tolist() == [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    assert codec.decode(codes) == ["x", "y", "z", "x"]
+    assert codec.decode(np.zeros((1, 2))) == [None]  # absent
+    assert codec.encode([]).shape == (0, 2)
+    assert codec.decode(np.zeros((0, 2))) == []
+    with pytest.raises(VocabularyError, match="value 'w' not a known category of attribute 'r'"):
+        codec.encode(["x", "w", ["v"]])
+    with pytest.raises(VocabularyError, match=r"value \['v'\] not a known category"):
+        codec.encode(["x", ["v"], "w"])
+
+
+def test_codec_dicts_are_what_the_encoder_json_holds():
+    numeric = NumericCodec("amount", -1.5, 2.0)
+    categorical = CategoricalCodec("r", ("x", "y"))
+    assert numeric.to_dict() == {
+        "name": "amount", "kind": "numeric", "observed_min": -1.5, "observed_max": 2.0
+    }
+    assert categorical.to_dict() == {"name": "r", "kind": "categorical", "categories": ("x", "y")}
+    spec = EncoderSpec({"A": 1}, (numeric, categorical), 3)
+    assert json.loads(spec.to_json())["codecs"] == [
+        {"name": "amount", "kind": "numeric", "observed_min": -1.5, "observed_max": 2.0},
+        {"name": "r", "kind": "categorical", "categories": ["x", "y"]},
+    ]
+    assert spec.fingerprint() == (
+        (("A", 1),), 3, ("amount", "numeric", -1.5, 2.0), ("r", "categorical", ("x", "y"))
+    )
+    hash(spec.fingerprint())
+
+
+_CODE_ENTRIES = st.one_of(
+    st.sampled_from([0.0, 1.0, -0.0, 0.5, 1e-9, 1.0 + 1e-9, 1.0 - 1e-9, 2.0, -1.0]),
+    st.floats(-3.0, 3.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    low=st.floats(-1e3, 1e3),
+    span=st.sampled_from([0.0, 1e-3, 1.0, 37.5, 1e4]),
+    values=st.lists(st.one_of(st.floats(-2e4, 2e4), st.integers(-(2**60), 2**60)), max_size=8),
+    n_categories=st.integers(1, 9),
+    data=st.data(),
+)
+def test_codecs_equal_the_scalar_reference(low, span, values, n_categories, data):
+    numeric = NumericCodec("x", low, low + span)
+    categorical = CategoricalCodec("c", tuple(f"v{i}" for i in range(n_categories)))
+    picks = data.draw(st.lists(st.sampled_from(categorical.categories), max_size=8))
+    for codec, given_values in ((numeric, values), (categorical, picks)):
+        codes = codec.encode(given_values)
+        assert codes.shape == (len(given_values), codec.width)
+        assert codes.tolist() == [reference_code(codec, v) for v in given_values]
+        row = st.lists(_CODE_ENTRIES, min_size=codec.width, max_size=codec.width)
+        rows = data.draw(st.lists(row, max_size=8))
+        codes = np.array(rows, dtype=float).reshape(len(rows), codec.width)
+        assert codec.decode(codes) == [reference_value(codec, row) for row in codes]
 
 
 def test_encode_pads_and_round_trips():
@@ -308,7 +365,9 @@ def test_round_trip_property(lengths, data):
         enc = encode(trace, spec)
         check_encoded_invariants(enc)
         assert np.all(enc.features >= 0.0) and np.all(enc.features <= 1.0)
+        _assert_equals_reference([enc], [trace], spec)
         back = decode(enc, spec)
+        assert back == reference_decode(enc, spec)
         assert back.activities == trace.activities
         for e_orig, e_new in zip(trace.events, back.events):
             assert e_orig.attributes["resource"] == e_new.attributes["resource"]
@@ -602,6 +661,13 @@ def _assert_same_encoding(got, expected):
         assert (g.valid_len, g.outcome, g.case_id) == (e.valid_len, e.outcome, e.case_id)
 
 
+def _assert_equals_reference(got, traces, spec):
+    for g, trace in zip(got, traces, strict=True):
+        ids, features = reference_encode(trace, spec)
+        assert (g.activity_ids == ids).all() and (g.features == features).all()
+        assert g.features.shape == features.shape
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=encoding_cases())
 def test_encode_log_equals_encode(case):
@@ -617,6 +683,7 @@ def test_encode_log_equals_encode(case):
     with mock.patch("evocf.event_log.encode", side_effect=AssertionError("scalar path")):
         got = encode_log(log, spec)
     _assert_same_encoding(got, expected)
+    _assert_equals_reference(got, log.traces, spec)
 
 
 def test_encode_log_errors_are_encodes():
@@ -633,6 +700,17 @@ def test_encode_log_errors_are_encodes():
         with pytest.raises(VocabularyError, match=re.escape(message)):
             encode_log(log, spec)
     assert encode_log(EventLog((), schemas, ("A",)), spec) == []
+    # the first fault in trace order, not in attribute order
+    spec = EncoderSpec(
+        {"A": 1}, (CategoricalCodec("resource", ("x",)), CategoricalCodec("team", ("t",))), 2
+    )
+    schemas = (AttributeSchema("resource", "categorical"), AttributeSchema("team", "categorical"))
+    traces = (
+        Trace("c0", (Event("A", {"team": "q"}),), 0),
+        Trace("c1", (Event("A", {"resource": "w"}),), 1),
+    )
+    with pytest.raises(VocabularyError, match="value 'q' not a known category of attribute 'team'"):
+        encode_log(EventLog(traces, schemas, ("A",)), spec)
 
 
 def test_encode_log_equals_encode_on_the_long_log(tmp_path):
@@ -644,7 +722,10 @@ def test_encode_log_equals_encode_on_the_long_log(tmp_path):
     encodable = tuple(t for t in test.traces if len(t) <= spec.max_len)
     for part in (train.traces, encodable):
         sub = EventLog(part, log.schemas, log.activity_vocabulary)
-        _assert_same_encoding(encode_log(sub, spec), [encode(t, spec) for t in part])
+        got = encode_log(sub, spec)
+        _assert_same_encoding(got, [encode(t, spec) for t in part])
+        _assert_equals_reference(got, part, spec)
+        assert [decode(g, spec) for g in got] == [reference_decode(g, spec) for g in got]
 
 
 def _choice_synthesize_log(n_cases, n_activities, rule=None, seed=0):

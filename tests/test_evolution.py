@@ -4,9 +4,16 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from conftest import identity_encoder, make_encoded, sampled_genome, scored
+from conftest import (
+    check_encoded_invariants,
+    encoded_equal,
+    identity_encoder,
+    make_encoded,
+    sample_attribute_rows,
+    sampled_genome,
+    scored,
+)
 from evocf.errors import ConfigNameError, SelectionError
-from evocf.event_log import check_encoded_invariants
 from evocf import markov as markov_mod
 from evocf.event_log import EncodedTrace
 from evocf.evolution import (
@@ -151,7 +158,7 @@ def test_initialize_deterministic():
     first = initialize("SBI", 10, train, model, scorer, np.random.default_rng(7))
     second = initialize("SBI", 10, train, model, scorer, np.random.default_rng(7))
     for a, b in zip(first.genomes, second.genomes):
-        assert a.equals(b)
+        assert encoded_equal(a, b)
     assert first.scores.tobytes() == second.scores.tobytes()
 
 
@@ -237,8 +244,8 @@ def test_uc_full_mask_copies_parent_a():
     a = t([1, 2, 3], [0.1, 0.2, 0.3])
     b = t([3, 2], [0.9, 0.8])
     child_1, child_2 = crossover("UC", a, b, StubRng(random_row=[0.0] * 6), uc_rate=1.0)
-    assert child_1.equals(a)
-    assert child_2.equals(b)
+    assert encoded_equal(child_1, a)
+    assert encoded_equal(child_2, b)
 
 
 def test_opc_cut_two_mixes_tails():
@@ -257,8 +264,8 @@ def test_identical_parents_give_identical_children():
     rng = np.random.default_rng(3)
     for kind, rate in (("UC", 0.5), ("OPC", None), ("TPC", None)):
         child_1, child_2 = crossover(kind, a, a, rng, uc_rate=rate)
-        assert child_1.equals(a)
-        assert child_2.equals(a)
+        assert encoded_equal(child_1, a)
+        assert encoded_equal(child_2, a)
 
 
 def test_crossover_children_are_pad_normalized():
@@ -290,7 +297,7 @@ def test_mutate_zero_rates_is_identity():
     train, model, _ = training_setup()
     genome = train[3]
     mutated = mutate("SBM", genome, MutationRates(0.0, 0.0, 0.0), model, np.random.default_rng(0))
-    assert mutated.equals(genome)
+    assert encoded_equal(mutated, genome)
 
 
 def test_mutate_delete_rate_one_keeps_last_survivor():
@@ -411,7 +418,7 @@ def test_evolve_deterministic_under_seed():
     second = evolve(train[0], config, HalfPredictor(), model, train)
     assert first.stats == second.stats
     for a, b in zip(first.population.genomes, second.population.genomes):
-        assert a.equals(b)
+        assert encoded_equal(a, b)
     assert first.population.scores.tobytes() == second.population.scores.tobytes()
 
 
@@ -512,11 +519,11 @@ def test_mutate_equals_per_position_reference(kind, rates, synth_setup):
         for valid_len in range(1, encoder.max_len + 1):
             for _ in range(4):
                 acts = source.integers(1, encoder.vocab_size + 1, size=valid_len).tolist()
-                rows = markov_mod.sample_attribute_rows(model, acts, source)
+                rows = sample_attribute_rows(model, acts, source)
                 genome = make_encoded(acts, rows, encoder.max_len, outcome=1, case_id="x")
                 got = mutate(kind, genome, rates, model, ours)
                 want = reference_mutate(kind, genome, rates, model, reference)
-                assert got.equals(want)
+                assert encoded_equal(got, want)
                 assert got.activity_ids.dtype == want.activity_ids.dtype
                 assert (got.outcome, got.case_id) == (want.outcome, want.case_id)
                 assert ours.bit_generator.state == reference.bit_generator.state
@@ -533,11 +540,11 @@ def test_initial_genomes_equal_per_event_reference(synth_setup):
         rows = [
             np.clip(reference.standard_normal(encoder.feature_dim), 0.0, 1.0) for _ in ids
         ]
-        assert got.equals(reference_genome(ids, rows, encoder.max_len, encoder.feature_dim))
+        assert encoded_equal(got, reference_genome(ids, rows, encoder.max_len, encoder.feature_dim))
         (got,) = _sampled_genomes(ours, model, 1)
         ids = markov_mod.sample_sequence(model, encoder.max_len, reference)
         rows = [markov_mod.sample_attributes(model, a, reference) for a in ids]
-        assert got.equals(reference_genome(ids, rows, encoder.max_len, encoder.feature_dim))
+        assert encoded_equal(got, reference_genome(ids, rows, encoder.max_len, encoder.feature_dim))
         assert ours.bit_generator.state == reference.bit_generator.state
 
 
@@ -555,7 +562,7 @@ def test_sbi_genomes_equal_the_per_genome_oracle(max_len, synth_setup):
         want = [sampled_genome(reference, model) for _ in range(n)]
         assert len(got) == n
         for genome, expected in zip(got, want):
-            assert genome.equals(expected)
+            assert encoded_equal(genome, expected)
             assert genome.activity_ids.dtype == expected.activity_ids.dtype
         assert ours.bit_generator.state == reference.bit_generator.state
         if max_len is not None:
@@ -569,7 +576,7 @@ def test_initialize_sbi_equals_the_per_genome_oracle(synth_setup):
     ours, reference = np.random.default_rng(9), np.random.default_rng(9)
     population = initialize("SBI", _TRACE_CHUNK + 1, synth_setup["train"], model, scorer, ours)
     for genome in population.genomes:
-        assert genome.equals(sampled_genome(reference, model))
+        assert encoded_equal(genome, sampled_genome(reference, model))
     assert ours.bit_generator.state == reference.bit_generator.state
 
 

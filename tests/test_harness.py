@@ -859,3 +859,96 @@ def test_cli_renders_every_rm_counterfactual(tmp_path, capsys):
         )
         assert code == 0, capsys.readouterr().err
     assert "resource= |" in capsys.readouterr().out
+
+
+# scores 0.9 for a case holding a "B" event, 0.1 otherwise
+RULE_SCRIPT = """\
+import csv, sys
+in_path, out_path = sys.argv[1], sys.argv[2]
+cases = {}
+with open(in_path) as handle:
+    for row in csv.DictReader(handle):
+        proba = 0.9 if row["activity"] == "B" else 0.1
+        cases[row["case_id"]] = max(cases.get(row["case_id"], 0.1), proba)
+with open(out_path, "w", newline="") as handle:
+    writer = csv.writer(handle)
+    writer.writerow(["case_id", "proba"])
+    writer.writerows(cases.items())
+"""
+
+
+@pytest.mark.parametrize("config", ["CBGW", "CBI-RWS-OPC-SBM-FSR", "RI-TS-UC3-RM-BBR"])
+def test_generate_outcome_column_is_the_predicted_class(tmp_path, capsys, config):
+    # drawn and bred candidates alike carry the class the predictor gives them
+    script = tmp_path / "scorer.py"
+    script.write_text(RULE_SCRIPT)
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert cli_main(["synthesize-log", "--cases", "40", "--activities", "3", "--out", str(data)]) == 0
+    code = cli_main(
+        ["generate", "--log", str(data / "log.csv"), "--schema", str(data / "schema.json"),
+         "--config", config, "--cycles", "3", "--n", "8",
+         "--external-predictor", f"{sys.executable} {script}",
+         "--overrides", '{"population_size": 20, "offspring_per_cycle": 6, "predictor_epochs": 20}',
+         "--out", str(out)]
+    )
+    assert code == 0, capsys.readouterr().err
+    with (out / "counterfactual_events.csv").open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    cases = {}
+    for row in rows:
+        cases.setdefault(row["case_id"], set()).add((row["activity"], row["outcome"]))
+    assert len(cases) == 8
+    for events in cases.values():
+        expected = "1" if any(activity == "B" for activity, _ in events) else "0"
+        assert {outcome for _, outcome in events} == {expected}
+
+
+def test_best_render_shows_the_counterfactual_that_render_shows(tmp_path, capsys):
+    # the best candidate's resource code decodes to no category on this seed
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert cli_main(["synthesize-log", "--seed", "0", "--out", str(data)]) == 0
+    log = ["--log", str(data / "log.csv"), "--schema", str(data / "schema.json")]
+    code = cli_main(
+        ["generate", *log, "--config", "SBI-TS-TPC-RM-BBR", "--cycles", "20", "--n", "5",
+         "--out", str(out)]
+    )
+    assert code == 0, capsys.readouterr().err
+    with (out / "counterfactuals.csv").open(newline="") as handle:
+        factual = next(csv.DictReader(handle))["factual_id"]
+    render_path = tmp_path / "render.md"
+    code = cli_main(
+        ["render", *log, "--counterfactual-log", str(out / "counterfactual_events.csv"),
+         "--factual", factual, "--counterfactual", "cf_001", "--out", str(render_path)]
+    )
+    assert code == 0, capsys.readouterr().err
+
+    def counterfactual_column(text):
+        return [line.split(" | ")[-1] for line in text.splitlines() if line.startswith("| ")]
+
+    best = (out / "best_render.md").read_text()
+    assert "resource= |" in best
+    assert counterfactual_column(best) == counterfactual_column(render_path.read_text())
+
+
+@pytest.mark.parametrize("command", ["generate", "grid", "benchmark"])
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        ("", "--external-predictor is empty"),
+        ("   ", "--external-predictor is empty"),
+        ('"" --flag', "--external-predictor is empty"),
+        ('"unclosed', "No closing quotation"),
+    ],
+)
+def test_cli_bad_external_predictor_is_checked_before_set_up(
+    tmp_path, capsys, monkeypatch, command, value, expected
+):
+    prepared = []
+    monkeypatch.setattr("evocf.cli.prepare_experiment", lambda *a, **k: prepared.append(a))
+    configs = ["--configs", "CBI-RWS-OPC-SBM-FSR,CBI-ES-UC3-SBM-RR"] if command == "grid" else []
+    code = cli_main(
+        [command, *configs, "--external-predictor", value, "--out", str(tmp_path / "out")]
+    )
+    assert_one_line_error(capsys, code, expected)
+    assert prepared == []
+    assert not (tmp_path / "out").exists()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_encoder, make_encoded
+from conftest import identity_encoder, make_encoded, sample_attribute_rows
 from evocf.event_log import CategoricalCodec, EncoderSpec, NumericCodec
 from evocf.evolution import crossover
 from evocf.markov import (
@@ -15,7 +15,6 @@ from evocf.markov import (
     feasibility,
     feasibility_batch,
     fit,
-    sample_attribute_rows,
     sample_attributes,
     sample_sequence,
     sample_traces,
@@ -345,7 +344,7 @@ def choice_sample_attributes(model, activity_id, rng):
         else:
             probs = model.emissions[i][activity_id, : len(codec.categories)]
             cat_idx = int(rng.choice(len(probs), p=probs))
-            row[cols] = codec.encode(codec.categories[cat_idx])
+            row[cols] = codec.encode([codec.categories[cat_idx]])[0]
     return row
 
 
@@ -368,8 +367,8 @@ def mixed_row(rng, activity):
     return np.concatenate(
         [
             [rng.random()],
-            r.encode(r.categories[int(rng.integers(0, 2 + activity % 2))]),
-            s.encode(s.categories[int(rng.integers(0, 5))]),
+            r.encode([r.categories[int(rng.integers(0, 2 + activity % 2))]])[0],
+            s.encode([s.categories[int(rng.integers(0, 5))]])[0],
             [rng.random() ** 2],
         ]
     )
@@ -395,7 +394,7 @@ def _numeric_cell(kind, rng):
 
 def _categorical_cell(codec, kind, rng):
     if kind == 0:  # a real category
-        return codec.encode(codec.categories[int(rng.integers(0, len(codec.categories)))])
+        return codec.encode([codec.categories[int(rng.integers(0, len(codec.categories)))]])[0]
     if kind == 1:  # absent
         return np.zeros(codec.width)
     if kind == 2:  # bits spelling a value past the last category, or off-code noise
@@ -403,7 +402,7 @@ def _categorical_cell(codec, kind, rng):
             return np.ones(codec.width)
         return rng.random(codec.width)
     if kind in (3, 4):  # a code nudged within, or just past, the 1e-9 tolerance
-        code = codec.encode(codec.categories[0])
+        code = codec.encode(codec.categories[:1])[0]
         return np.abs(code - (1e-10 if kind == 3 else 1e-6))
     return rng.random(codec.width)  # off-code
 
@@ -508,7 +507,7 @@ def _single_kind_model(codecs, rows_of, eps):
 
 def _categorical_row(rng):
     codecs = (CategoricalCodec("r", ("r0", "r1", "r2")), CategoricalCodec("s", ("s0", "s1")))
-    return np.concatenate([c.encode(c.categories[rng.integers(0, 2)]) for c in codecs])
+    return np.concatenate([c.encode([c.categories[rng.integers(0, 2)]])[0] for c in codecs])
 
 
 BULK_MODELS = {

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_encoded
+from conftest import make_encoded, reference_decode
 from evocf import predictor as predictor_mod
 from evocf.errors import ConfigurationError, PredictorError, TrainingError, VocabularyError
 from evocf.event_log import (
@@ -430,17 +430,18 @@ def test_external_predictor_empty_batch_starts_no_command(tmp_path, synth_setup)
 
 
 # ---------------------------------------------------------------------------
-# the columnar candidates.csv writer against the per-trace decode writer
+# the columnar candidates.csv writer against a per-trace writer of the
+# scalar reference decode
 
 
 def reference_candidates_csv(traces, spec):
-    """candidates.csv as the per-trace writer made it: decode, one writerow per event."""
+    """candidates.csv written trace by trace from the scalar reference decode."""
     attr_names = [codec.name for codec in spec.codecs]
     handle = io.StringIO(newline="")
     writer = csv.writer(handle)
     writer.writerow(["case_id", "step", "activity", *attr_names])
     for i, enc in enumerate(traces):
-        trace = decode(
+        trace = reference_decode(
             EncodedTrace(enc.activity_ids, enc.features, enc.valid_len, enc.outcome, f"cand_{i}"),
             spec,
         )
@@ -485,7 +486,7 @@ def _code_row(codec, kind, rng):
         return [rng.random() if kind != "off" else rng.normal(0.5, 2.0)]
     width = codec.width
     if kind == "valid":
-        return codec.encode(codec.categories[rng.integers(len(codec.categories))]).tolist()
+        return codec.encode([codec.categories[rng.integers(len(codec.categories))]])[0].tolist()
     if kind == "absent":
         return [0.0] * width
     if kind == "off":
@@ -493,11 +494,11 @@ def _code_row(codec, kind, rng):
         if len(codec.categories) + 1 < 2**width:
             value = int(rng.integers(len(codec.categories) + 1, 2**width))
             return [float((value >> (width - 1 - b)) & 1) for b in range(width)]
-        row = codec.encode(codec.categories[-1]).tolist()
+        row = codec.encode(codec.categories[-1:])[0].tolist()
         row[int(rng.integers(width))] = float(rng.choice([2.0, -1.0]))
         return row
     if kind == "edge":
-        bits = codec.encode(codec.categories[rng.integers(len(codec.categories))])
+        bits = codec.encode([codec.categories[rng.integers(len(codec.categories))]])[0]
         row = bits.tolist()
         b = int(rng.integers(width))
         row[b] = float(rng.choice([v for v in _NEAR_BITS if (v > 0.5) == bool(bits[b])]))
@@ -545,6 +546,7 @@ def test_columnar_writer_equals_per_trace_writer(
         ids[:n] = rng.integers(1, 5, size=n)
         traces.append(EncodedTrace(ids, features, n, 0, "c"))
     assert columnar_candidates_csv(traces, spec) == reference_candidates_csv(traces, spec)
+    assert [decode(t, spec) for t in traces] == [reference_decode(t, spec) for t in traces]
 
 
 def test_columnar_writer_keeps_the_decode_checks(synth_setup):
