@@ -18,6 +18,7 @@ import codecs
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -315,6 +316,17 @@ class EncodedTrace:
     @property
     def max_len(self) -> int:
         return len(self.activity_ids)
+
+
+def stack(traces: Sequence[EncodedTrace]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frame of a non-empty batch sharing (L, D): ids (N, L), features (N, L, D), lengths (N,).
+
+    Row i is trace i with its padding: cell t of the row is an event iff t < lengths[i].
+    """
+    ids = np.array([trace.activity_ids for trace in traces])
+    features = np.array([trace.features for trace in traces])
+    lengths = np.array([trace.valid_len for trace in traces], dtype=np.int64)
+    return ids, features, lengths
 
 
 # ---------------------------------------------------------------------------
@@ -616,16 +628,16 @@ def decode_rows(
         raise VocabularyError("encoded trace longer than encoder max_len")
     if not traces:
         return iter(())
-    ids = np.concatenate([enc.activity_ids[: enc.valid_len] for enc in traces])
+    ids, features, lengths = stack(traces)
+    rows, steps = np.nonzero(np.arange(ids.shape[1]) < lengths[:, None])
     try:
-        activities = list(map(spec.id_to_activity.__getitem__, ids.tolist()))
+        activities = list(map(spec.id_to_activity.__getitem__, ids[rows, steps].tolist()))
     except KeyError as exc:
         raise VocabularyError(f"unknown activity id {exc.args[0]}") from None
-    features = np.concatenate([enc.features[: enc.valid_len] for enc in traces])
-    columns = [codec.decode(features[:, cols]) for codec, cols in spec.slices()]
-    steps = [step for enc in traces for step in range(enc.valid_len)]
-    cases = [case_id for case_id, enc in zip(case_ids, traces) for _ in range(enc.valid_len)]
-    return zip(cases, steps, activities, *columns)
+    events = features[rows, steps]
+    columns = [codec.decode(events[:, cols]) for codec, cols in spec.slices()]
+    cases = itertools.chain.from_iterable(map(itertools.repeat, case_ids, lengths.tolist()))
+    return zip(cases, steps.tolist(), activities, *columns)
 
 
 def encode_log(log: EventLog, spec: EncoderSpec) -> list[EncodedTrace]:

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .event_log import EncodedTrace, EncoderSpec, NumericCodec, _cdf, _draw
+from .event_log import PAD_ID, EncodedTrace, EncoderSpec, NumericCodec, _cdf, _draw, stack
 
-END_ID = 0
+END_ID = PAD_ID
 
 DEFAULT_SMOOTHING = 1e-6
 DEFAULT_BINS = 10
@@ -156,16 +156,17 @@ def fit(
         raise ValueError("n_bins must be >= 2")
     k = encoder.vocab_size
 
-    ids = np.concatenate([t.activity_ids[: t.valid_len] for t in train])
-    successors = np.concatenate(
-        [np.append(t.activity_ids[1 : t.valid_len], END_ID) for t in train]
-    )
-    features = np.concatenate([t.features[: t.valid_len] for t in train])
+    frame_ids, frame_features, lengths = stack(train)
+    valid = np.arange(frame_ids.shape[1]) < lengths[:, None]
+    # an event's successor is the next column; after a trace's last event
+    # that is padding, and PAD_ID is END_ID
+    successors = np.pad(frame_ids[:, 1:], ((0, 0), (0, 1)), constant_values=END_ID)
+    ids, features = frame_ids[valid], frame_features[valid]
 
     initial_counts = np.zeros(k + 1)
-    np.add.at(initial_counts, [int(t.activity_ids[0]) for t in train], 1.0)
+    np.add.at(initial_counts, frame_ids[:, 0], 1.0)
     transition_counts = np.zeros((k + 1, k + 1))
-    np.add.at(transition_counts, (ids, successors), 1.0)
+    np.add.at(transition_counts, (ids, successors[valid]), 1.0)
 
     # initial distribution ranges over the K real activities only
     initial_probs = np.zeros(k + 1)
@@ -212,45 +213,30 @@ def feasibility(model: MarkovFeasibilityModel, trace: EncodedTrace) -> float:
     """Probability of the trace under the model; padding is ignored.
 
     The product is P(e0) * P(f0|e0) * prod_t P(et|et-1) * P(ft|et) over the
-    valid prefix; the END transition is not included. The factors are
-    gathered at once and multiplied left to right in that order.
+    valid prefix; the END transition is not included. It is
+    feasibility_batch of a batch of one.
     """
-    n = trace.valid_len
-    ids = trace.activity_ids[:n]
-    factors = np.empty(2 * n)
-    factors[0] = model.initial_probs[ids[0]]
-    factors[1::2] = _emission_factors(model, ids, trace.features[:n])
-    factors[2::2] = model.transition[ids[:-1], ids[1:]]
-    return math.prod(factors.tolist())
+    return feasibility_batch(model, *stack([trace]))[0]
 
 
-def feasibility_batch(model: MarkovFeasibilityModel, traces: list[EncodedTrace]) -> list[float]:
-    """feasibility of each trace, with the factors of all traces gathered at once.
+def feasibility_batch(
+    model: MarkovFeasibilityModel, ids: np.ndarray, features: np.ndarray, lengths: np.ndarray
+) -> list[float]:
+    """feasibility of each trace of a frame (event_log.stack), its factors gathered at once.
 
-    The valid prefixes are concatenated; event g contributes the factor at
-    2g (its initial or transition probability) and its emission at 2g + 1,
-    so each trace's slice holds the factors feasibility multiplies, in the
-    same order, and every product is the same float.
+    Event t of row i contributes the factor at 2t of the row (its initial
+    or transition probability) and its emission at 2t + 1, so the first
+    2 * lengths[i] factors of row i are the ones the product multiplies,
+    left to right in that order.
     """
-    if not traces:
-        return []
-    lengths = [trace.valid_len for trace in traces]
-    ids = np.concatenate([trace.activity_ids[:n] for trace, n in zip(traces, lengths)])
-    features = np.concatenate([trace.features[:n] for trace, n in zip(traces, lengths)])
-    starts = np.cumsum([0, *lengths[:-1]])
-    first = np.zeros(len(ids), dtype=bool)
-    first[starts] = True
-    factors = np.empty(2 * len(ids))
-    # np.roll pairs each first event with the previous trace's last; masked
-    factors[0::2] = np.where(
-        first, model.initial_probs[ids], model.transition[np.roll(ids, 1), ids]
-    )
-    factors[1::2] = _emission_factors(model, ids, features)
-    flat = factors.tolist()
-    return [
-        math.prod(flat[2 * start : 2 * (start + n)])
-        for start, n in zip(starts.tolist(), lengths)
-    ]
+    n, max_len = ids.shape
+    valid = np.arange(max_len) < lengths[:, None]
+    factors = np.zeros((n, max_len, 2))
+    factors[:, 0, 0] = model.initial_probs[ids[:, 0]]
+    factors[:, 1:, 0] = model.transition[ids[:, :-1], ids[:, 1:]]
+    factors[valid, 1] = _emission_factors(model, ids[valid], features[valid])
+    rows = factors.reshape(n, 2 * max_len).tolist()
+    return [math.prod(row[: 2 * length]) for row, length in zip(rows, lengths.tolist())]
 
 
 def sample_sequence(

@@ -24,7 +24,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import PredictorError, TrainingError
-from .event_log import EncodedTrace, EncoderSpec, decode_rows
+from .event_log import EncodedTrace, EncoderSpec, decode_rows, stack
 
 L2_COEFFICIENT = 1e-4
 # a trace is predicted class 1 when P(outcome=1) exceeds this
@@ -43,8 +43,10 @@ def feature_width(vocab_size: int, feature_dim: int) -> int:
     return 1 + vocab_size + vocab_size * vocab_size + feature_dim
 
 
-def extract_features_batch(traces: list[EncodedTrace], vocab_size: int) -> np.ndarray:
-    """Fixed-width summaries of traces (all in one frame), one row per trace.
+def extract_features_batch(
+    ids: np.ndarray, features: np.ndarray, lengths: np.ndarray, vocab_size: int
+) -> np.ndarray:
+    """Fixed-width summaries of the traces of a frame (event_log.stack), one row per trace.
 
     A row concatenates the normalized length, the activity occurrence
     histogram, binary activity-bigram indicators and per-column attribute
@@ -53,9 +55,6 @@ def extract_features_batch(traces: list[EncodedTrace], vocab_size: int) -> np.nd
     padding rows would change the floats.
     """
     k = vocab_size
-    ids = np.stack([trace.activity_ids for trace in traces])
-    features = np.stack([trace.features for trace in traces])
-    lengths = np.array([trace.valid_len for trace in traces])
     b, max_len, d = features.shape
     valid = np.arange(max_len) < lengths[:, None]
     if not np.all((ids[valid] >= 1) & (ids[valid] <= k)):
@@ -112,7 +111,7 @@ class LogisticOutcomePredictor:
     def predict_proba_batch(self, traces: list[EncodedTrace]) -> list[float]:
         if not traces:
             return []
-        phi = extract_features_batch(traces, self.vocab_size)
+        phi = extract_features_batch(*stack(traces), self.vocab_size)
         # row by row on purpose: a stacked matmul sums in another order, so a
         # trace's probability would depend on the batch it rides in
         z = np.array([row @ self.weights + self.bias for row in phi])
@@ -150,10 +149,9 @@ def train(
     if len(set(labels.tolist())) < 2:
         raise TrainingError("training set contains a single outcome class")
 
-    vocab_size = encoder.vocab_size if encoder is not None else int(
-        max(t.activity_ids.max() for t in train_traces)
-    )
-    features = extract_features_batch(train_traces, vocab_size)
+    frame = stack(train_traces)
+    vocab_size = encoder.vocab_size if encoder is not None else int(frame[0].max())
+    features = extract_features_batch(*frame, vocab_size)
 
     rng = np.random.default_rng(seed)
     weights = rng.normal(0.0, 0.01, size=features.shape[1])
@@ -240,7 +238,8 @@ class ExternalProcessPredictor:
     case_id, step, activity, then one column per attribute) and invokes
     `command <candidates.csv> <scores.csv>` with stdin on /dev/null; an empty
     batch starts no command. The command must write back a CSV with
-    header `case_id,proba` holding one probability in [0, 1] per case.
+    header `case_id,proba` holding one probability in [0, 1] per case, each
+    case once.
     Any failure of the command or of its output, or a batch that runs longer
     than EXTERNAL_TIMEOUT_S seconds (the command is then killed), raises
     PredictorError naming the command and the case at fault.
@@ -264,9 +263,14 @@ class ExternalProcessPredictor:
                 writer.writerow(["case_id", "step", "activity", *attr_names])
                 writer.writerows(decode_rows(traces, case_ids, self.encoder))
             self._run([*self.argv, str(in_path), str(out_path)])
+            raw = {}
             try:
                 with out_path.open(newline="") as handle:
-                    raw = {row.get("case_id"): row.get("proba") for row in csv.DictReader(handle)}
+                    for row in csv.DictReader(handle):
+                        case_id = row.get("case_id")
+                        if case_id is not None and case_id in raw:
+                            raise self._error(f"returned more than one score for case {case_id}")
+                        raw[case_id] = row.get("proba")
             except OSError:
                 raise self._error("wrote no scores file") from None
             except (UnicodeDecodeError, csv.Error) as exc:

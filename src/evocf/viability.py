@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import markov as markov_mod
 from .errors import ConfigurationError
-from .event_log import EncodedTrace
+from .event_log import EncodedTrace, stack
 from .markov import MarkovFeasibilityModel
 from .predictor import DECISION_THRESHOLD, OutcomePredictor
 
@@ -281,23 +281,18 @@ def _by_diagonal(table: np.ndarray) -> np.ndarray:
     )
 
 
-def _wavefront(factual: EncodedTrace, block: list[EncodedTrace], slices):
+def _wavefront(factual: EncodedTrace, acts: np.ndarray, feats: np.ndarray, lengths, slices):
     """Euclidean and count distances of one block, one anti-diagonal at a time.
 
-    The 2B DPs (both kinds of every candidate) are the last, contiguous axis.
-    Candidates are padded to the block's longest prefix; a DP's distance is
-    read at (n, m_b), which no padded cell feeds. Each cell adds the terms of
+    acts (B, M) and feats (B, M, D) are the block's rows of the frame, cut to
+    its longest prefix. The 2B DPs (both kinds of every candidate) are the
+    last, contiguous axis. A DP's distance is read at (n, m_b), which no cell
+    past a candidate's last event feeds. Each cell adds the terms of
     _dp_table in the same order and keeps the smaller candidate, so every
     distance equals ssdld_distance.
     """
     n = factual.valid_len
-    lengths = np.array([candidate.valid_len for candidate in block])
-    b, m, d = len(block), int(lengths.max()), factual.features.shape[1]
-    acts = np.zeros((b, m), dtype=np.int64)
-    feats = np.zeros((b, m, d))
-    for row, candidate in enumerate(block):
-        acts[row, : candidate.valid_len] = candidate.activity_ids[: candidate.valid_len]
-        feats[row, : candidate.valid_len] = candidate.features[: candidate.valid_len]
+    b, m = acts.shape
     same = factual.activity_ids[:n, None, None] == acts.T[None]
     pair, delete, insert = _match_costs(factual, feats, same, slices)
     match = np.zeros((n + 1, m + 1, 2 * b), dtype=bool)
@@ -340,24 +335,25 @@ def _wavefront(factual: EncodedTrace, block: list[EncodedTrace], slices):
 
 
 def edit_distances(
-    factual: EncodedTrace, candidates: list[EncodedTrace], slices=None
+    factual: EncodedTrace, ids: np.ndarray, features: np.ndarray, lengths: np.ndarray, slices=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """ssdld_distance of the factual to each candidate, for both cost kinds.
+    """ssdld_distance of the factual to each candidate of a frame (event_log.stack).
 
-    Returns (euclidean, count) as float arrays in candidate order, equal to
-    ssdld_distance(factual, c, kind, slices). Candidates are swept in blocks
-    of _BLOCK, shortest first so a block pads little, which bounds memory
-    for any batch size.
+    Returns (euclidean, count) as float arrays in row order, equal to
+    ssdld_distance(factual, c, kind, slices) for both cost kinds. Rows are
+    swept in blocks of _BLOCK, shortest first so a block pads little, which
+    bounds memory for any batch size.
     """
     if slices is None:
         slices = _infer_slices(factual)
-    order = sorted(range(len(candidates)), key=lambda r: candidates[r].valid_len)
-    euclidean = np.empty(len(candidates))
-    count = np.empty(len(candidates))
+    order = np.argsort(lengths, kind="stable")
+    euclidean = np.empty(len(lengths))
+    count = np.empty(len(lengths))
     for start in range(0, len(order), _BLOCK):
         rows = order[start : start + _BLOCK]
+        m = lengths[rows].max()
         euclidean[rows], count[rows] = _wavefront(
-            factual, [candidates[r] for r in rows], slices
+            factual, ids[rows, :m], features[rows, :m], lengths[rows], slices
         )
     return euclidean, count
 
@@ -462,8 +458,9 @@ class ViabilityScorer:
             # P(factual's outcome class | trace); the factual's own is p_factual
             flip = self.factual_class == 0
             probabilities = [1.0 - p1 if flip else p1 for p1 in p1s]
-            feasibilities = markov_mod.feasibility_batch(self.feas_model, traces)
-            euclidean, count = edit_distances(self.factual, traces, self.slices)
+            frame = stack(traces)
+            feasibilities = markov_mod.feasibility_batch(self.feas_model, *frame)
+            euclidean, count = edit_distances(self.factual, *frame, self.slices)
             for key, candidate, e_dist, c_dist, feas, probability in zip(
                 misses, traces, euclidean.tolist(), count.tolist(), feasibilities,
                 probabilities, strict=True,

@@ -5,8 +5,11 @@ Run with `pytest tests/test_acceptance.py -v -s`. The heavyweight benchmark
 self-contained. Each test asserts its stated tolerance and time budget.
 """
 
+import hashlib
 import itertools
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,8 @@ from evocf.harness import ExperimentSpec, SyntheticSpec, run_benchmark
 from evocf.viability import ViabilityScorer, delta_score, ssdld_distance
 from test_markov import oracle_feasibility, ten_trace_log
 from test_viability import naive_ssdld
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def report(number: int, label: str, passed: bool, elapsed: float, detail: str = ""):
@@ -149,7 +154,12 @@ BENCHMARK_CONFIGS = ("CBI-ES-UC3-SBM-RR", "CBI-RWS-OPC-SBM-FSR")
 
 
 @pytest.fixture(scope="module")
-def benchmark_run():
+def benchmark_output(tmp_path_factory):
+    return tmp_path_factory.mktemp("criterion_5")
+
+
+@pytest.fixture(scope="module")
+def benchmark_run(benchmark_output):
     spec = ExperimentSpec(
         config_names=BENCHMARK_CONFIGS,
         synthetic=SyntheticSpec(200, 5),
@@ -157,6 +167,7 @@ def benchmark_run():
         counterfactuals_per_factual=50,
         cycles=200,
         seed=0,
+        output_dir=str(benchmark_output),
         population_size=1000,
         offspring_per_cycle=100,
     )
@@ -198,6 +209,17 @@ def test_criterion_6_outcome_flipping(benchmark_run):
         f"{flipped}/{len(best_rows)} best counterfactuals moved toward the flip",
     )
     assert fraction >= 0.8
+
+
+def test_criterion_5_outputs_equal_the_recorded_digests(benchmark_run, benchmark_output):
+    # BENCH_10.json records the sha256 of the three output files of this spec
+    recorded = json.loads((REPO_ROOT / "BENCH_10.json").read_text())["criterion_5"]["digests"]
+    digests = {
+        name: hashlib.sha256((benchmark_output / name).read_bytes()).hexdigest()
+        for name in recorded
+    }
+    assert sorted(recorded) == ["benchmark_report.json", "candidates.csv", "trajectories.csv"]
+    assert digests == recorded
 
 
 # ---------------------------------------------------------------------------

@@ -516,6 +516,25 @@ def test_run_benchmark_routes_jobs_through_module_level_names(monkeypatch, small
     assert sorted(baselines) == sorted(["RGW", "SBGW", "CBGW"] * n_factuals)
 
 
+def test_perfbench_tracer_finds_and_restores_every_name_it_swaps(monkeypatch):
+    # perfbench/tracer.py times the engine by swapping module and class
+    # attributes by name; install() fails on a name that no longer exists
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracer import Tracer
+
+    tracer = Tracer(detailed=True)
+    try:
+        tracer.install()
+        swapped = list(tracer._undo)
+        assert len(swapped) > 2  # more than the two job spans
+        for owner, attr, original in swapped:
+            assert owner.__dict__[attr] is not original
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in swapped:
+        assert owner.__dict__[attr] is original
+
+
 # ---------------------------------------------------------------------------
 # CLI errors: one line on stderr, exit code 2, no traceback
 
@@ -560,6 +579,32 @@ def test_cli_unreadable_scores_file_is_one_line(tmp_path, capsys):
         ]
     )
     assert_one_line_error(capsys, code, "wrote an unreadable scores file")
+
+
+def test_cli_repeated_case_in_scores_file_is_one_line(tmp_path, capsys):
+    # every case twice, 0.9 then 0.1: neither row may silently win
+    script = tmp_path / "twice.py"
+    script.write_text(
+        "import csv, sys\n"
+        "with open(sys.argv[1]) as handle:\n"
+        "    cases = list(dict.fromkeys(row['case_id'] for row in csv.DictReader(handle)))\n"
+        "with open(sys.argv[2], 'w', newline='') as handle:\n"
+        "    writer = csv.writer(handle)\n"
+        "    writer.writerow(['case_id', 'proba'])\n"
+        "    writer.writerows([case_id, 0.9] for case_id in cases)\n"
+        "    writer.writerows([case_id, 0.1] for case_id in cases)\n"
+    )
+    command = f"{sys.executable} {script}"
+    code = cli_main(
+        [
+            "benchmark", "--seed", "5", "--cycles", "1", "--n-factuals", "1", "--cfs", "2",
+            "--configs", "CBI-RWS-OPC-SBM-FSR",
+            "--external-predictor", command,
+            "--overrides", SMALL_OVERRIDES,
+            "--out", str(tmp_path / "bench"),
+        ]
+    )
+    assert_one_line_error(capsys, code, f"{command!r} returned more than one score for case cand_0")
 
 
 def test_cli_malformed_overrides_json(tmp_path, capsys):

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import identity_encoder, make_encoded, sample_attribute_rows
-from evocf.event_log import CategoricalCodec, EncoderSpec, NumericCodec
+from evocf.event_log import CategoricalCodec, EncoderSpec, NumericCodec, _cdf, _draw, stack
 from evocf.evolution import crossover
 from evocf.markov import (
     _TRACE_CHUNK,
+    MarkovFeasibilityModel,
+    _attribute_rows,
     _emission_factors,
     feasibility,
     feasibility_batch,
@@ -455,19 +457,27 @@ def test_table_feasibility_equals_scalar_path_on_the_synthetic_log(synth_setup):
 
 @settings(max_examples=150, deadline=None)
 @given(genomes=st.lists(mixed_genomes(), min_size=1, max_size=12))
-def test_feasibility_batch_equals_feasibility(genomes):
+def test_feasibility_batch_equals_scalar_feasibility(genomes):
     # mixed genomes carry off-codes, codes at and past the decode tolerance and
     # the never-observed activity 4, so epsilon 0 gives many zero factors
     for model in MIXED_MODELS.values():
-        assert feasibility_batch(model, genomes) == [feasibility(model, g) for g in genomes]
+        expected = [scalar_feasibility(model, g) for g in genomes]
+        assert feasibility_batch(model, *stack(genomes)) == expected
 
 
 def test_feasibility_batch_on_the_synthetic_log(synth_setup):
     model = synth_setup["feas_model"]
     traces = synth_setup["train"] + synth_setup["test"]
-    assert feasibility_batch(model, traces) == [feasibility(model, t) for t in traces]
-    assert feasibility_batch(model, traces[:1]) == [feasibility(model, traces[0])]
-    assert feasibility_batch(model, []) == []
+    expected = [scalar_feasibility(model, t) for t in traces]
+    assert feasibility_batch(model, *stack(traces)) == expected
+    assert feasibility_batch(model, *stack(traces[:1])) == expected[:1]
+
+
+def test_feasibility_batch_of_an_empty_frame():
+    model = MIXED_MODELS[1e-6]
+    d = MIXED_ENCODER.feature_dim
+    empty = np.zeros((0, 8), dtype=np.int64), np.zeros((0, 8, d)), np.zeros(0, dtype=np.int64)
+    assert feasibility_batch(model, *empty) == []
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-6])
@@ -481,6 +491,36 @@ def test_cdf_sampling_replays_generator_choice(eps, synth_setup):
                 row = sample_attributes(model, a, ours)
                 assert row.tobytes() == choice_sample_attributes(model, a, reference).tobytes()
         assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def test_a_double_equal_to_a_cdf_entry_picks_the_next_index():
+    # "the first CDF entry above u", written three ways. u is the double the
+    # tie draw takes (the generator's second); with u >= 0.5, 1 - u and
+    # u + (1 - u) are exact, so _cdf([u, 1 - u]) is exactly [u, 1.0]
+    u = float(np.random.default_rng(1).random(2)[1])
+    assert u >= 0.5
+    cdf = _cdf(np.array([u, 1.0 - u]))
+    assert cdf.tolist() == [u, 1.0]
+
+    rng = np.random.default_rng(1)
+    rng.random()
+    assert _draw(cdf, rng) == 1  # searchsorted(side="right")
+
+    codec = CategoricalCodec("r", ("r0", "r1"))
+    model = MarkovFeasibilityModel(
+        initial_probs=np.array([0.0, 1.0]),
+        transition=np.array([[1.0, 0.0], [u, 1.0 - u]]),  # from activity 1: END w.p. u
+        emissions=(np.array([[0.0, 0.0, 0.0], [u, 1.0 - u, 0.0]]),),
+        smoothing_epsilon=0.0,
+        n_bins=2,
+        encoder=EncoderSpec({"a": 1}, (codec,), 2),
+    )
+    # bisect_right: the first double starts the chain at activity 1, u continues it
+    lengths, acts, _ = sample_traces(model, 2, 1, np.random.default_rng(1))
+    assert (lengths, acts.tolist()) == ([2], [1, 1])
+    # a count of the entries <= u: category index 1
+    rows = _attribute_rows(model, np.array([1]), np.array([[u]]))
+    assert rows.tolist() == codec.encode(["r1"]).tolist()
 
 
 def test_fit_json_is_unchanged_on_the_synthetic_log(synth_setup):

@@ -25,6 +25,7 @@ from evocf.event_log import (
     fit_encoder,
     preprocess,
     split_train_test,
+    stack,
     synthesize_log,
 )
 from evocf.markov import fit as fit_markov
@@ -288,7 +289,7 @@ def test_batched_features_and_probabilities_equal_per_trace(k, d, max_len, b, sc
         length = int(rng.choice([1, max_len, rng.integers(1, max_len + 1)]))
         rows = rng.random((length, d)) * rng.choice([1e-3, 1.0, 1e3], size=d)
         traces.append(make_encoded(rng.integers(1, k + 1, size=length).tolist(), rows, max_len))
-    phi = extract_features_batch(traces, k)
+    phi = extract_features_batch(*stack(traces), k)
     assert phi.tobytes() == np.stack([extract_features(t, k) for t in traces]).tobytes()
     predictor = LogisticOutcomePredictor(
         weights=rng.normal(0.0, scale, size=feature_width(k, d)),
@@ -303,7 +304,7 @@ def test_batched_features_and_probabilities_equal_per_trace(k, d, max_len, b, sc
 
 def test_batched_features_reject_ids_outside_the_vocabulary():
     with pytest.raises(ValueError):
-        extract_features_batch([make_encoded([1, 3], [[0.1], [0.2]], 4)], 2)
+        extract_features_batch(*stack([make_encoded([1, 3], [[0.1], [0.2]], 4)]), 2)
 
 
 def test_predictor_keeps_the_encoder_check(synth_setup):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import identity_encoder, make_encoded
 from evocf.errors import ConfigurationError
+from evocf.event_log import stack
 from evocf.evolution import evolve, parse_config_name
 from evocf.markov import fit
 from evocf.viability import (
@@ -229,7 +230,7 @@ def kernel_slices(mode, d):
 
 
 def assert_kernel_equals_scalar(factual, candidates, slices):
-    euclidean, count = edit_distances(factual, candidates, slices)
+    euclidean, count = edit_distances(factual, *stack(candidates), slices)
     assert euclidean.shape == count.shape == (len(candidates),)
     for candidate, e_dist, c_dist in zip(candidates, euclidean.tolist(), count.tolist()):
         assert e_dist == ssdld_distance(factual, candidate, "euclidean", slices)
@@ -283,6 +284,14 @@ def test_edit_distances_of_a_block_without_matching_cells(d, slice_mode):
     assert_kernel_equals_scalar(factual, candidates, slices)
 
 
+@pytest.mark.parametrize("d", [0, 3])
+def test_edit_distances_of_an_empty_frame(d):
+    factual = kernel_trace(np.random.default_rng(d), 4, 6, 3, d)
+    empty = np.zeros((0, 6), dtype=np.int64), np.zeros((0, 6, d)), np.zeros(0, dtype=np.int64)
+    euclidean, count = edit_distances(factual, *empty)
+    assert euclidean.shape == count.shape == (0,)
+
+
 def test_edit_distances_swap_and_repeat_sequences():
     # alternating and repeated activities make many transposition and match
     # cells at once, with attributes carried across the swap
@@ -302,8 +311,9 @@ def test_edit_distances_on_the_criterion_1_fixture():
         for value in (0.0, 0.5, 1.0)
     ]
     assert len(fixture) == 360
+    frame = stack(fixture)
     for factual in fixture:
-        euclidean, count = edit_distances(factual, fixture)
+        euclidean, count = edit_distances(factual, *frame)
         assert euclidean.tolist() == [ssdld_distance(factual, c, "euclidean") for c in fixture]
         assert count.tolist() == [ssdld_distance(factual, c, "count") for c in fixture]
 
