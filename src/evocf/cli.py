@@ -21,6 +21,7 @@ from pathlib import Path
 from . import predictor as predictor_mod
 from .errors import ConfigurationError, EvocfError
 from .event_log import (
+    EncodedTrace,
     Event,
     PlantedRule,
     Trace,
@@ -30,6 +31,7 @@ from .event_log import (
     fit_encoder,
     load_csv,
     load_schema_config,
+    stack,
     synthesize_log,
     write_csv,
 )
@@ -99,6 +101,9 @@ def _parse_value(value, hint, what: str):
     raise ConfigurationError(f"{what} must be {expected}, got {json.dumps(value)}")
 
 
+_FLAG_FIELDS = {"log_path": "--log", "schema_path": "--schema", "output_dir": "--out"}
+
+
 def _parse_overrides(text: str | None) -> dict:
     if not text:
         return {}
@@ -108,6 +113,9 @@ def _parse_overrides(text: str | None) -> dict:
         raise ConfigurationError(f"--overrides is not valid JSON: {exc}") from None
     if not isinstance(overrides, dict):
         raise ConfigurationError("--overrides must be a JSON object")
+    for key, flag in _FLAG_FIELDS.items():
+        if key in overrides:
+            raise ConfigurationError(f"--overrides cannot set {key}; {flag} sets it")
     return _parse_fields(overrides, ExperimentSpec, "--overrides")
 
 
@@ -226,8 +234,11 @@ def cmd_generate(args) -> int:
         writer.writerows(map(_candidate_values, rows))
 
     encoder = prepared.encoder
-    best, score = top.genomes[0], rows[0].score
-    p_factual, *p_top = prepared.predictor.predict_proba_batch([factual, *top.genomes])
+    # the render batch: the factual, then the output candidates as traces
+    top_rows = zip(top.ids, top.features, top.lengths.tolist())
+    genomes = [EncodedTrace(*row, 0, "cf") for row in top_rows]
+    p_factual, *p_top = prepared.predictor.predict_proba_batch(*stack([factual, *genomes]))
+    best, score = genomes[0], rows[0].score
     case_ids = [f"cf_{rank:03d}" for rank in range(1, len(top) + 1)]
     predicted = {case_id: int(p > DECISION_THRESHOLD) for case_id, p in zip(case_ids, p_top)}
 
@@ -236,7 +247,7 @@ def cmd_generate(args) -> int:
     names = [codec.name for codec in encoder.codecs]
     events = [
         (case_id, activity, step, predicted[case_id], *("" if v is None else v for v in values))
-        for case_id, step, activity, *values in decode_rows(top.genomes, case_ids, encoder)
+        for case_id, step, activity, *values in decode_rows(*top.frame, case_ids, encoder)
     ]
     with (out / "counterfactual_events.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)

@@ -318,7 +318,10 @@ class EncodedTrace:
         return len(self.activity_ids)
 
 
-def stack(traces: Sequence[EncodedTrace]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+Frame = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def stack(traces: Sequence[EncodedTrace]) -> Frame:
     """The frame of a non-empty batch sharing (L, D): ids (N, L), features (N, L, D), lengths (N,).
 
     Row i is trace i with its padding: cell t of the row is an event iff t < lengths[i].
@@ -610,25 +613,23 @@ def decode(enc: EncodedTrace, spec: EncoderSpec) -> Trace:
     names = [codec.name for codec in spec.codecs]
     events = tuple(
         Event(activity, {name: v for name, v in zip(names, values) if v is not None})
-        for _, _, activity, *values in decode_rows([enc], [enc.case_id], spec)
+        for _, _, activity, *values in decode_rows(*stack([enc]), [enc.case_id], spec)
     )
     return Trace(enc.case_id, events, enc.outcome)
 
 
 def decode_rows(
-    traces: Sequence[EncodedTrace], case_ids: Sequence[str], spec: EncoderSpec
+    ids: np.ndarray, features: np.ndarray, lengths: np.ndarray, case_ids: Sequence[str],
+    spec: EncoderSpec,
 ) -> Iterator[tuple]:
-    """The events of the traces as (case_id, step, activity, *values) rows.
+    """The events of the rows of a frame (stack) as (case_id, step, activity, *values) rows.
 
-    Padding rows are dropped. Each attribute is decoded once for the whole
+    Padding cells are dropped. Each attribute is decoded once for the whole
     batch by its codec; an absent or invalid category reads None, which a
     csv writer writes as "".
     """
-    if any(enc.valid_len > spec.max_len for enc in traces):
+    if (lengths > spec.max_len).any():
         raise VocabularyError("encoded trace longer than encoder max_len")
-    if not traces:
-        return iter(())
-    ids, features, lengths = stack(traces)
     rows, steps = np.nonzero(np.arange(ids.shape[1]) < lengths[:, None])
     try:
         activities = list(map(spec.id_to_activity.__getitem__, ids[rows, steps].tolist()))

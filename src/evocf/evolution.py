@@ -1,7 +1,9 @@
 """Evolutionary counterfactual generation: operator catalog and search loop.
 
-A genome is one encoded trace; a gene is one event, i.e. an activity id
-together with its feature row. Operator configurations are five-slot
+A genome is one row of a padded frame (event_log.stack's ids, features and
+lengths); a gene is one event, i.e. an activity id together with its feature
+row. The population and each cycle's offspring are frames, so no genome
+becomes an object inside the loop. Operator configurations are five-slot
 combinations named like "CBI-RWS-OPC-SBM-FSR" (initiator, selector, crosser,
 mutator, recombiner); the uniform crosser carries its rate as a digit, so
 "UC3" crosses roughly 30% of gene positions.
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import markov as markov_mod
 from .errors import ConfigNameError, SelectionError
-from .event_log import PAD_ID, EncodedTrace
+from .event_log import PAD_ID, EncodedTrace, EncoderSpec, Frame, stack
 from .markov import MarkovFeasibilityModel
 from .viability import ViabilityScorer
 
@@ -152,21 +154,28 @@ def _by_total(scores: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Population:
-    """Genomes and their (N, 5) score rows, row i scoring genome i."""
+    """Genomes as one frame (event_log.stack's ids, features and lengths, padding cells
+    PAD_ID with all-zero features) and their (N, 5) score rows, row i scoring genome i."""
 
-    genomes: tuple[EncodedTrace, ...]
+    ids: np.ndarray = field(repr=False)
+    features: np.ndarray = field(repr=False)
+    lengths: np.ndarray
     scores: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.genomes)
+        return len(self.lengths)
+
+    @property
+    def frame(self) -> Frame:
+        return self.ids, self.features, self.lengths
 
     def take(self, order: np.ndarray) -> "Population":
         """The genomes at order, in that order, with their score rows."""
-        return Population(tuple(map(self.genomes.__getitem__, order.tolist())), self.scores[order])
+        return Population(*(column[order] for column in self.frame), self.scores[order])
 
     def head(self, n: int) -> "Population":
         """The first n genomes and their score rows."""
-        return Population(self.genomes[:n], self.scores[:n])
+        return Population(*(column[:n] for column in self.frame), self.scores[:n])
 
 
 @dataclass(frozen=True)
@@ -188,46 +197,34 @@ class GenerationResult:
 
 
 # ---------------------------------------------------------------------------
-# genome construction helpers
+# initial genomes
 
 
-def _build_genome(ids: list[int], rows, max_len: int, feature_dim: int) -> EncodedTrace:
-    length = len(ids)
-    activity_ids = np.zeros(max_len, dtype=np.int64)
-    features = np.zeros((max_len, feature_dim), dtype=float)
-    activity_ids[:length] = ids
-    features[:length] = rows
-    return EncodedTrace(activity_ids, features, length, 0, "cf")
+def _random_genomes(rng: np.random.Generator, n: int, encoder: EncoderSpec) -> Frame:
+    """The frame of n uniformly random genomes, drawn one genome at a time."""
+    ids = np.zeros((n, encoder.max_len), dtype=np.int64)
+    features = np.zeros((n, encoder.max_len, encoder.feature_dim))
+    lengths = np.empty(n, dtype=np.int64)
+    for g in range(n):
+        length = lengths[g] = int(rng.integers(1, encoder.max_len + 1))
+        ids[g, :length] = rng.integers(1, encoder.vocab_size + 1, size=length)
+        # one fill draws the normals of length calls of size feature_dim, in order
+        features[g, :length] = np.clip(rng.standard_normal((length, encoder.feature_dim)), 0.0, 1.0)
+    return ids, features, lengths
 
 
-def _clipped_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return np.clip(rng.standard_normal(shape), 0.0, 1.0)
-
-
-def _random_genome(
-    rng: np.random.Generator, vocab_size: int, max_len: int, feature_dim: int
-) -> EncodedTrace:
-    length = int(rng.integers(1, max_len + 1))
-    ids = rng.integers(1, vocab_size + 1, size=length).tolist()
-    # one fill draws the normals of length calls of size feature_dim, in order
-    rows = _clipped_normal(rng, (length, feature_dim))
-    return _build_genome(ids, rows, max_len, feature_dim)
-
-
-def _sampled_genomes(
-    rng: np.random.Generator, feas_model: MarkovFeasibilityModel, n: int
-) -> list[EncodedTrace]:
+def _sampled_genomes(rng: np.random.Generator, feas_model: MarkovFeasibilityModel, n: int) -> Frame:
+    """The frame of n genomes sampled from the feasibility model."""
     encoder = feas_model.encoder
     lengths, acts, rows = markov_mod.sample_traces(feas_model, encoder.max_len, n, rng)
-    # the valid cells of the stacked frames, row-major: the events in order
-    valid = np.arange(encoder.max_len) < np.array(lengths)[:, None]
+    lengths = np.array(lengths, dtype=np.int64)
+    # the valid cells of the frame, row-major: the events in order
+    valid = np.arange(encoder.max_len) < lengths[:, None]
     ids = np.zeros((n, encoder.max_len), dtype=np.int64)
     features = np.zeros((n, encoder.max_len, encoder.feature_dim))
     ids[valid] = acts
     features[valid] = rows
-    return [
-        EncodedTrace(ids[g], features[g], length, 0, "cf") for g, length in enumerate(lengths)
-    ]
+    return ids, features, lengths
 
 
 # ---------------------------------------------------------------------------
@@ -245,92 +242,70 @@ def initialize(
     """Create and score the initial population.
 
     RI draws uniformly random genomes, SBI samples activities and attributes
-    from the feasibility model, CBI draws traces from the log uniformly with
-    replacement.
+    from the feasibility model, CBI draws rows of the stacked log uniformly
+    with replacement.
     """
     if n < 1:
         raise ValueError("population size must be >= 1")
-    encoder = feas_model.encoder
-    genomes: list[EncodedTrace] = []
     if kind == "RI":
-        for _ in range(n):
-            genomes.append(
-                _random_genome(rng, encoder.vocab_size, encoder.max_len, encoder.feature_dim)
-            )
+        frame = _random_genomes(rng, n, feas_model.encoder)
     elif kind == "SBI":
-        genomes = _sampled_genomes(rng, feas_model, n)
+        frame = _sampled_genomes(rng, feas_model, n)
     elif kind == "CBI":
         if not log:
             raise ValueError("CBI initiation needs a non-empty log")
-        indices = rng.integers(0, len(log), size=n)
-        genomes = [log[i] for i in indices]
+        rows = rng.integers(0, len(log), size=n)
+        frame = tuple(column[rows] for column in stack(log))
     else:
         raise ConfigNameError(f"unknown initiator {kind!r}")
-    return Population(tuple(genomes), scorer.score_batch(genomes))
+    return Population(*frame, scorer.score_batch(*frame))
 
 
 def select(
     kind: str, population: Population, sample_size: int, rng: np.random.Generator
-) -> list[tuple[EncodedTrace, EncodedTrace]]:
-    """Pick sample_size parent genomes and pair them consecutively."""
-    genomes = population.genomes
-    if not genomes:
+) -> np.ndarray:
+    """The rows of sample_size parents; rows 2p and 2p + 1 are pair p."""
+    n = len(population)
+    if not n:
         raise SelectionError("cannot select from an empty population")
     if sample_size % 2 != 0:
         raise ValueError("sample_size must be even")
     fitness = np.maximum(population.scores[:, TOTAL], FITNESS_FLOOR)
     if kind == "RWS":
-        chosen = rng.choice(len(genomes), size=sample_size, p=fitness / fitness.sum())
+        chosen = rng.choice(n, size=sample_size, p=fitness / fitness.sum())
     elif kind == "TS":
         # a contest of two uniform draws: i wins with probability f_i / (f_i + f_j)
         fit = fitness.tolist()
         chosen = []
         for _ in range(sample_size):
-            i, j = rng.integers(0, len(genomes), size=2).tolist()
+            i, j = rng.integers(0, n, size=2).tolist()
             chosen.append(i if rng.random() < fit[i] / (fit[i] + fit[j]) else j)
     elif kind == "ES":
-        if sample_size > len(genomes):
-            raise SelectionError(
-                f"elitism selection of {sample_size} from population of {len(genomes)}"
-            )
+        if sample_size > n:
+            raise SelectionError(f"elitism selection of {sample_size} from population of {n}")
         chosen = _by_total(population.scores)[:sample_size]
     else:
         raise ConfigNameError(f"unknown selector {kind!r}")
-    parents = list(map(genomes.__getitem__, np.asarray(chosen).tolist()))
-    return list(zip(parents[0::2], parents[1::2]))
-
-
-def _normalize_after_crossover(ids: np.ndarray, features: np.ndarray) -> EncodedTrace:
-    # events after the first PAD are an encoding artifact of mixing frames;
-    # ids and features are fresh arrays, cut here in place. PAD_ID is the
-    # smallest id, so argmin finds the first PAD if there is one
-    first = int(ids.argmin())
-    valid_len = first if ids[first] == PAD_ID else len(ids)
-    ids[valid_len:] = PAD_ID
-    features[valid_len:] = 0.0
-    return EncodedTrace(ids, features, valid_len, 0, "cf")
+    return np.asarray(chosen, dtype=np.intp)
 
 
 def crossover(
-    kind: str,
-    parent_a: EncodedTrace,
-    parent_b: EncodedTrace,
-    rng: np.random.Generator,
-    uc_rate: float | None = None,
-) -> tuple[EncodedTrace, EncodedTrace]:
-    """Produce two symmetric children over the padded gene frame.
+    kind: str, ids: np.ndarray, features: np.ndarray, lengths: np.ndarray,
+    rng: np.random.Generator, uc_rate: float | None = None,
+) -> None:
+    """Cross the two rows of a frame into two symmetric children, in place.
 
-    Positions are indexed over the full frame (padding included), so parents
-    of different lengths cross cleanly; children are re-normalized to
-    trailing-PAD form afterwards. Position 0 always holds a real gene, so
-    children never collapse to length zero.
+    ids (2, L), features (2, L, D) and lengths (2,) hold the parents a and
+    b on entry and their children on return. Positions are indexed over the
+    full frame (padding included), so parents of different lengths cross
+    cleanly; children are re-normalized to trailing-PAD form afterwards.
+    Position 0 always holds a real gene, so children never collapse to
+    length zero.
     """
-    max_len = parent_a.max_len
-    a_ids, b_ids = parent_a.activity_ids, parent_b.activity_ids
-    a_feat, b_feat = parent_a.features, parent_b.features
+    max_len = ids.shape[1]
     if max_len < 2:
-        return parent_a, parent_b
-    # mask marks the positions child 1 takes from parent_a; child 2 is its mirror
+        return
+    # mask marks the positions child 1 takes from parent a; child 2 is its mirror
     frame = np.arange(max_len)
     if kind == "UC":
         mask = rng.random(max_len) < uc_rate
@@ -341,22 +316,25 @@ def crossover(
         mask = (frame < lo) | (frame >= hi)
     else:
         raise ConfigNameError(f"unknown crosser {kind!r}")
-    rows = mask[:, None]
-    return (
-        _normalize_after_crossover(np.where(mask, a_ids, b_ids), np.where(rows, a_feat, b_feat)),
-        _normalize_after_crossover(np.where(mask, b_ids, a_ids), np.where(rows, b_feat, a_feat)),
-    )
+    ids[:] = np.where(mask, ids, ids[::-1])
+    features[:] = np.where(mask[:, None], features, features[::-1])
+    # events after the first PAD are an encoding artifact of mixing frames;
+    # PAD_ID is the smallest id, so argmin finds the first PAD if there is one
+    for child, row in enumerate(ids):
+        first = int(row.argmin())
+        length = lengths[child] = first if row[first] == PAD_ID else max_len
+        row[length:] = PAD_ID
+        features[child, length:] = 0.0
 
 
 def mutate(
-    kind: str,
-    genome: EncodedTrace,
-    rates: MutationRates,
-    feas_model: MarkovFeasibilityModel,
-    rng: np.random.Generator,
-) -> EncodedTrace:
-    """Apply the delete, insert, and change passes in that order.
+    kind: str, ids: np.ndarray, features: np.ndarray, length: int, rates: MutationRates,
+    feas_model: MarkovFeasibilityModel, rng: np.random.Generator,
+) -> int:
+    """Mutate one genome row in place and return its new length.
 
+    ids (L,) and features (L, D) are the row, its first length cells the
+    events. The delete, insert, and change passes apply in that order.
     Deletes hit non-padding positions only (the last survivor is immune, so
     length never drops below 1); inserts fill free padding capacity at a
     uniform position; changes redraw activity and attributes in place. RM
@@ -366,13 +344,12 @@ def mutate(
     if kind not in MUTATORS:
         raise ConfigNameError(f"unknown mutator {kind!r}")
     vocab_size = feas_model.encoder.vocab_size
-    max_len = genome.max_len
-    feature_dim = genome.features.shape[1]
+    max_len, feature_dim = features.shape
 
-    # A mutation without events draws valid_len delete, max_len - valid_len
-    # insert and valid_len change doubles, one at a time. Where it is likely,
-    # draw them at once; if one hits its rate, rewind to the path below.
-    n = genome.valid_len
+    # A mutation without events draws n delete, max_len - n insert and n
+    # change doubles, one at a time. Where it is likely, draw them at once;
+    # if one hits its rate, rewind to the path below.
+    n = int(length)
     no_event = ((1 - rates.delete) * (1 - rates.change)) ** n * (1 - rates.insert) ** (max_len - n)
     if no_event >= NO_EVENT_MIN_CHANCE:
         state = rng.bit_generator.state
@@ -382,41 +359,43 @@ def mutate(
             and min(u[n:max_len], default=1.0) >= rates.insert
             and min(u[max_len:]) >= rates.change
         ):
-            return EncodedTrace(genome.activity_ids, genome.features, n, 0, "cf")
+            return n
         rng.bit_generator.state = state
 
     def draw_row(activity_id: int) -> np.ndarray:
         if kind == "RM":
-            return _clipped_normal(rng, feature_dim)
+            return np.clip(rng.standard_normal(feature_dim), 0.0, 1.0)
         return markov_mod.sample_attributes(feas_model, activity_id, rng)
 
-    ids = genome.activity_ids[: genome.valid_len].tolist()
-    rows = [genome.features[t] for t in range(genome.valid_len)]
+    acts = ids[:n].tolist()
+    rows = list(features[:n].copy())
 
     # delete
-    remove = rng.random(len(ids)) < rates.delete
+    remove = rng.random(len(acts)) < rates.delete
     if remove.all():
         remove[-1] = False
-    ids = [a for a, r in zip(ids, remove) if not r]
+    acts = [a for a, r in zip(acts, remove) if not r]
     rows = [row for row, r in zip(rows, remove) if not r]
 
     # insert
-    free_slots = max_len - len(ids)
-    for _ in range(free_slots):
+    for _ in range(max_len - len(acts)):
         if rng.random() < rates.insert:
-            position = int(rng.integers(0, len(ids) + 1))
+            position = int(rng.integers(0, len(acts) + 1))
             activity = int(rng.integers(1, vocab_size + 1))
-            ids.insert(position, activity)
+            acts.insert(position, activity)
             rows.insert(position, draw_row(activity))
 
     # change
-    flip = rng.random(len(ids)) < rates.change
+    flip = rng.random(len(acts)) < rates.change
     for t in np.flatnonzero(flip):
         activity = int(rng.integers(1, vocab_size + 1))
-        ids[t] = activity
+        acts[t] = activity
         rows[t] = draw_row(activity)
 
-    return _build_genome(ids, rows, max_len, feature_dim)
+    n = len(acts)
+    ids[:n], ids[n:] = acts, PAD_ID
+    features[:n], features[n:] = rows, 0.0
+    return n
 
 
 def recombine(
@@ -428,17 +407,17 @@ def recombine(
     mutants above their generation's mean total, dropping the worst once over
     capacity. RR orders the union lexicographically by the components in
     priority order feasibility, delta, sparsity, similarity. Sorts are stable,
-    so ties resolve by insertion order.
+    so ties resolve by insertion order. The survivors' rows are gathered from
+    both frames, never from a frame of the union.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     scores = np.concatenate([population.scores, mutants.scores])
-    union = Population(population.genomes + mutants.genomes, scores)
     if kind == "FSR":
         order = _by_total(scores)
     elif kind == "BBR":
         order = np.arange(len(population))
-        if mutants:
+        if len(mutants):
             totals = scores[len(population) :, TOTAL]
             admitted = np.flatnonzero(totals > statistics.fmean(totals.tolist()))
             order = np.concatenate([order, len(population) + admitted])
@@ -449,7 +428,16 @@ def recombine(
         order = np.lexsort(-scores[:, [SIMILARITY, SPARSITY, DELTA, FEASIBILITY]].T)
     else:
         raise ConfigNameError(f"unknown recombiner {kind!r}")
-    return union.take(order[:max_size])
+    order = order[:max_size]
+    n = len(population)
+    old = order < n
+    columns = []
+    for kept, offered in zip(population.frame, mutants.frame):
+        column = np.empty((len(order), *kept.shape[1:]), dtype=kept.dtype)
+        column[old] = kept[order[old]]
+        column[~old] = offered[order[~old] - n]
+        columns.append(column)
+    return Population(*columns, scores[order])
 
 
 # ---------------------------------------------------------------------------
@@ -485,19 +473,22 @@ def evolve(
     """
     rng = np.random.default_rng(config.seed)
     scorer = ViabilityScorer(factual, predictor, feas_model)
-    population = initialize(
-        config.initiator, config.population_size, log, feas_model, scorer, rng
-    )
+    population = initialize(config.initiator, config.population_size, log, feas_model, scorer, rng)
     stats: list[CycleStats] = []
     for cycle in range(1, config.cycles + 1):
-        pairs = select(config.selector, population, config.offspring_per_cycle, rng)
-        offspring: list[EncodedTrace] = []
-        for parent_a, parent_b in pairs:
-            for child in crossover(config.crosser, parent_a, parent_b, rng, config.uc_rate):
-                offspring.append(
-                    mutate(config.mutator, child, config.mutation_rates, feas_model, rng)
+        parents = select(config.selector, population, config.offspring_per_cycle, rng)
+        # the offspring block starts as the parents' rows; each pair is
+        # crossed and each child mutated in its own rows
+        ids, features, lengths = (column[parents] for column in population.frame)
+        for p in range(0, len(parents), 2):
+            pair = slice(p, p + 2)
+            crossover(config.crosser, ids[pair], features[pair], lengths[pair], rng, config.uc_rate)
+            for child in (p, p + 1):
+                lengths[child] = mutate(
+                    config.mutator, ids[child], features[child], lengths[child],
+                    config.mutation_rates, feas_model, rng,
                 )
-        mutants = Population(tuple(offspring), scorer.score_batch(offspring))
+        mutants = Population(ids, features, lengths, scorer.score_batch(ids, features, lengths))
         population = recombine(config.recombiner, population, mutants, config.population_size)
         stats.append(_cycle_stats(cycle, population))
     return GenerationResult(population.take(_by_total(population.scores)), tuple(stats))

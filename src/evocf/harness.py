@@ -108,8 +108,12 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.n_factuals < 1:
             raise ValueError("n_factuals must be >= 1")
-        if self.synthetic is None and (self.log_path is None or self.schema_path is None):
-            raise ValueError("need either a synthetic spec or log_path plus schema_path")
+        paths = (self.log_path, self.schema_path)
+        if paths.count(None) != (0 if self.synthetic is None else 2):
+            raise ValueError("need either a synthetic spec or log_path plus schema_path, not both")
+        repeated = [n for i, n in enumerate(self.config_names) if n in self.config_names[:i]]
+        if repeated:
+            raise ValueError(f"config {repeated[0]} is named more than once")
         if self.counterfactuals_per_factual < 1:
             raise ValueError("counterfactuals_per_factual must be >= 1")
         if self.seed < 0:
@@ -277,27 +281,23 @@ class BenchmarkReport:
         }
 
 
-def activities_string(trace: EncodedTrace, encoder: EncoderSpec) -> str:
-    id_to_activity = encoder.id_to_activity
-    return "|".join(
-        id_to_activity[int(a)] for a in trace.activity_ids[: trace.valid_len]
-    )
-
-
 def candidate_rows(
     generator: str, factual_id: str, top: Population, encoder: EncoderSpec
 ) -> list[CandidateRow]:
     """One row per candidate, ranked from 1 in the given order."""
+    id_to_activity = encoder.id_to_activity
     return [
         CandidateRow(
             factual_id=factual_id,
             generator=generator,
             rank=rank,
             score=ViabilityScore(*row),
-            activities=activities_string(genome, encoder),
-            valid_len=genome.valid_len,
+            activities="|".join(map(id_to_activity.__getitem__, ids[:length])),
+            valid_len=length,
         )
-        for rank, (genome, row) in enumerate(zip(top.genomes, top.scores.tolist()), start=1)
+        for rank, (ids, length, row) in enumerate(
+            zip(top.ids.tolist(), top.lengths.tolist(), top.scores.tolist()), start=1
+        )
     ]
 
 

@@ -1,12 +1,12 @@
 """Outcome predictors: the pluggable scoring interface plus a reference model.
 
-The generation engine only needs `predict_proba_batch(traces)`, one
-P(outcome=1) per trace in order; any object with that method can drive it,
-and it is the only way the package asks a predictor anything. The reference
-implementation is a logistic regression over hand-built sequence features,
-trained from scratch with full-batch gradient descent. An external process
-can be plugged in via a CSV file protocol for models that live outside this
-package.
+The generation engine only needs `predict_proba_batch(ids, features,
+lengths)`, one P(outcome=1) per row of a frame (event_log.stack) in order;
+any object with that method can drive it, and it is the only way the package
+asks a predictor anything. The reference implementation is a logistic
+regression over hand-built sequence features, trained from scratch with
+full-batch gradient descent. An external process can be plugged in via a CSV
+file protocol for models that live outside this package.
 """
 
 from __future__ import annotations
@@ -34,8 +34,10 @@ EXTERNAL_TIMEOUT_S = 600.0
 
 
 class OutcomePredictor(Protocol):
-    def predict_proba_batch(self, traces: list[EncodedTrace]) -> list[float]:
-        """P(outcome=1) of each trace, in order, each in [0, 1]; [] for no traces."""
+    def predict_proba_batch(
+        self, ids: np.ndarray, features: np.ndarray, lengths: np.ndarray
+    ) -> list[float]:
+        """P(outcome=1) of each row of the frame, in order, each in [0, 1]; [] for no rows."""
         ...
 
 
@@ -108,10 +110,8 @@ class LogisticOutcomePredictor:
     encoder_fingerprint: tuple | None = None
     training_loss: tuple[float, ...] = ()
 
-    def predict_proba_batch(self, traces: list[EncodedTrace]) -> list[float]:
-        if not traces:
-            return []
-        phi = extract_features_batch(*stack(traces), self.vocab_size)
+    def predict_proba_batch(self, ids, features, lengths) -> list[float]:
+        phi = extract_features_batch(ids, features, lengths, self.vocab_size)
         # row by row on purpose: a stacked matmul sums in another order, so a
         # trace's probability would depend on the batch it rides in
         z = np.array([row @ self.weights + self.bias for row in phi])
@@ -176,13 +176,12 @@ def train(
         grad_w, grad_b = new_grad_w, new_grad_b
         history.append(loss)
 
-    sample = train_traces[0]
     return LogisticOutcomePredictor(
         weights=weights,
         bias=bias,
         vocab_size=vocab_size,
-        max_len=sample.max_len,
-        feature_dim=sample.features.shape[1],
+        max_len=frame[0].shape[1],
+        feature_dim=frame[1].shape[2],
         encoder_fingerprint=encoder.fingerprint() if encoder is not None else None,
         training_loss=tuple(history),
     )
@@ -203,7 +202,7 @@ def evaluate(predictor: OutcomePredictor, test: list[EncodedTrace]) -> Predictio
     if not test:
         raise ValueError("test set must be non-empty")
     labels = np.array([t.outcome for t in test])
-    predictions = (np.array(predictor.predict_proba_batch(test)) > DECISION_THRESHOLD).astype(int)
+    predictions = np.array(predictor.predict_proba_batch(*stack(test))) > DECISION_THRESHOLD
     tp = int(np.sum((predictions == 1) & (labels == 1)))
     fp = int(np.sum((predictions == 1) & (labels == 0)))
     fn = int(np.sum((predictions == 0) & (labels == 1)))
@@ -232,7 +231,7 @@ def evaluate(predictor: OutcomePredictor, test: list[EncodedTrace]) -> Predictio
 
 
 class ExternalProcessPredictor:
-    """Scores traces through an external command via a CSV file protocol.
+    """Scores the rows of a frame through an external command via a CSV file protocol.
 
     For each batch the engine writes `candidates.csv` (decoded events, columns
     case_id, step, activity, then one column per attribute) and invokes
@@ -250,18 +249,18 @@ class ExternalProcessPredictor:
         self.argv = shlex.split(command)
         self.encoder = encoder
 
-    def predict_proba_batch(self, traces: list[EncodedTrace]) -> list[float]:
-        if not traces:
+    def predict_proba_batch(self, ids, features, lengths) -> list[float]:
+        if not len(lengths):
             return []
         attr_names = [codec.name for codec in self.encoder.codecs]
-        case_ids = [f"cand_{i}" for i in range(len(traces))]
+        case_ids = [f"cand_{i}" for i in range(len(lengths))]
         with tempfile.TemporaryDirectory(prefix="evocf-ext-") as tmp:
             in_path = Path(tmp) / "candidates.csv"
             out_path = Path(tmp) / "scores.csv"
             with in_path.open("w", newline="") as handle:
                 writer = csv.writer(handle)
                 writer.writerow(["case_id", "step", "activity", *attr_names])
-                writer.writerows(decode_rows(traces, case_ids, self.encoder))
+                writer.writerows(decode_rows(ids, features, lengths, case_ids, self.encoder))
             self._run([*self.argv, str(in_path), str(out_path)])
             raw = {}
             try:

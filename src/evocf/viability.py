@@ -358,21 +358,16 @@ def edit_distances(
     return euclidean, count
 
 
-def _normalized(distance: float, factual: EncodedTrace, candidate: EncodedTrace) -> float:
-    """1 - distance normalized by the attained bound |a| + |b|."""
-    return 1.0 - distance / (factual.valid_len + candidate.valid_len)
-
-
 def similarity_score(factual: EncodedTrace, candidate: EncodedTrace, slices=None) -> float:
     """1 - euclidean edit distance normalized by the attained bound |a| + |b|."""
     distance = ssdld_distance(factual, candidate, "euclidean", slices)
-    return _normalized(distance, factual, candidate)
+    return 1.0 - distance / (factual.valid_len + candidate.valid_len)
 
 
 def sparsity_score(factual: EncodedTrace, candidate: EncodedTrace, slices=None) -> float:
     """Like similarity_score, but counting differing attributes as the cost."""
     distance = ssdld_distance(factual, candidate, "count", slices)
-    return _normalized(distance, factual, candidate)
+    return 1.0 - distance / (factual.valid_len + candidate.valid_len)
 
 
 def delta_score(p_factual: float, p_counterfactual: float) -> float:
@@ -388,9 +383,10 @@ def delta_score(p_factual: float, p_counterfactual: float) -> float:
     return -(p_counterfactual - p_factual)
 
 
-def _genome_key(trace: EncodedTrace) -> tuple:
-    n = trace.valid_len
-    return n, trace.activity_ids[:n].tobytes(), trace.features[:n].tobytes()
+def _row_keys(ids: np.ndarray, features: np.ndarray, lengths: np.ndarray) -> list[tuple]:
+    """Per row of a frame, its valid prefix as a memo key."""
+    rows = zip(ids, features, lengths.tolist())
+    return [(n, a[:n].tobytes(), f[:n].tobytes()) for a, f, n in rows]
 
 
 class ViabilityScorer:
@@ -403,17 +399,14 @@ class ViabilityScorer:
     feasibility model's encoder so the count cost sees real attribute
     boundaries.
 
-    Scores are memoized for the life of the scorer, keyed on the candidate's
+    Scores are memoized for the life of the scorer, keyed on each row's
     valid prefix: every component reads only that prefix (all candidates
     share the encoder's frame width), so a repeated genome gets the score it
     got the first time without being scored again.
     """
 
     def __init__(
-        self,
-        factual: EncodedTrace,
-        predictor: OutcomePredictor,
-        feas_model: MarkovFeasibilityModel,
+        self, factual: EncodedTrace, predictor: OutcomePredictor, feas_model: MarkovFeasibilityModel
     ):
         encoder = feas_model.encoder
         if factual.features.shape[1] != encoder.feature_dim or factual.max_len != encoder.max_len:
@@ -428,49 +421,54 @@ class ViabilityScorer:
         self.feas_model = feas_model
         self.slices = encoder.slices()
         self._memo: dict[tuple, tuple[float, ...]] = {}
-        self._factual_key = _genome_key(factual)
+        self._factual_frame = stack([factual])
         self.factual_class: int | None = None
         self.p_factual: float | None = None
 
-    def score_batch(self, candidates: list[EncodedTrace]) -> np.ndarray:
-        """Score candidates in order; each distinct genome is scored once.
+    def score_batch(self, ids: np.ndarray, features: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Score the rows of a frame (event_log.stack) in order; each distinct genome once.
 
         Returns an (N, 5) float array, one row per candidate, its columns in
-        ViabilityScore field order.
+        ViabilityScore field order. The rows not yet scored go to the
+        predictor and both scoring kernels as one frame.
         """
-        memo = self._memo
-        keys = []
-        misses: dict[tuple, EncodedTrace] = {}
-        if self.factual_class is None and candidates:
+        first = self.factual_class is None and len(lengths) > 0
+        if first:
             # the first predictor call carries the factual once, first
-            misses[self._factual_key] = self.factual
-        for candidate in candidates:
-            key = _genome_key(candidate)
-            keys.append(key)
-            if key not in memo and key not in misses:
-                misses[key] = candidate
+            ids, features, lengths = (
+                np.concatenate(pair) for pair in zip(self._factual_frame, (ids, features, lengths))
+            )
+        memo = self._memo
+        keys = _row_keys(ids, features, lengths)
+        misses: dict[tuple, int] = {}
+        for row, key in enumerate(keys):
+            if key not in memo:
+                misses.setdefault(key, row)
         if misses:
-            traces = list(misses.values())
-            p1s = self.predictor.predict_proba_batch(traces)
+            rows = list(misses.values())
+            frame = ids[rows], features[rows], lengths[rows]
+            p1s = self.predictor.predict_proba_batch(*frame)
             if self.factual_class is None:
                 self.factual_class = 1 if p1s[0] > DECISION_THRESHOLD else 0
                 self.p_factual = p1s[0] if self.factual_class == 1 else 1.0 - p1s[0]
             # P(factual's outcome class | trace); the factual's own is p_factual
             flip = self.factual_class == 0
             probabilities = [1.0 - p1 if flip else p1 for p1 in p1s]
-            frame = stack(traces)
             feasibilities = markov_mod.feasibility_batch(self.feas_model, *frame)
             euclidean, count = edit_distances(self.factual, *frame, self.slices)
-            for key, candidate, e_dist, c_dist, feas, probability in zip(
-                misses, traces, euclidean.tolist(), count.tolist(), feasibilities,
+            n = self.factual.valid_len
+            for key, m, e_dist, c_dist, feas, probability in zip(
+                misses, frame[2].tolist(), euclidean.tolist(), count.tolist(), feasibilities,
                 probabilities, strict=True,
             ):
-                similarity = _normalized(e_dist, self.factual, candidate)
-                sparsity = _normalized(c_dist, self.factual, candidate)
+                # 1 - each distance normalized by the attained bound n + m
+                similarity = 1.0 - e_dist / (n + m)
+                sparsity = 1.0 - c_dist / (n + m)
                 delta = delta_score(self.p_factual, probability)
                 total = similarity + sparsity + feas + delta
                 memo[key] = (similarity, sparsity, feas, delta, total)
-        return np.array([memo[key] for key in keys], dtype=float).reshape(-1, 5)
+        scored = keys[1:] if first else keys
+        return np.array([memo[key] for key in scored], dtype=float).reshape(-1, 5)
 
     def score(self, candidate: EncodedTrace) -> ViabilityScore:
-        return ViabilityScore(*self.score_batch([candidate])[0].tolist())
+        return ViabilityScore(*self.score_batch(*stack([candidate]))[0].tolist())

@@ -1,5 +1,6 @@
 import math
 import os
+import statistics
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from evocf.event_log import (
     fit_encoder,
     preprocess,
     split_train_test,
+    stack,
     synthesize_log,
 )
-from evocf.viability import ViabilityScore
+from evocf.evolution import FITNESS_FLOOR, CycleStats, crossover, mutate
+from evocf.viability import ViabilityScore, ViabilityScorer
 
 # CI selects this profile (HYPOTHESIS_PROFILE=ci) so property tests draw the
 # same examples on every run and a slow runner cannot fail one on time
@@ -157,10 +160,227 @@ def sampled_genome(rng, feas_model):
     return make_encoded(ids, rows, encoder.max_len, outcome=0, case_id="cf")
 
 
+def genomes_of(ids, features, lengths):
+    """Each row of a frame as an EncodedTrace, for the object-based oracles."""
+    return [
+        EncodedTrace(row_ids, row_features, n, 0, "cf")
+        for row_ids, row_features, n in zip(ids, features, lengths.tolist())
+    ]
+
+
 def scored(population):
     """(genome, ViabilityScore) pairs of a population, in row order."""
     scores = (ViabilityScore(*row) for row in population.scores.tolist())
-    return list(zip(population.genomes, scores))
+    return list(zip(genomes_of(*population.frame), scores))
+
+
+def cross_genomes(kind, parent_a, parent_b, rng, uc_rate=None):
+    """evolution.crossover on a frame of the two parents; the children as EncodedTraces."""
+    frame = stack([parent_a, parent_b])
+    crossover(kind, *frame, rng, uc_rate)
+    return tuple(genomes_of(*frame))
+
+
+def mutate_genome(kind, genome, rates, feas_model, rng):
+    """evolution.mutate on a copy of the genome's row; the mutant as an EncodedTrace."""
+    ids, features = genome.activity_ids.copy(), genome.features.copy()
+    length = mutate(kind, ids, features, genome.valid_len, rates, feas_model, rng)
+    return EncodedTrace(ids, features, length, 0, "cf")
+
+
+# ---------------------------------------------------------------------------
+# the engine as it was before the population became a frame: genomes are
+# EncodedTrace objects and a population is a list of (genome, ViabilityScore)
+# pairs. It is the == oracle of evolution's frame engine, draw for draw.
+
+
+def reference_genome(ids, rows, max_len, feature_dim):
+    """The genome of the events ids and rows, writing one feature row at a time."""
+    activity_ids = np.zeros(max_len, dtype=np.int64)
+    features = np.zeros((max_len, feature_dim))
+    activity_ids[: len(ids)] = ids
+    for t, row in enumerate(rows):
+        features[t] = row
+    return EncodedTrace(activity_ids, features, len(ids), 0, "cf")
+
+
+def reference_random_genome(rng, vocab_size, max_len, feature_dim):
+    """One RI genome: its length, its activities, then a clipped normal row per event."""
+    length = int(rng.integers(1, max_len + 1))
+    ids = rng.integers(1, vocab_size + 1, size=length).tolist()
+    rows = [np.clip(rng.standard_normal(feature_dim), 0.0, 1.0) for _ in ids]
+    return reference_genome(ids, rows, max_len, feature_dim)
+
+
+def reference_scored(scorer, genomes):
+    """The (genome, ViabilityScore) pairs of one scoring batch."""
+    rows = scorer.score_batch(*stack(genomes)).tolist()
+    return [(genome, ViabilityScore(*row)) for genome, row in zip(genomes, rows)]
+
+
+def reference_initialize(kind, n, log, feas_model, scorer, rng):
+    """initialize drawing one genome object at a time."""
+    encoder = feas_model.encoder
+    if kind == "RI":
+        genomes = [
+            reference_random_genome(rng, encoder.vocab_size, encoder.max_len, encoder.feature_dim)
+            for _ in range(n)
+        ]
+    elif kind == "SBI":
+        genomes = [sampled_genome(rng, feas_model) for _ in range(n)]
+    else:
+        genomes = [log[i] for i in rng.integers(0, len(log), size=n)]
+    return reference_scored(scorer, genomes)
+
+
+def reference_select(kind, population, sample_size, rng):
+    """select reading a ViabilityScore object per genome; returns pairs of genomes."""
+    if kind == "RWS":
+        fitness = np.array([max(score.total, FITNESS_FLOOR) for _, score in population])
+        chosen = rng.choice(len(population), size=sample_size, p=fitness / fitness.sum())
+        parents = [population[i] for i in chosen]
+    elif kind == "TS":
+        parents = []
+        for _ in range(sample_size):
+            i, j = rng.integers(0, len(population), size=2)
+            first, second = population[i], population[j]
+            f_first = max(first[1].total, FITNESS_FLOOR)
+            f_second = max(second[1].total, FITNESS_FLOOR)
+            parents.append(first if rng.random() < f_first / (f_first + f_second) else second)
+    else:
+        order = sorted(range(len(population)), key=lambda i: -population[i][1].total)
+        parents = [population[i] for i in order[:sample_size]]
+    genomes = [genome for genome, _ in parents]
+    return list(zip(genomes[0::2], genomes[1::2]))
+
+
+def reference_crossover(kind, parent_a, parent_b, rng, uc_rate=None):
+    """crossover of two genome objects: one mask, two np.where children cut at their first PAD."""
+    max_len = parent_a.max_len
+    if max_len < 2:
+        return parent_a, parent_b
+    frame = np.arange(max_len)
+    if kind == "UC":
+        mask = rng.random(max_len) < uc_rate
+    elif kind == "OPC":
+        mask = frame < int(rng.integers(1, max_len))
+    else:
+        lo, hi = np.sort(rng.choice(frame[1:], size=2, replace=False)).tolist()
+        mask = (frame < lo) | (frame >= hi)
+
+    def child(first, second):
+        ids = np.where(mask, first.activity_ids, second.activity_ids)
+        features = np.where(mask[:, None], first.features, second.features)
+        pads = np.flatnonzero(ids == PAD_ID)
+        length = int(pads[0]) if len(pads) else max_len
+        ids[length:] = PAD_ID
+        features[length:] = 0.0
+        return EncodedTrace(ids, features, length, 0, "cf")
+
+    return child(parent_a, parent_b), child(parent_b, parent_a)
+
+
+def reference_mutate(kind, genome, rates, feas_model, rng):
+    """mutate as a per-position loop that draws one double at a time."""
+    vocab_size = feas_model.encoder.vocab_size
+    max_len = genome.max_len
+    feature_dim = genome.features.shape[1]
+
+    def draw_row(activity_id):
+        if kind == "RM":
+            return np.clip(rng.standard_normal(feature_dim), 0.0, 1.0)
+        return markov_mod.sample_attributes(feas_model, activity_id, rng)
+
+    ids = genome.activity_ids[: genome.valid_len].tolist()
+    rows = [genome.features[t] for t in range(genome.valid_len)]
+    remove = rng.random(len(ids)) < rates.delete
+    if remove.all():
+        remove[-1] = False
+    ids = [a for a, r in zip(ids, remove) if not r]
+    rows = [row for row, r in zip(rows, remove) if not r]
+    for _ in range(max_len - len(ids)):
+        if rng.random() < rates.insert:
+            position = int(rng.integers(0, len(ids) + 1))
+            activity = int(rng.integers(1, vocab_size + 1))
+            ids.insert(position, activity)
+            rows.insert(position, draw_row(activity))
+    flip = rng.random(len(ids)) < rates.change
+    for t in np.flatnonzero(flip):
+        activity = int(rng.integers(1, vocab_size + 1))
+        ids[t] = activity
+        rows[t] = draw_row(activity)
+    return reference_genome(ids, rows, max_len, feature_dim)
+
+
+def reference_recombine(kind, population, mutants, max_size):
+    """recombine sorting (genome, ViabilityScore) pairs by score attributes."""
+    if kind == "FSR":
+        survivors = sorted(population + mutants, key=lambda pair: -pair[1].total)[:max_size]
+    elif kind == "BBR":
+        admitted = []
+        if mutants:
+            mean_total = statistics.fmean(score.total for _, score in mutants)
+            admitted = [pair for pair in mutants if pair[1].total > mean_total]
+        survivors = population + admitted
+        if len(survivors) > max_size:
+            survivors = sorted(survivors, key=lambda pair: -pair[1].total)[:max_size]
+    else:
+        survivors = sorted(
+            population + mutants,
+            key=lambda pair: (
+                -pair[1].feasibility,
+                -pair[1].delta,
+                -pair[1].sparsity,
+                -pair[1].similarity,
+            ),
+        )[:max_size]
+    return survivors
+
+
+def reference_cycle_stats(cycle, population):
+    scores = [score for _, score in population]
+    totals = [s.total for s in scores]
+    return CycleStats(
+        cycle=cycle,
+        best_total=max(totals),
+        mean_total=statistics.fmean(totals),
+        median_total=statistics.median(totals),
+        mean_similarity=statistics.fmean(s.similarity for s in scores),
+        mean_sparsity=statistics.fmean(s.sparsity for s in scores),
+        mean_feasibility=statistics.fmean(s.feasibility for s in scores),
+        mean_delta=statistics.fmean(s.delta for s in scores),
+    )
+
+
+def reference_evolve(factual, config, predictor, feas_model, log):
+    """evolve over genome objects.
+
+    Returns the final (genome, ViabilityScore) pairs best first, the cycle
+    statistics and the generator.
+    """
+    rng = np.random.default_rng(config.seed)
+    scorer = ViabilityScorer(factual, predictor, feas_model)
+    population = reference_initialize(
+        config.initiator, config.population_size, log, feas_model, scorer, rng
+    )
+    stats = []
+    for cycle in range(1, config.cycles + 1):
+        offspring = []
+        for parent_a, parent_b in reference_select(
+            config.selector, population, config.offspring_per_cycle, rng
+        ):
+            children = reference_crossover(config.crosser, parent_a, parent_b, rng, config.uc_rate)
+            for child in children:
+                offspring.append(
+                    reference_mutate(config.mutator, child, config.mutation_rates, feas_model, rng)
+                )
+        mutants = reference_scored(scorer, offspring)
+        population = reference_recombine(
+            config.recombiner, population, mutants, config.population_size
+        )
+        stats.append(reference_cycle_stats(cycle, population))
+    best_first = sorted(population, key=lambda pair: -pair[1].total)
+    return best_first, tuple(stats), rng
 
 
 def identity_encoder(vocab=("a", "b", "c"), max_len=8, n_numeric=1):

@@ -14,18 +14,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import check_encoded_invariants, identity_encoder, make_encoded
+from conftest import (
+    check_encoded_invariants,
+    cross_genomes,
+    genomes_of,
+    identity_encoder,
+    make_encoded,
+    mutate_genome,
+)
 from evocf import markov as markov_mod
 from evocf import predictor as predictor_mod
 from evocf.event_log import encode_log, fit_encoder, preprocess, split_train_test, synthesize_log
-from evocf.evolution import (
-    MutationRates,
-    crossover,
-    initialize,
-    mutate,
-    parse_config_name,
-    evolve,
-)
+from evocf.evolution import MutationRates, evolve, initialize, parse_config_name
 from evocf.harness import ExperimentSpec, SyntheticSpec, run_benchmark
 from evocf.viability import ViabilityScorer, delta_score, ssdld_distance
 from test_markov import oracle_feasibility, ten_trace_log
@@ -316,10 +316,10 @@ def test_criterion_9_structural_invariants(synthetic_200x5):
     # 10,000 applications per operator family
     for kind in ("RI", "SBI", "CBI"):
         population = initialize(kind, 100, train, feas_model, scorer, rng)
-        genomes = list(population.genomes)
+        genomes = genomes_of(*population.frame)
         for _ in range(10_000 // 100 - 1):
             population = initialize(kind, 100, train, feas_model, scorer, rng)
-            genomes.extend(population.genomes)
+            genomes.extend(genomes_of(*population.frame))
         for genome in genomes:
             checked(genome)
         pool.extend(genomes[:100])
@@ -327,14 +327,14 @@ def test_criterion_9_structural_invariants(synthetic_200x5):
     for kind in ("UC", "OPC", "TPC"):
         for _ in range(5_000):  # two children per call -> 10,000 genomes
             i, j = rng.integers(0, len(pool), size=2)
-            for child in crossover(kind, pool[i], pool[j], rng, uc_rate=0.5):
+            for child in cross_genomes(kind, pool[i], pool[j], rng, uc_rate=0.5):
                 checked(child)
 
     rates = MutationRates(0.05, 0.05, 0.05)
     for kind in ("RM", "SBM"):
         for _ in range(10_000):
             i = rng.integers(0, len(pool))
-            checked(mutate(kind, pool[int(i)], rates, feas_model, rng))
+            checked(mutate_genome(kind, pool[int(i)], rates, feas_model, rng))
 
     # score a deterministic subsample and check the component ranges
     range_checked = 0

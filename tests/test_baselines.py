@@ -8,18 +8,20 @@ from conftest import (
     encoded_equal,
     identity_encoder,
     make_encoded,
+    reference_random_genome,
+    reference_scored,
     sampled_genome,
     scored,
 )
 from evocf.errors import ConfigNameError
-from evocf.evolution import _random_genome, generate_baseline
+from evocf.evolution import generate_baseline
 from evocf.markov import fit
-from evocf.viability import ViabilityScore, ViabilityScorer
+from evocf.viability import ViabilityScorer
 
 
 class HalfPredictor:
-    def predict_proba_batch(self, traces):
-        return [0.5] * len(traces)
+    def predict_proba_batch(self, ids, features, lengths):
+        return [0.5] * len(lengths)
 
 
 def t(acts, values, max_len=6):
@@ -42,7 +44,7 @@ def reference_baseline(kind, factual, n, log, feas_model, predictor, rng):
     scorer = ViabilityScorer(factual, predictor, feas_model)
     if kind == "RGW":
         candidates = [
-            _random_genome(rng, encoder.vocab_size, encoder.max_len, encoder.feature_dim)
+            reference_random_genome(rng, encoder.vocab_size, encoder.max_len, encoder.feature_dim)
             for _ in range(n)
         ]
     elif kind == "SBGW":
@@ -50,8 +52,7 @@ def reference_baseline(kind, factual, n, log, feas_model, predictor, rng):
     else:
         indices = rng.integers(0, len(log), size=n)
         candidates = [log[i] for i in indices]
-    scores = [ViabilityScore(*row) for row in scorer.score_batch(candidates).tolist()]
-    pairs = list(zip(candidates, scores))
+    pairs = reference_scored(scorer, candidates)
     pairs.sort(key=lambda pair: -pair[1].total)
     return pairs
 

@@ -22,6 +22,7 @@ from evocf.harness import (
     render_counterfactual,
     run_benchmark,
     run_grid,
+    run_job,
     run_seed,
 )
 from evocf.predictor import ExternalProcessPredictor
@@ -86,13 +87,15 @@ def test_run_grid_cardinality_and_ranking(tmp_path, small_prepared):
     assert payload["top_5"][0] == report.ranking[0][0]
 
 
-def test_run_grid_identical_configs_get_identical_trajectories(small_prepared):
-    spec = small_spec(config_names=("CBI-RWS-OPC-SBM-FSR", "CBI-RWS-OPC-SBM-FSR"))
-    report = run_grid(spec, small_prepared)
-    half = len(report.trajectory_rows) // 2
-    first, second = report.trajectory_rows[:half], report.trajectory_rows[half:]
-    assert first == second
-    assert len(report.ranking) == 1  # duplicate names collapse in the ranking
+def test_spec_rejects_a_config_named_twice(small_prepared):
+    # its jobs would only repeat the first ones: the same name runs on the same seeds
+    with pytest.raises(ValueError, match="CBI-RWS-OPC-SBM-FSR is named more than once"):
+        small_spec(config_names=("CBI-RWS-OPC-SBM-FSR", "CBI-ES-UC3-SBM-RR") * 2)
+    spec = small_spec()
+    factual = small_prepared.factuals[0]
+    first = run_job(spec, small_prepared, "CBI-RWS-OPC-SBM-FSR", 0, factual)
+    second = run_job(spec, small_prepared, "CBI-RWS-OPC-SBM-FSR", 0, factual)
+    assert first.stats == second.stats
 
 
 def test_run_benchmark_rows_and_medians(tmp_path, small_prepared):
@@ -141,8 +144,8 @@ def test_constant_stub_predictor_yields_constant_delta(small_prepared):
     import dataclasses
 
     class Constant:
-        def predict_proba_batch(self, traces):
-            return [0.4] * len(traces)
+        def predict_proba_batch(self, ids, features, lengths):
+            return [0.4] * len(lengths)
 
     prepared = dataclasses.replace(small_prepared, predictor=Constant())
     spec = small_spec(config_names=("CBI-RWS-OPC-SBM-FSR",), cycles=1)
@@ -627,6 +630,56 @@ def test_cli_grid_with_one_config(tmp_path, capsys):
          "--out", str(tmp_path)]
     )
     assert_one_line_error(capsys, code, "at least two configs")
+
+
+@pytest.mark.parametrize("command", ["grid", "benchmark"])
+def test_cli_config_named_twice(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = cli_main(
+        [command, "--configs", "CBI-RWS-OPC-SBM-FSR,CBI-RWS-OPC-SBM-FSR", "--cycles", "1",
+         "--n-factuals", "1", "--overrides", SMALL_OVERRIDES, "--out", str(out)]
+    )
+    assert_one_line_error(capsys, code, "config CBI-RWS-OPC-SBM-FSR is named more than once")
+    assert not (out / "trajectories.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, expected",
+    [
+        (
+            {"log_path": "/nonexistent/log.csv", "schema_path": "/nonexistent/s.json"},
+            "--overrides cannot set log_path; --log sets it",
+        ),
+        ({"schema_path": "/nonexistent/s.json"}, "--overrides cannot set schema_path; --schema sets it"),
+        ({"output_dir": "elsewhere"}, "--overrides cannot set output_dir; --out sets it"),
+    ],
+)
+def test_cli_overrides_cannot_set_what_a_flag_sets(tmp_path, capsys, monkeypatch, extra, expected):
+    monkeypatch.chdir(tmp_path)
+    overrides = json.dumps({**json.loads(SMALL_OVERRIDES), **extra})
+    code = cli_main(
+        ["benchmark", "--cycles", "1", "--n-factuals", "1", "--cfs", "2", "--overrides", overrides]
+    )
+    assert_one_line_error(capsys, code, expected)
+    assert not (tmp_path / "elsewhere").exists()
+
+
+def test_cli_log_and_synthetic_override_together(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli_main(["synthesize-log", "--cases", "40", "--out", str(data)]) == 0
+    capsys.readouterr()
+    code = cli_main(
+        ["benchmark", "--log", str(data / "log.csv"), "--schema", str(data / "schema.json"),
+         "--cycles", "1", "--n-factuals", "1", "--cfs", "2", "--overrides", SMALL_OVERRIDES]
+    )
+    expected = "need either a synthetic spec or log_path plus schema_path, not both"
+    assert_one_line_error(capsys, code, expected)
+
+
+def test_spec_rejects_a_synthetic_log_and_a_log_path():
+    for paths in ({"log_path": "log.csv", "schema_path": "s.json"}, {"schema_path": "s.json"}):
+        with pytest.raises(ValueError, match="not both"):
+            ExperimentSpec(synthetic=SyntheticSpec(), **paths)
 
 
 @pytest.mark.parametrize(

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_encoder, make_encoded, sample_attribute_rows
+from conftest import cross_genomes, identity_encoder, make_encoded, sample_attribute_rows
 from evocf.event_log import CategoricalCodec, EncoderSpec, NumericCodec, _cdf, _draw, stack
-from evocf.evolution import crossover
 from evocf.markov import (
     _TRACE_CHUNK,
     MarkovFeasibilityModel,
@@ -435,7 +434,7 @@ def mixed_genomes(draw):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_table_feasibility_equals_scalar_path(genome_a, genome_b, kind, seed):
-    children = crossover(kind, genome_a, genome_b, np.random.default_rng(seed), uc_rate=0.5)
+    children = cross_genomes(kind, genome_a, genome_b, np.random.default_rng(seed), uc_rate=0.5)
     for model in MIXED_MODELS.values():
         for genome in (genome_a, genome_b, *children):
             assert feasibility(model, genome) == scalar_feasibility(model, genome)

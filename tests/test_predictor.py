@@ -66,14 +66,19 @@ def reference_proba(predictor, trace):
     return min(max(p, 1e-12), 1.0 - 1e-12)
 
 
+def empty_frame(traces):
+    """The frame of no rows, as wide as the traces' frame."""
+    return tuple(column[:0] for column in stack(traces))
+
+
 class Constant:
     """Stub predictor giving every trace the same probability."""
 
     def __init__(self, probability):
         self.probability = probability
 
-    def predict_proba_batch(self, traces):
-        return [self.probability] * len(traces)
+    def predict_proba_batch(self, ids, features, lengths):
+        return [self.probability] * len(lengths)
 
 
 def test_extract_features_small_trace():
@@ -102,7 +107,7 @@ def _labeled_pair():
 def test_train_separable_set_reaches_full_accuracy():
     data = _labeled_pair()
     predictor = train(data, epochs=300, seed=0)
-    for trace, p in zip(data, predictor.predict_proba_batch(data), strict=True):
+    for trace, p in zip(data, predictor.predict_proba_batch(*stack(data)), strict=True):
         predicted = 1 if p > 0.5 else 0
         assert predicted == trace.outcome
 
@@ -171,7 +176,7 @@ def test_predict_proba_zero_weights_is_half():
         weights=np.zeros(feature_width(2, 1)), bias=0.0, vocab_size=2, max_len=4, feature_dim=1
     )
     trace = make_encoded([1, 2], [[0.4], [0.6]], max_len=4)
-    assert predictor.predict_proba_batch([trace]) == [0.5]
+    assert predictor.predict_proba_batch(*stack([trace])) == [0.5]
 
 
 def test_predict_proba_bounded_on_random_traces():
@@ -184,7 +189,7 @@ def test_predict_proba_bounded_on_random_traces():
         traces.append(
             make_encoded(rng.integers(1, 3, size=length).tolist(), rng.random((length, 1)), 4)
         )
-    assert all(0.0 < p < 1.0 for p in predictor.predict_proba_batch(traces))
+    assert all(0.0 < p < 1.0 for p in predictor.predict_proba_batch(*stack(traces)))
 
 
 def test_evaluate_all_correct():
@@ -210,9 +215,9 @@ def test_evaluate_confusion_matrix_arithmetic():
             self.outputs = list(outputs)
             self.calls = 0
 
-        def predict_proba_batch(self, traces):
+        def predict_proba_batch(self, ids, features, lengths):
             self.calls += 1
-            return self.outputs[: len(traces)]
+            return self.outputs[: len(lengths)]
 
     traces = [
         make_encoded([1], [[0.1]], max_len=2, outcome=1),  # predicted 1 -> TP
@@ -260,15 +265,16 @@ def test_external_process_predictor(tmp_path, synth_setup):
         f"{sys.executable} {script}", synth_setup["encoder"]
     )
     traces = synth_setup["test"][:3]
-    probs = predictor.predict_proba_batch(traces)
+    probs = predictor.predict_proba_batch(*stack(traces))
     assert probs == [min(0.9, 0.1 * t.valid_len) for t in traces]
-    assert predictor.predict_proba_batch(traces[:1]) == probs[:1]
+    assert predictor.predict_proba_batch(*stack(traces[:1])) == probs[:1]
 
 
 def test_logistic_batch_equals_per_trace(synth_setup):
     predictor = synth_setup["predictor"]
     traces = synth_setup["test"][:20]
-    assert predictor.predict_proba_batch(traces) == [reference_proba(predictor, t) for t in traces]
+    want = [reference_proba(predictor, t) for t in traces]
+    assert predictor.predict_proba_batch(*stack(traces)) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -298,8 +304,10 @@ def test_batched_features_and_probabilities_equal_per_trace(k, d, max_len, b, sc
         max_len=max_len,
         feature_dim=d,
     )
-    assert predictor.predict_proba_batch(traces) == [reference_proba(predictor, t) for t in traces]
-    assert predictor.predict_proba_batch([]) == []
+    assert predictor.predict_proba_batch(*stack(traces)) == [
+        reference_proba(predictor, t) for t in traces
+    ]
+    assert predictor.predict_proba_batch(*empty_frame(traces)) == []
 
 
 def test_batched_features_reject_ids_outside_the_vocabulary():
@@ -374,7 +382,7 @@ def test_external_predictor_failures_are_predictor_errors(tmp_path, synth_setup,
     command = _bad_scorer(tmp_path, body)
     predictor = ExternalProcessPredictor(command, synth_setup["encoder"])
     with pytest.raises(PredictorError) as info:
-        predictor.predict_proba_batch(synth_setup["test"][:3])
+        predictor.predict_proba_batch(*stack(synth_setup["test"][:3]))
     text = str(info.value)
     assert message in text
     assert command in text
@@ -384,7 +392,7 @@ def test_external_predictor_failures_are_predictor_errors(tmp_path, synth_setup,
 def test_external_predictor_missing_command_is_predictor_error(tmp_path, synth_setup):
     predictor = ExternalProcessPredictor(str(tmp_path / "no-such-scorer"), synth_setup["encoder"])
     with pytest.raises(PredictorError, match="could not be started"):
-        predictor.predict_proba_batch(synth_setup["test"][:1])
+        predictor.predict_proba_batch(*stack(synth_setup["test"][:1]))
 
 
 def test_external_predictor_timeout_is_predictor_error(tmp_path, synth_setup, monkeypatch):
@@ -394,7 +402,7 @@ def test_external_predictor_timeout_is_predictor_error(tmp_path, synth_setup, mo
     predictor = ExternalProcessPredictor(command, synth_setup["encoder"])
     started = time.monotonic()
     with pytest.raises(PredictorError) as info:
-        predictor.predict_proba_batch(synth_setup["test"][:2])
+        predictor.predict_proba_batch(*stack(synth_setup["test"][:2]))
     assert time.monotonic() - started < 30.0
     text = str(info.value)
     assert "timed out after 0.5 s" in text
@@ -418,7 +426,7 @@ def test_external_predictor_gets_no_stdin(tmp_path, synth_setup):
     read_end, write_end = os.pipe()
     try:
         os.dup2(read_end, 0)
-        assert predictor.predict_proba_batch(synth_setup["test"][:2]) == [0.5, 0.5]
+        assert predictor.predict_proba_batch(*stack(synth_setup["test"][:2])) == [0.5, 0.5]
     finally:
         os.dup2(saved, 0)
         for fd in (saved, read_end, write_end):
@@ -427,7 +435,7 @@ def test_external_predictor_gets_no_stdin(tmp_path, synth_setup):
 
 def test_external_predictor_empty_batch_starts_no_command(tmp_path, synth_setup):
     predictor = ExternalProcessPredictor(str(tmp_path / "no-such-scorer"), synth_setup["encoder"])
-    assert predictor.predict_proba_batch([]) == []
+    assert predictor.predict_proba_batch(*empty_frame(synth_setup["test"][:1])) == []
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +470,7 @@ def columnar_candidates_csv(traces, spec):
     handle = io.StringIO(newline="")
     writer = csv.writer(handle)
     writer.writerow(["case_id", "step", "activity", *[codec.name for codec in spec.codecs]])
-    writer.writerows(decode_rows(traces, [f"cand_{i}" for i in range(len(traces))], spec))
+    writer.writerows(decode_rows(*stack(traces), [f"cand_{i}" for i in range(len(traces))], spec))
     return handle.getvalue()
 
 
@@ -558,14 +566,17 @@ def test_columnar_writer_keeps_the_decode_checks(synth_setup):
     unknown = EncodedTrace(ids, good.features, good.valid_len, 0, "u")
     for bad in ([good, unknown], [unknown]):
         with pytest.raises(VocabularyError, match=f"unknown activity id {spec.vocab_size + 7}"):
-            list(decode_rows(bad, ["a", "b"][: len(bad)], spec))
+            list(decode_rows(*stack(bad), ["a", "b"][: len(bad)], spec))
+    # a frame one cell wider than the encoder's, its second row filling it
     width = spec.max_len + 1
-    long_trace = EncodedTrace(
-        np.ones(width, dtype=np.int64), np.zeros((width, spec.feature_dim)), width, 0, "l"
-    )
+    ids = np.ones((2, width), dtype=np.int64)
+    ids[0] = np.append(good.activity_ids, 0)
+    features = np.zeros((2, width, spec.feature_dim))
+    features[0, :-1] = good.features
+    lengths = np.array([good.valid_len, width])
     with pytest.raises(VocabularyError, match="longer than encoder max_len"):
-        list(decode_rows([good, long_trace], ["a", "b"], spec))
-    assert list(decode_rows([], [], spec)) == []
+        list(decode_rows(ids, features, lengths, ["a", "b"], spec))
+    assert list(decode_rows(*empty_frame([good]), [], spec)) == []
 
 
 def test_external_predictor_writes_the_reference_candidates_csv(tmp_path, synth_setup):
@@ -576,6 +587,6 @@ def test_external_predictor_writes_the_reference_candidates_csv(tmp_path, synth_
         "def proba(case_id):\n    return 0.5\n" + _WRITE_ROWS,
     )
     traces = synth_setup["test"][:6]
-    ExternalProcessPredictor(command, synth_setup["encoder"]).predict_proba_batch(traces)
+    ExternalProcessPredictor(command, synth_setup["encoder"]).predict_proba_batch(*stack(traces))
     expected = reference_candidates_csv(traces, synth_setup["encoder"])
     assert copy.read_bytes() == expected.encode()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_encoder, make_encoded
+from conftest import genomes_of, identity_encoder, make_encoded
 from evocf.errors import ConfigurationError
 from evocf.event_log import stack
 from evocf.evolution import evolve, parse_config_name
@@ -427,13 +427,14 @@ def test_delta_is_bit_identical_to_the_branches(p, q):
 
 
 class ScriptedPredictor:
-    """Probabilities keyed by case_id, defaulting to 0.5."""
+    """Probabilities keyed by the activity ids of a row's events, defaulting to 0.5."""
 
     def __init__(self, table):
         self.table = table
 
-    def predict_proba_batch(self, traces):
-        return [self.table.get(trace.case_id, 0.5) for trace in traces]
+    def predict_proba_batch(self, ids, features, lengths):
+        rows = zip(ids.tolist(), lengths.tolist())
+        return [self.table.get(tuple(row[:n]), 0.5) for row, n in rows]
 
 
 def small_model():
@@ -462,7 +463,7 @@ def test_viability_with_stub_predictor_probabilities():
     factual = t([1, 2], [0.1, 0.6])
     factual = make_encoded([1, 2], [[0.1], [0.6]], 6, case_id="f")
     candidate = make_encoded([1, 3], [[0.2], [0.7]], 6, case_id="c")
-    predictor = ScriptedPredictor({"f": 0.9, "c": 0.1})
+    predictor = ScriptedPredictor({(1, 2): 0.9, (1, 3): 0.1})
     score = viability(factual, candidate, predictor, model)
     assert score.delta == pytest.approx(0.8)
 
@@ -472,7 +473,7 @@ def test_viability_factual_class_zero_flips_probabilities():
     factual = make_encoded([1, 2], [[0.1], [0.6]], 6, case_id="f")
     candidate = make_encoded([1, 3], [[0.2], [0.7]], 6, case_id="c")
     # factual predicted class 0 with p(o=0)=0.8; candidate p(o=0)=0.3
-    predictor = ScriptedPredictor({"f": 0.2, "c": 0.7})
+    predictor = ScriptedPredictor({(1, 2): 0.2, (1, 3): 0.7})
     score = viability(factual, candidate, predictor, model)
     assert score.delta == pytest.approx(0.8 - 0.3)
 
@@ -481,7 +482,7 @@ def test_viability_matches_independently_scripted_formulas():
     model, train = small_model()
     factual = make_encoded([1, 2], [[0.1], [0.6]], 6, case_id="f")
     candidate = make_encoded([2, 3], [[0.4], [0.8]], 6, case_id="c")
-    predictor = ScriptedPredictor({"f": 0.7, "c": 0.4})
+    predictor = ScriptedPredictor({(1, 2): 0.7, (2, 3): 0.4})
 
     acts_f = factual.activity_ids[:2].tolist()
     feats_f = factual.features[:2].tolist()
@@ -537,8 +538,8 @@ def content_proba(trace):
 
 
 class ContentPredictor:
-    def predict_proba_batch(self, traces):
-        return [content_proba(trace) for trace in traces]
+    def predict_proba_batch(self, ids, features, lengths):
+        return [content_proba(trace) for trace in genomes_of(ids, features, lengths)]
 
 
 def _key(trace):
@@ -561,9 +562,9 @@ class CountingPredictor:
     def keys(self):
         return [key for call in self.calls for key in call]
 
-    def predict_proba_batch(self, traces):
-        self.calls.append([_key(trace) for trace in traces])
-        return self.inner.predict_proba_batch(traces)
+    def predict_proba_batch(self, ids, features, lengths):
+        self.calls.append([_key(trace) for trace in genomes_of(ids, features, lengths)])
+        return self.inner.predict_proba_batch(ids, features, lengths)
 
 
 def _copy(trace):
@@ -604,7 +605,7 @@ def test_score_batch_with_duplicates_matches_reference(seed, pool_size, picks, c
     scorer = ViabilityScorer(factual, predictor, model)
     scores = []
     for start in range(0, len(batch), chunk):
-        rows = scorer.score_batch(batch[start : start + chunk]).tolist()
+        rows = scorer.score_batch(*stack(batch[start : start + chunk])).tolist()
         scores.extend(ViabilityScore(*row) for row in rows)
     assert len(scores) == len(batch)
     for candidate, score in zip(batch, scores):
@@ -620,9 +621,9 @@ def test_score_batch_sends_each_distinct_genome_to_the_predictor_once():
     pool = [random_trace(rng) for _ in range(5)]
     predictor = CountingPredictor()
     scorer = ViabilityScorer(factual, predictor, model)
-    scorer.score_batch([pool[0], pool[1], _copy(pool[0]), pool[1]])
-    scorer.score_batch([pool[1], _copy(pool[2]), pool[2], pool[3]])
-    scorer.score_batch([pool[3], _copy(pool[0])])  # all hits: no predictor call
+    scorer.score_batch(*stack([pool[0], pool[1], _copy(pool[0]), pool[1]]))
+    scorer.score_batch(*stack([pool[1], _copy(pool[2]), pool[2], pool[3]]))
+    scorer.score_batch(*stack([pool[3], _copy(pool[0])]))  # all hits: no predictor call
     scorer.score(pool[4])
     assert predictor.batches == 3
     # the five distinct candidates and the factual, which rides in the first batch
@@ -638,9 +639,10 @@ def test_factual_rides_in_the_first_predictor_call_only():
     predictor = CountingPredictor()
     scorer = ViabilityScorer(factual, predictor, model)
     assert scorer.factual_class is None and predictor.batches == 0
-    scorer.score_batch([pool[0]])
+    scorer.score_batch(*stack([pool[0]]))
     # a copy of the factual scored later reuses the first call's probability
-    late = ViabilityScore(*scorer.score_batch([pool[1], _copy(factual), pool[2]]).tolist()[1])
+    rows = scorer.score_batch(*stack([pool[1], _copy(factual), pool[2]])).tolist()
+    late = ViabilityScore(*rows[1])
     scorer.score(_copy(factual))
     assert [call.count(_key(factual)) for call in predictor.calls] == [1, 0]
     assert predictor.calls[0][0] == _key(factual)
@@ -657,7 +659,7 @@ def test_first_batch_with_a_copy_of_the_factual_sends_it_once():
     other = random_trace(rng)
     predictor = CountingPredictor()
     scorer = ViabilityScorer(factual, predictor, model)
-    rows = scorer.score_batch([other, _copy(factual), other]).tolist()
+    rows = scorer.score_batch(*stack([other, _copy(factual), other])).tolist()
     scores = [ViabilityScore(*row) for row in rows]
     assert predictor.calls == [[_key(factual), _key(other)]]
     reference = [viability(factual, c, ContentPredictor(), model) for c in (other, factual)]
