@@ -80,7 +80,7 @@ class MarkovFeasibilityModel:
 
     @functools.cached_property
     def _draws_per_event(self) -> int:
-        """Doubles sample_attributes draws: two per numeric attribute, one per categorical."""
+        """Doubles an event's attribute draw takes: two per numeric attribute, one per categorical."""
         return sum(1 if codes is not None else 2 for _, codes in self._attribute_cdfs)
 
     def to_json(self) -> str:
@@ -257,34 +257,15 @@ def sample_sequence(
     return sequence
 
 
-def sample_attributes(
-    model: MarkovFeasibilityModel, activity_id: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample one feature row (length D) from the activity's emissions.
+def sample_attributes(model: MarkovFeasibilityModel, acts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Sample the feature rows (n, D) of the events acts (n,) from their doubles u (n, k).
 
-    A numeric attribute draws its bin, then a uniform position inside it; a
-    categorical attribute draws its category and writes that category's code.
-    """
-    if activity_id == END_ID:
-        raise ValueError("cannot sample attributes for the PAD/END id")
-    row = np.zeros(model.encoder.feature_dim)
-    for (_, cols), (cdfs, codes) in zip(model.encoder.slices(), model._attribute_cdfs):
-        idx = _draw(cdfs[activity_id], rng)
-        if codes is None:
-            row[cols] = (idx + rng.random()) / model.n_bins
-        else:
-            row[cols] = codes[idx]
-    return row
-
-
-def _attribute_rows(
-    model: MarkovFeasibilityModel, acts: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """The rows sample_attributes makes for the events acts (n,) from their doubles u (n, k).
-
-    Each event's row of u is what its call draws: two doubles per numeric
-    attribute (bin, then position) and one per categorical. Counting the CDF
-    entries <= u is searchsorted(side="right"), the index _draw picks.
+    Each event draws from its activity's emissions, one attribute after
+    another: a numeric attribute takes two doubles, its bin and then a
+    uniform position inside it; a categorical attribute takes one, its
+    category, and writes that category's code. Row e of u is event e's k
+    doubles in that order. The index drawn is the count of CDF entries <= u,
+    searchsorted(side="right") on the activity's CDF.
     """
     rows = np.zeros((len(acts), model.encoder.feature_dim))
     col = 0
@@ -302,15 +283,15 @@ def _attribute_rows(
 def sample_traces(
     model: MarkovFeasibilityModel, max_len: int, n: int, rng: np.random.Generator
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """n times sample_sequence, then sample_attributes of each of its activities.
+    """n times sample_sequence, each followed by the attribute draws of its events.
 
     Returns the n trace lengths, then the activity ids (E,) and attribute
     rows (E, D) of all the events, the traces concatenated in order. Every
-    draw of those calls is one double: one per activity draw (END
-    included), then k per event. So a chunk of traces walks one block of
-    doubles, sized for traces that all reach max_len. The chains step with
-    bisect_right on the CDF rows as lists, which picks searchsorted's index,
-    and the attribute rows of all the events come from one _attribute_rows.
+    draw is one double: one per activity draw (END included), then k per
+    event. So a chunk of traces walks one block of doubles, sized for
+    traces that all reach max_len. The chains step with bisect_right on the
+    CDF rows as lists, which picks searchsorted's index, and the attribute
+    rows of all the events come from one sample_attributes call.
     The generator is restored after each chunk and advanced by the doubles
     used, so the sequences, the rows and the generator state equal those of
     the per-trace calls.
@@ -346,5 +327,5 @@ def sample_traces(
         rng.random(used)
     acts = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64)
     draws = np.concatenate(attribute_draws) if attribute_draws else np.empty(0)
-    rows = _attribute_rows(model, acts, draws.reshape(len(acts), k))
+    rows = sample_attributes(model, acts, draws.reshape(len(acts), k))
     return [len(sequence) for sequence in sequences], acts, rows

@@ -433,20 +433,21 @@ class ViabilityScorer:
         predictor and both scoring kernels as one frame.
         """
         first = self.factual_class is None and len(lengths) > 0
-        if first:
-            # the first predictor call carries the factual once, first
-            ids, features, lengths = (
-                np.concatenate(pair) for pair in zip(self._factual_frame, (ids, features, lengths))
-            )
         memo = self._memo
         keys = _row_keys(ids, features, lengths)
         misses: dict[tuple, int] = {}
+        if first:
+            # the first predictor call carries the factual once, first; a
+            # candidate equal to it is scored as the factual's row
+            misses[_row_keys(*self._factual_frame)[0]] = -1
         for row, key in enumerate(keys):
             if key not in memo:
                 misses.setdefault(key, row)
         if misses:
-            rows = list(misses.values())
+            rows = list(misses.values())[1:] if first else list(misses.values())
             frame = ids[rows], features[rows], lengths[rows]
+            if first:
+                frame = tuple(np.concatenate(pair) for pair in zip(self._factual_frame, frame))
             p1s = self.predictor.predict_proba_batch(*frame)
             if self.factual_class is None:
                 self.factual_class = 1 if p1s[0] > DECISION_THRESHOLD else 0
@@ -467,8 +468,7 @@ class ViabilityScorer:
                 delta = delta_score(self.p_factual, probability)
                 total = similarity + sparsity + feas + delta
                 memo[key] = (similarity, sparsity, feas, delta, total)
-        scored = keys[1:] if first else keys
-        return np.array([memo[key] for key in scored], dtype=float).reshape(-1, 5)
+        return np.array([memo[key] for key in keys], dtype=float).reshape(-1, 5)
 
     def score(self, candidate: EncodedTrace) -> ViabilityScore:
         return ViabilityScore(*self.score_batch(*stack([candidate]))[0].tolist())

@@ -17,6 +17,7 @@ from evocf.event_log import (
     Event,
     NumericCodec,
     Trace,
+    _draw,
     encode_log,
     fit_encoder,
     preprocess,
@@ -24,7 +25,7 @@ from evocf.event_log import (
     stack,
     synthesize_log,
 )
-from evocf.evolution import FITNESS_FLOOR, CycleStats, crossover, mutate
+from evocf.evolution import FITNESS_FLOOR, CycleStats, _breed, crossover, mutate
 from evocf.viability import ViabilityScore, ViabilityScorer
 
 # CI selects this profile (HYPOTHESIS_PROFILE=ci) so property tests draw the
@@ -141,15 +142,31 @@ def reference_decode(enc, spec) -> Trace:
     return Trace(enc.case_id, tuple(events), enc.outcome)
 
 
+def reference_sample_attributes(model, activity_id, rng):
+    """One event's feature row (D,), each attribute drawn with its own generator calls.
+
+    A numeric attribute draws its bin, then a uniform position inside it; a
+    categorical attribute draws its category and writes that category's code.
+    """
+    row = np.zeros(model.encoder.feature_dim)
+    for (_, cols), (cdfs, codes) in zip(model.encoder.slices(), model._attribute_cdfs):
+        idx = _draw(cdfs[activity_id], rng)
+        if codes is None:
+            row[cols] = (idx + rng.random()) / model.n_bins
+        else:
+            row[cols] = codes[idx]
+    return row
+
+
 def sample_attribute_rows(model, activity_ids, rng):
-    """sample_attributes for each activity in turn, as rows of an (n, D) array.
+    """reference_sample_attributes for each activity in turn, as rows of an (n, D) array.
 
     Every event takes the same doubles in the same order, so one
     rng.random((n, k)) holds the draws of the n calls row by row: the rows
     and the generator state come out the same.
     """
     acts = np.asarray(activity_ids, dtype=np.int64)
-    return markov_mod._attribute_rows(model, acts, rng.random((len(acts), model._draws_per_event)))
+    return markov_mod.sample_attributes(model, acts, rng.random((len(acts), model._draws_per_event)))
 
 
 def sampled_genome(rng, feas_model):
@@ -175,17 +192,19 @@ def scored(population):
 
 
 def cross_genomes(kind, parent_a, parent_b, rng, uc_rate=None):
-    """evolution.crossover on a frame of the two parents; the children as EncodedTraces."""
+    """The breeding walk and crossover on a one-pair block; the children as EncodedTraces."""
     frame = stack([parent_a, parent_b])
-    crossover(kind, *frame, rng, uc_rate)
+    bred = _breed(frame[2].tolist(), parent_a.max_len, kind, uc_rate, None, None, None, rng)
+    crossover(*frame, bred)
     return tuple(genomes_of(*frame))
 
 
 def mutate_genome(kind, genome, rates, feas_model, rng):
-    """evolution.mutate on a copy of the genome's row; the mutant as an EncodedTrace."""
-    ids, features = genome.activity_ids.copy(), genome.features.copy()
-    length = mutate(kind, ids, features, genome.valid_len, rates, feas_model, rng)
-    return EncodedTrace(ids, features, length, 0, "cf")
+    """The breeding walk and mutate on a one-child block of the genome's row; the mutant."""
+    frame = stack([genome])
+    bred = _breed(frame[2].tolist(), genome.max_len, None, None, kind, rates, feas_model, rng)
+    mutate(kind, *frame, bred, feas_model)
+    return genomes_of(*frame)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +308,7 @@ def reference_mutate(kind, genome, rates, feas_model, rng):
     def draw_row(activity_id):
         if kind == "RM":
             return np.clip(rng.standard_normal(feature_dim), 0.0, 1.0)
-        return markov_mod.sample_attributes(feas_model, activity_id, rng)
+        return reference_sample_attributes(feas_model, activity_id, rng)
 
     ids = genome.activity_ids[: genome.valid_len].tolist()
     rows = [genome.features[t] for t in range(genome.valid_len)]

@@ -12,12 +12,14 @@ from conftest import (
     identity_encoder,
     make_encoded,
     mutate_genome,
+    reference_crossover,
     reference_cycle_stats,
     reference_evolve,
     reference_genome,
     reference_mutate,
     reference_random_genome,
     reference_recombine,
+    reference_sample_attributes,
     reference_select,
     sample_attribute_rows,
     sampled_genome,
@@ -235,28 +237,11 @@ def test_es_overdraw_is_selection_error():
 # crossover
 
 
-class StubRng:
-    """Minimal stand-in feeding predetermined draws to one operator call."""
-
-    def __init__(self, integers_value=None, choice_value=None, random_row=None):
-        self.integers_value = integers_value
-        self.choice_value = choice_value
-        self.random_row = random_row
-
-    def integers(self, low, high=None, size=None):
-        return self.integers_value
-
-    def choice(self, values, size=None, replace=True, p=None):
-        return np.asarray(self.choice_value)
-
-    def random(self, size=None):
-        return np.asarray(self.random_row)
-
-
 def test_uc_full_mask_copies_parent_a():
     a = t([1, 2, 3], [0.1, 0.2, 0.3])
     b = t([3, 2], [0.9, 0.8])
-    child_1, child_2 = cross_genomes("UC", a, b, StubRng(random_row=[0.0] * 6), uc_rate=1.0)
+    # every double is below 1.0, so child 1 takes every cell of parent a
+    child_1, child_2 = cross_genomes("UC", a, b, np.random.default_rng(0), uc_rate=1.0)
     assert encoded_equal(child_1, a)
     assert encoded_equal(child_2, b)
 
@@ -265,7 +250,9 @@ def test_opc_cut_two_mixes_tails():
     # parents shaped after the inheritance diagram: <a,b,a> and <a,b,a,c>
     a = t([1, 2, 1], [0.60, 0.25, 0.70])
     b = t([1, 2, 1, 3], [0.60, 0.75, 0.64, 0.57])
-    child_1, child_2 = cross_genomes("OPC", a, b, StubRng(integers_value=2))
+    # the first seed whose OPC draw over the 6-cell frame cuts at 2
+    seed = next(s for s in range(100) if np.random.default_rng(s).integers(1, 6) == 2)
+    child_1, child_2 = cross_genomes("OPC", a, b, np.random.default_rng(seed))
     assert child_1.activity_ids[: child_1.valid_len].tolist() == [1, 2, 1, 3]
     assert child_1.features[: child_1.valid_len, 0].tolist() == [0.60, 0.25, 0.64, 0.57]
     assert child_2.activity_ids[: child_2.valid_len].tolist() == [1, 2, 1]
@@ -512,7 +499,7 @@ def test_initial_genomes_equal_per_event_reference(synth_setup):
         assert encoded_equal(genomes_of(*frame)[0], want)
         (got,) = genomes_of(*_sampled_genomes(ours, model, 1))
         ids = markov_mod.sample_sequence(model, encoder.max_len, reference)
-        rows = [markov_mod.sample_attributes(model, a, reference) for a in ids]
+        rows = [reference_sample_attributes(model, a, reference) for a in ids]
         assert encoded_equal(got, reference_genome(ids, rows, encoder.max_len, encoder.feature_dim))
         assert ours.bit_generator.state == reference.bit_generator.state
 
@@ -614,11 +601,8 @@ ORACLE_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("name", ORACLE_CONFIGS)
-@pytest.mark.parametrize("cycles", [0, 6])
-def test_frame_engine_equals_the_object_engine(name, cycles, synth_setup, monkeypatch):
-    model = synth_setup["feas_model"]
-    train = synth_setup["train"]
+def assert_engines_equal(factual, config, predictor, model, log, monkeypatch):
+    """evolve and reference_evolve give the same rows, scores, statistics and generator state."""
     generators = []
 
     def initialize_seen(kind, n, log, feas_model, scorer, rng):
@@ -627,24 +611,152 @@ def test_frame_engine_equals_the_object_engine(name, cycles, synth_setup, monkey
 
     # evolve looks initialize up at call time, so its generator can be read
     monkeypatch.setattr(evolution, "initialize", initialize_seen)
+    result = evolve(factual, config, predictor, model, log)
+    pairs, stats, reference = reference_evolve(factual, config, predictor, model, log)
+    genomes = [genome for genome, _ in pairs]
+    ids, features, lengths = stack(genomes)
+    assert result.population.ids.tobytes() == ids.tobytes()
+    assert result.population.features.tobytes() == features.tobytes()
+    assert result.population.lengths.tolist() == lengths.tolist()
+    assert result.population.scores.tobytes() == score_bytes(score for _, score in pairs)
+    assert repr(result.stats) == repr(stats)
+    assert generators.pop().bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ORACLE_CONFIGS)
+@pytest.mark.parametrize("cycles, offspring", [(0, 8), (6, 8), (6, 2)])
+def test_frame_engine_equals_the_object_engine(name, cycles, offspring, synth_setup, monkeypatch):
     for seed, factual in zip((5, 2**33 + 1), synth_setup["test"]):
         config = parse_config_name(
             name,
             population_size=24,
-            offspring_per_cycle=8,
+            offspring_per_cycle=offspring,
             mutation_rates=MutationRates(0.08, 0.08, 0.08),
             cycles=cycles,
             seed=seed,
         )
-        result = evolve(factual, config, synth_setup["predictor"], model, train)
-        pairs, stats, reference = reference_evolve(
-            factual, config, synth_setup["predictor"], model, train
+        assert_engines_equal(
+            factual, config, synth_setup["predictor"], synth_setup["feas_model"],
+            synth_setup["train"], monkeypatch,
         )
-        genomes = [genome for genome, _ in pairs]
-        ids, features, lengths = stack(genomes)
-        assert result.population.ids.tobytes() == ids.tobytes()
-        assert result.population.features.tobytes() == features.tobytes()
-        assert result.population.lengths.tolist() == lengths.tolist()
-        assert result.population.scores.tobytes() == score_bytes(score for _, score in pairs)
-        assert repr(result.stats) == repr(stats)
-        assert generators.pop().bit_generator.state == reference.bit_generator.state
+
+
+class MeanPredictor:
+    def predict_proba_batch(self, ids, features, lengths):
+        return [0.1 + 0.8 * float(f[:n].mean()) for f, n in zip(features, lengths.tolist())]
+
+
+@pytest.mark.parametrize("name", ORACLE_CONFIGS)
+@pytest.mark.parametrize("max_len", [1, 2])
+def test_frame_engine_equals_the_object_engine_on_short_frames(name, max_len, monkeypatch):
+    # max_len 1 crosses nothing; at max_len 2 OPC's cut integers(1, 2) draws
+    # nothing and TPC cannot pick two cut points, in either engine
+    rng = np.random.default_rng(max_len)
+    log = [
+        make_encoded(rng.integers(1, 4, size=n).tolist(), rng.random((n, 1)), max_len)
+        for n in rng.integers(1, max_len + 1, size=12).tolist()
+    ]
+    model = fit(log, identity_encoder(max_len=max_len), 1e-6, 5)
+    config = parse_config_name(
+        name,
+        population_size=12,
+        offspring_per_cycle=4,
+        mutation_rates=MutationRates(0.2, 0.2, 0.2),
+        cycles=5,
+        seed=7,
+    )
+    if config.crosser == "TPC" and max_len == 2:
+        for run in (evolve, reference_evolve):
+            with pytest.raises(ValueError):
+                run(log[0], config, MeanPredictor(), model, log)
+        return
+    assert_engines_equal(log[0], config, MeanPredictor(), model, log, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# the breeding stream against the generator it reads
+
+
+# (lo, hi) of integers draws: ranges 1, 2, a frame, a vocabulary, and two
+# 32-bit ranges; 2**31 + 1 rejects about half of its draws
+INTEGER_RANGES = [(4, 5), (0, 2), (1, 20), (1, 6), (0, 2**31 + 1), (7, 7 + 2**32 - 1)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("ahead", [0, 5, 4096])
+def test_stream_draws_equal_the_generator_calls(seed, ahead):
+    script = np.random.default_rng(1000 + seed)
+    ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    if seed % 2:
+        # start with a half-word in the generator's buffer
+        ours.integers(0, 9)
+        reference.integers(0, 9)
+    for _ in range(30):
+        stream = evolution._Stream(ours)
+        stream.ahead = ahead
+        got, want = [], []
+        for _ in range(int(script.integers(1, 60))):
+            op = int(script.integers(0, 8))
+            if op < 3:
+                k = int(script.integers(0, 25))
+                got.append(stream.doubles(k))
+                want.append(reference.random(k).tolist())
+            elif op < 7:
+                lo, hi = INTEGER_RANGES[int(script.integers(0, len(INTEGER_RANGES)))]
+                got.append(stream.integers(lo, hi))
+                want.append(int(reference.integers(lo, hi)))
+            else:
+                got.append(stream.escape(lambda g: g.standard_normal(2).tolist()))
+                want.append(reference.standard_normal(2).tolist())
+        stream.sync()
+        assert got == want
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("max_len", [3, 4, 7, 20, 1000])
+def test_tpc_cuts_equal_the_generator_choice(max_len):
+    for seed in range(200):
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed % 2:
+            # start with a half-word in the generator's buffer
+            ours.integers(0, 9)
+            reference.integers(0, 9)
+        stream = evolution._Stream(ours)
+        got = evolution._two_cuts(stream, max_len)
+        stream.sync()
+        want = np.sort(reference.choice(np.arange(1, max_len), size=2, replace=False)).tolist()
+        assert got == want
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("pass_", ["delete", "insert", "change"])
+@pytest.mark.parametrize("tie_at", ["smallest", "middle"])
+def test_a_double_equal_to_a_mutation_rate_is_not_a_hit(pass_, tie_at):
+    # a genome of n events in a frame of 6: its delete, insert and change
+    # passes read doubles 0..n-1, n..5 and 6..6+n-1 when nothing is hit
+    _, model, _ = training_setup()
+    genome = t([1, 2, 3], [0.1, 0.5, 0.9])
+    n, max_len = genome.valid_len, genome.max_len
+    u = np.random.default_rng(61).random(max_len + n).tolist()
+    doubles = {"delete": u[:n], "insert": u[n:max_len], "change": u[max_len:]}[pass_]
+    # the smallest double of the pass, so nothing is hit; or its middle one, so a draw below it is
+    tie = sorted(doubles)[0 if tie_at == "smallest" else len(doubles) // 2]
+    rates = replace(MutationRates(0.0, 0.0, 0.0), **{pass_: tie})
+    ours, reference = np.random.default_rng(61), np.random.default_rng(61)
+    got = mutate_genome("SBM", genome, rates, model, ours)
+    assert encoded_equal(got, reference_mutate("SBM", genome, rates, model, reference))
+    assert ours.bit_generator.state == reference.bit_generator.state
+    if tie_at == "smallest":
+        assert encoded_equal(got, genome)
+
+
+def test_a_double_equal_to_the_uc_rate_takes_the_other_parent():
+    a = t([3, 1, 2, 3, 2, 1], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    b = t([2, 3, 1, 1, 3, 2], [0.9, 0.8, 0.7, 0.6, 0.5, 0.4])
+    u = np.random.default_rng(62).random(a.max_len).tolist()
+    for tie in u:
+        got = cross_genomes("UC", a, b, np.random.default_rng(62), uc_rate=tie)
+        want = reference_crossover("UC", a, b, np.random.default_rng(62), uc_rate=tie)
+        assert all(encoded_equal(x, y) for x, y in zip(got, want))
+        position = u.index(tie)
+        assert got[0].activity_ids[position] == b.activity_ids[position]

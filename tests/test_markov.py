@@ -6,12 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cross_genomes, identity_encoder, make_encoded, sample_attribute_rows
+from conftest import (
+    cross_genomes,
+    identity_encoder,
+    make_encoded,
+    reference_sample_attributes,
+    sample_attribute_rows,
+)
 from evocf.event_log import CategoricalCodec, EncoderSpec, NumericCodec, _cdf, _draw, stack
 from evocf.markov import (
     _TRACE_CHUNK,
     MarkovFeasibilityModel,
-    _attribute_rows,
     _emission_factors,
     feasibility,
     feasibility_batch,
@@ -250,7 +255,7 @@ def test_sample_attributes_single_bin_support():
     model = fit(train, identity_encoder(max_len=8), 0.0, 5)
     rng = np.random.default_rng(1)
     for _ in range(100):
-        row = sample_attributes(model, A, rng)
+        (row,) = sample_attribute_rows(model, [A], rng)
         assert 0.4 <= row[0] < 0.6
 
 
@@ -262,7 +267,7 @@ def test_sample_attributes_point_mass_category():
     model = fit(train, encoder, 0.0, 4)
     rng = np.random.default_rng(2)
     for _ in range(50):
-        row = sample_attributes(model, 1, rng)
+        (row,) = sample_attribute_rows(model, [1], rng)
         assert row.tolist() == [1.0, 0.0]
 
 
@@ -274,7 +279,7 @@ def test_sample_attributes_matches_histogram():
     counts = np.zeros(5)
     n = 10_000
     for _ in range(n):
-        row = sample_attributes(model, A, rng)
+        (row,) = sample_attribute_rows(model, [A], rng)
         counts[min(int(row[0] * 5), 4)] += 1
     fitted = model.emissions[0][A, :5]
     assert np.all(np.abs(counts / n - fitted) < 0.02)
@@ -487,7 +492,7 @@ def test_cdf_sampling_replays_generator_choice(eps, synth_setup):
             sequence = sample_sequence(model, 8, ours)
             assert sequence == choice_sample_sequence(model, 8, reference)
             for a in sequence:
-                row = sample_attributes(model, a, ours)
+                (row,) = sample_attribute_rows(model, [a], ours)
                 assert row.tobytes() == choice_sample_attributes(model, a, reference).tobytes()
         assert ours.bit_generator.state == reference.bit_generator.state
 
@@ -518,7 +523,7 @@ def test_a_double_equal_to_a_cdf_entry_picks_the_next_index():
     lengths, acts, _ = sample_traces(model, 2, 1, np.random.default_rng(1))
     assert (lengths, acts.tolist()) == ([2], [1, 1])
     # a count of the entries <= u: category index 1
-    rows = _attribute_rows(model, np.array([1]), np.array([[u]]))
+    rows = sample_attributes(model, np.array([1]), np.array([[u]]))
     assert rows.tolist() == codec.encode(["r1"]).tolist()
 
 
@@ -580,7 +585,7 @@ def test_sample_attribute_rows_replays_sample_attributes(kind, eps):
         sequence = sample_sequence(model, 8, ours)
         assert sequence == sample_sequence(model, 8, reference)
         rows = sample_attribute_rows(model, sequence, ours)
-        expected = np.stack([sample_attributes(model, a, reference) for a in sequence])
+        expected = np.stack([reference_sample_attributes(model, a, reference) for a in sequence])
         assert rows.shape == expected.shape
         assert rows.tobytes() == expected.tobytes()
         assert ours.bit_generator.state == reference.bit_generator.state

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import genomes_of, identity_encoder, make_encoded
+from conftest import genomes_of, identity_encoder, make_encoded, scored
 from evocf.errors import ConfigurationError
 from evocf.event_log import stack
-from evocf.evolution import evolve, parse_config_name
+from evocf.evolution import evolve, initialize, parse_config_name
 from evocf.markov import fit
 from evocf.viability import (
     FEATURE_DIFF_TOLERANCE,
@@ -664,6 +664,23 @@ def test_first_batch_with_a_copy_of_the_factual_sends_it_once():
     assert predictor.calls == [[_key(factual), _key(other)]]
     reference = [viability(factual, c, ContentPredictor(), model) for c in (other, factual)]
     assert scores == [reference[0], reference[1], reference[0]]
+
+
+def test_cbi_population_holding_the_factual_sends_it_once(synth_setup):
+    # CBI draws log traces, so an initial frame can hold rows equal to the factual
+    model = synth_setup["feas_model"]
+    factual = synth_setup["test"][0]
+    log = [factual, *synth_setup["train"][:5]]
+    predictor = CountingPredictor(synth_setup["predictor"])
+    scorer = ViabilityScorer(factual, predictor, model)
+    population = initialize("CBI", 40, log, model, scorer, np.random.default_rng(4))
+    keys = [_key(genome) for genome in genomes_of(*population.frame)]
+    assert keys.count(_key(factual)) > 1
+    # the factual first, then each other distinct row in order of first sight
+    others = [key for key in dict.fromkeys(keys) if key != _key(factual)]
+    assert predictor.calls == [[_key(factual), *others]]
+    for genome, score in scored(population):
+        assert score == viability(factual, genome, synth_setup["predictor"], model)
 
 
 def test_evolve_scores_each_distinct_genome_once(synth_setup):
