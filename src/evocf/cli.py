@@ -18,6 +18,8 @@ import types
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from . import predictor as predictor_mod
 from .errors import ConfigurationError, EvocfError
 from .event_log import (
@@ -234,11 +236,11 @@ def cmd_generate(args) -> int:
         writer.writerows(map(_candidate_values, rows))
 
     encoder = prepared.encoder
-    # the render batch: the factual, then the output candidates as traces
-    top_rows = zip(top.ids, top.features, top.lengths.tolist())
-    genomes = [EncodedTrace(*row, 0, "cf") for row in top_rows]
-    p_factual, *p_top = prepared.predictor.predict_proba_batch(*stack([factual, *genomes]))
-    best, score = genomes[0], rows[0].score
+    # the render batch: the factual's row, then the output candidates' rows
+    batch = (np.concatenate(pair) for pair in zip(stack([factual]), top.frame))
+    p_factual, *p_top = prepared.predictor.predict_proba_batch(*batch)
+    best = EncodedTrace(top.ids[0], top.features[0], int(top.lengths[0]), 0, "cf")
+    score = rows[0].score
     case_ids = [f"cf_{rank:03d}" for rank in range(1, len(top) + 1)]
     predicted = {case_id: int(p > DECISION_THRESHOLD) for case_id, p in zip(case_ids, p_top)}
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import markov as markov_mod
-from .errors import ConfigNameError, SelectionError
+from .errors import ConfigNameError, ConfigurationError, SelectionError
 from .event_log import PAD_ID, EncodedTrace, EncoderSpec, Frame, stack
 from .markov import MarkovFeasibilityModel
 from .viability import ViabilityScorer
@@ -419,11 +419,10 @@ def _two_cuts(stream: _Stream, max_len: int) -> list[int]:
     Generator.choice picks two of the p = max_len - 1 cells by Floyd's
     algorithm: a draw over 0..p-2, then one over 0..p-1 that becomes p - 1
     if it repeats the first. It then shuffles the two with a draw over
-    0..1, which sorting undoes but which is still drawn.
+    0..1, which sorting undoes but which is still drawn. It needs p >= 2,
+    which evolve checks before the first draw.
     """
     p = max_len - 1
-    if p < 2:
-        raise ValueError(f"TPC needs two cut points, and a frame of {max_len} has {p}")
     first = stream.integers(0, p - 1)
     second = stream.integers(0, p)
     stream.integers(0, 2)
@@ -684,6 +683,11 @@ def evolve(
     Returns the final population sorted by total viability (descending) and
     one statistics row per executed cycle. Deterministic under config.seed.
     """
+    # a frame of one event crosses nothing; one of two has one cut point
+    if config.crosser == "TPC" and config.cycles > 0 and feas_model.encoder.max_len == 2:
+        raise ConfigurationError(
+            f"{config.name}: TPC needs two cut points, and a frame of 2 events has one"
+        )
     rng = np.random.default_rng(config.seed)
     scorer = ViabilityScorer(factual, predictor, feas_model)
     population = initialize(config.initiator, config.population_size, log, feas_model, scorer, rng)

@@ -14,10 +14,12 @@ never exceeds |a| + |b|; similarity and sparsity scores normalize by that
 bound. Delta is the signed change of the predicted probability of the
 factual's outcome class. Total viability is the plain sum of the four parts.
 
-The scalar DP (ssdld, ssdld_distance) keeps the alignment backtrace and is
-the reference; scoring runs edit_distances, which sweeps both cost kinds for
-a block of candidates along anti-diagonals and adds every cell's terms in the
-scalar order, so its distances are the same floats.
+There is one DP: _sweep fills both cost kinds' tables for a block of
+candidates along anti-diagonals. Scoring (edit_distances) reads each
+candidate's distance out of it, and ssdld backtraces one candidate's table
+into the alignment that render shows. Each cell adds its terms in the order
+of the scalar DP that tests/conftest.py keeps as the reference
+(reference_ssdld), so every distance is the same float.
 """
 
 from __future__ import annotations
@@ -72,104 +74,147 @@ class EditAlignment:
     ops: tuple[EditOp, ...]
 
 
-def _euclidean_costs(a: EncodedTrace, b: EncodedTrace):
-    n, m = a.valid_len, b.valid_len
-    av = a.features[:n]
-    bv = b.features[:m]
-    d = av.shape[1]
-    if d == 0:
-        zero_nm = np.zeros((n, m))
-        return zero_nm, np.zeros(n), np.zeros(m)
-    scale = 1.0 / np.sqrt(d)
-    diff = av[:, None, :] - bv[None, :, :]
-    pair = np.sqrt((diff * diff).sum(axis=-1)) * scale
-    delete = np.sqrt((av * av).sum(axis=-1)) * scale
-    insert = np.sqrt((bv * bv).sum(axis=-1)) * scale
-    return pair, delete, insert
-
-
-def _count_costs(a: EncodedTrace, b: EncodedTrace, slices):
-    n, m = a.valid_len, b.valid_len
-    av = a.features[:n]
-    bv = b.features[:m]
-    n_attrs = len(slices)
-    pair = np.zeros((n, m))
-    if n_attrs > 0:
-        for _, cols in slices:
-            differs = (
-                np.abs(av[:, None, cols] - bv[None, :, cols]) > FEATURE_DIFF_TOLERANCE
-            ).any(axis=-1)
-            pair += differs
-        pair /= n_attrs
-    # against the empty vector every attribute counts as different
-    return pair, np.ones(n), np.ones(m)
-
-
-def _cost_matrices(a: EncodedTrace, b: EncodedTrace, cost_kind: CostKind, slices=None):
-    if cost_kind == "euclidean":
-        return _euclidean_costs(a, b)
-    if cost_kind == "count":
-        if slices is None:
-            slices = _infer_slices(a)
-        return _count_costs(a, b, slices)
-    raise ValueError(f"unknown cost kind {cost_kind!r}")
-
-
 def _infer_slices(a: EncodedTrace):
     # without an encoder, treat every feature column as its own attribute
     return tuple((None, slice(c, c + 1)) for c in range(a.features.shape[1]))
 
 
-def _dp_table(a: EncodedTrace, b: EncodedTrace, cost_kind: CostKind, slices=None):
-    acts_a = a.activity_ids[: a.valid_len].tolist()
-    acts_b = b.activity_ids[: b.valid_len].tolist()
-    pair_np, delete_np, insert_np = _cost_matrices(a, b, cost_kind, slices)
-    pair = pair_np.tolist()
-    delete = delete_np.tolist()
-    insert = insert_np.tolist()
-    n, m = len(acts_a), len(acts_b)
+def _match_costs(factual: EncodedTrace, feats: np.ndarray, same: np.ndarray, slices):
+    """Both cost kinds of the factual against a padded block feats (B, M, D).
 
-    d = [[0.0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        d[i][0] = d[i - 1][0] + delete[i - 1]
-    for j in range(1, m + 1):
-        d[0][j] = d[0][j - 1] + insert[j - 1]
-    for i in range(1, n + 1):
-        row = d[i]
-        prev = d[i - 1]
-        ai = acts_a[i - 1]
-        pair_i = pair[i - 1]
-        del_i = delete[i - 1]
-        for j in range(1, m + 1):
-            best = prev[j] + del_i
-            cand = row[j - 1] + insert[j - 1]
-            if cand < best:
-                best = cand
-            if ai == acts_b[j - 1]:
-                cand = prev[j - 1] + pair_i[j - 1]
-            else:
-                cand = prev[j - 1] + del_i + insert[j - 1]
-            if cand < best:
-                best = cand
-            if (
-                i > 1
-                and j > 1
-                and ai == acts_b[j - 2]
-                and acts_a[i - 2] == acts_b[j - 1]
-            ):
-                cand = d[i - 2][j - 2] + pair_i[j - 2] + pair[i - 2][j - 1]
-                if cand < best:
-                    best = cand
-            row[j] = best
-    return d, pair, delete, insert, acts_a, acts_b
+    same (n, M, B) marks the cells where the factual event and the candidate
+    event share their activity: the DP reads a pair cost there and nowhere
+    else, so only those cells are computed, as one (P, D) gather; the others
+    stay 0. Returns pair (n+1, M+1, 2B), delete (n, 2B) and insert (M+1, 2B),
+    indexed by 1-based event positions (pair row and column 0, insert row 0
+    unused) and by column: euclidean in the first B, count in the last B.
+    Every entry comes from the expression the scalar reference DP
+    (reference_ssdld in tests/conftest.py) evaluates for one pair, with the
+    feature reduction on the same contiguous last axis, so the floats are
+    equal.
+    """
+    n = factual.valid_len
+    av = factual.features[:n]
+    b, m, d = feats.shape
+    pair = np.zeros((n + 1, m + 1, 2 * b))
+    delete = np.ones((n, 2 * b))
+    insert = np.ones((m + 1, 2 * b))
+    i, j, lane = np.nonzero(same)
+    diff = av[i] - feats[lane, j]
+    differs = np.abs(diff) > FEATURE_DIFF_TOLERANCE
+    if d:
+        scale = 1.0 / np.sqrt(d)
+        diff *= diff
+        pair[i + 1, j + 1, lane] = np.sqrt(diff.sum(axis=-1)) * scale
+        delete[:, :b] = (np.sqrt((av * av).sum(axis=-1)) * scale)[:, None]
+        insert[1:, :b] = (np.sqrt((feats * feats).sum(axis=-1)) * scale).T
+    else:
+        # no features: every euclidean cost is 0
+        delete[:, :b] = 0.0
+        insert[:, :b] = 0.0
+    if slices:
+        count = np.zeros(len(lane))
+        for _, cols in slices:
+            count += differs[:, cols].any(axis=-1)
+        count /= len(slices)
+        pair[i + 1, j + 1, lane + b] = count
+    return pair, delete, insert
 
 
-def ssdld_distance(
-    a: EncodedTrace, b: EncodedTrace, cost_kind: CostKind, slices=None
-) -> float:
-    """Distance only; skips the alignment backtrace."""
-    d, *_ = _dp_table(a, b, cost_kind, slices)
-    return d[a.valid_len][b.valid_len]
+def _by_diagonal(table: np.ndarray) -> np.ndarray:
+    """Read-only view of a (n+1, M+1, ...) table: out[k, i] = table[i, k - i].
+
+    Only entries with 0 <= k - i <= M are cells of the table (the others alias
+    neighbouring cells and are never read), so anti-diagonal k is a slice.
+    """
+    rows, cols, *trail = table.shape
+    row_stride, col_stride, *trail_strides = table.strides
+    return as_strided(
+        table,
+        shape=(rows + cols - 1, rows, *trail),
+        strides=(col_stride, row_stride - col_stride, *trail_strides),
+        writeable=False,
+    )
+
+
+def _sweep(factual: EncodedTrace, acts: np.ndarray, feats: np.ndarray, slices):
+    """Euclidean and count DP tables of one block, one anti-diagonal at a time.
+
+    acts (B, M) and feats (B, M, D) are the block's rows of the frame, cut to
+    its longest prefix. The 2B DPs (both kinds of every candidate) are the
+    last, contiguous axis: euclidean in the first B, count in the last B.
+    Returns the table by anti-diagonal, dp_k[k, i] = D[i][k - i], and the
+    cost tables of _match_costs. A DP's distance is at (n, m_b), which no
+    cell past a candidate's last event feeds; cells past it hold values no
+    read needs. Each cell adds the scalar DP's terms in its order and keeps
+    the smaller candidate, so every entry is the same float.
+    """
+    n = factual.valid_len
+    b, m = acts.shape
+    same = factual.activity_ids[:n, None, None] == acts.T[None]
+    pair, delete, insert = _match_costs(factual, feats, same, slices)
+    match = np.zeros((n + 1, m + 1, 2 * b), dtype=bool)
+    match[1:, 1:] = np.tile(same, 2)
+    swap = np.zeros_like(match)
+    swap[2:, 2:] = match[2:, 1:-1] & match[1:-1, 2:]
+    has_swap = np.zeros(n + m + 1, dtype=bool)
+    swap_i, swap_j = np.nonzero(swap.any(axis=-1))
+    has_swap[swap_i + swap_j] = True
+    pair_k, match_k, swap_k = _by_diagonal(pair), _by_diagonal(match), _by_diagonal(swap)
+
+    # the DP table stored by anti-diagonal, dp_k[k, i] = D[i][k - i], so each
+    # diagonal is contiguous; D[i][0] and D[0][j] are running sums
+    dp_k = np.zeros((n + m + 1, n + 1, 2 * b))
+    dp_k[1 : m + 1, 0] = np.cumsum(insert[1:], axis=0)
+    border = np.arange(1, n + 1)
+    dp_k[border, border] = np.cumsum(delete, axis=0)
+    for k in range(2, n + m + 1):
+        lo, hi = max(1, k - m), min(n, k - 1) + 1
+        previous, diagonal = dp_k[k - 1], dp_k[k - 2]
+        del_i = delete[lo - 1 : hi - 1]
+        ins_j = insert[k - lo : k - hi : -1]
+        diag = diagonal[lo - 1 : hi - 1]
+        best = dp_k[k, lo:hi]
+        np.minimum(previous[lo - 1 : hi - 1] + del_i, previous[lo:hi] + ins_j, out=best)
+        # (diag + del_i) + ins_j on a mismatch, diag + pair on a match
+        through = diag + del_i
+        through += ins_j
+        np.add(diag, pair_k[k, lo:hi], out=through, where=match_k[k, lo:hi])
+        np.minimum(best, through, out=best)
+        if has_swap[k]:
+            s_lo, s_hi = max(2, lo), min(hi, k - 1)
+            # (D[i-2][j-2] + pair[i-1][j-2]) + pair[i-2][j-1], 0-based pair
+            cand = dp_k[k - 4, s_lo - 2 : s_hi - 2] + pair_k[k - 1, s_lo:s_hi]
+            cand += pair_k[k - 1, s_lo - 1 : s_hi - 1]
+            kept = best[s_lo - lo : s_hi - lo]
+            np.copyto(kept, cand, where=swap_k[k, s_lo:s_hi] & (cand < kept))
+    return dp_k, pair, delete, insert
+
+
+def edit_distances(
+    factual: EncodedTrace, ids: np.ndarray, features: np.ndarray, lengths: np.ndarray, slices=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edit distances of the factual to each candidate of a frame (event_log.stack).
+
+    Returns (euclidean, count) as float arrays in row order. Rows are swept
+    in blocks of _BLOCK, shortest first so a block pads little, which bounds
+    memory for any batch size.
+    """
+    if slices is None:
+        slices = _infer_slices(factual)
+    order = np.argsort(lengths, kind="stable")
+    euclidean = np.empty(len(lengths))
+    count = np.empty(len(lengths))
+    n = factual.valid_len
+    for start in range(0, len(order), _BLOCK):
+        rows = order[start : start + _BLOCK]
+        b, m = len(rows), lengths[rows].max()
+        dp_k, *tables = _sweep(factual, ids[rows, :m], features[rows, :m], slices)
+        distances = dp_k[n + np.tile(lengths[rows], 2), n, np.arange(2 * b)]
+        euclidean[rows], count[rows] = distances[:b], distances[b:]
+        # free this block's tables before the next block's sweep allocates its own
+        del dp_k, tables
+    return euclidean, count
 
 
 def ssdld(
@@ -177,11 +222,27 @@ def ssdld(
 ) -> tuple[float, EditAlignment]:
     """Weighted Damerau-Levenshtein distance and its edit script.
 
-    Backtrace ties are broken in the fixed order match/substitute, transpose,
-    delete, insert, so alignments are deterministic.
+    Sweeps b's one-row frame and walks lane 0 (euclidean) or lane 1 (count)
+    of the sweep's table back from (n, m). Backtrace ties are broken in the
+    fixed order match/substitute, transpose, delete, insert, so alignments
+    are deterministic.
     """
-    d, pair, delete, insert, acts_a, acts_b = _dp_table(a, b, cost_kind, slices)
-    n, m = len(acts_a), len(acts_b)
+    if cost_kind not in ("euclidean", "count"):
+        raise ValueError(f"unknown cost kind {cost_kind!r}")
+    lane = 0 if cost_kind == "euclidean" else 1
+    n, m = a.valid_len, b.valid_len
+    if slices is None:
+        slices = _infer_slices(a)
+    one_row = b.activity_ids[None, :m], b.features[None, :m]
+    dp_k, pair_k, delete_k, insert_k = _sweep(a, *one_row, slices)
+    # d[i][j] = D[i][j] = dp_k[i + j, i], and the costs indexed from 0
+    rows = np.arange(n + 1)[:, None]
+    d = dp_k[rows + np.arange(m + 1), rows, lane].tolist()
+    pair = pair_k[1:, 1:, lane].tolist()
+    delete = delete_k[:, lane].tolist()
+    insert = insert_k[1:, lane].tolist()
+    acts_a = a.activity_ids[:n].tolist()
+    acts_b = b.activity_ids[:m].tolist()
     ops: list[EditOp] = []
     i, j = n, m
     tol = _BACKTRACE_TOLERANCE
@@ -224,150 +285,16 @@ def ssdld(
     return d[n][m], EditAlignment(tuple(ops))
 
 
-def _match_costs(factual: EncodedTrace, feats: np.ndarray, same: np.ndarray, slices):
-    """Both cost kinds of the factual against a padded block feats (B, M, D).
-
-    same (n, M, B) marks the cells where the factual event and the candidate
-    event share their activity: the DP reads a pair cost there and nowhere
-    else, so only those cells are computed, as one (P, D) gather; the others
-    stay 0. Returns pair (n+1, M+1, 2B), delete (n, 2B) and insert (M+1, 2B),
-    indexed by 1-based event positions (pair row and column 0, insert row 0
-    unused) and by column: euclidean in the first B, count in the last B.
-    Every entry comes from the expression _euclidean_costs or _count_costs
-    evaluates for one pair, with the feature reduction on the same
-    contiguous last axis, so the floats are equal.
-    """
-    n = factual.valid_len
-    av = factual.features[:n]
-    b, m, d = feats.shape
-    pair = np.zeros((n + 1, m + 1, 2 * b))
-    delete = np.ones((n, 2 * b))
-    insert = np.ones((m + 1, 2 * b))
-    i, j, lane = np.nonzero(same)
-    diff = av[i] - feats[lane, j]
-    differs = np.abs(diff) > FEATURE_DIFF_TOLERANCE
-    if d:
-        scale = 1.0 / np.sqrt(d)
-        diff *= diff
-        pair[i + 1, j + 1, lane] = np.sqrt(diff.sum(axis=-1)) * scale
-        delete[:, :b] = (np.sqrt((av * av).sum(axis=-1)) * scale)[:, None]
-        insert[1:, :b] = (np.sqrt((feats * feats).sum(axis=-1)) * scale).T
-    else:
-        # no features: every euclidean cost is 0, as in _euclidean_costs
-        delete[:, :b] = 0.0
-        insert[:, :b] = 0.0
-    if slices:
-        count = np.zeros(len(lane))
-        for _, cols in slices:
-            count += differs[:, cols].any(axis=-1)
-        count /= len(slices)
-        pair[i + 1, j + 1, lane + b] = count
-    return pair, delete, insert
-
-
-def _by_diagonal(table: np.ndarray) -> np.ndarray:
-    """Read-only view of a (n+1, M+1, ...) table: out[k, i] = table[i, k - i].
-
-    Only entries with 0 <= k - i <= M are cells of the table (the others alias
-    neighbouring cells and are never read), so anti-diagonal k is a slice.
-    """
-    rows, cols, *trail = table.shape
-    row_stride, col_stride, *trail_strides = table.strides
-    return as_strided(
-        table,
-        shape=(rows + cols - 1, rows, *trail),
-        strides=(col_stride, row_stride - col_stride, *trail_strides),
-        writeable=False,
-    )
-
-
-def _wavefront(factual: EncodedTrace, acts: np.ndarray, feats: np.ndarray, lengths, slices):
-    """Euclidean and count distances of one block, one anti-diagonal at a time.
-
-    acts (B, M) and feats (B, M, D) are the block's rows of the frame, cut to
-    its longest prefix. The 2B DPs (both kinds of every candidate) are the
-    last, contiguous axis. A DP's distance is read at (n, m_b), which no cell
-    past a candidate's last event feeds. Each cell adds the terms of
-    _dp_table in the same order and keeps the smaller candidate, so every
-    distance equals ssdld_distance.
-    """
-    n = factual.valid_len
-    b, m = acts.shape
-    same = factual.activity_ids[:n, None, None] == acts.T[None]
-    pair, delete, insert = _match_costs(factual, feats, same, slices)
-    match = np.zeros((n + 1, m + 1, 2 * b), dtype=bool)
-    match[1:, 1:] = np.tile(same, 2)
-    swap = np.zeros_like(match)
-    swap[2:, 2:] = match[2:, 1:-1] & match[1:-1, 2:]
-    has_swap = np.zeros(n + m + 1, dtype=bool)
-    swap_i, swap_j = np.nonzero(swap.any(axis=-1))
-    has_swap[swap_i + swap_j] = True
-    pair_k, match_k, swap_k = _by_diagonal(pair), _by_diagonal(match), _by_diagonal(swap)
-
-    # the DP table stored by anti-diagonal, dp_k[k, i] = D[i][k - i], so each
-    # diagonal is contiguous; D[i][0] and D[0][j] are running sums
-    dp_k = np.zeros((n + m + 1, n + 1, 2 * b))
-    dp_k[1 : m + 1, 0] = np.cumsum(insert[1:], axis=0)
-    border = np.arange(1, n + 1)
-    dp_k[border, border] = np.cumsum(delete, axis=0)
-    for k in range(2, n + m + 1):
-        lo, hi = max(1, k - m), min(n, k - 1) + 1
-        previous, diagonal = dp_k[k - 1], dp_k[k - 2]
-        del_i = delete[lo - 1 : hi - 1]
-        ins_j = insert[k - lo : k - hi : -1]
-        diag = diagonal[lo - 1 : hi - 1]
-        best = dp_k[k, lo:hi]
-        np.minimum(previous[lo - 1 : hi - 1] + del_i, previous[lo:hi] + ins_j, out=best)
-        # (diag + del_i) + ins_j on a mismatch, diag + pair on a match
-        through = diag + del_i
-        through += ins_j
-        np.add(diag, pair_k[k, lo:hi], out=through, where=match_k[k, lo:hi])
-        np.minimum(best, through, out=best)
-        if has_swap[k]:
-            s_lo, s_hi = max(2, lo), min(hi, k - 1)
-            # (D[i-2][j-2] + pair[i-1][j-2]) + pair[i-2][j-1], 0-based pair
-            cand = dp_k[k - 4, s_lo - 2 : s_hi - 2] + pair_k[k - 1, s_lo:s_hi]
-            cand += pair_k[k - 1, s_lo - 1 : s_hi - 1]
-            kept = best[s_lo - lo : s_hi - lo]
-            np.copyto(kept, cand, where=swap_k[k, s_lo:s_hi] & (cand < kept))
-    distances = dp_k[n + np.tile(lengths, 2), n, np.arange(2 * b)]
-    return distances[:b], distances[b:]
-
-
-def edit_distances(
-    factual: EncodedTrace, ids: np.ndarray, features: np.ndarray, lengths: np.ndarray, slices=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """ssdld_distance of the factual to each candidate of a frame (event_log.stack).
-
-    Returns (euclidean, count) as float arrays in row order, equal to
-    ssdld_distance(factual, c, kind, slices) for both cost kinds. Rows are
-    swept in blocks of _BLOCK, shortest first so a block pads little, which
-    bounds memory for any batch size.
-    """
-    if slices is None:
-        slices = _infer_slices(factual)
-    order = np.argsort(lengths, kind="stable")
-    euclidean = np.empty(len(lengths))
-    count = np.empty(len(lengths))
-    for start in range(0, len(order), _BLOCK):
-        rows = order[start : start + _BLOCK]
-        m = lengths[rows].max()
-        euclidean[rows], count[rows] = _wavefront(
-            factual, ids[rows, :m], features[rows, :m], lengths[rows], slices
-        )
-    return euclidean, count
-
-
 def similarity_score(factual: EncodedTrace, candidate: EncodedTrace, slices=None) -> float:
     """1 - euclidean edit distance normalized by the attained bound |a| + |b|."""
-    distance = ssdld_distance(factual, candidate, "euclidean", slices)
-    return 1.0 - distance / (factual.valid_len + candidate.valid_len)
+    distance, _ = edit_distances(factual, *stack([candidate]), slices)
+    return 1.0 - distance.item() / (factual.valid_len + candidate.valid_len)
 
 
 def sparsity_score(factual: EncodedTrace, candidate: EncodedTrace, slices=None) -> float:
     """Like similarity_score, but counting differing attributes as the cost."""
-    distance = ssdld_distance(factual, candidate, "count", slices)
-    return 1.0 - distance / (factual.valid_len + candidate.valid_len)
+    _, distance = edit_distances(factual, *stack([candidate]), slices)
+    return 1.0 - distance.item() / (factual.valid_len + candidate.valid_len)
 
 
 def delta_score(p_factual: float, p_counterfactual: float) -> float:

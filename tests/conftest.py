@@ -26,7 +26,15 @@ from evocf.event_log import (
     synthesize_log,
 )
 from evocf.evolution import FITNESS_FLOOR, CycleStats, _breed, crossover, mutate
-from evocf.viability import ViabilityScore, ViabilityScorer
+from evocf.viability import (
+    _BACKTRACE_TOLERANCE,
+    FEATURE_DIFF_TOLERANCE,
+    EditAlignment,
+    EditOp,
+    ViabilityScore,
+    ViabilityScorer,
+    _infer_slices,
+)
 
 # CI selects this profile (HYPOTHESIS_PROFILE=ci) so property tests draw the
 # same examples on every run and a slow runner cannot fail one on time
@@ -400,6 +408,159 @@ def reference_evolve(factual, config, predictor, feas_model, log):
         stats.append(reference_cycle_stats(cycle, population))
     best_first = sorted(population, key=lambda pair: -pair[1].total)
     return best_first, tuple(stats), rng
+
+
+# ---------------------------------------------------------------------------
+# scalar reference of the edit-distance DP, one cell at a time: the == oracle
+# of viability's anti-diagonal sweep (edit_distances) and of its backtrace
+# (ssdld)
+
+
+def _euclidean_costs(a: EncodedTrace, b: EncodedTrace):
+    n, m = a.valid_len, b.valid_len
+    av = a.features[:n]
+    bv = b.features[:m]
+    d = av.shape[1]
+    if d == 0:
+        zero_nm = np.zeros((n, m))
+        return zero_nm, np.zeros(n), np.zeros(m)
+    scale = 1.0 / np.sqrt(d)
+    diff = av[:, None, :] - bv[None, :, :]
+    pair = np.sqrt((diff * diff).sum(axis=-1)) * scale
+    delete = np.sqrt((av * av).sum(axis=-1)) * scale
+    insert = np.sqrt((bv * bv).sum(axis=-1)) * scale
+    return pair, delete, insert
+
+
+def _count_costs(a: EncodedTrace, b: EncodedTrace, slices):
+    n, m = a.valid_len, b.valid_len
+    av = a.features[:n]
+    bv = b.features[:m]
+    n_attrs = len(slices)
+    pair = np.zeros((n, m))
+    if n_attrs > 0:
+        for _, cols in slices:
+            differs = (
+                np.abs(av[:, None, cols] - bv[None, :, cols]) > FEATURE_DIFF_TOLERANCE
+            ).any(axis=-1)
+            pair += differs
+        pair /= n_attrs
+    # against the empty vector every attribute counts as different
+    return pair, np.ones(n), np.ones(m)
+
+
+def _cost_matrices(a: EncodedTrace, b: EncodedTrace, cost_kind, slices=None):
+    if cost_kind == "euclidean":
+        return _euclidean_costs(a, b)
+    if cost_kind == "count":
+        if slices is None:
+            slices = _infer_slices(a)
+        return _count_costs(a, b, slices)
+    raise ValueError(f"unknown cost kind {cost_kind!r}")
+
+
+def _dp_table(a: EncodedTrace, b: EncodedTrace, cost_kind, slices=None):
+    acts_a = a.activity_ids[: a.valid_len].tolist()
+    acts_b = b.activity_ids[: b.valid_len].tolist()
+    pair_np, delete_np, insert_np = _cost_matrices(a, b, cost_kind, slices)
+    pair = pair_np.tolist()
+    delete = delete_np.tolist()
+    insert = insert_np.tolist()
+    n, m = len(acts_a), len(acts_b)
+
+    d = [[0.0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        d[i][0] = d[i - 1][0] + delete[i - 1]
+    for j in range(1, m + 1):
+        d[0][j] = d[0][j - 1] + insert[j - 1]
+    for i in range(1, n + 1):
+        row = d[i]
+        prev = d[i - 1]
+        ai = acts_a[i - 1]
+        pair_i = pair[i - 1]
+        del_i = delete[i - 1]
+        for j in range(1, m + 1):
+            best = prev[j] + del_i
+            cand = row[j - 1] + insert[j - 1]
+            if cand < best:
+                best = cand
+            if ai == acts_b[j - 1]:
+                cand = prev[j - 1] + pair_i[j - 1]
+            else:
+                cand = prev[j - 1] + del_i + insert[j - 1]
+            if cand < best:
+                best = cand
+            if (
+                i > 1
+                and j > 1
+                and ai == acts_b[j - 2]
+                and acts_a[i - 2] == acts_b[j - 1]
+            ):
+                cand = d[i - 2][j - 2] + pair_i[j - 2] + pair[i - 2][j - 1]
+                if cand < best:
+                    best = cand
+            row[j] = best
+    return d, pair, delete, insert, acts_a, acts_b
+
+
+def reference_ssdld_distance(
+    a: EncodedTrace, b: EncodedTrace, cost_kind, slices=None
+) -> float:
+    """Distance only; skips the alignment backtrace."""
+    d, *_ = _dp_table(a, b, cost_kind, slices)
+    return d[a.valid_len][b.valid_len]
+
+
+def reference_ssdld(
+    a: EncodedTrace, b: EncodedTrace, cost_kind, slices=None
+) -> tuple[float, EditAlignment]:
+    """Weighted Damerau-Levenshtein distance and its edit script.
+
+    Backtrace ties are broken in the fixed order match/substitute, transpose,
+    delete, insert, so alignments are deterministic.
+    """
+    d, pair, delete, insert, acts_a, acts_b = _dp_table(a, b, cost_kind, slices)
+    n, m = len(acts_a), len(acts_b)
+    ops: list[EditOp] = []
+    i, j = n, m
+    tol = _BACKTRACE_TOLERANCE
+    while i > 0 or j > 0:
+        here = d[i][j]
+        if i > 0 and j > 0:
+            if acts_a[i - 1] == acts_b[j - 1]:
+                cost = pair[i - 1][j - 1]
+                if abs(d[i - 1][j - 1] + cost - here) <= tol:
+                    ops.append(EditOp("match", i, j, cost))
+                    i, j = i - 1, j - 1
+                    continue
+            else:
+                cost = delete[i - 1] + insert[j - 1]
+                if abs(d[i - 1][j - 1] + cost - here) <= tol:
+                    ops.append(EditOp("substitute", i, j, cost))
+                    i, j = i - 1, j - 1
+                    continue
+        if (
+            i > 1
+            and j > 1
+            and acts_a[i - 1] == acts_b[j - 2]
+            and acts_a[i - 2] == acts_b[j - 1]
+        ):
+            cost = pair[i - 1][j - 2] + pair[i - 2][j - 1]
+            if abs(d[i - 2][j - 2] + cost - here) <= tol:
+                ops.append(EditOp("transpose", i, j, cost))
+                i, j = i - 2, j - 2
+                continue
+        if i > 0 and abs(d[i - 1][j] + delete[i - 1] - here) <= tol:
+            ops.append(EditOp("delete", i, 0, delete[i - 1]))
+            i -= 1
+            continue
+        if j > 0 and abs(d[i][j - 1] + insert[j - 1] - here) <= tol:
+            ops.append(EditOp("insert", 0, j, insert[j - 1]))
+            j -= 1
+            continue
+        raise AssertionError("backtrace failed to reproduce the DP value")
+    ops.reverse()
+    return d[n][m], EditAlignment(tuple(ops))
 
 
 def identity_encoder(vocab=("a", "b", "c"), max_len=8, n_numeric=1):

@@ -24,10 +24,17 @@ from conftest import (
 )
 from evocf import markov as markov_mod
 from evocf import predictor as predictor_mod
-from evocf.event_log import encode_log, fit_encoder, preprocess, split_train_test, synthesize_log
+from evocf.event_log import (
+    encode_log,
+    fit_encoder,
+    preprocess,
+    split_train_test,
+    stack,
+    synthesize_log,
+)
 from evocf.evolution import MutationRates, evolve, initialize, parse_config_name
 from evocf.harness import ExperimentSpec, SyntheticSpec, run_benchmark
-from evocf.viability import ViabilityScorer, delta_score, ssdld_distance
+from evocf.viability import ViabilityScorer, delta_score, edit_distances
 from test_markov import oracle_feasibility, ten_trace_log
 from test_viability import naive_ssdld
 
@@ -59,14 +66,17 @@ def test_criterion_1_edit_distance_oracle():
                 )
     assert len(fixture) == 360
 
+    # the engine's kernel, one call per factual over the whole fixture frame;
+    # each unordered pair is checked once, as (i, j) with j >= i
+    frame = stack([enc for _, _, enc in fixture])
     checked = 0
     for i in range(len(fixture)):
         acts_a, feats_a, enc_a = fixture[i]
+        euclidean, count = (dist.tolist() for dist in edit_distances(enc_a, *frame))
         for j in range(i, len(fixture)):
-            acts_b, feats_b, enc_b = fixture[j]
-            for kind in ("euclidean", "count"):
-                expected = naive_ssdld(acts_a, feats_a, acts_b, feats_b, kind)
-                assert ssdld_distance(enc_a, enc_b, kind) == expected
+            acts_b, feats_b, _ = fixture[j]
+            for kind, got in (("euclidean", euclidean), ("count", count)):
+                assert got[j] == naive_ssdld(acts_a, feats_a, acts_b, feats_b, kind)
             checked += 1
     elapsed = time.time() - started
     report(1, "edit-distance oracle", True, elapsed, f"{checked} pairs, both cost kinds")

@@ -26,7 +26,7 @@ from conftest import (
     scored,
 )
 from evocf import markov as markov_mod
-from evocf.errors import ConfigNameError, SelectionError
+from evocf.errors import ConfigNameError, ConfigurationError, SelectionError
 from evocf.event_log import stack
 from evocf.evolution import (
     FEASIBILITY,
@@ -650,7 +650,8 @@ class MeanPredictor:
 @pytest.mark.parametrize("max_len", [1, 2])
 def test_frame_engine_equals_the_object_engine_on_short_frames(name, max_len, monkeypatch):
     # max_len 1 crosses nothing; at max_len 2 OPC's cut integers(1, 2) draws
-    # nothing and TPC cannot pick two cut points, in either engine
+    # nothing and TPC cannot pick two cut points: evolve refuses the config,
+    # and the object engine's choice raises
     rng = np.random.default_rng(max_len)
     log = [
         make_encoded(rng.integers(1, 4, size=n).tolist(), rng.random((n, 1)), max_len)
@@ -666,11 +667,29 @@ def test_frame_engine_equals_the_object_engine_on_short_frames(name, max_len, mo
         seed=7,
     )
     if config.crosser == "TPC" and max_len == 2:
-        for run in (evolve, reference_evolve):
-            with pytest.raises(ValueError):
-                run(log[0], config, MeanPredictor(), model, log)
+        with pytest.raises(ConfigurationError):
+            evolve(log[0], config, MeanPredictor(), model, log)
+        with pytest.raises(ValueError):
+            reference_evolve(log[0], config, MeanPredictor(), model, log)
         return
     assert_engines_equal(log[0], config, MeanPredictor(), model, log, monkeypatch)
+
+
+def test_tpc_on_a_frame_of_two_is_refused_before_any_draw():
+    log = [make_encoded([1, 2], [[0.2], [0.7]], 2)]
+    model = fit(log, identity_encoder(max_len=2), 1e-6, 5)
+    predictor = MeanPredictor()
+    asked = []
+    predictor.predict_proba_batch = lambda *frame: asked.append(frame) or [0.5] * len(frame[2])
+    config = parse_config_name(
+        "RI-RWS-TPC-SBM-FSR", population_size=4, offspring_per_cycle=2, cycles=1, seed=3
+    )
+    with pytest.raises(ConfigurationError, match="RI-RWS-TPC-SBM-FSR: .* frame of 2 events"):
+        evolve(log[0], config, predictor, model, log)
+    assert asked == []
+    # without cycles nothing is crossed, so the same frame runs
+    evolve(log[0], replace(config, cycles=0), predictor, model, log)
+    assert len(asked) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -768,6 +768,20 @@ def test_cli_too_many_factuals(tmp_path, capsys):
     assert_one_line_error(capsys, code, "n_factuals is 500 but the test split holds only")
 
 
+def test_cli_tpc_on_a_frame_of_two_is_one_line(tmp_path, capsys):
+    # a frame of 2 events has one cut point, and TPC needs two
+    code = cli_main(
+        ["grid", "--configs", "CBI-RWS-TPC-SBM-FSR,CBI-RWS-OPC-SBM-FSR", "--cycles", "2",
+         "--n-factuals", "1",
+         "--overrides", '{"max_trace_len": 2, "population_size": 20, "offspring_per_cycle": 4}',
+         "--out", str(tmp_path)]
+    )
+    assert_one_line_error(
+        capsys, code, "CBI-RWS-TPC-SBM-FSR: TPC needs two cut points, and a frame of 2 events"
+    )
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, output", [("train-predictor", "predictor.json"), ("fit-markov", "markov.json")]
 )

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import genomes_of, identity_encoder, make_encoded, scored
+from conftest import (
+    genomes_of,
+    identity_encoder,
+    make_encoded,
+    reference_ssdld,
+    reference_ssdld_distance,
+    scored,
+)
 from evocf.errors import ConfigurationError
 from evocf.event_log import stack
 from evocf.evolution import evolve, initialize, parse_config_name
@@ -20,7 +27,6 @@ from evocf.viability import (
     similarity_score,
     sparsity_score,
     ssdld,
-    ssdld_distance,
 )
 
 
@@ -104,6 +110,11 @@ def t(acts, values, max_len=6):
     return make_encoded(acts, [[v] for v in values], max_len)
 
 
+def distance(a, b, kind):
+    euclidean, count = edit_distances(a, *stack([b]))
+    return (euclidean if kind == "euclidean" else count).item()
+
+
 def random_trace(rng, max_len=6, vocab=3):
     length = int(rng.integers(1, 5))
     acts = rng.integers(1, vocab + 1, size=length).tolist()
@@ -136,7 +147,7 @@ def test_distance_matches_naive_recursion_on_random_pairs(kind):
             b.features[: b.valid_len].tolist(),
             kind,
         )
-        assert abs(ssdld_distance(a, b, kind) - expected) < 1e-12
+        assert abs(distance(a, b, kind) - expected) < 1e-12
 
 
 def test_transposition_with_carried_attributes_is_free():
@@ -154,11 +165,11 @@ def test_distance_symmetry_and_bounds(kind):
     for _ in range(200):
         a = random_trace(rng)
         b = random_trace(rng)
-        d_ab = ssdld_distance(a, b, kind)
-        d_ba = ssdld_distance(b, a, kind)
+        d_ab = distance(a, b, kind)
+        d_ba = distance(b, a, kind)
         assert abs(d_ab - d_ba) < 1e-12
         assert -1e-15 <= d_ab <= a.valid_len + b.valid_len + 1e-12
-        assert ssdld_distance(a, a, kind) == 0.0
+        assert distance(a, a, kind) == 0.0
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "count"])
@@ -233,8 +244,8 @@ def assert_kernel_equals_scalar(factual, candidates, slices):
     euclidean, count = edit_distances(factual, *stack(candidates), slices)
     assert euclidean.shape == count.shape == (len(candidates),)
     for candidate, e_dist, c_dist in zip(candidates, euclidean.tolist(), count.tolist()):
-        assert e_dist == ssdld_distance(factual, candidate, "euclidean", slices)
-        assert c_dist == ssdld_distance(factual, candidate, "count", slices)
+        assert e_dist == reference_ssdld_distance(factual, candidate, "euclidean", slices)
+        assert c_dist == reference_ssdld_distance(factual, candidate, "count", slices)
 
 
 @settings(max_examples=150, deadline=None)
@@ -314,8 +325,57 @@ def test_edit_distances_on_the_criterion_1_fixture():
     frame = stack(fixture)
     for factual in fixture:
         euclidean, count = edit_distances(factual, *frame)
-        assert euclidean.tolist() == [ssdld_distance(factual, c, "euclidean") for c in fixture]
-        assert count.tolist() == [ssdld_distance(factual, c, "count") for c in fixture]
+        assert euclidean.tolist() == [
+            reference_ssdld_distance(factual, c, "euclidean") for c in fixture
+        ]
+        assert count.tolist() == [reference_ssdld_distance(factual, c, "count") for c in fixture]
+
+
+def assert_backtrace_equals_scalar(a, b, slices):
+    """Both kinds' ssdld equal the scalar DP's; returns the two alignments.
+
+    repr compares the distance and every op's cost by its float bits.
+    """
+    alignments = []
+    for kind in ("euclidean", "count"):
+        got = ssdld(a, b, kind, slices)
+        assert repr(got) == repr(reference_ssdld(a, b, kind, slices))
+        alignments.append(got[1])
+    return alignments
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([0, 1, 3, 12]),
+    max_len=st.integers(1, 8),
+    alphabet=st.sampled_from([1, 2, 5, 10]),
+    slice_mode=st.sampled_from(["none", "empty", "columns", "grouped"]),
+    data=st.data(),
+)
+def test_ssdld_equals_the_scalar_backtrace(seed, d, max_len, alphabet, slice_mode, data):
+    rng = np.random.default_rng(seed)
+    lengths = st.one_of(st.just(1), st.just(max_len), st.integers(1, max_len))
+    a = kernel_trace(rng, data.draw(lengths), max_len, alphabet, d)
+    b = kernel_trace(rng, data.draw(lengths), max_len, alphabet, d)
+    assert_backtrace_equals_scalar(a, b, kernel_slices(slice_mode, d))
+
+
+@pytest.mark.parametrize(
+    "d, slice_mode", [(0, "none"), (0, "empty"), (1, "columns"), (3, "grouped")]
+)
+def test_ssdld_equals_the_scalar_backtrace_on_every_op_kind(d, slice_mode):
+    # lengths 1 and max_len, alphabets 1 (all match) and 2 (swap-heavy)
+    rng = np.random.default_rng(17)
+    slices = kernel_slices(slice_mode, d)
+    seen = set()
+    for alphabet, n, m in itertools.product((1, 2), (1, 3, 6), (1, 4, 6)):
+        for _ in range(8):
+            a = kernel_trace(rng, n, 6, alphabet, d)
+            b = kernel_trace(rng, m, 6, alphabet, d)
+            for alignment in assert_backtrace_equals_scalar(a, b, slices):
+                seen.update(op.kind for op in alignment.ops)
+    assert seen == {"match", "substitute", "transpose", "delete", "insert"}
 
 
 # ---------------------------------------------------------------------------
