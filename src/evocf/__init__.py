@@ -2,6 +2,7 @@
 
 from .event_log import (
     AttributeSchema,
+    EncodedLog,
     EncodedTrace,
     EncoderSpec,
     Event,
@@ -22,6 +23,7 @@ from .viability import ViabilityScore, delta_score, similarity_score, sparsity_s
 
 __all__ = [
     "AttributeSchema",
+    "EncodedLog",
     "EncodedTrace",
     "EncoderSpec",
     "EvoConfig",

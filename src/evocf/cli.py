@@ -33,7 +33,6 @@ from .event_log import (
     fit_encoder,
     load_csv,
     load_schema_config,
-    stack,
     synthesize_log,
     write_csv,
 )
@@ -218,16 +217,20 @@ def cmd_generate(args) -> int:
     predictor_factory = _predictor_factory(args)
     out = _out_dir(args.out)
     prepared = prepare_experiment(spec, predictor_factory=predictor_factory)
+    factual = prepared.factuals[0]
     if args.factual:
-        pool = {t.case_id: t for t in prepared.test + prepared.train}
-        if args.factual not in pool:
-            raise ConfigurationError(f"case {args.factual!r} not found")
-        factual = pool[args.factual]
-    else:
-        factual = prepared.factuals[0]
+        logs = (prepared.test, prepared.train)
+        found = [log[i] for log in logs for i in np.flatnonzero(log.case_ids == args.factual)]
+        if not found:
+            raise ConfigurationError(
+                f"case {args.factual!r} not found among the encoded cases: set-up drops the "
+                f"traces longer than max_trace_len ({spec.max_trace_len}) or than the encoder's "
+                f"max_len ({prepared.encoder.max_len})"
+            )
+        factual = found[0]
 
     result = run_job(spec, prepared, args.config, 0, factual)
-    top = result.population.head(args.n)
+    top = result.population.take(slice(args.n))
     rows = candidate_rows(args.config, factual.case_id, top, prepared.encoder)
 
     with (out / "counterfactuals.csv").open("w", newline="") as handle:
@@ -237,7 +240,7 @@ def cmd_generate(args) -> int:
 
     encoder = prepared.encoder
     # the render batch: the factual's row, then the output candidates' rows
-    batch = (np.concatenate(pair) for pair in zip(stack([factual]), top.frame))
+    batch = (np.concatenate(pair) for pair in zip(factual.frame, top.frame))
     p_factual, *p_top = prepared.predictor.predict_proba_batch(*batch)
     best = EncodedTrace(top.ids[0], top.features[0], int(top.lengths[0]), 0, "cf")
     score = rows[0].score

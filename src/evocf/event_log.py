@@ -21,7 +21,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -317,19 +317,52 @@ class EncodedTrace:
     def max_len(self) -> int:
         return len(self.activity_ids)
 
+    @property
+    def frame(self) -> Frame:
+        """This trace as a one-row frame of views."""
+        length = np.array([self.valid_len], dtype=np.int64)
+        return self.activity_ids[None], self.features[None], length
+
 
 Frame = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def stack(traces: Sequence[EncodedTrace]) -> Frame:
-    """The frame of a non-empty batch sharing (L, D): ids (N, L), features (N, L, D), lengths (N,).
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """A batch of encoded traces as one frame: ids (N, L), features (N, L, D), lengths (N,).
 
-    Row i is trace i with its padding: cell t of the row is an event iff t < lengths[i].
+    Row i is trace i with its padding: cell t of the row is an event iff
+    t < lengths[i]. A subclass adds columns of its own, row i of each
+    belonging to trace i.
     """
-    ids = np.array([trace.activity_ids for trace in traces])
-    features = np.array([trace.features for trace in traces])
-    lengths = np.array([trace.valid_len for trace in traces], dtype=np.int64)
-    return ids, features, lengths
+
+    ids: np.ndarray = field(repr=False)
+    features: np.ndarray = field(repr=False)
+    lengths: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @property
+    def frame(self) -> Frame:
+        return self.ids, self.features, self.lengths
+
+    def take(self, rows) -> "Rows":
+        """The rows a slice or an index array selects, in that order, every column gathered."""
+        return type(self)(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+@dataclass(frozen=True, eq=False)
+class EncodedLog(Rows):
+    """The encoded traces of a log as one frame, with each row's outcome and case id."""
+
+    outcomes: np.ndarray = field(repr=False)
+    case_ids: np.ndarray = field(repr=False)
+
+    def __getitem__(self, i: int) -> EncodedTrace:
+        """Row i as an EncodedTrace of views; iterating the log reads rows until IndexError."""
+        outcome, case_id = int(self.outcomes[i]), str(self.case_ids[i])
+        return EncodedTrace(self.ids[i], self.features[i], int(self.lengths[i]), outcome, case_id)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +646,7 @@ def decode(enc: EncodedTrace, spec: EncoderSpec) -> Trace:
     names = [codec.name for codec in spec.codecs]
     events = tuple(
         Event(activity, {name: v for name, v in zip(names, values) if v is not None})
-        for _, _, activity, *values in decode_rows(*stack([enc]), [enc.case_id], spec)
+        for _, _, activity, *values in decode_rows(*enc.frame, [enc.case_id], spec)
     )
     return Trace(enc.case_id, events, enc.outcome)
 
@@ -622,7 +655,7 @@ def decode_rows(
     ids: np.ndarray, features: np.ndarray, lengths: np.ndarray, case_ids: Sequence[str],
     spec: EncoderSpec,
 ) -> Iterator[tuple]:
-    """The events of the rows of a frame (stack) as (case_id, step, activity, *values) rows.
+    """The events of the rows of a frame as (case_id, step, activity, *values) rows.
 
     Padding cells are dropped. Each attribute is decoded once for the whole
     batch by its codec; an absent or invalid category reads None, which a
@@ -641,56 +674,44 @@ def decode_rows(
     return zip(cases, steps.tolist(), activities, *columns)
 
 
-def encode_log(log: EventLog, spec: EncoderSpec) -> list[EncodedTrace]:
+def encode_log(log: EventLog, spec: EncoderSpec) -> EncodedLog:
     """encode of every trace, computed column by column for the whole log.
 
     Activity ids fill one (T, max_len) block and attribute codes one
-    (T, max_len, D) block, each codec encoding its whole column, so the
-    arrays equal encode's; each trace holds its rows of the two blocks. If
-    encode would reject a trace, the log goes through encode trace by trace,
-    so the error raised is encode's, for the first fault in trace order.
+    (T, max_len, D) block, each codec encoding its whole column, so row i
+    equals encode of trace i. A trace encode would reject makes a column
+    raise KeyError, ValueError, TypeError, OverflowError or VocabularyError;
+    the log then goes through encode trace by trace, so the error raised is
+    encode's, for the first fault in trace order.
     """
     traces = log.traces
-    if not traces:
-        return []
-    try:
-        ids, features = _encode_columns(traces, spec)
-    except (KeyError, ValueError, TypeError, OverflowError, VocabularyError):
-        return [encode(t, spec) for t in traces]
-    return [
-        EncodedTrace(ids[i], features[i], len(t), t.outcome, t.case_id)
-        for i, t in enumerate(traces)
-    ]
-
-
-def _encode_columns(traces: Sequence[Trace], spec: EncoderSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, max_len) id and (T, max_len, D) feature blocks of encode_log.
-
-    Raises KeyError, ValueError, TypeError, OverflowError or VocabularyError
-    where a trace is one encode would reject (or might: encode_log then asks
-    encode).
-    """
-    lengths = np.array([len(t) for t in traces])
-    if lengths.max() > spec.max_len:
-        raise ValueError("trace longer than max_len")
+    lengths = np.array([len(t) for t in traces], dtype=np.int64)
     events = [e for t in traces for e in t.events]
     valid = np.arange(spec.max_len) < lengths[:, None]  # row-major: trace, then step
     ids = np.zeros((len(traces), spec.max_len), dtype=np.int64)
-    ids[valid] = np.fromiter(
-        map(spec.activity_to_id.__getitem__, (e.activity for e in events)), np.int64, len(events)
-    )
     codes = np.zeros((len(events), spec.feature_dim))
     attributes = [e.attributes for e in events]
-    for codec, cols in spec.slices():
-        try:
-            rows, values = slice(None), [a[codec.name] for a in attributes]
-        except KeyError:  # absent values keep the all-zeros code
-            rows = [i for i, a in enumerate(attributes) if codec.name in a]
-            values = [attributes[i][codec.name] for i in rows]
-        codes[rows, cols] = codec.encode(values)
+    try:
+        if (lengths > spec.max_len).any():
+            raise ValueError("trace longer than max_len")
+        activities = map(spec.activity_to_id.__getitem__, (e.activity for e in events))
+        ids[valid] = np.fromiter(activities, np.int64, len(events))
+        for codec, cols in spec.slices():
+            try:
+                rows, values = slice(None), [a[codec.name] for a in attributes]
+            except KeyError:  # absent values keep the all-zeros code
+                rows = [i for i, a in enumerate(attributes) if codec.name in a]
+                values = [attributes[i][codec.name] for i in rows]
+            codes[rows, cols] = codec.encode(values)
+    except (KeyError, ValueError, TypeError, OverflowError, VocabularyError):
+        for trace in traces:
+            encode(trace, spec)
+        raise
     features = np.zeros((len(traces), spec.max_len, spec.feature_dim))
     features[valid] = codes
-    return ids, features
+    outcomes = np.array([t.outcome for t in traces], dtype=np.int64)
+    case_ids = np.array([t.case_id for t in traces], dtype=str)
+    return EncodedLog(ids, features, lengths, outcomes, case_ids)
 
 
 # ---------------------------------------------------------------------------

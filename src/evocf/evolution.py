@@ -1,6 +1,6 @@
 """Evolutionary counterfactual generation: operator catalog and search loop.
 
-A genome is one row of a padded frame (event_log.stack's ids, features and
+A genome is one row of a padded frame (event_log.Rows: ids, features and
 lengths); a gene is one event, i.e. an activity id together with its feature
 row. The population and each cycle's offspring are frames, so no genome
 becomes an object inside the loop. Operator configurations are five-slot
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import markov as markov_mod
 from .errors import ConfigNameError, ConfigurationError, SelectionError
-from .event_log import PAD_ID, EncodedTrace, EncoderSpec, Frame, stack
+from .event_log import PAD_ID, EncodedLog, EncodedTrace, EncoderSpec, Frame, Rows
 from .markov import MarkovFeasibilityModel
 from .viability import ViabilityScorer
 
@@ -150,29 +150,11 @@ def _by_total(scores: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Population:
-    """Genomes as one frame (event_log.stack's ids, features and lengths, padding cells
-    PAD_ID with all-zero features) and their (N, 5) score rows, row i scoring genome i."""
+class Population(Rows):
+    """Genomes as one frame (padding cells PAD_ID with all-zero features) and their
+    (N, 5) score rows, row i scoring genome i."""
 
-    ids: np.ndarray = field(repr=False)
-    features: np.ndarray = field(repr=False)
-    lengths: np.ndarray
     scores: np.ndarray = field(repr=False)
-
-    def __len__(self) -> int:
-        return len(self.lengths)
-
-    @property
-    def frame(self) -> Frame:
-        return self.ids, self.features, self.lengths
-
-    def take(self, order: np.ndarray) -> "Population":
-        """The genomes at order, in that order, with their score rows."""
-        return Population(*(column[order] for column in self.frame), self.scores[order])
-
-    def head(self, n: int) -> "Population":
-        """The first n genomes and their score rows."""
-        return Population(*(column[:n] for column in self.frame), self.scores[:n])
 
 
 @dataclass(frozen=True)
@@ -231,7 +213,7 @@ def _sampled_genomes(rng: np.random.Generator, feas_model: MarkovFeasibilityMode
 def initialize(
     kind: str,
     n: int,
-    log: list[EncodedTrace],
+    log: EncodedLog,
     feas_model: MarkovFeasibilityModel,
     scorer: ViabilityScorer,
     rng: np.random.Generator,
@@ -239,8 +221,8 @@ def initialize(
     """Create and score the initial population.
 
     RI draws uniformly random genomes, SBI samples activities and attributes
-    from the feasibility model, CBI draws rows of the stacked log uniformly
-    with replacement.
+    from the feasibility model, CBI draws rows of the log uniformly with
+    replacement.
     """
     if n < 1:
         raise ValueError("population size must be >= 1")
@@ -251,8 +233,7 @@ def initialize(
     elif kind == "CBI":
         if not log:
             raise ValueError("CBI initiation needs a non-empty log")
-        rows = rng.integers(0, len(log), size=n)
-        frame = tuple(column[rows] for column in stack(log))
+        frame = log.take(rng.integers(0, len(log), size=n)).frame
     else:
         raise ConfigNameError(f"unknown initiator {kind!r}")
     return Population(*frame, scorer.score_batch(*frame))
@@ -676,7 +657,7 @@ def evolve(
     config: EvoConfig,
     predictor,
     feas_model: MarkovFeasibilityModel,
-    log: list[EncodedTrace],
+    log: EncodedLog,
 ) -> GenerationResult:
     """Run the full loop for config.cycles cycles against one factual.
 
@@ -717,7 +698,7 @@ def generate_baseline(
     kind: str,
     factual: EncodedTrace,
     n: int,
-    log: list[EncodedTrace],
+    log: EncodedLog,
     feas_model: MarkovFeasibilityModel,
     predictor,
     seed: int,

@@ -24,6 +24,7 @@ from . import markov as markov_mod
 from . import predictor as predictor_mod
 from .errors import ConfigurationError
 from .event_log import (
+    EncodedLog,
     EncodedTrace,
     EncoderSpec,
     Trace,
@@ -150,11 +151,11 @@ class ExperimentSpec:
 @dataclass
 class PreparedExperiment:
     encoder: EncoderSpec
-    train: list[EncodedTrace]
-    test: list[EncodedTrace]
+    train: EncodedLog
+    test: EncodedLog
     predictor: object
     feas_model: markov_mod.MarkovFeasibilityModel
-    factuals: list[EncodedTrace]
+    factuals: EncodedLog
 
 
 def run_seed(global_seed: int, generator_name: str, factual_index: int) -> int:
@@ -164,26 +165,19 @@ def run_seed(global_seed: int, generator_name: str, factual_index: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def pick_factuals(
-    test: list[EncodedTrace], n: int, rng: np.random.Generator
-) -> list[EncodedTrace]:
+def pick_factuals(test: EncodedLog, n: int, rng: np.random.Generator) -> EncodedLog:
     """Sample factuals from the test split, alternating outcome classes."""
     if n > len(test):
         raise ConfigurationError(
             f"n_factuals is {n} but the test split holds only {len(test)} encodable traces"
         )
-    by_class = {0: [t for t in test if t.outcome == 0], 1: [t for t in test if t.outcome == 1]}
-    for traces in by_class.values():
-        if traces:
-            order = rng.permutation(len(traces))
-            traces[:] = [traces[i] for i in order]
-    picked: list[EncodedTrace] = []
-    turn = 1
-    while len(picked) < n and (by_class[0] or by_class[1]):
-        if by_class[turn]:
-            picked.append(by_class[turn].pop())
-        turn = 1 - turn
-    return picked
+    zeros, ones = (np.flatnonzero(test.outcomes == outcome) for outcome in (0, 1))
+    # each class's rows in a random order, class 0's drawn first, read from the end
+    zeros, ones = (rows[rng.permutation(len(rows))][::-1].tolist() for rows in (zeros, ones))
+    # the classes take turns, class 1 first, until one runs out; the other's rest follows
+    k = min(len(zeros), len(ones))
+    picked = [row for pair in zip(ones, zeros) for row in pair] + ones[k:] + zeros[k:]
+    return test.take(np.array(picked[:n], dtype=np.intp))
 
 
 def prepare_experiment(
@@ -475,7 +469,7 @@ def run_benchmark(
     candidates = _IncrementalCsv(_output_path(spec, "candidates.csv"), CANDIDATE_COLUMNS)
 
     def record(name, factual, result):
-        top = result.population.head(spec.counterfactuals_per_factual)
+        top = result.population.take(slice(spec.counterfactuals_per_factual))
         rows = candidate_rows(name, factual.case_id, top, prepared.encoder)
         report.candidate_rows.extend(rows)
         candidates.write_rows([_candidate_values(r) for r in rows])

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .event_log import PAD_ID, EncodedTrace, EncoderSpec, NumericCodec, _cdf, _draw, stack
+from .event_log import PAD_ID, EncodedLog, EncodedTrace, EncoderSpec, NumericCodec, _cdf, _draw
 
 END_ID = PAD_ID
 
@@ -139,7 +139,7 @@ def _attribute_indices(
 
 
 def fit(
-    train: list[EncodedTrace],
+    train: EncodedLog,
     encoder: EncoderSpec,
     smoothing_epsilon: float = DEFAULT_SMOOTHING,
     n_bins: int = DEFAULT_BINS,
@@ -156,7 +156,7 @@ def fit(
         raise ValueError("n_bins must be >= 2")
     k = encoder.vocab_size
 
-    frame_ids, frame_features, lengths = stack(train)
+    frame_ids, frame_features, lengths = train.frame
     valid = np.arange(frame_ids.shape[1]) < lengths[:, None]
     # an event's successor is the next column; after a trace's last event
     # that is padding, and PAD_ID is END_ID
@@ -216,13 +216,13 @@ def feasibility(model: MarkovFeasibilityModel, trace: EncodedTrace) -> float:
     valid prefix; the END transition is not included. It is
     feasibility_batch of a batch of one.
     """
-    return feasibility_batch(model, *stack([trace]))[0]
+    return feasibility_batch(model, *trace.frame)[0]
 
 
 def feasibility_batch(
     model: MarkovFeasibilityModel, ids: np.ndarray, features: np.ndarray, lengths: np.ndarray
 ) -> list[float]:
-    """feasibility of each trace of a frame (event_log.stack), its factors gathered at once.
+    """feasibility of each trace of a frame (event_log.Rows), its factors gathered at once.
 
     Event t of row i contributes the factor at 2t of the row (its initial
     or transition probability) and its emission at 2t + 1, so the first

@@ -1,7 +1,7 @@
 """Outcome predictors: the pluggable scoring interface plus a reference model.
 
 The generation engine only needs `predict_proba_batch(ids, features,
-lengths)`, one P(outcome=1) per row of a frame (event_log.stack) in order;
+lengths)`, one P(outcome=1) per row of a frame (event_log.Rows) in order;
 any object with that method can drive it, and it is the only way the package
 asks a predictor anything. The reference implementation is a logistic
 regression over hand-built sequence features, trained from scratch with
@@ -24,7 +24,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import PredictorError, TrainingError
-from .event_log import EncodedTrace, EncoderSpec, decode_rows, stack
+from .event_log import EncodedLog, EncoderSpec, decode_rows
 
 L2_COEFFICIENT = 1e-4
 # a trace is predicted class 1 when P(outcome=1) exceeds this
@@ -48,7 +48,7 @@ def feature_width(vocab_size: int, feature_dim: int) -> int:
 def extract_features_batch(
     ids: np.ndarray, features: np.ndarray, lengths: np.ndarray, vocab_size: int
 ) -> np.ndarray:
-    """Fixed-width summaries of the traces of a frame (event_log.stack), one row per trace.
+    """Fixed-width summaries of the traces of a frame (event_log.Rows), one row per trace.
 
     A row concatenates the normalized length, the activity occurrence
     histogram, binary activity-bigram indicators and per-column attribute
@@ -132,7 +132,7 @@ class LogisticOutcomePredictor:
 
 
 def train(
-    train_traces: list[EncodedTrace],
+    train_traces: EncodedLog,
     epochs: int = 500,
     learning_rate: float = 1.0,
     seed: int = 0,
@@ -145,13 +145,12 @@ def train(
     """
     if not train_traces:
         raise TrainingError("empty training set")
-    labels = np.array([t.outcome for t in train_traces], dtype=float)
+    labels = train_traces.outcomes.astype(float)
     if len(set(labels.tolist())) < 2:
         raise TrainingError("training set contains a single outcome class")
 
-    frame = stack(train_traces)
-    vocab_size = encoder.vocab_size if encoder is not None else int(frame[0].max())
-    features = extract_features_batch(*frame, vocab_size)
+    vocab_size = encoder.vocab_size if encoder is not None else int(train_traces.ids.max())
+    features = extract_features_batch(*train_traces.frame, vocab_size)
 
     rng = np.random.default_rng(seed)
     weights = rng.normal(0.0, 0.01, size=features.shape[1])
@@ -180,8 +179,8 @@ def train(
         weights=weights,
         bias=bias,
         vocab_size=vocab_size,
-        max_len=frame[0].shape[1],
-        feature_dim=frame[1].shape[2],
+        max_len=train_traces.ids.shape[1],
+        feature_dim=train_traces.features.shape[2],
         encoder_fingerprint=encoder.fingerprint() if encoder is not None else None,
         training_loss=tuple(history),
     )
@@ -197,12 +196,12 @@ class PredictionMetrics:
     zero_division: bool = False
 
 
-def evaluate(predictor: OutcomePredictor, test: list[EncodedTrace]) -> PredictionMetrics:
+def evaluate(predictor: OutcomePredictor, test: EncodedLog) -> PredictionMetrics:
     """Precision/recall/F1 for class 1 at DECISION_THRESHOLD; zero divisions flag as 0."""
     if not test:
         raise ValueError("test set must be non-empty")
-    labels = np.array([t.outcome for t in test])
-    predictions = np.array(predictor.predict_proba_batch(*stack(test))) > DECISION_THRESHOLD
+    labels = test.outcomes
+    predictions = np.array(predictor.predict_proba_batch(*test.frame)) > DECISION_THRESHOLD
     tp = int(np.sum((predictions == 1) & (labels == 1)))
     fp = int(np.sum((predictions == 1) & (labels == 0)))
     fn = int(np.sum((predictions == 0) & (labels == 1)))

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import markov as markov_mod
 from .errors import ConfigurationError
-from .event_log import EncodedTrace, stack
+from .event_log import EncodedTrace
 from .markov import MarkovFeasibilityModel
 from .predictor import DECISION_THRESHOLD, OutcomePredictor
 
@@ -194,7 +194,7 @@ def _sweep(factual: EncodedTrace, acts: np.ndarray, feats: np.ndarray, slices):
 def edit_distances(
     factual: EncodedTrace, ids: np.ndarray, features: np.ndarray, lengths: np.ndarray, slices=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Edit distances of the factual to each candidate of a frame (event_log.stack).
+    """Edit distances of the factual to each candidate of a frame (event_log.Rows).
 
     Returns (euclidean, count) as float arrays in row order. Rows are swept
     in blocks of _BLOCK, shortest first so a block pads little, which bounds
@@ -287,13 +287,13 @@ def ssdld(
 
 def similarity_score(factual: EncodedTrace, candidate: EncodedTrace, slices=None) -> float:
     """1 - euclidean edit distance normalized by the attained bound |a| + |b|."""
-    distance, _ = edit_distances(factual, *stack([candidate]), slices)
+    distance, _ = edit_distances(factual, *candidate.frame, slices)
     return 1.0 - distance.item() / (factual.valid_len + candidate.valid_len)
 
 
 def sparsity_score(factual: EncodedTrace, candidate: EncodedTrace, slices=None) -> float:
     """Like similarity_score, but counting differing attributes as the cost."""
-    _, distance = edit_distances(factual, *stack([candidate]), slices)
+    _, distance = edit_distances(factual, *candidate.frame, slices)
     return 1.0 - distance.item() / (factual.valid_len + candidate.valid_len)
 
 
@@ -348,12 +348,11 @@ class ViabilityScorer:
         self.feas_model = feas_model
         self.slices = encoder.slices()
         self._memo: dict[tuple, tuple[float, ...]] = {}
-        self._factual_frame = stack([factual])
         self.factual_class: int | None = None
         self.p_factual: float | None = None
 
     def score_batch(self, ids: np.ndarray, features: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Score the rows of a frame (event_log.stack) in order; each distinct genome once.
+        """Score the rows of a frame (event_log.Rows) in order; each distinct genome once.
 
         Returns an (N, 5) float array, one row per candidate, its columns in
         ViabilityScore field order. The rows not yet scored go to the
@@ -366,7 +365,7 @@ class ViabilityScorer:
         if first:
             # the first predictor call carries the factual once, first; a
             # candidate equal to it is scored as the factual's row
-            misses[_row_keys(*self._factual_frame)[0]] = -1
+            misses[_row_keys(*self.factual.frame)[0]] = -1
         for row, key in enumerate(keys):
             if key not in memo:
                 misses.setdefault(key, row)
@@ -374,7 +373,7 @@ class ViabilityScorer:
             rows = list(misses.values())[1:] if first else list(misses.values())
             frame = ids[rows], features[rows], lengths[rows]
             if first:
-                frame = tuple(np.concatenate(pair) for pair in zip(self._factual_frame, frame))
+                frame = tuple(np.concatenate(pair) for pair in zip(self.factual.frame, frame))
             p1s = self.predictor.predict_proba_batch(*frame)
             if self.factual_class is None:
                 self.factual_class = 1 if p1s[0] > DECISION_THRESHOLD else 0
@@ -398,4 +397,4 @@ class ViabilityScorer:
         return np.array([memo[key] for key in keys], dtype=float).reshape(-1, 5)
 
     def score(self, candidate: EncodedTrace) -> ViabilityScore:
-        return ViabilityScore(*self.score_batch(*stack([candidate]))[0].tolist())
+        return ViabilityScore(*self.score_batch(*candidate.frame)[0].tolist())

@@ -8,10 +8,11 @@ from hypothesis import settings
 
 from evocf import markov as markov_mod
 from evocf import predictor as predictor_mod
-from evocf.errors import DataError
+from evocf.errors import ConfigurationError, DataError
 from evocf.event_log import (
     CODE_TOLERANCE,
     PAD_ID,
+    EncodedLog,
     EncodedTrace,
     EncoderSpec,
     Event,
@@ -22,7 +23,6 @@ from evocf.event_log import (
     fit_encoder,
     preprocess,
     split_train_test,
-    stack,
     synthesize_log,
 )
 from evocf.evolution import FITNESS_FLOOR, CycleStats, _breed, crossover, mutate
@@ -54,6 +54,21 @@ def make_encoded(activities, feature_rows, max_len, outcome=0, case_id="t"):
     ids[:n] = activities
     feats[:n] = feature_rows
     return EncodedTrace(ids, feats, n, outcome, case_id)
+
+
+def log_of(traces) -> EncodedLog:
+    """The EncodedLog of a non-empty list of EncodedTraces sharing (L, D), row i trace i.
+
+    The object-based oracles hold traces as lists; this turns one into the
+    batch the engine takes, and its .frame into the frame a kernel takes.
+    """
+    return EncodedLog(
+        np.array([t.activity_ids for t in traces]),
+        np.array([t.features for t in traces]),
+        np.array([t.valid_len for t in traces], dtype=np.int64),
+        np.array([t.outcome for t in traces], dtype=np.int64),
+        np.array([t.case_id for t in traces], dtype=str),
+    )
 
 
 def encoded_equal(a, b) -> bool:
@@ -201,7 +216,7 @@ def scored(population):
 
 def cross_genomes(kind, parent_a, parent_b, rng, uc_rate=None):
     """The breeding walk and crossover on a one-pair block; the children as EncodedTraces."""
-    frame = stack([parent_a, parent_b])
+    frame = log_of([parent_a, parent_b]).frame
     bred = _breed(frame[2].tolist(), parent_a.max_len, kind, uc_rate, None, None, None, rng)
     crossover(*frame, bred)
     return tuple(genomes_of(*frame))
@@ -209,10 +224,35 @@ def cross_genomes(kind, parent_a, parent_b, rng, uc_rate=None):
 
 def mutate_genome(kind, genome, rates, feas_model, rng):
     """The breeding walk and mutate on a one-child block of the genome's row; the mutant."""
-    frame = stack([genome])
+    frame = log_of([genome]).frame
     bred = _breed(frame[2].tolist(), genome.max_len, None, None, kind, rates, feas_model, rng)
     mutate(kind, *frame, bred, feas_model)
     return genomes_of(*frame)[0]
+
+
+def reference_pick_factuals(
+    test: list[EncodedTrace], n: int, rng: np.random.Generator
+) -> list[EncodedTrace]:
+    """pick_factuals over a list of EncodedTrace objects: the == oracle of its row-index pick.
+
+    Sample factuals from the test split, alternating outcome classes.
+    """
+    if n > len(test):
+        raise ConfigurationError(
+            f"n_factuals is {n} but the test split holds only {len(test)} encodable traces"
+        )
+    by_class = {0: [t for t in test if t.outcome == 0], 1: [t for t in test if t.outcome == 1]}
+    for traces in by_class.values():
+        if traces:
+            order = rng.permutation(len(traces))
+            traces[:] = [traces[i] for i in order]
+    picked: list[EncodedTrace] = []
+    turn = 1
+    while len(picked) < n and (by_class[0] or by_class[1]):
+        if by_class[turn]:
+            picked.append(by_class[turn].pop())
+        turn = 1 - turn
+    return picked
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +281,7 @@ def reference_random_genome(rng, vocab_size, max_len, feature_dim):
 
 def reference_scored(scorer, genomes):
     """The (genome, ViabilityScore) pairs of one scoring batch."""
-    rows = scorer.score_batch(*stack(genomes)).tolist()
+    rows = scorer.score_batch(*log_of(genomes).frame).tolist()
     return [(genome, ViabilityScore(*row)) for genome, row in zip(genomes, rows)]
 
 

@@ -19,6 +19,7 @@ from conftest import (
     cross_genomes,
     genomes_of,
     identity_encoder,
+    log_of,
     make_encoded,
     mutate_genome,
 )
@@ -29,7 +30,6 @@ from evocf.event_log import (
     fit_encoder,
     preprocess,
     split_train_test,
-    stack,
     synthesize_log,
 )
 from evocf.evolution import MutationRates, evolve, initialize, parse_config_name
@@ -68,7 +68,7 @@ def test_criterion_1_edit_distance_oracle():
 
     # the engine's kernel, one call per factual over the whole fixture frame;
     # each unordered pair is checked once, as (i, j) with j >= i
-    frame = stack([enc for _, _, enc in fixture])
+    frame = log_of([enc for _, _, enc in fixture]).frame
     checked = 0
     for i in range(len(fixture)):
         acts_a, feats_a, enc_a = fixture[i]
@@ -99,7 +99,7 @@ def test_criterion_2_feasibility_oracle():
         ([1, 3, 1], [0.2, 0.8, 0.3]),
     ]
     for epsilon in (0.0, 1e-6):
-        model = markov_mod.fit(train, encoder, epsilon, n_bins=5)
+        model = markov_mod.fit(log_of(train), encoder, epsilon, n_bins=5)
         for acts, values in queries:
             query = make_encoded(acts, [[v] for v in values], 8)
             expected = oracle_feasibility(train, query, encoder.vocab_size, epsilon, 5)

@@ -7,6 +7,7 @@ from conftest import (
     check_encoded_invariants,
     encoded_equal,
     identity_encoder,
+    log_of,
     make_encoded,
     reference_random_genome,
     reference_scored,
@@ -29,11 +30,11 @@ def t(acts, values, max_len=6):
 
 
 def setup_small():
-    train = [
+    train = log_of([
         t([1, 2], [0.1, 0.6]),
         t([1, 3], [0.2, 0.7]),
         t([2, 3], [0.4, 0.9]),
-    ]
+    ])
     model = fit(train, identity_encoder(max_len=6), 1e-6, 5)
     return train, model
 
@@ -60,7 +61,7 @@ def reference_baseline(kind, factual, n, log, feas_model, predictor, rng):
 def test_cbgw_single_source_log_returns_the_factual():
     train, model = setup_small()
     factual = train[0]
-    result = generate_baseline("CBGW", factual, 10, [factual], model, HalfPredictor(), 0)
+    result = generate_baseline("CBGW", factual, 10, log_of([factual]), model, HalfPredictor(), 0)
     assert len(result.population) == 10
     for genome, score in scored(result.population):
         assert encoded_equal(genome, factual)
@@ -129,7 +130,7 @@ def test_random_search_does_not_beat_real_cases(synth_setup):
     predictor = synth_setup["predictor"]
     train = synth_setup["train"]
     totals = {"RGW": [], "CBGW": []}
-    for fi, factual in enumerate(synth_setup["test"][:6]):
+    for fi, factual in enumerate(synth_setup["test"].take(slice(6))):
         for kind in totals:
             result = generate_baseline(kind, factual, 50, train, model, predictor, 100 + fi)
             totals[kind].extend(score.total for _, score in scored(result.population))

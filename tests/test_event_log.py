@@ -2,7 +2,7 @@ import csv
 import importlib.util
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime
 from pathlib import Path
 from unittest import mock
@@ -29,6 +29,7 @@ from evocf.errors import (
 from evocf.event_log import (
     AttributeSchema,
     CategoricalCodec,
+    EncodedLog,
     EncoderSpec,
     Event,
     EventLog,
@@ -47,6 +48,7 @@ from evocf.event_log import (
     synthesize_log,
     write_csv,
 )
+from evocf.evolution import Population
 
 SCHEMAS = (
     AttributeSchema("amount", "numeric"),
@@ -682,7 +684,12 @@ def test_encode_log_equals_encode(case):
     # a log encode accepts never reaches encode: the columns alone give the result
     with mock.patch("evocf.event_log.encode", side_effect=AssertionError("scalar path")):
         got = encode_log(log, spec)
-    _assert_same_encoding(got, expected)
+    rows = [got[i] for i in range(len(got))]
+    # plain Python scalars, as encode gives them: the set-up pins hash their reprs
+    for row in rows:
+        assert (type(row.valid_len), type(row.outcome), type(row.case_id)) == (int, int, str)
+    _assert_same_encoding(rows, expected)
+    _assert_same_encoding(list(got), expected)
     _assert_equals_reference(got, log.traces, spec)
 
 
@@ -699,7 +706,7 @@ def test_encode_log_errors_are_encodes():
         log = EventLog(traces, schemas, ("A", "B"))
         with pytest.raises(VocabularyError, match=re.escape(message)):
             encode_log(log, spec)
-    assert encode_log(EventLog((), schemas, ("A",)), spec) == []
+    assert len(encode_log(EventLog((), schemas, ("A",)), spec)) == 0
     # the first fault in trace order, not in attribute order
     spec = EncoderSpec(
         {"A": 1}, (CategoricalCodec("resource", ("x",)), CategoricalCodec("team", ("t",))), 2
@@ -711,6 +718,31 @@ def test_encode_log_errors_are_encodes():
     )
     with pytest.raises(VocabularyError, match="value 'q' not a known category of attribute 'team'"):
         encode_log(EventLog(traces, schemas, ("A",)), spec)
+
+
+@pytest.mark.parametrize("kind", ["log", "population"])
+def test_take_gathers_every_field(kind):
+    rng = np.random.default_rng(4)
+    n, max_len, d = 5, 3, 2
+    frame = (
+        rng.integers(0, 4, size=(n, max_len)),
+        rng.random((n, max_len, d)),
+        rng.integers(1, max_len + 1, size=n),
+    )
+    if kind == "log":
+        rows = EncodedLog(*frame, rng.integers(0, 2, size=n), np.array([f"c{i}" for i in range(n)]))
+    else:
+        rows = Population(*frame, rng.random((n, 5)))
+    columns = [f.name for f in fields(rows)]
+    assert columns[:3] == ["ids", "features", "lengths"] and len(columns) == 5 - (kind != "log")
+    for selection in (slice(1, 4), np.array([4, 0, 0, 2]), np.array([], dtype=np.intp), slice(0)):
+        taken = rows.take(selection)
+        assert type(taken) is type(rows)
+        for name in columns:
+            want = getattr(rows, name)[selection]
+            got = getattr(taken, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert len(taken) == len(rows.lengths[selection])
 
 
 def test_encode_log_equals_encode_on_the_long_log(tmp_path):

@@ -10,6 +10,7 @@ from conftest import (
     encoded_equal,
     genomes_of,
     identity_encoder,
+    log_of,
     make_encoded,
     mutate_genome,
     reference_crossover,
@@ -27,7 +28,6 @@ from conftest import (
 )
 from evocf import markov as markov_mod
 from evocf.errors import ConfigNameError, ConfigurationError, SelectionError
-from evocf.event_log import stack
 from evocf.evolution import (
     FEASIBILITY,
     FITNESS_FLOOR,
@@ -83,12 +83,12 @@ class HalfPredictor:
 
 
 def training_setup():
-    train = [
+    train = log_of([
         t([1, 2], [0.1, 0.6]),
         t([1, 3], [0.2, 0.7]),
         t([2, 3], [0.4, 0.9]),
         t([1, 2, 3], [0.1, 0.5, 0.9]),
-    ]
+    ])
     encoder = identity_encoder(max_len=6)
     model = fit(train, encoder, 1e-6, 5)
 
@@ -324,7 +324,7 @@ def test_mutate_expected_change_count():
     genome = make_encoded(
         [1 + (i % 3) for i in range(20)], [[0.5]] * 20, max_len=20
     )
-    model20 = fit([genome], identity_encoder(max_len=20), 1e-6, 5)
+    model20 = fit(log_of([genome]), identity_encoder(max_len=20), 1e-6, 5)
     rng = np.random.default_rng(9)
     rates = MutationRates(insert=0.0, delete=0.0, change=0.01)
     changed_positions = 0
@@ -373,7 +373,7 @@ def test_rr_orders_lexicographically_by_components():
     worse = one_event_population([0.75], [[0.9, 0.8, 0.5, 0.2, 2.4]])
     survivors = recombine("RR", worse, better, 2)
     # equal feasibility and delta; sparsity 0.9 beats 0.8 despite lower total
-    assert same_rows(survivors.head(1), better)
+    assert same_rows(survivors.take(slice(1)), better)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +585,7 @@ def test_bbr_round_that_admits_nothing_keeps_the_population():
     survivors = recombine("BBR", population, population_of(1.0, 1.0, 1.0), 10)
     assert same_rows(survivors, population)
     nobody = population_of()
-    assert same_rows(recombine("BBR", population, nobody, 2), population.head(2))
+    assert same_rows(recombine("BBR", population, nobody, 2), population.take(slice(2)))
 
 
 # every initiator, selector, crosser, mutator and recombiner at least once
@@ -614,7 +614,7 @@ def assert_engines_equal(factual, config, predictor, model, log, monkeypatch):
     result = evolve(factual, config, predictor, model, log)
     pairs, stats, reference = reference_evolve(factual, config, predictor, model, log)
     genomes = [genome for genome, _ in pairs]
-    ids, features, lengths = stack(genomes)
+    ids, features, lengths = log_of(genomes).frame
     assert result.population.ids.tobytes() == ids.tobytes()
     assert result.population.features.tobytes() == features.tobytes()
     assert result.population.lengths.tolist() == lengths.tolist()
@@ -653,10 +653,10 @@ def test_frame_engine_equals_the_object_engine_on_short_frames(name, max_len, mo
     # nothing and TPC cannot pick two cut points: evolve refuses the config,
     # and the object engine's choice raises
     rng = np.random.default_rng(max_len)
-    log = [
+    log = log_of([
         make_encoded(rng.integers(1, 4, size=n).tolist(), rng.random((n, 1)), max_len)
         for n in rng.integers(1, max_len + 1, size=12).tolist()
-    ]
+    ])
     model = fit(log, identity_encoder(max_len=max_len), 1e-6, 5)
     config = parse_config_name(
         name,
@@ -676,7 +676,7 @@ def test_frame_engine_equals_the_object_engine_on_short_frames(name, max_len, mo
 
 
 def test_tpc_on_a_frame_of_two_is_refused_before_any_draw():
-    log = [make_encoded([1, 2], [[0.2], [0.7]], 2)]
+    log = log_of([make_encoded([1, 2], [[0.2], [0.7]], 2)])
     model = fit(log, identity_encoder(max_len=2), 1e-6, 5)
     predictor = MeanPredictor()
     asked = []

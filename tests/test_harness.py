@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evocf
-from conftest import make_encoded
+from conftest import log_of, make_encoded, reference_pick_factuals
 from evocf import harness
 from evocf.cli import main as cli_main
-from evocf.event_log import AttributeSchema, Event, Trace
+from evocf.event_log import AttributeSchema, Event, Trace, load_csv, load_schema_config
 from evocf.harness import (
     ExperimentSpec,
     SyntheticSpec,
@@ -63,7 +65,7 @@ def test_pick_factuals_balances_classes():
     traces = [
         make_encoded([1], [[0.5]], 4, outcome=i % 2, case_id=f"c{i}") for i in range(20)
     ]
-    picked = pick_factuals(traces, 6, np.random.default_rng(0))
+    picked = pick_factuals(log_of(traces), 6, np.random.default_rng(0))
     outcomes = [t.outcome for t in picked]
     assert outcomes.count(0) == 3
     assert outcomes.count(1) == 3
@@ -71,8 +73,33 @@ def test_pick_factuals_balances_classes():
 
 def test_pick_factuals_single_class_still_works():
     traces = [make_encoded([1], [[0.5]], 4, outcome=1, case_id=f"c{i}") for i in range(5)]
-    picked = pick_factuals(traces, 3, np.random.default_rng(0))
+    picked = pick_factuals(log_of(traces), 3, np.random.default_rng(0))
     assert len(picked) == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    outcomes=st.one_of(
+        st.lists(st.integers(0, 1), min_size=1, max_size=30),
+        st.lists(st.just(0), min_size=1, max_size=8),
+        st.lists(st.just(1), min_size=1, max_size=8),
+    ),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pick_factuals_equals_the_list_reference(outcomes, data, seed):
+    # both classes, a single class, and n from 1 up to every trace of the split
+    traces = [
+        make_encoded([1], [[0.5]], 2, outcome=outcome, case_id=f"c{i}")
+        for i, outcome in enumerate(outcomes)
+    ]
+    for n in (data.draw(st.integers(1, len(traces))), len(traces)):
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        picked = pick_factuals(log_of(traces), n, ours)
+        want = reference_pick_factuals(traces, n, reference)
+        assert [t.case_id for t in picked] == [t.case_id for t in want]
+        assert len(picked) == n
+        assert ours.bit_generator.state == reference.bit_generator.state
 
 
 def test_run_grid_cardinality_and_ranking(tmp_path, small_prepared):
@@ -848,6 +875,26 @@ def test_cli_unknown_case_is_one_line(tmp_path, capsys):
          "--out", str(tmp_path / "gen")]
     )
     assert_one_line_error(capsys, code, "case 'nope' not found")
+
+
+def test_cli_generate_names_why_a_logged_case_is_not_encoded(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli_main(["synthesize-log", "--out", str(data)]) == 0
+    capsys.readouterr()
+    schemas = load_schema_config(data / "schema.json")
+    long_case = next(t.case_id for t in load_csv(data / "log.csv", schemas).traces if len(t) > 2)
+    code = cli_main(
+        ["generate", "--log", str(data / "log.csv"), "--schema", str(data / "schema.json"),
+         "--factual", long_case, "--cycles", "1",
+         "--overrides", '{"max_trace_len": 2, "population_size": 10, "offspring_per_cycle": 4, '
+         '"predictor_epochs": 20}',
+         "--out", str(tmp_path / "gen")]
+    )
+    assert_one_line_error(
+        capsys, code,
+        f"case {long_case!r} not found among the encoded cases: set-up drops the traces longer "
+        "than max_trace_len (2) or than the encoder's max_len (2)",
+    )
 
 
 @pytest.mark.parametrize(

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from conftest import (
     cross_genomes,
     identity_encoder,
+    log_of,
     make_encoded,
     reference_sample_attributes,
     sample_attribute_rows,
 )
-from evocf.event_log import CategoricalCodec, EncoderSpec, NumericCodec, _cdf, _draw, stack
+from evocf.event_log import CategoricalCodec, EncoderSpec, NumericCodec, _cdf, _draw
 from evocf.markov import (
     _TRACE_CHUNK,
     MarkovFeasibilityModel,
@@ -47,7 +48,7 @@ def enc3(activities, values, max_len=8):
 
 def two_trace_model(epsilon=0.0, n_bins=2):
     train = [enc3([A, B], [0.1, 0.6]), enc3([A, C], [0.2, 0.7])]
-    return fit(train, identity_encoder(max_len=8), epsilon, n_bins), train
+    return fit(log_of(train), identity_encoder(max_len=8), epsilon, n_bins), train
 
 
 def test_fit_counts_match_hand_ratios():
@@ -61,7 +62,7 @@ def test_fit_counts_match_hand_ratios():
 
 def test_fit_single_trace_end_probability():
     train = [enc3([A], [0.5])]
-    model = fit(train, identity_encoder(max_len=8), 0.0, 2)
+    model = fit(log_of(train), identity_encoder(max_len=8), 0.0, 2)
     assert model.initial_probs[A] == 1.0
     assert model.transition[A][0] == 1.0
 
@@ -149,7 +150,7 @@ def ten_trace_log():
 def test_feasibility_matches_counting_oracle(epsilon):
     train = ten_trace_log()
     encoder = identity_encoder(max_len=8)
-    model = fit(train, encoder, epsilon, n_bins=5)
+    model = fit(log_of(train), encoder, epsilon, n_bins=5)
     queries = [
         enc3([A, B], [0.1, 0.6]),
         enc3([A, B, C], [0.1, 0.6, 0.9]),
@@ -176,14 +177,14 @@ def test_unseen_transition_with_zero_smoothing_is_zero():
 
 def test_training_traces_have_positive_feasibility_without_smoothing():
     train = ten_trace_log()
-    model = fit(train, identity_encoder(max_len=8), 0.0, 5)
+    model = fit(log_of(train), identity_encoder(max_len=8), 0.0, 5)
     for trace in train:
         assert feasibility(model, trace) > 0.0
 
 
 def test_feasibility_is_a_probability_and_monotone_in_length():
     train = ten_trace_log()
-    model = fit(train, identity_encoder(max_len=8), 1e-6, 5)
+    model = fit(log_of(train), identity_encoder(max_len=8), 1e-6, 5)
     rng = np.random.default_rng(0)
     for _ in range(200):
         length = int(rng.integers(1, 7))
@@ -210,7 +211,7 @@ def test_invalid_categorical_code_has_zero_emission():
 
     encoder = EncoderSpec({"a": 1}, (CategoricalCodec("r", ("x", "y", "z")),), 4)
     train = [make_encoded([1], [[0.0, 1.0]], 4)]  # category "x"
-    model = fit(train, encoder, 1e-6, 4)
+    model = fit(log_of(train), encoder, 1e-6, 4)
     garbage = make_encoded([1], [[0.37, 0.82]], 4)
     assert emission_probability(model, 1, garbage.features[0]) == 0.0
     assert feasibility(model, garbage) == 0.0
@@ -221,7 +222,7 @@ def test_invalid_categorical_code_has_zero_emission():
 
 
 def test_sample_sequence_deterministic_chain():
-    model = fit([enc3([A], [0.5])], identity_encoder(max_len=8), 0.0, 2)
+    model = fit(log_of([enc3([A], [0.5])]), identity_encoder(max_len=8), 0.0, 2)
     rng = np.random.default_rng(0)
     for _ in range(20):
         assert sample_sequence(model, 8, rng) == [A]
@@ -230,7 +231,7 @@ def test_sample_sequence_deterministic_chain():
 def test_sample_sequence_matches_transition_frequencies():
     # b follows a in 7 of 10 traces, c in the remaining 3
     train = [enc3([A, B], [0.1, 0.6])] * 7 + [enc3([A, C], [0.1, 0.6])] * 3
-    model = fit(train, identity_encoder(max_len=8), 0.0, 2)
+    model = fit(log_of(train), identity_encoder(max_len=8), 0.0, 2)
     rng = np.random.default_rng(42)
     follows = Counter()
     for _ in range(10_000):
@@ -243,7 +244,7 @@ def test_sample_sequence_matches_transition_frequencies():
 
 
 def test_sample_sequence_seed_reproducible():
-    model = fit(ten_trace_log(), identity_encoder(max_len=8), 1e-6, 5)
+    model = fit(log_of(ten_trace_log()), identity_encoder(max_len=8), 1e-6, 5)
     first = [sample_sequence(model, 8, np.random.default_rng(9)) for _ in range(1)]
     second = [sample_sequence(model, 8, np.random.default_rng(9)) for _ in range(1)]
     assert first == second
@@ -252,7 +253,7 @@ def test_sample_sequence_seed_reproducible():
 def test_sample_attributes_single_bin_support():
     # all values in bin [0.4, 0.6) of a 5-bin histogram
     train = [enc3([A], [0.45]), enc3([A], [0.5]), enc3([A], [0.55])]
-    model = fit(train, identity_encoder(max_len=8), 0.0, 5)
+    model = fit(log_of(train), identity_encoder(max_len=8), 0.0, 5)
     rng = np.random.default_rng(1)
     for _ in range(100):
         (row,) = sample_attribute_rows(model, [A], rng)
@@ -264,7 +265,7 @@ def test_sample_attributes_point_mass_category():
 
     encoder = EncoderSpec({"a": 1}, (CategoricalCodec("r", ("x", "y", "z")),), 4)
     train = [make_encoded([1], [[1.0, 0.0]], 4)]  # always category "y"
-    model = fit(train, encoder, 0.0, 4)
+    model = fit(log_of(train), encoder, 0.0, 4)
     rng = np.random.default_rng(2)
     for _ in range(50):
         (row,) = sample_attribute_rows(model, [1], rng)
@@ -274,7 +275,7 @@ def test_sample_attributes_point_mass_category():
 def test_sample_attributes_matches_histogram():
     rng_data = np.random.default_rng(3)
     train = [enc3([A], [float(v)]) for v in rng_data.random(500)]
-    model = fit(train, identity_encoder(max_len=8), 0.0, 5)
+    model = fit(log_of(train), identity_encoder(max_len=8), 0.0, 5)
     rng = np.random.default_rng(4)
     counts = np.zeros(5)
     n = 10_000
@@ -391,7 +392,7 @@ def mixed_train(n=40, seed=5):
     return traces
 
 
-MIXED_MODELS = {eps: fit(mixed_train(), MIXED_ENCODER, eps, N_BINS) for eps in (0.0, 1e-6)}
+MIXED_MODELS = {eps: fit(log_of(mixed_train()), MIXED_ENCODER, eps, N_BINS) for eps in (0.0, 1e-6)}
 
 
 def _numeric_cell(kind, rng):
@@ -455,7 +456,7 @@ def test_table_feasibility_equals_scalar_path(genome_a, genome_b, kind, seed):
 
 def test_table_feasibility_equals_scalar_path_on_the_synthetic_log(synth_setup):
     model = synth_setup["feas_model"]
-    for trace in synth_setup["train"] + synth_setup["test"]:
+    for trace in [*synth_setup["train"], *synth_setup["test"]]:
         assert feasibility(model, trace) == scalar_feasibility(model, trace)
 
 
@@ -466,15 +467,15 @@ def test_feasibility_batch_equals_scalar_feasibility(genomes):
     # the never-observed activity 4, so epsilon 0 gives many zero factors
     for model in MIXED_MODELS.values():
         expected = [scalar_feasibility(model, g) for g in genomes]
-        assert feasibility_batch(model, *stack(genomes)) == expected
+        assert feasibility_batch(model, *log_of(genomes).frame) == expected
 
 
 def test_feasibility_batch_on_the_synthetic_log(synth_setup):
     model = synth_setup["feas_model"]
-    traces = synth_setup["train"] + synth_setup["test"]
+    traces = [*synth_setup["train"], *synth_setup["test"]]
     expected = [scalar_feasibility(model, t) for t in traces]
-    assert feasibility_batch(model, *stack(traces)) == expected
-    assert feasibility_batch(model, *stack(traces[:1])) == expected[:1]
+    assert feasibility_batch(model, *log_of(traces).frame) == expected
+    assert feasibility_batch(model, *log_of(traces[:1]).frame) == expected[:1]
 
 
 def test_feasibility_batch_of_an_empty_frame():
@@ -546,7 +547,7 @@ def _single_kind_model(codecs, rows_of, eps):
     for _ in range(30):
         acts = rng.integers(1, 4, size=int(rng.integers(1, 7))).tolist()
         train.append(make_encoded(acts, [rows_of(rng) for _ in acts], 8))
-    return fit(train, encoder, eps, N_BINS)
+    return fit(log_of(train), encoder, eps, N_BINS)
 
 
 def _categorical_row(rng):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_encoded, reference_decode
+from conftest import log_of, make_encoded, reference_decode
 from evocf import predictor as predictor_mod
 from evocf.errors import ConfigurationError, PredictorError, TrainingError, VocabularyError
 from evocf.event_log import (
@@ -25,7 +25,6 @@ from evocf.event_log import (
     fit_encoder,
     preprocess,
     split_train_test,
-    stack,
     synthesize_log,
 )
 from evocf.markov import fit as fit_markov
@@ -68,7 +67,7 @@ def reference_proba(predictor, trace):
 
 def empty_frame(traces):
     """The frame of no rows, as wide as the traces' frame."""
-    return tuple(column[:0] for column in stack(traces))
+    return log_of(traces).take(slice(0)).frame
 
 
 class Constant:
@@ -101,13 +100,13 @@ def test_extract_features_deterministic():
 def _labeled_pair():
     positive = make_encoded([1, 2], [[0.9], [0.9]], max_len=4, outcome=1, case_id="p")
     negative = make_encoded([2, 2], [[0.1], [0.1]], max_len=4, outcome=0, case_id="n")
-    return [positive, negative]
+    return log_of([positive, negative])
 
 
 def test_train_separable_set_reaches_full_accuracy():
     data = _labeled_pair()
     predictor = train(data, epochs=300, seed=0)
-    for trace, p in zip(data, predictor.predict_proba_batch(*stack(data)), strict=True):
+    for trace, p in zip(data, predictor.predict_proba_batch(*data.frame), strict=True):
         predicted = 1 if p > 0.5 else 0
         assert predicted == trace.outcome
 
@@ -123,7 +122,7 @@ def test_train_is_deterministic():
 def test_train_single_class_is_error():
     positive = make_encoded([1], [[0.5]], max_len=4, outcome=1)
     with pytest.raises(TrainingError):
-        train([positive, positive], epochs=10, seed=0)
+        train(log_of([positive, positive]), epochs=10, seed=0)
 
 
 def test_gradient_matches_central_finite_differences():
@@ -165,7 +164,7 @@ def test_training_loss_is_non_increasing():
                 case_id=f"r{i}",
             )
         )
-    predictor = train(traces, epochs=120, learning_rate=4.0, seed=2)
+    predictor = train(log_of(traces), epochs=120, learning_rate=4.0, seed=2)
     history = predictor.training_loss
     assert len(history) > 1
     assert all(later <= earlier + 1e-9 for earlier, later in zip(history, history[1:]))
@@ -176,7 +175,7 @@ def test_predict_proba_zero_weights_is_half():
         weights=np.zeros(feature_width(2, 1)), bias=0.0, vocab_size=2, max_len=4, feature_dim=1
     )
     trace = make_encoded([1, 2], [[0.4], [0.6]], max_len=4)
-    assert predictor.predict_proba_batch(*stack([trace])) == [0.5]
+    assert predictor.predict_proba_batch(*trace.frame) == [0.5]
 
 
 def test_predict_proba_bounded_on_random_traces():
@@ -189,7 +188,7 @@ def test_predict_proba_bounded_on_random_traces():
         traces.append(
             make_encoded(rng.integers(1, 3, size=length).tolist(), rng.random((length, 1)), 4)
         )
-    assert all(0.0 < p < 1.0 for p in predictor.predict_proba_batch(*stack(traces)))
+    assert all(0.0 < p < 1.0 for p in predictor.predict_proba_batch(*log_of(traces).frame))
 
 
 def test_evaluate_all_correct():
@@ -226,7 +225,7 @@ def test_evaluate_confusion_matrix_arithmetic():
         make_encoded([1], [[0.4]], max_len=2, outcome=1),  # predicted 0 -> FN
     ]
     predictor = Scripted([0.9, 0.9, 0.9, 0.1])
-    metrics = evaluate(predictor, traces)
+    metrics = evaluate(predictor, log_of(traces))
     assert predictor.calls == 1  # the whole split in one batch
     assert metrics.precision == pytest.approx(2 / 3)
     assert metrics.recall == pytest.approx(2 / 3)
@@ -264,17 +263,17 @@ def test_external_process_predictor(tmp_path, synth_setup):
     predictor = ExternalProcessPredictor(
         f"{sys.executable} {script}", synth_setup["encoder"]
     )
-    traces = synth_setup["test"][:3]
-    probs = predictor.predict_proba_batch(*stack(traces))
+    traces = synth_setup["test"].take(slice(3))
+    probs = predictor.predict_proba_batch(*traces.frame)
     assert probs == [min(0.9, 0.1 * t.valid_len) for t in traces]
-    assert predictor.predict_proba_batch(*stack(traces[:1])) == probs[:1]
+    assert predictor.predict_proba_batch(*traces.take(slice(1)).frame) == probs[:1]
 
 
 def test_logistic_batch_equals_per_trace(synth_setup):
     predictor = synth_setup["predictor"]
-    traces = synth_setup["test"][:20]
+    traces = synth_setup["test"].take(slice(20))
     want = [reference_proba(predictor, t) for t in traces]
-    assert predictor.predict_proba_batch(*stack(traces)) == want
+    assert predictor.predict_proba_batch(*traces.frame) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -295,7 +294,7 @@ def test_batched_features_and_probabilities_equal_per_trace(k, d, max_len, b, sc
         length = int(rng.choice([1, max_len, rng.integers(1, max_len + 1)]))
         rows = rng.random((length, d)) * rng.choice([1e-3, 1.0, 1e3], size=d)
         traces.append(make_encoded(rng.integers(1, k + 1, size=length).tolist(), rows, max_len))
-    phi = extract_features_batch(*stack(traces), k)
+    phi = extract_features_batch(*log_of(traces).frame, k)
     assert phi.tobytes() == np.stack([extract_features(t, k) for t in traces]).tobytes()
     predictor = LogisticOutcomePredictor(
         weights=rng.normal(0.0, scale, size=feature_width(k, d)),
@@ -304,7 +303,7 @@ def test_batched_features_and_probabilities_equal_per_trace(k, d, max_len, b, sc
         max_len=max_len,
         feature_dim=d,
     )
-    assert predictor.predict_proba_batch(*stack(traces)) == [
+    assert predictor.predict_proba_batch(*log_of(traces).frame) == [
         reference_proba(predictor, t) for t in traces
     ]
     assert predictor.predict_proba_batch(*empty_frame(traces)) == []
@@ -312,7 +311,7 @@ def test_batched_features_and_probabilities_equal_per_trace(k, d, max_len, b, sc
 
 def test_batched_features_reject_ids_outside_the_vocabulary():
     with pytest.raises(ValueError):
-        extract_features_batch(*stack([make_encoded([1, 3], [[0.1], [0.2]], 4)]), 2)
+        extract_features_batch(*make_encoded([1, 3], [[0.1], [0.2]], 4).frame, 2)
 
 
 def test_predictor_keeps_the_encoder_check(synth_setup):
@@ -382,7 +381,7 @@ def test_external_predictor_failures_are_predictor_errors(tmp_path, synth_setup,
     command = _bad_scorer(tmp_path, body)
     predictor = ExternalProcessPredictor(command, synth_setup["encoder"])
     with pytest.raises(PredictorError) as info:
-        predictor.predict_proba_batch(*stack(synth_setup["test"][:3]))
+        predictor.predict_proba_batch(*synth_setup["test"].take(slice(3)).frame)
     text = str(info.value)
     assert message in text
     assert command in text
@@ -392,7 +391,7 @@ def test_external_predictor_failures_are_predictor_errors(tmp_path, synth_setup,
 def test_external_predictor_missing_command_is_predictor_error(tmp_path, synth_setup):
     predictor = ExternalProcessPredictor(str(tmp_path / "no-such-scorer"), synth_setup["encoder"])
     with pytest.raises(PredictorError, match="could not be started"):
-        predictor.predict_proba_batch(*stack(synth_setup["test"][:1]))
+        predictor.predict_proba_batch(*synth_setup["test"].take(slice(1)).frame)
 
 
 def test_external_predictor_timeout_is_predictor_error(tmp_path, synth_setup, monkeypatch):
@@ -402,7 +401,7 @@ def test_external_predictor_timeout_is_predictor_error(tmp_path, synth_setup, mo
     predictor = ExternalProcessPredictor(command, synth_setup["encoder"])
     started = time.monotonic()
     with pytest.raises(PredictorError) as info:
-        predictor.predict_proba_batch(*stack(synth_setup["test"][:2]))
+        predictor.predict_proba_batch(*synth_setup["test"].take(slice(2)).frame)
     assert time.monotonic() - started < 30.0
     text = str(info.value)
     assert "timed out after 0.5 s" in text
@@ -426,7 +425,7 @@ def test_external_predictor_gets_no_stdin(tmp_path, synth_setup):
     read_end, write_end = os.pipe()
     try:
         os.dup2(read_end, 0)
-        assert predictor.predict_proba_batch(*stack(synth_setup["test"][:2])) == [0.5, 0.5]
+        assert predictor.predict_proba_batch(*synth_setup["test"].take(slice(2)).frame) == [0.5, 0.5]
     finally:
         os.dup2(saved, 0)
         for fd in (saved, read_end, write_end):
@@ -435,7 +434,7 @@ def test_external_predictor_gets_no_stdin(tmp_path, synth_setup):
 
 def test_external_predictor_empty_batch_starts_no_command(tmp_path, synth_setup):
     predictor = ExternalProcessPredictor(str(tmp_path / "no-such-scorer"), synth_setup["encoder"])
-    assert predictor.predict_proba_batch(*empty_frame(synth_setup["test"][:1])) == []
+    assert predictor.predict_proba_batch(*synth_setup["test"].take(slice(0)).frame) == []
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +469,8 @@ def columnar_candidates_csv(traces, spec):
     handle = io.StringIO(newline="")
     writer = csv.writer(handle)
     writer.writerow(["case_id", "step", "activity", *[codec.name for codec in spec.codecs]])
-    writer.writerows(decode_rows(*stack(traces), [f"cand_{i}" for i in range(len(traces))], spec))
+    case_ids = [f"cand_{i}" for i in range(len(traces))]
+    writer.writerows(decode_rows(*log_of(traces).frame, case_ids, spec))
     return handle.getvalue()
 
 
@@ -566,7 +566,7 @@ def test_columnar_writer_keeps_the_decode_checks(synth_setup):
     unknown = EncodedTrace(ids, good.features, good.valid_len, 0, "u")
     for bad in ([good, unknown], [unknown]):
         with pytest.raises(VocabularyError, match=f"unknown activity id {spec.vocab_size + 7}"):
-            list(decode_rows(*stack(bad), ["a", "b"][: len(bad)], spec))
+            list(decode_rows(*log_of(bad).frame, ["a", "b"][: len(bad)], spec))
     # a frame one cell wider than the encoder's, its second row filling it
     width = spec.max_len + 1
     ids = np.ones((2, width), dtype=np.int64)
@@ -586,7 +586,7 @@ def test_external_predictor_writes_the_reference_candidates_csv(tmp_path, synth_
         f"import shutil\nshutil.copy(in_path, {str(copy)!r})\n"
         "def proba(case_id):\n    return 0.5\n" + _WRITE_ROWS,
     )
-    traces = synth_setup["test"][:6]
-    ExternalProcessPredictor(command, synth_setup["encoder"]).predict_proba_batch(*stack(traces))
+    traces = synth_setup["test"].take(slice(6))
+    ExternalProcessPredictor(command, synth_setup["encoder"]).predict_proba_batch(*traces.frame)
     expected = reference_candidates_csv(traces, synth_setup["encoder"])
     assert copy.read_bytes() == expected.encode()

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from conftest import (
     genomes_of,
     identity_encoder,
+    log_of,
     make_encoded,
     reference_ssdld,
     reference_ssdld_distance,
     scored,
 )
 from evocf.errors import ConfigurationError
-from evocf.event_log import stack
 from evocf.evolution import evolve, initialize, parse_config_name
 from evocf.markov import fit
 from evocf.viability import (
@@ -111,7 +111,7 @@ def t(acts, values, max_len=6):
 
 
 def distance(a, b, kind):
-    euclidean, count = edit_distances(a, *stack([b]))
+    euclidean, count = edit_distances(a, *b.frame)
     return (euclidean if kind == "euclidean" else count).item()
 
 
@@ -241,7 +241,7 @@ def kernel_slices(mode, d):
 
 
 def assert_kernel_equals_scalar(factual, candidates, slices):
-    euclidean, count = edit_distances(factual, *stack(candidates), slices)
+    euclidean, count = edit_distances(factual, *log_of(candidates).frame, slices)
     assert euclidean.shape == count.shape == (len(candidates),)
     for candidate, e_dist, c_dist in zip(candidates, euclidean.tolist(), count.tolist()):
         assert e_dist == reference_ssdld_distance(factual, candidate, "euclidean", slices)
@@ -322,7 +322,7 @@ def test_edit_distances_on_the_criterion_1_fixture():
         for value in (0.0, 0.5, 1.0)
     ]
     assert len(fixture) == 360
-    frame = stack(fixture)
+    frame = log_of(fixture).frame
     for factual in fixture:
         euclidean, count = edit_distances(factual, *frame)
         assert euclidean.tolist() == [
@@ -504,7 +504,7 @@ def small_model():
         t([2, 3], [0.4, 0.9]),
     ]
     encoder = identity_encoder(max_len=6)
-    return fit(train, encoder, 1e-6, 5), train
+    return fit(log_of(train), encoder, 1e-6, 5), train
 
 
 def test_viability_of_candidate_equal_to_factual():
@@ -665,7 +665,7 @@ def test_score_batch_with_duplicates_matches_reference(seed, pool_size, picks, c
     scorer = ViabilityScorer(factual, predictor, model)
     scores = []
     for start in range(0, len(batch), chunk):
-        rows = scorer.score_batch(*stack(batch[start : start + chunk])).tolist()
+        rows = scorer.score_batch(*log_of(batch[start : start + chunk]).frame).tolist()
         scores.extend(ViabilityScore(*row) for row in rows)
     assert len(scores) == len(batch)
     for candidate, score in zip(batch, scores):
@@ -681,9 +681,9 @@ def test_score_batch_sends_each_distinct_genome_to_the_predictor_once():
     pool = [random_trace(rng) for _ in range(5)]
     predictor = CountingPredictor()
     scorer = ViabilityScorer(factual, predictor, model)
-    scorer.score_batch(*stack([pool[0], pool[1], _copy(pool[0]), pool[1]]))
-    scorer.score_batch(*stack([pool[1], _copy(pool[2]), pool[2], pool[3]]))
-    scorer.score_batch(*stack([pool[3], _copy(pool[0])]))  # all hits: no predictor call
+    scorer.score_batch(*log_of([pool[0], pool[1], _copy(pool[0]), pool[1]]).frame)
+    scorer.score_batch(*log_of([pool[1], _copy(pool[2]), pool[2], pool[3]]).frame)
+    scorer.score_batch(*log_of([pool[3], _copy(pool[0])]).frame)  # all hits: no predictor call
     scorer.score(pool[4])
     assert predictor.batches == 3
     # the five distinct candidates and the factual, which rides in the first batch
@@ -699,9 +699,9 @@ def test_factual_rides_in_the_first_predictor_call_only():
     predictor = CountingPredictor()
     scorer = ViabilityScorer(factual, predictor, model)
     assert scorer.factual_class is None and predictor.batches == 0
-    scorer.score_batch(*stack([pool[0]]))
+    scorer.score_batch(*pool[0].frame)
     # a copy of the factual scored later reuses the first call's probability
-    rows = scorer.score_batch(*stack([pool[1], _copy(factual), pool[2]])).tolist()
+    rows = scorer.score_batch(*log_of([pool[1], _copy(factual), pool[2]]).frame).tolist()
     late = ViabilityScore(*rows[1])
     scorer.score(_copy(factual))
     assert [call.count(_key(factual)) for call in predictor.calls] == [1, 0]
@@ -719,7 +719,7 @@ def test_first_batch_with_a_copy_of_the_factual_sends_it_once():
     other = random_trace(rng)
     predictor = CountingPredictor()
     scorer = ViabilityScorer(factual, predictor, model)
-    rows = scorer.score_batch(*stack([other, _copy(factual), other])).tolist()
+    rows = scorer.score_batch(*log_of([other, _copy(factual), other]).frame).tolist()
     scores = [ViabilityScore(*row) for row in rows]
     assert predictor.calls == [[_key(factual), _key(other)]]
     reference = [viability(factual, c, ContentPredictor(), model) for c in (other, factual)]
@@ -730,7 +730,7 @@ def test_cbi_population_holding_the_factual_sends_it_once(synth_setup):
     # CBI draws log traces, so an initial frame can hold rows equal to the factual
     model = synth_setup["feas_model"]
     factual = synth_setup["test"][0]
-    log = [factual, *synth_setup["train"][:5]]
+    log = log_of([factual, *synth_setup["train"].take(slice(5))])
     predictor = CountingPredictor(synth_setup["predictor"])
     scorer = ViabilityScorer(factual, predictor, model)
     population = initialize("CBI", 40, log, model, scorer, np.random.default_rng(4))
