@@ -11,9 +11,11 @@ mutator, recombiner); the uniform crosser carries its rate as a digit, so
 Each cycle selects parents by fitness (total viability), crosses them over
 the padded gene frame, mutates the offspring with per-position insert/delete/
 change passes, scores the cycle's mutants as one batch, and recombines
-survivors back into the population. Termination is a fixed cycle count. All
-randomness flows through one seeded generator, so runs are reproducible bit
-for bit.
+survivors back into the population. Selection, crossover and mutation each
+make their draws as a few Generator calls of fixed shape over the whole
+offspring block, and then apply them as array arithmetic. Termination is a
+fixed cycle count. All randomness flows through one seeded generator, so
+runs are reproducible bit for bit.
 
 The reference generators RGW, SBGW and CBGW are zero-cycle runs: the RI, SBI
 and CBI initiators, scored and sorted by total viability.
@@ -253,11 +255,9 @@ def select(
         chosen = rng.choice(n, size=sample_size, p=fitness / fitness.sum())
     elif kind == "TS":
         # a contest of two uniform draws: i wins with probability f_i / (f_i + f_j)
-        fit = fitness.tolist()
-        chosen = []
-        for _ in range(sample_size):
-            i, j = rng.integers(0, n, size=2).tolist()
-            chosen.append(i if rng.random() < fit[i] / (fit[i] + fit[j]) else j)
+        i, j = rng.integers(0, n, size=(2, sample_size))
+        wins = rng.random(sample_size) < fitness[i] / (fitness[i] + fitness[j])
+        chosen = np.where(wins, i, j)
     elif kind == "ES":
         if sample_size > n:
             raise SelectionError(f"elitism selection of {sample_size} from population of {n}")
@@ -265,254 +265,6 @@ def select(
     else:
         raise ConfigNameError(f"unknown selector {kind!r}")
     return np.asarray(chosen, dtype=np.intp)
-
-
-class _Stream:
-    """The draws rng's calls would make, read ahead from blocks of its raw outputs.
-
-    It reproduces three draws of a PCG64 generator: random() as
-    (raw >> 11) * 2**-53; the 32-bit output, the low half of a raw output
-    first and its high half kept for the next call (the generator's
-    has_uint32/uinteger buffer); and integers(lo, hi) as numpy's 32-bit
-    Lemire draw with its rejection loop, where a range of one value draws
-    nothing. u holds the doubles of the outputs read so far, pos the index
-    of the next unused output. A short block grows by at least ahead
-    outputs. sync() leaves the generator where the calls would have: the
-    state before the block, advanced by the outputs used, with the buffer
-    written back, since advance clears it; the stream draws nothing after
-    it. A draw the stream cannot reproduce goes through escape().
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.ahead = 0
-        self._resume()
-
-    def _resume(self) -> None:
-        self._state = self.rng.bit_generator.state
-        self._has32, self._u32 = self._state["has_uint32"], self._state["uinteger"]
-        self._raw = np.empty(0, dtype=np.uint64)
-        self.u: list[float] = []
-        self.pos = 0
-
-    def fill(self, k: int) -> None:
-        """Make the next k outputs readable."""
-        short = self.pos + k - len(self.u)
-        if short > 0:
-            raw = self.rng.bit_generator.random_raw(max(short, self.ahead))
-            self._raw = np.concatenate([self._raw, raw])
-            self.u += ((raw >> np.uint64(11)) * 2.0**-53).tolist()
-
-    def doubles(self, k: int) -> list[float]:
-        """What rng.random(k) draws, as a list."""
-        self.fill(k)
-        self.pos += k
-        return self.u[self.pos - k : self.pos]
-
-    def _next32(self) -> int:
-        if self._has32:
-            self._has32 = 0
-            return self._u32
-        self.fill(1)
-        raw = int(self._raw[self.pos])
-        self.pos += 1
-        self._has32, self._u32 = 1, raw >> 32
-        return raw & 0xFFFFFFFF
-
-    def integers(self, lo: int, hi: int) -> int:
-        """What int(rng.integers(lo, hi)) draws, for 1 <= hi - lo <= 2**32."""
-        span = hi - lo
-        if span == 1:
-            return lo
-        m = self._next32() * span
-        if m & 0xFFFFFFFF < span:
-            threshold = (2**32 - span) % span
-            while m & 0xFFFFFFFF < threshold:
-                m = self._next32() * span
-        return lo + (m >> 32)
-
-    def sync(self) -> None:
-        bitgen = self.rng.bit_generator
-        bitgen.state = self._state
-        bitgen.advance(self.pos)
-        if self._has32 or self._u32:
-            bitgen.state = {**bitgen.state, "has_uint32": self._has32, "uinteger": self._u32}
-
-    def escape(self, draw):
-        """draw(rng) on the synced generator; the stream resumes from its new state."""
-        self.sync()
-        value = draw(self.rng)
-        self._resume()
-        return value
-
-
-@dataclass(frozen=True)
-class _Breeding:
-    """One cycle's crossover and mutation draws, as crossover and mutate apply them.
-
-    masks[p] marks the positions where child 2p takes row 2p's cell and
-    child 2p + 1 row 2p + 1's (each takes its partner's elsewhere); masks
-    is None when nothing is crossed. crossed holds each child's length
-    after crossover. A script lists a mutated child's events in order: a
-    position of its crossed row, or -1 - e for new event e, whose activity
-    is acts[e] and whose row comes from draws[e] (SBM: the doubles of its
-    attribute draw; RM: the row).
-    """
-
-    masks: np.ndarray | None
-    crossed: list[int]
-    scripts: list[tuple[int, list[int]]]
-    acts: list[int]
-    draws: list
-
-
-def _mask_lengths(mask: list[bool], la: int, lb: int) -> list[int]:
-    """The lengths of the two children mask makes of parents of lengths la and lb.
-
-    Both parents have events below the shorter length and neither from the
-    longer one on. In between, a child has an event while it takes the
-    longer parent's cell, so it ends at the first cell it takes from the
-    shorter parent.
-    """
-    lo, hi = sorted((la, lb))
-    a_longer = la > lb
-    tail = mask[lo:hi]
-    first = next((lo + t for t, m in enumerate(tail) if m != a_longer), hi)
-    second = next((lo + t for t, m in enumerate(tail) if m == a_longer), hi)
-    return [first, second]
-
-
-def _segment_length(own: int, other: int, lo: int, hi: int) -> int:
-    """The length of a child that takes cells lo..hi-1 from the other parent, the rest from its own.
-
-    It ends where its own parent ends if that is before lo; otherwise where
-    the other parent ends if that is before hi, but not before lo;
-    otherwise where its own parent ends, but not before hi.
-    """
-    if own < lo:
-        return own
-    return max(lo, other) if other < hi else max(hi, own)
-
-
-def _two_cuts(stream: _Stream, max_len: int) -> list[int]:
-    """TPC's cut points: rng.choice(range(1, max_len), size=2, replace=False), sorted.
-
-    Generator.choice picks two of the p = max_len - 1 cells by Floyd's
-    algorithm: a draw over 0..p-2, then one over 0..p-1 that becomes p - 1
-    if it repeats the first. It then shuffles the two with a draw over
-    0..1, which sorting undoes but which is still drawn. It needs p >= 2,
-    which evolve checks before the first draw.
-    """
-    p = max_len - 1
-    first = stream.integers(0, p - 1)
-    second = stream.integers(0, p)
-    stream.integers(0, 2)
-    return sorted((first + 1, p if second == first else second + 1))
-
-
-def _breed(
-    lengths: list[int], max_len: int, crosser: str | None, uc_rate: float | None,
-    mutator: str | None, rates: MutationRates | None, feas_model: MarkovFeasibilityModel | None,
-    rng: np.random.Generator,
-) -> _Breeding:
-    """The draws of crossing each row pair of an offspring block and mutating each child.
-
-    The per-genome calls made these draws pair by pair: the pair's
-    crossover, then each child's delete, insert and change passes. Which
-    draws come next depends only on lengths, so one walk of the generator's
-    stream makes them all in that order, with crosser or mutator None
-    leaving that operator out (crossing alone needs no rates or model).
-    UC's mask is one double per cell; OPC and TPC swap a segment of cells,
-    OPC's from its cut to the end, and the children's lengths follow from
-    the segment. A child without events reads n delete, max_len - n insert
-    and n change doubles, and three slice minima find it. RM's normals
-    escape to the generator, so with RM each block is sized for one pair,
-    otherwise for the rest of the cycle. The generator ends where the calls
-    would have left it.
-    """
-    crossing = crosser is not None and max_len >= 2
-    stream = _Stream(rng)
-    masks, crossed, scripts, acts, draws = [], [], [], [], []
-
-    def new_event() -> int:
-        acts.append(stream.integers(1, feas_model.encoder.vocab_size + 1))
-        if mutator == "SBM":
-            draws.append(stream.doubles(feas_model._draws_per_event))
-        else:
-            feature_dim = feas_model.encoder.feature_dim
-            draws.append(
-                stream.escape(lambda g: np.clip(g.standard_normal(feature_dim), 0.0, 1.0))
-            )
-        return -len(acts)
-
-    # each pair's outputs when no child has an event
-    cross_need = {"UC": max_len, "OPC": 1, "TPC": 2}[crosser] if crossing else 0
-    needs = [
-        cross_need + (sum(pair) + max_len * len(pair) if mutator is not None else 0)
-        for pair in (lengths[p : p + 2] for p in range(0, len(lengths), 2))
-    ]
-    escapes = mutator == "RM"
-    remaining = sum(needs)
-    for first, need in zip(range(0, len(lengths), 2), needs):
-        stream.ahead = need if escapes else remaining
-        remaining -= need
-        pair = lengths[first : first + 2]
-        if crossing:
-            if crosser == "UC":
-                mask = [x < uc_rate for x in stream.doubles(max_len)]
-                masks.append(mask)
-                pair = _mask_lengths(mask, *pair)
-            else:
-                lo, hi = (
-                    (stream.integers(1, max_len), max_len)
-                    if crosser == "OPC"
-                    else _two_cuts(stream, max_len)
-                )
-                masks.append((lo, hi))
-                la, lb = pair
-                pair = [_segment_length(la, lb, lo, hi), _segment_length(lb, la, lo, hi)]
-            crossed += pair
-        if mutator is None:
-            continue
-        for child, n in enumerate(pair, first):
-            stream.fill(n + max_len)
-            u, i = stream.u, stream.pos
-            if (
-                min(u[i : i + n]) >= rates.delete
-                and min(u[i + n : i + max_len], default=1.0) >= rates.insert
-                and min(u[i + max_len : i + max_len + n]) >= rates.change
-            ):
-                stream.pos = i + max_len + n
-                continue
-            # deletes spare the last survivor
-            script = [t for t, x in enumerate(stream.doubles(n)) if x >= rates.delete] or [n - 1]
-            # one insert double per free slot at the start of the pass; only a hit draws more
-            slots = max_len - len(script)
-            while slots:
-                stream.fill(slots)
-                free = stream.u[stream.pos : stream.pos + slots]
-                if min(free) >= rates.insert:
-                    stream.pos += slots
-                    break
-                hit = next(j for j, x in enumerate(free) if x < rates.insert)
-                stream.pos += hit + 1
-                slots -= hit + 1
-                position = stream.integers(0, len(script) + 1)
-                script.insert(position, new_event())
-            for t, x in enumerate(stream.doubles(len(script))):
-                if x < rates.change:
-                    script[t] = new_event()
-            scripts.append((child, script))
-    stream.sync()
-    if not crossing:
-        masks = None
-    elif crosser == "UC":
-        masks = np.array(masks, dtype=bool).reshape(-1, max_len)
-    else:
-        lo, hi = np.array(masks, dtype=np.int64).reshape(-1, 2).T[:, :, np.newaxis]
-        frame = np.arange(max_len)
-        masks = (frame < lo) | (frame >= hi)
-    return _Breeding(masks, crossed, scripts, acts, draws)
 
 
 def _gather(
@@ -535,60 +287,105 @@ def _gather(
 
 
 def crossover(
-    ids: np.ndarray, features: np.ndarray, lengths: np.ndarray, bred: _Breeding
+    kind: str, ids: np.ndarray, features: np.ndarray, lengths: np.ndarray,
+    rng: np.random.Generator, uc_rate: float | None,
 ) -> None:
-    """Cross the row pairs (2p, 2p + 1) of an offspring block in place, by bred's masks.
+    """Cross the row pairs (2p, 2p + 1) of an offspring block in place.
 
-    Where masks[p] is set, each child of pair p keeps its own row's cell,
-    and elsewhere it takes its partner's. Positions index the full frame
-    (padding included), so parents of different lengths cross cleanly; the
-    events a child holds after its first PAD are an artifact of mixing
-    frames, and are cut. Position 0 always holds a real gene, so no child
-    has length zero.
+    One draw per pair decides which cells each child keeps from its own
+    row; it takes its partner's elsewhere. UC keeps a cell where a double
+    is below uc_rate, OPC the cells before a cut, TPC the cells outside
+    two distinct cuts. Positions index the full frame (padding included),
+    so parents of different lengths cross cleanly; the events a child holds
+    after its first PAD are an artifact of mixing frames, and are cut.
+    Position 0 always holds a real gene, so no child has length zero. A
+    frame of one cell crosses nothing and draws nothing.
     """
-    if bred.masks is None:
-        return
     n_rows, max_len = ids.shape
+    if max_len < 2:
+        return
+    pairs = n_rows // 2
+    frame = np.arange(max_len)
+    if kind == "UC":
+        keep = rng.random((pairs, max_len)) < uc_rate
+    else:
+        lo = rng.integers(1, max_len, size=pairs)[:, np.newaxis]
+        hi = max_len
+        if kind == "TPC":
+            # a second cut drawn from the other max_len - 2 cut points
+            other = rng.integers(1, max_len - 1, size=pairs)[:, np.newaxis]
+            other += other >= lo
+            lo, hi = np.minimum(lo, other), np.maximum(lo, other)
+        keep = (frame < lo) | (frame >= hi)
     own = np.arange(n_rows)[:, np.newaxis]
-    source = np.where(np.repeat(bred.masks, 2, axis=0), own, own ^ 1)
-    cells = source * max_len + np.arange(max_len)
-    lengths[:] = bred.crossed
-    cells[np.arange(max_len) >= lengths[:, np.newaxis]] = ids.size
+    cells = np.where(np.repeat(keep, 2, axis=0), own, own ^ 1) * max_len + frame
+    pads = ids.reshape(-1)[cells] == PAD_ID
+    lengths[:] = np.where(pads.any(axis=1), pads.argmax(axis=1), max_len)
+    cells[frame >= lengths[:, np.newaxis]] = ids.size
     no_events = np.empty(0, dtype=np.int64), np.empty((0, features.shape[2]))
     _gather(ids, features, slice(None), cells, *no_events)
 
 
 def mutate(
-    kind: str, ids: np.ndarray, features: np.ndarray, lengths: np.ndarray, bred: _Breeding,
-    feas_model: MarkovFeasibilityModel,
+    kind: str, ids: np.ndarray, features: np.ndarray, lengths: np.ndarray,
+    rates: MutationRates, feas_model: MarkovFeasibilityModel, rng: np.random.Generator,
 ) -> None:
-    """Apply bred's edit scripts to a crossed offspring block in place.
+    """Mutate each row of an offspring block in place by delete, insert and change passes.
 
-    The delete, insert and change passes of each child are already in its
-    script. Deletes hit non-padding positions only (the last survivor is
-    immune, so length never drops below 1); inserts fill free padding
-    capacity at a uniform position; changes redraw activity and attributes
-    in place. RM draws attributes from a clipped standard normal, SBM from
-    the feasibility model conditioned on the new activity, here in one
-    markov.sample_attributes call for the whole block. The mutated rows are
-    gathered at once.
+    Each pass is one per-position Bernoulli trial against a block of
+    doubles. Deletes try every event; a child that deletes them all keeps
+    its last one. Inserts try each slot left free after the deletes, and
+    each hit lands at a uniform position of its row as it stands. Changes
+    try every event after the inserts and redraw its activity and
+    attributes. New events, inserts first and then changes, each in
+    row-major order, take one activity draw and one attribute block: RM
+    draws clipped standard normals, SBM samples the feasibility model
+    conditioned on the new activity. The mutated rows are gathered at once.
     """
-    if not bred.scripts:
-        return
-    max_len, feature_dim = features.shape[1:]
-    acts = np.array(bred.acts, dtype=np.int64)
+    n_rows, max_len = ids.shape
+    frame = np.arange(max_len)
+    deleted = (rng.random((n_rows, max_len)) < rates.delete) & (frame < lengths[:, np.newaxis])
+    emptied = np.flatnonzero(deleted.sum(axis=1) == lengths)
+    deleted[emptied, lengths[emptied] - 1] = False
+    survivors = lengths - deleted.sum(axis=1)
+    inserted = rng.random((n_rows, max_len)) < rates.insert
+    inserted &= frame < (max_len - survivors)[:, np.newaxis]
+    n_inserts = inserted.sum(axis=1)
+    # the k-th insert of a row lands among its survivors and k earlier inserts
+    firsts = np.cumsum(n_inserts) - n_inserts
+    rank = np.arange(n_inserts.sum()) - np.repeat(firsts, n_inserts)
+    positions = rng.integers(0, np.repeat(survivors, n_inserts) + rank + 1).tolist()
+    grown = survivors + n_inserts
+    changed = (rng.random((n_rows, max_len)) < rates.change) & (frame < grown[:, np.newaxis])
+    encoder = feas_model.encoder
+    acts = rng.integers(1, encoder.vocab_size + 1, size=len(positions) + changed.sum())
     if kind == "SBM":
-        u = np.array(bred.draws).reshape(len(acts), feas_model._draws_per_event)
-        rows = markov_mod.sample_attributes(feas_model, acts, u)
+        rows = markov_mod.sample_attributes(
+            feas_model, acts, rng.random((len(acts), feas_model._draws_per_event))
+        )
     else:
-        rows = np.array(bred.draws).reshape(len(acts), feature_dim)
-    children = [child for child, _ in bred.scripts]
+        rows = np.clip(rng.standard_normal((len(acts), encoder.feature_dim)), 0.0, 1.0)
+    touched = np.flatnonzero(deleted.any(axis=1) | (n_inserts > 0) | changed.any(axis=1))
+    if not len(touched):
+        return
     # new event e is cell ids.size + e of the table, the padding cell the one after them
-    cells = np.full((len(children), max_len), ids.size + len(acts))
-    for row, (child, script) in zip(cells, bred.scripts):
-        row[: len(script)] = [child * max_len + s if s >= 0 else ids.size - 1 - s for s in script]
-        lengths[child] = len(script)
-    _gather(ids, features, children, cells, acts, rows)
+    cells = np.full((len(touched), max_len), ids.size + len(acts))
+    inserts = iter(zip(positions, range(ids.size, ids.size + len(positions))))
+    changes = iter(range(ids.size + len(positions), ids.size + len(acts)))
+    for row, child, n, gone, hits, flips in zip(
+        cells, touched.tolist(), lengths[touched].tolist(), deleted[touched].tolist(),
+        n_inserts[touched].tolist(), changed[touched].tolist(),
+    ):
+        script = [child * max_len + t for t in range(n) if not gone[t]]
+        for _ in range(hits):
+            position, event = next(inserts)
+            script.insert(position, event)
+        for t, flip in enumerate(flips):
+            if flip:
+                script[t] = next(changes)
+        row[: len(script)] = script
+    lengths[touched] = grown[touched]
+    _gather(ids, features, touched, cells, acts, rows)
 
 
 def recombine(
@@ -675,16 +472,11 @@ def evolve(
     stats: list[CycleStats] = []
     for cycle in range(1, config.cycles + 1):
         parents = select(config.selector, population, config.offspring_per_cycle, rng)
-        # the offspring block starts as the parents' rows; one walk of the
-        # generator's stream draws the cycle's crossovers and mutations, and
-        # each operator then applies its draws to the whole block
+        # the offspring block starts as the parents' rows; each operator
+        # draws its arrays and applies them to the whole block
         ids, features, lengths = (column[parents] for column in population.frame)
-        bred = _breed(
-            lengths.tolist(), ids.shape[1], config.crosser, config.uc_rate, config.mutator,
-            config.mutation_rates, feas_model, rng,
-        )
-        crossover(ids, features, lengths, bred)
-        mutate(config.mutator, ids, features, lengths, bred, feas_model)
+        crossover(config.crosser, ids, features, lengths, rng, config.uc_rate)
+        mutate(config.mutator, ids, features, lengths, config.mutation_rates, feas_model, rng)
         mutants = Population(ids, features, lengths, scorer.score_batch(ids, features, lengths))
         population = recombine(config.recombiner, population, mutants, config.population_size)
         stats.append(_cycle_stats(cycle, population))

@@ -25,7 +25,7 @@ from evocf.event_log import (
     split_train_test,
     synthesize_log,
 )
-from evocf.evolution import FITNESS_FLOOR, CycleStats, _breed, crossover, mutate
+from evocf.evolution import FITNESS_FLOOR, CycleStats, crossover, mutate
 from evocf.viability import (
     _BACKTRACE_TOLERANCE,
     FEATURE_DIFF_TOLERANCE,
@@ -215,18 +215,16 @@ def scored(population):
 
 
 def cross_genomes(kind, parent_a, parent_b, rng, uc_rate=None):
-    """The breeding walk and crossover on a one-pair block; the children as EncodedTraces."""
+    """crossover on a one-pair block; the children as EncodedTraces."""
     frame = log_of([parent_a, parent_b]).frame
-    bred = _breed(frame[2].tolist(), parent_a.max_len, kind, uc_rate, None, None, None, rng)
-    crossover(*frame, bred)
+    crossover(kind, *frame, rng, uc_rate)
     return tuple(genomes_of(*frame))
 
 
 def mutate_genome(kind, genome, rates, feas_model, rng):
-    """The breeding walk and mutate on a one-child block of the genome's row; the mutant."""
+    """mutate on a one-child block of the genome's row; the mutant."""
     frame = log_of([genome]).frame
-    bred = _breed(frame[2].tolist(), genome.max_len, None, None, kind, rates, feas_model, rng)
-    mutate(kind, *frame, bred, feas_model)
+    mutate(kind, *frame, rates, feas_model, rng)
     return genomes_of(*frame)[0]
 
 
@@ -308,12 +306,12 @@ def reference_select(kind, population, sample_size, rng):
         parents = [population[i] for i in chosen]
     elif kind == "TS":
         parents = []
-        for _ in range(sample_size):
-            i, j = rng.integers(0, len(population), size=2)
+        firsts, seconds = rng.integers(0, len(population), size=(2, sample_size)).tolist()
+        for i, j, u in zip(firsts, seconds, rng.random(sample_size).tolist()):
             first, second = population[i], population[j]
             f_first = max(first[1].total, FITNESS_FLOOR)
             f_second = max(second[1].total, FITNESS_FLOOR)
-            parents.append(first if rng.random() < f_first / (f_first + f_second) else second)
+            parents.append(first if u < f_first / (f_first + f_second) else second)
     else:
         order = sorted(range(len(population)), key=lambda i: -population[i][1].total)
         parents = [population[i] for i in order[:sample_size]]
@@ -321,62 +319,87 @@ def reference_select(kind, population, sample_size, rng):
     return list(zip(genomes[0::2], genomes[1::2]))
 
 
-def reference_crossover(kind, parent_a, parent_b, rng, uc_rate=None):
-    """crossover of two genome objects: one mask, two np.where children cut at their first PAD."""
-    max_len = parent_a.max_len
+def reference_crossover(kind, pairs, rng, uc_rate=None):
+    """crossover over (genome, genome) pairs: the block's draws, then each child event by event.
+
+    A child takes its own parent's event where it keeps the cell and its
+    partner's elsewhere, and ends at the first cell its source has no event in.
+    """
+    max_len = pairs[0][0].max_len
     if max_len < 2:
-        return parent_a, parent_b
-    frame = np.arange(max_len)
+        return [genome for pair in pairs for genome in pair]
     if kind == "UC":
-        mask = rng.random(max_len) < uc_rate
-    elif kind == "OPC":
-        mask = frame < int(rng.integers(1, max_len))
+        keeps = (rng.random((len(pairs), max_len)) < uc_rate).tolist()
     else:
-        lo, hi = np.sort(rng.choice(frame[1:], size=2, replace=False)).tolist()
-        mask = (frame < lo) | (frame >= hi)
+        firsts = rng.integers(1, max_len, size=len(pairs)).tolist()
+        cuts = [(first, max_len) for first in firsts]
+        if kind == "TPC":
+            # the second cut skips the first, so the two are distinct
+            seconds = rng.integers(1, max_len - 1, size=len(pairs)).tolist()
+            cuts = [sorted((a, b + 1 if b >= a else b)) for a, b in zip(firsts, seconds)]
+        keeps = [[t < lo or t >= hi for t in range(max_len)] for lo, hi in cuts]
 
-    def child(first, second):
-        ids = np.where(mask, first.activity_ids, second.activity_ids)
-        features = np.where(mask[:, None], first.features, second.features)
-        pads = np.flatnonzero(ids == PAD_ID)
-        length = int(pads[0]) if len(pads) else max_len
-        ids[length:] = PAD_ID
-        features[length:] = 0.0
-        return EncodedTrace(ids, features, length, 0, "cf")
+    def child(own, other, keep):
+        ids, rows = [], []
+        for t, kept in enumerate(keep):
+            source = own if kept else other
+            if t >= source.valid_len:
+                break
+            ids.append(int(source.activity_ids[t]))
+            rows.append(source.features[t])
+        return reference_genome(ids, rows, max_len, own.features.shape[1])
 
-    return child(parent_a, parent_b), child(parent_b, parent_a)
+    children = []
+    for (a, b), keep in zip(pairs, keeps):
+        children += [child(a, b, keep), child(b, a, keep)]
+    return children
 
 
-def reference_mutate(kind, genome, rates, feas_model, rng):
-    """mutate as a per-position loop that draws one double at a time."""
-    vocab_size = feas_model.encoder.vocab_size
-    max_len = genome.max_len
-    feature_dim = genome.features.shape[1]
+def reference_mutate(kind, genomes, rates, feas_model, rng):
+    """mutate over a list of genome objects: the block's draws, applied genome by genome to lists.
 
-    def draw_row(activity_id):
-        if kind == "RM":
-            return np.clip(rng.standard_normal(feature_dim), 0.0, 1.0)
-        return reference_sample_attributes(feas_model, activity_id, rng)
-
-    ids = genome.activity_ids[: genome.valid_len].tolist()
-    rows = [genome.features[t] for t in range(genome.valid_len)]
-    remove = rng.random(len(ids)) < rates.delete
-    if remove.all():
-        remove[-1] = False
-    ids = [a for a, r in zip(ids, remove) if not r]
-    rows = [row for row, r in zip(rows, remove) if not r]
-    for _ in range(max_len - len(ids)):
-        if rng.random() < rates.insert:
-            position = int(rng.integers(0, len(ids) + 1))
-            activity = int(rng.integers(1, vocab_size + 1))
-            ids.insert(position, activity)
-            rows.insert(position, draw_row(activity))
-    flip = rng.random(len(ids)) < rates.change
-    for t in np.flatnonzero(flip):
-        activity = int(rng.integers(1, vocab_size + 1))
-        ids[t] = activity
-        rows[t] = draw_row(activity)
-    return reference_genome(ids, rows, max_len, feature_dim)
+    Each genome's events are (activity, feature row) pairs. New events take
+    their activities and rows in order, the inserts of every genome first,
+    then the changes; an RM row is one standard_normal call per event and an
+    SBM row one reference_sample_attributes call, which read the generator
+    as the engine's single block draw does.
+    """
+    max_len = genomes[0].max_len
+    feature_dim = genomes[0].features.shape[1]
+    delete_u = rng.random((len(genomes), max_len)).tolist()
+    insert_u = rng.random((len(genomes), max_len)).tolist()
+    mutants = []
+    for genome, u in zip(genomes, delete_u):
+        events = [(int(genome.activity_ids[t]), genome.features[t]) for t in range(genome.valid_len)]
+        mutants.append([event for event, x in zip(events, u) if x >= rates.delete] or events[-1:])
+    hits = [
+        sum(x < rates.insert for x in u[: max_len - len(events)])
+        for events, u in zip(mutants, insert_u)
+    ]
+    highs = [len(events) + k + 1 for events, n in zip(mutants, hits) for k in range(n)]
+    positions = iter(rng.integers(0, np.array(highs, dtype=np.int64)).tolist())
+    change_u = rng.random((len(genomes), max_len)).tolist()
+    flips = [
+        [x < rates.change for x in u[: len(events) + n]]
+        for events, n, u in zip(mutants, hits, change_u)
+    ]
+    acts = rng.integers(1, feas_model.encoder.vocab_size + 1, size=sum(hits) + sum(map(sum, flips)))
+    if kind == "RM":
+        rows = [np.clip(rng.standard_normal(feature_dim), 0.0, 1.0) for _ in acts]
+    else:
+        rows = [reference_sample_attributes(feas_model, a, rng) for a in acts.tolist()]
+    new_events = iter(zip(acts.tolist(), rows))
+    for events, n in zip(mutants, hits):
+        for _ in range(n):
+            events.insert(next(positions), next(new_events))
+    for events, flip in zip(mutants, flips):
+        for t in range(len(events)):
+            if flip[t]:
+                events[t] = next(new_events)
+    return [
+        reference_genome([a for a, _ in events], [row for _, row in events], max_len, feature_dim)
+        for events in mutants
+    ]
 
 
 def reference_recombine(kind, population, mutants, max_size):
@@ -432,15 +455,11 @@ def reference_evolve(factual, config, predictor, feas_model, log):
     )
     stats = []
     for cycle in range(1, config.cycles + 1):
-        offspring = []
-        for parent_a, parent_b in reference_select(
-            config.selector, population, config.offspring_per_cycle, rng
-        ):
-            children = reference_crossover(config.crosser, parent_a, parent_b, rng, config.uc_rate)
-            for child in children:
-                offspring.append(
-                    reference_mutate(config.mutator, child, config.mutation_rates, feas_model, rng)
-                )
+        pairs = reference_select(config.selector, population, config.offspring_per_cycle, rng)
+        children = reference_crossover(config.crosser, pairs, rng, config.uc_rate)
+        offspring = reference_mutate(
+            config.mutator, children, config.mutation_rates, feas_model, rng
+        )
         mutants = reference_scored(scorer, offspring)
         population = reference_recombine(
             config.recombiner, population, mutants, config.population_size

@@ -38,8 +38,10 @@ from evocf.evolution import (
     _cycle_stats,
     _random_genomes,
     _sampled_genomes,
+    crossover,
     evolve,
     initialize,
+    mutate,
     parse_config_name,
     recombine,
     select,
@@ -474,17 +476,21 @@ def test_mutate_equals_per_position_reference(kind, rates, synth_setup):
         encoder = model.encoder
         source = np.random.default_rng(41)
         ours, reference = np.random.default_rng(42), np.random.default_rng(42)
-        # every valid_len, the full frame (no free slot) included
+        # every valid_len, the full frame (no free slot) included, in blocks
+        # of one genome and of every genome at once
+        genomes = []
         for valid_len in range(1, encoder.max_len + 1):
             for _ in range(4):
                 acts = source.integers(1, encoder.vocab_size + 1, size=valid_len).tolist()
                 rows = sample_attribute_rows(model, acts, source)
-                genome = make_encoded(acts, rows, encoder.max_len, outcome=1, case_id="x")
-                got = mutate_genome(kind, genome, rates, model, ours)
-                want = reference_mutate(kind, genome, rates, model, reference)
-                assert encoded_equal(got, want)
-                assert got.activity_ids.dtype == want.activity_ids.dtype
-                assert ours.bit_generator.state == reference.bit_generator.state
+                genomes.append(make_encoded(acts, rows, encoder.max_len, outcome=1, case_id="x"))
+        for block in [[genome] for genome in genomes[::5]] + [genomes]:
+            frame = log_of(block).frame
+            mutate(kind, *frame, rates, model, ours)
+            want = reference_mutate(kind, block, rates, model, reference)
+            assert equal_genomes(genomes_of(*frame), want)
+            assert frame[0].dtype == want[0].activity_ids.dtype
+            assert ours.bit_generator.state == reference.bit_generator.state
 
 
 def test_initial_genomes_equal_per_event_reference(synth_setup):
@@ -651,7 +657,7 @@ class MeanPredictor:
 def test_frame_engine_equals_the_object_engine_on_short_frames(name, max_len, monkeypatch):
     # max_len 1 crosses nothing; at max_len 2 OPC's cut integers(1, 2) draws
     # nothing and TPC cannot pick two cut points: evolve refuses the config,
-    # and the object engine's choice raises
+    # and the object engine's draw of a second cut raises
     rng = np.random.default_rng(max_len)
     log = log_of([
         make_encoded(rng.integers(1, 4, size=n).tolist(), rng.random((n, 1)), max_len)
@@ -692,90 +698,132 @@ def test_tpc_on_a_frame_of_two_is_refused_before_any_draw():
     assert len(asked) == 1
 
 
-# ---------------------------------------------------------------------------
-# the breeding stream against the generator it reads
-
-
-# (lo, hi) of integers draws: ranges 1, 2, a frame, a vocabulary, and two
-# 32-bit ranges; 2**31 + 1 rejects about half of its draws
-INTEGER_RANGES = [(4, 5), (0, 2), (1, 20), (1, 6), (0, 2**31 + 1), (7, 7 + 2**32 - 1)]
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize("ahead", [0, 5, 4096])
-def test_stream_draws_equal_the_generator_calls(seed, ahead):
-    script = np.random.default_rng(1000 + seed)
-    ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    if seed % 2:
-        # start with a half-word in the generator's buffer
-        ours.integers(0, 9)
-        reference.integers(0, 9)
-    for _ in range(30):
-        stream = evolution._Stream(ours)
-        stream.ahead = ahead
-        got, want = [], []
-        for _ in range(int(script.integers(1, 60))):
-            op = int(script.integers(0, 8))
-            if op < 3:
-                k = int(script.integers(0, 25))
-                got.append(stream.doubles(k))
-                want.append(reference.random(k).tolist())
-            elif op < 7:
-                lo, hi = INTEGER_RANGES[int(script.integers(0, len(INTEGER_RANGES)))]
-                got.append(stream.integers(lo, hi))
-                want.append(int(reference.integers(lo, hi)))
-            else:
-                got.append(stream.escape(lambda g: g.standard_normal(2).tolist()))
-                want.append(reference.standard_normal(2).tolist())
-        stream.sync()
-        assert got == want
-        assert ours.bit_generator.state == reference.bit_generator.state
-
-
-@pytest.mark.parametrize("max_len", [3, 4, 7, 20, 1000])
-def test_tpc_cuts_equal_the_generator_choice(max_len):
-    for seed in range(200):
-        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        if seed % 2:
-            # start with a half-word in the generator's buffer
-            ours.integers(0, 9)
-            reference.integers(0, 9)
-        stream = evolution._Stream(ours)
-        got = evolution._two_cuts(stream, max_len)
-        stream.sync()
-        want = np.sort(reference.choice(np.arange(1, max_len), size=2, replace=False)).tolist()
-        assert got == want
-        assert ours.bit_generator.state == reference.bit_generator.state
-
-
 @pytest.mark.parametrize("pass_", ["delete", "insert", "change"])
 @pytest.mark.parametrize("tie_at", ["smallest", "middle"])
 def test_a_double_equal_to_a_mutation_rate_is_not_a_hit(pass_, tie_at):
-    # a genome of n events in a frame of 6: its delete, insert and change
-    # passes read doubles 0..n-1, n..5 and 6..6+n-1 when nothing is hit
+    # a genome of n events in a frame of 6 draws three blocks of 6 doubles;
+    # when nothing is hit its delete, insert and change passes read doubles
+    # 0..n-1, 6..11-n and 12..11+n
     _, model, _ = training_setup()
     genome = t([1, 2, 3], [0.1, 0.5, 0.9])
     n, max_len = genome.valid_len, genome.max_len
-    u = np.random.default_rng(61).random(max_len + n).tolist()
-    doubles = {"delete": u[:n], "insert": u[n:max_len], "change": u[max_len:]}[pass_]
+    u = np.random.default_rng(61).random(3 * max_len).tolist()
+    doubles = {
+        "delete": u[:n],
+        "insert": u[max_len : 2 * max_len - n],
+        "change": u[2 * max_len : 2 * max_len + n],
+    }[pass_]
     # the smallest double of the pass, so nothing is hit; or its middle one, so a draw below it is
     tie = sorted(doubles)[0 if tie_at == "smallest" else len(doubles) // 2]
     rates = replace(MutationRates(0.0, 0.0, 0.0), **{pass_: tie})
     ours, reference = np.random.default_rng(61), np.random.default_rng(61)
     got = mutate_genome("SBM", genome, rates, model, ours)
-    assert encoded_equal(got, reference_mutate("SBM", genome, rates, model, reference))
+    (want,) = reference_mutate("SBM", [genome], rates, model, reference)
+    assert encoded_equal(got, want)
     assert ours.bit_generator.state == reference.bit_generator.state
+    hits = sum(x < tie for x in doubles)
+    assert hits == (0 if tie_at == "smallest" else len(doubles) // 2)
     if tie_at == "smallest":
         assert encoded_equal(got, genome)
+    elif pass_ == "delete":
+        assert got.valid_len == n - hits
+    elif pass_ == "insert":
+        assert got.valid_len == n + hits
 
 
 def test_a_double_equal_to_the_uc_rate_takes_the_other_parent():
     a = t([3, 1, 2, 3, 2, 1], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
     b = t([2, 3, 1, 1, 3, 2], [0.9, 0.8, 0.7, 0.6, 0.5, 0.4])
-    u = np.random.default_rng(62).random(a.max_len).tolist()
+    # a one-pair block draws one row of max_len doubles
+    u = np.random.default_rng(62).random((1, a.max_len))[0].tolist()
     for tie in u:
         got = cross_genomes("UC", a, b, np.random.default_rng(62), uc_rate=tie)
-        want = reference_crossover("UC", a, b, np.random.default_rng(62), uc_rate=tie)
+        want = reference_crossover("UC", [(a, b)], np.random.default_rng(62), uc_rate=tie)
         assert all(encoded_equal(x, y) for x, y in zip(got, want))
         position = u.index(tie)
         assert got[0].activity_ids[position] == b.activity_ids[position]
+
+
+# ---------------------------------------------------------------------------
+# the distributions of the breeding draws, at a fixed seed: each bound is 4
+# standard deviations of a binomial count, or of a chi-square statistic
+
+
+def within_four_sigma(count, trials, p, mean=None):
+    """count lies within 4 binomial standard deviations of its mean (trials * p by default)."""
+    mean = trials * p if mean is None else mean
+    return abs(count - mean) <= 4 * np.sqrt(trials * p * (1 - p))
+
+
+def uniform_fit(counts):
+    """The chi-square statistic of counts against a uniform lies within 4 sd of its df."""
+    counts = np.asarray(counts, dtype=float)
+    expected = counts.sum() / len(counts)
+    df = len(counts) - 1
+    return ((counts - expected) ** 2 / expected).sum() <= df + 4 * np.sqrt(2 * df)
+
+
+def test_crossover_draws_follow_their_distributions():
+    # full-frame parents: every cell of a holds activity 1, every cell of b activity 2,
+    # so a child of a takes b's cells exactly where it does not keep its own
+    pairs, max_len = 3000, 8
+    rng = np.random.default_rng(2023)
+
+    def crossed(kind, uc_rate=None):
+        ids = np.tile([[1], [2]], (pairs, max_len))
+        lengths = np.full(2 * pairs, max_len)
+        crossover(kind, ids, np.zeros((2 * pairs, max_len, 1)), lengths, rng, uc_rate)
+        assert lengths.tolist() == [max_len] * (2 * pairs)
+        assert (ids[0::2] + ids[1::2] == 3).all()
+        return ids[0::2] == 2
+
+    taken = crossed("UC", 0.3)
+    assert within_four_sigma((~taken).sum(), taken.size, 0.3)
+    # OPC keeps the cells before a cut in 1..max_len-1
+    taken = crossed("OPC")
+    cuts = (~taken).sum(axis=1)
+    assert (taken == (np.arange(max_len) >= cuts[:, np.newaxis])).all()
+    assert uniform_fit(np.bincount(cuts, minlength=max_len)[1:])
+    # TPC takes the cells lo..hi-1 for a pair of distinct cuts 1 <= lo < hi <= max_len-1
+    taken = crossed("TPC")
+    lo, hi = taken.argmax(axis=1), max_len - taken[:, ::-1].argmax(axis=1)
+    assert (taken.sum(axis=1) == hi - lo).all()
+    assert ((1 <= lo) & (lo < hi) & (hi <= max_len - 1)).all()
+    assert uniform_fit(
+        [np.sum((lo == a) & (hi == b)) for a in range(1, max_len) for b in range(a + 1, max_len)]
+    )
+
+
+def test_mutation_draws_follow_their_distributions():
+    # genomes of 3 events in a frame of 6, each event marked by its feature;
+    # RM's clipped normal rows never repeat a mark, so a new event shows
+    _, model, _ = training_setup()
+    children, n, max_len, p = 20_000, 3, 6, 0.2
+    marks = np.array([0.11, 0.22, 0.33])
+    rng = np.random.default_rng(2024)
+
+    def mutated(rates):
+        ids = np.zeros((children, max_len), dtype=np.int64)
+        ids[:, :n] = [1, 2, 3]
+        features = np.zeros((children, max_len, 1))
+        features[:, :n, 0] = marks
+        lengths = np.full(children, n)
+        mutate("RM", ids, features, lengths, rates, model, rng)
+        return features[:, :, 0], lengths
+
+    # deletes: n trials a child; one that deletes all 3 keeps its last event
+    _, lengths = mutated(MutationRates(0.0, p, 0.0))
+    assert within_four_sigma(
+        (n - lengths).sum(), n * children, p, mean=children * (n * p - p**n)
+    )
+    # inserts: one trial per free slot, each hit at a uniform position among n + 1
+    features, lengths = mutated(MutationRates(p, 0.0, 0.0))
+    assert within_four_sigma((lengths - n).sum(), (max_len - n) * children, p)
+    single = features[lengths == n + 1, : n + 1]
+    positions = (~np.isin(single, marks)).argmax(axis=1)
+    assert (np.isin(single, marks).sum(axis=1) == n).all()
+    assert uniform_fit(np.bincount(positions, minlength=n + 1))
+    # changes: n trials a child, each a fresh event in place
+    features, lengths = mutated(MutationRates(0.0, 0.0, p))
+    assert (lengths == n).all()
+    assert within_four_sigma((features[:, :n] != marks).sum(), n * children, p)

@@ -18,20 +18,20 @@ from evocf.harness import ExperimentSpec, SyntheticSpec, prepare_experiment, run
 # each of RI SBI CBI, RWS TS ES, UC (at rate 0.3) OPC TPC, RM SBM and FSR BBR RR
 BENCHMARK_CONFIGS = ("RI-RWS-UC3-RM-FSR", "SBI-TS-OPC-SBM-BBR", "CBI-ES-TPC-RM-RR")
 BENCHMARK = {
-    "candidates.csv": "bb7f4ca31ddec03df69ebcf24941d8a8be088269506eba20b4c6386e65e34af8",
-    "trajectories.csv": "a00a44e4284e75ed10a4bb518c8f755750594211aab42fbab90404c618f36c7a",
-    "benchmark_report.json": "c71e77aa678bbfde44054e9bc96070369308209c4d5564b366c2aa1ad2cce412",
+    "candidates.csv": "d72a8c2ce4d9eee3f57e2d7406a410e1920528c2f160501f20361f78fcd42209",
+    "trajectories.csv": "48a6aaba3ad1d7af763b51cc2977ed75f50c9c1b79c10eeb3b4e355fc39fc8ae",
+    "benchmark_report.json": "fd974f51b8b808c3ff872e9b09c4ffd8ec07a802a694919428a1613478a8e0b7",
 }
 GENERATE = {
     "CBI-RWS-OPC-SBM-FSR": {
-        "counterfactuals.csv": "4fe49f82b90730b49d0eac339965334479997d86f7f831c2a8daf9c14269b50a",
-        "counterfactual_events.csv": "4a58f3c3c893d29f0700256c9f2671e4eb2183b3785863811a1ef90b2a0d44cd",
-        "best_render.md": "33fc8c83fee578ce61ea49ba2224a5313e94fd63640517f7c4bff91a8ad5ccdd",
+        "counterfactuals.csv": "e813f6eed802700476ca87a89e3a4dbed849ce92df55712f6c36bfa31666ba32",
+        "counterfactual_events.csv": "f798c4ac12204b648a10dd19e4aa19c2995978950dda314632167f573f8c96ec",
+        "best_render.md": "c0708699251f99cb1888ca5c3c8a162c22e31988db826cd87dae04d68dcf55cb",
     },
     "SBI-TS-TPC-RM-BBR": {
-        "counterfactuals.csv": "6dde0458e3bd3bf696d78c6390d23264e56f3fe88e9fe6dfc38d9feba593105b",
-        "counterfactual_events.csv": "2e32ed7fca3d7e70450475aaa29bceb9b7bfc78e3d559206e8c59d7d3b8610da",
-        "best_render.md": "6c94e2ea91e95ce723fef06244f6f7a8a0ed01359c32e4e7d4d8a7774a9bb403",
+        "counterfactuals.csv": "a65ce419fdc85d7791b91f8a386ff47483a8c0542b605019c79f2e33a25ebae1",
+        "counterfactual_events.csv": "6969d1aae1d159a077cc27875ccc0727636216ca43696840c080242a8a9f05b8",
+        "best_render.md": "51ab0d0e6b5c4b247acb3120bf84c9506db4ba67a54e2bc57af4c197587463ba",
     },
     "CBGW": {
         "counterfactuals.csv": "40551fe1e4ec09d674f3c2fb24c4bdd9d64ca6f366798d6409039f6435ce21fd",

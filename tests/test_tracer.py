@@ -62,7 +62,7 @@ def test_layer_metrics_count_the_engine_calls(traced_run):
     spec, tracer = traced_run
     layers = tracer.layer_metrics(1, 1.0)
     evolutionary_jobs = len(spec.config_names) * spec.n_factuals
-    # crossover and mutate each apply one cycle's draws to its whole offspring block
+    # crossover and mutate each draw and breed one cycle's whole offspring block
     assert layers["evolution.mutate.calls"] == evolutionary_jobs * spec.cycles
     assert layers["evolution.crossover.busy_s"] > 0
     assert layers["predictor.calls"] > 0
