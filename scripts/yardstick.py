@@ -10,11 +10,12 @@ generator the report gives, as the median and the min-max over the seeds:
 - median_total: the median total viability of the generator's candidate rows
   (the `medians` entry of benchmark_report.json);
 - margin_over_cbgw: median_total minus CBGW's median_total;
-- flip_share: the share of its rank-1 rows (one per factual) with delta > 0.
+- flip_share: the share of its rank-1 rows (one per factual) with delta > 0;
+- delta_share: the share of all its candidate rows with delta > 0.
 
-Each seed also records the sha256 of the three output files and of the
-baseline rows of candidates.csv (header included), so two trees that should
-draw the same baselines can be compared row for row.
+Each seed also records the sha256 of the three output files and, per
+generator, of its rows of candidates.csv (header included), so two trees
+that should draw the same rows for a generator can be compared row for row.
 
     python scripts/yardstick.py --side parent=PARENT/src --side change=src \\
         --seeds 0-9 --out QUALITY.json
@@ -38,9 +39,8 @@ import time
 from pathlib import Path
 
 CONFIGS = ("CBI-ES-UC3-SBM-RR", "CBI-RWS-OPC-SBM-FSR")
-BASELINES = ("RGW", "SBGW", "CBGW")
 OUTPUTS = ("benchmark_report.json", "candidates.csv", "trajectories.csv")
-METRICS = ("median_total", "margin_over_cbgw", "flip_share")
+METRICS = ("median_total", "margin_over_cbgw", "flip_share", "delta_share")
 
 
 def _sha256(data: bytes) -> str:
@@ -67,14 +67,16 @@ def run_seed(seed: int, out_dir: Path) -> dict:
     report = run_benchmark(spec)
     wall_s = time.perf_counter() - started
     flips: dict[str, list[bool]] = {}
+    deltas: dict[str, list[bool]] = {}
     for row in report.candidate_rows:
+        deltas.setdefault(row.generator, []).append(row.score.delta > 0)
         if row.rank == 1:
             flips.setdefault(row.generator, []).append(row.score.delta > 0)
     lines = (out_dir / "candidates.csv").read_text().splitlines(keepends=True)
     column = next(csv.reader(lines[:1])).index("generator")
-    baseline_rows = lines[:1] + [
-        line for line, row in zip(lines[1:], csv.reader(lines[1:])) if row[column] in BASELINES
-    ]
+    rows: dict[str, list[str]] = {}
+    for line, row in zip(lines[1:], csv.reader(lines[1:])):
+        rows.setdefault(row[column], [lines[0]]).append(line)
     return {
         "evocf": evocf.__file__,
         "wall_s": wall_s,
@@ -83,11 +85,12 @@ def run_seed(seed: int, out_dir: Path) -> dict:
                 "median_total": median,
                 "margin_over_cbgw": median - report.medians["CBGW"],
                 "flip_share": sum(flips[name]) / len(flips[name]),
+                "delta_share": sum(deltas[name]) / len(deltas[name]),
             }
             for name, median in report.medians.items()
         },
         "digests": {name: _sha256((out_dir / name).read_bytes()) for name in OUTPUTS},
-        "baseline_rows_sha256": _sha256("".join(baseline_rows).encode()),
+        "rows_sha256": {name: _sha256("".join(text).encode()) for name, text in rows.items()},
     }
 
 

@@ -23,14 +23,8 @@ import numpy as np
 from . import predictor as predictor_mod
 from .errors import ConfigurationError, EvocfError
 from .event_log import (
-    EncodedTrace,
-    Event,
     PlantedRule,
-    Trace,
-    decode,
     decode_rows,
-    encode,
-    fit_encoder,
     load_csv,
     load_schema_config,
     synthesize_log,
@@ -44,14 +38,14 @@ from .harness import (
     SyntheticSpec,
     _candidate_values,
     candidate_rows,
+    load_log,
     prepare_experiment,
-    render_counterfactual,
+    render_pair,
     run_benchmark,
     run_grid,
     run_job,
 )
 from .predictor import DECISION_THRESHOLD
-from .viability import ssdld
 
 
 def _add_data_arguments(parser, require_out=False):
@@ -242,7 +236,6 @@ def cmd_generate(args) -> int:
     # the render batch: the factual's row, then the output candidates' rows
     batch = (np.concatenate(pair) for pair in zip(factual.frame, top.frame))
     p_factual, *p_top = prepared.predictor.predict_proba_batch(*batch)
-    best = EncodedTrace(top.ids[0], top.features[0], int(top.lengths[0]), 0, "cf")
     score = rows[0].score
     case_ids = [f"cf_{rank:03d}" for rank in range(1, len(top) + 1)]
     predicted = {case_id: int(p > DECISION_THRESHOLD) for case_id, p in zip(case_ids, p_top)}
@@ -259,17 +252,13 @@ def cmd_generate(args) -> int:
         writer.writerow(["case_id", "activity", "timestamp", "outcome", *names])
         writer.writerows(events)
 
-    # the best counterfactual as that file holds it, which is what
-    # render --counterfactual-log shows
-    best_events = tuple(
-        Event(activity, dict(zip(names, values)))
-        for _, activity, _, _, *values in events[: best.valid_len]
-    )
-    _, alignment = ssdld(factual, best, "euclidean", encoder.slices())
-    rendered = render_counterfactual(
-        decode(factual, encoder),
-        Trace("counterfactual", best_events, predicted[case_ids[0]]),
-        alignment,
+    # the best counterfactual as render --counterfactual-log shows it
+    log = load_log(spec)
+    rendered = render_pair(
+        log,
+        load_csv(out / "counterfactual_events.csv", log.schemas),
+        factual.case_id,
+        case_ids[0],
         p_factual=p_factual,
         p_counterfactual=p_top[0],
     )
@@ -344,26 +333,7 @@ def cmd_render(args) -> int:
     schemas = load_schema_config(args.schema)
     log = load_csv(args.log, schemas)
     cf_log = load_csv(args.counterfactual_log or args.log, schemas)
-    by_case = {t.case_id: t for t in log.traces}
-    cf_by_case = {t.case_id: t for t in cf_log.traces}
-    if args.factual not in by_case or args.counterfactual not in cf_by_case:
-        raise ConfigurationError(
-            f"factual {args.factual!r} or counterfactual {args.counterfactual!r} not found"
-        )
-    # a category only the counterfactual log holds (such as the empty cell
-    # generate writes for an RM code that decodes to no category) follows the
-    # log's own, so the encoder knows it and the log's codes stay as they are
-    joined = tuple(
-        dataclasses.replace(s, categories=tuple(dict.fromkeys(s.categories + cf.categories)))
-        for s, cf in zip(log.schemas, cf_log.schemas, strict=True)
-    )
-    encoder = fit_encoder(dataclasses.replace(log, schemas=joined))
-    factual = by_case[args.factual]
-    counterfactual = cf_by_case[args.counterfactual]
-    enc_f = encode(factual, encoder)
-    enc_c = encode(counterfactual, encoder)
-    _, alignment = ssdld(enc_f, enc_c, "euclidean", encoder.slices())
-    rendered = render_counterfactual(factual, counterfactual, alignment)
+    rendered = render_pair(log, cf_log, args.factual, args.counterfactual)
     if args.out:
         Path(args.out).write_text(rendered)
     else:

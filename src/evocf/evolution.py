@@ -11,11 +11,11 @@ mutator, recombiner); the uniform crosser carries its rate as a digit, so
 Each cycle selects parents by fitness (total viability), crosses them over
 the padded gene frame, mutates the offspring with per-position insert/delete/
 change passes, scores the cycle's mutants as one batch, and recombines
-survivors back into the population. Selection, crossover and mutation each
-make their draws as a few Generator calls of fixed shape over the whole
-offspring block, and then apply them as array arithmetic. Termination is a
-fixed cycle count. All randomness flows through one seeded generator, so
-runs are reproducible bit for bit.
+survivors back into the population. Initiation, selection, crossover and
+mutation each make their draws as a few Generator calls of fixed shape over
+the whole population or offspring block, and then apply them as array
+arithmetic. Termination is a fixed cycle count. All randomness flows
+through one seeded generator, so runs are reproducible bit for bit.
 
 The reference generators RGW, SBGW and CBGW are zero-cycle runs: the RI, SBI
 and CBI initiators, scored and sorted by total viability.
@@ -182,29 +182,14 @@ class GenerationResult:
 
 
 def _random_genomes(rng: np.random.Generator, n: int, encoder: EncoderSpec) -> Frame:
-    """The frame of n uniformly random genomes, drawn one genome at a time."""
-    ids = np.zeros((n, encoder.max_len), dtype=np.int64)
-    features = np.zeros((n, encoder.max_len, encoder.feature_dim))
-    lengths = np.empty(n, dtype=np.int64)
-    for g in range(n):
-        length = lengths[g] = int(rng.integers(1, encoder.max_len + 1))
-        ids[g, :length] = rng.integers(1, encoder.vocab_size + 1, size=length)
-        # one fill draws the normals of length calls of size feature_dim, in order
-        features[g, :length] = np.clip(rng.standard_normal((length, encoder.feature_dim)), 0.0, 1.0)
-    return ids, features, lengths
-
-
-def _sampled_genomes(rng: np.random.Generator, feas_model: MarkovFeasibilityModel, n: int) -> Frame:
-    """The frame of n genomes sampled from the feasibility model."""
-    encoder = feas_model.encoder
-    lengths, acts, rows = markov_mod.sample_traces(feas_model, encoder.max_len, n, rng)
-    lengths = np.array(lengths, dtype=np.int64)
-    # the valid cells of the frame, row-major: the events in order
-    valid = np.arange(encoder.max_len) < lengths[:, None]
-    ids = np.zeros((n, encoder.max_len), dtype=np.int64)
-    features = np.zeros((n, encoder.max_len, encoder.feature_dim))
-    ids[valid] = acts
-    features[valid] = rows
+    """The frame of n uniformly random genomes: three blocks, then padding past each length."""
+    max_len = encoder.max_len
+    lengths = rng.integers(1, max_len + 1, size=n)
+    ids = rng.integers(1, encoder.vocab_size + 1, size=(n, max_len))
+    features = np.clip(rng.standard_normal((n, max_len, encoder.feature_dim)), 0.0, 1.0)
+    padding = np.arange(max_len) >= lengths[:, np.newaxis]
+    ids[padding] = PAD_ID
+    features[padding] = 0.0
     return ids, features, lengths
 
 
@@ -231,7 +216,7 @@ def initialize(
     if kind == "RI":
         frame = _random_genomes(rng, n, feas_model.encoder)
     elif kind == "SBI":
-        frame = _sampled_genomes(rng, feas_model, n)
+        frame = markov_mod.sample_traces(feas_model, feas_model.encoder.max_len, n, rng)
     elif kind == "CBI":
         if not log:
             raise ValueError("CBI initiation needs a non-empty log")

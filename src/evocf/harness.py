@@ -27,7 +27,9 @@ from .event_log import (
     EncodedLog,
     EncodedTrace,
     EncoderSpec,
+    EventLog,
     Trace,
+    encode,
     encode_log,
     fit_encoder,
     load_csv,
@@ -50,7 +52,7 @@ from .evolution import (
     generate_baseline,
     parse_config_name,
 )
-from .viability import EditAlignment, ViabilityScore
+from .viability import EditAlignment, ViabilityScore, ssdld
 
 DEFAULT_BENCHMARK_CONFIGS = ("CBI-ES-UC3-SBM-RR", "CBI-RWS-OPC-SBM-FSR")
 
@@ -180,6 +182,13 @@ def pick_factuals(test: EncodedLog, n: int, rng: np.random.Generator) -> Encoded
     return test.take(np.array(picked[:n], dtype=np.intp))
 
 
+def load_log(spec: ExperimentSpec) -> EventLog:
+    """The spec's whole event log: synthesized from its seed, or loaded from its CSV."""
+    if spec.synthetic is not None:
+        return synthesize_log(spec.synthetic.n_cases, spec.synthetic.n_activities, seed=spec.seed)
+    return load_csv(spec.log_path, load_schema_config(spec.schema_path))
+
+
 def prepare_experiment(
     spec: ExperimentSpec, predictor_factory=None
 ) -> PreparedExperiment:
@@ -188,14 +197,7 @@ def prepare_experiment(
     predictor_factory, when given, receives the fitted encoder and must return
     the outcome predictor to use; no internal model is trained in that case.
     """
-    if spec.synthetic is not None:
-        log = synthesize_log(
-            spec.synthetic.n_cases, spec.synthetic.n_activities, seed=spec.seed
-        )
-    else:
-        schemas = load_schema_config(spec.schema_path)
-        log = load_csv(spec.log_path, schemas)
-    log = preprocess(log, spec.max_trace_len)
+    log = preprocess(load_log(spec), spec.max_trace_len)
     train_log, test_log = split_train_test(log, spec.test_fraction, spec.seed)
     encoder = fit_encoder(train_log)
     train = encode_log(train_log, encoder)
@@ -575,3 +577,38 @@ def render_counterfactual(
                 f"| transpose | {_format_event(second_f)} | {_format_event(second_c)} |"
             )
     return "\n".join(lines) + "\n"
+
+
+def render_pair(
+    log: EventLog,
+    cf_log: EventLog,
+    factual_id: str,
+    counterfactual_id: str,
+    p_factual: float | None = None,
+    p_counterfactual: float | None = None,
+) -> str:
+    """render_counterfactual of case factual_id of log and case counterfactual_id of cf_log.
+
+    Both traces are encoded with one encoder fitted on log and aligned by
+    ssdld. A category only cf_log holds (such as the empty cell generate
+    writes for an RM code that decodes to no category) follows log's own,
+    so the encoder knows it and log's codes stay as they are.
+    """
+    by_case = {t.case_id: t for t in log.traces}
+    cf_by_case = {t.case_id: t for t in cf_log.traces}
+    if factual_id not in by_case or counterfactual_id not in cf_by_case:
+        raise ConfigurationError(
+            f"factual {factual_id!r} or counterfactual {counterfactual_id!r} not found"
+        )
+    joined = tuple(
+        replace(s, categories=tuple(dict.fromkeys(s.categories + cf.categories)))
+        for s, cf in zip(log.schemas, cf_log.schemas, strict=True)
+    )
+    encoder = fit_encoder(replace(log, schemas=joined))
+    factual, counterfactual = by_case[factual_id], cf_by_case[counterfactual_id]
+    _, alignment = ssdld(
+        encode(factual, encoder), encode(counterfactual, encoder), "euclidean", encoder.slices()
+    )
+    return render_counterfactual(
+        factual, counterfactual, alignment, p_factual=p_factual, p_counterfactual=p_counterfactual
+    )

@@ -13,30 +13,26 @@ and used to terminate sampling, but the feasibility product stops at the last
 real event and never includes an END factor.
 
 The model's fields are the dense tables feasibility reads; sampling reads
-CDFs that each model derives from them once.
+CDFs that each model derives from them once. sample_traces draws a whole
+batch of traces as two fixed-shape blocks of doubles, one for the activity
+chains and one for the events' attributes.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .event_log import PAD_ID, EncodedLog, EncodedTrace, EncoderSpec, NumericCodec, _cdf, _draw
+from .event_log import PAD_ID, EncodedLog, EncodedTrace, EncoderSpec, Frame, NumericCodec, _cdf, _draw
 
 END_ID = PAD_ID
 
 DEFAULT_SMOOTHING = 1e-6
 DEFAULT_BINS = 10
-
-# traces per block of doubles in sample_traces; the block is sized for the
-# longest traces, so a fixed chunk bounds its memory
-_TRACE_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -282,50 +278,27 @@ def sample_attributes(model: MarkovFeasibilityModel, acts: np.ndarray, u: np.nda
 
 def sample_traces(
     model: MarkovFeasibilityModel, max_len: int, n: int, rng: np.random.Generator
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """n times sample_sequence, each followed by the attribute draws of its events.
+) -> Frame:
+    """The frame (ids, features, lengths) of n traces sampled from the model.
 
-    Returns the n trace lengths, then the activity ids (E,) and attribute
-    rows (E, D) of all the events, the traces concatenated in order. Every
-    draw is one double: one per activity draw (END included), then k per
-    event. So a chunk of traces walks one block of doubles, sized for
-    traces that all reach max_len. The chains step with bisect_right on the
-    CDF rows as lists, which picks searchsorted's index, and the attribute
-    rows of all the events come from one sample_attributes call.
-    The generator is restored after each chunk and advanced by the doubles
-    used, so the sequences, the rows and the generator state equal those of
-    the per-trace calls.
+    One random((n, max_len)) block walks the n activity chains a column at a
+    time: column 0 picks each first activity from the initial CDF, column t
+    the next one from the transition CDF row of the activity at t - 1. A
+    pick is the count of CDF entries <= u, searchsorted(side="right"). END's
+    row is all 1.0, so a chain that draws END stays there and pads the rest
+    of its row. The E events, row-major, then take one random((E, k)) block
+    through sample_attributes.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     initial_cdf, transition_cdf = model._sequence_cdfs
-    initial, transition = initial_cdf.tolist(), transition_cdf.tolist()
-    k = model._draws_per_event
-    sequences: list[list[int]] = []
-    attribute_draws = []
-    for start in range(0, n, _TRACE_CHUNK):
-        size = min(_TRACE_CHUNK, n - start)
-        state = rng.bit_generator.state
-        block = rng.random(size * max_len * (1 + k))
-        u = block.tolist()
-        used = 0
-        for _ in range(size):
-            current = bisect.bisect_right(initial, u[used])
-            used += 1
-            sequence = [current]
-            while len(sequence) < max_len:
-                nxt = bisect.bisect_right(transition[current], u[used])
-                used += 1
-                if nxt == END_ID:
-                    break
-                sequence.append(nxt)
-                current = nxt
-            sequences.append(sequence)
-            attribute_draws.append(block[used : used + len(sequence) * k])
-            used += len(sequence) * k
-        rng.bit_generator.state = state
-        rng.random(used)
-    acts = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64)
-    draws = np.concatenate(attribute_draws) if attribute_draws else np.empty(0)
-    rows = sample_attributes(model, acts, draws.reshape(len(acts), k))
-    return [len(sequence) for sequence in sequences], acts, rows
+    u = rng.random((n, max_len))
+    ids = np.empty((n, max_len), dtype=np.int64)
+    ids[:, 0] = initial_cdf.searchsorted(u[:, 0], side="right")
+    for t in range(1, max_len):
+        ids[:, t] = (transition_cdf[ids[:, t - 1]] <= u[:, t, np.newaxis]).sum(axis=1)
+    events = ids != END_ID
+    features = np.zeros((n, max_len, model.encoder.feature_dim))
+    draws = rng.random((events.sum(), model._draws_per_event))
+    features[events] = sample_attributes(model, ids[events], draws)
+    return ids, features, events.sum(axis=1)

@@ -1,3 +1,4 @@
+import bisect
 import math
 import os
 import statistics
@@ -192,12 +193,37 @@ def sample_attribute_rows(model, activity_ids, rng):
     return markov_mod.sample_attributes(model, acts, rng.random((len(acts), model._draws_per_event)))
 
 
-def sampled_genome(rng, feas_model):
-    """One SBI genome as the per-genome calls draw it: its activity chain, then its attributes."""
+def sampled_genomes(rng, feas_model, n):
+    """n SBI genomes as sample_traces draws them, read one genome at a time with lists.
+
+    Genome g's chain walks row g of one random((n, max_len)) block with
+    bisect_right on the CDFs as lists: the first double picks the first
+    activity, each next one the successor, until END or the frame's end.
+    Then each event in turn, genome by genome, draws its attributes with
+    reference_sample_attributes, which reads the doubles of the engine's
+    random((E, k)) block in the same order.
+    """
     encoder = feas_model.encoder
-    ids = markov_mod.sample_sequence(feas_model, encoder.max_len, rng)
-    rows = sample_attribute_rows(feas_model, ids, rng)
-    return make_encoded(ids, rows, encoder.max_len, outcome=0, case_id="cf")
+    initial_cdf, transition_cdf = feas_model._sequence_cdfs
+    initial, transition = initial_cdf.tolist(), transition_cdf.tolist()
+    chains = []
+    for u in rng.random((n, encoder.max_len)).tolist():
+        chain = [bisect.bisect_right(initial, u[0])]
+        for x in u[1:]:
+            successor = bisect.bisect_right(transition[chain[-1]], x)
+            if successor == markov_mod.END_ID:
+                break
+            chain.append(successor)
+        chains.append(chain)
+    return [
+        reference_genome(
+            chain,
+            [reference_sample_attributes(feas_model, a, rng) for a in chain],
+            encoder.max_len,
+            encoder.feature_dim,
+        )
+        for chain in chains
+    ]
 
 
 def genomes_of(ids, features, lengths):
@@ -269,12 +295,21 @@ def reference_genome(ids, rows, max_len, feature_dim):
     return EncodedTrace(activity_ids, features, len(ids), 0, "cf")
 
 
-def reference_random_genome(rng, vocab_size, max_len, feature_dim):
-    """One RI genome: its length, its activities, then a clipped normal row per event."""
-    length = int(rng.integers(1, max_len + 1))
-    ids = rng.integers(1, vocab_size + 1, size=length).tolist()
-    rows = [np.clip(rng.standard_normal(feature_dim), 0.0, 1.0) for _ in ids]
-    return reference_genome(ids, rows, max_len, feature_dim)
+def reference_random_genomes(rng, n, vocab_size, max_len, feature_dim):
+    """n RI genomes from the blocks _random_genomes draws, read one genome at a time.
+
+    The lengths and the activities of every cell are one block each; the
+    clipped normal rows of every cell, padding included, are one
+    standard_normal call per cell, which reads the generator as the
+    engine's single block draw does. A genome keeps its first length cells.
+    """
+    lengths = rng.integers(1, max_len + 1, size=n).tolist()
+    acts = rng.integers(1, vocab_size + 1, size=(n, max_len)).tolist()
+    genomes = []
+    for length, row in zip(lengths, acts):
+        rows = [np.clip(rng.standard_normal(feature_dim), 0.0, 1.0) for _ in row]
+        genomes.append(reference_genome(row[:length], rows[:length], max_len, feature_dim))
+    return genomes
 
 
 def reference_scored(scorer, genomes):
@@ -284,15 +319,14 @@ def reference_scored(scorer, genomes):
 
 
 def reference_initialize(kind, n, log, feas_model, scorer, rng):
-    """initialize drawing one genome object at a time."""
+    """initialize building one genome object at a time from the same draws."""
     encoder = feas_model.encoder
     if kind == "RI":
-        genomes = [
-            reference_random_genome(rng, encoder.vocab_size, encoder.max_len, encoder.feature_dim)
-            for _ in range(n)
-        ]
+        genomes = reference_random_genomes(
+            rng, n, encoder.vocab_size, encoder.max_len, encoder.feature_dim
+        )
     elif kind == "SBI":
-        genomes = [sampled_genome(rng, feas_model) for _ in range(n)]
+        genomes = sampled_genomes(rng, feas_model, n)
     else:
         genomes = [log[i] for i in rng.integers(0, len(log), size=n)]
     return reference_scored(scorer, genomes)

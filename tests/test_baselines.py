@@ -9,9 +9,9 @@ from conftest import (
     identity_encoder,
     log_of,
     make_encoded,
-    reference_random_genome,
+    reference_random_genomes,
     reference_scored,
-    sampled_genome,
+    sampled_genomes,
     scored,
 )
 from evocf.errors import ConfigNameError
@@ -44,12 +44,11 @@ def reference_baseline(kind, factual, n, log, feas_model, predictor, rng):
     encoder = feas_model.encoder
     scorer = ViabilityScorer(factual, predictor, feas_model)
     if kind == "RGW":
-        candidates = [
-            reference_random_genome(rng, encoder.vocab_size, encoder.max_len, encoder.feature_dim)
-            for _ in range(n)
-        ]
+        candidates = reference_random_genomes(
+            rng, n, encoder.vocab_size, encoder.max_len, encoder.feature_dim
+        )
     elif kind == "SBGW":
-        candidates = [sampled_genome(rng, feas_model) for _ in range(n)]
+        candidates = sampled_genomes(rng, feas_model, n)
     else:
         indices = rng.integers(0, len(log), size=n)
         candidates = [log[i] for i in indices]

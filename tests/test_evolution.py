@@ -16,17 +16,14 @@ from conftest import (
     reference_crossover,
     reference_cycle_stats,
     reference_evolve,
-    reference_genome,
     reference_mutate,
-    reference_random_genome,
+    reference_random_genomes,
     reference_recombine,
-    reference_sample_attributes,
     reference_select,
     sample_attribute_rows,
-    sampled_genome,
+    sampled_genomes,
     scored,
 )
-from evocf import markov as markov_mod
 from evocf.errors import ConfigNameError, ConfigurationError, SelectionError
 from evocf.evolution import (
     FEASIBILITY,
@@ -37,7 +34,6 @@ from evocf.evolution import (
     Population,
     _cycle_stats,
     _random_genomes,
-    _sampled_genomes,
     crossover,
     evolve,
     initialize,
@@ -46,7 +42,7 @@ from evocf.evolution import (
     recombine,
     select,
 )
-from evocf.markov import _TRACE_CHUNK, fit
+from evocf.markov import fit, sample_traces
 from evocf.viability import ViabilityScorer
 
 
@@ -497,31 +493,31 @@ def test_initial_genomes_equal_per_event_reference(synth_setup):
     model = synth_setup["feas_model"]
     encoder = model.encoder
     ours, reference = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in range(100):
-        frame = _random_genomes(ours, 1, encoder)
-        want = reference_random_genome(
-            reference, encoder.vocab_size, encoder.max_len, encoder.feature_dim
+    for n in (1, 2, 7, 1, 60):
+        frame = _random_genomes(ours, n, encoder)
+        want = reference_random_genomes(
+            reference, n, encoder.vocab_size, encoder.max_len, encoder.feature_dim
         )
-        assert encoded_equal(genomes_of(*frame)[0], want)
-        (got,) = genomes_of(*_sampled_genomes(ours, model, 1))
-        ids = markov_mod.sample_sequence(model, encoder.max_len, reference)
-        rows = [reference_sample_attributes(model, a, reference) for a in ids]
-        assert encoded_equal(got, reference_genome(ids, rows, encoder.max_len, encoder.feature_dim))
+        assert equal_genomes(genomes_of(*frame), want)
+        assert frame[0].dtype == frame[2].dtype == np.int64
+        assert ours.bit_generator.state == reference.bit_generator.state
+        frame = sample_traces(model, encoder.max_len, n, ours)
+        assert equal_genomes(genomes_of(*frame), sampled_genomes(reference, model, n))
         assert ours.bit_generator.state == reference.bit_generator.state
 
 
 @pytest.mark.parametrize("max_len", [1, 2, None])
 def test_sbi_genomes_equal_the_per_genome_oracle(max_len, synth_setup):
-    # max_len 1 and 2 make most chains stop at max_len without an END draw;
-    # None keeps the model's frame; n is not a multiple of the chunk
+    # max_len 1 and 2 make most chains stop at max_len without drawing END;
+    # None keeps the model's frame
     _, small_model, _ = training_setup()
-    n = 2 * _TRACE_CHUNK + 5
+    n = 261
     for model in (small_model, synth_setup["feas_model"]):
         if max_len is not None:
             model = replace(model, encoder=replace(model.encoder, max_len=max_len))
         ours, reference = np.random.default_rng(8), np.random.default_rng(8)
-        frame = _sampled_genomes(ours, model, n)
-        want = [sampled_genome(reference, model) for _ in range(n)]
+        frame = sample_traces(model, model.encoder.max_len, n, ours)
+        want = sampled_genomes(reference, model, n)
         assert len(frame[2]) == n
         for genome, expected in zip(genomes_of(*frame), want):
             assert encoded_equal(genome, expected)
@@ -536,9 +532,8 @@ def test_initialize_sbi_equals_the_per_genome_oracle(synth_setup):
     factual = synth_setup["test"][0]
     scorer = ViabilityScorer(factual, synth_setup["predictor"], model)
     ours, reference = np.random.default_rng(9), np.random.default_rng(9)
-    population = initialize("SBI", _TRACE_CHUNK + 1, synth_setup["train"], model, scorer, ours)
-    for genome in genomes_of(*population.frame):
-        assert encoded_equal(genome, sampled_genome(reference, model))
+    population = initialize("SBI", 129, synth_setup["train"], model, scorer, ours)
+    assert equal_genomes(genomes_of(*population.frame), sampled_genomes(reference, model, 129))
     assert ours.bit_generator.state == reference.bit_generator.state
 
 
@@ -827,3 +822,20 @@ def test_mutation_draws_follow_their_distributions():
     features, lengths = mutated(MutationRates(0.0, 0.0, p))
     assert (lengths == n).all()
     assert within_four_sigma((features[:, :n] != marks).sum(), n * children, p)
+
+
+def test_random_genome_draws_follow_their_distributions():
+    # RI: uniform lengths on 1..L, uniform activities on 1..V, and each
+    # feature a standard normal clipped to [0, 1]: 0 with probability 1/2,
+    # 1 with probability P(Z > 1)
+    n, max_len, vocab = 20_000, 6, 4
+    encoder = identity_encoder(vocab=("a", "b", "c", "d"), max_len=max_len, n_numeric=2)
+    ids, features, lengths = _random_genomes(np.random.default_rng(2026), n, encoder)
+    events = np.arange(max_len) < lengths[:, np.newaxis]
+    assert (ids[~events] == 0).all() and (features[~events] == 0.0).all()
+    assert uniform_fit(np.bincount(lengths, minlength=max_len + 1)[1:])
+    assert ids[events].min() >= 1
+    assert uniform_fit(np.bincount(ids[events], minlength=vocab + 1)[1:])
+    values = features[events].ravel()
+    assert within_four_sigma((values == 0.0).sum(), values.size, 0.5)
+    assert within_four_sigma((values == 1.0).sum(), values.size, 0.15865525393145707)

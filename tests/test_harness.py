@@ -1062,14 +1062,18 @@ def test_generate_outcome_column_is_the_predicted_class(tmp_path, capsys, config
         assert {outcome for _, outcome in events} == {expected}
 
 
-def test_best_render_shows_the_counterfactual_that_render_shows(tmp_path, capsys):
-    # the best candidate's resource code decodes to no category at run seed 13
+# at run seed 7 generate once aligned the best candidate under the training
+# split's encoder and render under the whole log's, and the two tables
+# differed; at run seed 2 the best candidate's resource code decodes to no
+# category, which both show as "resource="
+@pytest.mark.parametrize("seed", [7, 2])
+def test_best_render_shows_the_counterfactual_that_render_shows(tmp_path, capsys, seed):
     data, out = tmp_path / "data", tmp_path / "out"
     assert cli_main(["synthesize-log", "--seed", "0", "--out", str(data)]) == 0
     log = ["--log", str(data / "log.csv"), "--schema", str(data / "schema.json")]
     code = cli_main(
         ["generate", *log, "--config", "SBI-TS-TPC-RM-BBR", "--cycles", "20", "--n", "5",
-         "--seed", "13", "--out", str(out)]
+         "--seed", str(seed), "--out", str(out)]
     )
     assert code == 0, capsys.readouterr().err
     with (out / "counterfactuals.csv").open(newline="") as handle:
@@ -1081,12 +1085,14 @@ def test_best_render_shows_the_counterfactual_that_render_shows(tmp_path, capsys
     )
     assert code == 0, capsys.readouterr().err
 
-    def counterfactual_column(text):
-        return [line.split(" | ")[-1] for line in text.splitlines() if line.startswith("| ")]
+    def table(text):
+        return [line for line in text.splitlines() if line.startswith("| ")]
 
     best = (out / "best_render.md").read_text()
-    assert "resource= |" in best
-    assert counterfactual_column(best) == counterfactual_column(render_path.read_text())
+    assert table(best) == table(render_path.read_text())
+    assert len(table(best)) > 2
+    if seed == 2:
+        assert "resource= |" in best
 
 
 @pytest.mark.parametrize("command", ["generate", "grid", "benchmark"])

@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter, defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +9,17 @@ from hypothesis import strategies as st
 
 from conftest import (
     cross_genomes,
+    encoded_equal,
+    genomes_of,
     identity_encoder,
     log_of,
     make_encoded,
     reference_sample_attributes,
     sample_attribute_rows,
+    sampled_genomes,
 )
 from evocf.event_log import CategoricalCodec, EncoderSpec, NumericCodec, _cdf, _draw
 from evocf.markov import (
-    _TRACE_CHUNK,
     MarkovFeasibilityModel,
     _emission_factors,
     feasibility,
@@ -520,9 +523,23 @@ def test_a_double_equal_to_a_cdf_entry_picks_the_next_index():
         n_bins=2,
         encoder=EncoderSpec({"a": 1}, (codec,), 2),
     )
-    # bisect_right: the first double starts the chain at activity 1, u continues it
-    lengths, acts, _ = sample_traces(model, 2, 1, np.random.default_rng(1))
-    assert (lengths, acts.tolist()) == ([2], [1, 1])
+    # the one-chain block random((1, 2)) holds the same two doubles: column 0
+    # starts the chain at activity 1, and u in column 1 continues it
+    ids, _, lengths = sample_traces(model, 2, 1, np.random.default_rng(1))
+    assert (lengths.tolist(), ids.tolist()) == ([2], [[1, 1]])
+    # column 0 picks from the initial CDF the same way: with u first in the
+    # block, the initial CDF [0, u, 1.0] starts the chain at activity 2
+    starts = replace(
+        model,
+        initial_probs=np.array([0.0, u, 1.0 - u]),
+        transition=np.array([[1.0, 0.0, 0.0]] * 3),
+        emissions=(np.array([[0.0, 0.0, 0.0], [u, 1.0 - u, 0.0], [u, 1.0 - u, 0.0]]),),
+        encoder=EncoderSpec({"a": 1, "b": 2}, (codec,), 1),
+    )
+    rng = np.random.default_rng(1)
+    rng.random()
+    ids, _, lengths = sample_traces(starts, 1, 1, rng)
+    assert (lengths.tolist(), ids.tolist()) == ([1], [[2]])
     # a count of the entries <= u: category index 1
     rows = sample_attributes(model, np.array([1]), np.array([[u]]))
     assert rows.tolist() == codec.encode(["r1"]).tolist()
@@ -597,20 +614,17 @@ def test_sample_attribute_rows_replays_sample_attributes(kind, eps):
 @pytest.mark.parametrize("max_len", [1, 2, 8])
 def test_sample_traces_replay_the_per_trace_calls(kind, eps, max_len):
     model = BULK_MODELS[kind][eps]
+    model = replace(model, encoder=replace(model.encoder, max_len=max_len))
     ours, reference = np.random.default_rng(29), np.random.default_rng(29)
     reached = False
-    for n in (0, 1, _TRACE_CHUNK, 2 * _TRACE_CHUNK + 3):
-        lengths, acts, rows = sample_traces(model, max_len, n, ours)
-        sequences, expected = [], []
-        for _ in range(n):
-            sequences.append(sample_sequence(model, max_len, reference))
-            expected.append(sample_attribute_rows(model, sequences[-1], reference))
-        assert lengths == [len(sequence) for sequence in sequences]
-        assert acts.dtype == np.int64
-        assert acts.tolist() == [a for sequence in sequences for a in sequence]
-        assert rows.shape == (sum(lengths), model.encoder.feature_dim)
-        if n:
-            assert rows.tobytes() == np.concatenate(expected).tobytes()
+    for n in (0, 1, 128, 259):
+        ids, features, lengths = sample_traces(model, max_len, n, ours)
+        want = sampled_genomes(reference, model, n)
+        assert ids.shape == (n, max_len)
+        assert features.shape == (n, max_len, model.encoder.feature_dim)
+        assert ids.dtype == lengths.dtype == np.int64
+        assert lengths.tolist() == [genome.valid_len for genome in want]
+        assert all(map(encoded_equal, genomes_of(ids, features, lengths), want))
         assert ours.bit_generator.state == reference.bit_generator.state
         # chains that stop at max_len, with no END draw, are covered
         reached = reached or max_len in lengths
@@ -620,3 +634,51 @@ def test_sample_traces_replay_the_per_trace_calls(kind, eps, max_len):
 def test_sample_traces_rejects_an_empty_frame():
     with pytest.raises(ValueError):
         sample_traces(BULK_MODELS["mixed"][0.0], 0, 3, np.random.default_rng(0))
+
+
+def chi_square_fits(counts, probs):
+    """The chi-square statistic of counts against probs lies within 4 sd of its df."""
+    counts = np.asarray(counts, dtype=float)
+    expected = counts.sum() * np.asarray(probs)
+    df = len(counts) - 1
+    return ((counts - expected) ** 2 / expected).sum() <= df + 4 * np.sqrt(2 * df)
+
+
+def test_sample_traces_follow_their_distributions():
+    # every initial and transition probability is at least 0.1, so each
+    # expected count of the chi-square fits is in the hundreds
+    initial = np.array([0.0, 0.5, 0.3, 0.2])
+    transition = np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [0.2, 0.1, 0.4, 0.3],
+        [0.3, 0.3, 0.2, 0.2],
+        [0.1, 0.5, 0.2, 0.2],
+    ])
+    model = MarkovFeasibilityModel(
+        initial_probs=initial,
+        transition=transition,
+        emissions=(),
+        smoothing_epsilon=0.0,
+        n_bins=2,
+        encoder=EncoderSpec({"a": 1, "b": 2, "c": 3}, (), 6),
+    )
+    n, max_len = 20_000, 6
+    rng = np.random.default_rng(2025)
+    ids, features, lengths = sample_traces(model, max_len, n, rng)
+    assert features.shape == (n, max_len, 0)
+    # a chain pads the rest of its row once it draws END
+    assert (lengths == (ids != 0).sum(axis=1)).all()
+    assert (ids == 0).tolist() == (np.arange(max_len) >= lengths[:, np.newaxis]).tolist()
+    assert chi_square_fits(np.bincount(ids[:, 0], minlength=4)[1:], initial[1:])
+    # every step from a real activity, the step into END included
+    sources, successors = ids[:, :-1].ravel(), ids[:, 1:].ravel()
+    for a in (1, 2, 3):
+        counts = np.bincount(successors[sources == a], minlength=4)
+        assert chi_square_fits(counts, transition[a])
+    # with END never drawn, every chain fills the frame
+    never_ends = transition.copy()
+    never_ends[1:, 0] = 0.0
+    never_ends[1:] /= never_ends[1:].sum(axis=1, keepdims=True)
+    ids, _, lengths = sample_traces(replace(model, transition=never_ends), max_len, n, rng)
+    assert (lengths == max_len).all()
+    assert (ids != 0).all()

@@ -18,9 +18,9 @@ from evocf.harness import ExperimentSpec, SyntheticSpec, prepare_experiment, run
 # each of RI SBI CBI, RWS TS ES, UC (at rate 0.3) OPC TPC, RM SBM and FSR BBR RR
 BENCHMARK_CONFIGS = ("RI-RWS-UC3-RM-FSR", "SBI-TS-OPC-SBM-BBR", "CBI-ES-TPC-RM-RR")
 BENCHMARK = {
-    "candidates.csv": "d72a8c2ce4d9eee3f57e2d7406a410e1920528c2f160501f20361f78fcd42209",
-    "trajectories.csv": "48a6aaba3ad1d7af763b51cc2977ed75f50c9c1b79c10eeb3b4e355fc39fc8ae",
-    "benchmark_report.json": "fd974f51b8b808c3ff872e9b09c4ffd8ec07a802a694919428a1613478a8e0b7",
+    "candidates.csv": "aa378c111c04dc4a54017276d9042516097b878e0e0808eb2eb0e8f05e01051d",
+    "trajectories.csv": "e7afdcdbbf5b47a680e4a33bdc7caed5508d397ebf0d48b32cf623afcc90c85b",
+    "benchmark_report.json": "f7be971eab7d7341a84ddde7271c5d0bcc096482a039eab2e6b6ad6dce7acc77",
 }
 GENERATE = {
     "CBI-RWS-OPC-SBM-FSR": {
@@ -29,9 +29,9 @@ GENERATE = {
         "best_render.md": "c0708699251f99cb1888ca5c3c8a162c22e31988db826cd87dae04d68dcf55cb",
     },
     "SBI-TS-TPC-RM-BBR": {
-        "counterfactuals.csv": "a65ce419fdc85d7791b91f8a386ff47483a8c0542b605019c79f2e33a25ebae1",
-        "counterfactual_events.csv": "6969d1aae1d159a077cc27875ccc0727636216ca43696840c080242a8a9f05b8",
-        "best_render.md": "51ab0d0e6b5c4b247acb3120bf84c9506db4ba67a54e2bc57af4c197587463ba",
+        "counterfactuals.csv": "2e484ed82fd911db967a7aea841899b9c822723a9c27f73947c45948e2ea3d23",
+        "counterfactual_events.csv": "287573e6f44a28e0c0a8ef39e7af7ce460566f76dd2e4e3d759311d3c2b82e10",
+        "best_render.md": "0590f8d1fdc70cc0bc96e51f1fbd153d584d7cb5b136aea73bbc3b5e037413b8",
     },
     "CBGW": {
         "counterfactuals.csv": "40551fe1e4ec09d674f3c2fb24c4bdd9d64ca6f366798d6409039f6435ce21fd",
