@@ -31,6 +31,7 @@ from .event_log import (
     write_csv,
 )
 from .harness import (
+    BASELINES,
     CANDIDATE_COLUMNS,
     ExperimentSpec,
     GRID_PRESET_135,
@@ -38,6 +39,7 @@ from .harness import (
     SyntheticSpec,
     _candidate_values,
     candidate_rows,
+    check_candidate_count,
     load_log,
     prepare_experiment,
     render_pair,
@@ -208,9 +210,12 @@ def cmd_generate(args) -> int:
     spec = _spec_from_args(
         args, cycles=args.cycles, n_factuals=1, counterfactuals_per_factual=args.n
     )
+    if args.config not in BASELINES:
+        check_candidate_count(spec)
     predictor_factory = _predictor_factory(args)
     out = _out_dir(args.out)
-    prepared = prepare_experiment(spec, predictor_factory=predictor_factory)
+    log = load_log(spec)
+    prepared = prepare_experiment(spec, predictor_factory=predictor_factory, log=log)
     factual = prepared.factuals[0]
     if args.factual:
         logs = (prepared.test, prepared.train)
@@ -253,7 +258,6 @@ def cmd_generate(args) -> int:
         writer.writerows(events)
 
     # the best counterfactual as render --counterfactual-log shows it
-    log = load_log(spec)
     rendered = render_pair(
         log,
         load_csv(out / "counterfactual_events.csv", log.schemas),
@@ -317,6 +321,7 @@ def cmd_benchmark(args) -> int:
     )
     if not spec.config_names:
         raise ConfigurationError("benchmark needs at least one evolutionary config")
+    check_candidate_count(spec)
     predictor_factory = _predictor_factory(args)
     if args.out:
         _out_dir(args.out)

@@ -11,7 +11,9 @@ mutator, recombiner); the uniform crosser carries its rate as a digit, so
 Each cycle selects parents by fitness (total viability), crosses them over
 the padded gene frame, mutates the offspring with per-position insert/delete/
 change passes, scores the cycle's mutants as one batch, and recombines
-survivors back into the population. Initiation, selection, crossover and
+survivors back into the population. The population's frame is allocated
+once: a row index gives its order, and a cycle writes only the rows of the
+mutants it admits. Initiation, selection, crossover and
 mutation each make their draws as a few Generator calls of fixed shape over
 the whole population or offspring block, and then apply them as array
 arithmetic. Termination is a fixed cycle count. All randomness flows
@@ -23,6 +25,7 @@ and CBI initiators, scored and sorted by total viability.
 
 from __future__ import annotations
 
+import math
 import re
 import statistics
 from dataclasses import dataclass, field
@@ -227,15 +230,15 @@ def initialize(
 
 
 def select(
-    kind: str, population: Population, sample_size: int, rng: np.random.Generator
+    kind: str, scores: np.ndarray, sample_size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """The rows of sample_size parents; rows 2p and 2p + 1 are pair p."""
-    n = len(population)
+    """The positions of sample_size parents by their (N, 5) score rows; 2p and 2p + 1 are pair p."""
+    n = len(scores)
     if not n:
         raise SelectionError("cannot select from an empty population")
     if sample_size % 2 != 0:
         raise ValueError("sample_size must be even")
-    fitness = np.maximum(population.scores[:, TOTAL], FITNESS_FLOOR)
+    fitness = np.maximum(scores[:, TOTAL], FITNESS_FLOOR)
     if kind == "RWS":
         chosen = rng.choice(n, size=sample_size, p=fitness / fitness.sum())
     elif kind == "TS":
@@ -246,7 +249,7 @@ def select(
     elif kind == "ES":
         if sample_size > n:
             raise SelectionError(f"elitism selection of {sample_size} from population of {n}")
-        chosen = _by_total(population.scores)[:sample_size]
+        chosen = _by_total(scores)[:sample_size]
     else:
         raise ConfigNameError(f"unknown selector {kind!r}")
     return np.asarray(chosen, dtype=np.intp)
@@ -374,28 +377,31 @@ def mutate(
 
 
 def recombine(
-    kind: str, population: Population, mutants: Population, max_size: int
-) -> Population:
-    """Merge mutants into the population and cap its size.
+    kind: str, frame: Frame, index: np.ndarray, scores: np.ndarray, mutants: Population,
+    max_size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge mutants into the population (position p: row index[p] of frame, scores[p]).
 
     FSR keeps the best of the union by total viability. BBR admits only
     mutants above their generation's mean total, dropping the worst once over
     capacity. RR orders the union lexicographically by the components in
     priority order feasibility, delta, sparsity, similarity. Sorts are stable,
-    so ties resolve by insertion order. The survivors' rows are gathered from
-    both frames, never from a frame of the union.
+    so ties resolve by insertion order. Survivors keep their rows; admitted
+    mutants are written into rows no survivor holds. Returns the new index
+    and scores.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    scores = np.concatenate([population.scores, mutants.scores])
+    n = len(index)
+    scores = np.concatenate([scores, mutants.scores])
     if kind == "FSR":
         order = _by_total(scores)
     elif kind == "BBR":
-        order = np.arange(len(population))
+        order = np.arange(n)
         if len(mutants):
-            totals = scores[len(population) :, TOTAL]
+            totals = scores[n:, TOTAL]
             admitted = np.flatnonzero(totals > statistics.fmean(totals.tolist()))
-            order = np.concatenate([order, len(population) + admitted])
+            order = np.concatenate([order, n + admitted])
         if len(order) > max_size:
             order = order[_by_total(scores[order])]
     elif kind == "RR":
@@ -404,34 +410,36 @@ def recombine(
     else:
         raise ConfigNameError(f"unknown recombiner {kind!r}")
     order = order[:max_size]
-    n = len(population)
     old = order < n
-    columns = []
-    for kept, offered in zip(population.frame, mutants.frame):
-        column = np.empty((len(order), *kept.shape[1:]), dtype=kept.dtype)
-        column[old] = kept[order[old]]
-        column[~old] = offered[order[~old] - n]
-        columns.append(column)
-    return Population(*columns, scores[order])
+    rows = np.empty(len(order), dtype=np.intp)
+    rows[old] = index[order[old]]
+    free = np.ones(len(frame[2]), dtype=bool)
+    free[rows[old]] = False
+    rows[~old] = slots = np.flatnonzero(free)[: len(order) - np.count_nonzero(old)]
+    offered = order[~old] - n
+    for column, mutant_column in zip(frame, mutants.frame):
+        column[slots] = mutant_column[offered]
+    return rows, scores[order]
 
 
 # ---------------------------------------------------------------------------
 # the loop
 
 
-def _cycle_stats(cycle: int, population: Population) -> CycleStats:
-    # fmean of a list is fsum / len, the arithmetic it applies to any iterable
-    similarity, sparsity, feasibility, delta, totals = population.scores.T.tolist()
-    return CycleStats(
-        cycle=cycle,
-        best_total=max(totals),
-        mean_total=statistics.fmean(totals),
-        median_total=statistics.median(totals),
-        mean_similarity=statistics.fmean(similarity),
-        mean_sparsity=statistics.fmean(sparsity),
-        mean_feasibility=statistics.fmean(feasibility),
-        mean_delta=statistics.fmean(delta),
-    )
+def _cycle_stats(cycle: int, scores: np.ndarray) -> CycleStats:
+    """A cycle's statistics from the (N, 5) score rows in any order, each the float the
+    statistics module gives for the column as a list: max keeps the first of equal maxima
+    (as argmax does), median reads a stable sort, and fmean is fsum / len, which a
+    memoryview feeds the floats a list holds."""
+    n = len(scores)
+    columns = scores.T.copy()
+    totals = columns[TOTAL]
+    low, high = np.sort(totals, kind="stable")[[(n - 1) // 2, n // 2]]
+    median = high if n % 2 else (low + high) / 2
+    # the means in column order: similarity, sparsity, feasibility, delta, total
+    means = [math.fsum(memoryview(column)) / n for column in columns]
+    best = totals[np.argmax(totals)]
+    return CycleStats(cycle, float(best), means[TOTAL], float(median), *means[:TOTAL])
 
 
 def evolve(
@@ -454,18 +462,23 @@ def evolve(
     rng = np.random.default_rng(config.seed)
     scorer = ViabilityScorer(factual, predictor, feas_model)
     population = initialize(config.initiator, config.population_size, log, feas_model, scorer, rng)
+    # the frame stays in place: position p of the population is its row index[p]
+    frame, scores, index = population.frame, population.scores, np.arange(len(population))
     stats: list[CycleStats] = []
     for cycle in range(1, config.cycles + 1):
-        parents = select(config.selector, population, config.offspring_per_cycle, rng)
+        parents = index[select(config.selector, scores, config.offspring_per_cycle, rng)]
         # the offspring block starts as the parents' rows; each operator
         # draws its arrays and applies them to the whole block
-        ids, features, lengths = (column[parents] for column in population.frame)
+        ids, features, lengths = (column[parents] for column in frame)
         crossover(config.crosser, ids, features, lengths, rng, config.uc_rate)
         mutate(config.mutator, ids, features, lengths, config.mutation_rates, feas_model, rng)
         mutants = Population(ids, features, lengths, scorer.score_batch(ids, features, lengths))
-        population = recombine(config.recombiner, population, mutants, config.population_size)
-        stats.append(_cycle_stats(cycle, population))
-    return GenerationResult(population.take(_by_total(population.scores)), tuple(stats))
+        index, scores = recombine(config.recombiner, frame, index, scores, mutants, len(index))
+        stats.append(_cycle_stats(cycle, scores))
+    best = _by_total(scores)
+    return GenerationResult(
+        Population(*(column[index[best]] for column in frame), scores[best]), tuple(stats)
+    )
 
 
 BASELINES = {"RGW": "RI", "SBGW": "SBI", "CBGW": "CBI"}

@@ -190,14 +190,15 @@ def load_log(spec: ExperimentSpec) -> EventLog:
 
 
 def prepare_experiment(
-    spec: ExperimentSpec, predictor_factory=None
+    spec: ExperimentSpec, predictor_factory=None, log: EventLog | None = None
 ) -> PreparedExperiment:
     """Load or synthesize the log, fit encoder/predictor/model, pick factuals.
 
     predictor_factory, when given, receives the fitted encoder and must return
     the outcome predictor to use; no internal model is trained in that case.
+    log, when given, is load_log(spec) loaded by a caller that needs it too.
     """
-    log = preprocess(load_log(spec), spec.max_trace_len)
+    log = preprocess(load_log(spec) if log is None else log, spec.max_trace_len)
     train_log, test_log = split_train_test(log, spec.test_fraction, spec.seed)
     encoder = fit_encoder(train_log)
     train = encode_log(train_log, encoder)
@@ -459,12 +460,20 @@ def _write_ranking(out_dir: Path, ranking: list[tuple[str, float]]) -> None:
     (out_dir / "grid_report.md").write_text("\n".join(lines) + "\n")
 
 
+def check_candidate_count(spec: ExperimentSpec) -> None:
+    """An evolutionary generator's candidates are its final population, so it must be big enough."""
+    if spec.population_size < (cfs := spec.counterfactuals_per_factual):
+        raise ConfigurationError(f"population_size ({spec.population_size}) is below the "
+                                 f"{cfs} counterfactuals asked for per factual")
+
+
 def run_benchmark(
     spec: ExperimentSpec, prepared: PreparedExperiment | None = None
 ) -> BenchmarkReport:
     """Feed the same factuals to every generator and record the top candidates."""
     if not spec.config_names:
         raise ValueError("benchmark needs at least one evolutionary config")
+    check_candidate_count(spec)
     if prepared is None:
         prepared = prepare_experiment(spec)
     report = BenchmarkReport()

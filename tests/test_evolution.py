@@ -75,6 +75,22 @@ def same_rows(got, want):
     )) and len(got) == len(want)
 
 
+def recombined(kind, population, mutants, max_size):
+    """recombine from the index 0..N-1 on a copy of the frame with room for max_size rows.
+
+    Returns the survivors as a frame in their new order.
+    """
+    spare = max(max_size - len(population), 0)
+    frame = tuple(
+        np.concatenate([column, np.zeros((spare, *column.shape[1:]), column.dtype)])
+        for column in population.frame
+    )
+    index, scores = recombine(
+        kind, frame, np.arange(len(population)), population.scores, mutants, max_size
+    )
+    return Population(*(column[index] for column in frame), scores)
+
+
 class HalfPredictor:
     def predict_proba_batch(self, ids, features, lengths):
         return [0.5] * len(lengths)
@@ -197,20 +213,20 @@ def test_initialize_rejects_zero():
 
 def test_select_single_individual_population():
     population = population_of(2.0)
-    assert select("RWS", population, 4, np.random.default_rng(0)).tolist() == [0, 0, 0, 0]
+    assert select("RWS", population.scores, 4, np.random.default_rng(0)).tolist() == [0, 0, 0, 0]
 
 
 def test_rws_frequencies_proportional_to_fitness():
     population = population_of(3.0, 1.0)
     rng = np.random.default_rng(5)
-    rows = select("RWS", population, 10_000, rng)
+    rows = select("RWS", population.scores, 10_000, rng)
     share = np.mean(rows == 0)
     assert abs(share - 0.75) < 0.02
 
 
 def test_tournament_three_to_one_odds():
     population = population_of(3.0, 1.0)
-    rows = select("TS", population, 10_000, np.random.default_rng(6))
+    rows = select("TS", population.scores, 10_000, np.random.default_rng(6))
     # half the contests draw both individuals, and the stronger (row 0) wins
     # those at 3:1; the other half draw one individual twice: 1/4 + 1/2 * 3/4
     share = np.mean(rows == 0)
@@ -219,16 +235,16 @@ def test_tournament_three_to_one_odds():
 
 def test_es_takes_the_top_and_is_deterministic():
     population = population_of(1.0, 3.0, 2.0, 3.0)
-    rows = select("ES", population, 2, np.random.default_rng(0))
+    rows = select("ES", population.scores, 2, np.random.default_rng(0))
     # the two totals of 3.0 win; insertion order breaks the tie
     assert rows.tolist() == [1, 3]
-    assert select("ES", population, 2, np.random.default_rng(99)).tolist() == [1, 3]
+    assert select("ES", population.scores, 2, np.random.default_rng(99)).tolist() == [1, 3]
 
 
 def test_es_overdraw_is_selection_error():
     population = population_of(1.0)
     with pytest.raises(SelectionError):
-        select("ES", population, 2, np.random.default_rng(0))
+        select("ES", population.scores, 2, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -350,26 +366,26 @@ def test_mutate_rm_draws_clipped_normal_features():
 
 def test_fsr_sorts_and_truncates():
     population = population_of(3.0, 1.0, 2.0)
-    survivors = recombine("FSR", population, population_of(2.5), 3)
+    survivors = recombined("FSR", population, population_of(2.5), 3)
     assert survivors.scores[:, TOTAL].tolist() == [3.0, 2.5, 2.0]
 
 
 def test_bbr_admits_only_above_average_mutants():
     mutants = population_of(1.0, 2.0, 3.0)  # mean 2.0
-    survivors = recombine("BBR", population_of(0.5), mutants, 10)
+    survivors = recombined("BBR", population_of(0.5), mutants, 10)
     assert survivors.scores[:, TOTAL].tolist() == [0.5, 3.0]
 
 
 def test_bbr_drops_worst_when_over_capacity():
     mutants = population_of(0.5, 4.0)  # mean 2.25, only 4.0 joins
-    survivors = recombine("BBR", population_of(1.0, 2.0, 3.0), mutants, 3)
+    survivors = recombined("BBR", population_of(1.0, 2.0, 3.0), mutants, 3)
     assert sorted(survivors.scores[:, TOTAL].tolist()) == [2.0, 3.0, 4.0]
 
 
 def test_rr_orders_lexicographically_by_components():
     better = one_event_population([0.25], [[0.1, 0.9, 0.5, 0.2, 1.7]])
     worse = one_event_population([0.75], [[0.9, 0.8, 0.5, 0.2, 2.4]])
-    survivors = recombine("RR", worse, better, 2)
+    survivors = recombined("RR", worse, better, 2)
     # equal feasibility and delta; sparsity 0.9 beats 0.8 despite lower total
     assert same_rows(survivors.take(slice(1)), better)
 
@@ -567,26 +583,66 @@ def test_array_select_recombine_and_stats_equal_attribute_reference():
             if kind == "ES" and size > len(population):
                 continue
             ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = select(kind, population, size, ours)
+            got = select(kind, population.scores, size, ours)
             want = reference_select(kind, scored(population), size, reference)
             assert equal_genomes(genomes_of(*population.take(got).frame), sum(want, ()))
             assert ours.bit_generator.state == reference.bit_generator.state
         max_size = int(rng.integers(1, len(population) + len(mutants) + 2))
         for kind in ("FSR", "BBR", "RR"):
-            survivors = recombine(kind, population, mutants, max_size)
+            survivors = recombined(kind, population, mutants, max_size)
             want = reference_recombine(kind, scored(population), scored(mutants), max_size)
             assert equal_genomes(genomes_of(*survivors.frame), [genome for genome, _ in want])
             # each row travels with its genome, signed zeros included
             assert survivors.scores.tobytes() == score_bytes(score for _, score in want)
-            assert repr(_cycle_stats(1, survivors)) == repr(reference_cycle_stats(1, want))
+            assert repr(_cycle_stats(1, survivors.scores)) == repr(reference_cycle_stats(1, want))
 
 
 def test_bbr_round_that_admits_nothing_keeps_the_population():
     population = population_of(0.5, -0.0, 0.0)
-    survivors = recombine("BBR", population, population_of(1.0, 1.0, 1.0), 10)
+    survivors = recombined("BBR", population, population_of(1.0, 1.0, 1.0), 10)
     assert same_rows(survivors, population)
     nobody = population_of()
-    assert same_rows(recombine("BBR", population, nobody, 2), population.take(slice(2)))
+    assert same_rows(recombined("BBR", population, nobody, 2), population.take(slice(2)))
+
+
+def random_scored_population(rng, n, first_value):
+    """n distinct one-event genomes, as tied_population, with random score rows."""
+    return one_event_population((first_value + np.arange(n)) / 32, rng.random((n, 5)))
+
+
+@pytest.mark.parametrize("kind", ["FSR", "BBR", "RR"])
+@pytest.mark.parametrize("draw", [tied_population, random_scored_population])
+@pytest.mark.parametrize("size, offspring", [(10, 4), (7, 2), (6, 6), (2, 2)])
+def test_recombine_in_place_equals_the_gathering_reference_over_many_cycles(
+    kind, draw, size, offspring
+):
+    rng = np.random.default_rng(size * 100 + offspring)
+    population = draw(rng, size, 0)
+    frame = tuple(column.copy() for column in population.frame)
+    index, scores = np.arange(size), population.scores
+    want = scored(population)
+    for cycle in range(1, 41):
+        mutants = draw(rng, offspring, cycle * offspring + size)
+        before = tuple(column.copy() for column in frame)
+        index, scores = recombine(kind, frame, index, scores, mutants, size)
+        want = reference_recombine(kind, want, scored(mutants), size)
+        # the frame gathered through the index is the reference's, row for row
+        assert equal_genomes(genomes_of(*(column[index] for column in frame)), [g for g, _ in want])
+        assert scores.tobytes() == score_bytes(score for _, score in want)
+        assert repr(_cycle_stats(cycle, scores)) == repr(reference_cycle_stats(cycle, want))
+        # the frame stays in place, and only the admitted mutants' rows change
+        assert sorted(index.tolist()) == list(range(size))
+        changed = (before[0] != frame[0]).any(axis=1) | (before[1] != frame[1]).any(axis=(1, 2))
+        assert changed.sum() <= offspring
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 99, 100])
+def test_cycle_stats_equal_the_list_reference_on_odd_and_even_sizes(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        for population in (tied_population(rng, n, 0), random_scored_population(rng, n, 0)):
+            got = _cycle_stats(3, population.scores)
+            assert repr(got) == repr(reference_cycle_stats(3, scored(population)))
 
 
 # every initiator, selector, crosser, mutator and recombiner at least once

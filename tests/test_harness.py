@@ -15,6 +15,7 @@ import evocf
 from conftest import log_of, make_encoded, reference_pick_factuals
 from evocf import harness
 from evocf.cli import main as cli_main
+from evocf.errors import ConfigurationError
 from evocf.event_log import AttributeSchema, Event, Trace, load_csv, load_schema_config
 from evocf.harness import (
     ExperimentSpec,
@@ -789,7 +790,7 @@ def test_cli_out_is_required(capsys, command):
 
 def test_cli_too_many_factuals(tmp_path, capsys):
     code = cli_main(
-        ["benchmark", "--n-factuals", "500", "--overrides", SMALL_OVERRIDES,
+        ["benchmark", "--n-factuals", "500", "--cfs", "2", "--overrides", SMALL_OVERRIDES,
          "--out", str(tmp_path)]
     )
     assert_one_line_error(capsys, code, "n_factuals is 500 but the test split holds only")
@@ -846,6 +847,83 @@ def test_cli_config_list_is_checked_before_set_up(tmp_path, capsys, monkeypatch,
     code = cli_main([*argv, "--out", str(tmp_path)])
     assert_one_line_error(capsys, code, expected)
     assert prepared == []
+
+
+POPULATION_OF_20 = '{"population_size": 20, "offspring_per_cycle": 10}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["benchmark", "--cfs", "50"],
+        ["benchmark", "--cfs", "21", "--configs", "CBI-RWS-OPC-SBM-FSR"],
+        ["generate", "--n", "50"],
+        ["generate", "--n", "21", "--config", "RI-TS-OPC-RM-FSR"],
+    ],
+)
+def test_cli_population_below_the_counterfactuals_asked_for_is_refused_before_set_up(
+    tmp_path, capsys, monkeypatch, argv
+):
+    # an evolutionary generator returns its population, so it would write fewer rows
+    reached = []
+    for name in ("prepare_experiment", "load_log"):
+        monkeypatch.setattr(f"evocf.cli.{name}", lambda *a, **k: reached.append(a))
+    out = tmp_path / "out"
+    code = cli_main([*argv, "--overrides", POPULATION_OF_20, "--out", str(out)])
+    assert_one_line_error(
+        capsys, code, f"population_size (20) is below the {argv[2]} counterfactuals asked for"
+    )
+    assert reached == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--n", "50", "--config", "CBGW"],
+        ["grid", "--configs", "CBI-RWS-OPC-SBM-FSR,CBI-ES-UC3-SBM-RR"],
+    ],
+)
+def test_cli_baseline_generate_and_grid_take_any_population_size(
+    tmp_path, capsys, monkeypatch, argv
+):
+    def set_up(*args, **kwargs):
+        raise ConfigurationError("set-up reached")
+
+    monkeypatch.setattr("evocf.cli.prepare_experiment", set_up)
+    code = cli_main([*argv, "--overrides", POPULATION_OF_20, "--out", str(tmp_path / "out")])
+    assert_one_line_error(capsys, code, "set-up reached")
+
+
+def test_run_benchmark_refuses_a_population_below_the_counterfactuals_before_set_up(
+    monkeypatch,
+):
+    monkeypatch.setattr(harness, "prepare_experiment", lambda *a, **k: pytest.fail("set up"))
+    spec = small_spec(population_size=20, counterfactuals_per_factual=50)
+    with pytest.raises(ConfigurationError, match=r"population_size \(20\) is below"):
+        run_benchmark(spec)
+
+
+def test_generate_loads_the_log_once(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    assert cli_main(["synthesize-log", "--cases", "30", "--out", str(data)]) == 0
+    load_log, loads = harness.load_log, []
+
+    def counting_load_log(spec):
+        loads.append(spec)
+        return load_log(spec)
+
+    monkeypatch.setattr("evocf.cli.load_log", counting_load_log)
+    monkeypatch.setattr("evocf.harness.load_log", counting_load_log)
+    code = cli_main(
+        ["generate", "--log", str(data / "log.csv"), "--schema", str(data / "schema.json"),
+         "--cycles", "1", "--n", "3",
+         "--overrides", '{"population_size": 10, "offspring_per_cycle": 4, "predictor_epochs": 20}',
+         "--out", str(tmp_path / "gen")]
+    )
+    assert code == 0, capsys.readouterr().err
+    assert len(loads) == 1
+    assert (tmp_path / "gen" / "best_render.md").exists()
 
 
 @pytest.mark.parametrize(

@@ -248,3 +248,34 @@ def test_render_damaged_counterfactual_log_ends_in_exit_0_or_one_error_line(case
     if recategorized and case_id != "missing":
         # any text is a category, so a counterfactual of known cases renders
         assert code == 0, err
+
+
+# an evolutionary generator returns its population, so it cannot give more
+# counterfactuals than population_size; a baseline draws as many as asked
+@settings(max_examples=30, deadline=None)
+@given(
+    population=st.integers(2, 8),
+    n=st.integers(1, 10),
+    config=st.sampled_from(["CBI-RWS-OPC-SBM-FSR", "RI-TS-UC3-RM-BBR", "CBGW"]),
+)
+def test_generate_writes_every_counterfactual_asked_for_or_refuses(population, n, config):
+    overrides = dict(SMALL_RUN, population_size=population)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "log.csv").write_bytes(valid_log())
+        (tmp / "schema.json").write_text(json.dumps(SCHEMA))
+        code, err = run_main(
+            [
+                "generate", "--log", str(tmp / "log.csv"), "--schema", str(tmp / "schema.json"),
+                "--out", str(tmp / "out"), "--cycles", "1", "--n", str(n), "--config", config,
+                "--overrides", json.dumps(overrides),
+            ]
+        )
+        assert_exit_0_or_one_error_line(code, err)
+        if config != "CBGW" and population < n:
+            assert code == 2 and "counterfactuals asked for" in err
+            assert not (tmp / "out").exists()
+        else:
+            assert code == 0
+            rows = (tmp / "out" / "counterfactuals.csv").read_text().splitlines()
+            assert len(rows) == 1 + n

@@ -15,13 +15,17 @@ from conftest import (
     reference_ssdld_distance,
     scored,
 )
+import evocf.viability as viability_module
 from evocf.errors import ConfigurationError
 from evocf.evolution import evolve, initialize, parse_config_name
 from evocf.markov import fit
 from evocf.viability import (
+    _BLOCK,
     FEATURE_DIFF_TOLERANCE,
     ViabilityScore,
     ViabilityScorer,
+    _row_keys,
+    _sweep,
     delta_score,
     edit_distances,
     similarity_score,
@@ -329,6 +333,47 @@ def test_edit_distances_on_the_criterion_1_fixture():
             reference_ssdld_distance(factual, c, "euclidean") for c in fixture
         ]
         assert count.tolist() == [reference_ssdld_distance(factual, c, "count") for c in fixture]
+
+
+@pytest.mark.parametrize("factual_len", [1, 4, 12])
+def test_edit_distances_blocks_equal_one_row_sweeps_within_the_cell_bound(
+    factual_len, monkeypatch
+):
+    rng = np.random.default_rng(factual_len)
+    max_len, d = 12, 3
+    factual = kernel_trace(rng, factual_len, max_len, 3, d)
+    slices = kernel_slices("grouped", d)
+    pool = [kernel_trace(rng, int(n), max_len, 3, d) for n in rng.integers(1, max_len + 1, 300)]
+    # short rows only, then all lengths: a block of short rows takes more than _BLOCK of them
+    pool = [c for c in pool if c.valid_len <= 3] + pool
+    single = [edit_distances(factual, *c.frame, slices) for c in pool]
+    shapes = []
+
+    def recording_sweep(factual, acts, feats, slices):
+        shapes.append(acts.shape)
+        return _sweep(factual, acts, feats, slices)
+
+    monkeypatch.setattr(viability_module, "_sweep", recording_sweep)
+    bound = _BLOCK * (factual_len + max_len + 1) * (factual_len + 1) * 2
+    for size in (1, 2, 31, 33, 80, 150, len(pool)):
+        shapes.clear()
+        batch = pool[:size]
+        euclidean, count = edit_distances(factual, *log_of(batch).frame, slices)
+        assert euclidean.tolist() == [e.item() for e, _ in single[:size]]
+        assert count.tolist() == [c.item() for _, c in single[:size]]
+        assert sum(b for b, _ in shapes) == size
+        for b, m in shapes:
+            assert (factual_len + m + 1) * (factual_len + 1) * 2 * b <= bound
+    assert max(b for b, _ in shapes) > _BLOCK
+
+
+def test_row_keys_equal_each_rows_own_bytes():
+    rng = np.random.default_rng(4)
+    frame = log_of([kernel_trace(rng, int(n), 7, 4, 2) for n in rng.integers(1, 8, 50)]).frame
+    for ids, features, lengths in (frame, (frame[0][:, :5], frame[1][:, :5], frame[2] % 5)):
+        rows = zip(ids, features, lengths.tolist())
+        want = [(n, a[:n].tobytes(), f[:n].tobytes()) for a, f, n in rows]
+        assert _row_keys(ids, features, lengths) == want
 
 
 def assert_backtrace_equals_scalar(a, b, slices):
