@@ -5,22 +5,22 @@ one process at a time; in odd pairs the parent runs first, in even pairs the
 change does:
 
 - perfbench: `python3 perfbench/run.py --workload W --seed S --seconds T
-  --trace 0` in each checkout, per workload one pair per seed. The report
-  gives each end-to-end metric's median, quartiles, IQR and runs per side,
-  the change's relative move, whether it stays within BENCHMARK.json's
-  bound, and the pairs the change wins (ties count for neither). It also
-  compares the output digests of every sub-seed both sides ran.
-- criterion 5: `run_benchmark` on the acceptance criterion-5 spec
-  (CBI-ES-UC3-SBM-RR and CBI-RWS-OPC-SBM-FSR plus the three baselines, a
-  synthetic 200x5 log, 10 factuals, 50 candidates, 200 cycles, population
-  1000, offspring 100), each run a fresh process pinned to one CPU. It
-  gives the wall time and the digests of the three output files.
-- stages: one criterion-5 run per side with a perf_counter pair and the
+  --trace 0` in each checkout, with T the run_seconds of BENCHMARK.json.
+  Every workload gets 10 pairs, seeds 100 k + 1 to 100 k + 10 for the k-th
+  workload (from 1). The report gives each end-to-end metric's median,
+  quartiles, IQR and runs per side, the change's relative move, whether it
+  stays within BENCHMARK.json's bound, and the pairs the change wins (ties
+  count for neither). It also compares the output digests of every sub-seed
+  both sides ran.
+- criterion 5: 6 pairs of yardstick.py's criterion-5 run (seed 0), each a
+  fresh process pinned to one CPU: the wall time and the digests of the
+  three output files.
+- stages: one more such run per side with a perf_counter pair and the
   minor page faults (getrusage) around each call of the engine's stages,
   as shares of the run's wall time.
 
     python scripts/bench_pairs.py --parent PARENT --change CHANGE --out BENCH_25.json \\
-        --pairs 10 --seconds 30 --c5-pairs 6 --claim cbi-short:evo_job_s_p50
+        --claim cbi-short:evo_job_s_p50
 
 PARENT and CHANGE are checkout roots (each with src/, perfbench/ and
 BENCHMARK.json). perfbench writes its records under each root's .perfbench/.
@@ -43,9 +43,11 @@ import tempfile
 import time
 from pathlib import Path
 
+import yardstick
+
 WORKLOADS = ("cbi-short", "long-fresh", "external-cli")
-C5_CONFIGS = ("CBI-ES-UC3-SBM-RR", "CBI-RWS-OPC-SBM-FSR")
-C5_OUTPUTS = ("benchmark_report.json", "candidates.csv", "trajectories.csv")
+PAIRS = 10
+C5_PAIRS = 6
 # (module, owner attribute or None, name) of each timed stage, outermost first
 STAGES = (
     ("evocf.evolution", None, "initialize"),
@@ -63,19 +65,15 @@ STAGES = (
 
 
 # ---------------------------------------------------------------------------
-# workers: one criterion-5 run in this process
+# the stage worker: one criterion-5 run in this process, its stages timed
 
 
-def criterion_5(out_dir: Path, cpu: int, stages: bool) -> dict:
-    """Run the criterion-5 spec here, pinned to cpu; wall time, digests and optional stages."""
+def staged_criterion_5(out_dir: Path) -> dict:
+    """yardstick.run_seed(0) with each STAGES call timed: wall time, digests and stages."""
     import importlib
     import resource
 
-    import evocf
-    from evocf.harness import ExperimentSpec, SyntheticSpec, run_benchmark
-
-    os.sched_setaffinity(0, {cpu})
-    spent: dict[str, list[float]] = {}
+    spent: dict[str, list] = {}
 
     def timed(name, function):
         def wrapper(*args, **kwargs):
@@ -91,53 +89,26 @@ def criterion_5(out_dir: Path, cpu: int, stages: bool) -> dict:
 
         return wrapper
 
-    if stages:
-        for module_name, owner_name, name in STAGES:
-            module = importlib.import_module(module_name)
-            owner = getattr(module, owner_name) if owner_name else module
-            setattr(owner, name, timed(name, getattr(owner, name)))
-    spec = ExperimentSpec(
-        config_names=C5_CONFIGS,
-        synthetic=SyntheticSpec(200, 5),
-        n_factuals=10,
-        counterfactuals_per_factual=50,
-        cycles=200,
-        seed=0,
-        output_dir=str(out_dir),
-        population_size=1000,
-        offspring_per_cycle=100,
-    )
-    started = time.perf_counter()
-    run_benchmark(spec)
-    wall_s = time.perf_counter() - started
+    for module_name, owner_name, name in STAGES:
+        module = importlib.import_module(module_name)
+        owner = getattr(module, owner_name) if owner_name else module
+        setattr(owner, name, timed(name, getattr(owner, name)))
+    result = yardstick.run_seed(0, out_dir)
     return {
-        "evocf": evocf.__file__,
-        "wall_s": wall_s,
-        "digests": {
-            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in C5_OUTPUTS
-        },
+        "evocf": result["evocf"],
+        "wall_s": result["wall_s"],
+        "digests": result["digests"],
         "stages": {
-            name: {"calls": calls, "seconds": seconds, "share": seconds / wall_s,
+            name: {"calls": calls, "seconds": seconds, "share": seconds / result["wall_s"],
                    "minor_faults": faults}
             for name, (calls, seconds, faults) in spent.items()
         },
     }
 
 
-def criterion_5_in_fresh_process(root: Path, cpu: int, stages: bool) -> dict:
+def staged_in_fresh_process(root: Path) -> dict:
     with tempfile.TemporaryDirectory() as out_dir:
-        argv = [sys.executable, __file__, "--worker", out_dir, "--cpu", str(cpu)]
-        done = subprocess.run(
-            argv + (["--stages"] if stages else []),
-            env={**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
-                 "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"},
-            capture_output=True, text=True, check=True,
-        )
-    result = json.loads(done.stdout.splitlines()[-1])
-    imported = Path(result.pop("evocf")).resolve()
-    if (root / "src").resolve() not in imported.parents:
-        raise RuntimeError(f"imported evocf from {imported}, not from {root / 'src'}")
-    return result
+        return yardstick.in_fresh_process(root / "src", [__file__, "--stages", out_dir], cpu=1)
 
 
 # ---------------------------------------------------------------------------
@@ -273,41 +244,34 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path)
     parser.add_argument("--out", type=Path, help="the BENCH_<n>.json to write")
     parser.add_argument("--title", default="")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed-base", type=int, default=2501)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--c5-pairs", type=int, default=6)
-    parser.add_argument("--no-stages", action="store_true")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
-    parser.add_argument("--worker", help=argparse.SUPPRESS)
-    parser.add_argument("--cpu", type=int, default=0, help=argparse.SUPPRESS)
-    parser.add_argument("--stages", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--stages", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.worker:
-        print(json.dumps(criterion_5(Path(args.worker), args.cpu, args.stages)))
+    if args.stages:
+        print(json.dumps(staged_criterion_5(Path(args.stages))))
         return 0
     if not (args.parent and args.change and args.out):
         parser.error("give --parent, --change and --out")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     report: dict = {
         "title": args.title,
         "method": (
-            f"scripts/bench_pairs.py: per workload {args.pairs} alternating pairs of "
-            f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
-            f"--trace 0 (odd pairs parent first), then {args.c5_pairs} alternating pairs of "
-            "criterion-5 runs, each a fresh process pinned to one CPU"
+            f"scripts/bench_pairs.py: per workload {PAIRS} alternating pairs of "
+            f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
+            f"--trace 0 (odd pairs parent first), then {C5_PAIRS} alternating pairs of "
+            "criterion-5 runs, each a fresh process pinned to one CPU, and one "
+            "criterion-5 run per side with its stages timed"
         ),
     }
     workloads = {}
-    for w, workload in enumerate(filter(None, args.workloads.split(","))):
+    for k, workload in enumerate(WORKLOADS, start=1):
         runs = []
-        for pair in range(1, args.pairs + 1):
-            seed = args.seed_base + 100 * w + pair - 1
-            runs.append({"seed": seed})
+        for pair in range(1, PAIRS + 1):
+            runs.append({"seed": 100 * k + pair})
             for side in ordered_sides(pair):
-                runs[-1][side] = perfbench(roots[side], workload, seed, args.seconds)
+                runs[-1][side] = perfbench(roots[side], workload, runs[-1]["seed"], seconds)
             print(f"{workload} pair {pair}: " + "  ".join(
                 f"{side} run_s {runs[-1][side]['metrics']['run_s']:.4f}"
                 for side in ("parent", "change")), file=sys.stderr)
@@ -316,28 +280,24 @@ def main(argv: list[str] | None = None) -> int:
         report["claim"] = claim_verdict(workloads, *args.claim.split(":"), bench)
     report["workloads"] = workloads
 
-    if args.c5_pairs:
-        c5 = {"parent": [], "change": []}
-        for pair in range(1, args.c5_pairs + 1):
-            for side in ordered_sides(pair):
-                c5[side].append(criterion_5_in_fresh_process(roots[side], pair % 2, False))
-            print(f"criterion 5 pair {pair}: " + "  ".join(
-                f"{side} {c5[side][-1]['wall_s']:.2f} s" for side in ("parent", "change")),
-                file=sys.stderr)
-        walls = {side: [run["wall_s"] for run in runs] for side, runs in c5.items()}
-        digests = [run["digests"] for runs in c5.values() for run in runs]
-        report["criterion_5"] = {
-            "wall_s": {side: quartiles(values) for side, values in walls.items()},
-            "change_vs_parent": relative(statistics.median(walls["parent"]),
-                                         statistics.median(walls["change"])),
-            "change_wins": wins(walls["parent"], walls["change"], "lower"),
-            "digests_identical": all(d == digests[0] for d in digests),
-            "digests": digests[0],
-        }
-    if not args.no_stages:
-        report["stages"] = {
-            side: criterion_5_in_fresh_process(roots[side], 1, True) for side in ("parent", "change")
-        }
+    c5 = {"parent": [], "change": []}
+    for pair in range(1, C5_PAIRS + 1):
+        for side in ordered_sides(pair):
+            c5[side].append(yardstick.run_in_fresh_process(roots[side] / "src", 0, cpu=pair % 2))
+        print(f"criterion 5 pair {pair}: " + "  ".join(
+            f"{side} {c5[side][-1]['wall_s']:.2f} s" for side in ("parent", "change")),
+            file=sys.stderr)
+    walls = {side: [run["wall_s"] for run in runs] for side, runs in c5.items()}
+    digests = [run["digests"] for runs in c5.values() for run in runs]
+    report["criterion_5"] = {
+        "wall_s": {side: quartiles(values) for side, values in walls.items()},
+        "change_vs_parent": relative(statistics.median(walls["parent"]),
+                                     statistics.median(walls["change"])),
+        "change_wins": wins(walls["parent"], walls["change"], "lower"),
+        "digests_identical": all(d == digests[0] for d in digests),
+        "digests": digests[0],
+    }
+    report["stages"] = {side: staged_in_fresh_process(root) for side, root in roots.items()}
     report["environment"] = environment()
     report["sides"] = {side: describe(root) for side, root in roots.items()}
     args.out.write_text(json.dumps(report, indent=1) + "\n")

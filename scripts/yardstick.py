@@ -94,21 +94,35 @@ def run_seed(seed: int, out_dir: Path) -> dict:
     }
 
 
-def run_in_fresh_process(src: Path, seed: int) -> dict:
-    """run_seed in a new interpreter that imports evocf from src."""
-    with tempfile.TemporaryDirectory() as out_dir:
-        done = subprocess.run(
-            [sys.executable, __file__, "--one", str(seed), "--dir", out_dir],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
+def in_fresh_process(src: Path, argv: list[str], cpu: int | None = None) -> dict:
+    """Run a worker script (argv) in a new interpreter that imports evocf from src.
+
+    The worker prints one JSON object last, with evocf.__file__ under "evocf".
+    With cpu, the process is pinned to that CPU and its math libraries to
+    one thread.
+    """
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    if cpu is not None:
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, *argv],
+        env=env,
+        preexec_fn=None if cpu is None else lambda: os.sched_setaffinity(0, {cpu}),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
     result = json.loads(done.stdout.splitlines()[-1])
     imported = Path(result.pop("evocf")).resolve()
     if src.resolve() not in imported.parents:
-        raise RuntimeError(f"seed {seed} imported evocf from {imported}, not from {src}")
+        raise RuntimeError(f"{argv} imported evocf from {imported}, not from {src}")
     return result
+
+
+def run_in_fresh_process(src: Path, seed: int, cpu: int | None = None) -> dict:
+    """run_seed in a new interpreter that imports evocf from src (see in_fresh_process)."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        return in_fresh_process(src, [__file__, "--one", str(seed), "--dir", out_dir], cpu)
 
 
 def spread(values: list[float]) -> dict:

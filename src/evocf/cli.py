@@ -42,6 +42,7 @@ from .harness import (
     check_candidate_count,
     load_log,
     prepare_experiment,
+    prepare_from_log,
     render_pair,
     run_benchmark,
     run_grid,
@@ -215,7 +216,7 @@ def cmd_generate(args) -> int:
     predictor_factory = _predictor_factory(args)
     out = _out_dir(args.out)
     log = load_log(spec)
-    prepared = prepare_experiment(spec, predictor_factory=predictor_factory, log=log)
+    prepared = prepare_from_log(spec, log, predictor_factory)
     factual = prepared.factuals[0]
     if args.factual:
         logs = (prepared.test, prepared.train)

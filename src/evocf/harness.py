@@ -189,16 +189,18 @@ def load_log(spec: ExperimentSpec) -> EventLog:
     return load_csv(spec.log_path, load_schema_config(spec.schema_path))
 
 
-def prepare_experiment(
-    spec: ExperimentSpec, predictor_factory=None, log: EventLog | None = None
-) -> PreparedExperiment:
-    """Load or synthesize the log, fit encoder/predictor/model, pick factuals.
+def prepare_experiment(spec: ExperimentSpec, predictor_factory=None) -> PreparedExperiment:
+    """Load or synthesize the spec's log and set up on it (prepare_from_log)."""
+    return prepare_from_log(spec, load_log(spec), predictor_factory)
 
-    predictor_factory, when given, receives the fitted encoder and must return
-    the outcome predictor to use; no internal model is trained in that case.
-    log, when given, is load_log(spec) loaded by a caller that needs it too.
+
+def prepare_from_log(spec: ExperimentSpec, log: EventLog, predictor_factory) -> PreparedExperiment:
+    """Fit encoder/predictor/model on the spec's whole log (load_log), pick factuals.
+
+    predictor_factory, when not None, receives the fitted encoder and must
+    return the outcome predictor to use; no internal model is trained then.
     """
-    log = preprocess(load_log(spec) if log is None else log, spec.max_trace_len)
+    log = preprocess(log, spec.max_trace_len)
     train_log, test_log = split_train_test(log, spec.test_fraction, spec.seed)
     encoder = fit_encoder(train_log)
     train = encode_log(train_log, encoder)
@@ -470,11 +472,12 @@ def check_candidate_count(spec: ExperimentSpec) -> None:
 def run_benchmark(
     spec: ExperimentSpec, prepared: PreparedExperiment | None = None
 ) -> BenchmarkReport:
-    """Feed the same factuals to every generator and record the top candidates."""
+    """Feed the same factuals to every generator and record the top candidates; without
+    prepared, check the spec (check_candidate_count) and set up, else the caller did both."""
     if not spec.config_names:
         raise ValueError("benchmark needs at least one evolutionary config")
-    check_candidate_count(spec)
     if prepared is None:
+        check_candidate_count(spec)
         prepared = prepare_experiment(spec)
     report = BenchmarkReport()
     candidates = _IncrementalCsv(_output_path(spec, "candidates.csv"), CANDIDATE_COLUMNS)

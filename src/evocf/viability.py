@@ -41,8 +41,8 @@ CostKind = Literal["euclidean", "count"]
 FEATURE_DIFF_TOLERANCE = 1e-9
 _BACKTRACE_TOLERANCE = 1e-9
 
-# a wavefront sweep's tables hold at most the cells of _BLOCK full-width rows,
-# so memory is bounded whatever the batch size, and short rows share a sweep
+# candidates per wavefront sweep; the sweep's cost tables grow with it, so a
+# fixed block bounds memory whatever the size of a scoring batch
 _BLOCK = 32
 
 
@@ -197,9 +197,8 @@ def edit_distances(
     """Edit distances of the factual to each candidate of a frame (event_log.Rows).
 
     Returns (euclidean, count) as float arrays in row order. Rows are swept
-    in blocks, shortest first so a block pads little; a block of b rows up to
-    length m sweeps b (n + m + 1)(n + 1) cells per cost kind, no more than
-    _BLOCK rows of the frame's full width would.
+    in blocks of _BLOCK, shortest first so a block pads little, which bounds
+    memory for any batch size.
     """
     if slices is None:
         slices = _infer_slices(factual)
@@ -207,19 +206,14 @@ def edit_distances(
     euclidean = np.empty(len(lengths))
     count = np.empty(len(lengths))
     n = factual.valid_len
-    widths, start = n + lengths[order] + 1, 0
-    while start < len(order):
-        # k (n + m + 1) for the block of the k rows from start (both sides drop n + 1)
-        cells = np.arange(1, len(order) - start + 1) * widths[start:]
-        stop = start + np.searchsorted(cells, _BLOCK * (n + ids.shape[1] + 1), side="right")
-        rows = order[start:stop]
+    for start in range(0, len(order), _BLOCK):
+        rows = order[start : start + _BLOCK]
         b, m = len(rows), lengths[rows].max()
         dp_k, *tables = _sweep(factual, ids[rows, :m], features[rows, :m], slices)
         distances = dp_k[n + np.tile(lengths[rows], 2), n, np.arange(2 * b)]
         euclidean[rows], count[rows] = distances[:b], distances[b:]
         # free this block's tables before the next block's sweep allocates its own
         del dp_k, tables
-        start = stop
     return euclidean, count
 
 
@@ -317,14 +311,9 @@ def delta_score(p_factual: float, p_counterfactual: float) -> float:
 
 
 def _row_keys(ids: np.ndarray, features: np.ndarray, lengths: np.ndarray) -> list[tuple]:
-    """Per row of a frame, its valid prefix as a memo key, sliced from one tobytes() per column."""
-    id_bytes, feature_bytes = ids.tobytes(), features.tobytes()
-    a, f = ids.itemsize, features.itemsize * features.shape[2]  # bytes per event
-    a_row, f_row = a * ids.shape[1], f * features.shape[1]
-    return [
-        (n, id_bytes[r * a_row : r * a_row + n * a], feature_bytes[r * f_row : r * f_row + n * f])
-        for r, n in enumerate(lengths.tolist())
-    ]
+    """Per row of a frame, its valid prefix as a memo key."""
+    rows = zip(ids, features, lengths.tolist())
+    return [(n, a[:n].tobytes(), f[:n].tobytes()) for a, f, n in rows]
 
 
 class ViabilityScorer:

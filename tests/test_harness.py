@@ -866,7 +866,7 @@ def test_cli_population_below_the_counterfactuals_asked_for_is_refused_before_se
 ):
     # an evolutionary generator returns its population, so it would write fewer rows
     reached = []
-    for name in ("prepare_experiment", "load_log"):
+    for name in ("prepare_experiment", "prepare_from_log", "load_log"):
         monkeypatch.setattr(f"evocf.cli.{name}", lambda *a, **k: reached.append(a))
     out = tmp_path / "out"
     code = cli_main([*argv, "--overrides", POPULATION_OF_20, "--out", str(out)])
@@ -891,6 +891,7 @@ def test_cli_baseline_generate_and_grid_take_any_population_size(
         raise ConfigurationError("set-up reached")
 
     monkeypatch.setattr("evocf.cli.prepare_experiment", set_up)
+    monkeypatch.setattr("evocf.cli.prepare_from_log", set_up)
     code = cli_main([*argv, "--overrides", POPULATION_OF_20, "--out", str(tmp_path / "out")])
     assert_one_line_error(capsys, code, "set-up reached")
 

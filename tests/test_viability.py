@@ -24,7 +24,6 @@ from evocf.viability import (
     FEATURE_DIFF_TOLERANCE,
     ViabilityScore,
     ViabilityScorer,
-    _row_keys,
     _sweep,
     delta_score,
     edit_distances,
@@ -336,16 +335,12 @@ def test_edit_distances_on_the_criterion_1_fixture():
 
 
 @pytest.mark.parametrize("factual_len", [1, 4, 12])
-def test_edit_distances_blocks_equal_one_row_sweeps_within_the_cell_bound(
-    factual_len, monkeypatch
-):
+def test_edit_distances_blocks_equal_one_row_sweeps(factual_len, monkeypatch):
     rng = np.random.default_rng(factual_len)
     max_len, d = 12, 3
     factual = kernel_trace(rng, factual_len, max_len, 3, d)
     slices = kernel_slices("grouped", d)
     pool = [kernel_trace(rng, int(n), max_len, 3, d) for n in rng.integers(1, max_len + 1, 300)]
-    # short rows only, then all lengths: a block of short rows takes more than _BLOCK of them
-    pool = [c for c in pool if c.valid_len <= 3] + pool
     single = [edit_distances(factual, *c.frame, slices) for c in pool]
     shapes = []
 
@@ -354,26 +349,16 @@ def test_edit_distances_blocks_equal_one_row_sweeps_within_the_cell_bound(
         return _sweep(factual, acts, feats, slices)
 
     monkeypatch.setattr(viability_module, "_sweep", recording_sweep)
-    bound = _BLOCK * (factual_len + max_len + 1) * (factual_len + 1) * 2
     for size in (1, 2, 31, 33, 80, 150, len(pool)):
         shapes.clear()
         batch = pool[:size]
         euclidean, count = edit_distances(factual, *log_of(batch).frame, slices)
         assert euclidean.tolist() == [e.item() for e, _ in single[:size]]
         assert count.tolist() == [c.item() for _, c in single[:size]]
-        assert sum(b for b, _ in shapes) == size
-        for b, m in shapes:
-            assert (factual_len + m + 1) * (factual_len + 1) * 2 * b <= bound
-    assert max(b for b, _ in shapes) > _BLOCK
-
-
-def test_row_keys_equal_each_rows_own_bytes():
-    rng = np.random.default_rng(4)
-    frame = log_of([kernel_trace(rng, int(n), 7, 4, 2) for n in rng.integers(1, 8, 50)]).frame
-    for ids, features, lengths in (frame, (frame[0][:, :5], frame[1][:, :5], frame[2] % 5)):
-        rows = zip(ids, features, lengths.tolist())
-        want = [(n, a[:n].tobytes(), f[:n].tobytes()) for a, f, n in rows]
-        assert _row_keys(ids, features, lengths) == want
+        # blocks of _BLOCK rows, shortest first, each cut to its longest row
+        lengths = sorted(c.valid_len for c in batch)
+        blocks = [lengths[start : start + _BLOCK] for start in range(0, size, _BLOCK)]
+        assert shapes == [(len(block), block[-1]) for block in blocks]
 
 
 def assert_backtrace_equals_scalar(a, b, slices):
