@@ -1,11 +1,12 @@
 """Quality yardstick: the acceptance criterion-5 spec on K seeds, per generator.
 
-Each seed runs `run_benchmark` on the criterion-5 spec (CBI-ES-UC3-SBM-RR and
-CBI-RWS-OPC-SBM-FSR plus the RGW, SBGW and CBGW baselines; a synthetic log of
-200 cases and 5 activities, 10 factuals, 50 candidates per factual, 200
-cycles, population 1000, offspring 100), with only the seed varied. Every run
-is a fresh process that imports evocf from the side's src directory. Per
-generator the report gives, as the median and the min-max over the seeds:
+Each seed sets up (`prepare_experiment`) and runs `run_benchmark` on the
+criterion-5 spec (CBI-ES-UC3-SBM-RR and CBI-RWS-OPC-SBM-FSR plus the RGW,
+SBGW and CBGW baselines; a synthetic log of 200 cases and 5 activities, 10
+factuals, 50 candidates per factual, 200 cycles, population 1000, offspring
+100), with only the seed varied. Every run is a fresh process that imports
+evocf from the side's src directory. Per generator the report gives, as the
+median and the min-max over the seeds:
 
 - median_total: the median total viability of the generator's candidate rows
   (the `medians` entry of benchmark_report.json);
@@ -50,7 +51,7 @@ def _sha256(data: bytes) -> str:
 def run_seed(seed: int, out_dir: Path) -> dict:
     """One criterion-5 run in this process: per-generator figures and output digests."""
     import evocf
-    from evocf.harness import ExperimentSpec, SyntheticSpec, run_benchmark
+    from evocf.harness import ExperimentSpec, SyntheticSpec, prepare_experiment, run_benchmark
 
     spec = ExperimentSpec(
         config_names=CONFIGS,
@@ -63,8 +64,9 @@ def run_seed(seed: int, out_dir: Path) -> dict:
         population_size=1000,
         offspring_per_cycle=100,
     )
+    # the wall time covers set-up and the run
     started = time.perf_counter()
-    report = run_benchmark(spec)
+    report = run_benchmark(spec, prepare_experiment(spec))
     wall_s = time.perf_counter() - started
     flips: dict[str, list[bool]] = {}
     deltas: dict[str, list[bool]] = {}

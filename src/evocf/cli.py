@@ -3,13 +3,12 @@
 Subcommands cover the whole workflow: synthesize a desk-scale log, train the
 reference predictor, fit the feasibility model, generate counterfactuals for
 one factual, run the operator grid search or the baseline benchmark, and
-render a factual/counterfactual pair side by side.
+render a factual/counterfactual pair side by side; the runs themselves live in harness.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import shlex
@@ -18,37 +17,33 @@ import types
 import typing
 from pathlib import Path
 
-import numpy as np
-
 from . import predictor as predictor_mod
 from .errors import ConfigurationError, EvocfError
 from .event_log import (
     PlantedRule,
-    decode_rows,
     load_csv,
     load_schema_config,
     synthesize_log,
     write_csv,
+    write_schema_config,
 )
 from .harness import (
     BASELINES,
-    CANDIDATE_COLUMNS,
     ExperimentSpec,
     GRID_PRESET_135,
     GRID_PRESET_162,
     SyntheticSpec,
-    _candidate_values,
-    candidate_rows,
+    check_benchmark,
     check_candidate_count,
+    check_grid,
     load_log,
     prepare_experiment,
     prepare_from_log,
     render_pair,
     run_benchmark,
+    run_generate,
     run_grid,
-    run_job,
 )
-from .predictor import DECISION_THRESHOLD
 
 
 def _add_data_arguments(parser, require_out=False):
@@ -58,10 +53,6 @@ def _add_data_arguments(parser, require_out=False):
     parser.add_argument("--out", help="output directory", required=require_out)
     parser.add_argument(
         "--overrides", help="JSON object overriding experiment parameters", default=None
-    )
-    parser.add_argument(
-        "--external-predictor",
-        help="command scoring candidate CSVs (file protocol), replaces the trained model",
     )
 
 
@@ -99,21 +90,22 @@ def _parse_value(value, hint, what: str):
     raise ConfigurationError(f"{what} must be {expected}, got {json.dumps(value)}")
 
 
-_FLAG_FIELDS = {"log_path": "--log", "schema_path": "--schema", "output_dir": "--out"}
+# spec fields set by a flag, by its dest; --overrides cannot set those of its command's flags
+_FLAG_FIELDS = dict(log_path="log", schema_path="schema", output_dir="out", config_names="config")
 
 
-def _parse_overrides(text: str | None) -> dict:
-    if not text:
+def _parse_overrides(args) -> dict:
+    if not args.overrides:
         return {}
     try:
-        overrides = json.loads(text)
+        overrides = json.loads(args.overrides)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"--overrides is not valid JSON: {exc}") from None
     if not isinstance(overrides, dict):
         raise ConfigurationError("--overrides must be a JSON object")
-    for key, flag in _FLAG_FIELDS.items():
-        if key in overrides:
-            raise ConfigurationError(f"--overrides cannot set {key}; {flag} sets it")
+    for key, dest in _FLAG_FIELDS.items():
+        if key in overrides and dest in vars(args):
+            raise ConfigurationError(f"--overrides cannot set {key}; --{dest} sets it")
     return _parse_fields(overrides, ExperimentSpec, "--overrides")
 
 
@@ -127,11 +119,8 @@ def _spec_from_args(args, **defaults) -> ExperimentSpec:
         kwargs.setdefault("synthetic", SyntheticSpec())
     kwargs["seed"] = args.seed
     kwargs["output_dir"] = args.out
-    kwargs.update(_parse_overrides(args.overrides))
-    try:
-        return ExperimentSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from None
+    kwargs.update(_parse_overrides(args))
+    return ExperimentSpec(**kwargs)
 
 
 def _out_dir(path: str) -> Path:
@@ -167,8 +156,7 @@ def cmd_synthesize_log(args) -> int:
     # only once the input is accepted, so a rejected one leaves no directory
     out = _out_dir(args.out)
     write_csv(log, out / "log.csv")
-    schema = {"attributes": [{"name": s.name, "kind": s.kind} for s in log.schemas]}
-    (out / "schema.json").write_text(json.dumps(schema, indent=2))
+    write_schema_config(log.schemas, out / "schema.json")
     positives = sum(t.outcome for t in log.traces)
     print(f"wrote {len(log)} cases ({positives} positive) to {out / 'log.csv'}")
     return 0
@@ -208,66 +196,17 @@ def cmd_fit_markov(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    configs = () if args.config in BASELINES else (args.config,)
     spec = _spec_from_args(
-        args, cycles=args.cycles, n_factuals=1, counterfactuals_per_factual=args.n
+        args, config_names=configs, cycles=args.cycles, n_factuals=1,
+        counterfactuals_per_factual=args.n,
     )
-    if args.config not in BASELINES:
-        check_candidate_count(spec)
+    check_candidate_count(spec)
     predictor_factory = _predictor_factory(args)
-    out = _out_dir(args.out)
+    _out_dir(args.out)
     log = load_log(spec)
     prepared = prepare_from_log(spec, log, predictor_factory)
-    factual = prepared.factuals[0]
-    if args.factual:
-        logs = (prepared.test, prepared.train)
-        found = [log[i] for log in logs for i in np.flatnonzero(log.case_ids == args.factual)]
-        if not found:
-            raise ConfigurationError(
-                f"case {args.factual!r} not found among the encoded cases: set-up drops the "
-                f"traces longer than max_trace_len ({spec.max_trace_len}) or than the encoder's "
-                f"max_len ({prepared.encoder.max_len})"
-            )
-        factual = found[0]
-
-    result = run_job(spec, prepared, args.config, 0, factual)
-    top = result.population.take(slice(args.n))
-    rows = candidate_rows(args.config, factual.case_id, top, prepared.encoder)
-
-    with (out / "counterfactuals.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CANDIDATE_COLUMNS)
-        writer.writerows(map(_candidate_values, rows))
-
-    encoder = prepared.encoder
-    # the render batch: the factual's row, then the output candidates' rows
-    batch = (np.concatenate(pair) for pair in zip(factual.frame, top.frame))
-    p_factual, *p_top = prepared.predictor.predict_proba_batch(*batch)
-    score = rows[0].score
-    case_ids = [f"cf_{rank:03d}" for rank in range(1, len(top) + 1)]
-    predicted = {case_id: int(p > DECISION_THRESHOLD) for case_id, p in zip(case_ids, p_top)}
-
-    # decoded events of the generated candidates, same layout as an event log;
-    # outcome is the predicted class and an absent category the empty value
-    names = [codec.name for codec in encoder.codecs]
-    events = [
-        (case_id, activity, step, predicted[case_id], *("" if v is None else v for v in values))
-        for case_id, step, activity, *values in decode_rows(*top.frame, case_ids, encoder)
-    ]
-    with (out / "counterfactual_events.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["case_id", "activity", "timestamp", "outcome", *names])
-        writer.writerows(events)
-
-    # the best counterfactual as render --counterfactual-log shows it
-    rendered = render_pair(
-        log,
-        load_csv(out / "counterfactual_events.csv", log.schemas),
-        factual.case_id,
-        case_ids[0],
-        p_factual=p_factual,
-        p_counterfactual=p_top[0],
-    )
-    (out / "best_render.md").write_text(rendered)
+    score = run_generate(spec, prepared, log, args.config, args.factual).score
     print(
         f"best candidate: total={score.total:.4f} "
         f"(sim={score.similarity:.3f} spar={score.sparsity:.3f} "
@@ -292,6 +231,15 @@ def _parse_configs(args) -> tuple[str, ...]:
     return _split_configs(args.configs)
 
 
+def _set_up_and_run(args, spec: ExperimentSpec, check, run):
+    """run(spec, prepared) once the run's rule, the predictor flag and --out pass."""
+    check(spec)
+    predictor_factory = _predictor_factory(args)
+    if args.out:
+        _out_dir(args.out)
+    return run(spec, prepare_experiment(spec, predictor_factory=predictor_factory))
+
+
 def cmd_grid(args) -> int:
     spec = _spec_from_args(
         args,
@@ -299,13 +247,7 @@ def cmd_grid(args) -> int:
         cycles=args.cycles,
         n_factuals=args.n_factuals,
     )
-    if len(spec.config_names) < 2:
-        raise ConfigurationError("grid search needs at least two configs")
-    predictor_factory = _predictor_factory(args)
-    if args.out:
-        _out_dir(args.out)
-    prepared = prepare_experiment(spec, predictor_factory=predictor_factory)
-    report = run_grid(spec, prepared)
+    report = _set_up_and_run(args, spec, check_grid, run_grid)
     for name, value in report.ranking:
         print(f"{value:8.4f}  {name}")
     return 0
@@ -320,14 +262,7 @@ def cmd_benchmark(args) -> int:
         n_factuals=args.n_factuals,
         counterfactuals_per_factual=args.cfs,
     )
-    if not spec.config_names:
-        raise ConfigurationError("benchmark needs at least one evolutionary config")
-    check_candidate_count(spec)
-    predictor_factory = _predictor_factory(args)
-    if args.out:
-        _out_dir(args.out)
-    prepared = prepare_experiment(spec, predictor_factory=predictor_factory)
-    report = run_benchmark(spec, prepared)
+    report = _set_up_and_run(args, spec, check_benchmark, run_benchmark)
     for name, median in report.medians.items():
         print(f"{name}: median total viability {median:.4f}")
     return 0
@@ -353,6 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evolutionary counterfactual sequence generation for event logs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--external-predictor", help="candidate CSV scorer to use, not the model")
 
     p = sub.add_parser("synthesize-log", help="write a synthetic planted-rule log")
     p.add_argument("--cases", type=int, default=200)
@@ -369,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_arguments(p, require_out=True)
     p.set_defaults(func=cmd_fit_markov)
 
-    p = sub.add_parser("generate", help="generate counterfactuals for one factual")
+    p = sub.add_parser(
+        "generate", help="generate counterfactuals for one factual", parents=[scoring]
+    )
     _add_data_arguments(p, require_out=True)
     p.add_argument(
         "--config", default="CBI-RWS-OPC-SBM-FSR", help="operator config or RGW / SBGW / CBGW"
@@ -379,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10, help="counterfactuals to emit")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("grid", help="operator grid search")
+    p = sub.add_parser("grid", help="operator grid search", parents=[scoring])
     _add_data_arguments(p)
     p.add_argument("--configs", help="comma-separated operator names")
     p.add_argument("--preset", choices=["135", "162"])
@@ -387,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-factuals", type=int, default=2)
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("benchmark", help="evolutionary generators vs baselines")
+    p = sub.add_parser("benchmark", help="evolutionary generators vs baselines", parents=[scoring])
     _add_data_arguments(p)
     p.add_argument("--configs", help="comma-separated operator names")
     p.add_argument("--cycles", type=int, default=200)

@@ -41,7 +41,7 @@ class SelectionError(EvocfError):
     """A selection operator was asked for more parents than the population holds."""
 
 
-class ConfigurationError(EvocfError):
+class ConfigurationError(EvocfError, ValueError):
     """Components do not share an encoder, or run parameters describe no experiment."""
 
 

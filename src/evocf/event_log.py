@@ -422,6 +422,12 @@ def load_schema_config(path: str | Path) -> tuple[AttributeSchema, ...]:
     return tuple(schemas)
 
 
+def write_schema_config(schemas: Sequence[AttributeSchema], path: str | Path) -> None:
+    """Write the JSON attribute declaration load_schema_config reads."""
+    attributes = [{"name": s.name, "kind": s.kind} for s in schemas]
+    Path(path).write_text(json.dumps({"attributes": attributes}, indent=2))
+
+
 def load_csv(path: str | Path, schemas: Sequence[AttributeSchema]) -> EventLog:
     """Load an event log from CSV.
 

@@ -59,7 +59,7 @@ class MutationRates:
         for name in ("insert", "delete", "change"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"mutation rate {name} outside [0, 1]: {rate}")
+                raise ConfigurationError(f"mutation rate {name} outside [0, 1]: {rate}")
 
 
 @dataclass(frozen=True)
@@ -91,15 +91,15 @@ class EvoConfig:
             if self.uc_rate is None or not 0.0 < self.uc_rate < 1.0:
                 raise ConfigNameError("UC crosser needs a rate in (0, 1)")
         if self.population_size < 1:
-            raise ValueError("population_size must be >= 1")
+            raise ConfigurationError("population_size must be >= 1")
         if self.cycles < 0:
-            raise ValueError("cycles must be >= 0")
+            raise ConfigurationError("cycles must be >= 0")
         # offspring are only bred when the loop runs
         if self.cycles > 0:
             if not self.population_size >= self.offspring_per_cycle >= 2:
-                raise ValueError("need population_size >= offspring_per_cycle >= 2")
+                raise ConfigurationError("need population_size >= offspring_per_cycle >= 2")
             if self.offspring_per_cycle % 2 != 0:
-                raise ValueError("offspring_per_cycle must be even")
+                raise ConfigurationError("offspring_per_cycle must be even")
 
     @property
     def name(self) -> str:

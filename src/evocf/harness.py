@@ -1,4 +1,4 @@
-"""Experiment runner: operator grid search, baseline benchmark, rendering.
+"""Experiment runner: operator grid search, baseline benchmark, generate, rendering.
 
 Everything a report contains is recomputable from the raw per-candidate rows
 the runner emits; aggregation happens after emission, never instead of it.
@@ -29,6 +29,7 @@ from .event_log import (
     EncoderSpec,
     EventLog,
     Trace,
+    decode,
     encode,
     encode_log,
     fit_encoder,
@@ -37,6 +38,7 @@ from .event_log import (
     preprocess,
     split_train_test,
     synthesize_log,
+    write_csv,
 )
 # evolve and generate_baseline are looked up at call time, so a caller can
 # wrap either name in this module to observe every job
@@ -110,28 +112,30 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.n_factuals < 1:
-            raise ValueError("n_factuals must be >= 1")
+            raise ConfigurationError("n_factuals must be >= 1")
         paths = (self.log_path, self.schema_path)
         if paths.count(None) != (0 if self.synthetic is None else 2):
-            raise ValueError("need either a synthetic spec or log_path plus schema_path, not both")
+            raise ConfigurationError(
+                "need either a synthetic spec or log_path plus schema_path, not both"
+            )
         repeated = [n for i, n in enumerate(self.config_names) if n in self.config_names[:i]]
         if repeated:
-            raise ValueError(f"config {repeated[0]} is named more than once")
+            raise ConfigurationError(f"config {repeated[0]} is named more than once")
         if self.counterfactuals_per_factual < 1:
-            raise ValueError("counterfactuals_per_factual must be >= 1")
+            raise ConfigurationError("counterfactuals_per_factual must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise ConfigurationError("seed must be >= 0")
         # set-up parameters, checked here so a bad value fails before any work
         if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
+            raise ConfigurationError("test_fraction must be in (0, 1)")
         if self.max_trace_len < 1:
-            raise ValueError("max_trace_len must be >= 1")
+            raise ConfigurationError("max_trace_len must be >= 1")
         if self.n_bins < 2:
-            raise ValueError("n_bins must be >= 2")
+            raise ConfigurationError("n_bins must be >= 2")
         if not 0.0 <= self.smoothing_epsilon < math.inf:
-            raise ValueError("smoothing_epsilon must be >= 0 and finite")
+            raise ConfigurationError("smoothing_epsilon must be >= 0 and finite")
         if self.predictor_epochs < 0:
-            raise ValueError("predictor_epochs must be >= 0")
+            raise ConfigurationError("predictor_epochs must be >= 0")
         # every config shares these run parameters, so one config checks them
         EvoConfig(**self._run_parameters())
         for name in self.config_names:
@@ -218,14 +222,7 @@ def prepare_from_log(spec: ExperimentSpec, log: EventLog, predictor_factory) -> 
     feas_model = markov_mod.fit(
         train, encoder, smoothing_epsilon=spec.smoothing_epsilon, n_bins=spec.n_bins
     )
-    return PreparedExperiment(
-        encoder=encoder,
-        train=train,
-        test=test,
-        predictor=trained,
-        feas_model=feas_model,
-        factuals=factuals,
-    )
+    return PreparedExperiment(encoder, train, test, trained, feas_model, factuals)
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +414,32 @@ def _run_jobs(
     return out_dir
 
 
-def run_grid(spec: ExperimentSpec, prepared: PreparedExperiment | None = None) -> BenchmarkReport:
-    """Run every config against every factual and rank configs by final mean."""
+# the run rules: each runner checks its own, and a caller can check it before set-up
+
+
+def check_grid(spec: ExperimentSpec) -> None:
+    """A ranking needs at least two configs."""
     if len(spec.config_names) < 2:
-        raise ValueError("grid search needs at least two configs")
-    if prepared is None:
-        prepared = prepare_experiment(spec)
+        raise ConfigurationError("grid search needs at least two configs")
+
+
+def check_benchmark(spec: ExperimentSpec) -> None:
+    """At least one evolutionary config, and check_candidate_count."""
+    if not spec.config_names:
+        raise ConfigurationError("benchmark needs at least one evolutionary config")
+    check_candidate_count(spec)
+
+
+def check_candidate_count(spec: ExperimentSpec) -> None:
+    """The generate rule: an operator config's candidates are its final population."""
+    if spec.config_names and spec.population_size < (cfs := spec.counterfactuals_per_factual):
+        raise ConfigurationError(f"population_size ({spec.population_size}) is below the "
+                                 f"{cfs} counterfactuals asked for per factual")
+
+
+def run_grid(spec: ExperimentSpec, prepared: PreparedExperiment) -> BenchmarkReport:
+    """Run every config against every factual and rank configs by final mean."""
+    check_grid(spec)
     report = BenchmarkReport()
     final_means: dict[str, list[float]] = {}
 
@@ -448,12 +465,10 @@ def _write_ranking(out_dir: Path, ranking: list[tuple[str, float]]) -> None:
         writer.writerow(["config", "final_mean_viability"])
         for name, value in ranking:
             writer.writerow([name, repr(value)])
-    top = ranking[:5]
-    bottom = ranking[-5:]
     payload = {
         "ranking": [{"config": n, "final_mean_viability": v} for n, v in ranking],
-        "top_5": [n for n, _ in top],
-        "bottom_5": [n for n, _ in bottom],
+        "top_5": [n for n, _ in ranking[:5]],
+        "bottom_5": [n for n, _ in ranking[-5:]],
     }
     (out_dir / "grid_report.json").write_text(json.dumps(payload, indent=2))
     lines = ["| rank | config | final mean viability |", "| --- | --- | --- |"]
@@ -462,23 +477,9 @@ def _write_ranking(out_dir: Path, ranking: list[tuple[str, float]]) -> None:
     (out_dir / "grid_report.md").write_text("\n".join(lines) + "\n")
 
 
-def check_candidate_count(spec: ExperimentSpec) -> None:
-    """An evolutionary generator's candidates are its final population, so it must be big enough."""
-    if spec.population_size < (cfs := spec.counterfactuals_per_factual):
-        raise ConfigurationError(f"population_size ({spec.population_size}) is below the "
-                                 f"{cfs} counterfactuals asked for per factual")
-
-
-def run_benchmark(
-    spec: ExperimentSpec, prepared: PreparedExperiment | None = None
-) -> BenchmarkReport:
-    """Feed the same factuals to every generator and record the top candidates; without
-    prepared, check the spec (check_candidate_count) and set up, else the caller did both."""
-    if not spec.config_names:
-        raise ValueError("benchmark needs at least one evolutionary config")
-    if prepared is None:
-        check_candidate_count(spec)
-        prepared = prepare_experiment(spec)
+def run_benchmark(spec: ExperimentSpec, prepared: PreparedExperiment) -> BenchmarkReport:
+    """Feed the same factuals to every generator and record the top candidates."""
+    check_benchmark(spec)
     report = BenchmarkReport()
     candidates = _IncrementalCsv(_output_path(spec, "candidates.csv"), CANDIDATE_COLUMNS)
 
@@ -512,6 +513,57 @@ def _write_benchmark_report(out_dir: Path, report: BenchmarkReport) -> None:
     for name in report.medians:
         lines.append(f"| {name} | {report.medians[name]:.4f} | {report.means[name]:.4f} |")
     (out_dir / "benchmark_report.md").write_text("\n".join(lines) + "\n")
+
+
+def run_generate(
+    spec: ExperimentSpec, prepared: PreparedExperiment, log: EventLog, name: str,
+    factual_id: str | None,
+) -> CandidateRow:
+    """Counterfactuals of one factual from generator name in spec.output_dir; returns the best row.
+
+    log is the log set-up ran on (load_log); the factual is case factual_id, or the
+    first picked factual. counterfactuals.csv gets the top candidates' rows,
+    counterfactual_events.csv their events (outcome: the predicted class) and
+    best_render.md the best one's render_pair. A baseline's spec names no config.
+    """
+    check_candidate_count(spec)
+    if spec.output_dir is None:
+        raise ConfigurationError("generate writes its files to output_dir, which is not set")
+    factual = prepared.factuals[0]
+    if factual_id:
+        splits = (prepared.test, prepared.train)
+        found = [s[i] for s in splits for i in np.flatnonzero(s.case_ids == factual_id)]
+        if not found:
+            raise ConfigurationError(
+                f"case {factual_id!r} not found among the encoded cases: set-up drops the "
+                f"traces longer than max_trace_len ({spec.max_trace_len}) or than the encoder's "
+                f"max_len ({prepared.encoder.max_len})"
+            )
+        factual = found[0]
+
+    result = run_job(spec, prepared, name, 0, factual)
+    top = result.population.take(slice(spec.counterfactuals_per_factual))
+    rows = candidate_rows(name, factual.case_id, top, prepared.encoder)
+    out = Path(spec.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    candidates = _IncrementalCsv(out / "counterfactuals.csv", CANDIDATE_COLUMNS)
+    candidates.write_rows([_candidate_values(r) for r in rows])
+    candidates.close()
+
+    # the render batch: the factual's row, then the output candidates' rows
+    batch = (np.concatenate(pair) for pair in zip(factual.frame, top.frame))
+    p_factual, *p_top = prepared.predictor.predict_proba_batch(*batch)
+    case_ids = [f"cf_{rank:03d}" for rank in range(1, len(top) + 1)]
+    predicted = (np.array(p_top) > predictor_mod.DECISION_THRESHOLD).astype(np.int64)
+    decoded = EncodedLog(*top.frame, predicted, np.array(case_ids))
+    events = out / "counterfactual_events.csv"
+    traces = tuple(decode(trace, prepared.encoder) for trace in decoded)
+    write_csv(EventLog(traces, log.schemas, log.activity_vocabulary), events)
+    # read back, so the table is the one render --counterfactual-log shows
+    cf_log = load_csv(events, log.schemas)
+    rendered = render_pair(log, cf_log, factual.case_id, case_ids[0], p_factual, p_top[0])
+    (out / "best_render.md").write_text(rendered)
+    return rows[0]
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,7 @@ class ExternalProcessPredictor:
     `command <candidates.csv> <scores.csv>` with stdin on /dev/null; an empty
     batch starts no command. The command must write back a CSV with
     header `case_id,proba` holding one probability in [0, 1] per case, each
-    case once.
+    case once and no other case.
     Any failure of the command or of its output, or a batch that runs longer
     than EXTERNAL_TIMEOUT_S seconds (the command is then killed), raises
     PredictorError naming the command and the case at fault.
@@ -273,6 +273,9 @@ class ExternalProcessPredictor:
                 raise self._error("wrote no scores file") from None
             except (UnicodeDecodeError, csv.Error) as exc:
                 raise self._error(f"wrote an unreadable scores file: {exc}") from None
+        if len(raw) > len(case_ids):  # so at least one case it answered was not asked for
+            unknown = next(case_id for case_id in raw if case_id not in case_ids)
+            raise self._error(f"returned a score for case {unknown}, which it was not asked for")
         return [self._probability(case_id, raw) for case_id in case_ids]
 
     def _run(self, argv: list[str]) -> None:

@@ -31,7 +31,7 @@ from evocf.event_log import (
     synthesize_log,
 )
 from evocf.evolution import MutationRates, evolve, initialize, parse_config_name
-from evocf.harness import ExperimentSpec, SyntheticSpec, run_benchmark
+from evocf.harness import ExperimentSpec, SyntheticSpec, prepare_experiment, run_benchmark
 from evocf.viability import ViabilityScorer, delta_score, edit_distances
 from test_markov import oracle_feasibility, ten_trace_log
 from test_viability import naive_ssdld
@@ -178,7 +178,7 @@ def benchmark_run(benchmark_output):
         offspring_per_cycle=100,
     )
     started = time.time()
-    report_data = run_benchmark(spec)
+    report_data = run_benchmark(spec, prepare_experiment(spec))
     return report_data, time.time() - started
 
 
@@ -292,7 +292,7 @@ def test_criterion_8_benchmark_determinism(tmp_path):
             offspring_per_cycle=20,
             predictor_epochs=200,
         )
-        run_benchmark(spec)
+        run_benchmark(spec, prepare_experiment(spec))
         outputs.append(
             {
                 name: (out_dir / name).read_bytes()

@@ -47,6 +47,7 @@ from evocf.event_log import (
     split_train_test,
     synthesize_log,
     write_csv,
+    write_schema_config,
 )
 from evocf.evolution import Population
 
@@ -138,6 +139,17 @@ def test_load_schema_config(tmp_path):
     schemas = load_schema_config(path)
     assert schemas[0].name == "amount"
     assert schemas[0].kind == "numeric"
+
+
+def test_write_schema_config_round_trips(tmp_path):
+    schemas = (*SCHEMAS, AttributeSchema("channel", "categorical", categories=("web", "desk")))
+    path = tmp_path / "schema.json"
+    write_schema_config(schemas, path)
+    # the file declares names and kinds; load_csv fits the categories from the log
+    assert load_schema_config(path) == tuple(AttributeSchema(s.name, s.kind) for s in schemas)
+    assert json.loads(path.read_text()) == {
+        "attributes": [{"name": s.name, "kind": s.kind} for s in schemas]
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import statistics
@@ -16,20 +17,34 @@ from conftest import log_of, make_encoded, reference_pick_factuals
 from evocf import harness
 from evocf.cli import main as cli_main
 from evocf.errors import ConfigurationError
-from evocf.event_log import AttributeSchema, Event, Trace, load_csv, load_schema_config
+from evocf.event_log import (
+    AttributeSchema,
+    Event,
+    Trace,
+    load_csv,
+    load_schema_config,
+    synthesize_log,
+    write_csv,
+    write_schema_config,
+)
 from evocf.harness import (
+    BASELINES,
     ExperimentSpec,
     SyntheticSpec,
+    load_log,
     pick_factuals,
     prepare_experiment,
+    prepare_from_log,
     render_counterfactual,
     run_benchmark,
+    run_generate,
     run_grid,
     run_job,
     run_seed,
 )
 from evocf.predictor import ExternalProcessPredictor
 from evocf.viability import ssdld
+from test_run_pins import GENERATE, GENERATE_CYCLES
 
 
 def small_spec(tmp_path=None, **kwargs):
@@ -778,6 +793,17 @@ def test_cli_bad_synthetic_size(tmp_path, capsys, argv, expected):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train-predictor", "fit-markov"])
+def test_cli_fitting_commands_take_no_external_predictor(tmp_path, capsys, command):
+    # they score no candidates, so the flag would be silently ignored
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main([command, "--external-predictor", "/bin/false", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --external-predictor" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "train-predictor", "fit-markov"])
 def test_cli_out_is_required(capsys, command):
     with pytest.raises(SystemExit) as exit_info:
@@ -839,14 +865,27 @@ def test_cli_fitting_commands_need_one_factual(tmp_path, command, output):
             ["grid", "--configs", "CBI-RWS-OPC-SBM-FSR,CBI-ES-UC3-SBM-RR", "--preset", "135"],
             "grid takes --configs or --preset, not both",
         ),
+        (["generate", "--config", "CBI-XX-OPC-SBM-FSR"], "unknown operator token 'XX'"),
     ],
 )
 def test_cli_config_list_is_checked_before_set_up(tmp_path, capsys, monkeypatch, argv, expected):
-    prepared = []
-    monkeypatch.setattr("evocf.cli.prepare_experiment", lambda *a, **k: prepared.append(a))
-    code = cli_main([*argv, "--out", str(tmp_path)])
+    reached = []
+    for name in ("prepare_experiment", "prepare_from_log", "load_log"):
+        monkeypatch.setattr(f"evocf.cli.{name}", lambda *a, **k: reached.append(a))
+    out = tmp_path / "out"
+    code = cli_main([*argv, "--out", str(out)])
     assert_one_line_error(capsys, code, expected)
-    assert prepared == []
+    assert reached == []
+    assert not out.exists()
+
+
+def test_cli_generate_overrides_cannot_set_the_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli_main(
+        ["generate", "--overrides", '{"config_names": ["CBI-ES-UC3-SBM-RR"]}', "--out", str(out)]
+    )
+    assert_one_line_error(capsys, code, "--overrides cannot set config_names; --config sets it")
+    assert not out.exists()
 
 
 POPULATION_OF_20 = '{"population_size": 20, "offspring_per_cycle": 10}'
@@ -896,13 +935,81 @@ def test_cli_baseline_generate_and_grid_take_any_population_size(
     assert_one_line_error(capsys, code, "set-up reached")
 
 
-def test_run_benchmark_refuses_a_population_below_the_counterfactuals_before_set_up(
-    monkeypatch,
+@pytest.mark.parametrize(
+    "runner, fields, expected",
+    [
+        (
+            run_benchmark,
+            {"population_size": 20, "counterfactuals_per_factual": 50},
+            r"population_size \(20\) is below the 50 counterfactuals",
+        ),
+        (run_benchmark, {"config_names": ()}, "benchmark needs at least one evolutionary config"),
+        (run_grid, {"config_names": ("CBI-RWS-OPC-SBM-FSR",)}, "at least two configs"),
+        (
+            lambda spec, prepared: run_generate(spec, prepared, None, "RI-TS-OPC-RM-FSR", None),
+            {"config_names": ("RI-TS-OPC-RM-FSR",), "population_size": 20,
+             "counterfactuals_per_factual": 50},
+            r"population_size \(20\) is below the 50 counterfactuals",
+        ),
+    ],
+    ids=["benchmark-population", "benchmark-no-config", "grid-one-config", "generate-population"],
+)
+def test_runners_check_their_rule_before_any_job(
+    tmp_path, monkeypatch, small_prepared, runner, fields, expected
 ):
-    monkeypatch.setattr(harness, "prepare_experiment", lambda *a, **k: pytest.fail("set up"))
-    spec = small_spec(population_size=20, counterfactuals_per_factual=50)
-    with pytest.raises(ConfigurationError, match=r"population_size \(20\) is below"):
-        run_benchmark(spec)
+    # an API caller sets up itself, so the runner checks its own rule
+    monkeypatch.setattr(harness, "run_job", lambda *a: pytest.fail("a job ran"))
+    with pytest.raises(ConfigurationError, match=expected):
+        runner(small_spec(tmp_path / "out", **fields), small_prepared)
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_generate_needs_an_output_dir_before_any_job(monkeypatch, small_prepared):
+    monkeypatch.setattr(harness, "run_job", lambda *a: pytest.fail("a job ran"))
+    with pytest.raises(ConfigurationError, match="output_dir, which is not set"):
+        run_generate(small_spec(config_names=()), small_prepared, None, "CBGW", None)
+
+
+@pytest.mark.parametrize(
+    "fields, expected",
+    [
+        ({"n_factuals": 0}, "n_factuals must be >= 1"),
+        ({"mutation_rate": 1.5}, "mutation rate insert outside"),
+        ({"population_size": 0}, "population_size must be >= 1"),
+    ],
+)
+def test_a_bad_spec_is_a_configuration_error_and_a_value_error(fields, expected):
+    with pytest.raises(ConfigurationError, match=expected) as info:
+        ExperimentSpec(synthetic=SyntheticSpec(), **fields)
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("config", list(GENERATE))
+def test_run_generate_without_the_cli_writes_the_pinned_files(tmp_path, config):
+    data = tmp_path / "data"
+    data.mkdir()
+    log = synthesize_log(200, 5, seed=0)  # synthesize-log's defaults
+    write_csv(log, data / "log.csv")
+    write_schema_config(log.schemas, data / "schema.json")
+    spec = ExperimentSpec(
+        config_names=() if config in BASELINES else (config,),
+        log_path=str(data / "log.csv"),
+        schema_path=str(data / "schema.json"),
+        n_factuals=1,
+        counterfactuals_per_factual=5,
+        cycles=GENERATE_CYCLES[config],
+        output_dir=str(tmp_path / "out"),
+    )
+    loaded = load_log(spec)
+    best = run_generate(spec, prepare_from_log(spec, loaded, None), loaded, config, None)
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in GENERATE[config]
+    }
+    assert digests == GENERATE[config]
+    with (tmp_path / "out" / "counterfactuals.csv").open(newline="") as handle:
+        first = next(csv.DictReader(handle))
+    assert (first["rank"], float(first["total"])) == ("1", best.score.total)
 
 
 def test_generate_loads_the_log_once(tmp_path, capsys, monkeypatch):

@@ -374,8 +374,15 @@ with open(out_path, "w", newline="") as handle:
             + _WRITE_ROWS,
             "returned proba 1.5 outside [0, 1] for case cand_0",
         ),
+        (
+            "def proba(case_id):\n    return 0.5\ncases = cases + ['cand_999999']\n" + _WRITE_ROWS,
+            "returned a score for case cand_999999, which it was not asked for",
+        ),
     ],
-    ids=["exit-status", "no-output", "unreadable", "missing-case", "non-numeric", "out-of-range"],
+    ids=[
+        "exit-status", "no-output", "unreadable", "missing-case", "non-numeric", "out-of-range",
+        "unknown-case",
+    ],
 )
 def test_external_predictor_failures_are_predictor_errors(tmp_path, synth_setup, body, message):
     command = _bad_scorer(tmp_path, body)
