@@ -90,8 +90,11 @@ def _parse_value(value, hint, what: str):
     raise ConfigurationError(f"{what} must be {expected}, got {json.dumps(value)}")
 
 
-# spec fields set by a flag, by its dest; --overrides cannot set those of its command's flags
-_FLAG_FIELDS = dict(log_path="log", schema_path="schema", output_dir="out", config_names="config")
+# (spec field, dest of a flag that sets it); --overrides cannot set those of its command's flags
+_FLAG_FIELDS = (
+    ("log_path", "log"), ("schema_path", "schema"), ("output_dir", "out"),
+    ("config_names", "config"), ("config_names", "configs"), ("config_names", "preset"),
+)
 
 
 def _parse_overrides(args) -> dict:
@@ -103,7 +106,7 @@ def _parse_overrides(args) -> dict:
         raise ConfigurationError(f"--overrides is not valid JSON: {exc}") from None
     if not isinstance(overrides, dict):
         raise ConfigurationError("--overrides must be a JSON object")
-    for key, dest in _FLAG_FIELDS.items():
+    for key, dest in _FLAG_FIELDS:
         if key in overrides and dest in vars(args):
             raise ConfigurationError(f"--overrides cannot set {key}; --{dest} sets it")
     return _parse_fields(overrides, ExperimentSpec, "--overrides")
@@ -125,6 +128,8 @@ def _spec_from_args(args, **defaults) -> ExperimentSpec:
 
 def _out_dir(path: str) -> Path:
     """The --out directory, created before any set-up so an unusable path fails first."""
+    if not path:
+        raise ConfigurationError("--out is empty")
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -235,7 +240,7 @@ def _set_up_and_run(args, spec: ExperimentSpec, check, run):
     """run(spec, prepared) once the run's rule, the predictor flag and --out pass."""
     check(spec)
     predictor_factory = _predictor_factory(args)
-    if args.out:
+    if args.out is not None:
         _out_dir(args.out)
     return run(spec, prepare_experiment(spec, predictor_factory=predictor_factory))
 
@@ -269,16 +274,18 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_render(args) -> int:
-    if args.out and not Path(args.out).parent.is_dir():
+    if args.out == "":
+        raise ConfigurationError("--out is empty")
+    if args.out is not None and not Path(args.out).parent.is_dir():
         raise ConfigurationError(f"--out {args.out}: its directory does not exist")
     schemas = load_schema_config(args.schema)
     log = load_csv(args.log, schemas)
     cf_log = load_csv(args.counterfactual_log or args.log, schemas)
     rendered = render_pair(log, cf_log, args.factual, args.counterfactual)
-    if args.out:
-        Path(args.out).write_text(rendered)
-    else:
+    if args.out is None:
         print(rendered, end="")
+    else:
+        Path(args.out).write_text(rendered)
     return 0
 
 

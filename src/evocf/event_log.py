@@ -630,21 +630,9 @@ def fit_encoder(train_log: EventLog) -> EncoderSpec:
 
 
 def encode(trace: Trace, spec: EncoderSpec) -> EncodedTrace:
-    """Encode a trace into the padded fixed-width representation."""
-    if len(trace) > spec.max_len:
-        raise VocabularyError(
-            f"trace {trace.case_id!r} longer ({len(trace)}) than encoder max_len {spec.max_len}"
-        )
-    ids = np.zeros(spec.max_len, dtype=np.int64)
-    features = np.zeros((spec.max_len, spec.feature_dim), dtype=float)
-    for t, event in enumerate(trace.events):
-        if event.activity not in spec.activity_to_id:
-            raise VocabularyError(f"unknown activity {event.activity!r}")
-        ids[t] = spec.activity_to_id[event.activity]
-        for codec, cols in spec.slices():
-            if codec.name in event.attributes:
-                features[t, cols] = codec.encode([event.attributes[codec.name]])[0]
-    return EncodedTrace(ids, features, len(trace), trace.outcome, trace.case_id)
+    """Encode a trace into the padded fixed-width representation: encode_log of it alone."""
+    # encode_log reads only a log's traces
+    return encode_log(EventLog._trusted((trace,), (), ()), spec)[0]
 
 
 def decode(enc: EncodedTrace, spec: EncoderSpec) -> Trace:
@@ -681,14 +669,15 @@ def decode_rows(
 
 
 def encode_log(log: EventLog, spec: EncoderSpec) -> EncodedLog:
-    """encode of every trace, computed column by column for the whole log.
+    """Encode every trace, column by column for the whole log.
 
     Activity ids fill one (T, max_len) block and attribute codes one
-    (T, max_len, D) block, each codec encoding its whole column, so row i
-    equals encode of trace i. A trace encode would reject makes a column
-    raise KeyError, ValueError, TypeError, OverflowError or VocabularyError;
-    the log then goes through encode trace by trace, so the error raised is
-    encode's, for the first fault in trace order.
+    (T, max_len, D) block, each codec encoding its whole column. A fault
+    raises VocabularyError (or the error of a numeric value float() refuses).
+    A log of several traces is then encoded trace by trace, so the error is
+    the first faulty trace's. Within one trace, faults are reported in column
+    order: its length, then its first unknown activity in event order, then
+    each attribute in codec order, naming the codec's first unknown value.
     """
     traces = log.traces
     lengths = np.array([len(t) for t in traces], dtype=np.int64)
@@ -699,9 +688,15 @@ def encode_log(log: EventLog, spec: EncoderSpec) -> EncodedLog:
     attributes = [e.attributes for e in events]
     try:
         if (lengths > spec.max_len).any():
-            raise ValueError("trace longer than max_len")
+            trace = traces[np.argmax(lengths > spec.max_len)]
+            raise VocabularyError(
+                f"trace {trace.case_id!r} longer ({len(trace)}) than encoder max_len {spec.max_len}"
+            )
         activities = map(spec.activity_to_id.__getitem__, (e.activity for e in events))
-        ids[valid] = np.fromiter(activities, np.int64, len(events))
+        try:
+            ids[valid] = np.fromiter(activities, np.int64, len(events))
+        except KeyError as exc:
+            raise VocabularyError(f"unknown activity {exc.args[0]!r}") from None
         for codec, cols in spec.slices():
             try:
                 rows, values = slice(None), [a[codec.name] for a in attributes]
@@ -709,9 +704,10 @@ def encode_log(log: EventLog, spec: EncoderSpec) -> EncodedLog:
                 rows = [i for i, a in enumerate(attributes) if codec.name in a]
                 values = [attributes[i][codec.name] for i in rows]
             codes[rows, cols] = codec.encode(values)
-    except (KeyError, ValueError, TypeError, OverflowError, VocabularyError):
-        for trace in traces:
-            encode(trace, spec)
+    except (ValueError, TypeError, OverflowError, VocabularyError):
+        if len(traces) > 1:
+            for trace in traces:
+                encode(trace, spec)
         raise
     features = np.zeros((len(traces), spec.max_len, spec.feature_dim))
     features[valid] = codes

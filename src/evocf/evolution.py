@@ -36,7 +36,7 @@ from . import markov as markov_mod
 from .errors import ConfigNameError, ConfigurationError, SelectionError
 from .event_log import PAD_ID, EncodedLog, EncodedTrace, EncoderSpec, Frame, Rows
 from .markov import MarkovFeasibilityModel
-from .viability import ViabilityScorer
+from .viability import DELTA, FEASIBILITY, SIMILARITY, SPARSITY, TOTAL, ViabilityScorer
 
 INITIATORS = ("RI", "SBI", "CBI")
 SELECTORS = ("RWS", "TS", "ES")
@@ -143,10 +143,6 @@ def parse_config_name(name: str, **overrides) -> EvoConfig:
         uc_rate=uc_rate,
         **overrides,
     )
-
-
-# columns of Population.scores, in ViabilityScore field order
-SIMILARITY, SPARSITY, FEASIBILITY, DELTA, TOTAL = range(5)
 
 
 def _by_total(scores: np.ndarray) -> np.ndarray:
@@ -328,7 +324,7 @@ def mutate(
     attributes. New events, inserts first and then changes, each in
     row-major order, take one activity draw and one attribute block: RM
     draws clipped standard normals, SBM samples the feasibility model
-    conditioned on the new activity. The mutated rows are gathered at once.
+    conditioned on the new activity. The block is gathered at once.
     """
     n_rows, max_len = ids.shape
     frame = np.arange(max_len)
@@ -340,40 +336,34 @@ def mutate(
     inserted &= frame < (max_len - survivors)[:, np.newaxis]
     n_inserts = inserted.sum(axis=1)
     # the k-th insert of a row lands among its survivors and k earlier inserts
-    firsts = np.cumsum(n_inserts) - n_inserts
-    rank = np.arange(n_inserts.sum()) - np.repeat(firsts, n_inserts)
-    positions = rng.integers(0, np.repeat(survivors, n_inserts) + rank + 1).tolist()
+    owner = np.repeat(np.arange(n_rows), n_inserts)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(n_inserts) - n_inserts, n_inserts)
+    slots = np.zeros((n_rows, n_inserts.max(initial=0)), dtype=np.int64)
+    slots[owner, rank] = rng.integers(0, np.repeat(survivors, n_inserts) + rank + 1)
     grown = survivors + n_inserts
     changed = (rng.random((n_rows, max_len)) < rates.change) & (frame < grown[:, np.newaxis])
     encoder = feas_model.encoder
-    acts = rng.integers(1, encoder.vocab_size + 1, size=len(positions) + changed.sum())
+    acts = rng.integers(1, encoder.vocab_size + 1, size=len(owner) + changed.sum())
     if kind == "SBM":
         rows = markov_mod.sample_attributes(
             feas_model, acts, rng.random((len(acts), feas_model._draws_per_event))
         )
     else:
         rows = np.clip(rng.standard_normal((len(acts), encoder.feature_dim)), 0.0, 1.0)
-    touched = np.flatnonzero(deleted.any(axis=1) | (n_inserts > 0) | changed.any(axis=1))
-    if not len(touched):
-        return
+    # as insert k lands at its slot, the row's earlier inserts at or after it move up one
+    for k in range(1, slots.shape[1]):
+        slots[:, :k] += (slots[:, :k] >= slots[:, k, np.newaxis]) & (k < n_inserts)[:, np.newaxis]
     # new event e is cell ids.size + e of the table, the padding cell the one after them
-    cells = np.full((len(touched), max_len), ids.size + len(acts))
-    inserts = iter(zip(positions, range(ids.size, ids.size + len(positions))))
-    changes = iter(range(ids.size + len(positions), ids.size + len(acts)))
-    for row, child, n, gone, hits, flips in zip(
-        cells, touched.tolist(), lengths[touched].tolist(), deleted[touched].tolist(),
-        n_inserts[touched].tolist(), changed[touched].tolist(),
-    ):
-        script = [child * max_len + t for t in range(n) if not gone[t]]
-        for _ in range(hits):
-            position, event = next(inserts)
-            script.insert(position, event)
-        for t, flip in enumerate(flips):
-            if flip:
-                script[t] = next(changes)
-        row[: len(script)] = script
-    lengths[touched] = grown[touched]
-    _gather(ids, features, touched, cells, acts, rows)
+    pad = ids.size + len(acts)
+    cells = np.full((n_rows, max_len), pad)
+    cells[owner, slots[owner, rank]] = ids.size + np.arange(len(owner))
+    # the survivors fill the other slots of their row in order
+    cells[(cells == pad) & (frame < grown[:, np.newaxis])] = np.flatnonzero(
+        ~deleted & (frame < lengths[:, np.newaxis])
+    )
+    cells[changed] = np.arange(ids.size + len(owner), pad)
+    lengths[:] = grown
+    _gather(ids, features, slice(None), cells, acts, rows)
 
 
 def recombine(

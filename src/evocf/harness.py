@@ -44,7 +44,6 @@ from .event_log import (
 # wrap either name in this module to observe every job
 from .evolution import (
     BASELINES,
-    TOTAL,
     CycleStats,
     EvoConfig,
     GenerationResult,
@@ -54,7 +53,7 @@ from .evolution import (
     generate_baseline,
     parse_config_name,
 )
-from .viability import EditAlignment, ViabilityScore, ssdld
+from .viability import TOTAL, EditAlignment, ViabilityScore, ssdld
 
 DEFAULT_BENCHMARK_CONFIGS = ("CBI-ES-UC3-SBM-RR", "CBI-RWS-OPC-SBM-FSR")
 
@@ -125,6 +124,8 @@ class ExperimentSpec:
             raise ConfigurationError("counterfactuals_per_factual must be >= 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
+        if self.output_dir == "":
+            raise ConfigurationError("output_dir is empty")
         # set-up parameters, checked here so a bad value fails before any work
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigurationError("test_fraction must be in (0, 1)")
@@ -381,7 +382,7 @@ def run_job(
 
 
 def _output_path(spec: ExperimentSpec, filename: str) -> Path | None:
-    return Path(spec.output_dir) / filename if spec.output_dir else None
+    return None if spec.output_dir is None else Path(spec.output_dir) / filename
 
 
 def _run_jobs(
@@ -397,8 +398,8 @@ def _run_jobs(
     trajectories.csv as the job completes, so partial results survive a
     failure; on_result(name, factual, result) then sees the job's result.
     """
-    out_dir = Path(spec.output_dir) if spec.output_dir else None
-    if out_dir:
+    out_dir = None if spec.output_dir is None else Path(spec.output_dir)
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     trajectories = _IncrementalCsv(_output_path(spec, "trajectories.csv"), TRAJECTORY_COLUMNS)
     try:

@@ -45,6 +45,8 @@ _BACKTRACE_TOLERANCE = 1e-9
 # fixed block bounds memory whatever the size of a scoring batch
 _BLOCK = 32
 
+SIMILARITY, SPARSITY, FEASIBILITY, DELTA, TOTAL = range(5)  # the columns of a score row
+
 
 @dataclass(frozen=True)
 class ViabilityScore:
@@ -297,16 +299,17 @@ def sparsity_score(factual: EncodedTrace, candidate: EncodedTrace, slices=None) 
     return 1.0 - distance.item() / (factual.valid_len + candidate.valid_len)
 
 
-def delta_score(p_factual: float, p_counterfactual: float) -> float:
-    """Signed probability shift of the factual outcome class, in [-1, 1].
+def delta_score(p_factual, p_counterfactual):
+    """Signed probability shift of the factual outcome class, in [-1, 1], elementwise on arrays.
 
     The paper's four branches over the 0.5 threshold all reduce to
     p_factual minus p_counterfactual. It is written negated so that a tie
     gives -0.0, the value the branches gave, and reports stay byte-identical.
     """
     for name, value in (("p_factual", p_factual), ("p_counterfactual", p_counterfactual)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} outside [0, 1]: {value}")
+        values = np.ravel(value)
+        for outside in values[~((values >= 0.0) & (values <= 1.0))][:1]:
+            raise ValueError(f"{name} outside [0, 1]: {outside}")
     return -(p_counterfactual - p_factual)
 
 
@@ -329,7 +332,8 @@ class ViabilityScorer:
     Scores are memoized for the life of the scorer, keyed on each row's
     valid prefix: every component reads only that prefix (all candidates
     share the encoder's frame width), so a repeated genome gets the score it
-    got the first time without being scored again.
+    got the first time without being scored again. The memo maps a key to its
+    row of one (M, 5) score table; a batch adds its rows once all have scored.
     """
 
     def __init__(
@@ -347,7 +351,8 @@ class ViabilityScorer:
         self.predictor = predictor
         self.feas_model = feas_model
         self.slices = encoder.slices()
-        self._memo: dict[tuple, tuple[float, ...]] = {}
+        self._memo: dict[tuple, int] = {}
+        self._table = np.empty((0, 5))
         self.factual_class: int | None = None
         self.p_factual: float | None = None
 
@@ -359,7 +364,6 @@ class ViabilityScorer:
         predictor and both scoring kernels as one frame.
         """
         first = self.factual_class is None and len(lengths) > 0
-        memo = self._memo
         keys = _row_keys(ids, features, lengths)
         misses: dict[tuple, int] = {}
         if first:
@@ -367,7 +371,7 @@ class ViabilityScorer:
             # candidate equal to it is scored as the factual's row
             misses[_row_keys(*self.factual.frame)[0]] = -1
         for row, key in enumerate(keys):
-            if key not in memo:
+            if key not in self._memo:
                 misses.setdefault(key, row)
         if misses:
             rows = list(misses.values())[1:] if first else list(misses.values())
@@ -379,22 +383,17 @@ class ViabilityScorer:
                 self.factual_class = 1 if p1s[0] > DECISION_THRESHOLD else 0
                 self.p_factual = p1s[0] if self.factual_class == 1 else 1.0 - p1s[0]
             # P(factual's outcome class | trace); the factual's own is p_factual
-            flip = self.factual_class == 0
-            probabilities = [1.0 - p1 if flip else p1 for p1 in p1s]
+            probabilities = 1.0 - np.asarray(p1s) if self.factual_class == 0 else np.asarray(p1s)
             feasibilities = markov_mod.feasibility_batch(self.feas_model, *frame)
-            euclidean, count = edit_distances(self.factual, *frame, self.slices)
-            n = self.factual.valid_len
-            for key, m, e_dist, c_dist, feas, probability in zip(
-                misses, frame[2].tolist(), euclidean.tolist(), count.tolist(), feasibilities,
-                probabilities, strict=True,
-            ):
-                # 1 - each distance normalized by the attained bound n + m
-                similarity = 1.0 - e_dist / (n + m)
-                sparsity = 1.0 - c_dist / (n + m)
-                delta = delta_score(self.p_factual, probability)
-                total = similarity + sparsity + feas + delta
-                memo[key] = (similarity, sparsity, feas, delta, total)
-        return np.array([memo[key] for key in keys], dtype=float).reshape(-1, 5)
+            # 1 - each distance normalized by the attained bound n + m
+            distances = np.stack(edit_distances(self.factual, *frame, self.slices))
+            similarity, sparsity = 1.0 - distances / (self.factual.valid_len + frame[2])
+            delta = delta_score(self.p_factual, probabilities)
+            total = similarity + sparsity + feasibilities + delta
+            new = np.stack([similarity, sparsity, feasibilities, delta, total], axis=1)
+            self._memo.update(zip(misses, range(len(self._table), len(self._table) + len(new))))
+            self._table = np.concatenate([self._table, new])
+        return self._table[[self._memo[key] for key in keys]]
 
     def score(self, candidate: EncodedTrace) -> ViabilityScore:
         return ViabilityScore(*self.score_batch(*candidate.frame)[0].tolist())

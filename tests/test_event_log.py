@@ -732,6 +732,25 @@ def test_encode_log_errors_are_encodes():
         encode_log(EventLog(traces, schemas, ("A",)), spec)
 
 
+def test_encode_reports_a_traces_faults_in_column_order():
+    spec = EncoderSpec({"A": 1}, (CategoricalCodec("resource", ("x",)),), 2)
+    schemas = (AttributeSchema("resource", "categorical"),)
+    # an unknown category at the first event, an unknown activity at the second
+    bad = Trace("bad", (Event("A", {"resource": "w"}), Event("B")), 1)
+    with pytest.raises(VocabularyError, match="^unknown activity 'B'$"):
+        encode(bad, spec)
+    # the length before either, and the first unknown activity in event order
+    longer = Trace("long", (Event("C"), Event("B"), Event("A", {"resource": "w"})), 0)
+    with pytest.raises(VocabularyError, match="'long' longer"):
+        encode(longer, spec)
+    with pytest.raises(VocabularyError, match="^unknown activity 'C'$"):
+        encode(Trace("c", longer.events[:2], 0), spec)
+    # in a log, the first faulty trace's first fault in column order
+    for traces in ((bad, longer), (Trace("ok", (Event("A"),), 0), bad)):
+        with pytest.raises(VocabularyError, match="^unknown activity 'B'$"):
+            encode_log(EventLog(traces, schemas, ("A", "B", "C")), spec)
+
+
 @pytest.mark.parametrize("kind", ["log", "population"])
 def test_take_gathers_every_field(kind):
     rng = np.random.default_rng(4)

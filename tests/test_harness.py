@@ -725,6 +725,12 @@ def test_spec_rejects_a_synthetic_log_and_a_log_path():
             ExperimentSpec(synthetic=SyntheticSpec(), **paths)
 
 
+def test_spec_refuses_an_empty_output_dir():
+    # Path("") is the working directory, so "" would not mean "no output"
+    with pytest.raises(ConfigurationError, match="output_dir is empty"):
+        ExperimentSpec(synthetic=SyntheticSpec(), output_dir="")
+
+
 @pytest.mark.parametrize(
     "command, overrides, expected",
     [
@@ -850,15 +856,8 @@ def test_cli_fitting_commands_need_one_factual(tmp_path, command, output):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (
-            ["benchmark", "--overrides", '{"config_names": []}'],
-            "benchmark needs at least one evolutionary config",
-        ),
-        (
-            ["grid", "--configs", "CBI-RWS-OPC-SBM-FSR,CBI-ES-UC3-SBM-RR",
-             "--overrides", '{"config_names": ["CBI-RWS-OPC-SBM-FSR"]}'],
-            "grid search needs at least two configs",
-        ),
+        (["benchmark", "--configs", ""], "benchmark needs at least one evolutionary config"),
+        (["grid", "--configs", "CBI-RWS-OPC-SBM-FSR"], "grid search needs at least two configs"),
         (["grid", "--configs", "CBI-RWS-OPC-SBM-FSR,XX"], "five dash-separated tokens"),
         (["benchmark", "--configs", "CBI-RWS-OPC-SBM-XX"], "unknown operator token 'XX'"),
         (
@@ -886,6 +885,59 @@ def test_cli_generate_overrides_cannot_set_the_config(tmp_path, capsys):
     )
     assert_one_line_error(capsys, code, "--overrides cannot set config_names; --config sets it")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grid", "--configs", "CBI-RWS-OPC-SBM-FSR,CBI-ES-UC3-SBM-RR"],
+        ["grid", "--preset", "135"],
+        ["benchmark", "--configs", "CBI-RWS-OPC-SBM-FSR"],
+        ["benchmark"],
+    ],
+)
+def test_cli_grid_and_benchmark_overrides_cannot_set_the_configs(
+    tmp_path, capsys, monkeypatch, argv
+):
+    reached = []
+    for name in ("prepare_experiment", "prepare_from_log", "load_log"):
+        monkeypatch.setattr(f"evocf.cli.{name}", lambda *a, **k: reached.append(a))
+    out = tmp_path / "out"
+    overrides = '{"config_names": ["RI-TS-OPC-RM-FSR", "SBI-RWS-TPC-SBM-BBR"]}'
+    code = cli_main([*argv, "--overrides", overrides, "--out", str(out)])
+    assert_one_line_error(capsys, code, "--overrides cannot set config_names; --configs sets it")
+    assert reached == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synthesize-log", "--cases", "30"],
+        ["train-predictor"],
+        ["fit-markov"],
+        ["generate"],
+        ["grid", "--configs", "CBI-RWS-OPC-SBM-FSR,CBI-ES-UC3-SBM-RR"],
+        ["benchmark"],
+        ["render", "--factual", "case_0_0000", "--counterfactual", "case_0_0001"],
+    ],
+)
+def test_cli_empty_out_is_refused(tmp_path, capsys, monkeypatch, argv):
+    if argv[0] == "render":
+        data = tmp_path / "data"
+        assert cli_main(["synthesize-log", "--cases", "30", "--out", str(data)]) == 0
+        capsys.readouterr()
+        argv = [*argv, "--log", str(data / "log.csv"), "--schema", str(data / "schema.json")]
+    reached = []
+    for name in ("prepare_experiment", "prepare_from_log", "load_log"):
+        monkeypatch.setattr(f"evocf.cli.{name}", lambda *a, **k: reached.append(a))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code = cli_main([*argv, "--out", ""])
+    assert_one_line_error(capsys, code, "is empty")
+    assert reached == []
+    assert list(work.iterdir()) == []
 
 
 POPULATION_OF_20 = '{"population_size": 20, "offspring_per_cycle": 10}'

@@ -481,6 +481,20 @@ def test_delta_rejects_out_of_range_inputs():
         delta_score(0.5, -0.1)
 
 
+def test_delta_score_on_an_array_equals_the_scalar_calls():
+    q = np.concatenate([np.random.default_rng(5).random(40), [0.0, 1.0, 0.3, 0.7]])
+    for p in (0.0, 0.3, 0.7, 1.0):
+        got = delta_score(p, q)
+        # repr tells -0.0 from 0.0
+        assert list(map(repr, got.tolist())) == [repr(delta_score(p, x)) for x in q.tolist()]
+    with pytest.raises(ValueError, match=r"p_counterfactual outside \[0, 1\]: 1.5$"):
+        delta_score(0.5, np.array([0.2, 1.5, -0.1]))
+    with pytest.raises(ValueError, match=r"p_counterfactual outside \[0, 1\]: nan$"):
+        delta_score(0.5, np.array([0.2, np.nan, 0.4]))
+    with pytest.raises(ValueError, match=r"p_factual outside \[0, 1\]: -0.5$"):
+        delta_score(np.array([0.1, -0.5]), 0.5)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.floats(min_value=0.0, max_value=1.0),
@@ -719,6 +733,59 @@ def test_score_batch_sends_each_distinct_genome_to_the_predictor_once():
     # the five distinct candidates and the factual, which rides in the first batch
     assert len(predictor.keys) == len(set(predictor.keys)) == 6
     assert _key(factual) in predictor.keys
+
+
+def test_score_batch_of_no_rows_makes_no_predictor_call():
+    model, _ = small_model()
+    rng = np.random.default_rng(11)
+    factual = random_trace(rng)
+    predictor = CountingPredictor()
+    scorer = ViabilityScorer(factual, predictor, model)
+    empty = log_of([factual]).take(slice(0)).frame
+    for _ in range(2):
+        rows = scorer.score_batch(*empty)
+        assert rows.shape == (0, 5) and rows.dtype == float
+    assert predictor.batches == 0 and scorer.factual_class is None
+    # the first batch that holds a row still carries the factual, first
+    scorer.score_batch(*random_trace(rng).frame)
+    assert predictor.calls[0][0] == _key(factual)
+
+
+class FailingPredictor(CountingPredictor):
+    """A CountingPredictor whose call number fail_on raises."""
+
+    def __init__(self, fail_on):
+        super().__init__()
+        self.fail_on = fail_on
+
+    def predict_proba_batch(self, ids, features, lengths):
+        if self.batches == self.fail_on:
+            self.calls.append(None)
+            raise RuntimeError("predictor down")
+        return super().predict_proba_batch(ids, features, lengths)
+
+
+@pytest.mark.parametrize("fail_on", [0, 1])
+def test_score_batch_after_a_failed_predictor_call_scores_as_a_fresh_scorer(fail_on):
+    model, _ = small_model()
+    rng = np.random.default_rng(12)
+    factual = random_trace(rng)
+    pool = [random_trace(rng) for _ in range(4)]
+    batches = [log_of(pool[:2]).frame, log_of([pool[1], pool[2], pool[3], pool[2]]).frame]
+    predictor = FailingPredictor(fail_on)
+    scorer = ViabilityScorer(factual, predictor, model)
+    for frame in batches[:fail_on]:
+        scorer.score_batch(*frame)
+    memo, table = dict(scorer._memo), scorer._table.copy()
+    with pytest.raises(RuntimeError, match="predictor down"):
+        scorer.score_batch(*batches[fail_on])
+    # nothing of the failed batch is kept
+    assert scorer._memo == memo and scorer._table.tobytes() == table.tobytes()
+    if fail_on == 0:
+        assert scorer.factual_class is None
+    retried = scorer.score_batch(*batches[fail_on])
+    fresh = ViabilityScorer(factual, ContentPredictor(), model).score_batch(*batches[fail_on])
+    assert retried.tobytes() == fresh.tobytes()
 
 
 def test_factual_rides_in_the_first_predictor_call_only():
