@@ -59,7 +59,7 @@ STAGES = (
     ("evocf.viability", "ViabilityScorer", "score_batch"),
     ("evocf.viability", None, "_row_keys"),
     ("evocf.viability", None, "edit_distances"),
-    ("evocf.markov", None, "feasibility_batch"),
+    ("evocf.markov", None, "feasibility"),
     ("evocf.predictor", "LogisticOutcomePredictor", "predict_proba_batch"),
 )
 

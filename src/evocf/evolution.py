@@ -252,10 +252,10 @@ def select(
 
 
 def _gather(
-    ids: np.ndarray, features: np.ndarray, rows, cells: np.ndarray, acts: np.ndarray,
+    ids: np.ndarray, features: np.ndarray, cells: np.ndarray, acts: np.ndarray,
     new_features: np.ndarray,
 ) -> None:
-    """Rewrite rows of a block from cells, which index one table of cells.
+    """Rewrite a block from cells, which index one table of cells.
 
     The table holds the block's cells row-major, then the new events acts
     with their feature rows new_features, then one padding cell.
@@ -266,8 +266,8 @@ def _gather(
     feature_table = np.concatenate(
         [features.reshape(n_cells, feature_dim), new_features, np.zeros((1, feature_dim))]
     )
-    ids[rows] = np.take(id_table, cells)
-    features[rows] = np.take(feature_table, cells, axis=0)
+    ids[:] = np.take(id_table, cells)
+    features[:] = np.take(feature_table, cells, axis=0)
 
 
 def crossover(
@@ -307,7 +307,7 @@ def crossover(
     lengths[:] = np.where(pads.any(axis=1), pads.argmax(axis=1), max_len)
     cells[frame >= lengths[:, np.newaxis]] = ids.size
     no_events = np.empty(0, dtype=np.int64), np.empty((0, features.shape[2]))
-    _gather(ids, features, slice(None), cells, *no_events)
+    _gather(ids, features, cells, *no_events)
 
 
 def mutate(
@@ -363,7 +363,7 @@ def mutate(
     )
     cells[changed] = np.arange(ids.size + len(owner), pad)
     lengths[:] = grown
-    _gather(ids, features, slice(None), cells, acts, rows)
+    _gather(ids, features, cells, acts, rows)
 
 
 def recombine(
@@ -432,6 +432,14 @@ def _cycle_stats(cycle: int, scores: np.ndarray) -> CycleStats:
     return CycleStats(cycle, float(best), means[TOTAL], float(median), *means[:TOTAL])
 
 
+def check_frame(config: EvoConfig, max_len: int) -> None:
+    """TPC needs two cut points: a frame of 2 events has one (and one of 1 crosses nothing)."""
+    if config.crosser == "TPC" and config.cycles > 0 and max_len == 2:
+        raise ConfigurationError(
+            f"{config.name}: TPC needs two cut points, and a frame of 2 events has one"
+        )
+
+
 def evolve(
     factual: EncodedTrace,
     config: EvoConfig,
@@ -444,11 +452,7 @@ def evolve(
     Returns the final population sorted by total viability (descending) and
     one statistics row per executed cycle. Deterministic under config.seed.
     """
-    # a frame of one event crosses nothing; one of two has one cut point
-    if config.crosser == "TPC" and config.cycles > 0 and feas_model.encoder.max_len == 2:
-        raise ConfigurationError(
-            f"{config.name}: TPC needs two cut points, and a frame of 2 events has one"
-        )
+    check_frame(config, feas_model.encoder.max_len)
     rng = np.random.default_rng(config.seed)
     scorer = ViabilityScorer(factual, predictor, feas_model)
     population = initialize(config.initiator, config.population_size, log, feas_model, scorer, rng)

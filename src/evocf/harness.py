@@ -49,6 +49,7 @@ from .evolution import (
     GenerationResult,
     MutationRates,
     Population,
+    check_frame,
     evolve,
     generate_baseline,
     parse_config_name,
@@ -398,6 +399,8 @@ def _run_jobs(
     trajectories.csv as the job completes, so partial results survive a
     failure; on_result(name, factual, result) then sees the job's result.
     """
+    for name in spec.config_names:
+        check_frame(spec.build_config(name), prepared.encoder.max_len)
     out_dir = None if spec.output_dir is None else Path(spec.output_dir)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -530,6 +533,8 @@ def run_generate(
     check_candidate_count(spec)
     if spec.output_dir is None:
         raise ConfigurationError("generate writes its files to output_dir, which is not set")
+    for config_name in spec.config_names:
+        check_frame(spec.build_config(config_name), prepared.encoder.max_len)
     factual = prepared.factuals[0]
     if factual_id:
         splits = (prepared.test, prepared.train)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .event_log import PAD_ID, EncodedLog, EncodedTrace, EncoderSpec, Frame, NumericCodec, _cdf, _draw
+from .event_log import PAD_ID, EncodedLog, EncoderSpec, Frame, NumericCodec, _cdf, _draw
 
 END_ID = PAD_ID
 
@@ -205,26 +205,15 @@ def _emission_factors(
     return factors
 
 
-def feasibility(model: MarkovFeasibilityModel, trace: EncodedTrace) -> float:
-    """Probability of the trace under the model; padding is ignored.
-
-    The product is P(e0) * P(f0|e0) * prod_t P(et|et-1) * P(ft|et) over the
-    valid prefix; the END transition is not included. It is
-    feasibility_batch of a batch of one.
-    """
-    return feasibility_batch(model, *trace.frame)[0]
-
-
-def feasibility_batch(
+def feasibility(
     model: MarkovFeasibilityModel, ids: np.ndarray, features: np.ndarray, lengths: np.ndarray
 ) -> list[float]:
-    """feasibility of each trace of a frame (event_log.Rows), its factors gathered at once.
+    """Probability of each trace of a frame (event_log.Rows) under the model; padding is ignored.
 
-    Event t of row i contributes the factor at 2t of the row (its initial
-    or transition probability) and its emission at 2t + 1, so the first
-    2 * lengths[i] factors of row i are the ones the product multiplies,
-    left to right in that order.
-    """
+    The product is P(e0) * P(f0|e0) * prod_t P(et|et-1) * P(ft|et) over the valid
+    prefix, without the END transition: event t of row i puts its initial or transition
+    probability at 2t and its emission at 2t + 1, and the first 2 * lengths[i] factors
+    are multiplied left to right. One trace's is feasibility(model, *trace.frame)[0]."""
     n, max_len = ids.shape
     valid = np.arange(max_len) < lengths[:, None]
     factors = np.zeros((n, max_len, 2))

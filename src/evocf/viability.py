@@ -313,10 +313,13 @@ def delta_score(p_factual, p_counterfactual):
     return -(p_counterfactual - p_factual)
 
 
-def _row_keys(ids: np.ndarray, features: np.ndarray, lengths: np.ndarray) -> list[tuple]:
-    """Per row of a frame, its valid prefix as a memo key."""
-    rows = zip(ids, features, lengths.tolist())
-    return [(n, a[:n].tobytes(), f[:n].tobytes()) for a, f, n in rows]
+def _row_keys(ids: np.ndarray, features: np.ndarray, lengths: np.ndarray) -> list[bytes]:
+    """Per row of a frame, its memo key: the bytes of its length, padded ids and feature
+    bits, one int64 block's row. The length leads, so equal keys mean equal valid prefixes."""
+    n, max_len, feature_dim = features.shape
+    bits = features.reshape(n, max_len * feature_dim).view(np.int64)
+    block = np.concatenate([lengths[:, np.newaxis], ids, bits], axis=1)
+    return block.view(f"V{block.itemsize * block.shape[1]}").ravel().tolist()
 
 
 class ViabilityScorer:
@@ -330,10 +333,10 @@ class ViabilityScorer:
     boundaries.
 
     Scores are memoized for the life of the scorer, keyed on each row's
-    valid prefix: every component reads only that prefix (all candidates
-    share the encoder's frame width), so a repeated genome gets the score it
-    got the first time without being scored again. The memo maps a key to its
-    row of one (M, 5) score table; a batch adds its rows once all have scored.
+    length and padded cells: every component reads only the valid prefix,
+    and every engine frame keeps its padding zero, so a repeated genome gets
+    the score it got the first time without being scored again. The memo maps
+    a key to its row of one (M, 5) score table; a batch adds its rows once all have scored.
     """
 
     def __init__(
@@ -351,7 +354,7 @@ class ViabilityScorer:
         self.predictor = predictor
         self.feas_model = feas_model
         self.slices = encoder.slices()
-        self._memo: dict[tuple, int] = {}
+        self._memo: dict[bytes, int] = {}
         self._table = np.empty((0, 5))
         self.factual_class: int | None = None
         self.p_factual: float | None = None
@@ -365,26 +368,23 @@ class ViabilityScorer:
         """
         first = self.factual_class is None and len(lengths) > 0
         keys = _row_keys(ids, features, lengths)
-        misses: dict[tuple, int] = {}
-        if first:
-            # the first predictor call carries the factual once, first; a
-            # candidate equal to it is scored as the factual's row
-            misses[_row_keys(*self.factual.frame)[0]] = -1
+        # the factual rides first, once, in the first predictor call; its copies score as it
+        misses: dict[bytes, int] = {_row_keys(*self.factual.frame)[0]: -1} if first else {}
         for row, key in enumerate(keys):
             if key not in self._memo:
                 misses.setdefault(key, row)
         if misses:
-            rows = list(misses.values())[1:] if first else list(misses.values())
+            rows = list(misses.values())[first:]
             frame = ids[rows], features[rows], lengths[rows]
             if first:
-                frame = tuple(np.concatenate(pair) for pair in zip(self.factual.frame, frame))
+                frame = tuple(map(np.concatenate, zip(self.factual.frame, frame)))
             p1s = self.predictor.predict_proba_batch(*frame)
             if self.factual_class is None:
                 self.factual_class = 1 if p1s[0] > DECISION_THRESHOLD else 0
                 self.p_factual = p1s[0] if self.factual_class == 1 else 1.0 - p1s[0]
             # P(factual's outcome class | trace); the factual's own is p_factual
             probabilities = 1.0 - np.asarray(p1s) if self.factual_class == 0 else np.asarray(p1s)
-            feasibilities = markov_mod.feasibility_batch(self.feas_model, *frame)
+            feasibilities = markov_mod.feasibility(self.feas_model, *frame)
             # 1 - each distance normalized by the attained bound n + m
             distances = np.stack(edit_distances(self.factual, *frame, self.slices))
             similarity, sparsity = 1.0 - distances / (self.factual.valid_len + frame[2])

@@ -99,7 +99,7 @@ def test_criterion_2_feasibility_oracle():
         for acts, values in queries:
             query = make_encoded(acts, [[v] for v in values], 8)
             expected = oracle_feasibility(train, query, encoder.vocab_size, epsilon, 5)
-            assert abs(markov_mod.feasibility(model, query) - expected) < 1e-12
+            assert abs(markov_mod.feasibility(model, *query.frame)[0] - expected) < 1e-12
     elapsed = time.time() - started
     report(2, "feasibility oracle", True, elapsed, "5 queries x 2 smoothing levels")
     assert elapsed < 1.0

@@ -842,6 +842,49 @@ def test_cli_tpc_on_a_frame_of_two_is_one_line(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+TWO_EVENT_CONFIGS = ("CBI-RWS-OPC-SBM-FSR", "CBI-RWS-TPC-SBM-FSR")
+# synthesize-log's default size, so both outcome classes keep traces of 2 events
+TWO_EVENT_FIELDS = dict(
+    synthetic=SyntheticSpec(200, 5), max_trace_len=2, config_names=TWO_EVENT_CONFIGS
+)
+
+
+@pytest.fixture(scope="module")
+def two_event_prepared():
+    prepared = prepare_experiment(small_spec(**TWO_EVENT_FIELDS))
+    assert prepared.encoder.max_len == 2
+    return prepared
+
+
+@pytest.mark.parametrize(
+    "runner",
+    [
+        run_grid,
+        run_benchmark,
+        lambda spec, prepared: run_generate(spec, prepared, None, TWO_EVENT_CONFIGS[1], None),
+    ],
+    ids=["grid", "benchmark", "generate"],
+)
+def test_tpc_on_a_frame_of_two_fails_before_the_first_job(tmp_path, two_event_prepared, runner):
+    # the OPC config comes first, and no job of it may run or write a row
+    spec = small_spec(tmp_path / "out", **TWO_EVENT_FIELDS)
+    with pytest.raises(ConfigurationError, match="TPC needs two cut points"):
+        runner(spec, two_event_prepared)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_benchmark_with_tpc_on_a_frame_of_two_writes_no_row(tmp_path, capsys):
+    code = cli_main(
+        ["benchmark", "--configs", ",".join(TWO_EVENT_CONFIGS), "--cycles", "50",
+         "--n-factuals", "3", "--cfs", "5",
+         "--overrides", '{"max_trace_len": 2, "population_size": 50, "offspring_per_cycle": 10}',
+         "--out", str(tmp_path / "tpc")]
+    )
+    assert_one_line_error(capsys, code, "CBI-RWS-TPC-SBM-FSR: TPC needs two cut points")
+    assert not (tmp_path / "tpc" / "trajectories.csv").exists()
+    assert not (tmp_path / "tpc" / "candidates.csv").exists()
+
+
 @pytest.mark.parametrize(
     "command, output", [("train-predictor", "predictor.json"), ("fit-markov", "markov.json")]
 )

@@ -23,7 +23,6 @@ from evocf.markov import (
     MarkovFeasibilityModel,
     _emission_factors,
     feasibility,
-    feasibility_batch,
     fit,
     sample_attributes,
     sample_sequence,
@@ -163,26 +162,26 @@ def test_feasibility_matches_counting_oracle(epsilon):
     ]
     for query in queries:
         expected = oracle_feasibility(train, query, encoder.vocab_size, epsilon, 5)
-        assert abs(feasibility(model, query) - expected) < 1e-12
+        assert abs(feasibility(model, *query.frame)[0] - expected) < 1e-12
 
 
 def test_single_event_trace_is_initial_times_emission():
     model, _ = two_trace_model(n_bins=2)
     query = enc3([A], [0.1])
     expected = float(model.initial_probs[A]) * float(model.emissions[0][A, 0])
-    assert feasibility(model, query) == expected
+    assert feasibility(model, *query.frame)[0] == expected
 
 
 def test_unseen_transition_with_zero_smoothing_is_zero():
     model, _ = two_trace_model(epsilon=0.0)
-    assert feasibility(model, enc3([B, A], [0.6, 0.1])) == 0.0
+    assert feasibility(model, *enc3([B, A], [0.6, 0.1]).frame)[0] == 0.0
 
 
 def test_training_traces_have_positive_feasibility_without_smoothing():
     train = ten_trace_log()
     model = fit(log_of(train), identity_encoder(max_len=8), 0.0, 5)
     for trace in train:
-        assert feasibility(model, trace) > 0.0
+        assert feasibility(model, *trace.frame)[0] > 0.0
 
 
 def test_feasibility_is_a_probability_and_monotone_in_length():
@@ -194,19 +193,19 @@ def test_feasibility_is_a_probability_and_monotone_in_length():
         acts = rng.integers(1, 4, size=length).tolist()
         vals = rng.random(length).tolist()
         trace = enc3(acts, vals)
-        p = feasibility(model, trace)
+        p = feasibility(model, *trace.frame)[0]
         assert 0.0 <= p <= 1.0
         extended = enc3(
             acts + [int(rng.integers(1, 4))], vals + [float(rng.random())]
         )
-        assert feasibility(model, extended) <= p + 1e-15
+        assert feasibility(model, *extended.frame)[0] <= p + 1e-15
 
 
 def test_padding_is_ignored():
     model, _ = two_trace_model()
     short_frame = enc3([A, B], [0.1, 0.6], max_len=2)
     long_frame = enc3([A, B], [0.1, 0.6], max_len=8)
-    assert feasibility(model, short_frame) == feasibility(model, long_frame)
+    assert feasibility(model, *short_frame.frame) == feasibility(model, *long_frame.frame)
 
 
 def test_invalid_categorical_code_has_zero_emission():
@@ -217,7 +216,7 @@ def test_invalid_categorical_code_has_zero_emission():
     model = fit(log_of(train), encoder, 1e-6, 4)
     garbage = make_encoded([1], [[0.37, 0.82]], 4)
     assert emission_probability(model, 1, garbage.features[0]) == 0.0
-    assert feasibility(model, garbage) == 0.0
+    assert feasibility(model, *garbage.frame)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +445,7 @@ def test_table_feasibility_equals_scalar_path(genome_a, genome_b, kind, seed):
     children = cross_genomes(kind, genome_a, genome_b, np.random.default_rng(seed), uc_rate=0.5)
     for model in MIXED_MODELS.values():
         for genome in (genome_a, genome_b, *children):
-            assert feasibility(model, genome) == scalar_feasibility(model, genome)
+            assert feasibility(model, *genome.frame)[0] == scalar_feasibility(model, genome)
             for t in range(genome.valid_len):
                 a, row = int(genome.activity_ids[t]), genome.features[t]
                 assert emission_probability(model, a, row) == scalar_emission(model, a, row)
@@ -460,32 +459,32 @@ def test_table_feasibility_equals_scalar_path(genome_a, genome_b, kind, seed):
 def test_table_feasibility_equals_scalar_path_on_the_synthetic_log(synth_setup):
     model = synth_setup["feas_model"]
     for trace in [*synth_setup["train"], *synth_setup["test"]]:
-        assert feasibility(model, trace) == scalar_feasibility(model, trace)
+        assert feasibility(model, *trace.frame)[0] == scalar_feasibility(model, trace)
 
 
 @settings(max_examples=150, deadline=None)
 @given(genomes=st.lists(mixed_genomes(), min_size=1, max_size=12))
-def test_feasibility_batch_equals_scalar_feasibility(genomes):
+def test_feasibility_of_a_frame_equals_scalar_feasibility(genomes):
     # mixed genomes carry off-codes, codes at and past the decode tolerance and
     # the never-observed activity 4, so epsilon 0 gives many zero factors
     for model in MIXED_MODELS.values():
         expected = [scalar_feasibility(model, g) for g in genomes]
-        assert feasibility_batch(model, *log_of(genomes).frame) == expected
+        assert feasibility(model, *log_of(genomes).frame) == expected
 
 
-def test_feasibility_batch_on_the_synthetic_log(synth_setup):
+def test_feasibility_of_a_frame_on_the_synthetic_log(synth_setup):
     model = synth_setup["feas_model"]
     traces = [*synth_setup["train"], *synth_setup["test"]]
     expected = [scalar_feasibility(model, t) for t in traces]
-    assert feasibility_batch(model, *log_of(traces).frame) == expected
-    assert feasibility_batch(model, *log_of(traces[:1]).frame) == expected[:1]
+    assert feasibility(model, *log_of(traces).frame) == expected
+    assert feasibility(model, *log_of(traces[:1]).frame) == expected[:1]
 
 
-def test_feasibility_batch_of_an_empty_frame():
+def test_feasibility_of_an_empty_frame():
     model = MIXED_MODELS[1e-6]
     d = MIXED_ENCODER.feature_dim
     empty = np.zeros((0, 8), dtype=np.int64), np.zeros((0, 8, d)), np.zeros(0, dtype=np.int64)
-    assert feasibility_batch(model, *empty) == []
+    assert feasibility(model, *empty) == []
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-6])

@@ -67,6 +67,9 @@ def test_layer_metrics_count_the_engine_calls(traced_run):
     assert layers["evolution.crossover.busy_s"] > 0
     assert layers["predictor.calls"] > 0
     assert layers["markov.sample.calls"] > 0
+    # the scorer calls markov.feasibility, the name the tracer wraps
+    assert layers["markov.feasibility.calls"] > 0
+    assert layers["markov.feasibility.busy_s"] > 0
 
 
 def test_uninstall_restores_the_engine():

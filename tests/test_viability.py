@@ -855,6 +855,52 @@ def test_evolve_scores_each_distinct_genome_once(synth_setup):
     assert len(predictor.keys) < config.population_size + config.cycles * 20
 
 
+def test_row_keys_tell_lengths_apart_over_the_same_padded_cells():
+    model, _ = small_model()
+    rng = np.random.default_rng(13)
+    factual = random_trace(rng)
+    whole = t([1, 2, 3], [0.1, 0.6, 0.9])
+    ids, features, _ = log_of([whole, whole]).frame
+    lengths = np.array([3, 2])
+    first, second = viability_module._row_keys(ids, features, lengths)
+    assert first != second
+    rows = ViabilityScorer(factual, ContentPredictor(), model).score_batch(ids, features, lengths)
+    # the 2-event row is scored on its prefix, whatever its third cell holds
+    prefix = viability(factual, t([1, 2], [0.1, 0.6]), ContentPredictor(), model)
+    assert ViabilityScore(*rows[1].tolist()) == prefix and rows[0].tolist() != rows[1].tolist()
+
+
+def test_row_keys_of_equal_prefixes_and_zero_padding_share_one_predictor_row():
+    model, _ = small_model()
+    rng = np.random.default_rng(14)
+    factual, genome = random_trace(rng), random_trace(rng)
+    frame = log_of([genome, _copy(genome), genome]).frame
+    keys = viability_module._row_keys(*frame)
+    assert keys[0] == keys[1] == keys[2]
+    predictor = CountingPredictor()
+    rows = ViabilityScorer(factual, predictor, model).score_batch(*frame)
+    assert predictor.calls == [[_key(factual), _key(genome)]]
+    assert rows[0].tobytes() == rows[1].tobytes() == rows[2].tobytes()
+
+
+def test_row_keys_of_nonzero_padding_score_as_the_zero_padded_copy():
+    model, _ = small_model()
+    rng = np.random.default_rng(15)
+    factual = random_trace(rng)
+    clean = log_of([random_trace(rng) for _ in range(40)]).frame
+    ids, features, lengths = (column.copy() for column in clean)
+    padding = np.arange(ids.shape[1]) >= lengths[:, None]
+    # real activities, so every table lookup of a padding cell stays in range
+    ids[padding] = rng.integers(1, 4, size=padding.sum())
+    features[padding] = rng.random((padding.sum(), features.shape[2]))
+    scorer = ViabilityScorer(factual, ContentPredictor(), model)
+    expected = scorer.score_batch(*clean)
+    noisy = ViabilityScorer(factual, ContentPredictor(), model).score_batch(ids, features, lengths)
+    assert noisy.tobytes() == expected.tobytes()
+    # in the scorer that saw the clean rows they are new keys with the same scores
+    assert scorer.score_batch(ids, features, lengths).tobytes() == expected.tobytes()
+
+
 def test_evocf_viability_is_the_module():
     import types
 
