@@ -16,7 +16,7 @@ from .event_log import (
     split_train_test,
     synthesize_log,
 )
-from .evolution import EvoConfig, GenerationResult, evolve, parse_config_name
+from .evolution import EvoConfig, GenerationResult, evolve
 from .markov import MarkovFeasibilityModel, feasibility, fit
 from .predictor import LogisticOutcomePredictor, OutcomePredictor, train
 from .viability import ViabilityScore, delta_score, similarity_score, sparsity_score, ssdld
@@ -43,7 +43,6 @@ __all__ = [
     "fit",
     "fit_encoder",
     "load_csv",
-    "parse_config_name",
     "preprocess",
     "similarity_score",
     "sparsity_score",

@@ -19,14 +19,14 @@ the whole population or offspring block, and then apply them as array
 arithmetic. Termination is a fixed cycle count. All randomness flows
 through one seeded generator, so runs are reproducible bit for bit.
 
-The reference generators RGW, SBGW and CBGW are zero-cycle runs: the RI, SBI
-and CBI initiators, scored and sorted by total viability.
+The reference generators RGW, SBGW and CBGW are zero-cycle runs of the
+RI, SBI and CBI configs in BASELINES: an initial draw, scored and sorted by
+total viability.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import statistics
 from dataclasses import dataclass, field
 
@@ -38,11 +38,15 @@ from .event_log import PAD_ID, EncodedLog, EncodedTrace, EncoderSpec, Frame, Row
 from .markov import MarkovFeasibilityModel
 from .viability import DELTA, FEASIBILITY, SIMILARITY, SPARSITY, TOTAL, ViabilityScorer
 
-INITIATORS = ("RI", "SBI", "CBI")
-SELECTORS = ("RWS", "TS", "ES")
-CROSSERS = ("UC", "OPC", "TPC")
-MUTATORS = ("RM", "SBM")
-RECOMBINERS = ("FSR", "BBR", "RR")
+# the allowed tokens of each slot of a config name; the uniform crosser
+# carries its rate as one digit, UC1 to UC9
+OPERATOR_TOKENS = (
+    ("RI", "SBI", "CBI"),
+    ("RWS", "TS", "ES"),
+    (*(f"UC{digit}" for digit in range(1, 10)), "OPC", "TPC"),
+    ("RM", "SBM"),
+    ("FSR", "BBR", "RR"),
+)
 
 # total viability can go negative through delta; proportional selection
 # needs a positive fitness
@@ -64,12 +68,14 @@ class MutationRates:
 
 @dataclass(frozen=True)
 class EvoConfig:
-    initiator: str = "CBI"
-    selector: str = "RWS"
-    crosser: str = "OPC"
-    mutator: str = "SBM"
-    recombiner: str = "FSR"
-    uc_rate: float | None = None
+    """An operator config, named by its five tokens, and the parameters of its run.
+
+    The operator kinds are read-only views of the name: initiator, selector,
+    crosser ("UC", "OPC" or "TPC"), mutator and recombiner, and uc_rate (the
+    UC digit / 10, else None).
+    """
+
+    name: str = "CBI-RWS-OPC-SBM-FSR"
     population_size: int = 1000
     offspring_per_cycle: int = 100
     mutation_rates: MutationRates = field(default_factory=MutationRates)
@@ -77,19 +83,17 @@ class EvoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.initiator not in INITIATORS:
-            raise ConfigNameError(f"unknown initiator {self.initiator!r}")
-        if self.selector not in SELECTORS:
-            raise ConfigNameError(f"unknown selector {self.selector!r}")
-        if self.crosser not in CROSSERS:
-            raise ConfigNameError(f"unknown crosser {self.crosser!r}")
-        if self.mutator not in MUTATORS:
-            raise ConfigNameError(f"unknown mutator {self.mutator!r}")
-        if self.recombiner not in RECOMBINERS:
-            raise ConfigNameError(f"unknown recombiner {self.recombiner!r}")
-        if self.crosser == "UC":
-            if self.uc_rate is None or not 0.0 < self.uc_rate < 1.0:
-                raise ConfigNameError("UC crosser needs a rate in (0, 1)")
+        tokens = self.name.split("-")
+        if len(tokens) != 5:
+            raise ConfigNameError(f"expected five dash-separated tokens, got {self.name!r}")
+        for token, allowed in zip(tokens, OPERATOR_TOKENS):
+            if token not in allowed:
+                raise ConfigNameError(f"unknown operator token {token!r} in {self.name!r}")
+        # derived once: evolve reads the views every cycle
+        crosser, uc_rate = tokens[2], None
+        if crosser.startswith("UC"):
+            crosser, uc_rate = "UC", int(crosser[2]) / 10.0
+        object.__setattr__(self, "_kinds", (*tokens[:2], crosser, *tokens[3:], uc_rate))
         if self.population_size < 1:
             raise ConfigurationError("population_size must be >= 1")
         if self.cycles < 0:
@@ -101,48 +105,12 @@ class EvoConfig:
             if self.offspring_per_cycle % 2 != 0:
                 raise ConfigurationError("offspring_per_cycle must be even")
 
-    @property
-    def name(self) -> str:
-        crosser = self.crosser
-        if crosser == "UC":
-            crosser = f"UC{int(round(self.uc_rate * 10))}"
-        return "-".join([self.initiator, self.selector, crosser, self.mutator, self.recombiner])
-
-
-def parse_config_name(name: str, **overrides) -> EvoConfig:
-    """Build an EvoConfig from a five-token operator name.
-
-    Hyperparameters (population_size, cycles, seed, ...) can be passed as
-    keyword overrides. Formatting the result reproduces the input name.
-    """
-    tokens = name.split("-")
-    if len(tokens) != 5:
-        raise ConfigNameError(f"expected five dash-separated tokens, got {name!r}")
-    initiator, selector, crosser_token, mutator, recombiner = tokens
-    uc_rate = None
-    crosser = crosser_token
-    uc_match = re.fullmatch(r"UC([1-9])", crosser_token)
-    if uc_match:
-        crosser = "UC"
-        uc_rate = int(uc_match.group(1)) / 10.0
-    for value, allowed in (
-        (initiator, INITIATORS),
-        (selector, SELECTORS),
-        (crosser, CROSSERS),
-        (mutator, MUTATORS),
-        (recombiner, RECOMBINERS),
-    ):
-        if value not in allowed:
-            raise ConfigNameError(f"unknown operator token {value!r} in {name!r}")
-    return EvoConfig(
-        initiator=initiator,
-        selector=selector,
-        crosser=crosser,
-        mutator=mutator,
-        recombiner=recombiner,
-        uc_rate=uc_rate,
-        **overrides,
-    )
+    initiator = property(lambda self: self._kinds[0])
+    selector = property(lambda self: self._kinds[1])
+    crosser = property(lambda self: self._kinds[2])
+    mutator = property(lambda self: self._kinds[3])
+    recombiner = property(lambda self: self._kinds[4])
+    uc_rate = property(lambda self: self._kinds[5])
 
 
 def _by_total(scores: np.ndarray) -> np.ndarray:
@@ -475,7 +443,12 @@ def evolve(
     )
 
 
-BASELINES = {"RGW": "RI", "SBGW": "SBI", "CBGW": "CBI"}
+# each baseline is a zero-cycle run of a named config: only its initiator acts
+BASELINES = {
+    "RGW": "RI-RWS-OPC-SBM-FSR",
+    "SBGW": "SBI-RWS-OPC-SBM-FSR",
+    "CBGW": "CBI-RWS-OPC-SBM-FSR",
+}
 
 
 def generate_baseline(
@@ -490,5 +463,5 @@ def generate_baseline(
     """Draw and score n candidates with the baseline's initiator, best first."""
     if kind not in BASELINES:
         raise ConfigNameError(f"unknown baseline kind {kind!r}")
-    config = EvoConfig(initiator=BASELINES[kind], population_size=n, cycles=0, seed=seed)
+    config = EvoConfig(BASELINES[kind], population_size=n, cycles=0, seed=seed)
     return evolve(factual, config, predictor, feas_model, log)

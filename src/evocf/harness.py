@@ -52,7 +52,6 @@ from .evolution import (
     check_frame,
     evolve,
     generate_baseline,
-    parse_config_name,
 )
 from .viability import TOTAL, EditAlignment, ViabilityScore, ssdld
 
@@ -153,7 +152,7 @@ class ExperimentSpec:
         )
 
     def build_config(self, name: str) -> EvoConfig:
-        return parse_config_name(name, **self._run_parameters())
+        return EvoConfig(name, **self._run_parameters())
 
 
 @dataclass

@@ -74,12 +74,8 @@ def extract_features_batch(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def loss_and_gradient(
@@ -112,9 +108,10 @@ class LogisticOutcomePredictor:
 
     def predict_proba_batch(self, ids, features, lengths) -> list[float]:
         phi = extract_features_batch(ids, features, lengths, self.vocab_size)
-        # row by row on purpose: a stacked matmul sums in another order, so a
-        # trace's probability would depend on the batch it rides in
-        z = np.array([row @ self.weights + self.bias for row in phi])
+        # one 1 x W by W x 1 product per row, each the dot product a lone row
+        # takes, so a trace's probability does not depend on its batch (the
+        # 2-D phi @ weights sums in another order)
+        z = (phi[:, np.newaxis] @ self.weights[:, np.newaxis])[:, 0, 0] + self.bias
         return np.clip(_sigmoid(z), 1e-12, 1.0 - 1e-12).tolist()
 
     def to_json(self) -> str:

@@ -34,7 +34,6 @@ from evocf.viability import (
     EditOp,
     ViabilityScore,
     ViabilityScorer,
-    _infer_slices,
 )
 
 # CI selects this profile (HYPOTHESIS_PROFILE=ci) so property tests draw the
@@ -547,7 +546,8 @@ def _cost_matrices(a: EncodedTrace, b: EncodedTrace, cost_kind, slices=None):
         return _euclidean_costs(a, b)
     if cost_kind == "count":
         if slices is None:
-            slices = _infer_slices(a)
+            # without an encoder every feature column is its own attribute
+            slices = [(None, slice(c, c + 1)) for c in range(a.features.shape[1])]
         return _count_costs(a, b, slices)
     raise ValueError(f"unknown cost kind {cost_kind!r}")
 

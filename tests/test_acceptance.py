@@ -30,7 +30,7 @@ from evocf.event_log import (
     split_train_test,
     synthesize_log,
 )
-from evocf.evolution import MutationRates, evolve, initialize, parse_config_name
+from evocf.evolution import EvoConfig, MutationRates, evolve, initialize
 from evocf.harness import ExperimentSpec, SyntheticSpec, prepare_experiment, run_benchmark
 from evocf.viability import ViabilityScorer, delta_score, edit_distances
 from test_markov import oracle_feasibility, ten_trace_log
@@ -139,7 +139,7 @@ def synthetic_200x5():
 def test_criterion_4_elitist_monotonicity(synthetic_200x5):
     started = time.time()
     encoder, train, test, predictor, feas_model = synthetic_200x5
-    config = parse_config_name(
+    config = EvoConfig(
         "CBI-RWS-OPC-SBM-FSR",
         population_size=1000,
         offspring_per_cycle=100,

@@ -1,4 +1,4 @@
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from conftest import (
 )
 from evocf.errors import ConfigNameError, ConfigurationError, SelectionError
 from evocf.evolution import (
+    BASELINES,
     FEASIBILITY,
     FITNESS_FLOOR,
     TOTAL,
@@ -38,10 +39,10 @@ from evocf.evolution import (
     evolve,
     initialize,
     mutate,
-    parse_config_name,
     recombine,
     select,
 )
+from evocf.harness import GRID_PRESET_135, GRID_PRESET_162
 from evocf.markov import fit, sample_traces
 from evocf.viability import ViabilityScorer
 
@@ -114,37 +115,70 @@ def training_setup():
 # config names
 
 
-def test_parse_config_name_basic():
-    config = parse_config_name("CBI-RWS-OPC-SBM-FSR")
+def test_config_name_views():
+    config = EvoConfig("CBI-RWS-OPC-SBM-FSR")
     assert (config.initiator, config.selector, config.crosser) == ("CBI", "RWS", "OPC")
     assert (config.mutator, config.recombiner) == ("SBM", "FSR")
     assert config.name == "CBI-RWS-OPC-SBM-FSR"
 
 
-def test_parse_config_name_uniform_rate():
-    config = parse_config_name("CBI-RWS-UC3-RM-RR")
+def test_config_name_uniform_rate():
+    config = EvoConfig("CBI-RWS-UC3-RM-RR")
     assert config.crosser == "UC"
     assert config.uc_rate == pytest.approx(0.3)
     assert config.name == "CBI-RWS-UC3-RM-RR"
-
-
-def test_parse_config_name_unknown_token():
-    with pytest.raises(ConfigNameError, match="XXX"):
-        parse_config_name("CBI-XXX-OPC-SBM-FSR")
-    with pytest.raises(ConfigNameError):
-        parse_config_name("CBI-RWS-OPC-SBM")
 
 
 @pytest.mark.parametrize(
     "name", ["RI-TS-TPC-RM-BBR", "SBI-ES-UC7-SBM-RR", "CBI-RWS-OPC-SBM-FSR"]
 )
 def test_config_name_round_trip(name):
-    assert parse_config_name(name).name == name
+    assert EvoConfig(name).name == name
+
+
+def test_every_preset_and_baseline_name_round_trips_with_its_views():
+    for name in (*GRID_PRESET_162, *GRID_PRESET_135, *BASELINES.values()):
+        config = EvoConfig(name)
+        assert config.name == name
+        initiator, selector, crosser, mutator, recombiner = name.split("-")
+        uc_rate = None
+        if crosser not in ("OPC", "TPC"):
+            crosser, uc_rate = "UC", {f"UC{d}": d / 10 for d in range(1, 10)}[crosser]
+        assert (config.initiator, config.selector, config.crosser) == (initiator, selector, crosser)
+        assert (config.mutator, config.recombiner, config.uc_rate) == (mutator, recombiner, uc_rate)
+        assert replace(config, seed=7).crosser == crosser
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("CBI-RWS-UC0-SBM-FSR", "unknown operator token 'UC0' in 'CBI-RWS-UC0-SBM-FSR'"),
+        ("CBI-RWS-UC10-SBM-FSR", "unknown operator token 'UC10' in 'CBI-RWS-UC10-SBM-FSR'"),
+        ("CBI-RWS-UC-SBM-FSR", "unknown operator token 'UC' in 'CBI-RWS-UC-SBM-FSR'"),
+        ("CBI-RWS-OPC-SBM", "expected five dash-separated tokens, got 'CBI-RWS-OPC-SBM'"),
+        ("CBI-XXX-OPC-SBM-FSR", "unknown operator token 'XXX' in 'CBI-XXX-OPC-SBM-FSR'"),
+    ],
+)
+def test_a_bad_config_name_raises_its_message(name, message):
+    with pytest.raises(ConfigNameError) as info:
+        EvoConfig(name)
+    assert str(info.value) == message
+
+
+def test_operator_kinds_are_views_of_the_name_not_fields():
+    # a rate the name cannot state cannot be built
+    with pytest.raises(TypeError):
+        EvoConfig(crosser="UC", uc_rate=0.35)
+    assert [f.name for f in fields(EvoConfig)] == [
+        "name", "population_size", "offspring_per_cycle", "mutation_rates", "cycles", "seed",
+    ]
+    with pytest.raises(AttributeError):
+        EvoConfig().crosser = "TPC"
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        parse_config_name("CBI-RWS-OPC-SBM-FSR", population_size=10, offspring_per_cycle=20)
+        EvoConfig("CBI-RWS-OPC-SBM-FSR", population_size=10, offspring_per_cycle=20)
     with pytest.raises(ValueError):
         MutationRates(insert=1.5)
 
@@ -397,7 +431,7 @@ def test_rr_orders_lexicographically_by_components():
 def small_config(name="CBI-RWS-OPC-SBM-FSR", **kwargs):
     defaults = dict(population_size=20, offspring_per_cycle=6, cycles=5, seed=3)
     defaults.update(kwargs)
-    return parse_config_name(name, **defaults)
+    return EvoConfig(name, **defaults)
 
 
 def test_evolve_zero_cycles_returns_scored_initial_population():
@@ -684,7 +718,7 @@ def assert_engines_equal(factual, config, predictor, model, log, monkeypatch):
 @pytest.mark.parametrize("cycles, offspring", [(0, 8), (6, 8), (6, 2)])
 def test_frame_engine_equals_the_object_engine(name, cycles, offspring, synth_setup, monkeypatch):
     for seed, factual in zip((5, 2**33 + 1), synth_setup["test"]):
-        config = parse_config_name(
+        config = EvoConfig(
             name,
             population_size=24,
             offspring_per_cycle=offspring,
@@ -715,7 +749,7 @@ def test_frame_engine_equals_the_object_engine_on_short_frames(name, max_len, mo
         for n in rng.integers(1, max_len + 1, size=12).tolist()
     ])
     model = fit(log, identity_encoder(max_len=max_len), 1e-6, 5)
-    config = parse_config_name(
+    config = EvoConfig(
         name,
         population_size=12,
         offspring_per_cycle=4,
@@ -738,7 +772,7 @@ def test_tpc_on_a_frame_of_two_is_refused_before_any_draw():
     predictor = MeanPredictor()
     asked = []
     predictor.predict_proba_batch = lambda *frame: asked.append(frame) or [0.5] * len(frame[2])
-    config = parse_config_name(
+    config = EvoConfig(
         "RI-RWS-TPC-SBM-FSR", population_size=4, offspring_per_cycle=2, cycles=1, seed=3
     )
     with pytest.raises(ConfigurationError, match="RI-RWS-TPC-SBM-FSR: .* frame of 2 events"):

@@ -17,11 +17,14 @@ from conftest import (
 )
 import evocf.viability as viability_module
 from evocf.errors import ConfigurationError
-from evocf.evolution import evolve, initialize, parse_config_name
+from evocf.evolution import EvoConfig, evolve, initialize
+from evocf.harness import ExperimentSpec, SyntheticSpec, prepare_experiment
 from evocf.markov import fit
 from evocf.viability import (
     _BLOCK,
     FEATURE_DIFF_TOLERANCE,
+    SIMILARITY,
+    SPARSITY,
     ViabilityScore,
     ViabilityScorer,
     _sweep,
@@ -449,6 +452,23 @@ def test_sparsity_single_attribute_difference(n):
     assert sparsity_score(a, b, slices) == pytest.approx(1.0 - (1 / 4) / (2 * n), abs=1e-12)
 
 
+def test_scalar_scores_with_the_encoder_layout_equal_the_scorer_row():
+    prepared = prepare_experiment(ExperimentSpec(synthetic=SyntheticSpec()))
+    slices = prepared.encoder.slices()
+    factual = prepared.factuals[0]
+    scorer = ViabilityScorer(factual, prepared.predictor, prepared.feas_model)
+    rows = scorer.score_batch(*prepared.train.frame)
+    per_column = 0
+    for i in range(len(prepared.train)):
+        trace = prepared.train[i]
+        assert similarity_score(factual, trace, slices) == rows[i, SIMILARITY]
+        assert sparsity_score(factual, trace, slices) == rows[i, SPARSITY]
+        per_column += sparsity_score(factual, trace) != rows[i, SPARSITY]
+    # without the layout each column of the two-column resource attribute
+    # counts as its own attribute
+    assert per_column > 0
+
+
 def test_sparsity_disjoint_activities_is_zero():
     a = t([1, 1, 1], [0.5, 0.5, 0.5])
     b = t([2, 3], [0.5, 0.5])
@@ -842,7 +862,7 @@ def test_cbi_population_holding_the_factual_sends_it_once(synth_setup):
 
 def test_evolve_scores_each_distinct_genome_once(synth_setup):
     predictor = CountingPredictor(synth_setup["predictor"])
-    config = parse_config_name(
+    config = EvoConfig(
         "CBI-RWS-OPC-SBM-FSR", population_size=60, offspring_per_cycle=20, cycles=4, seed=3
     )
     evolve(
