@@ -184,12 +184,10 @@ def initialize(
         frame = _random_genomes(rng, n, feas_model.encoder)
     elif kind == "SBI":
         frame = markov_mod.sample_traces(feas_model, feas_model.encoder.max_len, n, rng)
-    elif kind == "CBI":
+    else:  # CBI
         if not log:
             raise ValueError("CBI initiation needs a non-empty log")
         frame = log.take(rng.integers(0, len(log), size=n)).frame
-    else:
-        raise ConfigNameError(f"unknown initiator {kind!r}")
     return Population(*frame, scorer.score_batch(*frame))
 
 
@@ -210,12 +208,10 @@ def select(
         i, j = rng.integers(0, n, size=(2, sample_size))
         wins = rng.random(sample_size) < fitness[i] / (fitness[i] + fitness[j])
         chosen = np.where(wins, i, j)
-    elif kind == "ES":
+    else:  # ES
         if sample_size > n:
             raise SelectionError(f"elitism selection of {sample_size} from population of {n}")
         chosen = _by_total(scores)[:sample_size]
-    else:
-        raise ConfigNameError(f"unknown selector {kind!r}")
     return np.asarray(chosen, dtype=np.intp)
 
 
@@ -362,11 +358,9 @@ def recombine(
             order = np.concatenate([order, n + admitted])
         if len(order) > max_size:
             order = order[_by_total(scores[order])]
-    elif kind == "RR":
+    else:  # RR
         # np.lexsort sorts by its last key first
         order = np.lexsort(-scores[:, [SIMILARITY, SPARSITY, DELTA, FEASIBILITY]].T)
-    else:
-        raise ConfigNameError(f"unknown recombiner {kind!r}")
     order = order[:max_size]
     old = order < n
     rows = np.empty(len(order), dtype=np.intp)

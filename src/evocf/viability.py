@@ -15,11 +15,15 @@ bound. Delta is the signed change of the predicted probability of the
 factual's outcome class. Total viability is the plain sum of the four parts.
 
 There is one DP: _sweep fills both cost kinds' tables for a block of
-candidates along anti-diagonals. Scoring (edit_distances) reads each
-candidate's distance out of it, and ssdld backtraces one candidate's table
-into the alignment that render shows. Each cell adds its terms in the order
-of the scalar DP that tests/conftest.py keeps as the reference
-(reference_ssdld), so every distance is the same float.
+candidates along anti-diagonals of one fixed shape, with inf wherever a term
+does not apply (a pair whose activities differ, a transpose without both
+cross matches, a cell left of the border). Scoring (edit_distances) keeps a
+ring of five diagonals and reads each candidate's distance off row n; ssdld
+keeps every diagonal and backtraces one candidate's table into the alignment
+that render shows. Each cell adds its terms in the order of the scalar DP that
+tests/conftest.py keeps as the reference (reference_ssdld), so every distance
+is the same float. That DP's substitute term never wins, so the sweep leaves
+it out (_sweep says why).
 """
 
 from __future__ import annotations
@@ -86,111 +90,124 @@ def _match_costs(factual: EncodedTrace, feats: np.ndarray, same: np.ndarray, sli
 
     same (n, M, B) marks the cells where the factual event and the candidate
     event share their activity: the DP reads a pair cost there and nowhere
-    else, so only those cells are computed, as one (P, D) gather; the others
-    stay 0. Returns pair (n+1, M+1, 2B), delete (n, 2B) and insert (M+1, 2B),
-    indexed by 1-based event positions (pair row and column 0, insert row 0
-    unused) and by column: euclidean in the first B, count in the last B.
-    Every entry comes from the expression the scalar reference DP
-    (reference_ssdld in tests/conftest.py) evaluates for one pair, with the
-    feature reduction on the same contiguous last axis, so the floats are
-    equal.
+    else, so only those cells are computed, as one (P, D) gather. They are
+    scattered by anti-diagonal into pair (n+M+1, n+1, 2B), pair[i + j, i]
+    for 1-based positions (i, j); every other entry is inf. Returns pair,
+    delete (n+1, 2B) and insert (M+1, 2B), indexed by 1-based event positions
+    (delete row 0 only meets the inf sentinel, insert row 0 is unused), and
+    by column: euclidean in the first B, count in the last B. Every entry
+    comes from the expression the scalar reference DP (reference_ssdld in
+    tests/conftest.py) evaluates for one pair, with the feature reduction on
+    the same contiguous last axis, so the floats are equal.
     """
     n = factual.valid_len
     av = factual.features[:n]
     b, m, d = feats.shape
-    pair = np.zeros((n + 1, m + 1, 2 * b))
-    delete = np.ones((n, 2 * b))
+    pair = np.full((n + m + 1, n + 1, 2 * b), np.inf)
+    delete = np.ones((n + 1, 2 * b))
     insert = np.ones((m + 1, 2 * b))
     i, j, lane = np.nonzero(same)
     diff = av[i] - feats[lane, j]
     differs = np.abs(diff) > FEATURE_DIFF_TOLERANCE
+    euclidean, count = np.zeros(len(lane)), np.zeros(len(lane))
     if d:
         scale = 1.0 / np.sqrt(d)
         diff *= diff
-        pair[i + 1, j + 1, lane] = np.sqrt(diff.sum(axis=-1)) * scale
-        delete[:, :b] = (np.sqrt((av * av).sum(axis=-1)) * scale)[:, None]
+        euclidean = np.sqrt(diff.sum(axis=-1)) * scale
+        delete[1:, :b] = (np.sqrt((av * av).sum(axis=-1)) * scale)[:, None]
         insert[1:, :b] = (np.sqrt((feats * feats).sum(axis=-1)) * scale).T
     else:
         # no features: every euclidean cost is 0
-        delete[:, :b] = 0.0
-        insert[:, :b] = 0.0
+        delete[1:, :b] = 0.0
+        insert[1:, :b] = 0.0
     if slices:
-        count = np.zeros(len(lane))
         for _, cols in slices:
             count += differs[:, cols].any(axis=-1)
         count /= len(slices)
-        pair[i + 1, j + 1, lane + b] = count
+    pair[i + j + 2, i + 1, lane] = euclidean
+    pair[i + j + 2, i + 1, lane + b] = count
     return pair, delete, insert
 
 
-def _by_diagonal(table: np.ndarray) -> np.ndarray:
-    """Read-only view of a (n+1, M+1, ...) table: out[k, i] = table[i, k - i].
-
-    Only entries with 0 <= k - i <= M are cells of the table (the others alias
-    neighbouring cells and are never read), so anti-diagonal k is a slice.
-    """
-    rows, cols, *trail = table.shape
-    row_stride, col_stride, *trail_strides = table.strides
-    return as_strided(
-        table,
-        shape=(rows + cols - 1, rows, *trail),
-        strides=(col_stride, row_stride - col_stride, *trail_strides),
-        writeable=False,
-    )
-
-
-def _sweep(factual: EncodedTrace, acts: np.ndarray, feats: np.ndarray, slices):
-    """Euclidean and count DP tables of one block, one anti-diagonal at a time.
+def _sweep(factual: EncodedTrace, acts: np.ndarray, feats: np.ndarray, slices, full=False):
+    """Euclidean and count DPs of one block, one anti-diagonal at a time.
 
     acts (B, M) and feats (B, M, D) are the block's rows of the frame, cut to
     its longest prefix. The 2B DPs (both kinds of every candidate) are the
     last, contiguous axis: euclidean in the first B, count in the last B.
-    Returns the table by anti-diagonal, dp_k[k, i] = D[i][k - i], and the
-    cost tables of _match_costs. A DP's distance is at (n, m_b), which no
-    cell past a candidate's last event feeds; cells past it hold values no
-    read needs. Each cell adds the scalar DP's terms in its order and keeps
-    the smaller candidate, so every entry is the same float.
+
+    Every diagonal k = i + j has the same shape: an inf sentinel cell (row
+    -1), then rows 0 to n, so diagonal k holds D[i][k - i] at index i + 1.
+    Cells with j < 0 read only inf cells and stay inf, so the borders D[i][0]
+    and D[0][j] come out of the same recurrence as every other cell. Cells
+    with j past a candidate's last event hold values that no cell of its DP
+    reads. A cell keeps the smallest of
+    - up, D[i-1][j] + delete[i];
+    - left, D[i][j-1] + insert[j];
+    - match, D[i-1][j-1] + pair[i][j], inf unless the activities match;
+    - transpose, (D[i-2][j-2] + pair[i][j-1]) + pair[i-1][j], inf unless
+      both cross pairs match.
+    The scalar DP's substitute term, (D[i-1][j-1] + delete[i]) + insert[j]
+    on a mismatch, never wins, so it is not computed: D[i][j-1] is at most
+    D[i-1][j-1] + delete[i] (the up term of cell (i, j-1), or, at j = 1,
+    exactly the border value), and rounded addition is monotonic, so the
+    left term is never larger. Each term adds in the scalar DP's order, so
+    every cell is the same float, and ssdld's backtrace, which still tests
+    substitute, finds the same alignment.
+
+    Returns (dp, ends, pair, delete, insert): dp holds the diagonals, as a
+    ring of five (k-1, k-2 and k-4 are read) or, when full, all n + M + 1
+    of them (in at least five slots), diagonal k at dp[k]; ends[k] is row n
+    of diagonal k, so a candidate's distance D[n][m_b] is ends[n + m_b]; the
+    cost tables are _match_costs'.
     """
     n = factual.valid_len
     b, m = acts.shape
+    lanes, diagonals = 2 * b, n + m + 1
     same = factual.activity_ids[:n, None, None] == acts.T[None]
     pair, delete, insert = _match_costs(factual, feats, same, slices)
-    match = np.zeros((n + 1, m + 1, 2 * b), dtype=bool)
-    match[1:, 1:] = np.tile(same, 2)
-    swap = np.zeros_like(match)
-    swap[2:, 2:] = match[2:, 1:-1] & match[1:-1, 2:]
-    has_swap = np.zeros(n + m + 1, dtype=bool)
-    swap_i, swap_j = np.nonzero(swap.any(axis=-1))
-    has_swap[swap_i + swap_j] = True
-    pair_k, match_k, swap_k = _by_diagonal(pair), _by_diagonal(match), _by_diagonal(swap)
+    has_swap = np.zeros(diagonals, dtype=bool)
+    swap_i, swap_j = np.nonzero((same[1:, :-1] & same[:-1, 1:]).any(axis=-1))
+    has_swap[swap_i + swap_j + 4] = True
+    # the insert cost of event j = k - i at diagonal k, row i: padded holds
+    # insert[j] at n + m - j, and 1 (a finite filler) for j outside 1..M, so
+    # each diagonal's costs are a contiguous run of it
+    padded = np.ones((2 * n + m + 1, lanes))
+    padded[n : n + m] = insert[:0:-1]
+    row_stride, lane_stride = padded.strides
+    insert_k = as_strided(
+        padded[n + m :],
+        shape=(diagonals, n + 1, lanes),
+        strides=(-row_stride, row_stride, lane_stride),
+        writeable=False,
+    )
 
-    # the DP table stored by anti-diagonal, dp_k[k, i] = D[i][k - i], so each
-    # diagonal is contiguous; D[i][0] and D[0][j] are running sums
-    dp_k = np.zeros((n + m + 1, n + 1, 2 * b))
-    dp_k[1 : m + 1, 0] = np.cumsum(insert[1:], axis=0)
-    border = np.arange(1, n + 1)
-    dp_k[border, border] = np.cumsum(delete, axis=0)
-    for k in range(2, n + m + 1):
-        lo, hi = max(1, k - m), min(n, k - 1) + 1
-        previous, diagonal = dp_k[k - 1], dp_k[k - 2]
-        del_i = delete[lo - 1 : hi - 1]
-        ins_j = insert[k - lo : k - hi : -1]
-        diag = diagonal[lo - 1 : hi - 1]
-        best = dp_k[k, lo:hi]
-        np.minimum(previous[lo - 1 : hi - 1] + del_i, previous[lo:hi] + ins_j, out=best)
-        # (diag + del_i) + ins_j on a mismatch, diag + pair on a match
-        through = diag + del_i
-        through += ins_j
-        np.add(diag, pair_k[k, lo:hi], out=through, where=match_k[k, lo:hi])
+    size = max(diagonals, 5) if full else 5
+    dp = np.full((size, n + 2, lanes), np.inf)
+    dp[0, 1] = 0.0
+    ends = np.empty((diagonals, lanes))
+    ends[0] = dp[0, n + 1]
+    # views of each slot, by row: 0..n, -1..n-1, 1..n, -1..n-2 and n
+    cells, above = [d[1:] for d in dp], [d[:-1] for d in dp]
+    swap_cells, swap_from, last_row = [d[2:] for d in dp], [d[:-2] for d in dp], list(dp[:, n + 1])
+    # pair by diagonal, rows 1..n and 0..n-1: a transpose's two cross pairs
+    pair_here, pair_up = pair[:, 1:], pair[:, :-1]
+    through = np.empty((n + 1, lanes))
+    swapped = through[1:]
+    for k in range(1, diagonals):
+        here, one, two = k % size, (k - 1) % size, (k - 2) % size
+        best = cells[here]
+        np.add(above[one], delete, out=best)  # up
+        np.add(cells[one], insert_k[k], out=through)  # left
         np.minimum(best, through, out=best)
-        if has_swap[k]:
-            s_lo, s_hi = max(2, lo), min(hi, k - 1)
-            # (D[i-2][j-2] + pair[i-1][j-2]) + pair[i-2][j-1], 0-based pair
-            cand = dp_k[k - 4, s_lo - 2 : s_hi - 2] + pair_k[k - 1, s_lo:s_hi]
-            cand += pair_k[k - 1, s_lo - 1 : s_hi - 1]
-            kept = best[s_lo - lo : s_hi - lo]
-            np.copyto(kept, cand, where=swap_k[k, s_lo:s_hi] & (cand < kept))
-    return dp_k, pair, delete, insert
+        np.add(above[two], pair[k], out=through)  # match
+        np.minimum(best, through, out=best)
+        if has_swap[k]:  # transpose
+            np.add(swap_from[(k - 4) % size], pair_here[k - 1], out=swapped)
+            np.add(swapped, pair_up[k - 1], out=swapped)
+            np.minimum(swap_cells[here], swapped, out=swap_cells[here])
+        ends[k] = last_row[here]
+    return dp, ends, pair, delete, insert
 
 
 def edit_distances(
@@ -211,11 +228,10 @@ def edit_distances(
     for start in range(0, len(order), _BLOCK):
         rows = order[start : start + _BLOCK]
         b, m = len(rows), lengths[rows].max()
-        dp_k, *tables = _sweep(factual, ids[rows, :m], features[rows, :m], slices)
-        distances = dp_k[n + np.tile(lengths[rows], 2), n, np.arange(2 * b)]
+        # only ends outlives the sweep, so a block's tables are freed before the next block's
+        ends = _sweep(factual, ids[rows, :m], features[rows, :m], slices)[1]
+        distances = ends[n + np.tile(lengths[rows], 2), np.arange(2 * b)]
         euclidean[rows], count[rows] = distances[:b], distances[b:]
-        # free this block's tables before the next block's sweep allocates its own
-        del dp_k, tables
     return euclidean, count
 
 
@@ -236,12 +252,12 @@ def ssdld(
     if slices is None:
         slices = _infer_slices(a)
     one_row = b.activity_ids[None, :m], b.features[None, :m]
-    dp_k, pair_k, delete_k, insert_k = _sweep(a, *one_row, slices)
-    # d[i][j] = D[i][j] = dp_k[i + j, i], and the costs indexed from 0
-    rows = np.arange(n + 1)[:, None]
-    d = dp_k[rows + np.arange(m + 1), rows, lane].tolist()
-    pair = pair_k[1:, 1:, lane].tolist()
-    delete = delete_k[:, lane].tolist()
+    dp, _, pair_k, delete_k, insert_k = _sweep(a, *one_row, slices, full=True)
+    # d[i][j] = D[i][j] = dp[i + j, i + 1], and the costs indexed from 0
+    rows, cols = np.arange(n + 1)[:, None], np.arange(m + 1)
+    d = dp[rows + cols, rows + 1, lane].tolist()
+    pair = pair_k[(rows + cols)[1:, 1:], rows[1:], lane].tolist()
+    delete = delete_k[1:, lane].tolist()
     insert = insert_k[1:, lane].tolist()
     acts_a = a.activity_ids[:n].tolist()
     acts_b = b.activity_ids[:m].tolist()

@@ -29,6 +29,7 @@ from evocf.evolution import (
     BASELINES,
     FEASIBILITY,
     FITNESS_FLOOR,
+    OPERATOR_TOKENS,
     TOTAL,
     EvoConfig,
     MutationRates,
@@ -730,6 +731,29 @@ def test_frame_engine_equals_the_object_engine(name, cycles, offspring, synth_se
             factual, config, synth_setup["predictor"], synth_setup["feas_model"],
             synth_setup["train"], monkeypatch,
         )
+
+
+@pytest.mark.parametrize(
+    "slot, token",
+    [(slot, token) for slot, tokens in enumerate(OPERATOR_TOKENS) for token in tokens],
+)
+def test_every_operator_token_runs_as_the_object_engine(slot, token, synth_setup, monkeypatch):
+    # the operators trust the config's tokens: each one, put in its slot of
+    # the default name, drives its operator through a short run
+    tokens = EvoConfig().name.split("-")
+    tokens[slot] = token
+    config = EvoConfig(
+        "-".join(tokens),
+        population_size=12,
+        offspring_per_cycle=4,
+        mutation_rates=MutationRates(0.2, 0.2, 0.2),
+        cycles=2,
+        seed=slot,
+    )
+    assert_engines_equal(
+        synth_setup["test"][0], config, synth_setup["predictor"], synth_setup["feas_model"],
+        synth_setup["train"], monkeypatch,
+    )
 
 
 class MeanPredictor:

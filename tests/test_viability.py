@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _dp_table,
     genomes_of,
     identity_encoder,
     log_of,
@@ -362,6 +363,36 @@ def test_edit_distances_blocks_equal_one_row_sweeps(factual_len, monkeypatch):
         lengths = sorted(c.valid_len for c in batch)
         blocks = [lengths[start : start + _BLOCK] for start in range(0, size, _BLOCK)]
         assert shapes == [(len(block), block[-1]) for block in blocks]
+
+
+@pytest.mark.parametrize(
+    "d, slice_mode", [(0, "empty"), (2, "empty"), (1, "columns"), (3, "grouped"), (12, "grouped")]
+)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sweep_table_equals_the_scalar_distance_table_in_every_cell(d, slice_mode, seed):
+    # the scalar table keeps the substitute term the sweep leaves out, and
+    # has no inf cells; alphabets 1 and 2 make many matches and transposes
+    rng = np.random.default_rng(seed)
+    slices = kernel_slices(slice_mode, d)
+    for alphabet, factual_len in itertools.product((1, 2, 5), (1, 2, 6)):
+        factual = kernel_trace(rng, factual_len, 6, alphabet, d)
+        n = factual.valid_len
+        for lengths in ([1], [2], [1, 2, 4, 6, 6, 3, 1]):
+            block = [kernel_trace(rng, length, 6, alphabet, d) for length in lengths]
+            ids, features, _ = log_of(block).frame
+            m = max(lengths)
+            dp = _sweep(factual, ids[:, :m], features[:, :m], slices, full=True)[0]
+            assert np.isinf(dp[:, 0]).all()  # the sentinel row -1
+            for k in range(n):
+                assert np.isinf(dp[k, k + 2 :]).all()  # cells left of the border
+            rows = np.arange(n + 1)[:, None]
+            for lane, (kind, candidate) in enumerate(
+                itertools.product(("euclidean", "count"), block)
+            ):
+                cols = np.arange(candidate.valid_len + 1)
+                table = _dp_table(factual, candidate, kind, slices)[0]
+                assert dp[rows + cols, rows + 1, lane].tolist() == table
 
 
 def assert_backtrace_equals_scalar(a, b, slices):
