@@ -29,6 +29,7 @@ from .event_log import (
 )
 from .harness import (
     BASELINES,
+    DEFAULT_BENCHMARK_CONFIGS,
     ExperimentSpec,
     GRID_PRESET_135,
     GRID_PRESET_162,
@@ -37,7 +38,6 @@ from .harness import (
     check_candidate_count,
     check_grid,
     load_log,
-    prepare_experiment,
     prepare_from_log,
     render_pair,
     run_benchmark,
@@ -47,10 +47,11 @@ from .harness import (
 
 
 def _add_data_arguments(parser, require_out=False):
-    parser.add_argument("--log", help="event log CSV")
-    parser.add_argument("--schema", help="attribute schema JSON")
+    # a flag's dest is the ExperimentSpec field it sets
+    parser.add_argument("--log", dest="log_path", help="event log CSV")
+    parser.add_argument("--schema", dest="schema_path", help="attribute schema JSON")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", help="output directory", required=require_out)
+    parser.add_argument("--out", dest="output_dir", help="output directory", required=require_out)
     parser.add_argument(
         "--overrides", help="JSON object overriding experiment parameters", default=None
     )
@@ -78,10 +79,6 @@ def _parse_value(value, hint, what: str):
         if isinstance(value, dict):
             return hint(**_parse_fields(value, hint, what))
         expected = "an object"
-    elif typing.get_origin(hint) is tuple:
-        if isinstance(value, list):
-            return tuple(_parse_value(item, typing.get_args(hint)[0], what) for item in value)
-        expected = "a list"
     else:
         accepted = (int, float) if hint is float else hint
         if isinstance(value, accepted) and not isinstance(value, bool):
@@ -90,14 +87,11 @@ def _parse_value(value, hint, what: str):
     raise ConfigurationError(f"{what} must be {expected}, got {json.dumps(value)}")
 
 
-# (spec field, dest of a flag that sets it); --overrides cannot set those of its command's flags
-_FLAG_FIELDS = (
-    ("log_path", "log"), ("schema_path", "schema"), ("output_dir", "out"),
-    ("config_names", "config"), ("config_names", "configs"), ("config_names", "preset"),
-)
+_SPEC_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentSpec))
 
 
-def _parse_overrides(args) -> dict:
+def _parse_overrides(args, taken) -> dict:
+    """--overrides as spec fields; a field in taken (a flag or the command sets it) is refused."""
     if not args.overrides:
         return {}
     try:
@@ -106,24 +100,24 @@ def _parse_overrides(args) -> dict:
         raise ConfigurationError(f"--overrides is not valid JSON: {exc}") from None
     if not isinstance(overrides, dict):
         raise ConfigurationError("--overrides must be a JSON object")
-    for key, dest in _FLAG_FIELDS:
-        if key in overrides and dest in vars(args):
-            raise ConfigurationError(f"--overrides cannot set {key}; --{dest} sets it")
+    refused = sorted(taken & overrides.keys())
+    if refused:
+        raise ConfigurationError(
+            f"--overrides cannot set {refused[0]}; a flag or the {args.command} command sets it"
+        )
     return _parse_fields(overrides, ExperimentSpec, "--overrides")
 
 
-def _spec_from_args(args, **defaults) -> ExperimentSpec:
-    kwargs = dict(defaults)
-    if args.log:
-        kwargs["log_path"] = args.log
-        kwargs["schema_path"] = args.schema
-        kwargs["synthetic"] = None
-    else:
-        kwargs.setdefault("synthetic", SyntheticSpec())
-    kwargs["seed"] = args.seed
-    kwargs["output_dir"] = args.out
-    kwargs.update(_parse_overrides(args))
-    return ExperimentSpec(**kwargs)
+def _spec_from_args(args, **fields) -> ExperimentSpec:
+    """The spec of the command's fields, its flags whose dest is a spec field, and --overrides.
+
+    The synthetic log is the default only when neither --log nor --schema is given.
+    """
+    fields.update((key, value) for key, value in vars(args).items() if key in _SPEC_FIELDS)
+    overrides = _parse_overrides(args, fields.keys())
+    if fields["log_path"] is None and fields["schema_path"] is None:
+        fields["synthetic"] = SyntheticSpec()
+    return ExperimentSpec(**(fields | overrides))
 
 
 def _out_dir(path: str) -> Path:
@@ -140,7 +134,7 @@ def _out_dir(path: str) -> Path:
 
 def _predictor_factory(args):
     """The --external-predictor factory, or None for the trained model; checked before set-up."""
-    command = args.external_predictor
+    command = getattr(args, "external_predictor", None)  # the fitting commands have none
     if command is None:
         return None
     try:
@@ -155,7 +149,7 @@ def _predictor_factory(args):
 def cmd_synthesize_log(args) -> int:
     if args.seed < 0:
         raise ConfigurationError("seed must be >= 0")
-    rule = PlantedRule(args.critical) if args.critical else None
+    rule = None if args.critical is None else PlantedRule(args.critical)
     size = SyntheticSpec(args.cases, args.activities)
     log = synthesize_log(size.n_cases, size.n_activities, rule=rule, seed=args.seed)
     # only once the input is accepted, so a rejected one leaves no directory
@@ -167,11 +161,26 @@ def cmd_synthesize_log(args) -> int:
     return 0
 
 
+def _set_up_and_run(args, spec: ExperimentSpec, check, run):
+    """run(spec, prepared, log) once the run's rule, the predictor flag and --out pass."""
+    check(spec)
+    predictor_factory = _predictor_factory(args)
+    if spec.output_dir is not None:
+        _out_dir(spec.output_dir)
+    log = load_log(spec)
+    return run(spec, prepare_from_log(spec, log, predictor_factory), log)
+
+
+def _fit(args):
+    """The --out directory and set-up of a fitting command."""
+    # it runs no config and uses no factual, so one is all it asks the test split for
+    spec = _spec_from_args(args, config_names=(), n_factuals=1)
+    prepared = _set_up_and_run(args, spec, lambda spec: None, lambda spec, prepared, log: prepared)
+    return Path(spec.output_dir), prepared
+
+
 def cmd_train_predictor(args) -> int:
-    # the fitting commands use no factual, so one is all they ask the test split for
-    spec = _spec_from_args(args, n_factuals=1)
-    out = _out_dir(args.out)
-    prepared = prepare_experiment(spec)
+    out, prepared = _fit(args)
     (out / "encoder.json").write_text(prepared.encoder.to_json())
     (out / "predictor.json").write_text(prepared.predictor.to_json())
 
@@ -192,9 +201,7 @@ def cmd_train_predictor(args) -> int:
 
 
 def cmd_fit_markov(args) -> int:
-    spec = _spec_from_args(args, n_factuals=1)
-    out = _out_dir(args.out)
-    prepared = prepare_experiment(spec)
+    out, prepared = _fit(args)
     (out / "markov.json").write_text(prepared.feas_model.to_json())
     print(f"wrote {out / 'markov.json'}")
     return 0
@@ -202,16 +209,11 @@ def cmd_fit_markov(args) -> int:
 
 def cmd_generate(args) -> int:
     configs = () if args.config in BASELINES else (args.config,)
-    spec = _spec_from_args(
-        args, config_names=configs, cycles=args.cycles, n_factuals=1,
-        counterfactuals_per_factual=args.n,
-    )
-    check_candidate_count(spec)
-    predictor_factory = _predictor_factory(args)
-    _out_dir(args.out)
-    log = load_log(spec)
-    prepared = prepare_from_log(spec, log, predictor_factory)
-    score = run_generate(spec, prepared, log, args.config, args.factual).score
+    spec = _spec_from_args(args, config_names=configs, n_factuals=1)
+    score = _set_up_and_run(
+        args, spec, check_candidate_count,
+        lambda spec, prepared, log: run_generate(spec, prepared, log, args.config, args.factual),
+    ).score
     print(
         f"best candidate: total={score.total:.4f} "
         f"(sim={score.similarity:.3f} spar={score.sparsity:.3f} "
@@ -236,38 +238,22 @@ def _parse_configs(args) -> tuple[str, ...]:
     return _split_configs(args.configs)
 
 
-def _set_up_and_run(args, spec: ExperimentSpec, check, run):
-    """run(spec, prepared) once the run's rule, the predictor flag and --out pass."""
-    check(spec)
-    predictor_factory = _predictor_factory(args)
-    if args.out is not None:
-        _out_dir(args.out)
-    return run(spec, prepare_experiment(spec, predictor_factory=predictor_factory))
-
-
 def cmd_grid(args) -> int:
-    spec = _spec_from_args(
-        args,
-        config_names=_parse_configs(args),
-        cycles=args.cycles,
-        n_factuals=args.n_factuals,
+    spec = _spec_from_args(args, config_names=_parse_configs(args))
+    report = _set_up_and_run(
+        args, spec, check_grid, lambda spec, prepared, log: run_grid(spec, prepared)
     )
-    report = _set_up_and_run(args, spec, check_grid, run_grid)
     for name, value in report.ranking:
         print(f"{value:8.4f}  {name}")
     return 0
 
 
 def cmd_benchmark(args) -> int:
-    configs = {} if args.configs is None else {"config_names": _split_configs(args.configs)}
-    spec = _spec_from_args(
-        args,
-        **configs,
-        cycles=args.cycles,
-        n_factuals=args.n_factuals,
-        counterfactuals_per_factual=args.cfs,
+    configs = DEFAULT_BENCHMARK_CONFIGS if args.configs is None else _split_configs(args.configs)
+    spec = _spec_from_args(args, config_names=configs)
+    report = _set_up_and_run(
+        args, spec, check_benchmark, lambda spec, prepared, log: run_benchmark(spec, prepared)
     )
-    report = _set_up_and_run(args, spec, check_benchmark, run_benchmark)
     for name, median in report.medians.items():
         print(f"{name}: median total viability {median:.4f}")
     return 0
@@ -280,7 +266,8 @@ def cmd_render(args) -> int:
         raise ConfigurationError(f"--out {args.out}: its directory does not exist")
     schemas = load_schema_config(args.schema)
     log = load_csv(args.log, schemas)
-    cf_log = load_csv(args.counterfactual_log or args.log, schemas)
+    cf_path = args.log if args.counterfactual_log is None else args.counterfactual_log
+    cf_log = load_csv(cf_path, schemas)
     rendered = render_pair(log, cf_log, args.factual, args.counterfactual)
     if args.out is None:
         print(rendered, end="")
@@ -322,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--factual", help="case id of the factual (default: first sampled)")
     p.add_argument("--cycles", type=int, default=100)
-    p.add_argument("--n", type=int, default=10, help="counterfactuals to emit")
+    p.add_argument("--n", dest="counterfactuals_per_factual", type=int, default=10,
+                   help="counterfactuals to emit")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("grid", help="operator grid search", parents=[scoring])
@@ -338,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--configs", help="comma-separated operator names")
     p.add_argument("--cycles", type=int, default=200)
     p.add_argument("--n-factuals", type=int, default=10)
-    p.add_argument("--cfs", type=int, default=50, help="counterfactuals per factual")
+    p.add_argument("--cfs", dest="counterfactuals_per_factual", type=int, default=50,
+                   help="counterfactuals per factual")
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("render", help="render a factual/counterfactual pair")

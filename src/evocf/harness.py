@@ -105,8 +105,8 @@ class ExperimentSpec:
     population_size: int = 1000
     offspring_per_cycle: int = 100
     mutation_rate: float = 0.01
-    smoothing_epsilon: float = 1e-6
-    n_bins: int = 10
+    smoothing_epsilon: float = markov_mod.DEFAULT_SMOOTHING
+    n_bins: int = markov_mod.DEFAULT_BINS
     predictor_epochs: int = 500
 
     def __post_init__(self):
@@ -535,7 +535,7 @@ def run_generate(
     for config_name in spec.config_names:
         check_frame(spec.build_config(config_name), prepared.encoder.max_len)
     factual = prepared.factuals[0]
-    if factual_id:
+    if factual_id is not None:
         splits = (prepared.test, prepared.train)
         found = [s[i] for s in splits for i in np.flatnonzero(s.case_ids == factual_id)]
         if not found:

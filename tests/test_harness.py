@@ -590,6 +590,14 @@ SMALL_OVERRIDES = (
 )
 
 
+def refuse_set_up(monkeypatch) -> list:
+    """The calls the CLI makes to set up, each recorded instead of run."""
+    reached = []
+    for name in ("prepare_from_log", "load_log"):
+        monkeypatch.setattr(f"evocf.cli.{name}", lambda *a, **k: reached.append(a))
+    return reached
+
+
 def assert_one_line_error(capsys, code, expected):
     err = capsys.readouterr().err
     assert code == 2
@@ -691,10 +699,16 @@ def test_cli_config_named_twice(tmp_path, capsys, command):
     [
         (
             {"log_path": "/nonexistent/log.csv", "schema_path": "/nonexistent/s.json"},
-            "--overrides cannot set log_path; --log sets it",
+            "--overrides cannot set log_path; a flag or the benchmark command sets it",
         ),
-        ({"schema_path": "/nonexistent/s.json"}, "--overrides cannot set schema_path; --schema sets it"),
-        ({"output_dir": "elsewhere"}, "--overrides cannot set output_dir; --out sets it"),
+        (
+            {"schema_path": "/nonexistent/s.json"},
+            "--overrides cannot set schema_path; a flag or the benchmark command sets it",
+        ),
+        (
+            {"output_dir": "elsewhere"},
+            "--overrides cannot set output_dir; a flag or the benchmark command sets it",
+        ),
     ],
 )
 def test_cli_overrides_cannot_set_what_a_flag_sets(tmp_path, capsys, monkeypatch, extra, expected):
@@ -736,7 +750,6 @@ def test_spec_refuses_an_empty_output_dir():
     [
         ("fit-markov", '{"n_bins": "x"}', "--overrides n_bins must be an integer"),
         ("fit-markov", '{"synthetic": {"n_cases": 1.5}}', "--overrides synthetic n_cases"),
-        ("fit-markov", '{"config_names": "CBI-RWS-OPC-SBM-FSR"}', "must be a list"),
         ("generate", '{"population_size": 0}', "population_size must be >= 1"),
         ("generate", '{"population_size": 10, "offspring_per_cycle": 20}', "offspring_per_cycle"),
     ],
@@ -911,9 +924,7 @@ def test_cli_fitting_commands_need_one_factual(tmp_path, command, output):
     ],
 )
 def test_cli_config_list_is_checked_before_set_up(tmp_path, capsys, monkeypatch, argv, expected):
-    reached = []
-    for name in ("prepare_experiment", "prepare_from_log", "load_log"):
-        monkeypatch.setattr(f"evocf.cli.{name}", lambda *a, **k: reached.append(a))
+    reached = refuse_set_up(monkeypatch)
     out = tmp_path / "out"
     code = cli_main([*argv, "--out", str(out)])
     assert_one_line_error(capsys, code, expected)
@@ -926,7 +937,9 @@ def test_cli_generate_overrides_cannot_set_the_config(tmp_path, capsys):
     code = cli_main(
         ["generate", "--overrides", '{"config_names": ["CBI-ES-UC3-SBM-RR"]}', "--out", str(out)]
     )
-    assert_one_line_error(capsys, code, "--overrides cannot set config_names; --config sets it")
+    assert_one_line_error(
+        capsys, code, "--overrides cannot set config_names; a flag or the generate command sets it"
+    )
     assert not out.exists()
 
 
@@ -942,15 +955,141 @@ def test_cli_generate_overrides_cannot_set_the_config(tmp_path, capsys):
 def test_cli_grid_and_benchmark_overrides_cannot_set_the_configs(
     tmp_path, capsys, monkeypatch, argv
 ):
-    reached = []
-    for name in ("prepare_experiment", "prepare_from_log", "load_log"):
-        monkeypatch.setattr(f"evocf.cli.{name}", lambda *a, **k: reached.append(a))
+    reached = refuse_set_up(monkeypatch)
     out = tmp_path / "out"
     overrides = '{"config_names": ["RI-TS-OPC-RM-FSR", "SBI-RWS-TPC-SBM-BBR"]}'
     code = cli_main([*argv, "--overrides", overrides, "--out", str(out)])
-    assert_one_line_error(capsys, code, "--overrides cannot set config_names; --configs sets it")
+    expected = f"--overrides cannot set config_names; a flag or the {argv[0]} command sets it"
+    assert_one_line_error(capsys, code, expected)
     assert reached == []
     assert not out.exists()
+
+
+# each spec command's argv, and the spec fields its flags or the command itself set
+SPEC_COMMANDS = {
+    "train-predictor": (
+        ["train-predictor"],
+        ("log_path", "schema_path", "output_dir", "seed", "n_factuals", "config_names"),
+    ),
+    "fit-markov": (
+        ["fit-markov"],
+        ("log_path", "schema_path", "output_dir", "seed", "n_factuals", "config_names"),
+    ),
+    "generate": (
+        ["generate"],
+        ("log_path", "schema_path", "output_dir", "seed", "cycles", "n_factuals",
+         "counterfactuals_per_factual", "config_names"),
+    ),
+    "grid": (
+        ["grid", "--configs", "CBI-RWS-OPC-SBM-FSR,CBI-ES-UC3-SBM-RR"],
+        ("log_path", "schema_path", "output_dir", "seed", "cycles", "n_factuals", "config_names"),
+    ),
+    "benchmark": (
+        ["benchmark"],
+        ("log_path", "schema_path", "output_dir", "seed", "cycles", "n_factuals",
+         "counterfactuals_per_factual", "config_names"),
+    ),
+}
+# a value of the field's type, so only the rule can refuse it
+OVERRIDE_VALUES = {
+    "log_path": "log.csv",
+    "schema_path": "schema.json",
+    "output_dir": "elsewhere",
+    "seed": 9,
+    "cycles": 3,
+    "n_factuals": 2,
+    "counterfactuals_per_factual": 4,
+    "config_names": ["CBI-ES-UC3-SBM-RR", "CBI-RWS-OPC-SBM-FSR"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [(command, field) for command, (_, fields) in SPEC_COMMANDS.items() for field in fields],
+)
+def test_cli_overrides_cannot_set_a_field_a_flag_or_the_command_sets(
+    tmp_path, capsys, monkeypatch, command, field
+):
+    reached = refuse_set_up(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    argv, _ = SPEC_COMMANDS[command]
+    overrides = json.dumps({field: OVERRIDE_VALUES[field]})
+    code = cli_main([*argv, "--overrides", overrides, "--out", "out"])
+    assert_one_line_error(
+        capsys, code, f"--overrides cannot set {field}; a flag or the {command} command sets it"
+    )
+    assert reached == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", list(SPEC_COMMANDS))
+@pytest.mark.parametrize(
+    "paths", [["--schema", "schema.json"], ["--log", ""]], ids=["schema-alone", "empty-log"]
+)
+def test_cli_a_lone_or_empty_log_flag_is_refused_before_set_up(
+    tmp_path, capsys, monkeypatch, command, paths
+):
+    # the synthetic log is the default only when neither --log nor --schema is given
+    reached = refuse_set_up(monkeypatch)
+    argv, _ = SPEC_COMMANDS[command]
+    out = tmp_path / "out"
+    code = cli_main([*argv, *paths, "--out", str(out)])
+    assert_one_line_error(capsys, code, "need either a synthetic spec or log_path plus schema_path")
+    assert reached == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["generate", "--factual", "", "--cycles", "1"], "case '' not found among the encoded"),
+        (
+            ["render", "--counterfactual-log", "", "--factual", "case_0_0000",
+             "--counterfactual", "case_0_0001"],
+            "cannot read event log",
+        ),
+        (["synthesize-log", "--critical", ""], "critical activity '' is not one of the log's"),
+    ],
+    ids=["generate-factual", "render-counterfactual-log", "synthesize-log-critical"],
+)
+def test_cli_an_empty_flag_does_not_fall_back_to_its_default(tmp_path, capsys, argv, expected):
+    data = tmp_path / "data"
+    assert cli_main(["synthesize-log", "--cases", "30", "--out", str(data)]) == 0
+    capsys.readouterr()
+    paths = ["--log", str(data / "log.csv"), "--schema", str(data / "schema.json")]
+    extra = {
+        "generate": [*paths, "--overrides", '{"population_size": 10, "offspring_per_cycle": 4, '
+                     '"predictor_epochs": 20}', "--out", str(tmp_path / "gen")],
+        "render": paths,
+        "synthesize-log": ["--out", str(tmp_path / "synthesized")],
+    }
+    code = cli_main([*argv, *extra[argv[0]]])
+    assert_one_line_error(capsys, code, expected)
+    assert not (tmp_path / "gen" / "counterfactuals.csv").exists()
+    assert not (tmp_path / "synthesized").exists()
+
+
+@pytest.mark.parametrize("split", ["test", "train"])
+def test_cli_generate_runs_the_named_factual(tmp_path, capsys, split):
+    data = tmp_path / "data"
+    assert cli_main(["synthesize-log", "--cases", "30", "--out", str(data)]) == 0
+    paths = dict(log_path=str(data / "log.csv"), schema_path=str(data / "schema.json"))
+    spec = ExperimentSpec(config_names=(), n_factuals=1, **paths)
+    prepared = prepare_from_log(spec, load_log(spec), lambda encoder: None)
+    case = next(
+        c for c in getattr(prepared, split).case_ids.tolist() if c != prepared.factuals[0].case_id
+    )
+    out = tmp_path / "gen"
+    code = cli_main(
+        ["generate", "--log", paths["log_path"], "--schema", paths["schema_path"],
+         "--factual", case, "--cycles", "1", "--n", "3",
+         "--overrides", '{"population_size": 10, "offspring_per_cycle": 4, "predictor_epochs": 20}',
+         "--out", str(out)]
+    )
+    assert code == 0, capsys.readouterr().err
+    with (out / "counterfactuals.csv").open(newline="") as handle:
+        assert {row["factual_id"] for row in csv.DictReader(handle)} == {case}
+    assert (out / "best_render.md").exists()
 
 
 @pytest.mark.parametrize(
@@ -971,9 +1110,7 @@ def test_cli_empty_out_is_refused(tmp_path, capsys, monkeypatch, argv):
         assert cli_main(["synthesize-log", "--cases", "30", "--out", str(data)]) == 0
         capsys.readouterr()
         argv = [*argv, "--log", str(data / "log.csv"), "--schema", str(data / "schema.json")]
-    reached = []
-    for name in ("prepare_experiment", "prepare_from_log", "load_log"):
-        monkeypatch.setattr(f"evocf.cli.{name}", lambda *a, **k: reached.append(a))
+    reached = refuse_set_up(monkeypatch)
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
@@ -999,9 +1136,7 @@ def test_cli_population_below_the_counterfactuals_asked_for_is_refused_before_se
     tmp_path, capsys, monkeypatch, argv
 ):
     # an evolutionary generator returns its population, so it would write fewer rows
-    reached = []
-    for name in ("prepare_experiment", "prepare_from_log", "load_log"):
-        monkeypatch.setattr(f"evocf.cli.{name}", lambda *a, **k: reached.append(a))
+    reached = refuse_set_up(monkeypatch)
     out = tmp_path / "out"
     code = cli_main([*argv, "--overrides", POPULATION_OF_20, "--out", str(out)])
     assert_one_line_error(
@@ -1024,7 +1159,6 @@ def test_cli_baseline_generate_and_grid_take_any_population_size(
     def set_up(*args, **kwargs):
         raise ConfigurationError("set-up reached")
 
-    monkeypatch.setattr("evocf.cli.prepare_experiment", set_up)
     monkeypatch.setattr("evocf.cli.prepare_from_log", set_up)
     code = cli_main([*argv, "--overrides", POPULATION_OF_20, "--out", str(tmp_path / "out")])
     assert_one_line_error(capsys, code, "set-up reached")
@@ -1133,7 +1267,6 @@ def test_generate_loads_the_log_once(tmp_path, capsys, monkeypatch):
     "argv",
     [
         ["generate", "--seed", "-1"],
-        ["generate", "--overrides", '{"seed": -1}'],
         ["synthesize-log", "--seed", "-1"],
     ],
 )
@@ -1190,8 +1323,7 @@ def test_cli_generate_names_why_a_logged_case_is_not_encoded(tmp_path, capsys):
     ],
 )
 def test_cli_out_that_is_a_file_fails_before_set_up(tmp_path, capsys, monkeypatch, argv):
-    prepared = []
-    monkeypatch.setattr("evocf.cli.prepare_experiment", lambda *a, **k: prepared.append(a))
+    prepared = refuse_set_up(monkeypatch)
     (tmp_path / "taken").write_text("")
     code = cli_main([*argv, "--out", str(tmp_path / "taken")])
     assert_one_line_error(capsys, code, "cannot create directory: File exists")
@@ -1389,8 +1521,7 @@ def test_best_render_shows_the_counterfactual_that_render_shows(tmp_path, capsys
 def test_cli_bad_external_predictor_is_checked_before_set_up(
     tmp_path, capsys, monkeypatch, command, value, expected
 ):
-    prepared = []
-    monkeypatch.setattr("evocf.cli.prepare_experiment", lambda *a, **k: prepared.append(a))
+    prepared = refuse_set_up(monkeypatch)
     configs = ["--configs", "CBI-RWS-OPC-SBM-FSR,CBI-ES-UC3-SBM-RR"] if command == "grid" else []
     code = cli_main(
         [command, *configs, "--external-predictor", value, "--out", str(tmp_path / "out")]

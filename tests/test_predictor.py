@@ -150,7 +150,7 @@ def test_gradient_matches_central_finite_differences():
     assert abs(grad_b - numeric_b) < 1e-6
 
 
-def test_training_loss_is_non_increasing():
+def random_outcome_log():
     rng = np.random.default_rng(11)
     traces = []
     for i in range(30):
@@ -164,8 +164,26 @@ def test_training_loss_is_non_increasing():
                 case_id=f"r{i}",
             )
         )
-    predictor = train(log_of(traces), epochs=120, learning_rate=4.0, seed=2)
+    return log_of(traces)
+
+
+def test_training_loss_is_non_increasing():
+    predictor = train(random_outcome_log(), epochs=120, learning_rate=4.0, seed=2)
     history = predictor.training_loss
+    assert len(history) > 1
+    assert all(later <= earlier + 1e-9 for earlier, later in zip(history, history[1:]))
+
+
+def test_training_halves_a_step_that_raises_the_loss():
+    log = random_outcome_log()
+    # train's starting point: its seed's weights, a zero bias, and the full first step
+    features = extract_features_batch(*log.frame, int(log.ids.max()))
+    labels = log.outcomes.astype(float)
+    weights = np.random.default_rng(2).normal(0.0, 0.01, size=features.shape[1])
+    loss, grad_w, grad_b = loss_and_gradient(weights, 0.0, features, labels)
+    stepped, _, _ = loss_and_gradient(weights - 50.0 * grad_w, -50.0 * grad_b, features, labels)
+    assert stepped > loss
+    history = train(log, epochs=120, learning_rate=50.0, seed=2).training_loss
     assert len(history) > 1
     assert all(later <= earlier + 1e-9 for earlier, later in zip(history, history[1:]))
 
