@@ -260,8 +260,10 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_render(args) -> int:
-    if args.out == "":
-        raise ConfigurationError("--out is empty")
+    # Path("") is the working directory, so an empty path is refused by name
+    for flag in ("log", "schema", "counterfactual_log", "out"):
+        if getattr(args, flag) == "":
+            raise ConfigurationError(f"--{flag.replace('_', '-')} is empty")
     if args.out is not None and not Path(args.out).parent.is_dir():
         raise ConfigurationError(f"--out {args.out}: its directory does not exist")
     schemas = load_schema_config(args.schema)

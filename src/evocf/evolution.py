@@ -408,16 +408,26 @@ def evolve(
     predictor,
     feas_model: MarkovFeasibilityModel,
     log: EncodedLog,
+    log_scorer: ViabilityScorer | None = None,
 ) -> GenerationResult:
     """Run the full loop for config.cycles cycles against one factual.
 
     Returns the final population sorted by total viability (descending) and
     one statistics row per executed cycle. Deterministic under config.seed.
+    log_scorer, when given, is a scorer of factual with the same predictor
+    and model that only ever scores rows of log: a CBI draw is scored through
+    it, and the job's own scorer starts as its copy, so jobs that share it
+    score each log row once. Other initiators ignore it. Every score is the
+    one a scorer of the job's own would give.
     """
     check_frame(config, feas_model.encoder.max_len)
     rng = np.random.default_rng(config.seed)
-    scorer = ViabilityScorer(factual, predictor, feas_model)
+    shared = log_scorer is not None and config.initiator == "CBI"
+    scorer = log_scorer if shared else ViabilityScorer(factual, predictor, feas_model)
     population = initialize(config.initiator, config.population_size, log, feas_model, scorer, rng)
+    if shared:
+        # bred genomes go to the job's memo, so the log scorer keeps log rows only
+        scorer = scorer.copy()
     # the frame stays in place: position p of the population is its row index[p]
     frame, scores, index = population.frame, population.scores, np.arange(len(population))
     stats: list[CycleStats] = []
@@ -453,9 +463,13 @@ def generate_baseline(
     feas_model: MarkovFeasibilityModel,
     predictor,
     seed: int,
+    log_scorer: ViabilityScorer | None = None,
 ) -> GenerationResult:
-    """Draw and score n candidates with the baseline's initiator, best first."""
+    """Draw and score n candidates with the baseline's initiator, best first.
+
+    log_scorer is evolve's: a CBGW draw scores through it.
+    """
     if kind not in BASELINES:
         raise ConfigNameError(f"unknown baseline kind {kind!r}")
     config = EvoConfig(BASELINES[kind], population_size=n, cycles=0, seed=seed)
-    return evolve(factual, config, predictor, feas_model, log)
+    return evolve(factual, config, predictor, feas_model, log, log_scorer)

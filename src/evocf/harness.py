@@ -53,7 +53,7 @@ from .evolution import (
     evolve,
     generate_baseline,
 )
-from .viability import TOTAL, EditAlignment, ViabilityScore, ssdld
+from .viability import TOTAL, EditAlignment, ViabilityScore, ViabilityScorer, ssdld
 
 DEFAULT_BENCHMARK_CONFIGS = ("CBI-ES-UC3-SBM-RR", "CBI-RWS-OPC-SBM-FSR")
 
@@ -112,8 +112,16 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.n_factuals < 1:
             raise ConfigurationError("n_factuals must be >= 1")
-        paths = (self.log_path, self.schema_path)
-        if paths.count(None) != (0 if self.synthetic is None else 2):
+        # Path("") is the working directory, so "" would not mean "no path"
+        for name in ("log_path", "schema_path", "output_dir"):
+            if getattr(self, name) == "":
+                raise ConfigurationError(f"{name} is empty")
+        paths = ("log_path", "schema_path")
+        missing = [name for name in paths if getattr(self, name) is None]
+        if len(missing) == 1 and self.synthetic is None:
+            (given,) = set(paths) - set(missing)
+            raise ConfigurationError(f"{given} is set but {missing[0]} is not: a log needs both")
+        if len(missing) != (0 if self.synthetic is None else 2):
             raise ConfigurationError(
                 "need either a synthetic spec or log_path plus schema_path, not both"
             )
@@ -124,8 +132,6 @@ class ExperimentSpec:
             raise ConfigurationError("counterfactuals_per_factual must be >= 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
-        if self.output_dir == "":
-            raise ConfigurationError("output_dir is empty")
         # set-up parameters, checked here so a bad value fails before any work
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigurationError("test_fraction must be in (0, 1)")
@@ -360,11 +366,13 @@ def run_job(
     name: str,
     factual_index: int,
     factual: EncodedTrace,
+    log_scorer: ViabilityScorer | None = None,
 ) -> GenerationResult:
     """Run one generator against one factual on the job's own run_seed.
 
     A baseline name (RGW, SBGW, CBGW) draws spec.counterfactuals_per_factual
     candidates; any other name is an operator config evolved for spec.cycles.
+    log_scorer, when given, is the factual's scorer of training rows (evolve's).
     """
     seed = run_seed(spec.seed, name, factual_index)
     if name in BASELINES:
@@ -376,9 +384,12 @@ def run_job(
             prepared.feas_model,
             prepared.predictor,
             seed,
+            log_scorer,
         )
     config = replace(spec.build_config(name), seed=seed)
-    return evolve(factual, config, prepared.predictor, prepared.feas_model, prepared.train)
+    return evolve(
+        factual, config, prepared.predictor, prepared.feas_model, prepared.train, log_scorer
+    )
 
 
 def _output_path(spec: ExperimentSpec, filename: str) -> Path | None:
@@ -397,17 +408,23 @@ def _run_jobs(
     Each job's trajectory rows go to the report and are flushed to
     trajectories.csv as the job completes, so partial results survive a
     failure; on_result(name, factual, result) then sees the job's result.
+    Each factual keeps one log scorer for the whole run, so its CBI jobs
+    score each training row once; it holds at most one score row per
+    training trace, and the factual's own.
     """
     for name in spec.config_names:
         check_frame(spec.build_config(name), prepared.encoder.max_len)
     out_dir = None if spec.output_dir is None else Path(spec.output_dir)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+    log_scorers = [
+        ViabilityScorer(f, prepared.predictor, prepared.feas_model) for f in prepared.factuals
+    ]
     trajectories = _IncrementalCsv(_output_path(spec, "trajectories.csv"), TRAJECTORY_COLUMNS)
     try:
         for name in names:
             for fi, factual in enumerate(prepared.factuals):
-                result = run_job(spec, prepared, name, fi, factual)
+                result = run_job(spec, prepared, name, fi, factual, log_scorers[fi])
                 rows = [TrajectoryRow(name, factual.case_id, s) for s in result.stats]
                 report.trajectory_rows.extend(rows)
                 trajectories.write_rows([_trajectory_values(r) for r in rows])

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,15 +212,18 @@ def feasibility(
     The product is P(e0) * P(f0|e0) * prod_t P(et|et-1) * P(ft|et) over the valid
     prefix, without the END transition: event t of row i puts its initial or transition
     probability at 2t and its emission at 2t + 1, and the first 2 * lengths[i] factors
-    are multiplied left to right. One trace's is feasibility(model, *trace.frame)[0]."""
+    are multiplied left to right (every row has an event). The running product of each
+    row is one multiply.accumulate, read at column 2 * lengths[i] - 1: the factors meet
+    in the order math.prod multiplies them, so the floats are its. One trace's is
+    feasibility(model, *trace.frame)[0]."""
     n, max_len = ids.shape
     valid = np.arange(max_len) < lengths[:, None]
     factors = np.zeros((n, max_len, 2))
     factors[:, 0, 0] = model.initial_probs[ids[:, 0]]
     factors[:, 1:, 0] = model.transition[ids[:, :-1], ids[:, 1:]]
     factors[valid, 1] = _emission_factors(model, ids[valid], features[valid])
-    rows = factors.reshape(n, 2 * max_len).tolist()
-    return [math.prod(row[: 2 * length]) for row, length in zip(rows, lengths.tolist())]
+    products = np.multiply.accumulate(factors.reshape(n, 2 * max_len), axis=1)
+    return products[np.arange(n), 2 * lengths - 1].tolist()
 
 
 def sample_sequence(

@@ -28,6 +28,7 @@ it out (_sweep says why).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Literal
 
@@ -45,9 +46,10 @@ CostKind = Literal["euclidean", "count"]
 FEATURE_DIFF_TOLERANCE = 1e-9
 _BACKTRACE_TOLERANCE = 1e-9
 
-# candidates per wavefront sweep; the sweep's cost tables grow with it, so a
-# fixed block bounds memory whatever the size of a scoring batch
-_BLOCK = 32
+# the doubles one sweep's pair table, (n + m + 1, n + 1, 2 rows), may hold: a
+# batch is swept in as few blocks as fit in it, so memory stays bounded
+# whatever the size of a scoring batch (a row too long for it sweeps alone)
+_TABLE_BUDGET = 2**16
 
 SIMILARITY, SPARSITY, FEASIBILITY, DELTA, TOTAL = range(5)  # the columns of a score row
 
@@ -216,8 +218,8 @@ def edit_distances(
     """Edit distances of the factual to each candidate of a frame (event_log.Rows).
 
     Returns (euclidean, count) as float arrays in row order. Rows are swept
-    in blocks of _BLOCK, shortest first so a block pads little, which bounds
-    memory for any batch size.
+    shortest first, so a block pads little, in blocks as long as their pair
+    table fits in _TABLE_BUDGET, which bounds memory for any batch size.
     """
     if slices is None:
         slices = _infer_slices(factual)
@@ -225,13 +227,20 @@ def edit_distances(
     euclidean = np.empty(len(lengths))
     count = np.empty(len(lengths))
     n = factual.valid_len
-    for start in range(0, len(order), _BLOCK):
-        rows = order[start : start + _BLOCK]
+    # the table of a block ending at a row holds the block's rows times this
+    # row's width, and both grow along the order, so each block is a prefix
+    width = 2 * (n + lengths[order] + 1) * (n + 1)
+    start = 0
+    while start < len(order):
+        tables = np.arange(1, len(order) - start + 1) * width[start:]
+        stop = start + max(1, np.searchsorted(tables, _TABLE_BUDGET, side="right"))
+        rows = order[start:stop]
         b, m = len(rows), lengths[rows].max()
         # only ends outlives the sweep, so a block's tables are freed before the next block's
         ends = _sweep(factual, ids[rows, :m], features[rows, :m], slices)[1]
         distances = ends[n + np.tile(lengths[rows], 2), np.arange(2 * b)]
         euclidean[rows], count[rows] = distances[:b], distances[b:]
+        start = stop
     return euclidean, count
 
 
@@ -352,7 +361,8 @@ class ViabilityScorer:
     length and padded cells: every component reads only the valid prefix,
     and every engine frame keeps its padding zero, so a repeated genome gets
     the score it got the first time without being scored again. The memo maps
-    a key to its row of one (M, 5) score table; a batch adds its rows once all have scored.
+    a key to its row of one (M, 5) score table; a batch adds its rows once all have scored,
+    into a new table, so a copy (which shares the table) never sees another's rows.
     """
 
     def __init__(
@@ -410,6 +420,13 @@ class ViabilityScorer:
             self._memo.update(zip(misses, range(len(self._table), len(self._table) + len(new))))
             self._table = np.concatenate([self._table, new])
         return self._table[[self._memo[key] for key in keys]]
+
+    def copy(self) -> ViabilityScorer:
+        """A scorer that starts where this one stands: the same table, factual class and
+        probability, and a memo of its own, so what either scores next stays its own."""
+        twin = copy.copy(self)
+        twin._memo = dict(self._memo)
+        return twin
 
     def score(self, candidate: EncodedTrace) -> ViabilityScore:
         return ViabilityScore(*self.score_batch(*candidate.frame)[0].tolist())

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import evocf
 from conftest import log_of, make_encoded, reference_pick_factuals
-from evocf import harness
+from evocf import evolution, harness
 from evocf.cli import main as cli_main
 from evocf.errors import ConfigurationError
 from evocf.event_log import (
@@ -43,7 +45,7 @@ from evocf.harness import (
     run_seed,
 )
 from evocf.predictor import ExternalProcessPredictor
-from evocf.viability import ssdld
+from evocf.viability import _row_keys, ssdld
 from test_run_pins import GENERATE, GENERATE_CYCLES
 
 
@@ -562,6 +564,68 @@ def test_run_benchmark_routes_jobs_through_module_level_names(monkeypatch, small
     assert sorted(baselines) == sorted(["RGW", "SBGW", "CBGW"] * n_factuals)
 
 
+class RecordingPredictor:
+    """Passes every batch to a predictor and keeps each row's memo key with the job's factual."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.factual = None
+        self.sent = []  # (factual case id, row key) per row asked for
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def predict_proba_batch(self, ids, features, lengths):
+        self.sent += [(self.factual, key) for key in _row_keys(ids, features, lengths)]
+        return self.inner.predict_proba_batch(ids, features, lengths)
+
+
+def run_recording_jobs(monkeypatch, prepared, out_dir, share):
+    """run_benchmark with two CBI configs and one SBI config through a RecordingPredictor.
+
+    Returns the recorder and the log scorers the jobs got, by factual; with
+    share off, every job runs without one, so each scores on its own.
+    """
+    recorder = RecordingPredictor(prepared.predictor)
+    prepared = dataclasses.replace(prepared, predictor=recorder)
+    log_scorers = {}
+    evolve, generate_baseline = evolution.evolve, evolution.generate_baseline
+
+    def job(run, factual_at, args):
+        recorder.factual = args[factual_at].case_id
+        log_scorers.setdefault(recorder.factual, []).append(args[-1])
+        return run(*args) if share else run(*args[:-1])
+
+    monkeypatch.setattr(harness, "evolve", lambda *a: job(evolve, 0, a))
+    monkeypatch.setattr(harness, "generate_baseline", lambda *a: job(generate_baseline, 1, a))
+    configs = ("CBI-RWS-OPC-SBM-FSR", "CBI-ES-UC3-SBM-RR", "SBI-TS-UC5-SBM-BBR")
+    run_benchmark(small_spec(out_dir, config_names=configs), prepared)
+    return recorder, log_scorers
+
+
+def test_a_run_scores_each_log_row_once_per_factual(tmp_path, monkeypatch, small_prepared):
+    # each factual keeps one log scorer for the run: CBI draws (two configs
+    # and CBGW) score through it, so a training row reaches the predictor at
+    # most once per factual, and outputs equal those of jobs scoring alone
+    shared, log_scorers = run_recording_jobs(monkeypatch, small_prepared, tmp_path / "a", True)
+    alone, _ = run_recording_jobs(monkeypatch, small_prepared, tmp_path / "b", False)
+    for name in ("candidates.csv", "trajectories.csv", "benchmark_report.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    train_keys = set(_row_keys(*small_prepared.train.frame))
+    sent = Counter(pair for pair in shared.sent if pair[1] in train_keys)
+    sent_alone = Counter(pair for pair in alone.sent if pair[1] in train_keys)
+    assert sent and max(sent.values()) == 1
+    assert max(sent_alone.values()) > 1  # without the log scorer, CBI jobs rescore rows
+    for factual in small_prepared.factuals:
+        # one log scorer per factual, holding training rows and the factual's own only
+        scorer, *others = log_scorers[factual.case_id]
+        assert all(other is scorer for other in others)
+        factual_key = _row_keys(*factual.frame)[0]
+        assert set(scorer._memo) <= train_keys | {factual_key}
+        assert len(scorer._table) == len(scorer._memo) <= len(small_prepared.train) + 1
+
+
 def test_perfbench_tracer_finds_and_restores_every_name_it_swaps(monkeypatch):
     # perfbench/tracer.py times the engine by swapping module and class
     # attributes by name; install() fails on a name that no longer exists
@@ -1024,19 +1088,50 @@ def test_cli_overrides_cannot_set_a_field_a_flag_or_the_command_sets(
 
 @pytest.mark.parametrize("command", list(SPEC_COMMANDS))
 @pytest.mark.parametrize(
-    "paths", [["--schema", "schema.json"], ["--log", ""]], ids=["schema-alone", "empty-log"]
+    "paths, expected",
+    [
+        (["--schema", "schema.json"], "schema_path is set but log_path is not: a log needs both"),
+        (["--log", "log.csv"], "log_path is set but schema_path is not: a log needs both"),
+        (["--log", ""], "log_path is empty"),
+        (["--log", "log.csv", "--schema", ""], "schema_path is empty"),
+    ],
+    ids=["schema-alone", "log-alone", "empty-log", "empty-schema"],
 )
 def test_cli_a_lone_or_empty_log_flag_is_refused_before_set_up(
-    tmp_path, capsys, monkeypatch, command, paths
+    tmp_path, capsys, monkeypatch, command, paths, expected
 ):
     # the synthetic log is the default only when neither --log nor --schema is given
     reached = refuse_set_up(monkeypatch)
     argv, _ = SPEC_COMMANDS[command]
     out = tmp_path / "out"
     code = cli_main([*argv, *paths, "--out", str(out)])
-    assert_one_line_error(capsys, code, "need either a synthetic spec or log_path plus schema_path")
+    assert_one_line_error(capsys, code, expected)
     assert reached == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "paths, expected",
+    [
+        (["--log", "", "--schema", "s.json"], "--log is empty"),
+        (["--log", "log.csv", "--schema", ""], "--schema is empty"),
+        (["--log", "log.csv", "--schema", "s.json", "--counterfactual-log", ""],
+         "--counterfactual-log is empty"),
+    ],
+    ids=["log", "schema", "counterfactual-log"],
+)
+def test_cli_render_refuses_an_empty_path_flag_by_name(
+    tmp_path, capsys, monkeypatch, paths, expected
+):
+    # Path("") is the working directory, which would be read as the log or the schema
+    read = []
+    monkeypatch.setattr("evocf.cli.load_csv", lambda *a, **k: read.append(a))
+    monkeypatch.setattr("evocf.cli.load_schema_config", lambda *a, **k: read.append(a))
+    monkeypatch.chdir(tmp_path)
+    code = cli_main(["render", *paths, "--factual", "a", "--counterfactual", "b", "--out", "r.md"])
+    assert_one_line_error(capsys, code, expected)
+    assert read == []
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -1046,7 +1141,7 @@ def test_cli_a_lone_or_empty_log_flag_is_refused_before_set_up(
         (
             ["render", "--counterfactual-log", "", "--factual", "case_0_0000",
              "--counterfactual", "case_0_0001"],
-            "cannot read event log",
+            "--counterfactual-log is empty",
         ),
         (["synthesize-log", "--critical", ""], "critical activity '' is not one of the log's"),
     ],

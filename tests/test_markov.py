@@ -1,4 +1,5 @@
 import hashlib
+import math
 from collections import Counter, defaultdict
 from dataclasses import replace
 
@@ -478,6 +479,49 @@ def test_feasibility_of_a_frame_on_the_synthetic_log(synth_setup):
     expected = [scalar_feasibility(model, t) for t in traces]
     assert feasibility(model, *log_of(traces).frame) == expected
     assert feasibility(model, *log_of(traces[:1]).frame) == expected[:1]
+
+
+def random_factors(rng, shape):
+    """Probabilities with zeros, and tiny factors whose products underflow in any other order."""
+    table = rng.random(shape)
+    kind = rng.integers(0, 8, size=shape)
+    table[kind == 0] = 0.0
+    table[kind == 1] = rng.choice([1e-300, 1e-160, 5e-324, 2.5e-308], size=(kind == 1).sum())
+    return table
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_feasibility_product_equals_math_prod_per_row(seed):
+    # random factor tables in place of fitted ones: each row's product is the
+    # running product of its factors in row order, as math.prod takes them
+    rng = np.random.default_rng(seed)
+    fitted = MIXED_MODELS[1e-6]
+    k = fitted.vocab_size
+    model = replace(
+        fitted,
+        initial_probs=random_factors(rng, k + 1),
+        transition=random_factors(rng, (k + 1, k + 1)),
+        emissions=tuple(random_factors(rng, table.shape) for table in fitted.emissions),
+    )
+    genomes = [
+        make_encoded(
+            rng.integers(1, k + 1, size=length).tolist(),
+            [mixed_row(rng, 1) for _ in range(length)],
+            8,
+        )
+        for length in [1, 1, 1, *rng.integers(1, 9, size=100)]
+    ]
+    expected = []
+    for genome in genomes:
+        ids = genome.activity_ids[: genome.valid_len].tolist()
+        factors = [model.initial_probs[ids[0]]]
+        for t, activity in enumerate(ids):
+            if t:
+                factors.append(model.transition[ids[t - 1], activity])
+            factors.append(scalar_emission(model, activity, genome.features[t]))
+        expected.append(math.prod(map(float, factors)))
+    assert feasibility(model, *log_of(genomes).frame) == expected
+    assert 0.0 in expected and any(0.0 < p < 1e-150 for p in expected)
 
 
 def test_feasibility_of_an_empty_frame():

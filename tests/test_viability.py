@@ -22,7 +22,6 @@ from evocf.evolution import EvoConfig, evolve, initialize
 from evocf.harness import ExperimentSpec, SyntheticSpec, prepare_experiment
 from evocf.markov import fit
 from evocf.viability import (
-    _BLOCK,
     FEATURE_DIFF_TOLERANCE,
     SIMILARITY,
     SPARSITY,
@@ -338,8 +337,9 @@ def test_edit_distances_on_the_criterion_1_fixture():
         assert count.tolist() == [reference_ssdld_distance(factual, c, "count") for c in fixture]
 
 
+@pytest.mark.parametrize("budget", [1, 600, 5000, viability_module._TABLE_BUDGET])
 @pytest.mark.parametrize("factual_len", [1, 4, 12])
-def test_edit_distances_blocks_equal_one_row_sweeps(factual_len, monkeypatch):
+def test_edit_distances_blocks_equal_one_row_sweeps(factual_len, budget, monkeypatch):
     rng = np.random.default_rng(factual_len)
     max_len, d = 12, 3
     factual = kernel_trace(rng, factual_len, max_len, 3, d)
@@ -352,17 +352,28 @@ def test_edit_distances_blocks_equal_one_row_sweeps(factual_len, monkeypatch):
         shapes.append(acts.shape)
         return _sweep(factual, acts, feats, slices)
 
+    def table(rows, m):  # the doubles of a block's pair table, (n + m + 1, n + 1, 2 rows)
+        return (factual_len + m + 1) * (factual_len + 1) * 2 * rows
+
     monkeypatch.setattr(viability_module, "_sweep", recording_sweep)
+    monkeypatch.setattr(viability_module, "_TABLE_BUDGET", budget)
     for size in (1, 2, 31, 33, 80, 150, len(pool)):
         shapes.clear()
         batch = pool[:size]
         euclidean, count = edit_distances(factual, *log_of(batch).frame, slices)
         assert euclidean.tolist() == [e.item() for e, _ in single[:size]]
         assert count.tolist() == [c.item() for _, c in single[:size]]
-        # blocks of _BLOCK rows, shortest first, each cut to its longest row
+        # every row swept once, shortest first, each block cut to its longest row
         lengths = sorted(c.valid_len for c in batch)
-        blocks = [lengths[start : start + _BLOCK] for start in range(0, size, _BLOCK)]
+        blocks = np.split(lengths, np.cumsum([rows for rows, _ in shapes])[:-1])
+        assert sum(map(len, blocks)) == size
         assert shapes == [(len(block), block[-1]) for block in blocks]
+        for block, after in zip(blocks, [*blocks[1:], None]):
+            # within the budget (a row too long for it sweeps alone), and as few
+            # blocks as that allows: the next row would not have fit
+            assert len(block) == 1 or table(len(block), block[-1]) <= budget
+            if after is not None:
+                assert table(len(block) + 1, after[0]) > budget
 
 
 @pytest.mark.parametrize(
