@@ -187,7 +187,13 @@ def initialize(
     else:  # CBI
         if not log:
             raise ValueError("CBI initiation needs a non-empty log")
-        frame = log.take(rng.integers(0, len(log), size=n)).frame
+        draw = rng.integers(0, len(log), size=n)
+        # each drawn row is scored once, in order of first draw; its copies take its scores
+        rows = np.array(list(dict.fromkeys(draw.tolist())))
+        at = np.empty(len(log), dtype=np.intp)
+        at[rows] = np.arange(len(rows))
+        scores = scorer.score_batch(*log.take(rows).frame)[at[draw]]
+        return Population(*log.take(draw).frame, scores)
     return Population(*frame, scorer.score_batch(*frame))
 
 
@@ -415,12 +421,18 @@ def evolve(
     Returns the final population sorted by total viability (descending) and
     one statistics row per executed cycle. Deterministic under config.seed.
     log_scorer, when given, is a scorer of factual with the same predictor
-    and model that only ever scores rows of log: a CBI draw is scored through
-    it, and the job's own scorer starts as its copy, so jobs that share it
-    score each log row once. Other initiators ignore it. Every score is the
-    one a scorer of the job's own would give.
+    and model (ConfigurationError otherwise) that only ever scores rows of
+    log: a CBI draw is scored through it, and the job's own scorer starts as
+    its copy, so jobs that share it score each log row once. Other initiators
+    ignore it. Every score is the one a scorer of the job's own would give.
     """
     check_frame(config, feas_model.encoder.max_len)
+    if log_scorer is not None and not (
+        log_scorer.factual is factual
+        and log_scorer.predictor is predictor
+        and log_scorer.feas_model is feas_model
+    ):
+        raise ConfigurationError("log_scorer scores another factual, predictor or model")
     rng = np.random.default_rng(config.seed)
     shared = log_scorer is not None and config.initiator == "CBI"
     scorer = log_scorer if shared else ViabilityScorer(factual, predictor, feas_model)

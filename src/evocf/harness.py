@@ -417,13 +417,12 @@ def _run_jobs(
     out_dir = None if spec.output_dir is None else Path(spec.output_dir)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    log_scorers = [
-        ViabilityScorer(f, prepared.predictor, prepared.feas_model) for f in prepared.factuals
-    ]
+    factuals = list(prepared.factuals)
+    log_scorers = [ViabilityScorer(f, prepared.predictor, prepared.feas_model) for f in factuals]
     trajectories = _IncrementalCsv(_output_path(spec, "trajectories.csv"), TRAJECTORY_COLUMNS)
     try:
         for name in names:
-            for fi, factual in enumerate(prepared.factuals):
+            for fi, factual in enumerate(factuals):
                 result = run_job(spec, prepared, name, fi, factual, log_scorers[fi])
                 rows = [TrajectoryRow(name, factual.case_id, s) for s in result.stats]
                 report.trajectory_rows.extend(rows)

@@ -46,9 +46,9 @@ CostKind = Literal["euclidean", "count"]
 FEATURE_DIFF_TOLERANCE = 1e-9
 _BACKTRACE_TOLERANCE = 1e-9
 
-# the doubles one sweep's pair table, (n + m + 1, n + 1, 2 rows), may hold: a
-# batch is swept in as few blocks as fit in it, so memory stays bounded
-# whatever the size of a scoring batch (a row too long for it sweeps alone)
+# the doubles one sweep's pair table, (n + m + 1, n + 1, 2 rows), may hold:
+# a block takes as many rows as fit in it at the batch's longest row, so
+# memory stays bounded whatever the size of a scoring batch
 _TABLE_BUDGET = 2**16
 
 SIMILARITY, SPARSITY, FEASIBILITY, DELTA, TOTAL = range(5)  # the columns of a score row
@@ -218,8 +218,9 @@ def edit_distances(
     """Edit distances of the factual to each candidate of a frame (event_log.Rows).
 
     Returns (euclidean, count) as float arrays in row order. Rows are swept
-    shortest first, so a block pads little, in blocks as long as their pair
-    table fits in _TABLE_BUDGET, which bounds memory for any batch size.
+    shortest first, so a block pads little, in blocks of as many rows as keep
+    the pair table of the batch's longest row within _TABLE_BUDGET (at least
+    one), which bounds memory for any batch size.
     """
     if slices is None:
         slices = _infer_slices(factual)
@@ -227,20 +228,14 @@ def edit_distances(
     euclidean = np.empty(len(lengths))
     count = np.empty(len(lengths))
     n = factual.valid_len
-    # the table of a block ending at a row holds the block's rows times this
-    # row's width, and both grow along the order, so each block is a prefix
-    width = 2 * (n + lengths[order] + 1) * (n + 1)
-    start = 0
-    while start < len(order):
-        tables = np.arange(1, len(order) - start + 1) * width[start:]
-        stop = start + max(1, np.searchsorted(tables, _TABLE_BUDGET, side="right"))
-        rows = order[start:stop]
+    block = max(1, _TABLE_BUDGET // (2 * (n + lengths.max(initial=0) + 1) * (n + 1)))
+    for start in range(0, len(order), block):
+        rows = order[start : start + block]
         b, m = len(rows), lengths[rows].max()
         # only ends outlives the sweep, so a block's tables are freed before the next block's
         ends = _sweep(factual, ids[rows, :m], features[rows, :m], slices)[1]
         distances = ends[n + np.tile(lengths[rows], 2), np.arange(2 * b)]
         euclidean[rows], count[rows] = distances[:b], distances[b:]
-        start = stop
     return euclidean, count
 
 

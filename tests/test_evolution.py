@@ -209,6 +209,9 @@ def test_initialize_cbi_draws_from_log():
     sources = [tuple(tr.activity_ids.tolist()) for tr in train]
     for row in population.ids.tolist():
         assert tuple(row) in sources
+    # each distinct row is scored once, and its copies take its scores
+    fresh = ViabilityScorer(train[0], HalfPredictor(), model)
+    assert np.array_equal(population.scores, fresh.score_batch(*population.frame))
 
 
 def test_initialize_sbi_has_positive_feasibility():
@@ -470,6 +473,22 @@ def test_evolve_deterministic_under_seed():
     second = evolve(train[0], config, HalfPredictor(), model, train)
     assert first.stats == second.stats
     assert same_rows(first.population, second.population)
+
+
+def test_evolve_refuses_a_log_scorer_of_another_factual_predictor_or_model():
+    # a log scorer's rows are one factual's scores under one predictor and model
+    train, model, _ = training_setup()
+    factual, predictor, config = train[0], HalfPredictor(), small_config(cycles=1)
+    own = ViabilityScorer(factual, predictor, model)
+    evolve(factual, config, predictor, model, train, own)
+    other_model = fit(train, identity_encoder(max_len=6), 1e-6, 5)
+    for other in (
+        ViabilityScorer(train[1], predictor, model),
+        ViabilityScorer(factual, HalfPredictor(), model),
+        ViabilityScorer(factual, predictor, other_model),
+    ):
+        with pytest.raises(ConfigurationError, match="log_scorer scores another"):
+            evolve(factual, config, predictor, model, train, other)
 
 
 def test_evolve_population_sorted_and_scores_fresh():
