@@ -34,7 +34,7 @@ import numpy as np
 
 from . import markov as markov_mod
 from .errors import ConfigNameError, ConfigurationError, SelectionError
-from .event_log import PAD_ID, EncodedLog, EncodedTrace, EncoderSpec, Frame, Rows
+from .event_log import PAD_ID, EncodedLog, EncoderSpec, Frame, Rows, _cdf
 from .markov import MarkovFeasibilityModel
 from .viability import DELTA, FEASIBILITY, SIMILARITY, SPARSITY, TOTAL, ViabilityScorer
 
@@ -165,21 +165,17 @@ def _random_genomes(rng: np.random.Generator, n: int, encoder: EncoderSpec) -> F
 
 
 def initialize(
-    kind: str,
-    n: int,
-    log: EncodedLog,
-    feas_model: MarkovFeasibilityModel,
-    scorer: ViabilityScorer,
-    rng: np.random.Generator,
+    kind: str, n: int, log: EncodedLog, scorer: ViabilityScorer, rng: np.random.Generator
 ) -> Population:
-    """Create and score the initial population.
+    """Create the initial population and score it through scorer.
 
     RI draws uniformly random genomes, SBI samples activities and attributes
-    from the feasibility model, CBI draws rows of the log uniformly with
-    replacement.
+    from the scorer's feasibility model, CBI draws rows of the log uniformly
+    with replacement.
     """
     if n < 1:
         raise ValueError("population size must be >= 1")
+    feas_model = scorer.feas_model
     if kind == "RI":
         frame = _random_genomes(rng, n, feas_model.encoder)
     elif kind == "SBI":
@@ -208,7 +204,8 @@ def select(
         raise ValueError("sample_size must be even")
     fitness = np.maximum(scores[:, TOTAL], FITNESS_FLOOR)
     if kind == "RWS":
-        chosen = rng.choice(n, size=sample_size, p=fitness / fitness.sum())
+        # Generator.choice(n, size=sample_size, p=p): the same indices and draws
+        chosen = _cdf(fitness / fitness.sum()).searchsorted(rng.random(sample_size), side="right")
     elif kind == "TS":
         # a contest of two uniform draws: i wins with probability f_i / (f_i + f_j)
         i, j = rng.integers(0, n, size=(2, sample_size))
@@ -408,38 +405,26 @@ def check_frame(config: EvoConfig, max_len: int) -> None:
         )
 
 
-def evolve(
-    factual: EncodedTrace,
-    config: EvoConfig,
-    predictor,
-    feas_model: MarkovFeasibilityModel,
-    log: EncodedLog,
-    log_scorer: ViabilityScorer | None = None,
-) -> GenerationResult:
-    """Run the full loop for config.cycles cycles against one factual.
+def evolve(scorer: ViabilityScorer, config: EvoConfig, log: EncodedLog) -> GenerationResult:
+    """Run the full loop for config.cycles cycles against the scorer's factual.
 
     Returns the final population sorted by total viability (descending) and
     one statistics row per executed cycle. Deterministic under config.seed.
-    log_scorer, when given, is a scorer of factual with the same predictor
-    and model (ConfigurationError otherwise) that only ever scores rows of
-    log: a CBI draw is scored through it, and the job's own scorer starts as
-    its copy, so jobs that share it score each log row once. Other initiators
-    ignore it. Every score is the one a scorer of the job's own would give.
+    scorer is the factual's, which its jobs share: a CBI draw (rows of log)
+    scores through it, so a log row is scored once per factual, while every
+    other draw and every bred genome scores through the job's copy of it.
+    Every score is the one a scorer of the job's own would give.
     """
+    feas_model = scorer.feas_model
     check_frame(config, feas_model.encoder.max_len)
-    if log_scorer is not None and not (
-        log_scorer.factual is factual
-        and log_scorer.predictor is predictor
-        and log_scorer.feas_model is feas_model
-    ):
-        raise ConfigurationError("log_scorer scores another factual, predictor or model")
     rng = np.random.default_rng(config.seed)
-    shared = log_scorer is not None and config.initiator == "CBI"
-    scorer = log_scorer if shared else ViabilityScorer(factual, predictor, feas_model)
-    population = initialize(config.initiator, config.population_size, log, feas_model, scorer, rng)
-    if shared:
-        # bred genomes go to the job's memo, so the log scorer keeps log rows only
+    # the copy comes after a CBI draw, so the job's memo starts with the draw's rows
+    if config.initiator == "CBI":
+        population = initialize("CBI", config.population_size, log, scorer, rng)
         scorer = scorer.copy()
+    else:
+        scorer = scorer.copy()
+        population = initialize(config.initiator, config.population_size, log, scorer, rng)
     # the frame stays in place: position p of the population is its row index[p]
     frame, scores, index = population.frame, population.scores, np.arange(len(population))
     stats: list[CycleStats] = []
@@ -468,20 +453,10 @@ BASELINES = {
 
 
 def generate_baseline(
-    kind: str,
-    factual: EncodedTrace,
-    n: int,
-    log: EncodedLog,
-    feas_model: MarkovFeasibilityModel,
-    predictor,
-    seed: int,
-    log_scorer: ViabilityScorer | None = None,
+    kind: str, scorer: ViabilityScorer, n: int, log: EncodedLog, seed: int
 ) -> GenerationResult:
-    """Draw and score n candidates with the baseline's initiator, best first.
-
-    log_scorer is evolve's: a CBGW draw scores through it.
-    """
+    """Draw n candidates with the baseline's initiator and score them as evolve does, best first."""
     if kind not in BASELINES:
         raise ConfigNameError(f"unknown baseline kind {kind!r}")
     config = EvoConfig(BASELINES[kind], population_size=n, cycles=0, seed=seed)
-    return evolve(factual, config, predictor, feas_model, log, log_scorer)
+    return evolve(scorer, config, log)

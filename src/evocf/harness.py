@@ -25,7 +25,6 @@ from . import predictor as predictor_mod
 from .errors import ConfigurationError
 from .event_log import (
     EncodedLog,
-    EncodedTrace,
     EncoderSpec,
     EventLog,
     Trace,
@@ -365,31 +364,18 @@ def run_job(
     prepared: PreparedExperiment,
     name: str,
     factual_index: int,
-    factual: EncodedTrace,
-    log_scorer: ViabilityScorer | None = None,
+    scorer: ViabilityScorer,
 ) -> GenerationResult:
-    """Run one generator against one factual on the job's own run_seed.
+    """Run one generator against the scorer's factual on the job's own run_seed.
 
     A baseline name (RGW, SBGW, CBGW) draws spec.counterfactuals_per_factual
     candidates; any other name is an operator config evolved for spec.cycles.
-    log_scorer, when given, is the factual's scorer of training rows (evolve's).
     """
     seed = run_seed(spec.seed, name, factual_index)
     if name in BASELINES:
-        return generate_baseline(
-            name,
-            factual,
-            spec.counterfactuals_per_factual,
-            prepared.train,
-            prepared.feas_model,
-            prepared.predictor,
-            seed,
-            log_scorer,
-        )
-    config = replace(spec.build_config(name), seed=seed)
-    return evolve(
-        factual, config, prepared.predictor, prepared.feas_model, prepared.train, log_scorer
-    )
+        n = spec.counterfactuals_per_factual
+        return generate_baseline(name, scorer, n, prepared.train, seed)
+    return evolve(scorer, replace(spec.build_config(name), seed=seed), prepared.train)
 
 
 def _output_path(spec: ExperimentSpec, filename: str) -> Path | None:
@@ -408,9 +394,9 @@ def _run_jobs(
     Each job's trajectory rows go to the report and are flushed to
     trajectories.csv as the job completes, so partial results survive a
     failure; on_result(name, factual, result) then sees the job's result.
-    Each factual keeps one log scorer for the whole run, so its CBI jobs
-    score each training row once; it holds at most one score row per
-    training trace, and the factual's own.
+    Each factual keeps one scorer for the whole run, so its CBI jobs score
+    each training row once; it holds at most one score row per training
+    trace, and the factual's own.
     """
     for name in spec.config_names:
         check_frame(spec.build_config(name), prepared.encoder.max_len)
@@ -418,12 +404,12 @@ def _run_jobs(
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     factuals = list(prepared.factuals)
-    log_scorers = [ViabilityScorer(f, prepared.predictor, prepared.feas_model) for f in factuals]
+    scorers = [ViabilityScorer(f, prepared.predictor, prepared.feas_model) for f in factuals]
     trajectories = _IncrementalCsv(_output_path(spec, "trajectories.csv"), TRAJECTORY_COLUMNS)
     try:
         for name in names:
             for fi, factual in enumerate(factuals):
-                result = run_job(spec, prepared, name, fi, factual, log_scorers[fi])
+                result = run_job(spec, prepared, name, fi, scorers[fi])
                 rows = [TrajectoryRow(name, factual.case_id, s) for s in result.stats]
                 report.trajectory_rows.extend(rows)
                 trajectories.write_rows([_trajectory_values(r) for r in rows])
@@ -562,7 +548,8 @@ def run_generate(
             )
         factual = found[0]
 
-    result = run_job(spec, prepared, name, 0, factual)
+    scorer = ViabilityScorer(factual, prepared.predictor, prepared.feas_model)
+    result = run_job(spec, prepared, name, 0, scorer)
     top = result.population.take(slice(spec.counterfactuals_per_factual))
     rows = candidate_rows(name, factual.case_id, top, prepared.encoder)
     out = Path(spec.output_dir)

@@ -146,7 +146,7 @@ def test_criterion_4_elitist_monotonicity(synthetic_200x5):
         cycles=100,
         seed=7,
     )
-    result = evolve(test[0], config, predictor, feas_model, train)
+    result = evolve(ViabilityScorer(test[0], predictor, feas_model), config, train)
     best = [s.best_total for s in result.stats]
     assert len(best) == 100
     violations = sum(1 for earlier, later in zip(best, best[1:]) if later < earlier)
@@ -329,10 +329,10 @@ def test_criterion_9_structural_invariants(synthetic_200x5):
 
     # 10,000 applications per operator family
     for kind in ("RI", "SBI", "CBI"):
-        population = initialize(kind, 100, train, feas_model, scorer, rng)
+        population = initialize(kind, 100, train, scorer, rng)
         genomes = genomes_of(*population.frame)
         for _ in range(10_000 // 100 - 1):
-            population = initialize(kind, 100, train, feas_model, scorer, rng)
+            population = initialize(kind, 100, train, scorer, rng)
             genomes.extend(genomes_of(*population.frame))
         for genome in genomes:
             checked(genome)

@@ -36,7 +36,7 @@ def setup_small():
         t([2, 3], [0.4, 0.9]),
     ])
     model = fit(train, identity_encoder(max_len=6), 1e-6, 5)
-    return train, model
+    return train, ViabilityScorer(train[0], HalfPredictor(), model)
 
 
 def reference_baseline(kind, factual, n, log, feas_model, predictor, rng):
@@ -58,9 +58,9 @@ def reference_baseline(kind, factual, n, log, feas_model, predictor, rng):
 
 
 def test_cbgw_single_source_log_returns_the_factual():
-    train, model = setup_small()
+    train, scorer = setup_small()
     factual = train[0]
-    result = generate_baseline("CBGW", factual, 10, log_of([factual]), model, HalfPredictor(), 0)
+    result = generate_baseline("CBGW", scorer, 10, log_of([factual]), 0)
     assert len(result.population) == 10
     for genome, score in scored(result.population):
         assert encoded_equal(genome, factual)
@@ -70,25 +70,25 @@ def test_cbgw_single_source_log_returns_the_factual():
 
 
 def test_sbgw_candidates_are_feasible_under_smoothing():
-    train, model = setup_small()
-    result = generate_baseline("SBGW", train[0], 30, train, model, HalfPredictor(), 1)
+    train, scorer = setup_small()
+    result = generate_baseline("SBGW", scorer, 30, train, 1)
     for genome, score in scored(result.population):
         assert score.feasibility > 0.0
         check_encoded_invariants(genome)
 
 
 def test_rgw_candidates_satisfy_invariants():
-    train, model = setup_small()
-    result = generate_baseline("RGW", train[0], 30, train, model, HalfPredictor(), 2)
+    train, scorer = setup_small()
+    result = generate_baseline("RGW", scorer, 30, train, 2)
     for genome, score in scored(result.population):
         check_encoded_invariants(genome)
         assert 0.0 <= score.similarity <= 1.0
 
 
 def test_output_sorted_by_total_and_sized():
-    train, model = setup_small()
+    train, scorer = setup_small()
     for kind in ("RGW", "SBGW", "CBGW"):
-        result = generate_baseline(kind, train[0], 25, train, model, HalfPredictor(), 3)
+        result = generate_baseline(kind, scorer, 25, train, 3)
         assert len(result.population) == 25
         assert result.stats == ()
         totals = [score.total for _, score in scored(result.population)]
@@ -96,9 +96,9 @@ def test_output_sorted_by_total_and_sized():
 
 
 def test_fixed_seed_reproduces_candidates():
-    train, model = setup_small()
-    first = generate_baseline("SBGW", train[0], 10, train, model, HalfPredictor(), 9)
-    second = generate_baseline("SBGW", train[0], 10, train, model, HalfPredictor(), 9)
+    train, scorer = setup_small()
+    first = generate_baseline("SBGW", scorer, 10, train, 9)
+    second = generate_baseline("SBGW", scorer, 10, train, 9)
     for (genome_a, score_a), (genome_b, score_b) in zip(
         scored(first.population), scored(second.population)
     ):
@@ -116,7 +116,9 @@ def test_zero_cycle_run_equals_the_one_shot_generator(synth_setup, kind, n):
         expected = reference_baseline(
             kind, factual, n, train, model, predictor, np.random.default_rng(seed)
         )
-        result = generate_baseline(kind, factual, n, train, model, predictor, seed)
+        result = generate_baseline(
+            kind, ViabilityScorer(factual, predictor, model), n, train, seed
+        )
         assert len(result.population) == len(expected)
         for (got_genome, got_score), (genome, score) in zip(scored(result.population), expected):
             assert encoded_equal(got_genome, genome)
@@ -131,14 +133,15 @@ def test_random_search_does_not_beat_real_cases(synth_setup):
     totals = {"RGW": [], "CBGW": []}
     for fi, factual in enumerate(synth_setup["test"].take(slice(6))):
         for kind in totals:
-            result = generate_baseline(kind, factual, 50, train, model, predictor, 100 + fi)
+            scorer = ViabilityScorer(factual, predictor, model)
+            result = generate_baseline(kind, scorer, 50, train, 100 + fi)
             totals[kind].extend(score.total for _, score in scored(result.population))
     assert statistics.median(totals["RGW"]) <= statistics.median(totals["CBGW"])
 
 
 def test_unknown_kind_and_bad_arguments():
-    train, model = setup_small()
+    train, scorer = setup_small()
     with pytest.raises(ConfigNameError):
-        generate_baseline("XXX", train[0], 5, train, model, HalfPredictor(), 0)
+        generate_baseline("XXX", scorer, 5, train, 0)
     with pytest.raises(ValueError):
-        generate_baseline("RGW", train[0], 0, train, model, HalfPredictor(), 0)
+        generate_baseline("RGW", scorer, 0, train, 0)

@@ -204,7 +204,7 @@ def test_zero_cycles_skip_the_offspring_checks():
 def test_initialize_cbi_draws_from_log():
     train, model, scorer = training_setup()
     rng = np.random.default_rng(0)
-    population = initialize("CBI", 20, train, model, scorer, rng)
+    population = initialize("CBI", 20, train, scorer, rng)
     assert len(population) == 20
     sources = [tuple(tr.activity_ids.tolist()) for tr in train]
     for row in population.ids.tolist():
@@ -217,7 +217,7 @@ def test_initialize_cbi_draws_from_log():
 def test_initialize_sbi_has_positive_feasibility():
     train, model, scorer = training_setup()
     rng = np.random.default_rng(1)
-    population = initialize("SBI", 30, train, model, scorer, rng)
+    population = initialize("SBI", 30, train, scorer, rng)
     assert (population.scores[:, FEASIBILITY] > 0.0).all()
     for genome in genomes_of(*population.frame):
         check_encoded_invariants(genome)
@@ -226,7 +226,7 @@ def test_initialize_sbi_has_positive_feasibility():
 def test_initialize_ri_respects_invariants():
     train, model, scorer = training_setup()
     rng = np.random.default_rng(2)
-    population = initialize("RI", 30, train, model, scorer, rng)
+    population = initialize("RI", 30, train, scorer, rng)
     for genome in genomes_of(*population.frame):
         check_encoded_invariants(genome)
         assert 1 <= genome.valid_len <= 6
@@ -234,15 +234,15 @@ def test_initialize_ri_respects_invariants():
 
 def test_initialize_deterministic():
     train, model, scorer = training_setup()
-    first = initialize("SBI", 10, train, model, scorer, np.random.default_rng(7))
-    second = initialize("SBI", 10, train, model, scorer, np.random.default_rng(7))
+    first = initialize("SBI", 10, train, scorer, np.random.default_rng(7))
+    second = initialize("SBI", 10, train, scorer, np.random.default_rng(7))
     assert same_rows(first, second)
 
 
 def test_initialize_rejects_zero():
     train, model, scorer = training_setup()
     with pytest.raises(ValueError):
-        initialize("CBI", 0, train, model, scorer, np.random.default_rng(0))
+        initialize("CBI", 0, train, scorer, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +260,23 @@ def test_rws_frequencies_proportional_to_fitness():
     rows = select("RWS", population.scores, 10_000, rng)
     share = np.mean(rows == 0)
     assert abs(share - 0.75) < 0.02
+
+
+def test_rws_draws_equal_generator_choice():
+    # RWS runs Generator.choice(n, size=k, p=p)'s arithmetic on the floored
+    # fitness: the same indices, and the same doubles taken from the generator
+    rng = np.random.default_rng(37)
+    for _ in range(3000):
+        n, k = int(rng.integers(1, 40)), 2 * int(rng.integers(1, 30))
+        scores = np.zeros((n, 5))
+        scores[:, TOTAL] = rng.standard_normal(n) * 10.0 ** int(rng.integers(-7, 3))
+        scores[rng.random(n) < 0.2, TOTAL] = FITNESS_FLOOR
+        seed = int(rng.integers(0, 2**32))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        fitness = np.maximum(scores[:, TOTAL], FITNESS_FLOOR)
+        want = theirs.choice(n, size=k, p=fitness / fitness.sum())
+        assert select("RWS", scores, k, ours).tolist() == want.tolist()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_tournament_three_to_one_odds():
@@ -439,63 +456,48 @@ def small_config(name="CBI-RWS-OPC-SBM-FSR", **kwargs):
 
 
 def test_evolve_zero_cycles_returns_scored_initial_population():
-    train, model, scorer = training_setup()
+    train, _, scorer = training_setup()
     config = small_config(cycles=0)
 
-    result = evolve(train[0], config, HalfPredictor(), model, train)
+    result = evolve(scorer, config, train)
     assert result.stats == ()
     assert len(result.population) == config.population_size
 
 
 def test_evolve_runs_with_constant_stub_predictor():
-    train, model, _ = training_setup()
+    train, _, scorer = training_setup()
 
     config = small_config(cycles=3)
-    result = evolve(train[0], config, HalfPredictor(), model, train)
+    result = evolve(scorer, config, train)
     assert len(result.stats) == 3
     assert len(result.population) == config.population_size
 
 
 def test_evolve_fsr_best_total_never_decreases():
-    train, model, _ = training_setup()
+    train, _, scorer = training_setup()
 
     config = small_config(cycles=20, seed=11)
-    result = evolve(train[0], config, HalfPredictor(), model, train)
+    result = evolve(scorer, config, train)
     best = [s.best_total for s in result.stats]
     assert all(later >= earlier for earlier, later in zip(best, best[1:]))
 
 
 def test_evolve_deterministic_under_seed():
-    train, model, _ = training_setup()
+    train, _, scorer = training_setup()
 
     config = small_config(cycles=4, seed=13)
-    first = evolve(train[0], config, HalfPredictor(), model, train)
-    second = evolve(train[0], config, HalfPredictor(), model, train)
+    first = evolve(scorer, config, train)
+    # the second run's scorer already holds the first's draw
+    second = evolve(scorer, config, train)
     assert first.stats == second.stats
     assert same_rows(first.population, second.population)
-
-
-def test_evolve_refuses_a_log_scorer_of_another_factual_predictor_or_model():
-    # a log scorer's rows are one factual's scores under one predictor and model
-    train, model, _ = training_setup()
-    factual, predictor, config = train[0], HalfPredictor(), small_config(cycles=1)
-    own = ViabilityScorer(factual, predictor, model)
-    evolve(factual, config, predictor, model, train, own)
-    other_model = fit(train, identity_encoder(max_len=6), 1e-6, 5)
-    for other in (
-        ViabilityScorer(train[1], predictor, model),
-        ViabilityScorer(factual, HalfPredictor(), model),
-        ViabilityScorer(factual, predictor, other_model),
-    ):
-        with pytest.raises(ConfigurationError, match="log_scorer scores another"):
-            evolve(factual, config, predictor, model, train, other)
 
 
 def test_evolve_population_sorted_and_scores_fresh():
     train, model, scorer = training_setup()
 
     config = small_config(cycles=5, seed=17)
-    result = evolve(train[0], config, HalfPredictor(), model, train)
+    result = evolve(scorer, config, train)
     totals = result.population.scores[:, TOTAL].tolist()
     assert totals == sorted(totals, reverse=True)
     fresh = ViabilityScorer(train[0], HalfPredictor(), model)
@@ -506,7 +508,7 @@ def test_evolve_population_sorted_and_scores_fresh():
 def test_operator_outputs_preserve_genome_invariants():
     train, model, scorer = training_setup()
     rng = np.random.default_rng(23)
-    population = initialize("CBI", 10, train, model, scorer, rng)
+    population = initialize("CBI", 10, train, scorer, rng)
     genomes = genomes_of(*population.frame)
     rates = MutationRates(0.2, 0.2, 0.2)
     for _ in range(300):
@@ -602,7 +604,7 @@ def test_initialize_sbi_equals_the_per_genome_oracle(synth_setup):
     factual = synth_setup["test"][0]
     scorer = ViabilityScorer(factual, synth_setup["predictor"], model)
     ours, reference = np.random.default_rng(9), np.random.default_rng(9)
-    population = initialize("SBI", 129, synth_setup["train"], model, scorer, ours)
+    population = initialize("SBI", 129, synth_setup["train"], scorer, ours)
     assert equal_genomes(genomes_of(*population.frame), sampled_genomes(reference, model, 129))
     assert ours.bit_generator.state == reference.bit_generator.state
 
@@ -716,13 +718,13 @@ def assert_engines_equal(factual, config, predictor, model, log, monkeypatch):
     """evolve and reference_evolve give the same rows, scores, statistics and generator state."""
     generators = []
 
-    def initialize_seen(kind, n, log, feas_model, scorer, rng):
+    def initialize_seen(kind, n, log, scorer, rng):
         generators.append(rng)
-        return initialize(kind, n, log, feas_model, scorer, rng)
+        return initialize(kind, n, log, scorer, rng)
 
     # evolve looks initialize up at call time, so its generator can be read
     monkeypatch.setattr(evolution, "initialize", initialize_seen)
-    result = evolve(factual, config, predictor, model, log)
+    result = evolve(ViabilityScorer(factual, predictor, model), config, log)
     pairs, stats, reference = reference_evolve(factual, config, predictor, model, log)
     genomes = [genome for genome, _ in pairs]
     ids, features, lengths = log_of(genomes).frame
@@ -802,7 +804,7 @@ def test_frame_engine_equals_the_object_engine_on_short_frames(name, max_len, mo
     )
     if config.crosser == "TPC" and max_len == 2:
         with pytest.raises(ConfigurationError):
-            evolve(log[0], config, MeanPredictor(), model, log)
+            evolve(ViabilityScorer(log[0], MeanPredictor(), model), config, log)
         with pytest.raises(ValueError):
             reference_evolve(log[0], config, MeanPredictor(), model, log)
         return
@@ -819,10 +821,10 @@ def test_tpc_on_a_frame_of_two_is_refused_before_any_draw():
         "RI-RWS-TPC-SBM-FSR", population_size=4, offspring_per_cycle=2, cycles=1, seed=3
     )
     with pytest.raises(ConfigurationError, match="RI-RWS-TPC-SBM-FSR: .* frame of 2 events"):
-        evolve(log[0], config, predictor, model, log)
+        evolve(ViabilityScorer(log[0], predictor, model), config, log)
     assert asked == []
     # without cycles nothing is crossed, so the same frame runs
-    evolve(log[0], replace(config, cycles=0), predictor, model, log)
+    evolve(ViabilityScorer(log[0], predictor, model), replace(config, cycles=0), log)
     assert len(asked) == 1
 
 

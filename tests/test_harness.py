@@ -45,7 +45,7 @@ from evocf.harness import (
     run_seed,
 )
 from evocf.predictor import ExternalProcessPredictor
-from evocf.viability import _row_keys, ssdld
+from evocf.viability import ViabilityScorer, _row_keys, ssdld
 from test_run_pins import GENERATE, GENERATE_CYCLES
 
 
@@ -137,9 +137,11 @@ def test_spec_rejects_a_config_named_twice(small_prepared):
     with pytest.raises(ValueError, match="CBI-RWS-OPC-SBM-FSR is named more than once"):
         small_spec(config_names=("CBI-RWS-OPC-SBM-FSR", "CBI-ES-UC3-SBM-RR") * 2)
     spec = small_spec()
-    factual = small_prepared.factuals[0]
-    first = run_job(spec, small_prepared, "CBI-RWS-OPC-SBM-FSR", 0, factual)
-    second = run_job(spec, small_prepared, "CBI-RWS-OPC-SBM-FSR", 0, factual)
+    scorer = ViabilityScorer(
+        small_prepared.factuals[0], small_prepared.predictor, small_prepared.feas_model
+    )
+    first = run_job(spec, small_prepared, "CBI-RWS-OPC-SBM-FSR", 0, scorer)
+    second = run_job(spec, small_prepared, "CBI-RWS-OPC-SBM-FSR", 0, scorer)
     assert first.stats == second.stats
 
 
@@ -565,65 +567,91 @@ def test_run_benchmark_routes_jobs_through_module_level_names(monkeypatch, small
 
 
 class RecordingPredictor:
-    """Passes every batch to a predictor and keeps each row's memo key with the job's factual."""
+    """Passes every batch to a predictor and keeps each row's memo key with the job asking."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.factual = None
-        self.sent = []  # (factual case id, row key) per row asked for
+        self.job = None  # (generator, factual case id)
+        self.sent = []  # (job, row key) per row asked for
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
     def predict_proba_batch(self, ids, features, lengths):
-        self.sent += [(self.factual, key) for key in _row_keys(ids, features, lengths)]
+        self.sent += [(self.job, key) for key in _row_keys(ids, features, lengths)]
         return self.inner.predict_proba_batch(ids, features, lengths)
 
 
-def run_recording_jobs(monkeypatch, prepared, out_dir, share):
-    """run_benchmark with two CBI configs and one SBI config through a RecordingPredictor.
+def run_recording_jobs(monkeypatch, prepared, out_dir, share, runner, configs):
+    """runner (run_benchmark or run_grid) of configs through a RecordingPredictor.
 
-    Returns the recorder and the log scorers the jobs got, by factual; with
-    share off, every job runs without one, so each scores on its own.
+    Returns the recorder and the scorers the jobs got, by factual; with share
+    off, every job gets a fresh scorer of its factual, so each scores on its own.
     """
     recorder = RecordingPredictor(prepared.predictor)
     prepared = dataclasses.replace(prepared, predictor=recorder)
-    log_scorers = {}
+    scorers = {}
     evolve, generate_baseline = evolution.evolve, evolution.generate_baseline
 
-    def job(run, factual_at, args):
-        recorder.factual = args[factual_at].case_id
-        log_scorers.setdefault(recorder.factual, []).append(args[-1])
-        return run(*args) if share else run(*args[:-1])
+    def job(run, generator, at, args):
+        scorer = args[at]
+        recorder.job = generator, scorer.factual.case_id
+        scorers.setdefault(scorer.factual.case_id, []).append(scorer)
+        if not share:
+            fresh = ViabilityScorer(scorer.factual, scorer.predictor, scorer.feas_model)
+            args = (*args[:at], fresh, *args[at + 1 :])
+        return run(*args)
 
-    monkeypatch.setattr(harness, "evolve", lambda *a: job(evolve, 0, a))
-    monkeypatch.setattr(harness, "generate_baseline", lambda *a: job(generate_baseline, 1, a))
-    configs = ("CBI-RWS-OPC-SBM-FSR", "CBI-ES-UC3-SBM-RR", "SBI-TS-UC5-SBM-BBR")
-    run_benchmark(small_spec(out_dir, config_names=configs), prepared)
-    return recorder, log_scorers
+    monkeypatch.setattr(harness, "evolve", lambda *a: job(evolve, a[1].name, 0, a))
+    monkeypatch.setattr(
+        harness, "generate_baseline", lambda *a: job(generate_baseline, a[0], 1, a)
+    )
+    runner(small_spec(out_dir, config_names=configs), prepared)
+    return recorder, scorers
 
 
 def test_a_run_scores_each_log_row_once_per_factual(tmp_path, monkeypatch, small_prepared):
-    # each factual keeps one log scorer for the run: CBI draws (two configs
-    # and CBGW) score through it, so a training row reaches the predictor at
-    # most once per factual, and outputs equal those of jobs scoring alone
-    shared, log_scorers = run_recording_jobs(monkeypatch, small_prepared, tmp_path / "a", True)
-    alone, _ = run_recording_jobs(monkeypatch, small_prepared, tmp_path / "b", False)
+    # each factual keeps one scorer for the run: CBI draws (two configs and
+    # CBGW) score through it, so a training row reaches the predictor at most
+    # once per factual, and outputs equal those of jobs scoring alone
+    configs = ("CBI-RWS-OPC-SBM-FSR", "CBI-ES-UC3-SBM-RR", "SBI-TS-UC5-SBM-BBR")
+    runs = {
+        share: run_recording_jobs(
+            monkeypatch, small_prepared, tmp_path / str(share), share, run_benchmark, configs
+        )
+        for share in (True, False)
+    }
+    (shared, scorers), (alone, _) = runs[True], runs[False]
     for name in ("candidates.csv", "trajectories.csv", "benchmark_report.json"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert (tmp_path / "True" / name).read_bytes() == (tmp_path / "False" / name).read_bytes()
 
     train_keys = set(_row_keys(*small_prepared.train.frame))
-    sent = Counter(pair for pair in shared.sent if pair[1] in train_keys)
-    sent_alone = Counter(pair for pair in alone.sent if pair[1] in train_keys)
-    assert sent and max(sent.values()) == 1
-    assert max(sent_alone.values()) > 1  # without the log scorer, CBI jobs rescore rows
+    factual_keys = {_row_keys(*factual.frame)[0] for factual in small_prepared.factuals}
+    per_factual = Counter((job[1], key) for job, key in shared.sent if key in train_keys)
+    per_factual_alone = Counter((job[1], key) for job, key in alone.sent if key in train_keys)
+    assert per_factual and max(per_factual.values()) == 1
+    assert max(per_factual_alone.values()) > 1  # without the shared scorer, CBI jobs rescore rows
+    # no job sends a row more than alone, and it skips only rows its factual's scorer knew
+    skipped = Counter(alone.sent) - Counter(shared.sent)
+    assert not Counter(shared.sent) - Counter(alone.sent)
+    assert {key for _, key in skipped} <= train_keys | factual_keys
     for factual in small_prepared.factuals:
-        # one log scorer per factual, holding training rows and the factual's own only
-        scorer, *others = log_scorers[factual.case_id]
-        assert all(other is scorer for other in others)
-        factual_key = _row_keys(*factual.frame)[0]
-        assert set(scorer._memo) <= train_keys | {factual_key}
-        assert len(scorer._table) == len(scorer._memo) <= len(small_prepared.train) + 1
+        # the SBI job's copy knows the factual from the CBI draws before it
+        assert skipped[(configs[2], factual.case_id), _row_keys(*factual.frame)[0]] == 1
+
+    # RI and SBI draws and every bred genome score through each job's copy
+    grid_scorers = run_recording_jobs(
+        monkeypatch, small_prepared, tmp_path / "grid", True, run_grid,
+        ("RI-TS-OPC-RM-FSR", "SBI-RWS-UC3-SBM-BBR"),
+    )[1]
+    for factual in small_prepared.factuals:
+        # one scorer per factual, holding training rows and the factual's own only
+        for jobs in (scorers, grid_scorers):
+            scorer, *others = jobs[factual.case_id]
+            assert all(other is scorer for other in others)
+            assert set(scorer._memo) <= train_keys | {_row_keys(*factual.frame)[0]}
+            assert len(scorer._table) == len(scorer._memo) <= len(small_prepared.train) + 1
+        assert not grid_scorers[factual.case_id][0]._memo  # no CBI draw: nothing of its own
 
 
 def test_perfbench_tracer_finds_and_restores_every_name_it_swaps(monkeypatch):

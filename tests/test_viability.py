@@ -889,7 +889,7 @@ def test_cbi_population_holding_the_factual_sends_it_once(synth_setup):
     log = log_of([factual, *synth_setup["train"].take(slice(5))])
     predictor = CountingPredictor(synth_setup["predictor"])
     scorer = ViabilityScorer(factual, predictor, model)
-    population = initialize("CBI", 40, log, model, scorer, np.random.default_rng(4))
+    population = initialize("CBI", 40, log, scorer, np.random.default_rng(4))
     keys = [_key(genome) for genome in genomes_of(*population.frame)]
     assert keys.count(_key(factual)) > 1
     # the factual first, then each other distinct row in order of first sight
@@ -904,9 +904,8 @@ def test_evolve_scores_each_distinct_genome_once(synth_setup):
     config = EvoConfig(
         "CBI-RWS-OPC-SBM-FSR", population_size=60, offspring_per_cycle=20, cycles=4, seed=3
     )
-    evolve(
-        synth_setup["test"][0], config, predictor, synth_setup["feas_model"], synth_setup["train"]
-    )
+    scorer = ViabilityScorer(synth_setup["test"][0], predictor, synth_setup["feas_model"])
+    evolve(scorer, config, synth_setup["train"])
     # one batch for the initial population plus at most one per cycle, and
     # no genome twice (the factual rides in the first batch)
     assert 1 <= predictor.batches <= 1 + config.cycles
