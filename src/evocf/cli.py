@@ -185,16 +185,10 @@ def cmd_train_predictor(args) -> int:
     (out / "predictor.json").write_text(prepared.predictor.to_json())
 
     # the model is fitted on every training trace, so only test is held out
-    metrics = {}
-    for split_name, split in (("train", prepared.train), ("test", prepared.test)):
-        m = predictor_mod.evaluate(prepared.predictor, split)
-        metrics[split_name] = {
-            "precision": m.precision,
-            "recall": m.recall,
-            "f1": m.f1,
-            "support_positive": m.support_positive,
-            "support_negative": m.support_negative,
-        }
+    metrics = {
+        split_name: dataclasses.asdict(predictor_mod.evaluate(prepared.predictor, split))
+        for split_name, split in (("train", prepared.train), ("test", prepared.test))
+    }
     (out / "metrics.json").write_text(json.dumps(metrics, indent=2))
     print(json.dumps(metrics["test"]))
     return 0

@@ -334,21 +334,18 @@ def mutate(
 
 
 def recombine(
-    kind: str, frame: Frame, index: np.ndarray, scores: np.ndarray, mutants: Population,
-    max_size: int,
+    kind: str, frame: Frame, index: np.ndarray, scores: np.ndarray, mutants: Population
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge mutants into the population (position p: row index[p] of frame, scores[p]).
 
-    FSR keeps the best of the union by total viability. BBR admits only
-    mutants above their generation's mean total, dropping the worst once over
-    capacity. RR orders the union lexicographically by the components in
-    priority order feasibility, delta, sparsity, similarity. Sorts are stable,
-    so ties resolve by insertion order. Survivors keep their rows; admitted
-    mutants are written into rows no survivor holds. Returns the new index
-    and scores.
+    The population keeps its size, len(index). FSR keeps the best of the
+    union by total viability. BBR admits only mutants above their
+    generation's mean total, dropping the worst once over that size. RR
+    orders the union lexicographically by the components in priority order
+    feasibility, delta, sparsity, similarity. Sorts are stable, so ties
+    resolve by insertion order. Survivors keep their rows; admitted mutants
+    are written into rows no survivor holds. Returns the new index and scores.
     """
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
     n = len(index)
     scores = np.concatenate([scores, mutants.scores])
     if kind == "FSR":
@@ -359,12 +356,12 @@ def recombine(
             totals = scores[n:, TOTAL]
             admitted = np.flatnonzero(totals > statistics.fmean(totals.tolist()))
             order = np.concatenate([order, n + admitted])
-        if len(order) > max_size:
+        if len(order) > n:
             order = order[_by_total(scores[order])]
     else:  # RR
         # np.lexsort sorts by its last key first
         order = np.lexsort(-scores[:, [SIMILARITY, SPARSITY, DELTA, FEASIBILITY]].T)
-    order = order[:max_size]
+    order = order[:n]
     old = order < n
     rows = np.empty(len(order), dtype=np.intp)
     rows[old] = index[order[old]]
@@ -436,7 +433,7 @@ def evolve(scorer: ViabilityScorer, config: EvoConfig, log: EncodedLog) -> Gener
         crossover(config.crosser, ids, features, lengths, rng, config.uc_rate)
         mutate(config.mutator, ids, features, lengths, config.mutation_rates, feas_model, rng)
         mutants = Population(ids, features, lengths, scorer.score_batch(ids, features, lengths))
-        index, scores = recombine(config.recombiner, frame, index, scores, mutants, len(index))
+        index, scores = recombine(config.recombiner, frame, index, scores, mutants)
         stats.append(_cycle_stats(cycle, scores))
     best = _by_total(scores)
     return GenerationResult(

@@ -52,7 +52,7 @@ from .evolution import (
     evolve,
     generate_baseline,
 )
-from .viability import TOTAL, EditAlignment, ViabilityScore, ViabilityScorer, ssdld
+from .viability import TOTAL, EditOp, ViabilityScore, ViabilityScorer, ssdld
 
 DEFAULT_BENCHMARK_CONFIGS = ("CBI-ES-UC3-SBM-RR", "CBI-RWS-OPC-SBM-FSR")
 
@@ -600,11 +600,11 @@ GAP = "—"
 def render_counterfactual(
     factual: Trace,
     counterfactual: Trace,
-    alignment: EditAlignment,
+    ops: tuple[EditOp, ...],
     p_factual: float | None = None,
     p_counterfactual: float | None = None,
 ) -> str:
-    """Markdown table aligning the two traces along the edit script.
+    """Markdown table aligning the two traces along the edit script ops (ssdld's).
 
     Matched and substituted events sit side by side, inserts and deletes show
     a gap on the missing side, transposed pairs appear crosswise, and
@@ -619,35 +619,15 @@ def render_counterfactual(
         lines.append("")
     lines.append("| op | factual | counterfactual |")
     lines.append("| --- | --- | --- |")
-    for op in alignment.ops:
-        if op.kind == "match":
-            f_event = factual.events[op.i - 1]
-            c_event = counterfactual.events[op.j - 1]
-            lines.append(
-                f"| match | {_format_event(f_event, c_event)} "
-                f"| {_format_event(c_event, f_event)} |"
-            )
-        elif op.kind == "substitute":
-            f_event = factual.events[op.i - 1]
-            c_event = counterfactual.events[op.j - 1]
-            lines.append(
-                f"| substitute | {_format_event(f_event)} | {_format_event(c_event)} |"
-            )
-        elif op.kind == "delete":
-            lines.append(f"| delete | {_format_event(factual.events[op.i - 1])} | {GAP} |")
-        elif op.kind == "insert":
-            lines.append(f"| insert | {GAP} | {_format_event(counterfactual.events[op.j - 1])} |")
-        elif op.kind == "transpose":
-            first_f = factual.events[op.i - 2]
-            second_f = factual.events[op.i - 1]
-            first_c = counterfactual.events[op.j - 2]
-            second_c = counterfactual.events[op.j - 1]
-            lines.append(
-                f"| transpose | {_format_event(first_f)} | {_format_event(first_c)} |"
-            )
-            lines.append(
-                f"| transpose | {_format_event(second_f)} | {_format_event(second_c)} |"
-            )
+    for op in ops:
+        # a transpose covers events (i-1, i) and (j-1, j); position 0 is a gap
+        for back in (1, 0) if op.kind == "transpose" else (0,):
+            f_event = factual.events[op.i - 1 - back] if op.i else None
+            c_event = counterfactual.events[op.j - 1 - back] if op.j else None
+            bold = op.kind == "match"
+            f_text = GAP if f_event is None else _format_event(f_event, c_event if bold else None)
+            c_text = GAP if c_event is None else _format_event(c_event, f_event if bold else None)
+            lines.append(f"| {op.kind} | {f_text} | {c_text} |")
     return "\n".join(lines) + "\n"
 
 
@@ -661,10 +641,12 @@ def render_pair(
 ) -> str:
     """render_counterfactual of case factual_id of log and case counterfactual_id of cf_log.
 
-    Both traces are encoded with one encoder fitted on log and aligned by
-    ssdld. A category only cf_log holds (such as the empty cell generate
-    writes for an RM code that decodes to no category) follows log's own,
-    so the encoder knows it and log's codes stay as they are.
+    Both traces are encoded with one encoder fitted on log's traces plus the
+    counterfactual, so numeric ranges also span the counterfactual, and
+    aligned by ssdld. A category or activity only cf_log holds (such as the
+    empty cell generate writes for an RM code that decodes to no category)
+    follows log's own, so the encoder knows it and log's codes and ids stay
+    as they are.
     """
     by_case = {t.case_id: t for t in log.traces}
     cf_by_case = {t.case_id: t for t in cf_log.traces}
@@ -672,15 +654,17 @@ def render_pair(
         raise ConfigurationError(
             f"factual {factual_id!r} or counterfactual {counterfactual_id!r} not found"
         )
+    factual, counterfactual = by_case[factual_id], cf_by_case[counterfactual_id]
     joined = tuple(
         replace(s, categories=tuple(dict.fromkeys(s.categories + cf.categories)))
         for s, cf in zip(log.schemas, cf_log.schemas, strict=True)
     )
-    encoder = fit_encoder(replace(log, schemas=joined))
-    factual, counterfactual = by_case[factual_id], cf_by_case[counterfactual_id]
-    _, alignment = ssdld(
+    vocabulary = tuple(dict.fromkeys(log.activity_vocabulary + cf_log.activity_vocabulary))
+    # both logs passed load_csv's checks, which the joined schemas and vocabulary keep
+    encoder = fit_encoder(EventLog._trusted((*log.traces, counterfactual), joined, vocabulary))
+    _, ops = ssdld(
         encode(factual, encoder), encode(counterfactual, encoder), "euclidean", encoder.slices()
     )
     return render_counterfactual(
-        factual, counterfactual, alignment, p_factual=p_factual, p_counterfactual=p_counterfactual
+        factual, counterfactual, ops, p_factual=p_factual, p_counterfactual=p_counterfactual
     )

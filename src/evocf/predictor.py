@@ -190,11 +190,10 @@ class PredictionMetrics:
     f1: float
     support_positive: int
     support_negative: int
-    zero_division: bool = False
 
 
 def evaluate(predictor: OutcomePredictor, test: EncodedLog) -> PredictionMetrics:
-    """Precision/recall/F1 for class 1 at DECISION_THRESHOLD; zero divisions flag as 0."""
+    """Precision/recall/F1 for class 1 at DECISION_THRESHOLD; a zero division gives 0.0."""
     if not test:
         raise ValueError("test set must be non-empty")
     labels = test.outcomes
@@ -202,27 +201,15 @@ def evaluate(predictor: OutcomePredictor, test: EncodedLog) -> PredictionMetrics
     tp = int(np.sum((predictions == 1) & (labels == 1)))
     fp = int(np.sum((predictions == 1) & (labels == 0)))
     fn = int(np.sum((predictions == 0) & (labels == 1)))
-
-    zero_division = False
-    if tp + fp == 0:
-        precision, zero_division = 0.0, True
-    else:
-        precision = tp / (tp + fp)
-    if tp + fn == 0:
-        recall, zero_division = 0.0, True
-    else:
-        recall = tp / (tp + fn)
-    if precision + recall == 0.0:
-        f1, zero_division = 0.0, True
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return PredictionMetrics(
         precision=precision,
         recall=recall,
         f1=f1,
         support_positive=int(np.sum(labels == 1)),
         support_negative=int(np.sum(labels == 0)),
-        zero_division=zero_division,
     )
 
 

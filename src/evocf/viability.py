@@ -77,16 +77,6 @@ class EditOp:
     cost: float
 
 
-@dataclass(frozen=True)
-class EditAlignment:
-    ops: tuple[EditOp, ...]
-
-
-def _infer_slices(a: EncodedTrace):
-    # without an encoder, treat every feature column as its own attribute
-    return tuple((None, slice(c, c + 1)) for c in range(a.features.shape[1]))
-
-
 def _match_costs(factual: EncodedTrace, feats: np.ndarray, same: np.ndarray, slices):
     """Both cost kinds of the factual against a padded block feats (B, M, D).
 
@@ -100,8 +90,11 @@ def _match_costs(factual: EncodedTrace, feats: np.ndarray, same: np.ndarray, sli
     by column: euclidean in the first B, count in the last B. Every entry
     comes from the expression the scalar reference DP (reference_ssdld in
     tests/conftest.py) evaluates for one pair, with the feature reduction on
-    the same contiguous last axis, so the floats are equal.
+    the same contiguous last axis, so the floats are equal. The count cost
+    counts by slices, the encoder's attribute layout (EncoderSpec.slices()).
     """
+    if slices is None:
+        raise TypeError("the count cost needs the encoder's attribute layout, encoder.slices()")
     n = factual.valid_len
     av = factual.features[:n]
     b, m, d = feats.shape
@@ -213,7 +206,7 @@ def _sweep(factual: EncodedTrace, acts: np.ndarray, feats: np.ndarray, slices, f
 
 
 def edit_distances(
-    factual: EncodedTrace, ids: np.ndarray, features: np.ndarray, lengths: np.ndarray, slices=None
+    factual: EncodedTrace, ids: np.ndarray, features: np.ndarray, lengths: np.ndarray, slices
 ) -> tuple[np.ndarray, np.ndarray]:
     """Edit distances of the factual to each candidate of a frame (event_log.Rows).
 
@@ -222,8 +215,6 @@ def edit_distances(
     the pair table of the batch's longest row within _TABLE_BUDGET (at least
     one), which bounds memory for any batch size.
     """
-    if slices is None:
-        slices = _infer_slices(factual)
     order = np.argsort(lengths, kind="stable")
     euclidean = np.empty(len(lengths))
     count = np.empty(len(lengths))
@@ -240,8 +231,8 @@ def edit_distances(
 
 
 def ssdld(
-    a: EncodedTrace, b: EncodedTrace, cost_kind: CostKind, slices=None
-) -> tuple[float, EditAlignment]:
+    a: EncodedTrace, b: EncodedTrace, cost_kind: CostKind, slices
+) -> tuple[float, tuple[EditOp, ...]]:
     """Weighted Damerau-Levenshtein distance and its edit script.
 
     Sweeps b's one-row frame and walks lane 0 (euclidean) or lane 1 (count)
@@ -253,8 +244,6 @@ def ssdld(
         raise ValueError(f"unknown cost kind {cost_kind!r}")
     lane = 0 if cost_kind == "euclidean" else 1
     n, m = a.valid_len, b.valid_len
-    if slices is None:
-        slices = _infer_slices(a)
     one_row = b.activity_ids[None, :m], b.features[None, :m]
     dp, _, pair_k, delete_k, insert_k = _sweep(a, *one_row, slices, full=True)
     # d[i][j] = D[i][j] = dp[i + j, i + 1], and the costs indexed from 0
@@ -304,16 +293,17 @@ def ssdld(
             continue
         raise AssertionError("backtrace failed to reproduce the DP value")
     ops.reverse()
-    return d[n][m], EditAlignment(tuple(ops))
+    return d[n][m], tuple(ops)
 
 
-def similarity_score(factual: EncodedTrace, candidate: EncodedTrace, slices=None) -> float:
+def similarity_score(factual: EncodedTrace, candidate: EncodedTrace) -> float:
     """1 - euclidean edit distance normalized by the attained bound |a| + |b|."""
-    distance, _ = edit_distances(factual, *candidate.frame, slices)
+    # the euclidean cost reads no attribute layout
+    distance, _ = edit_distances(factual, *candidate.frame, ())
     return 1.0 - distance.item() / (factual.valid_len + candidate.valid_len)
 
 
-def sparsity_score(factual: EncodedTrace, candidate: EncodedTrace, slices=None) -> float:
+def sparsity_score(factual: EncodedTrace, candidate: EncodedTrace, slices) -> float:
     """Like similarity_score, but counting differing attributes as the cost."""
     _, distance = edit_distances(factual, *candidate.frame, slices)
     return 1.0 - distance.item() / (factual.valid_len + candidate.valid_len)

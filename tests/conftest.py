@@ -30,7 +30,6 @@ from evocf.evolution import FITNESS_FLOOR, CycleStats, crossover, mutate
 from evocf.viability import (
     _BACKTRACE_TOLERANCE,
     FEATURE_DIFF_TOLERANCE,
-    EditAlignment,
     EditOp,
     ViabilityScore,
     ViabilityScorer,
@@ -435,18 +434,19 @@ def reference_mutate(kind, genomes, rates, feas_model, rng):
     ]
 
 
-def reference_recombine(kind, population, mutants, max_size):
+def reference_recombine(kind, population, mutants):
     """recombine sorting (genome, ViabilityScore) pairs by score attributes."""
+    size = len(population)
     if kind == "FSR":
-        survivors = sorted(population + mutants, key=lambda pair: -pair[1].total)[:max_size]
+        survivors = sorted(population + mutants, key=lambda pair: -pair[1].total)[:size]
     elif kind == "BBR":
         admitted = []
         if mutants:
             mean_total = statistics.fmean(score.total for _, score in mutants)
             admitted = [pair for pair in mutants if pair[1].total > mean_total]
         survivors = population + admitted
-        if len(survivors) > max_size:
-            survivors = sorted(survivors, key=lambda pair: -pair[1].total)[:max_size]
+        if len(survivors) > size:
+            survivors = sorted(survivors, key=lambda pair: -pair[1].total)[:size]
     else:
         survivors = sorted(
             population + mutants,
@@ -456,7 +456,7 @@ def reference_recombine(kind, population, mutants, max_size):
                 -pair[1].sparsity,
                 -pair[1].similarity,
             ),
-        )[:max_size]
+        )[:size]
     return survivors
 
 
@@ -494,9 +494,7 @@ def reference_evolve(factual, config, predictor, feas_model, log):
             config.mutator, children, config.mutation_rates, feas_model, rng
         )
         mutants = reference_scored(scorer, offspring)
-        population = reference_recombine(
-            config.recombiner, population, mutants, config.population_size
-        )
+        population = reference_recombine(config.recombiner, population, mutants)
         stats.append(reference_cycle_stats(cycle, population))
     best_first = sorted(population, key=lambda pair: -pair[1].total)
     return best_first, tuple(stats), rng
@@ -541,13 +539,17 @@ def _count_costs(a: EncodedTrace, b: EncodedTrace, slices):
     return pair, np.ones(n), np.ones(m)
 
 
+def column_slices(d):
+    """The attribute layout of d one-column attributes, as EncoderSpec.slices() gives it."""
+    return tuple((None, slice(c, c + 1)) for c in range(d))
+
+
 def _cost_matrices(a: EncodedTrace, b: EncodedTrace, cost_kind, slices=None):
     if cost_kind == "euclidean":
         return _euclidean_costs(a, b)
     if cost_kind == "count":
         if slices is None:
-            # without an encoder every feature column is its own attribute
-            slices = [(None, slice(c, c + 1)) for c in range(a.features.shape[1])]
+            slices = column_slices(a.features.shape[1])
         return _count_costs(a, b, slices)
     raise ValueError(f"unknown cost kind {cost_kind!r}")
 
@@ -606,7 +608,7 @@ def reference_ssdld_distance(
 
 def reference_ssdld(
     a: EncodedTrace, b: EncodedTrace, cost_kind, slices=None
-) -> tuple[float, EditAlignment]:
+) -> tuple[float, tuple[EditOp, ...]]:
     """Weighted Damerau-Levenshtein distance and its edit script.
 
     Backtrace ties are broken in the fixed order match/substitute, transpose,
@@ -653,7 +655,7 @@ def reference_ssdld(
             continue
         raise AssertionError("backtrace failed to reproduce the DP value")
     ops.reverse()
-    return d[n][m], EditAlignment(tuple(ops))
+    return d[n][m], tuple(ops)
 
 
 def identity_encoder(vocab=("a", "b", "c"), max_len=8, n_numeric=1):

@@ -65,10 +65,11 @@ def test_criterion_1_edit_distance_oracle():
     # the engine's kernel, one call per factual over the whole fixture frame;
     # each unordered pair is checked once, as (i, j) with j >= i
     frame = log_of([enc for _, _, enc in fixture]).frame
+    one_column = ((None, slice(0, 1)),)  # the numeric attribute is the one feature column
     checked = 0
     for i in range(len(fixture)):
         acts_a, feats_a, enc_a = fixture[i]
-        euclidean, count = (dist.tolist() for dist in edit_distances(enc_a, *frame))
+        euclidean, count = (dist.tolist() for dist in edit_distances(enc_a, *frame, one_column))
         for j in range(i, len(fixture)):
             acts_b, feats_b, _ = fixture[j]
             for kind, got in (("euclidean", euclidean), ("count", count)):

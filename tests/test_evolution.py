@@ -77,19 +77,13 @@ def same_rows(got, want):
     )) and len(got) == len(want)
 
 
-def recombined(kind, population, mutants, max_size):
-    """recombine from the index 0..N-1 on a copy of the frame with room for max_size rows.
+def recombined(kind, population, mutants):
+    """recombine from the index 0..N-1 on a copy of the frame.
 
     Returns the survivors as a frame in their new order.
     """
-    spare = max(max_size - len(population), 0)
-    frame = tuple(
-        np.concatenate([column, np.zeros((spare, *column.shape[1:]), column.dtype)])
-        for column in population.frame
-    )
-    index, scores = recombine(
-        kind, frame, np.arange(len(population)), population.scores, mutants, max_size
-    )
+    frame = tuple(column.copy() for column in population.frame)
+    index, scores = recombine(kind, frame, np.arange(len(population)), population.scores, mutants)
     return Population(*(column[index] for column in frame), scores)
 
 
@@ -421,28 +415,29 @@ def test_mutate_rm_draws_clipped_normal_features():
 
 def test_fsr_sorts_and_truncates():
     population = population_of(3.0, 1.0, 2.0)
-    survivors = recombined("FSR", population, population_of(2.5), 3)
+    survivors = recombined("FSR", population, population_of(2.5))
     assert survivors.scores[:, TOTAL].tolist() == [3.0, 2.5, 2.0]
 
 
 def test_bbr_admits_only_above_average_mutants():
     mutants = population_of(1.0, 2.0, 3.0)  # mean 2.0
-    survivors = recombined("BBR", population_of(0.5), mutants, 10)
-    assert survivors.scores[:, TOTAL].tolist() == [0.5, 3.0]
+    # 1.0 and 2.0 beat two of the population, but only 3.0 is above the mean
+    survivors = recombined("BBR", population_of(0.5, 0.25, 0.125), mutants)
+    assert survivors.scores[:, TOTAL].tolist() == [3.0, 0.5, 0.25]
 
 
 def test_bbr_drops_worst_when_over_capacity():
     mutants = population_of(0.5, 4.0)  # mean 2.25, only 4.0 joins
-    survivors = recombined("BBR", population_of(1.0, 2.0, 3.0), mutants, 3)
+    survivors = recombined("BBR", population_of(1.0, 2.0, 3.0), mutants)
     assert sorted(survivors.scores[:, TOTAL].tolist()) == [2.0, 3.0, 4.0]
 
 
 def test_rr_orders_lexicographically_by_components():
     better = one_event_population([0.25], [[0.1, 0.9, 0.5, 0.2, 1.7]])
     worse = one_event_population([0.75], [[0.9, 0.8, 0.5, 0.2, 2.4]])
-    survivors = recombined("RR", worse, better, 2)
+    survivors = recombined("RR", worse, better)
     # equal feasibility and delta; sparsity 0.9 beats 0.8 despite lower total
-    assert same_rows(survivors.take(slice(1)), better)
+    assert same_rows(survivors, better)
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +638,9 @@ def test_array_select_recombine_and_stats_equal_attribute_reference():
             want = reference_select(kind, scored(population), size, reference)
             assert equal_genomes(genomes_of(*population.take(got).frame), sum(want, ()))
             assert ours.bit_generator.state == reference.bit_generator.state
-        max_size = int(rng.integers(1, len(population) + len(mutants) + 2))
         for kind in ("FSR", "BBR", "RR"):
-            survivors = recombined(kind, population, mutants, max_size)
-            want = reference_recombine(kind, scored(population), scored(mutants), max_size)
+            survivors = recombined(kind, population, mutants)
+            want = reference_recombine(kind, scored(population), scored(mutants))
             assert equal_genomes(genomes_of(*survivors.frame), [genome for genome, _ in want])
             # each row travels with its genome, signed zeros included
             assert survivors.scores.tobytes() == score_bytes(score for _, score in want)
@@ -655,10 +649,9 @@ def test_array_select_recombine_and_stats_equal_attribute_reference():
 
 def test_bbr_round_that_admits_nothing_keeps_the_population():
     population = population_of(0.5, -0.0, 0.0)
-    survivors = recombined("BBR", population, population_of(1.0, 1.0, 1.0), 10)
+    survivors = recombined("BBR", population, population_of(1.0, 1.0, 1.0))
     assert same_rows(survivors, population)
-    nobody = population_of()
-    assert same_rows(recombined("BBR", population, nobody, 2), population.take(slice(2)))
+    assert same_rows(recombined("BBR", population, population_of()), population)
 
 
 def random_scored_population(rng, n, first_value):
@@ -680,8 +673,8 @@ def test_recombine_in_place_equals_the_gathering_reference_over_many_cycles(
     for cycle in range(1, 41):
         mutants = draw(rng, offspring, cycle * offspring + size)
         before = tuple(column.copy() for column in frame)
-        index, scores = recombine(kind, frame, index, scores, mutants, size)
-        want = reference_recombine(kind, want, scored(mutants), size)
+        index, scores = recombine(kind, frame, index, scores, mutants)
+        want = reference_recombine(kind, want, scored(mutants))
         # the frame gathered through the index is the reference's, row for row
         assert equal_genomes(genomes_of(*(column[index] for column in frame)), [g for g, _ in want])
         assert scores.tobytes() == score_bytes(score for _, score in want)

@@ -262,15 +262,15 @@ def test_render_ops_agree_with_alignment():
     factual = _trace("f", ["a", "b", "c", "d"], [1.0, 2.0, 3.0, 4.0])
     counterfactual = _trace("c", ["a", "x", "d", "c"], [1.0, 2.0, 4.0, 3.0])
     enc_f, enc_c, spec = _encoded_pair(factual, counterfactual)
-    _, alignment = ssdld(enc_f, enc_c, "euclidean", spec.slices())
-    text = render_counterfactual(factual, counterfactual, alignment)
+    _, ops = ssdld(enc_f, enc_c, "euclidean", spec.slices())
+    text = render_counterfactual(factual, counterfactual, ops)
     rendered_ops = [
         line.split("|")[1].strip()
         for line in text.splitlines()
         if line.startswith("|") and "---" not in line and line.split("|")[1].strip() != "op"
     ]
     expected = []
-    for op in alignment.ops:
+    for op in ops:
         expected.extend([op.kind, op.kind] if op.kind == "transpose" else [op.kind])
     assert rendered_ops == expected
     assert "substitute" in rendered_ops
@@ -1555,6 +1555,44 @@ def test_cli_renders_every_rm_counterfactual(tmp_path, capsys):
         assert code == 0, capsys.readouterr().err
     assert "resource= |" in capsys.readouterr().out
 
+
+
+@pytest.mark.parametrize(
+    "counterfactual, expected",
+    [
+        # longer than every trace of the log, with amounts outside its range
+        ("cf_long", ["match", "match", "insert", "insert", "insert"]),
+        # an activity and a category that the log lacks
+        ("cf_new", ["match", "substitute"]),
+    ],
+)
+def test_cli_renders_a_counterfactual_that_the_log_alone_cannot_encode(
+    tmp_path, capsys, counterfactual, expected
+):
+    header = "case_id,activity,timestamp,outcome,amount,resource\n"
+    log, cf_log, schema = tmp_path / "log.csv", tmp_path / "cf.csv", tmp_path / "schema.json"
+    log.write_text(header + "f,a,0,1,1.0,x\nf,b,1,1,2.0,y\ng,b,0,0,3.0,x\n")
+    cf_log.write_text(
+        header
+        + "".join(f"cf_long,{a},{step},0,{step + 7}.5,y\n" for step, a in enumerate("abbab"))
+        + "cf_new,a,0,0,1.0,x\ncf_new,ZZZ,1,0,2.0,z\n"
+    )
+    schema.write_text(
+        '{"attributes": [{"name": "amount", "kind": "numeric"},'
+        ' {"name": "resource", "kind": "categorical"}]}'
+    )
+    code = cli_main(
+        ["render", "--log", str(log), "--schema", str(schema), "--counterfactual-log",
+         str(cf_log), "--factual", "f", "--counterfactual", counterfactual]
+    )
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    rows = [line.split(" | ") for line in out.splitlines()[2:]]
+    assert [row[0].strip("| ") for row in rows] == expected
+    # every event of the counterfactual shows, in order
+    shown = [row[2].split()[0] for row in rows if row[2] != "— |"]
+    assert shown == [line.split(",")[1] for line in cf_log.read_text().splitlines()
+                     if line.startswith(counterfactual + ",")]
 
 # scores 0.9 for a case holding a "B" event, 0.1 otherwise
 RULE_SCRIPT = """\

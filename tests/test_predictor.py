@@ -214,15 +214,13 @@ def test_evaluate_all_correct():
     predictor = train(data, epochs=300, seed=0)
     metrics = evaluate(predictor, data)
     assert (metrics.precision, metrics.recall, metrics.f1) == (1.0, 1.0, 1.0)
-    assert not metrics.zero_division
 
 
 def test_evaluate_degenerate_constant_predictor():
     data = _labeled_pair()
     metrics = evaluate(Constant(0.4), data)
-    assert metrics.recall == 0.0
-    assert metrics.f1 == 0.0
-    assert metrics.zero_division
+    # no positive prediction: precision's and f1's zero divisions give 0.0
+    assert (metrics.precision, metrics.recall, metrics.f1) == (0.0, 0.0, 0.0)
 
 
 def test_evaluate_confusion_matrix_arithmetic():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     _dp_table,
+    column_slices,
     genomes_of,
     identity_encoder,
     log_of,
@@ -116,8 +117,12 @@ def t(acts, values, max_len=6):
     return make_encoded(acts, [[v] for v in values], max_len)
 
 
+# the layout of t's traces: one one-column attribute
+ONE = column_slices(1)
+
+
 def distance(a, b, kind):
-    euclidean, count = edit_distances(a, *b.frame)
+    euclidean, count = edit_distances(a, *b.frame, ONE)
     return (euclidean if kind == "euclidean" else count).item()
 
 
@@ -135,9 +140,9 @@ def random_trace(rng, max_len=6, vocab=3):
 def test_identical_traces_have_zero_distance():
     trace = t([1, 2, 3], [0.2, 0.5, 0.9])
     for kind in ("euclidean", "count"):
-        distance, alignment = ssdld(trace, trace, kind)
+        distance, ops = ssdld(trace, trace, kind, ONE)
         assert distance == 0.0
-        assert all(op.kind == "match" for op in alignment.ops)
+        assert all(op.kind == "match" for op in ops)
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "count"])
@@ -160,9 +165,9 @@ def test_transposition_with_carried_attributes_is_free():
     a = t([1, 2], [0.3, 0.8])
     b = t([2, 1], [0.8, 0.3])
     for kind in ("euclidean", "count"):
-        distance, alignment = ssdld(a, b, kind)
+        distance, ops = ssdld(a, b, kind, ONE)
         assert distance == 0.0
-        assert [op.kind for op in alignment.ops] == ["transpose"]
+        assert [op.kind for op in ops] == ["transpose"]
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "count"])
@@ -184,8 +189,8 @@ def test_alignment_costs_sum_to_distance(kind):
     for _ in range(200):
         a = random_trace(rng)
         b = random_trace(rng)
-        distance, alignment = ssdld(a, b, kind)
-        assert abs(sum(op.cost for op in alignment.ops) - distance) < 1e-12
+        distance, ops = ssdld(a, b, kind, ONE)
+        assert abs(sum(op.cost for op in ops) - distance) < 1e-12
 
 
 def test_alignment_replay_reconstructs_target():
@@ -193,12 +198,12 @@ def test_alignment_replay_reconstructs_target():
     for _ in range(200):
         a = random_trace(rng)
         b = random_trace(rng)
-        _, alignment = ssdld(a, b, "euclidean")
+        _, ops = ssdld(a, b, "euclidean", ONE)
         acts_a = a.activity_ids[: a.valid_len].tolist()
         acts_b = b.activity_ids[: b.valid_len].tolist()
         rebuilt = []
         consumed_a = 0
-        for op in alignment.ops:
+        for op in ops:
             if op.kind in ("match", "substitute"):
                 rebuilt.append(acts_b[op.j - 1])
                 consumed_a += 1
@@ -236,12 +241,10 @@ def kernel_trace(rng, length, max_len, alphabet, d):
 
 
 def kernel_slices(mode, d):
-    if mode == "none":
-        return None  # inferred: one attribute per column
     if mode == "empty":
         return ()  # an encoder without attributes
     if mode == "columns":
-        return tuple((None, slice(c, c + 1)) for c in range(d))
+        return column_slices(d)
     # "grouped": a one-column attribute followed by a multi-column code
     return ((None, slice(0, 1)), (None, slice(1, d))) if d > 1 else ((None, slice(0, d)),)
 
@@ -260,7 +263,7 @@ def assert_kernel_equals_scalar(factual, candidates, slices):
     d=st.sampled_from([0, 1, 3, 12]),  # 12: wider than numpy's 8-way unrolled sum
     max_len=st.integers(1, 8),
     alphabet=st.sampled_from([1, 2, 5, 10]),  # 1: all match, 2: swap-heavy, 10: sparse
-    slice_mode=st.sampled_from(["none", "empty", "columns", "grouped"]),
+    slice_mode=st.sampled_from(["empty", "columns", "grouped"]),
     data=st.data(),
 )
 def test_edit_distances_equal_the_scalar_dp(seed, d, max_len, alphabet, slice_mode, data):
@@ -275,7 +278,7 @@ def test_edit_distances_equal_the_scalar_dp(seed, d, max_len, alphabet, slice_mo
 
 
 @pytest.mark.parametrize(
-    "d, slice_mode", [(0, "none"), (0, "empty"), (2, "empty"), (2, "grouped"), (12, "grouped")]
+    "d, slice_mode", [(0, "empty"), (2, "empty"), (2, "grouped"), (12, "grouped")]
 )
 def test_edit_distances_degenerate_shapes(d, slice_mode):
     rng = np.random.default_rng(d)
@@ -287,7 +290,7 @@ def test_edit_distances_degenerate_shapes(d, slice_mode):
 
 
 @pytest.mark.parametrize(
-    "d, slice_mode", [(0, "none"), (0, "grouped"), (3, "columns"), (5, "grouped")]
+    "d, slice_mode", [(0, "grouped"), (3, "columns"), (5, "grouped")]
 )
 def test_edit_distances_of_a_block_without_matching_cells(d, slice_mode):
     # factual activities 1-3, candidate activities 4-6: no pair cost is read
@@ -305,8 +308,24 @@ def test_edit_distances_of_a_block_without_matching_cells(d, slice_mode):
 def test_edit_distances_of_an_empty_frame(d):
     factual = kernel_trace(np.random.default_rng(d), 4, 6, 3, d)
     empty = np.zeros((0, 6), dtype=np.int64), np.zeros((0, 6, d)), np.zeros(0, dtype=np.int64)
-    euclidean, count = edit_distances(factual, *empty)
+    euclidean, count = edit_distances(factual, *empty, column_slices(d))
     assert euclidean.shape == count.shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda a, b: edit_distances(a, *b.frame, None)[1],
+        lambda a, b: ssdld(a, b, "count", None)[0],
+        lambda a, b: sparsity_score(a, b, None),
+    ],
+    ids=["edit_distances", "ssdld", "sparsity_score"],
+)
+def test_a_count_without_the_attribute_layout_raises(count):
+    # these traces differ in their one attribute: a count of 0 would hide it
+    a, b = t([1, 2], [0.2, 0.4]), t([1, 2], [0.9, 0.4])
+    with pytest.raises(TypeError, match="attribute layout"):
+        count(a, b)
 
 
 def test_edit_distances_swap_and_repeat_sequences():
@@ -316,7 +335,7 @@ def test_edit_distances_swap_and_repeat_sequences():
     patterns = [[1, 2] * 3, [2, 1] * 3, [1, 2, 2, 1, 1, 2], [1] * 6, [2, 1, 1], [1, 2]]
     traces = [make_encoded(p, [rows[i % 4] for i in range(len(p))], 6) for p in patterns]
     for factual in traces:
-        assert_kernel_equals_scalar(factual, traces, None)
+        assert_kernel_equals_scalar(factual, traces, column_slices(2))
 
 
 def test_edit_distances_on_the_criterion_1_fixture():
@@ -330,7 +349,7 @@ def test_edit_distances_on_the_criterion_1_fixture():
     assert len(fixture) == 360
     frame = log_of(fixture).frame
     for factual in fixture:
-        euclidean, count = edit_distances(factual, *frame)
+        euclidean, count = edit_distances(factual, *frame, ONE)
         assert euclidean.tolist() == [
             reference_ssdld_distance(factual, c, "euclidean") for c in fixture
         ]
@@ -404,7 +423,7 @@ def test_sweep_table_equals_the_scalar_distance_table_in_every_cell(d, slice_mod
 
 
 def assert_backtrace_equals_scalar(a, b, slices):
-    """Both kinds' ssdld equal the scalar DP's; returns the two alignments.
+    """Both kinds' ssdld equal the scalar DP's; returns the two edit scripts.
 
     repr compares the distance and every op's cost by its float bits.
     """
@@ -422,7 +441,7 @@ def assert_backtrace_equals_scalar(a, b, slices):
     d=st.sampled_from([0, 1, 3, 12]),
     max_len=st.integers(1, 8),
     alphabet=st.sampled_from([1, 2, 5, 10]),
-    slice_mode=st.sampled_from(["none", "empty", "columns", "grouped"]),
+    slice_mode=st.sampled_from(["empty", "columns", "grouped"]),
     data=st.data(),
 )
 def test_ssdld_equals_the_scalar_backtrace(seed, d, max_len, alphabet, slice_mode, data):
@@ -434,7 +453,7 @@ def test_ssdld_equals_the_scalar_backtrace(seed, d, max_len, alphabet, slice_mod
 
 
 @pytest.mark.parametrize(
-    "d, slice_mode", [(0, "none"), (0, "empty"), (1, "columns"), (3, "grouped")]
+    "d, slice_mode", [(0, "empty"), (1, "columns"), (3, "grouped")]
 )
 def test_ssdld_equals_the_scalar_backtrace_on_every_op_kind(d, slice_mode):
     # lengths 1 and max_len, alphabets 1 (all match) and 2 (swap-heavy)
@@ -445,8 +464,8 @@ def test_ssdld_equals_the_scalar_backtrace_on_every_op_kind(d, slice_mode):
         for _ in range(8):
             a = kernel_trace(rng, n, 6, alphabet, d)
             b = kernel_trace(rng, m, 6, alphabet, d)
-            for alignment in assert_backtrace_equals_scalar(a, b, slices):
-                seen.update(op.kind for op in alignment.ops)
+            for ops in assert_backtrace_equals_scalar(a, b, slices):
+                seen.update(op.kind for op in ops)
     assert seen == {"match", "substitute", "transpose", "delete", "insert"}
 
 
@@ -471,12 +490,12 @@ def test_similarity_in_unit_interval_on_random_pairs():
         a = random_trace(rng)
         b = random_trace(rng)
         assert 0.0 <= similarity_score(a, b) <= 1.0
-        assert 0.0 <= sparsity_score(a, b) <= 1.0
+        assert 0.0 <= sparsity_score(a, b, ONE) <= 1.0
 
 
 def test_sparsity_identical_is_one():
     trace = t([1, 2, 3], [0.3, 0.4, 0.5])
-    assert sparsity_score(trace, trace) == 1.0
+    assert sparsity_score(trace, trace, ONE) == 1.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -487,31 +506,32 @@ def test_sparsity_single_attribute_difference(n):
     feats_b[0, 0] = 0.9
     a = make_encoded([1] * n, feats_a, max_len=6)
     b = make_encoded([1] * n, feats_b, max_len=6)
-    slices = tuple((None, slice(i, i + 1)) for i in range(4))
-    assert sparsity_score(a, b, slices) == pytest.approx(1.0 - (1 / 4) / (2 * n), abs=1e-12)
+    expected = 1.0 - (1 / 4) / (2 * n)
+    assert sparsity_score(a, b, column_slices(4)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_scalar_scores_with_the_encoder_layout_equal_the_scorer_row():
     prepared = prepare_experiment(ExperimentSpec(synthetic=SyntheticSpec()))
     slices = prepared.encoder.slices()
     factual = prepared.factuals[0]
+    columns = column_slices(prepared.encoder.feature_dim)
     scorer = ViabilityScorer(factual, prepared.predictor, prepared.feas_model)
     rows = scorer.score_batch(*prepared.train.frame)
     per_column = 0
     for i in range(len(prepared.train)):
         trace = prepared.train[i]
-        assert similarity_score(factual, trace, slices) == rows[i, SIMILARITY]
+        assert similarity_score(factual, trace) == rows[i, SIMILARITY]
         assert sparsity_score(factual, trace, slices) == rows[i, SPARSITY]
-        per_column += sparsity_score(factual, trace) != rows[i, SPARSITY]
-    # without the layout each column of the two-column resource attribute
-    # counts as its own attribute
+        per_column += sparsity_score(factual, trace, columns) != rows[i, SPARSITY]
+    # in a one-attribute-per-column layout each column of the two-column
+    # resource attribute counts as its own attribute
     assert per_column > 0
 
 
 def test_sparsity_disjoint_activities_is_zero():
     a = t([1, 1, 1], [0.5, 0.5, 0.5])
     b = t([2, 3], [0.5, 0.5])
-    assert sparsity_score(a, b) == pytest.approx(0.0, abs=1e-12)
+    assert sparsity_score(a, b, ONE) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
