@@ -1590,9 +1590,9 @@ def test_cli_renders_a_counterfactual_that_the_log_alone_cannot_encode(
     rows = [line.split(" | ") for line in out.splitlines()[2:]]
     assert [row[0].strip("| ") for row in rows] == expected
     # every event of the counterfactual shows, in order
+    events = [line.split(",") for line in cf_log.read_text().splitlines()]
     shown = [row[2].split()[0] for row in rows if row[2] != "— |"]
-    assert shown == [line.split(",")[1] for line in cf_log.read_text().splitlines()
-                     if line.startswith(counterfactual + ",")]
+    assert shown == [event[1] for event in events if event[0] == counterfactual]
 
 # scores 0.9 for a case holding a "B" event, 0.1 otherwise
 RULE_SCRIPT = """\
